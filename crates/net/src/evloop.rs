@@ -2,13 +2,14 @@
 //! per-connection nonblocking state machine ([`Conn`]), the readiness
 //! abstraction ([`EventSource`]) that lets the whole loop run against
 //! scripted in-memory I/O in tests, and the production
-//! epoll/poll-backed source ([`PollSource`]).
+//! epoll-backed source ([`PollSource`]).
 //!
 //! The design splits "what the kernel says" from "what the server does
 //! with it". An [`EventSource`] produces [`Readiness`] reports per tick;
-//! [`crate::EventLoop`] turns them into reads, frame reassembly, cohort
-//! submission, and writes, all through [`Conn`] — which is generic over
-//! any `Read + Write` transport. Production instantiates the loop with
+//! [`crate::FrontDoor`] turns them into reads, frame reassembly and
+//! writes (and [`crate::EventLoop`] the frames into cohort submissions),
+//! all through [`Conn`] — which is generic over any `Read + Write`
+//! transport. Production instantiates the loop with
 //! [`PollSource`] + `TcpStream`; the deterministic test harness
 //! instantiates it with a scripted source and in-memory streams and
 //! replays exact readiness schedules (partial reads, short writes,
@@ -258,7 +259,7 @@ struct PollShared {
 }
 
 /// The production [`EventSource`]: kernel readiness via the vendored
-/// `polling` wrapper (epoll on Linux, poll elsewhere), with an injection
+/// `polling` wrapper (epoll; Linux only), with an injection
 /// queue the acceptor thread uses to hand new sockets to the worker.
 pub struct PollSource {
     shared: Arc<PollShared>,

@@ -362,6 +362,14 @@ pub enum Response {
     },
 }
 
+impl Response {
+    /// A [`Response::Error`] without a pacing hint (every code but
+    /// [`ErrorCode::Throttled`]).
+    pub fn error(code: ErrorCode, trip: Option<TripId>, detail: impl Into<String>) -> Response {
+        Response::Error { code, trip, retry_after_ms: None, detail: detail.into() }
+    }
+}
+
 /// Why a frame failed to decode. Decoding is total: hostile bytes always
 /// land in one of these variants, never a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -97,6 +97,7 @@
 mod client;
 mod evloop;
 mod frame;
+mod front;
 mod server;
 mod wire;
 
@@ -107,11 +108,9 @@ pub use frame::{
     FrameError, Request, Response, TripComplete, DEFAULT_MAX_FRAME, FRAME_MAGIC, FRAME_VERSION,
     MAX_ERROR_DETAIL,
 };
-pub use server::{
-    widen_accept_backlog, ConnectionStats, EventLoop, IngestCore, NetConfig, NetError, NetServer,
-    NetServerBuilder, NetStats,
+pub use front::{
+    ConnectionStats, FrontCounters, FrontDoor, FrontEvent, FrontListener, FrontShared, NetConfig,
+    NetStats,
 };
-pub use wire::{
-    read_request, read_request_timed, read_response, write_request, write_response, FrameAssembler,
-    RecvError,
-};
+pub use server::{EventLoop, IngestCore, NetError, NetServer, NetServerBuilder};
+pub use wire::{read_response, write_request, FrameAssembler, RecvError};

@@ -20,8 +20,8 @@ use bytes::Bytes;
 use causaltad::envelope::ENVELOPE_HEADER_LEN;
 
 use crate::frame::{
-    request_from_bytes, request_to_bytes, response_from_bytes, response_to_bytes, FrameError,
-    Request, Response, FRAME_MAGIC, FRAME_VERSION,
+    request_to_bytes, response_from_bytes, FrameError, Request, Response, FRAME_MAGIC,
+    FRAME_VERSION,
 };
 
 /// Why a frame could not be received from a stream.
@@ -132,7 +132,7 @@ fn read_frame_bytes(r: &mut impl Read, max_payload: usize) -> Result<Option<Byte
 /// Incremental `TADN` envelope reassembly for nonblocking reads: feed it
 /// whatever chunk of bytes the socket produced — a byte, half a header,
 /// three frames and a tail — and pull complete envelopes out as they
-/// form. This is the event loop's counterpart of [`read_request`]'s
+/// form. This is the event loop's counterpart of [`read_response`]'s
 /// blocking header-then-payload read, with the identical validation
 /// order: a header is judged ([`FrameError::BadMagic`] /
 /// [`FrameError::BadVersion`] / [`FrameError::TooLarge`]) as soon as its
@@ -212,35 +212,6 @@ impl FrameAssembler {
     }
 }
 
-/// Reads one request frame. `Ok(None)` is a clean frame-aligned EOF.
-///
-/// # Errors
-/// [`RecvError::Io`] for transport failures (including mid-frame EOF),
-/// [`RecvError::Frame`] for undecodable or over-long frames.
-pub fn read_request(r: &mut impl Read, max_payload: usize) -> Result<Option<Request>, RecvError> {
-    Ok(read_request_timed(r, max_payload)?.map(|(req, _)| req))
-}
-
-/// [`read_request`] plus the nanoseconds spent *decoding* the frame once
-/// its bytes were in memory (socket wait excluded) — what the server
-/// records into its `net.frame_decode_ns` histogram.
-///
-/// # Errors
-/// Same as [`read_request`].
-pub fn read_request_timed(
-    r: &mut impl Read,
-    max_payload: usize,
-) -> Result<Option<(Request, u64)>, RecvError> {
-    match read_frame_bytes(r, max_payload)? {
-        Some(bytes) => {
-            let started = std::time::Instant::now();
-            let req = request_from_bytes(bytes)?;
-            Ok(Some((req, started.elapsed().as_nanos() as u64)))
-        }
-        None => Ok(None),
-    }
-}
-
 /// Reads one response frame. `Ok(None)` is a clean frame-aligned EOF.
 ///
 /// # Errors
@@ -261,45 +232,40 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> std::io::Result<()> {
     w.write_all(&request_to_bytes(req))
 }
 
-/// Writes one response frame (no flush — callers batch then flush).
-///
-/// # Errors
-/// Propagates the writer's I/O error.
-pub fn write_response(w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
-    w.write_all(&response_to_bytes(resp))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::ErrorCode;
+    use crate::frame::{response_to_bytes, ErrorCode};
+
+    fn error(code: ErrorCode, trip: Option<u64>) -> Response {
+        Response::Error { code, trip, retry_after_ms: None, detail: String::new() }
+    }
 
     #[test]
     fn frames_stream_back_to_back() {
         let mut buf: Vec<u8> = Vec::new();
-        let reqs = [
-            Request::TripStart { id: 1, source: 0, dest: 9, time_slot: 3 },
-            Request::Segment { id: 1, seg: 4 },
-            Request::Flush,
+        let resps = [
+            error(ErrorCode::Backpressure, Some(1)),
+            Response::Installed { sessions: 4 },
+            error(ErrorCode::EngineClosed, None),
         ];
-        for req in &reqs {
-            write_request(&mut buf, req).expect("vec write");
+        for resp in &resps {
+            buf.extend_from_slice(&response_to_bytes(resp));
         }
         let mut cursor = &buf[..];
-        for req in &reqs {
-            let got = read_request(&mut cursor, 1024).expect("read").expect("frame");
-            assert_eq!(&got, req);
+        for resp in &resps {
+            let got = read_response(&mut cursor, 1024).expect("read").expect("frame");
+            assert_eq!(&got, resp);
         }
-        assert!(read_request(&mut cursor, 1024).expect("clean eof").is_none());
+        assert!(read_response(&mut cursor, 1024).expect("clean eof").is_none());
     }
 
     #[test]
     fn mid_frame_eof_is_an_io_error() {
-        let mut buf: Vec<u8> = Vec::new();
-        write_request(&mut buf, &Request::TripEnd { id: 3 }).expect("vec write");
+        let buf = response_to_bytes(&Response::Installed { sessions: 3 });
         for cut in 1..buf.len() {
             let mut cursor = &buf[..cut];
-            match read_request(&mut cursor, 1024) {
+            match read_response(&mut cursor, 1024) {
                 Err(RecvError::Io(e)) => {
                     assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "cut={cut}")
                 }
@@ -385,7 +351,7 @@ mod tests {
         // reader must report BadMagic, not TooLarge or an allocation.
         let raw = [0xFFu8; 14];
         let mut cursor = &raw[..];
-        match read_request(&mut cursor, 64) {
+        match read_response(&mut cursor, 64) {
             Err(RecvError::Frame(FrameError::BadMagic)) => {}
             other => panic!("expected BadMagic, got {other:?}"),
         }

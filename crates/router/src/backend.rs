@@ -28,10 +28,9 @@
 //! Backpressure is two-stage: the mux stops draining a link's channel
 //! once that link's write backlog crosses a high-water mark, the bounded
 //! channel then fills, and `send` finally blocks the *producer* (a front
-//! reader or replay thread) — exactly the old per-link writer-thread
-//! behaviour, without the threads. One stalled backend never blocks the
-//! mux itself: its frames wait in its own buffer/channel while other
-//! links keep flowing.
+//! worker or replay thread). One stalled backend never blocks the mux
+//! itself: its frames wait in its own buffer/channel while other links
+//! keep flowing.
 
 use std::collections::VecDeque;
 use std::net::TcpStream;
@@ -42,9 +41,8 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 use tad_net::{
     request_to_bytes, response_from_bytes, Conn, EventSource, Interest, PollSource, PollWaker,
-    ReadStatus, Request,
+    ReadStatus, Request, Response,
 };
-use tad_serve::FleetSnapshot;
 
 use crate::server::{BarrierKind, Core};
 
@@ -111,32 +109,21 @@ pub(crate) struct MuxLink {
     pub(crate) stream: TcpStream,
 }
 
-/// What a router-driven checkpoint capture got back: a full image blob
-/// (`Snapshot` reply) or the next increment of the backend's delta chain
-/// (`Delta` reply).
-pub(crate) enum CaptureReply {
-    /// A full `TADF` fleet image.
-    Full(Bytes),
-    /// A `TADD` delta blob.
-    Delta(Bytes),
-}
-
 /// One in-flight request on a backend link that will be answered by a
 /// trip-less reply, staged in wire order.
 pub(crate) enum PendingEntry {
     /// A front-facing fleet barrier and its barrier id.
     Barrier(BarrierKind, u64),
-    /// A router-driven checkpoint capture (`SnapshotRequest` or
-    /// `DeltaRequest`); the driver blocks on the channel.
-    Checkpoint(SyncSender<Result<CaptureReply, String>>),
-    /// A router-driven `Install`; the reply carries the delivered session
-    /// count.
-    Install(SyncSender<Result<u64, String>>),
-    /// A router-driven `Drain`; the reply carries the captured image.
-    Drain(SyncSender<Result<Bytes, String>>),
-    /// A replay fence: a `Flush` whose `Stats` reply is consumed by the
-    /// recovery/handoff machinery instead of a front connection.
-    Fence(SyncSender<Result<FleetSnapshot, String>>),
+    /// A router-driven round-trip — a checkpoint capture
+    /// (`SnapshotRequest` or `DeltaRequest`), an `Install`, a `Drain`, or
+    /// a replay fence (`Flush`); the driver blocks on the channel.
+    Admin {
+        /// Whether a trip-less reply is one this request can be answered
+        /// by; anything else at the head of the queue is a desync.
+        accepts: fn(&Response) -> bool,
+        /// Where the reply (or the reason there will be none) goes.
+        reply: SyncSender<Result<Response, String>>,
+    },
 }
 
 /// The single per-link pending queue (see the module docs for the

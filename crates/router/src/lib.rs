@@ -97,6 +97,7 @@
 #![deny(missing_docs)]
 
 mod backend;
+mod journal;
 mod partition;
 mod server;
 

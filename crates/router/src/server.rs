@@ -6,21 +6,31 @@
 //! ## Data flow
 //!
 //! ```text
-//! producers ──TADN──▶ front reader ──partition map──▶ backend writer ──▶ tad-net server
-//!    ▲                    │                                                  │
-//!    │                    └─ Flush / SnapshotRequest: barrier over the map   │
-//!    │                                                                       ▼
-//!    └──── front writer ◀── per-conn queue ◀── fan-in (Core) ◀── backend reader
+//!                 ┌──── front worker: one tad_net::FrontDoor tick ────┐
+//! producers ─TADN─▶ read + decode ─▶ partition map ─▶ link channel ───┼─▶ backend mux ─▶ tad-net
+//!    ▲            │   Flush / Snapshot / Metrics: barrier over the map│     (one thread,    server
+//!    │            │                                                   │      every link)      │
+//!    └── sockets ◀┼── drain dirty per-conn response queues ◀──────────┤                       │
+//!                 └───────────────────────────────────────────────────┘                       ▼
+//!                       per-conn queue ◀── fan-in (Core, on the mux thread) ◀── backend replies
 //! ```
+//!
+//! The producer side runs on the same readiness core as a `tad-net`
+//! server ([`tad_net::FrontDoor`]: a fixed pool of event workers, bounded
+//! per-connection response queues, slow-consumer pause/resume); this
+//! module supplies what happens to a decoded frame. A forward can block
+//! its worker — at the topology gate during a failover or handoff, or on
+//! a full link channel — and while it does, the other connections of that
+//! worker wait too (see `docs/ARCHITECTURE.md`).
 //!
 //! **Stickiness**: a trip's partition is the pure function
 //! [`crate::backend_for`] over the *number of partitions*, and the
 //! [`PartitionMap`] says which backend link currently serves each
 //! partition. Every event of a trip reaches the same backend engine and
-//! per-trip event order is preserved end to end (front reader →
-//! per-backend FIFO channel → one TCP connection → the backend's own
-//! ordered ingest). That is what makes routed scoring bit-identical to a
-//! single in-process engine.
+//! per-trip event order is preserved end to end (one connection is read
+//! by one front worker, in arrival order → per-backend FIFO channel → one
+//! TCP connection → the backend's own ordered ingest). That is what makes
+//! routed scoring bit-identical to a single in-process engine.
 //!
 //! **Barriers**: a front `Flush` fans out to every mapped live backend
 //! and replies with [`FleetSnapshot::merged`] aggregate stats only after
@@ -61,11 +71,9 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::BufWriter;
-use std::mem;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -73,17 +81,13 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use tad_metrics::{Counter, Histogram, MetricsSnapshot, Registry};
 use tad_net::{
-    read_request, write_response, ErrorCode, PollSource, RecvError, Request, Response,
-    DEFAULT_MAX_FRAME,
+    ErrorCode, FrontCounters, FrontDoor, FrontEvent, FrontListener, FrontShared, NetConfig,
+    PollSource, Request, Response, DEFAULT_MAX_FRAME,
 };
-use tad_serve::{
-    delta_from_bytes, image_from_bytes, image_to_bytes, DeltaBase, FleetImage, FleetSnapshot,
-    TripId,
-};
+use tad_serve::{image_from_bytes, image_to_bytes, FleetImage, FleetSnapshot, TripId};
 
-use crate::backend::{
-    backend_mux, BackendMsg, CaptureReply, LinkSender, MuxLink, Pending, PendingEntry,
-};
+use crate::backend::{backend_mux, BackendMsg, LinkSender, MuxLink, Pending, PendingEntry};
+use crate::journal::Journal;
 use crate::partition::{backend_for, split_image};
 
 /// Tunables of the router tier (each backend engine has its own
@@ -100,10 +104,13 @@ pub struct RouterConfig {
     /// in [`RouterStats::responses_dropped`]) instead of growing router
     /// memory — including barrier replies, so a non-reading producer's
     /// `flush()` eventually times out client-side rather than wedging the
-    /// router.
+    /// router. Long after that, once 1 KiB × this many reply bytes sit
+    /// unflushed behind its socket, the router also stops reading its
+    /// requests (the `tad-net` slow-consumer pause,
+    /// [`NetConfig::write_highwater`]) until it drains.
     pub response_queue: usize,
     /// Bound of each backend's forwarding channel. A saturated backend
-    /// back-pressures the front reader threads that route to it (the
+    /// back-pressures the front workers that route to it (the
     /// engine-level `Backpressure` contract still comes from the backend
     /// itself).
     pub backend_queue: usize,
@@ -123,8 +130,8 @@ pub struct RouterConfig {
     /// Kernel accept-queue depth requested for the front listening
     /// socket (default 1024, capped by the OS `somaxconn`; `0` keeps the
     /// platform default, typically 128). See
-    /// [`tad_net::widen_accept_backlog`] for why the 128-slot default
-    /// stalls connect storms of a few hundred producers.
+    /// [`NetConfig::accept_backlog`] for why the 128-slot default stalls
+    /// connect storms of a few hundred producers.
     pub accept_backlog: usize,
 }
 
@@ -269,12 +276,6 @@ pub struct RouterStats {
     pub partition_epoch: u64,
 }
 
-/// A front connection's handle in the fan-in registry.
-struct FrontHandle {
-    tx: SyncSender<Response>,
-    stream: TcpStream,
-}
-
 /// Where a live trip's events go and who gets its replies.
 struct TripRoute {
     /// The front connection that owns the trip's responses.
@@ -321,6 +322,17 @@ pub(crate) enum BarrierKind {
     Metrics,
 }
 
+impl BarrierKind {
+    /// The frame that opens this barrier on a backend.
+    fn frame(self) -> Request {
+        match self {
+            BarrierKind::Flush => Request::Flush,
+            BarrierKind::Snapshot => Request::SnapshotRequest,
+            BarrierKind::Metrics => Request::MetricsRequest,
+        }
+    }
+}
+
 /// Which backend link serves each partition, and a flip counter.
 ///
 /// A trip's partition is `backend_for(id, slots.len())`; `slots[k]` is
@@ -331,188 +343,6 @@ pub(crate) enum BarrierKind {
 struct PartitionMap {
     epoch: u64,
     slots: Vec<u32>,
-}
-
-/// The recovery base a dead backend would be restored from: the image of
-/// its last completed checkpoint, kept either verbatim or as a delta
-/// chain folded down eagerly (a [`DeltaBase`] *is* the folded image plus
-/// chain bookkeeping, so promotion never replays deltas — it is always
-/// install-image-then-replay-tail).
-enum RecoveryBase {
-    /// A plain image; the backend-side delta chain (if any) is not yet
-    /// linked to it.
-    Plain(FleetImage),
-    /// An image tracking the backend's delta chain: `TADD` increments
-    /// apply directly.
-    Chained(DeltaBase),
-}
-
-impl RecoveryBase {
-    fn image(&self) -> &FleetImage {
-        match self {
-            RecoveryBase::Plain(image) => image,
-            RecoveryBase::Chained(base) => base.image(),
-        }
-    }
-
-    /// Folds one `TADD` blob into the base. A `Plain` base adopts the
-    /// chain lazily when the first increment (`seq == 1`) arrives —
-    /// that is how the router learns the epoch the backend armed at the
-    /// full capture that produced this base.
-    fn apply_delta(&mut self, blob: Bytes) -> Result<(), String> {
-        let delta = delta_from_bytes(blob).map_err(|e| format!("undecodable delta: {e}"))?;
-        match self {
-            RecoveryBase::Chained(base) => {
-                base.apply(&delta).map_err(|e| format!("delta chain broken: {e}"))
-            }
-            RecoveryBase::Plain(image) => {
-                if delta.seq != 1 {
-                    return Err(format!(
-                        "delta seq {} does not start a fresh chain over a plain base",
-                        delta.seq
-                    ));
-                }
-                let mut base = DeltaBase::new(mem::take(image), delta.base_epoch);
-                base.apply(&delta).map_err(|e| format!("delta chain broken: {e}"))?;
-                *self = RecoveryBase::Chained(base);
-                Ok(())
-            }
-        }
-    }
-}
-
-/// One link's bounded recovery journal: the checkpoint base plus every
-/// ingest frame forwarded since the checkpoint cut. `base + frames`
-/// replayed onto a fresh backend reproduces the dead backend's state and
-/// score stream bit-identically — *if* `tail_ok` (the tail is complete:
-/// no overflow, no poisoned frame since the base was taken).
-struct Journal {
-    base: RecoveryBase,
-    frames: Vec<Request>,
-    /// True when `base + frames` is a faithful reconstruction.
-    tail_ok: bool,
-    /// True while forwarded ingest frames are being appended. Cleared on
-    /// overflow/poison; re-set by the next checkpoint cut.
-    recording: bool,
-    /// Frame count at the moment the in-flight capture frame hit the
-    /// wire: everything before it is covered by the capture reply and is
-    /// dropped when the reply applies.
-    pending_cut: Option<usize>,
-    /// True when the backend's delta chain provably continues this base,
-    /// i.e. a `DeltaRequest` increment would apply cleanly. A front
-    /// `SnapshotRequest` barrier re-arms the backend's chain at an epoch
-    /// the router never sees, so staging one disarms the journal.
-    armed: bool,
-    /// Bumped whenever something invalidates the chain linkage
-    /// out-of-band (a front snapshot barrier); captures compare it
-    /// across their stage→apply window so a full capture cannot re-arm
-    /// over a chain that was re-based mid-flight.
-    chain_breaks: u64,
-    limit: usize,
-}
-
-impl Journal {
-    fn new(limit: usize, enabled: bool) -> Self {
-        Journal {
-            // A fresh backend is an empty fleet: the empty image plus
-            // everything ever forwarded is a faithful tail from frame 0.
-            base: RecoveryBase::Plain(FleetImage::default()),
-            frames: Vec::new(),
-            tail_ok: enabled,
-            recording: enabled,
-            pending_cut: None,
-            armed: false,
-            chain_breaks: 0,
-            limit,
-        }
-    }
-
-    /// Appends one forwarded ingest frame; discards the journal instead
-    /// of exceeding the cap.
-    fn record(&mut self, req: &Request) {
-        if !self.recording {
-            return;
-        }
-        if self.frames.len() >= self.limit {
-            self.frames = Vec::new();
-            self.tail_ok = false;
-            self.recording = false;
-        } else {
-            self.frames.push(req.clone());
-        }
-    }
-
-    /// A journaled frame was accepted by the channel but refused by the
-    /// backend engine (`Backpressure`): the tail now contains a frame
-    /// that was never scored, so replaying it would diverge. Discard.
-    fn poison(&mut self) {
-        if self.recording || self.tail_ok {
-            self.frames = Vec::new();
-            self.tail_ok = false;
-            self.recording = false;
-        }
-    }
-
-    /// The capture frame just hit the wire (caller holds the stage
-    /// lock): remember the cut so the reply knows which prefix it
-    /// covers, and restart recording if the journal had been discarded —
-    /// the new base will cover everything up to this very cut.
-    fn stage_cut(&mut self, enabled: bool) {
-        if !self.tail_ok && enabled {
-            self.frames.clear();
-            self.recording = true;
-        }
-        self.pending_cut = Some(self.frames.len());
-    }
-
-    /// The in-flight capture failed; keep the journal as it was.
-    fn abort_cut(&mut self) {
-        self.pending_cut = None;
-    }
-
-    /// A full image reply applies: it covers everything before the cut.
-    /// `breaks_at_stage` guards the re-arm — see [`Journal::chain_breaks`].
-    fn apply_full(&mut self, image: FleetImage, breaks_at_stage: u64) {
-        let cut = self.pending_cut.take().unwrap_or(0).min(self.frames.len());
-        self.frames.drain(..cut);
-        self.base = RecoveryBase::Plain(image);
-        self.armed = breaks_at_stage == self.chain_breaks;
-        self.tail_ok = self.recording;
-    }
-
-    /// A delta reply applies: fold it into the base, then drop the
-    /// covered prefix exactly as a full capture would.
-    fn apply_delta(&mut self, blob: Bytes) -> Result<(), String> {
-        self.base.apply_delta(blob)?;
-        let cut = self.pending_cut.take().unwrap_or(0).min(self.frames.len());
-        self.frames.drain(..cut);
-        self.tail_ok = self.recording;
-        Ok(())
-    }
-
-    /// Whether `base + frames` can reproduce the backend right now.
-    fn recoverable(&self) -> bool {
-        self.tail_ok
-    }
-
-    /// A front snapshot barrier re-based the backend's delta chain out
-    /// from under the router: the next capture must be a full image.
-    fn break_chain(&mut self) {
-        self.armed = false;
-        self.chain_breaks += 1;
-    }
-
-    /// The backend's state was just replaced wholesale (an `Install`):
-    /// the journal restarts from exactly that image.
-    fn reset_to(&mut self, image: FleetImage, enabled: bool) {
-        self.base = RecoveryBase::Plain(image);
-        self.frames.clear();
-        self.pending_cut = None;
-        self.armed = false;
-        self.chain_breaks += 1;
-        self.recording = enabled;
-        self.tail_ok = enabled;
-    }
 }
 
 /// The router's handle on one backend connection.
@@ -537,11 +367,40 @@ pub(crate) struct BackendLink {
     /// completions of trips that finished pre-crash).
     replaying: AtomicBool,
     /// Ensures the heavyweight half of the down path (failover spawn or
-    /// route sweep) runs exactly once even though both link threads call
-    /// it.
+    /// route sweep) runs exactly once however often the down path runs.
     down_handled: AtomicBool,
     /// A handle on the socket for shutdown wake-ups.
     pub(crate) stream: TcpStream,
+}
+
+impl BackendLink {
+    /// Stages barrier `bid` and sends its frame, atomically with respect
+    /// to other admin frames on this link (the stage write lock):
+    /// pending-queue order therefore equals channel order equals wire
+    /// order, and the barrier is in the queue from the moment the channel
+    /// accepts it — so the backend-down sweep always sees it and can fail
+    /// or restage it. Forwarded ingest frames interleave freely; only
+    /// admin-to-admin order matters for the queue. `false`: the link is
+    /// gone and the stage was undone.
+    fn stage_barrier(&self, kind: BarrierKind, bid: u64) -> bool {
+        let _stage = self.stage.write().expect("stage lock");
+        self.pending.push(PendingEntry::Barrier(kind, bid));
+        if self.tx.send(BackendMsg::Forward(kind.frame())).is_err() {
+            // Nobody staged after us (we hold the stage lock), so the
+            // entry — if the down sweep has not already consumed it and
+            // failed the barrier — is the tail.
+            self.pending.unstage_tail(|e| matches!(e, PendingEntry::Barrier(_, b) if *b == bid));
+            return false;
+        }
+        if matches!(kind, BarrierKind::Snapshot) {
+            // The backend answers a SnapshotRequest by re-arming its
+            // delta chain at an epoch the router never learns: the
+            // journal's chain linkage is broken until the next full
+            // capture.
+            self.journal.lock().expect("journal lock").break_chain();
+        }
+        true
+    }
 }
 
 /// Handles into the router's own metrics registry (`router.*`), cached at
@@ -551,7 +410,7 @@ struct RouterMetrics {
     registry: Arc<Registry>,
     /// `router.forward_ns`: time from picking a live backend to its
     /// forwarding channel accepting the frame — dominated by channel wait
-    /// when a backend writer saturates, so its tail is the router-side
+    /// when a backend link saturates, so its tail is the router-side
     /// congestion signal.
     forward_ns: Arc<Histogram>,
     /// `router.fanin_depth`: fleet-wide barriers in flight, observed at
@@ -648,20 +507,25 @@ pub(crate) struct Core {
     recovery_threads: Mutex<Vec<JoinHandle<()>>>,
     failovers: AtomicU64,
     last_recovery_micros: AtomicU64,
-    fronts: RwLock<HashMap<u64, FrontHandle>>,
+    /// The producer side's connection table: fan-in delivers into it, and
+    /// it counts accepted/open connections and dropped responses.
+    front: Arc<FrontShared>,
     /// Trip routing table. RwLock, not Mutex: the hot per-segment paths
     /// (forwarding an event, fanning a `Score` back in) only read it, so
-    /// front readers and backend readers don't serialize on the map.
+    /// front workers and the backend mux don't serialize on the map.
     trips: RwLock<HashMap<TripId, TripRoute>>,
     barriers: Mutex<HashMap<u64, Barrier>>,
     next_barrier: AtomicU64,
-    fronts_accepted: AtomicU64,
-    responses_dropped: AtomicU64,
     metrics: RouterMetrics,
 }
 
 impl Core {
-    fn new(links: Vec<BackendLink>, actives: usize, cfg: &RouterConfig) -> Self {
+    fn new(
+        links: Vec<BackendLink>,
+        actives: usize,
+        cfg: &RouterConfig,
+        front: Arc<FrontShared>,
+    ) -> Self {
         let metrics = RouterMetrics::register(links.len());
         let standbys: Vec<u32> = (actives as u32..links.len() as u32).collect();
         Core {
@@ -676,44 +540,34 @@ impl Core {
             failovers: AtomicU64::new(0),
             last_recovery_micros: AtomicU64::new(0),
             links,
-            fronts: RwLock::new(HashMap::new()),
+            front,
             trips: RwLock::new(HashMap::new()),
             barriers: Mutex::new(HashMap::new()),
             next_barrier: AtomicU64::new(0),
-            fronts_accepted: AtomicU64::new(0),
-            responses_dropped: AtomicU64::new(0),
             metrics,
         }
     }
 
-    fn register_front(&self, conn: u64, handle: FrontHandle) {
-        self.fronts_accepted.fetch_add(1, Ordering::Relaxed);
-        self.fronts.write().expect("fronts lock").insert(conn, handle);
-    }
-
-    fn unregister_front(&self, conn: u64) {
-        self.fronts.write().expect("fronts lock").remove(&conn);
-        // Free the closing connection's routing claims so a reconnecting
-        // producer can re-attach to its trips (the backend sessions live
-        // on until they end or their TTL reaps them).
+    /// Frees a closed front connection's routing claims so a reconnecting
+    /// producer can re-attach to its trips (the backend sessions live on
+    /// until they end or their TTL reaps them).
+    fn unroute_front(&self, conn: u64) {
         self.trips.write().expect("trips lock").retain(|_, route| route.conn != conn);
     }
 
-    fn dropped(&self) {
-        self.responses_dropped.fetch_add(1, Ordering::Relaxed);
+    /// A response had no front connection to go to — unless link `idx` is
+    /// the target of a journal replay, where a reply for a trip whose
+    /// route is long gone (it completed pre-crash) is expected.
+    fn unrouted(&self, idx: u32) {
+        if self.links[idx as usize].replaying.load(Ordering::Relaxed) {
+            self.suppressed();
+        } else {
+            self.front.note_dropped();
+        }
     }
 
     fn suppressed(&self) {
         self.metrics.replay_suppressed.add(1);
-    }
-
-    /// Best-effort delivery to one front connection's response queue.
-    fn deliver_conn(&self, conn: u64, resp: Response) {
-        let fronts = self.fronts.read().expect("fronts lock");
-        let sent = fronts.get(&conn).is_some_and(|h| h.tx.try_send(resp).is_ok());
-        if !sent {
-            self.dropped();
-        }
     }
 
     /// Resolves a pending entry that will never get its reply.
@@ -722,17 +576,8 @@ impl Core {
             PendingEntry::Barrier(_, bid) => self.contribute(bid, |b| {
                 b.failed.get_or_insert((code, detail));
             }),
-            PendingEntry::Checkpoint(tx) => {
-                let _ = tx.try_send(Err(detail));
-            }
-            PendingEntry::Install(tx) => {
-                let _ = tx.try_send(Err(detail));
-            }
-            PendingEntry::Drain(tx) => {
-                let _ = tx.try_send(Err(detail));
-            }
-            PendingEntry::Fence(tx) => {
-                let _ = tx.try_send(Err(detail));
+            PendingEntry::Admin { reply, .. } => {
+                let _ = reply.try_send(Err(detail));
             }
         }
     }
@@ -742,7 +587,7 @@ impl Core {
     /// desynchronized (a protocol fault, not an expected state). Fail
     /// the mismatched entry loudly rather than mis-attributing replies.
     fn desync(&self, entry: PendingEntry) {
-        self.dropped();
+        self.front.note_dropped();
         self.fail_entry(
             entry,
             ErrorCode::EngineClosed,
@@ -780,17 +625,9 @@ impl Core {
                     }
                 };
                 match verdict {
-                    Verdict::Deliver(conn) => self.deliver_conn(conn, Response::Score(update)),
+                    Verdict::Deliver(conn) => self.front.deliver(conn, Response::Score(update)),
                     Verdict::Duplicate => self.suppressed(),
-                    Verdict::NoRoute => {
-                        // Replay of a trip whose route is long gone
-                        // (completed pre-crash): expected, not a drop.
-                        if self.links[idx as usize].replaying.load(Ordering::Relaxed) {
-                            self.suppressed();
-                        } else {
-                            self.dropped();
-                        }
-                    }
+                    Verdict::NoRoute => self.unrouted(idx),
                 }
             }
             Response::TripComplete(tc) => {
@@ -798,11 +635,8 @@ impl Core {
                 // started again later.
                 let conn = self.trips.write().expect("trips lock").remove(&tc.id).map(|r| r.conn);
                 match conn {
-                    Some(conn) => self.deliver_conn(conn, Response::TripComplete(tc)),
-                    None if self.links[idx as usize].replaying.load(Ordering::Relaxed) => {
-                        self.suppressed()
-                    }
-                    None => self.dropped(),
+                    Some(conn) => self.front.deliver(conn, Response::TripComplete(tc)),
+                    None => self.unrouted(idx),
                 }
             }
             Response::PolicyNotice { id, action, seg } => {
@@ -826,59 +660,38 @@ impl Core {
                 };
                 match verdict {
                     Verdict::Deliver(conn) => {
-                        self.deliver_conn(conn, Response::PolicyNotice { id, action, seg })
+                        self.front.deliver(conn, Response::PolicyNotice { id, action, seg })
                     }
                     Verdict::Replaying => self.suppressed(),
-                    Verdict::NoRoute => self.dropped(),
+                    Verdict::NoRoute => self.front.note_dropped(),
                 }
             }
-            Response::Stats(stats) => match self.links[idx as usize].pending.pop() {
-                Some(PendingEntry::Barrier(BarrierKind::Flush, bid)) => {
-                    self.contribute(bid, |b| b.stats.push(stats));
+            // Every other reply is trip-less and answers the request at the
+            // head of the link's pending queue: a router-driven round-trip
+            // takes the frame whole, a front barrier takes its payload.
+            resp @ (Response::Stats(_)
+            | Response::Snapshot { .. }
+            | Response::Metrics(_)
+            | Response::Delta { .. }
+            | Response::Installed { .. }
+            | Response::Drained { .. }) => match self.links[idx as usize].pending.pop() {
+                Some(PendingEntry::Admin { accepts, reply }) if accepts(&resp) => {
+                    let _ = reply.try_send(Ok(resp));
                 }
-                Some(PendingEntry::Fence(tx)) => {
-                    let _ = tx.try_send(Ok(stats));
-                }
+                Some(PendingEntry::Barrier(kind, bid)) => match (kind, resp) {
+                    (BarrierKind::Flush, Response::Stats(stats)) => {
+                        self.contribute(bid, |b| b.stats.push(stats));
+                    }
+                    (BarrierKind::Snapshot, Response::Snapshot { image }) => {
+                        self.contribute(bid, |b| b.images.push((idx, image)));
+                    }
+                    (BarrierKind::Metrics, Response::Metrics(snapshot)) => {
+                        self.contribute(bid, |b| b.metrics.push(snapshot));
+                    }
+                    (kind, _) => self.desync(PendingEntry::Barrier(kind, bid)),
+                },
                 Some(other) => self.desync(other),
-                None => self.dropped(),
-            },
-            Response::Snapshot { image } => match self.links[idx as usize].pending.pop() {
-                Some(PendingEntry::Barrier(BarrierKind::Snapshot, bid)) => {
-                    self.contribute(bid, |b| b.images.push((idx, image)));
-                }
-                Some(PendingEntry::Checkpoint(tx)) => {
-                    let _ = tx.try_send(Ok(CaptureReply::Full(image)));
-                }
-                Some(other) => self.desync(other),
-                None => self.dropped(),
-            },
-            Response::Metrics(snapshot) => match self.links[idx as usize].pending.pop() {
-                Some(PendingEntry::Barrier(BarrierKind::Metrics, bid)) => {
-                    self.contribute(bid, |b| b.metrics.push(snapshot));
-                }
-                Some(other) => self.desync(other),
-                None => self.dropped(),
-            },
-            Response::Delta { delta } => match self.links[idx as usize].pending.pop() {
-                Some(PendingEntry::Checkpoint(tx)) => {
-                    let _ = tx.try_send(Ok(CaptureReply::Delta(delta)));
-                }
-                Some(other) => self.desync(other),
-                None => self.dropped(),
-            },
-            Response::Installed { sessions } => match self.links[idx as usize].pending.pop() {
-                Some(PendingEntry::Install(tx)) => {
-                    let _ = tx.try_send(Ok(sessions));
-                }
-                Some(other) => self.desync(other),
-                None => self.dropped(),
-            },
-            Response::Drained { image } => match self.links[idx as usize].pending.pop() {
-                Some(PendingEntry::Drain(tx)) => {
-                    let _ = tx.try_send(Ok(image));
-                }
-                Some(other) => self.desync(other),
-                None => self.dropped(),
+                None => self.front.note_dropped(),
             },
             Response::Error { code, trip: Some(id), retry_after_ms, detail } => {
                 if matches!(code, ErrorCode::Backpressure | ErrorCode::Throttled) {
@@ -936,12 +749,12 @@ impl Core {
                         // `retry_after_ms` rides through untouched: the
                         // producer's pacing hint comes from the backend
                         // that shed the frame.
-                        self.deliver_conn(
+                        self.front.deliver(
                             conn,
                             Response::Error { code, trip: Some(id), retry_after_ms, detail },
                         );
                     }
-                    None => self.dropped(),
+                    None => self.front.note_dropped(),
                 }
             }
             Response::Error { code, trip: None, retry_after_ms: _, detail } => match code {
@@ -949,17 +762,17 @@ impl Core {
                 // nothing in the pending queue (throttle notices pace the
                 // router's own backend link, they do not consume an admin
                 // slot); popping here would desynchronize the queue.
-                ErrorCode::BadFrame | ErrorCode::Backpressure => self.dropped(),
+                ErrorCode::BadFrame | ErrorCode::Backpressure => self.front.note_dropped(),
                 ErrorCode::Throttled => {
                     self.metrics.throttled.add(1);
                     self.metrics.per_backend_throttled[idx as usize].add(1);
-                    self.dropped();
+                    self.front.note_dropped();
                 }
                 // SnapshotFailed / EngineClosed / Rejected each answer
                 // exactly the admin request at the head of the queue.
                 _ => match self.links[idx as usize].pending.pop() {
                     Some(entry) => self.fail_entry(entry, code, detail),
-                    None => self.dropped(),
+                    None => self.front.note_dropped(),
                 },
             },
         }
@@ -981,23 +794,16 @@ impl Core {
             dead
         };
         for (id, conn) in dead {
-            self.deliver_conn(
-                conn,
-                Response::Error {
-                    code: ErrorCode::EngineClosed,
-                    trip: Some(id),
-                    retry_after_ms: None,
-                    detail: format!("backend {idx} connection lost"),
-                },
-            );
+            let lost = format!("backend {idx} connection lost");
+            self.front.deliver(conn, Response::error(ErrorCode::EngineClosed, Some(id), lost));
         }
     }
 
-    /// A backend connection died. Both of a link's threads run this on
-    /// exit; the cheap half (mark dead, wake the other half, drain
-    /// staged entries) is idempotent, and `down_handled` makes the
-    /// heavyweight half — spawning a failover, or failing the link's
-    /// routes — run exactly once.
+    /// A backend connection died: the mux runs this when it reaps the
+    /// link. The cheap half (mark dead, close the socket, drain staged
+    /// entries) is idempotent, and `down_handled` makes the heavyweight
+    /// half — spawning a failover, or failing the link's routes — run
+    /// exactly once.
     ///
     /// An associated function taking the `Arc` (not a method) because a
     /// recoverable death spawns a recovery thread that must own a clone
@@ -1005,8 +811,7 @@ impl Core {
     pub(crate) fn backend_down(core: &Arc<Core>, idx: u32) {
         let link = &core.links[idx as usize];
         link.alive.store(false, Ordering::SeqCst);
-        // Make sure the other half of the link dies too (the reader wakes
-        // from its blocking read; the writer's next write fails).
+        // The peer sees the link close even if the fault was on our side.
         let _ = link.stream.shutdown(Shutdown::Both);
         core.standbys.lock().expect("standby pool").retain(|&s| s != idx);
         let entries = link.pending.drain_all();
@@ -1103,13 +908,9 @@ impl Core {
     /// Every standby was tried (or the pool was raced empty): fall back
     /// to the no-standby contract.
     fn abandon_recovery(&self, dead: u32, restage: &[(BarrierKind, u64)]) {
-        for &(_, bid) in restage {
-            self.contribute(bid, |b| {
-                b.failed.get_or_insert((
-                    ErrorCode::EngineClosed,
-                    format!("backend {dead} connection lost and no standby could take over"),
-                ));
-            });
+        for &(kind, bid) in restage {
+            let detail = format!("backend {dead} connection lost and no standby could take over");
+            self.fail_entry(PendingEntry::Barrier(kind, bid), ErrorCode::EngineClosed, detail);
         }
         self.fail_routes(dead);
     }
@@ -1166,26 +967,9 @@ impl Core {
         // from the promoted backend: the replay fence already proved it
         // holds everything those barriers were waiting to cover.
         for &(kind, bid) in restage {
-            let frame = match kind {
-                BarrierKind::Flush => Request::Flush,
-                BarrierKind::Snapshot => Request::SnapshotRequest,
-                BarrierKind::Metrics => Request::MetricsRequest,
-            };
-            let _stage = link.stage.write().expect("stage lock");
-            link.pending.push(PendingEntry::Barrier(kind, bid));
-            if link.tx.send(BackendMsg::Forward(frame)).is_ok() {
-                if matches!(kind, BarrierKind::Snapshot) {
-                    link.journal.lock().expect("journal lock").break_chain();
-                }
-            } else {
-                link.pending
-                    .unstage_tail(|e| matches!(e, PendingEntry::Barrier(_, b) if *b == bid));
-                self.contribute(bid, |b| {
-                    b.failed.get_or_insert((
-                        ErrorCode::EngineClosed,
-                        format!("backend {target} connection lost"),
-                    ));
-                });
+            if !link.stage_barrier(kind, bid) {
+                let detail = format!("backend {target} connection lost");
+                self.fail_entry(PendingEntry::Barrier(kind, bid), ErrorCode::EngineClosed, detail);
             }
         }
         Ok(moved)
@@ -1212,75 +996,64 @@ impl Core {
         Ok(())
     }
 
+    /// One staged admin round-trip: check the link is alive, then — under
+    /// the stage write lock, so pending-queue order equals wire order —
+    /// stage a pending entry, send `frame`, and run `staged` (journal
+    /// bookkeeping tied to the frame's exact wire position); then block
+    /// for the reply `accepts` recognises. A failed send unstages the
+    /// entry; a link death fails it typed through the down sweep.
+    fn admin_roundtrip(
+        &self,
+        idx: u32,
+        frame: Request,
+        accepts: fn(&Response) -> bool,
+        staged: impl FnOnce(&mut Journal),
+    ) -> Result<Response, String> {
+        let link = &self.links[idx as usize];
+        let down = || format!("backend {idx} is down");
+        if !link.alive.load(Ordering::SeqCst) {
+            return Err(down());
+        }
+        let (reply, rx) = sync_channel(1);
+        {
+            let _stage = link.stage.write().expect("stage lock");
+            link.pending.push(PendingEntry::Admin { accepts, reply });
+            if link.tx.send(BackendMsg::Forward(frame)).is_err() {
+                link.pending.unstage_tail(|e| matches!(e, PendingEntry::Admin { .. }));
+                return Err(down());
+            }
+            staged(&mut link.journal.lock().expect("journal lock"));
+        }
+        rx.recv().unwrap_or_else(|_| Err(format!("backend {idx} connection lost")))
+    }
+
     /// Installs an image on a running backend and resets its journal to
     /// that exact state. Blocks for the `Installed` reply.
     fn admin_install(&self, target: u32, image: FleetImage) -> Result<u64, String> {
-        let link = &self.links[target as usize];
-        if !link.alive.load(Ordering::SeqCst) {
-            return Err(format!("backend {target} is down"));
-        }
-        let (tx, rx) = sync_channel(1);
-        {
-            let _stage = link.stage.write().expect("stage lock");
-            link.pending.push(PendingEntry::Install(tx));
-            let blob = image_to_bytes(&image);
-            if link.tx.send(BackendMsg::Forward(Request::Install { image: blob })).is_err() {
-                link.pending.unstage_tail(|e| matches!(e, PendingEntry::Install(_)));
-                return Err(format!("backend {target} is down"));
-            }
-            link.journal.lock().expect("journal lock").reset_to(image, self.journaling);
-        }
-        match rx.recv() {
-            Ok(Ok(sessions)) => Ok(sessions),
-            Ok(Err(detail)) => Err(detail),
-            Err(_) => Err(format!("backend {target} connection lost")),
+        let frame = Request::Install { image: image_to_bytes(&image) };
+        let accepts = |r: &Response| matches!(r, Response::Installed { .. });
+        let journaling = self.journaling;
+        match self.admin_roundtrip(target, frame, accepts, |j| j.reset_to(image, journaling))? {
+            Response::Installed { sessions } => Ok(sessions),
+            _ => unreachable!("the pending entry accepts only Installed"),
         }
     }
 
     /// Captures-and-removes every live session of a backend. Blocks for
     /// the `Drained` reply and returns the image blob.
     fn admin_drain(&self, source: u32) -> Result<Bytes, String> {
-        let link = &self.links[source as usize];
-        if !link.alive.load(Ordering::SeqCst) {
-            return Err(format!("backend {source} is down"));
-        }
-        let (tx, rx) = sync_channel(1);
-        {
-            let _stage = link.stage.write().expect("stage lock");
-            link.pending.push(PendingEntry::Drain(tx));
-            if link.tx.send(BackendMsg::Forward(Request::Drain)).is_err() {
-                link.pending.unstage_tail(|e| matches!(e, PendingEntry::Drain(_)));
-                return Err(format!("backend {source} is down"));
-            }
-        }
-        match rx.recv() {
-            Ok(Ok(image)) => Ok(image),
-            Ok(Err(detail)) => Err(detail),
-            Err(_) => Err(format!("backend {source} connection lost")),
+        let accepts = |r: &Response| matches!(r, Response::Drained { .. });
+        match self.admin_roundtrip(source, Request::Drain, accepts, |_| ())? {
+            Response::Drained { image } => Ok(image),
+            _ => unreachable!("the pending entry accepts only Drained"),
         }
     }
 
     /// A quiesce barrier whose reply feeds the recovery machinery
     /// instead of a front connection.
-    fn admin_fence(&self, target: u32) -> Result<FleetSnapshot, String> {
-        let link = &self.links[target as usize];
-        if !link.alive.load(Ordering::SeqCst) {
-            return Err(format!("backend {target} is down"));
-        }
-        let (tx, rx) = sync_channel(1);
-        {
-            let _stage = link.stage.write().expect("stage lock");
-            link.pending.push(PendingEntry::Fence(tx));
-            if link.tx.send(BackendMsg::Forward(Request::Flush)).is_err() {
-                link.pending.unstage_tail(|e| matches!(e, PendingEntry::Fence(_)));
-                return Err(format!("backend {target} is down"));
-            }
-        }
-        match rx.recv() {
-            Ok(Ok(stats)) => Ok(stats),
-            Ok(Err(detail)) => Err(detail),
-            Err(_) => Err(format!("backend {target} connection lost")),
-        }
+    fn admin_fence(&self, target: u32) -> Result<(), String> {
+        let accepts = |r: &Response| matches!(r, Response::Stats(_));
+        self.admin_roundtrip(target, Request::Flush, accepts, |_| ()).map(|_| ())
     }
 
     /// One link's turn in a checkpoint sweep: prefer a delta capture
@@ -1301,54 +1074,44 @@ impl Core {
     /// reply; frames after it are the new tail.
     fn capture(&self, idx: u32, delta: bool) -> Result<(), String> {
         let link = &self.links[idx as usize];
-        if !link.alive.load(Ordering::SeqCst) {
-            return Err(format!("backend {idx} is down"));
-        }
-        let (tx, rx) = sync_channel(1);
-        let breaks_at_stage = {
-            let _stage = link.stage.write().expect("stage lock");
-            let mut journal = link.journal.lock().expect("journal lock");
-            link.pending.push(PendingEntry::Checkpoint(tx));
-            let frame = if delta { Request::DeltaRequest } else { Request::SnapshotRequest };
-            if link.tx.send(BackendMsg::Forward(frame)).is_err() {
-                link.pending.unstage_tail(|e| matches!(e, PendingEntry::Checkpoint(_)));
-                return Err(format!("backend {idx} is down"));
-            }
-            journal.stage_cut(self.journaling);
-            journal.chain_breaks
+        let (frame, accepts): (_, fn(&Response) -> bool) = if delta {
+            (Request::DeltaRequest, |r| matches!(r, Response::Delta { .. }))
+        } else {
+            (Request::SnapshotRequest, |r| matches!(r, Response::Snapshot { .. }))
         };
-        let reply = match rx.recv() {
-            Ok(Ok(reply)) => reply,
-            Ok(Err(detail)) => {
-                link.journal.lock().expect("journal lock").abort_cut();
-                return Err(detail);
-            }
-            Err(_) => {
-                link.journal.lock().expect("journal lock").abort_cut();
-                return Err(format!("backend {idx} connection lost"));
-            }
-        };
+        let journaling = self.journaling;
+        let mut breaks_at_stage = 0;
+        let reply = self.admin_roundtrip(idx, frame, accepts, |j| {
+            j.stage_cut(journaling);
+            breaks_at_stage = j.chain_breaks;
+        });
         let _stage = link.stage.write().expect("stage lock");
         let mut journal = link.journal.lock().expect("journal lock");
-        match reply {
-            CaptureReply::Full(blob) => match image_from_bytes(blob) {
+        let applied = match reply {
+            Ok(Response::Snapshot { image }) => match image_from_bytes(image) {
                 Ok(image) => {
                     journal.apply_full(image, breaks_at_stage);
                     Ok(())
                 }
-                Err(e) => {
-                    journal.abort_cut();
-                    Err(format!("backend {idx} snapshot undecodable: {e}"))
-                }
+                Err(e) => Err(format!("backend {idx} snapshot undecodable: {e}")),
             },
-            CaptureReply::Delta(blob) => {
-                let applied = journal.apply_delta(blob);
-                if applied.is_err() {
-                    journal.abort_cut();
-                }
-                applied
-            }
+            Ok(Response::Delta { delta }) => journal.apply_delta(delta),
+            Ok(_) => unreachable!("the pending entry accepts only the capture's reply"),
+            Err(detail) => Err(detail),
+        };
+        if applied.is_err() {
+            journal.abort_cut();
         }
+        applied
+    }
+
+    /// A drained backend that serves no partition any more is empty:
+    /// reset its journal and return it to the pool as a future
+    /// failover/handoff target.
+    fn retire(&self, idx: u32) {
+        let journal = &self.links[idx as usize].journal;
+        journal.lock().expect("journal lock").reset_to(FleetImage::default(), self.journaling);
+        self.standbys.lock().expect("standby pool").push(idx);
     }
 
     /// Moves one partition's live sessions onto a standby. Caller holds
@@ -1396,14 +1159,7 @@ impl Core {
                 }
             }
         }
-        // The freed source is empty now: reset its journal and return it
-        // to the pool as a future failover/handoff target.
-        self.links[source as usize]
-            .journal
-            .lock()
-            .expect("journal lock")
-            .reset_to(FleetImage::default(), self.journaling);
-        self.standbys.lock().expect("standby pool").push(source);
+        self.retire(source);
         self.metrics.handoff_sessions.add(moved);
         Ok(HandoffStats { sessions_moved: moved, epoch })
     }
@@ -1435,8 +1191,7 @@ impl Core {
                         new_links.push(idx);
                     }
                     None => {
-                        let mut pool = self.standbys.lock().expect("standby pool");
-                        pool.extend(borrowed);
+                        self.standbys.lock().expect("standby pool").extend(borrowed);
                         return Err(RouterAdminError::NoStandby);
                     }
                 }
@@ -1445,38 +1200,22 @@ impl Core {
         // Drain every live active. On failure, reinstall what was
         // already drained so no sessions are stranded in router memory.
         let mut drained: Vec<(u32, Bytes)> = Vec::new();
+        let mut parts = Vec::with_capacity(actives.len());
         for &src in &actives {
-            match self.admin_drain(src) {
-                Ok(blob) => drained.push((src, blob)),
+            let image = self.admin_drain(src).and_then(|blob| {
+                drained.push((src, blob.clone()));
+                image_from_bytes(blob).map_err(|e| format!("drained image undecodable: {e}"))
+            });
+            match image {
+                Ok(image) => parts.push(image),
                 Err(detail) => {
                     for (s, blob) in drained {
                         if let Ok(image) = image_from_bytes(blob) {
                             let _ = self.admin_install(s, image);
                         }
                     }
-                    let mut pool = self.standbys.lock().expect("standby pool");
-                    pool.extend(borrowed);
+                    self.standbys.lock().expect("standby pool").extend(borrowed);
                     return Err(RouterAdminError::Backend { backend: src, detail });
-                }
-            }
-        }
-        let mut parts = Vec::with_capacity(drained.len());
-        for (src, blob) in &drained {
-            match image_from_bytes(blob.clone()) {
-                Ok(image) => parts.push(image),
-                Err(e) => {
-                    let src = *src;
-                    for (s, blob) in drained {
-                        if let Ok(image) = image_from_bytes(blob) {
-                            let _ = self.admin_install(s, image);
-                        }
-                    }
-                    let mut pool = self.standbys.lock().expect("standby pool");
-                    pool.extend(borrowed);
-                    return Err(RouterAdminError::Backend {
-                        backend: src,
-                        detail: format!("drained image undecodable: {e}"),
-                    });
                 }
             }
         }
@@ -1503,12 +1242,7 @@ impl Core {
         }
         for &src in &actives {
             if !new_links.contains(&src) {
-                self.links[src as usize]
-                    .journal
-                    .lock()
-                    .expect("journal lock")
-                    .reset_to(FleetImage::default(), self.journaling);
-                self.standbys.lock().expect("standby pool").push(src);
+                self.retire(src);
             }
         }
         self.metrics.handoff_sessions.add(moved);
@@ -1583,11 +1317,11 @@ impl Core {
     }
 
     /// Builds and delivers a completed barrier's reply. Runs outside the
-    /// barrier lock, on whichever backend reader (or front handler)
+    /// barrier lock, on whichever thread (the backend mux or a front worker)
     /// supplied the last contribution.
     fn finalize(&self, barrier: Barrier) {
         let resp = if let Some((code, detail)) = barrier.failed {
-            Response::Error { code, trip: None, retry_after_ms: None, detail }
+            Response::error(code, None, detail)
         } else {
             match barrier.kind {
                 BarrierKind::Flush => Response::Stats(FleetSnapshot::merged(&barrier.stats)),
@@ -1608,12 +1342,7 @@ impl Core {
                         }
                     }
                     match bad {
-                        Some(detail) => Response::Error {
-                            code: ErrorCode::SnapshotFailed,
-                            trip: None,
-                            retry_after_ms: None,
-                            detail,
-                        },
+                        Some(detail) => Response::error(ErrorCode::SnapshotFailed, None, detail),
                         None => {
                             Response::Snapshot { image: image_to_bytes(&FleetImage::merge(images)) }
                         }
@@ -1631,14 +1360,15 @@ impl Core {
                 }
             }
         };
-        self.deliver_conn(barrier.conn, resp);
+        self.front.deliver(barrier.conn, resp);
     }
 
     fn stats(&self) -> RouterStats {
+        let front = self.front.stats();
         RouterStats {
-            fronts_accepted: self.fronts_accepted.load(Ordering::Relaxed),
-            fronts_open: self.fronts.read().expect("fronts lock").len() as u64,
-            responses_dropped: self.responses_dropped.load(Ordering::Relaxed),
+            fronts_accepted: front.connections_accepted,
+            fronts_open: front.connections_open,
+            responses_dropped: front.responses_dropped,
             backends_total: self.links.len() as u64,
             backends_alive: self.links.iter().filter(|l| l.alive.load(Ordering::SeqCst)).count()
                 as u64,
@@ -1650,42 +1380,55 @@ impl Core {
     }
 }
 
-/// Whether the front connection should stay open after a request.
-enum After {
-    Continue,
-    Close,
+/// A front worker's door: the producer-side transport core shared with
+/// `tad-net`.
+type Door = FrontDoor<PollSource, TcpStream>;
+
+/// One front worker's whole life: run the door's ticks, handle what the
+/// producers sent, and forget the routes of every connection that went
+/// away. Records nothing into the router's metrics registry beyond what
+/// forwarding and barriers always did — a barrier's `Metrics` reply is
+/// built on the mux thread, so a sample committed here after it would
+/// break the wire-merged = in-process equality.
+fn front_worker(core: &Core, mut door: Door) {
+    let mut events = Vec::new();
+    while let Some(tick_start) = door.poll(&mut events) {
+        for event in events.drain(..) {
+            match event {
+                FrontEvent::Frame { conn, req, .. } => {
+                    if !door.is_closing(conn) {
+                        handle_front(core, &mut door, conn, req);
+                    }
+                }
+                FrontEvent::Hangup(conn, bad_frame) => {
+                    door.hangup(conn, bad_frame);
+                    core.unroute_front(conn);
+                }
+            }
+        }
+        for conn in door.finish_tick(tick_start) {
+            core.unroute_front(conn);
+        }
+    }
+    door.teardown_all();
 }
 
 fn backend_down_error(id: TripId, backend: u32) -> Response {
-    Response::Error {
-        code: ErrorCode::EngineClosed,
-        trip: Some(id),
-        retry_after_ms: None,
-        detail: format!("backend {backend} is down"),
-    }
+    Response::error(ErrorCode::EngineClosed, Some(id), format!("backend {backend} is down"))
 }
 
-fn handle_front(core: &Core, conn_id: u64, tx: &SyncSender<Response>, req: Request) -> After {
+fn handle_front(core: &Core, door: &mut Door, conn_id: u64, req: Request) {
     match req {
-        Request::Flush => handle_barrier(core, conn_id, tx, BarrierKind::Flush, Request::Flush),
-        Request::SnapshotRequest => {
-            handle_barrier(core, conn_id, tx, BarrierKind::Snapshot, Request::SnapshotRequest)
-        }
-        Request::MetricsRequest => {
-            handle_barrier(core, conn_id, tx, BarrierKind::Metrics, Request::MetricsRequest)
-        }
+        Request::Flush => handle_barrier(core, door, conn_id, BarrierKind::Flush),
+        Request::SnapshotRequest => handle_barrier(core, door, conn_id, BarrierKind::Snapshot),
+        Request::MetricsRequest => handle_barrier(core, door, conn_id, BarrierKind::Metrics),
         Request::DeltaRequest | Request::Install { .. } | Request::Drain => {
             // Availability-tier admin frames are point-to-point router↔
             // backend operations; there is no meaningful fleet-wide
             // semantics for them at the front door, so they fail typed
             // instead of being misrouted.
-            let _ = tx.try_send(Response::Error {
-                code: ErrorCode::Rejected,
-                trip: None,
-                retry_after_ms: None,
-                detail: "admin frame is not routable through the router front door".to_string(),
-            });
-            After::Continue
+            let refusal = "admin frame is not routable through the router front door";
+            door.push(conn_id, Response::error(ErrorCode::Rejected, None, refusal));
         }
         ingest => {
             let (id, is_start) = match &ingest {
@@ -1694,7 +1437,7 @@ fn handle_front(core: &Core, conn_id: u64, tx: &SyncSender<Response>, req: Reque
                 Request::TripEnd { id } => (*id, false),
                 _ => unreachable!("barrier and admin frames are handled above"),
             };
-            forward_ingest(core, conn_id, tx, id, is_start, ingest)
+            forward_ingest(core, door, conn_id, id, is_start, ingest)
         }
     }
 }
@@ -1707,12 +1450,12 @@ fn handle_front(core: &Core, conn_id: u64, tx: &SyncSender<Response>, req: Reque
 /// original contract).
 fn forward_ingest(
     core: &Core,
+    door: &Door,
     conn_id: u64,
-    tx: &SyncSender<Response>,
     id: TripId,
     is_start: bool,
     req: Request,
-) -> After {
+) {
     let deadline = if core.journaling { Some(Instant::now() + core.failover_wait) } else { None };
     let mut claimed = false;
     let mut bumped = false;
@@ -1732,8 +1475,8 @@ fn forward_ingest(
                 continue;
             }
             release_claim(core, conn_id, id, claimed);
-            let _ = tx.try_send(backend_down_error(id, link_idx));
-            return After::Continue;
+            door.push(conn_id, backend_down_error(id, link_idx));
+            return;
         }
         if is_start {
             if claimed {
@@ -1750,13 +1493,9 @@ fn forward_ingest(
                         // Another live connection owns this trip; duplicate
                         // starts on the same connection are also refused
                         // (the backend engine would reject them anyway).
-                        let _ = tx.try_send(Response::Error {
-                            code: ErrorCode::Rejected,
-                            trip: Some(id),
-                            retry_after_ms: None,
-                            detail: "trip id is owned by a live session".to_string(),
-                        });
-                        return After::Continue;
+                        let refusal = "trip id is owned by a live session";
+                        door.push(conn_id, Response::error(ErrorCode::Rejected, Some(id), refusal));
+                        return;
                     }
                     Entry::Vacant(v) => {
                         v.insert(TripRoute::new(conn_id, link_idx));
@@ -1802,7 +1541,7 @@ fn forward_ingest(
         // so a cut position always corresponds to an exact wire prefix.
         // Cross-trip record order may differ from wire order — harmless,
         // replay only needs per-trip order, and each trip's frames come
-        // from one front reader thread.
+        // from one connection, read by one front worker.
         let sent = if core.journaling {
             let _stage = link.stage.read().expect("stage lock");
             let ok = link.tx.send(BackendMsg::Forward(req.clone())).is_ok();
@@ -1814,20 +1553,20 @@ fn forward_ingest(
             link.tx.send(BackendMsg::Forward(req.clone())).is_ok()
         };
         if sent {
-            // Channel-accept latency: near zero when the backend writer
+            // Channel-accept latency: near zero when the backend link
             // keeps up, the queue-wait time when it saturates.
             let ns = forward_started.elapsed().as_nanos() as u64;
             core.metrics.forward_ns.record(ns);
             core.metrics.per_backend[link_idx as usize].record(ns);
-            return After::Continue;
+            return;
         }
         drop(_gate);
         if retry_wait(deadline) {
             continue;
         }
         release_claim(core, conn_id, id, claimed);
-        let _ = tx.try_send(backend_down_error(id, link_idx));
-        return After::Continue;
+        door.push(conn_id, backend_down_error(id, link_idx));
+        return;
     }
 }
 
@@ -1857,13 +1596,7 @@ fn release_claim(core: &Core, conn_id: u64, id: TripId, claimed: bool) {
     }
 }
 
-fn handle_barrier(
-    core: &Core,
-    conn_id: u64,
-    tx: &SyncSender<Response>,
-    kind: BarrierKind,
-    req: Request,
-) -> After {
+fn handle_barrier(core: &Core, door: &mut Door, conn_id: u64, kind: BarrierKind) {
     // The shared gate spans the whole fan-out: a concurrent handoff
     // cannot drain a backend between this barrier's send to it and the
     // map flip, so a snapshot barrier always sees every session exactly
@@ -1871,163 +1604,23 @@ fn handle_barrier(
     let _gate = core.gate.read().expect("topology gate");
     let bid = core.barrier_open(kind, conn_id);
     let slots: Vec<u32> = core.map.read().expect("partition map").slots.clone();
-    let mut sent = 0usize;
-    for idx in slots {
-        let link = &core.links[idx as usize];
-        if !link.alive.load(Ordering::SeqCst) {
-            continue;
-        }
-        // Stage-then-send, atomically with respect to other admin frames
-        // on this link (the stage write lock): pending-queue order
-        // therefore equals channel order equals wire order, and the
-        // barrier is in the queue from the moment the channel accepts it —
-        // so the backend-down sweep (run by whichever of the link's
-        // threads exits first) always sees it and can fail or restage it.
-        // Forwarded ingest frames interleave freely; only admin-to-admin
-        // order matters for the queue.
-        let _stage = link.stage.write().expect("stage lock");
-        link.pending.push(PendingEntry::Barrier(kind, bid));
-        if link.tx.send(BackendMsg::Forward(req.clone())).is_ok() {
-            sent += 1;
-            if matches!(kind, BarrierKind::Snapshot) {
-                // The backend answers a SnapshotRequest by re-arming its
-                // delta chain at an epoch the router never learns: the
-                // journal's chain linkage is broken until the next full
-                // capture.
-                link.journal.lock().expect("journal lock").break_chain();
-            }
-        } else {
-            // The writer is gone; undo the stage. Nobody staged after us
-            // (we hold the stage lock), so the entry — if the down sweep
-            // has not already consumed it and failed the barrier — is the
-            // tail.
-            link.pending.unstage_tail(|e| matches!(e, PendingEntry::Barrier(_, b) if *b == bid));
-        }
-    }
+    let sent = slots
+        .into_iter()
+        .map(|idx| &core.links[idx as usize])
+        .filter(|link| link.alive.load(Ordering::SeqCst) && link.stage_barrier(kind, bid))
+        .count();
     if sent == 0 {
         // No live backend accepted the frame: drop the barrier (a down
         // sweep racing the loop may have contributed a failure to it, but
-        // never finalized it — it was not sealed) and answer directly.
+        // never finalized it — it was not sealed), answer directly, and
+        // hang up.
         core.barrier_abort(bid);
-        let _ = tx.try_send(Response::Error {
-            code: ErrorCode::EngineClosed,
-            trip: None,
-            retry_after_ms: None,
-            detail: "no live backends".to_string(),
-        });
-        return After::Close;
+        door.push(conn_id, Response::error(ErrorCode::EngineClosed, None, "no live backends"));
+        door.close(conn_id);
+        core.unroute_front(conn_id);
+        return;
     }
     core.barrier_seal(bid, sent);
-    After::Continue
-}
-
-/// Drains a front connection's response queue to its socket, batching
-/// writes between flushes (same shape as `tad-net`'s connection writer).
-fn front_writer(rx: Receiver<Response>, stream: TcpStream) {
-    let mut w = BufWriter::new(stream);
-    'serve: while let Ok(resp) = rx.recv() {
-        if write_response(&mut w, &resp).is_err() {
-            break;
-        }
-        loop {
-            match rx.try_recv() {
-                Ok(resp) => {
-                    if write_response(&mut w, &resp).is_err() {
-                        break 'serve;
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    let _ = std::io::Write::flush(&mut w);
-                    return;
-                }
-            }
-        }
-        if std::io::Write::flush(&mut w).is_err() {
-            break;
-        }
-    }
-    let _ = std::io::Write::flush(&mut w);
-}
-
-fn front_reader(
-    mut stream: TcpStream,
-    core: Arc<Core>,
-    max_frame_len: usize,
-    conn_id: u64,
-    tx: SyncSender<Response>,
-) {
-    loop {
-        match read_request(&mut stream, max_frame_len) {
-            Ok(None) => break, // clean disconnect
-            Ok(Some(req)) => {
-                if let After::Close = handle_front(&core, conn_id, &tx, req) {
-                    break;
-                }
-            }
-            Err(RecvError::Io(_)) => break,
-            Err(RecvError::Frame(e)) => {
-                // Framing is lost; tell the peer why, then hang up.
-                let _ = tx.send(Response::Error {
-                    code: ErrorCode::BadFrame,
-                    trip: None,
-                    retry_after_ms: None,
-                    detail: e.to_string(),
-                });
-                break;
-            }
-        }
-    }
-    core.unregister_front(conn_id);
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    core: Arc<Core>,
-    cfg: RouterConfig,
-    shutdown: Arc<AtomicBool>,
-    threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let mut next_conn: u64 = 0;
-    for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        if cfg.nodelay {
-            let _ = stream.set_nodelay(true);
-        }
-        let conn_id = next_conn;
-        next_conn += 1;
-        let (tx, rx) = sync_channel::<Response>(cfg.response_queue);
-        let write_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let registry_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        core.register_front(conn_id, FrontHandle { tx: tx.clone(), stream: registry_half });
-        let writer = std::thread::Builder::new()
-            .name(format!("tad-router-conn-{conn_id}-w"))
-            .spawn(move || front_writer(rx, write_half))
-            .expect("spawn front writer");
-        let reader = {
-            let core = Arc::clone(&core);
-            let max = cfg.max_frame_len;
-            std::thread::Builder::new()
-                .name(format!("tad-router-conn-{conn_id}"))
-                .spawn(move || front_reader(stream, core, max, conn_id, tx))
-                .expect("spawn front reader")
-        };
-        let mut threads = threads.lock().expect("threads lock");
-        threads.push(writer);
-        threads.push(reader);
-    }
 }
 
 /// Builder for [`RouterServer`]; start from [`RouterServer::builder`].
@@ -2077,8 +1670,8 @@ impl RouterServerBuilder {
     }
 
     /// Connects to every backend (actives, then standbys), binds the
-    /// front listening socket, and starts the acceptor and per-backend
-    /// pipeline threads.
+    /// front listening socket, and starts the backend mux, the acceptor
+    /// and the front workers.
     ///
     /// # Errors
     /// [`RouterError::NoBackends`] when no active backend address was
@@ -2093,8 +1686,6 @@ impl RouterServerBuilder {
         let actives = backends.len();
         let journaling = !standbys.is_empty();
         let listener = TcpListener::bind(addr)?;
-        tad_net::widen_accept_backlog(&listener, cfg.accept_backlog);
-        let local_addr = listener.local_addr()?;
 
         let all: Vec<SocketAddr> = backends.into_iter().chain(standbys).collect();
         let source = PollSource::new()?;
@@ -2132,7 +1723,32 @@ impl RouterServerBuilder {
         // backend-down sweep when a link dies — so a failing link always
         // fails (or fails over) staged work instead of leaving it
         // pending, while the other links keep flowing.
-        let core = Arc::new(Core::new(links, actives, &cfg));
+        //
+        // The producer side is the `tad-net` front door with the router's
+        // four front knobs; everything else (workers, read budget; no
+        // quota, idle timeout or rate limit) is its default — except the
+        // write high-water mark. The door stops *reading* a producer once
+        // that many reply bytes sit unflushed behind its socket, and at
+        // the 1 MiB default the router would stall producers for bursts
+        // they did not cause: a dead backend fails every live trip of a
+        // connection at once (a full response queue of errors is ~4 MiB),
+        // and closed-loop producers read nothing until a round is written.
+        // So the byte mark is sized from the reply-count knob instead, at
+        // 1 KiB per queued reply (64 MiB by default): a producer that
+        // stops draining loses replies past `response_queue` long before
+        // it is paused.
+        let front_shared = FrontShared::new(
+            NetConfig {
+                max_frame_len: cfg.max_frame_len,
+                response_queue: cfg.response_queue,
+                write_highwater: cfg.response_queue.saturating_mul(1 << 10),
+                nodelay: cfg.nodelay,
+                accept_backlog: cfg.accept_backlog,
+                ..NetConfig::default()
+            },
+            FrontCounters::default(),
+        );
+        let core = Arc::new(Core::new(links, actives, &cfg, Arc::clone(&front_shared)));
         let mux_core = Arc::clone(&core);
         let max = cfg.max_frame_len;
         let backend_threads = vec![std::thread::Builder::new()
@@ -2140,26 +1756,16 @@ impl RouterServerBuilder {
             .spawn(move || backend_mux(source, mux_links, mux_core, max))
             .expect("spawn backend mux")];
 
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let front_threads = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let core = Arc::clone(&core);
-            let shutdown = Arc::clone(&shutdown);
-            let front_threads = Arc::clone(&front_threads);
-            std::thread::Builder::new()
-                .name("tad-router-acceptor".to_string())
-                .spawn(move || accept_loop(listener, core, cfg, shutdown, front_threads))
-                .expect("spawn acceptor")
-        };
+        let worker_core = Arc::clone(&core);
+        let front = FrontListener::spawn(
+            listener,
+            front_shared,
+            "tad-router-conn",
+            "tad-router-acceptor",
+            move |door| front_worker(&worker_core, door),
+        )?;
 
-        Ok(RouterServer {
-            core,
-            local_addr,
-            shutdown,
-            acceptor: Some(acceptor),
-            front_threads,
-            backend_threads,
-        })
+        Ok(RouterServer { core, front, backend_threads })
     }
 }
 
@@ -2172,10 +1778,7 @@ impl RouterServerBuilder {
 /// with a single backend.
 pub struct RouterServer {
     core: Arc<Core>,
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    front_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    front: FrontListener,
     backend_threads: Vec<JoinHandle<()>>,
 }
 
@@ -2195,7 +1798,7 @@ impl RouterServer {
 
     /// The address the front door is listening on.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// How many partitions the map currently has (the `N` of
@@ -2310,27 +1913,16 @@ impl RouterServer {
     }
 
     fn stop(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
+        if self.backend_threads.is_empty() {
+            return; // already stopped
         }
         // From here on, backend deaths must not spawn recovery threads:
         // the links are about to be torn down deliberately.
         self.core.closing.store(true, Ordering::SeqCst);
-        // Unblock the acceptor's blocking accept with a throwaway
-        // connection; it re-checks the flag per iteration.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for handle in self.core.fronts.read().expect("fronts lock").values() {
-            let _ = handle.stream.shutdown(Shutdown::Both);
-        }
-        let handles = std::mem::take(&mut *self.front_threads.lock().expect("threads lock"));
-        for handle in handles {
-            let _ = handle.join();
-        }
+        self.front.stop();
         for link in &self.core.links {
-            // Orderly writer exit, then wake the (possibly blocked) reader.
+            // Orderly close: the mux flushes what is buffered, then reaps
+            // the link.
             let _ = link.tx.send(BackendMsg::Close);
             let _ = link.stream.shutdown(Shutdown::Both);
         }

@@ -967,3 +967,57 @@ fn barriers_across_a_failover_wait_for_the_new_map_or_fail_typed() {
         backend.shutdown();
     }
 }
+
+/// Connection churn through the front door: 200 producers each start a
+/// trip, stream one segment and hang up without reading. Every
+/// connection is counted, none stays open, and hanging up frees the
+/// trip's route — so a fresh connection that streams for one of those
+/// trips (whose session lives on in its backend) lazily re-attaches and
+/// gets the trip's remaining scores.
+#[test]
+fn front_connection_churn_counts_every_connection_and_frees_its_routes() {
+    let (city, model) = trained();
+    let t = &city.data.test_id[0];
+    let sd = t.sd_pair();
+    let cfg = FleetConfig { num_shards: 1, ..FleetConfig::default() };
+    let (backends, router) = spawn_fleet(model, 2, cfg);
+
+    for id in 0..200u64 {
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        client.trip_start(id, sd.source.0, sd.dest.0, t.time_slot).expect("write");
+        client.segment(id, t.segments[0].0).expect("write");
+        client.flush_writes().expect("flush");
+    }
+    // The hang-ups race the acceptor: a connection may be closed by its
+    // producer before the router has even adopted it.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let stats = router.stats();
+        if (stats.fronts_accepted, stats.fronts_open) == (200, 0) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "connections uncounted or lingering: {stats:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let id = 137;
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    client.segment(id, t.segments[1].0).expect("write");
+    client.trip_end(id).expect("write");
+    let stats = client.flush().expect("fleet barrier");
+    assert_eq!(stats.trips_started, 200, "every churned connection's trip reached a backend");
+    let mut produced = Produced::default();
+    drain(&mut client, &mut produced);
+    // Segment 0's score raced the old connection's hang-up: it was
+    // dropped with that connection or, if scored later, lands here.
+    assert!(produced.scores.contains_key(&(id, 1)), "the re-attached trip's next score");
+    assert!(produced.scores.keys().all(|&(trip, _)| trip == id), "no other trip's scores");
+    assert_eq!(produced.finals.len(), 1);
+    assert_eq!(produced.finals[&id].1, 2, "the trip completed with both its segments");
+    assert_eq!(router.stats().fronts_accepted, 201);
+
+    router.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
+}
