@@ -7,7 +7,7 @@ use rand::Rng;
 
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
-use crate::tensor::Tensor;
+use crate::tensor::{Tensor, MR};
 
 /// Xavier/Glorot uniform initialisation for a `fan_in x fan_out` matrix.
 pub fn xavier_uniform<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
@@ -314,61 +314,95 @@ impl GruCell {
     /// [`BoundGru::step`]: both use the vectorised
     /// [`crate::math::fast_sigmoid`]/[`crate::math::fast_tanh`] gate
     /// kernels with the same three-pass loop structure.
+    ///
+    /// Allocates `x.rows() x 3h` twice over (input gates and `h·U`), so it
+    /// is meant for single rows and small batches; a wide batch should
+    /// walk [`GruCell::infer_tile_rows`]-high tiles through
+    /// [`GruCell::infer_step_rows`] with one reused scratch.
     pub fn infer_step(&self, store: &ParamStore, x: &Tensor, h: &Tensor) -> Tensor {
+        debug_assert_eq!(x.rows(), h.rows(), "GruCell: batch mismatch");
+        let gx = self.input_gates(store, x);
+        let mut gh = Tensor::zeros(h.rows(), 3 * self.hidden);
+        let mut out = Tensor::zeros(h.rows(), self.hidden);
+        let out_rows = out.data_mut().chunks_exact_mut(self.hidden);
+        self.infer_step_rows(store, |r| gx.row(r), h, &mut gh, out_rows);
+        out
+    }
+
+    /// The input-gate pre-activations `x · W + b` (`batch x 3h`) that
+    /// [`GruCell::infer_step_rows`] reads per row. They depend only on the
+    /// input, so callers with a fixed input vocabulary precompute them
+    /// once per token and skip this matmul on every step.
+    pub fn input_gates(&self, store: &ParamStore, x: &Tensor) -> Tensor {
         let mut gx = x.matmul(store.value(self.w));
         add_bias_rows(&mut gx, store.value(self.b));
-        self.infer_step_pregated(store, &gx, h)
+        gx
     }
 
-    /// Tape-free recurrence step given the already-computed input gates
-    /// `gx = x · W + b` (`batch x 3h`). This is the kernel behind batched
-    /// fleet stepping: callers that cache the per-token input projection
-    /// skip the `x · W` matmul entirely and pay only `h · U`.
-    pub fn infer_step_pregated(&self, store: &ParamStore, gx: &Tensor, h: &Tensor) -> Tensor {
-        debug_assert_eq!(gx.rows(), h.rows(), "GruCell: batch mismatch");
-        self.infer_step_rows(store, |r| gx.row(r), h)
+    /// Rows per tile of a batched inference step: as many as keep one
+    /// tile's `rows x 3h` gate pre-activations within ~192 KiB (64 rows at
+    /// hidden 256, 340 at hidden 48), rounded down to the matmul
+    /// micro-kernel's row-tile height. A tile of stacked hidden rows plus
+    /// its gates then stays L2-resident from the `h · U` product through
+    /// the gate epilogue, whatever the width of the batch being walked.
+    pub fn infer_tile_rows(&self) -> usize {
+        const GATE_TILE_BYTES: usize = 192 * 1024;
+        let rows = GATE_TILE_BYTES / (3 * self.hidden.max(1) * std::mem::size_of::<f32>());
+        (rows / MR * MR).max(MR)
     }
 
-    /// Batched recurrence step reading each row's pregated input through
-    /// `gx_of` — e.g. straight out of a precomputed per-token projection
-    /// table, skipping any gather copy.
-    pub fn infer_step_rows<'a>(
+    /// One batched recurrence step over a tile of rows, written into the
+    /// caller's storage. `h` holds the tile's stacked hidden rows, row
+    /// `r`'s pregated input (`x · W + b`, see [`GruCell::input_gates`]) is
+    /// read through `gx_of` — e.g. straight out of a precomputed per-token
+    /// table, skipping any gather copy — and `gh` is scratch of shape
+    /// `h.rows() x 3h` that receives `h · U` and is then consumed in place
+    /// by the gate epilogue. The new hidden row `r` goes to the `r`-th
+    /// slice `out` yields (which may be the very row `h` was stacked
+    /// from), so no `rows x hidden` result matrix exists.
+    ///
+    /// Each row's result depends only on that row's inputs, bit for bit:
+    /// the matmul accumulates k-ascending per row whatever the row count.
+    ///
+    /// # Panics
+    /// Panics if `gh` is not `h.rows() x 3h` or `out` yields fewer than
+    /// `h.rows()` slices of `hidden` floats.
+    pub fn infer_step_rows<'a, 'o>(
         &self,
         store: &ParamStore,
         gx_of: impl Fn(usize) -> &'a [f32],
         h: &Tensor,
-    ) -> Tensor {
+        gh: &mut Tensor,
+        out: impl IntoIterator<Item = &'o mut [f32]>,
+    ) {
         let hd = self.hidden;
-        let gh = h.matmul(store.value(self.u));
-        let rows = h.rows();
-        let mut out = Tensor::zeros(rows, hd);
-        // Row-reused scratch for the z and r gates. Three separate
-        // elementwise passes (z, r, then n + blend) vectorise much better
-        // than one fused loop: each pass inlines a single polynomial and
-        // stays within the register budget.
-        let mut z_buf = vec![0.0f32; hd];
-        let mut r_buf = vec![0.0f32; hd];
-        for r in 0..rows {
+        h.matmul_into(store.value(self.u), gh);
+        let mut out = out.into_iter();
+        // Three separate elementwise passes (z, r, then n + blend)
+        // vectorise much better than one fused loop: each pass inlines a
+        // single polynomial and stays within the register budget. The z
+        // and r gates overwrite their own pre-activations in `gh`.
+        for (r, gh_row) in gh.data_mut().chunks_exact_mut(3 * hd).enumerate() {
+            let out_row = out.next().expect("GruCell: one output row per hidden row");
+            assert_eq!(out_row.len(), hd, "GruCell: output row width");
             let gx_row = gx_of(r);
             debug_assert_eq!(gx_row.len(), 3 * hd, "GruCell: pregated input width");
             let (zx, gx_rest) = gx_row.split_at(hd);
             let (rx, nx) = gx_rest.split_at(hd);
-            let gh_row = gh.row(r);
-            let (zh, gh_rest) = gh_row.split_at(hd);
-            let (rh, nh) = gh_rest.split_at(hd);
+            let (z, gh_rest) = gh_row.split_at_mut(hd);
+            let (rg, nh) = gh_rest.split_at_mut(hd);
             let h_row = h.row(r);
-            for (o, (&x, &g)) in z_buf.iter_mut().zip(zx.iter().zip(zh)) {
-                *o = crate::math::fast_sigmoid(x + g);
+            for (g, &x) in z.iter_mut().zip(zx) {
+                *g = crate::math::fast_sigmoid(x + *g);
             }
-            for (o, (&x, &g)) in r_buf.iter_mut().zip(rx.iter().zip(rh)) {
-                *o = crate::math::fast_sigmoid(x + g);
+            for (g, &x) in rg.iter_mut().zip(rx) {
+                *g = crate::math::fast_sigmoid(x + *g);
             }
-            for (c, o) in out.row_mut(r).iter_mut().enumerate() {
-                let n = crate::math::fast_tanh(nx[c] + r_buf[c] * nh[c]);
-                *o = n + z_buf[c] * (h_row[c] - n);
+            for (c, o) in out_row.iter_mut().enumerate() {
+                let n = crate::math::fast_tanh(nx[c] + rg[c] * nh[c]);
+                *o = n + z[c] * (h_row[c] - n);
             }
         }
-        out
     }
 
     /// Input-gate weight parameter handle (`in x 3h`).

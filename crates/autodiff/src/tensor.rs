@@ -15,7 +15,7 @@
 use rand::Rng;
 
 /// Row-tile height of the register-tiled matmul micro-kernel.
-const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Column-tile width of the register-tiled matmul micro-kernel (two
 /// 256-bit vectors of `f32`; with `MR = 4` the 8 accumulators fit the
 /// AVX2 register file without spills).
@@ -187,6 +187,15 @@ impl Tensor {
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         debug_assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Changes the row count in place, keeping the column width: trailing
+    /// rows are dropped, new rows are zero. Shrinking (and growing back
+    /// within the original allocation) does not reallocate, so a scratch
+    /// matrix sized for a full row tile can serve a shorter last tile.
+    pub fn resize_rows(&mut self, rows: usize) {
+        self.data.resize(rows * self.cols, 0.0);
+        self.rows = rows;
     }
 
     /// Sets every element to zero without reallocating.

@@ -1,34 +1,72 @@
 //! Fleet-scoring throughput: micro-batched stepping vs naive per-session
-//! `push` looping across concurrent-session counts (64 / 512 / 4096).
+//! `push` looping.
 //!
 //! Two complementary views:
 //!
-//! * Criterion timings of one scoring *wave* (every session advances one
-//!   segment): `naive_wave` loops `OnlineScorer::push`, `batched_wave`
-//!   makes one `CausalTad::push_batch` call with a step cache.
-//! * An end-to-end events/sec summary (printed after the criterion runs)
+//! * The `fleet_wave` sweep: ns per segment of one scoring *wave* (every
+//!   session advances one segment) at widths 64 / 512 / 4096 / 16 384 and
+//!   hidden widths 48 / 256 — `naive` loops `CausalTad::push_state`,
+//!   `batched` makes one `CausalTad::push_batch` call with a step cache.
+//!   Written to `BENCH_score.json` (override the path with
+//!   `BENCH_SCORE_OUT`) next to the same sweep taken before `push_batch`
+//!   was row-tiled, so the flat-in-width curve is on record.
+//! * An end-to-end events/sec summary (printed after the criterion run)
 //!   replaying full interleaved streams through the naive loop, a 1-shard
 //!   `tad-serve` engine, and a default-shard engine — the acceptance
 //!   numbers for the serving subsystem.
+//!
+//! `CRITERION_QUICK=1` cuts the repetitions for CI smoke runs.
 
+use std::hint::black_box;
+use std::process::Command;
 use std::sync::Arc;
+use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
 use causaltad::{CausalTad, CausalTadConfig, ScorerState};
 use tad_bench::{fleet_walks, time_engine_fleet, time_naive_fleet};
 use tad_eval::cities::{xian_s, Scale};
 use tad_serve::FleetConfig;
 
+const WAVE_WIDTHS: [usize; 4] = [64, 512, 4096, 16_384];
+const HIDDEN_WIDTHS: [usize; 2] = [48, 256];
 const SESSION_COUNTS: [usize; 3] = [64, 512, 4096];
 const WALK_LEN: usize = 24;
 
-fn trained_model() -> Arc<CausalTad> {
+/// The same sweep at the parent of the row-tiling change (commit 008d280:
+/// one `n x hidden` stack, one `n x 3·hidden` gate matrix and one
+/// `n x hidden` result per wave), on the 2-vCPU development host — per
+/// cell the median of three runs alternated with runs of the tiled code:
+/// `row(hidden, width, naive ns/segment, batched ns/segment)`.
+const BEFORE_TILING: [WaveRow; 8] = [
+    row(48, 64, 2618.0, 759.0),
+    row(48, 512, 2511.0, 803.0),
+    row(48, 4096, 2547.0, 902.0),
+    row(48, 16_384, 2645.0, 1011.0),
+    row(256, 64, 27586.0, 8673.0),
+    row(256, 512, 26740.0, 8584.0),
+    row(256, 4096, 27042.0, 10121.0),
+    row(256, 16_384, 27314.0, 12305.0),
+];
+
+const WAVE_NOTE: &str = "every session past its first segment advances one segment; \
+    batched = one push_batch with the step cache, naive = push_state per session";
+const BEFORE_NOTE: &str = "untiled push_batch; per cell the median of three full (non-quick) \
+    runs on the 2-vCPU development host, alternated with runs of the tiled code; the host's \
+    speed drifts 20-60 % over minutes, so read each block for its trend over width, not block \
+    against block";
+
+fn quick_mode() -> bool {
+    std::env::var("CRITERION_QUICK").map(|v| v == "1").unwrap_or(false)
+}
+
+fn trained_model(hidden_dim: usize) -> Arc<CausalTad> {
     let city = tad_trajsim::generate_city(&xian_s(Scale::Quick));
     // Serving-realistic widths; one epoch keeps bench start-up short.
     let cfg = CausalTadConfig {
         embed_dim: 64,
-        hidden_dim: 256,
+        hidden_dim,
         latent_dim: 32,
         epochs: 1,
         ..CausalTadConfig::test_scale()
@@ -54,44 +92,122 @@ fn wave_fixture(model: &CausalTad, walks: &[Vec<u32>]) -> (Vec<ScorerState>, Vec
     (states, segs)
 }
 
-fn bench_waves(c: &mut Criterion) {
-    let model = trained_model();
-    let cache = model.build_step_cache();
+/// Median ns per segment of `wave` over fresh copies of `states`; the
+/// copies are made outside the timed region.
+fn wave_ns_per_seg(states: &[ScorerState], mut wave: impl FnMut(&mut [ScorerState])) -> f64 {
+    let reps = if quick_mode() { 3 } else { (32_768 / states.len()).clamp(5, 128) };
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let mut fresh = states.to_vec();
+            let started = Instant::now();
+            wave(&mut fresh);
+            let ns = started.elapsed().as_nanos() as f64;
+            black_box(fresh);
+            ns / states.len() as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
 
-    let mut group = c.benchmark_group("fleet_wave");
-    group.sample_size(20);
-    for &n in &SESSION_COUNTS {
-        let walks = fleet_walks(&model, n, 4, 11);
-        let (states, segs) = wave_fixture(&model, &walks);
+struct WaveRow {
+    hidden: usize,
+    width: usize,
+    naive_ns: f64,
+    batched_ns: f64,
+}
 
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter_batched(
-                || states.clone(),
-                |mut states| {
-                    for (st, &seg) in states.iter_mut().zip(&segs) {
-                        model.push_state(st, seg);
-                    }
-                    states
-                },
-                BatchSize::SmallInput,
-            );
-        });
-        group.bench_with_input(BenchmarkId::new("batched", n), &n, |b, _| {
-            b.iter_batched(
-                || states.clone(),
-                |mut states| {
-                    model.push_batch(Some(&cache), &mut states, &segs);
-                    states
-                },
-                BatchSize::SmallInput,
-            );
-        });
+const fn row(hidden: usize, width: usize, naive_ns: f64, batched_ns: f64) -> WaveRow {
+    WaveRow { hidden, width, naive_ns, batched_ns }
+}
+
+impl WaveRow {
+    fn json(&self) -> String {
+        format!(
+            "{{\"hidden\": {}, \"width\": {}, \"naive_ns_per_segment\": {:.1}, \"batched_ns_per_segment\": {:.1}, \"speedup\": {:.2}}}",
+            self.hidden,
+            self.width,
+            self.naive_ns,
+            self.batched_ns,
+            self.naive_ns / self.batched_ns
+        )
     }
-    group.finish();
+}
+
+/// The `fleet_wave` sweep: pure stepping, one wave = one segment/session.
+fn bench_waves(_c: &mut Criterion) {
+    println!(
+        "{:>8} {:>10} {:>16} {:>16} {:>10}   (fleet_wave: pure stepping, one wave = one segment/session)",
+        "hidden", "sessions", "naive ns/seg", "batched ns/seg", "speedup"
+    );
+    let mut rows = Vec::new();
+    for &hidden in &HIDDEN_WIDTHS {
+        let model = trained_model(hidden);
+        let cache = model.build_step_cache();
+        for &width in &WAVE_WIDTHS {
+            let walks = fleet_walks(&model, width, 4, 11);
+            let (states, segs) = wave_fixture(&model, &walks);
+            let naive_ns = wave_ns_per_seg(&states, |states| {
+                for (st, &seg) in states.iter_mut().zip(&segs) {
+                    model.push_state(st, seg);
+                }
+            });
+            let batched_ns = wave_ns_per_seg(&states, |states| {
+                black_box(model.push_batch(Some(&cache), states, &segs));
+            });
+            println!(
+                "{hidden:>8} {width:>10} {naive_ns:>16.0} {batched_ns:>16.0} {:>9.2}x",
+                naive_ns / batched_ns
+            );
+            rows.push(row(hidden, width, naive_ns, batched_ns));
+        }
+    }
+    write_json(&rows);
+}
+
+fn command_line(program: &str, args: &[&str]) -> String {
+    Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string())
+}
+
+fn write_json(rows: &[WaveRow]) {
+    // `cargo bench` runs with the package directory as cwd; default to the
+    // workspace root so the artefact lands next to README.md.
+    let path = std::env::var("BENCH_SCORE_OUT").unwrap_or_else(|_| {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_score.json").to_string()
+    });
+    let list = |rows: &[WaveRow]| {
+        rows.iter().map(|r| format!("    {}", r.json())).collect::<Vec<_>>().join(",\n")
+    };
+    let mut out = String::from("{\n");
+    out.push_str(&format!(
+        "  \"host\": {{\"available_parallelism\": {}, \"rustc\": \"{}\", \"git_sha\": \"{}\"}},\n",
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+        command_line("rustc", &["--version"]),
+        command_line("git", &["describe", "--always", "--dirty"]),
+    ));
+    out.push_str(&format!(
+        "  \"workload\": {{\"city\": \"xian-s\", \"scale\": \"quick\", \"wave\": \"{WAVE_NOTE}\", \"unit\": \"median ns per segment\", \"quick_mode\": {}}},\n",
+        quick_mode()
+    ));
+    out.push_str(&format!(
+        "  \"before_row_tiling\": {{\"commit\": \"008d280\", \"note\": \"{BEFORE_NOTE}\", \"rows\": [\n{}\n  ]}},\n",
+        list(&BEFORE_TILING)
+    ));
+    out.push_str(&format!("  \"fleet_wave\": [\n{}\n  ]\n}}\n", list(rows)));
+    match std::fs::write(&path, out) {
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(e) => eprintln!("warning: cannot write {path}: {e}"),
+    }
 }
 
 fn bench_end_to_end(c: &mut Criterion) {
-    let model = trained_model();
+    let model = trained_model(256);
     let shards = FleetConfig::default().num_shards;
 
     // One criterion entry so the scenario shows up in bench output...
@@ -100,48 +216,10 @@ fn bench_end_to_end(c: &mut Criterion) {
         b.iter(|| time_engine_fleet(&model, &walks_512, shards))
     });
 
-    // The headline acceptance number: events/sec of batched stepping vs
-    // the naive per-session push loop, measured over repeated full waves.
-    println!();
-    println!(
-        "{:>10} {:>16} {:>16} {:>10}   (pure stepping, one wave = one segment/session)",
-        "sessions", "naive ev/s", "batched ev/s", "speedup"
-    );
-    for &n in &SESSION_COUNTS {
-        let walks = fleet_walks(&model, n, 4, 11);
-        let (states, segs) = wave_fixture(&model, &walks);
-        let reps = (2048 / n).max(1);
-        let naive_t = {
-            let t0 = std::time::Instant::now();
-            for _ in 0..reps {
-                let mut s = states.clone();
-                for (st, &seg) in s.iter_mut().zip(&segs) {
-                    model.push_state(st, seg);
-                }
-            }
-            t0.elapsed().as_secs_f64() / reps as f64
-        };
-        let cache = model.build_step_cache();
-        let batched_t = {
-            let t0 = std::time::Instant::now();
-            for _ in 0..reps {
-                let mut s = states.clone();
-                model.push_batch(Some(&cache), &mut s, &segs);
-            }
-            t0.elapsed().as_secs_f64() / reps as f64
-        };
-        println!(
-            "{:>10} {:>16.0} {:>16.0} {:>9.2}x",
-            n,
-            n as f64 / naive_t,
-            n as f64 / batched_t,
-            naive_t / batched_t
-        );
-    }
-
     // ...and the full end-to-end comparison (engine ingest + lifecycle +
-    // scoring). On a single-core host the multi-shard row cannot beat x1;
-    // on real multi-core serving hardware it scales with shards.
+    // scoring) against the naive per-session push loop. On a single-core
+    // host the multi-shard row cannot beat x1; on real multi-core serving
+    // hardware it scales with shards.
     println!();
     println!(
         "{:>10} {:>10} {:>14} {:>16} {:>16} {:>10} {:>10}",

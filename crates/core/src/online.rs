@@ -279,12 +279,19 @@ impl CausalTad {
     }
 
     /// Advances many live sessions by one segment each in a single
-    /// micro-batch: session `i` consumes `segs[i]`. The GRU step runs as one
-    /// `batch x hidden` matrix product (and, with a [`StepCache`], skips the
-    /// input-gate matmul entirely); sessions sharing a successor set share
-    /// one projection product. Returns the updated debiased score per
-    /// session, numerically identical to calling
+    /// micro-batch: session `i` consumes `segs[i]`. The GRU step runs as
+    /// `tile x hidden` matrix products (and, with a [`StepCache`], skips the
+    /// input-gate matmul entirely); sessions of a tile sharing a successor
+    /// set share one projection product. Returns the updated debiased score
+    /// per session, identical bit for bit to calling
     /// [`CausalTad::push_state`] per session in isolation.
+    ///
+    /// The wave is walked in row tiles of [`crate::TgVae::wave_tile_rows`]
+    /// sessions: each tile's hidden rows are stacked, scored, stepped and
+    /// written back into their sessions while they are cache-hot, through
+    /// one tile-sized scratch allocated per call. Beyond the returned
+    /// scores nothing is `states.len()` wide, so a wave's memory and its
+    /// time per session do not depend on how many sessions it carries.
     ///
     /// `states` may hold the states inline (`&mut [ScorerState]`) or by
     /// mutable reference (`&mut [&mut ScorerState]`), so callers can batch
@@ -306,47 +313,50 @@ impl CausalTad {
             return Vec::new();
         }
         let hidden = states[0].as_mut().h.cols();
+        let lambda = self.config().lambda;
 
-        // Stack hidden states: one `n x hidden` matrix.
-        let mut hs = Tensor::zeros(n, hidden);
-        for (i, st) in states.iter_mut().enumerate() {
-            hs.row_mut(i).copy_from_slice(st.as_mut().h.row(0));
-        }
+        let tile = self.wave_tile_rows().min(n);
+        let mut hs = Tensor::zeros(tile, hidden);
+        let mut gh = Tensor::zeros(tile, 3 * hidden);
+        let mut cands: Vec<Option<&[u32]>> = Vec::with_capacity(tile);
+        let mut nlls = vec![0.0f64; tile];
+        let mut scores = Vec::with_capacity(n);
+        for (states, segs) in states.chunks_mut(tile).zip(segs.chunks(tile)) {
+            let rows = states.len();
+            hs.resize_rows(rows);
+            gh.resize_rows(rows);
+            cands.clear();
+            for (i, st) in states.iter_mut().enumerate() {
+                let st = st.as_mut();
+                hs.row_mut(i).copy_from_slice(st.h.row(0));
+                // t_1 is the source — fixed by the condition c, so a
+                // session without a predecessor is charged no loss.
+                cands.push(st.last.map(|prev| self.successors_of(prev)));
+            }
+            let nlls = &mut nlls[..rows];
+            self.tg.step_nll_batch(&self.store, &hs, &cands, segs, nlls);
+            let new_h = states.iter_mut().map(|st| st.as_mut().h.row_mut(0));
+            self.tg.advance_batch(&self.store, cache, &hs, segs, &mut gh, new_h);
 
-        // Next-segment NLLs for sessions past their first segment.
-        let live: Vec<usize> = (0..n).filter(|&i| states[i].as_mut().last.is_some()).collect();
-        let mut nlls = vec![0.0f64; n];
-        if !live.is_empty() {
-            let idx: Vec<u32> = live.iter().map(|&i| i as u32).collect();
-            let sub = hs.gather_rows(&idx);
-            let cands: Vec<&[u32]> = live
-                .iter()
-                .map(|&i| self.successors_of(states[i].as_mut().last.expect("filtered")))
-                .collect();
-            let next: Vec<u32> = live.iter().map(|&i| segs[i]).collect();
-            let batch_nlls = self.tg.step_nll_batch(&self.store, &sub, &cands, &next);
-            for (&i, nll) in live.iter().zip(batch_nlls) {
-                nlls[i] = nll;
+            for ((st, &seg), &nll) in states.iter_mut().zip(segs).zip(nlls.iter()) {
+                let st = st.as_mut();
+                st.traj_nll += nll;
+                let log_scale = table.log_scale(seg, st.time_slot);
+                st.scale_log_sum += log_scale;
+                st.last = Some(seg);
+                st.trace.push(SegmentTrace { segment: seg, nll, log_scale });
+                scores.push(st.score(lambda));
             }
         }
-
-        // One batched GRU advance for every session.
-        let new_hs = self.tg.advance_batch(&self.store, cache, &hs, segs);
-
-        let lambda = self.config().lambda;
-        let mut scores = Vec::with_capacity(n);
-        for (i, st) in states.iter_mut().enumerate() {
-            let st = st.as_mut();
-            let seg = segs[i];
-            st.traj_nll += nlls[i];
-            let log_scale = table.log_scale(seg, st.time_slot);
-            st.scale_log_sum += log_scale;
-            st.h.row_mut(0).copy_from_slice(new_hs.row(i));
-            st.last = Some(seg);
-            st.trace.push(SegmentTrace { segment: seg, nll: nlls[i], log_scale });
-            scores.push(st.score(lambda));
-        }
         scores
+    }
+
+    /// Sessions per row tile of a [`CausalTad::push_batch`] wave — a fixed
+    /// function of the hidden width (see
+    /// [`crate::TgVae::wave_tile_rows`]), not a tunable. It bounds the
+    /// wave's scratch memory.
+    pub fn wave_tile_rows(&self) -> usize {
+        self.tg.wave_tile_rows()
     }
 
     /// Precomputes the decoder's per-token input-gate projections so batched
@@ -570,10 +580,111 @@ mod tests {
         }
 
         for (batched, sequential) in final_scores.iter().zip(&reference) {
-            assert!(
-                (batched - sequential).abs() < 1e-9,
+            assert_eq!(
+                batched.to_bits(),
+                sequential.to_bits(),
                 "batched {batched} vs sequential {sequential}"
             );
+        }
+    }
+
+    /// The tiled wave's contract, swept across the tile boundary: whatever
+    /// the width, whichever tile a row lands in, and whatever shares the
+    /// tile with it, row `i` of `push_batch` equals `push_state` alone —
+    /// score, trace entry and hidden row, bit for bit.
+    #[test]
+    fn push_batch_tile_boundaries_match_push_state_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let city = generate_city(&CityConfig::test_scale(203));
+        for hidden_dim in [48, 256] {
+            // Untrained weights exercise the same kernels; the scaling
+            // table is all a session needs to start.
+            let cfg = CausalTadConfig { hidden_dim, ..CausalTadConfig::test_scale() };
+            let mut model = CausalTad::new(&city.net, cfg);
+            model.precompute_scaling();
+            let cache = model.build_step_cache();
+            let vocab = model.vocab() as u32;
+            let tile = model.wave_tile_rows();
+            // A predecessor many sessions share, so tiles hold multi-row
+            // successor groups next to singleton ones.
+            let hub = (0..vocab).find(|&s| model.successors_of(s).len() >= 2).expect("a junction");
+            let mut rng = StdRng::seed_from_u64(hidden_dim as u64);
+
+            for width in [1, tile - 1, tile, tile + 1, 3 * tile + 5] {
+                let mut states = Vec::with_capacity(width);
+                let mut segs = Vec::with_capacity(width);
+                let (mut fresh, mut off_graph, mut shared) = (0, 0, 0);
+                for i in 0..width {
+                    let (s, d) = (rng.gen_range(0..vocab), rng.gen_range(0..vocab));
+                    let mut st = model.start_state(s, d, (i % 4) as u8).expect("in vocabulary");
+                    let kind = if width == 1 { 1 } else { rng.gen_range(0..8) };
+                    if kind == 0 {
+                        // Before its first segment: no predecessor.
+                        fresh += 1;
+                        segs.push(rng.gen_range(0..vocab));
+                    } else {
+                        let prev = if kind <= 3 { hub } else { rng.gen_range(0..vocab) };
+                        shared += usize::from(prev == hub);
+                        model.push_state(&mut st, s);
+                        model.push_state(&mut st, prev);
+                        let succ = model.successors_of(prev);
+                        if kind == 7 || succ.is_empty() {
+                            let jump =
+                                (0..vocab).find(|c| !succ.contains(c)).expect("sparse graph");
+                            off_graph += 1;
+                            segs.push(jump);
+                        } else {
+                            segs.push(succ[rng.gen_range(0..succ.len())]);
+                        }
+                    }
+                    states.push(st);
+                }
+                if width >= tile - 1 {
+                    assert!(fresh > 0 && off_graph > 0 && shared > 1, "the mix covers every path");
+                }
+
+                let mut sequential = states.clone();
+                let reference: Vec<f64> = sequential
+                    .iter_mut()
+                    .zip(&segs)
+                    .map(|(st, &seg)| model.push_state(st, seg))
+                    .collect();
+                for cache in [None, Some(&cache)] {
+                    let mut batched = states.clone();
+                    let scores = model.push_batch(cache, &mut batched, &segs);
+                    let ctx =
+                        format!("hidden {hidden_dim} width {width} cache {}", cache.is_some());
+                    assert_eq!(scores.len(), width, "{ctx}");
+                    for (i, (b, s)) in batched.iter().zip(&sequential).enumerate() {
+                        assert_eq!(scores[i].to_bits(), reference[i].to_bits(), "{ctx} row {i}");
+                        let (bt, st) = (b.trace().last().unwrap(), s.trace().last().unwrap());
+                        assert_eq!(bt.segment, st.segment, "{ctx} row {i}");
+                        assert_eq!(bt.nll.to_bits(), st.nll.to_bits(), "{ctx} row {i} nll");
+                        assert_eq!(
+                            bt.log_scale.to_bits(),
+                            st.log_scale.to_bits(),
+                            "{ctx} row {i} log_scale"
+                        );
+                        assert!(
+                            b.hidden()
+                                .iter()
+                                .zip(s.hidden())
+                                .all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "{ctx} row {i} hidden"
+                        );
+                        assert_eq!(b, s, "{ctx} row {i} state");
+                    }
+                }
+                if off_graph > 0 {
+                    let charged = sequential
+                        .iter()
+                        .filter(|st| st.trace().last().unwrap().nll == crate::OFF_GRAPH_NLL)
+                        .count();
+                    assert_eq!(charged, off_graph, "off-graph hops are charged the penalty");
+                }
+            }
         }
     }
 

@@ -425,51 +425,73 @@ impl TgVae {
         StepCache { gx }
     }
 
-    /// Advances many decoder states at once: row `i` of `hs` consumes
-    /// `segs[i]`. One `batch x hidden` GRU step instead of `batch`
-    /// matrix-vector steps; with a [`StepCache`] the input-gate matmul is a
-    /// row gather. Row `i` of the result is bit-identical to
-    /// [`TgVae::advance`] on row `i` alone.
-    pub fn advance_batch(
+    /// Rows per tile of a scoring wave (see
+    /// [`GruCell::infer_tile_rows`]): [`TgVae::advance_batch`] and
+    /// [`TgVae::step_nll_batch`] are meant to be walked over a wide batch
+    /// in tiles of this height, so the working set is one tile whatever
+    /// the batch width.
+    pub fn wave_tile_rows(&self) -> usize {
+        self.gru.infer_tile_rows()
+    }
+
+    /// Advances a tile of decoder states at once: row `i` of `hs` (the
+    /// tile's stacked hidden rows) consumes `segs[i]`, and its new hidden
+    /// row is written to the `i`-th slice `out` yields — typically the
+    /// session's own hidden row, which `hs` was stacked from. `gh` is
+    /// `hs.rows() x 3·hidden` scratch. One `tile x hidden` GRU step
+    /// instead of `tile` matrix-vector steps; with a [`StepCache`] the
+    /// input-gate matmul is a row lookup. Row `i` of the result is
+    /// bit-identical to [`TgVae::advance`] on row `i` alone.
+    pub fn advance_batch<'o>(
         &self,
         store: &ParamStore,
         cache: Option<&StepCache>,
         hs: &Tensor,
         segs: &[u32],
-    ) -> Tensor {
+        gh: &mut Tensor,
+        out: impl IntoIterator<Item = &'o mut [f32]>,
+    ) {
         debug_assert_eq!(hs.rows(), segs.len(), "advance_batch: batch size");
         match cache {
             // Rows are read straight from the cache table — no gather copy.
-            Some(c) => self.gru.infer_step_rows(store, |r| c.gx.row(segs[r] as usize), hs),
+            Some(c) => self.gru.infer_step_rows(store, |r| c.gx.row(segs[r] as usize), hs, gh, out),
             None => {
-                let x = self.traj_embed.embed(store, segs);
-                self.gru.infer_step(store, &x, hs)
+                let gx = self.gru.input_gates(store, &self.traj_embed.embed(store, segs));
+                self.gru.infer_step_rows(store, |r| gx.row(r), hs, gh, out)
             }
         }
     }
 
-    /// Batched road-constrained next-segment NLLs: row `i` of `hs` is
-    /// scored against candidate set `cands[i]` with observed segment
-    /// `next[i]`. Rows sharing a candidate set are projected with a single
-    /// `group x candidates` matrix-matrix product; off-graph transitions
-    /// get [`OFF_GRAPH_NLL`]. Results match [`TgVae::step_nll`] per row.
+    /// Batched road-constrained next-segment NLLs over a tile: row `i` of
+    /// `hs` is scored against candidate set `cands[i]` with observed
+    /// segment `next[i]`, into `out[i]`. A row without a candidate set
+    /// (`None`: a session before its first segment, whose opening segment
+    /// is fixed by the SD condition) is charged `0.0`; off-graph
+    /// transitions get [`OFF_GRAPH_NLL`]. Rows sharing a candidate set are
+    /// projected with a single `group x candidates` matrix-matrix product.
+    /// Results match [`TgVae::step_nll`] per row, bit for bit.
     pub fn step_nll_batch(
         &self,
         store: &ParamStore,
         hs: &Tensor,
-        cands: &[&[u32]],
+        cands: &[Option<&[u32]>],
         next: &[u32],
-    ) -> Vec<f64> {
+        out: &mut [f64],
+    ) {
         assert_eq!(hs.rows(), cands.len(), "step_nll_batch: hs vs cands");
         assert_eq!(cands.len(), next.len(), "step_nll_batch: cands vs next");
-        let mut out = vec![OFF_GRAPH_NLL; next.len()];
+        assert_eq!(cands.len(), out.len(), "step_nll_batch: cands vs out");
+        for (o, cset) in out.iter_mut().zip(cands) {
+            *o = if cset.is_some() { OFF_GRAPH_NLL } else { 0.0 };
+        }
         // Group rows sharing a successor set. The successor lists are
         // cached per segment, so identical sets share one slice — sorting
         // row indices by slice identity groups them without a hash map.
+        let set_of = |i: u32| cands[i as usize].expect("ordered rows have a candidate set");
         let mut order: Vec<u32> = (0..next.len() as u32)
-            .filter(|&i| cands[i as usize].contains(&next[i as usize]))
+            .filter(|&i| cands[i as usize].is_some_and(|cset| cset.contains(&next[i as usize])))
             .collect();
-        order.sort_unstable_by_key(|&i| cands[i as usize].as_ptr() as usize);
+        order.sort_unstable_by_key(|&i| set_of(i).as_ptr() as usize);
         let same_set =
             |a: &[u32], b: &[u32]| std::ptr::eq(a.as_ptr(), b.as_ptr()) && a.len() == b.len();
 
@@ -478,9 +500,9 @@ impl TgVae {
         let mut logit_buf: Vec<f32> = Vec::new();
         let mut start = 0;
         while start < order.len() {
-            let cset = cands[order[start] as usize];
+            let cset = set_of(order[start]);
             let mut end = start + 1;
-            while end < order.len() && same_set(cands[order[end] as usize], cset) {
+            while end < order.len() && same_set(set_of(order[end]), cset) {
                 end += 1;
             }
             let rows = &order[start..end];
@@ -519,7 +541,6 @@ impl TgVae {
                 out[i as usize] = nll_from_logits(logits.row(g), pos);
             }
         }
-        out
     }
 }
 
@@ -741,7 +762,10 @@ mod tests {
         let segs = [3u32, 1];
 
         for cache_opt in [None, Some(&cache)] {
-            let batched = tg.advance_batch(&store, cache_opt, &hs, &segs);
+            let mut gh = Tensor::zeros(2, 3 * hidden);
+            let mut batched = Tensor::zeros(2, hidden);
+            let out = batched.data_mut().chunks_exact_mut(hidden);
+            tg.advance_batch(&store, cache_opt, &hs, &segs, &mut gh, out);
             let a = tg.advance(&store, &h0, segs[0]);
             let b = tg.advance(&store, &h1, segs[1]);
             assert_eq!(batched.row(0), a.row(0), "row 0, cache={}", cache_opt.is_some());
@@ -757,17 +781,21 @@ mod tests {
         let h0 = tg.init_hidden(&store, &r);
         let h1 = tg.advance(&store, &h0, 0);
         let hidden = h0.cols();
-        let mut hs = Tensor::zeros(3, hidden);
+        let mut hs = Tensor::zeros(4, hidden);
         hs.row_mut(0).copy_from_slice(h0.row(0));
         hs.row_mut(1).copy_from_slice(h1.row(0));
         hs.row_mut(2).copy_from_slice(h1.row(0));
-        // Rows 0 and 1 share successors(0); row 2 asks for an off-graph hop.
-        let cands: Vec<&[u32]> = vec![&succ[0], &succ[0], &succ[3]];
-        let next = [1u32, 2, 0];
-        let batched = tg.step_nll_batch(&store, &hs, &cands, &next);
+        hs.row_mut(3).copy_from_slice(h0.row(0));
+        // Rows 0 and 1 share successors(0); row 2 asks for an off-graph
+        // hop; row 3 has no predecessor yet.
+        let cands = [Some(&succ[0][..]), Some(&succ[0][..]), Some(&succ[3][..]), None];
+        let next = [1u32, 2, 0, 4];
+        let mut batched = [f64::NAN; 4];
+        tg.step_nll_batch(&store, &hs, &cands, &next, &mut batched);
         assert_eq!(batched[0], tg.step_nll(&store, &h0, &succ[0], 1));
         assert_eq!(batched[1], tg.step_nll(&store, &h1, &succ[0], 2));
         assert_eq!(batched[2], OFF_GRAPH_NLL);
+        assert_eq!(batched[3], 0.0);
     }
 
     #[test]

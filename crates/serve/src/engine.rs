@@ -33,7 +33,14 @@ pub struct FleetConfig {
     /// Bounded queue capacity per shard. When full, `submit` blocks and
     /// `try_submit` returns [`SubmitError::Full`] (backpressure).
     pub queue_capacity: usize,
-    /// Maximum events drained into one micro-batch.
+    /// Soft cap on the events drained into one micro-batch: the worker
+    /// stops pulling queue messages once the batch holds this many, but a
+    /// chunk ([`FleetEngine::submit_all`], [`FleetEngine::try_submit_cohort`])
+    /// is never split, so a batch can overshoot by up to one chunk — 8 192
+    /// cohort events against the default 2 048 scored as ~3.7k-wide waves
+    /// in `tadbench`'s `engine_wide_sat`. The cap bounds latency, not
+    /// memory: [`CausalTad::push_batch`] walks a wave in fixed row tiles,
+    /// so a wave's scratch does not grow with its width.
     pub max_batch: usize,
     /// Idle time after which a live session is evicted and reported as
     /// [`crate::Completion::EvictedTtl`].

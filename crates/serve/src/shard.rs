@@ -3,6 +3,8 @@
 //! drives the session lifecycle (start, end, TTL/LRU eviction, shutdown
 //! flush).
 
+use std::collections::VecDeque;
+use std::mem;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -163,11 +165,43 @@ fn tombstone(removed: &mut Tombstones, id: TripId) {
     }
 }
 
+/// One touched session out on the scoring work list: its state and queued
+/// segments leave the store for the waves and return when the queue runs
+/// dry. Being `AsMut<ScorerState>`, the work list itself is the wave that
+/// [`CausalTad::push_batch`] advances.
+struct WorkItem {
+    id: TripId,
+    state: ScorerState,
+    pending: VecDeque<u32>,
+}
+
+impl AsMut<ScorerState> for WorkItem {
+    fn as_mut(&mut self) -> &mut ScorerState {
+        &mut self.state
+    }
+}
+
+/// The lists [`process_batch`] fills and empties on every drain. The
+/// worker owns them across drains, so a steady stream of micro-batches
+/// allocates nothing for its bookkeeping however wide the batches are.
+#[derive(Default)]
+struct BatchScratch {
+    /// Trips with newly queued segments, in first-touch order.
+    touched: Vec<TripId>,
+    /// Trips whose `TripEnd` arrived in this drain.
+    ended: Vec<TripId>,
+    /// Touched sessions that still have a queued segment.
+    work: Vec<WorkItem>,
+    /// The segment each work item consumes in the current wave.
+    wave_segs: Vec<u32>,
+}
+
 /// Worker entry point; returns when every sender is dropped and the queue
 /// has been fully drained.
 pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<Ingest>) {
     let mut store = SessionStore::new(ctx.cfg.max_sessions_per_shard);
     let mut batch: Vec<Event> = Vec::with_capacity(ctx.cfg.max_batch);
+    let mut scratch = BatchScratch::default();
     let sweep_every = sweep_interval(ctx.cfg.session_ttl);
     let mut last_sweep = Instant::now();
     let mut removed: Tombstones = None;
@@ -195,7 +229,7 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<Ingest>) {
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
             }
         }
-        process_batch(&ctx, &mut store, &mut removed, &mut batch);
+        process_batch(&ctx, &mut store, &mut removed, &mut batch, &mut scratch);
         // Replies go to the engine side, which may have given up waiting;
         // a dead reply channel is not the shard's problem.
         match control {
@@ -386,7 +420,9 @@ fn process_batch(
     store: &mut SessionStore,
     removed: &mut Tombstones,
     batch: &mut Vec<Event>,
+    scratch: &mut BatchScratch,
 ) {
+    let BatchScratch { touched, ended, work, wave_segs } = scratch;
     let now = Instant::now();
     // Queue-depth accounting: observe the fleet-wide in-flight level with
     // this drain still counted, then retire the drained events from it.
@@ -396,8 +432,6 @@ fn process_batch(
     }
     let vocab = ctx.model.vocab() as u32;
     let policy_on = !ctx.cfg.policy.is_off();
-    let mut touched: Vec<TripId> = Vec::new();
-    let mut ended: Vec<TripId> = Vec::new();
 
     for ev in batch.drain(..) {
         match ev {
@@ -432,7 +466,7 @@ fn process_batch(
                 match store.touch(id, now) {
                     Some(session) if !session.ending => {
                         if policy_on {
-                            policy_admit(ctx, id, session, seg, &mut touched);
+                            policy_admit(ctx, id, session, seg, touched);
                         } else {
                             // The pre-policy fast path, byte-identical to
                             // an unpoliced engine.
@@ -448,7 +482,7 @@ fn process_batch(
             Event::TripEnd { id } => match store.touch(id, now) {
                 Some(session) if !session.ending => {
                     if policy_on {
-                        flush_held(ctx, id, session, &mut touched);
+                        flush_held(ctx, id, session, touched);
                     }
                     session.ending = true;
                     ended.push(id);
@@ -460,57 +494,51 @@ fn process_batch(
 
     // Batched waves over the pending segments: take each touched
     // session's state and queue out of the store once, run every wave on
-    // the local list (wave `k` = the `k`-th queued segment of each trip),
-    // then write back — the per-event cost is one queue pop, not repeated
-    // map lookups.
+    // the work list itself (wave `k` = the `k`-th queued segment of each
+    // trip), and hand a session back as soon as its queue runs dry — the
+    // per-event cost is one queue pop, not repeated map lookups, and no
+    // per-wave list is built.
     //
     // A touched session can have disappeared only through LRU eviction
-    // above; its queued segments die with it.
-    let mut work: Vec<(TripId, ScorerState, std::collections::VecDeque<u32>)> = touched
-        .iter()
-        .filter_map(|&id| {
-            let session = store.get_mut(id)?;
-            Some((id, std::mem::take(&mut session.state), std::mem::take(&mut session.pending)))
-        })
-        .collect();
-    let mut wave_segs: Vec<u32> = Vec::with_capacity(work.len());
-    let mut wave_ids: Vec<TripId> = Vec::with_capacity(work.len());
-    loop {
-        let mut wave: Vec<&mut ScorerState> = Vec::with_capacity(work.len());
+    // above; its queued segments die with it. One that was evicted and
+    // started again in this very drain comes back with an empty queue and
+    // stays in the store.
+    work.extend(touched.drain(..).filter_map(|id| {
+        let session = store.get_mut(id).filter(|session| !session.pending.is_empty())?;
+        let (state, pending) = (mem::take(&mut session.state), mem::take(&mut session.pending));
+        Some(WorkItem { id, state, pending })
+    }));
+    while !work.is_empty() {
         wave_segs.clear();
-        wave_ids.clear();
-        for (id, state, pending) in work.iter_mut() {
-            if let Some(seg) = pending.pop_front() {
-                wave_segs.push(seg);
-                wave_ids.push(*id);
-                wave.push(state);
-            }
-        }
-        if wave.is_empty() {
-            break;
-        }
+        wave_segs.extend(
+            work.iter_mut().map(|item| item.pending.pop_front().expect("a segment is queued")),
+        );
         let wave_started = Instant::now();
-        let scores = ctx.model.push_batch(ctx.cache.as_deref(), &mut wave, &wave_segs);
+        let scores = ctx.model.push_batch(ctx.cache.as_deref(), work, wave_segs);
         // One relaxed record per wave, attributed to every segment it
         // scored: the per-segment cost of the latency histogram stays a
         // fraction of an atomic op at realistic widths.
         let wave_ns = wave_started.elapsed().as_nanos() as u64;
-        ctx.metrics.score_latency_ns.record_n(wave_ns, wave.len() as u64);
-        ctx.metrics.batch_width.record(wave.len() as u64);
+        ctx.metrics.score_latency_ns.record_n(wave_ns, work.len() as u64);
+        ctx.metrics.batch_width.record(work.len() as u64);
         FleetStats::bump(&ctx.stats.batches);
-        FleetStats::add(&ctx.stats.segments_scored, wave.len() as u64);
-        for ((state, &id), score) in wave.iter().zip(&wave_ids).zip(scores) {
-            ctx.deliver_score(id, state, score);
+        FleetStats::add(&ctx.stats.segments_scored, work.len() as u64);
+        for (item, score) in work.iter().zip(scores) {
+            ctx.deliver_score(item.id, &item.state, score);
         }
-    }
-    for (id, state, pending) in work {
-        if let Some(session) = store.get_mut(id) {
-            session.state = state;
-            session.pending = pending;
-        }
+        work.retain_mut(|item| {
+            if !item.pending.is_empty() {
+                return true;
+            }
+            if let Some(session) = store.get_mut(item.id) {
+                session.state = mem::take(&mut item.state);
+                session.pending = mem::take(&mut item.pending);
+            }
+            false
+        });
     }
 
-    for id in ended {
+    for id in ended.drain(..) {
         if let Some(session) = store.remove(id) {
             tombstone(removed, id);
             ctx.finish(id, session, Completion::Ended);
