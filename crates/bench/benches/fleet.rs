@@ -18,7 +18,6 @@
 //! `CRITERION_QUICK=1` cuts the repetitions for CI smoke runs.
 
 use std::hint::black_box;
-use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -165,16 +164,6 @@ fn bench_waves(_c: &mut Criterion) {
     write_json(&rows);
 }
 
-fn command_line(program: &str, args: &[&str]) -> String {
-    Command::new(program)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string())
-}
-
 fn write_json(rows: &[WaveRow]) {
     // `cargo bench` runs with the package directory as cwd; default to the
     // workspace root so the artefact lands next to README.md.
@@ -185,12 +174,7 @@ fn write_json(rows: &[WaveRow]) {
         rows.iter().map(|r| format!("    {}", r.json())).collect::<Vec<_>>().join(",\n")
     };
     let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"host\": {{\"available_parallelism\": {}, \"rustc\": \"{}\", \"git_sha\": \"{}\"}},\n",
-        std::thread::available_parallelism().map_or(0, |n| n.get()),
-        command_line("rustc", &["--version"]),
-        command_line("git", &["describe", "--always", "--dirty"]),
-    ));
+    out.push_str(&format!("  {},\n", tad_bench::host_json()));
     out.push_str(&format!(
         "  \"workload\": {{\"city\": \"xian-s\", \"scale\": \"quick\", \"wave\": \"{WAVE_NOTE}\", \"unit\": \"median ns per segment\", \"quick_mode\": {}}},\n",
         quick_mode()

@@ -385,6 +385,7 @@ fn write_json(
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json").to_string()
     });
     let mut out = String::from("{\n");
+    out.push_str(&format!("  {},\n", tad_bench::host_json()));
     out.push_str(&format!(
         "  \"workload\": {{\"sessions\": {sessions}, \"walk_len\": {len}, \"events\": {events}, \"quick_mode\": {}}},\n",
         quick_mode()

@@ -33,3 +33,24 @@ pub use experiments::{
     time_engine_fleet, time_naive_fleet, training_times, Study,
 };
 pub use opts::{CityChoice, Opts};
+
+/// The `"host": {..}` member every checked-in `BENCH_*.json` starts with:
+/// a figure is only comparable to another taken on the same cores, the
+/// same compiler and a known commit.
+pub fn host_json() -> String {
+    let line = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string())
+    };
+    format!(
+        "\"host\": {{\"available_parallelism\": {}, \"rustc\": \"{}\", \"git_sha\": \"{}\"}}",
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+        line("rustc", &["--version"]),
+        line("git", &["describe", "--always", "--dirty"]),
+    )
+}

@@ -18,6 +18,7 @@ pub enum CausalTadVariant {
 }
 
 /// Adapter implementing [`Detector`] on top of [`CausalTad`].
+#[derive(Clone)]
 pub struct CausalTadDetector {
     cfg: CausalTadConfig,
     variant: CausalTadVariant,

@@ -12,6 +12,11 @@
 //! the idle reaper, and reconciles poller interest at the end of every
 //! tick. It is generic over [`EventSource`] and the transport, so the
 //! deterministic harness drives the production code with scripted I/O.
+//! A server with transports of its own (the router's backend links)
+//! registers them on the door's source ([`FrontDoor::source_mut`]) and
+//! gets their readiness back as [`FrontEvent::Foreign`], so one thread
+//! and one wait serve both socket sets; [`FrontDoor::hold_reads`] stops
+//! the door reading any producer while that server cannot take frames.
 //! The [`FrontShared`] half is the connection table other threads
 //! deliver responses into. [`FrontListener`] is the production wiring:
 //! one acceptor thread dealing sockets to a fixed pool of workers.
@@ -444,6 +449,11 @@ pub enum FrontEvent {
     /// reported before it are valid. The server flushes what it holds for
     /// the connection, then answers with [`FrontDoor::hangup`].
     Hangup(u64, Option<FrameError>),
+    /// Readiness for a key that is not one of the door's connections: a
+    /// transport the server registered itself through
+    /// [`FrontDoor::source_mut`] — or a connection reaped earlier this
+    /// tick, which the server tells apart by how it numbers its keys.
+    Foreign(Readiness),
 }
 
 /// A connection as its event worker sees it: the nonblocking transport
@@ -522,6 +532,11 @@ pub struct FrontDoor<S, T> {
     /// Connections the door itself closed since the last
     /// [`FrontDoor::finish_tick`] return.
     lost: Vec<u64>,
+    /// Reads paused on every connection: the server cannot take frames
+    /// ([`FrontDoor::hold_reads`]). A third pause reason beside a
+    /// connection's own `paused` and `throttled`; never counted as a
+    /// slow-consumer pause.
+    read_hold: bool,
 }
 
 impl<S: EventSource<T>, T: Read + Write> FrontDoor<S, T> {
@@ -542,18 +557,42 @@ impl<S: EventSource<T>, T: Read + Write> FrontDoor<S, T> {
             throttled_conns: 0,
             next_idle_scan: Instant::now(),
             lost: Vec::new(),
+            read_hold: false,
+        }
+    }
+
+    /// The readiness source, for registering transports the server owns
+    /// beside the door's connections. Their keys must not collide with
+    /// connection ids (which count up from 0); their readiness comes
+    /// back as [`FrontEvent::Foreign`]. Also how the server gets the
+    /// source's wake handle for threads that queue work for its loop.
+    pub fn source_mut(&mut self) -> &mut S {
+        &mut self.source
+    }
+
+    /// Stops (`true`) or resumes (`false`) reading every connection.
+    /// Unlike a slow-consumer pause nobody is told and nothing is
+    /// counted: the producers did nothing wrong, the server behind the
+    /// door is momentarily unable to take their frames. While held, the
+    /// wait is bounded so a holder's deadlines get ticks.
+    pub fn hold_reads(&mut self, on: bool) {
+        if on != self.read_hold {
+            self.read_hold = on;
+            // Every connection's desired interest just changed.
+            self.touched.extend(self.conns.keys());
         }
     }
 
     /// How long the next wait may block: unbounded unless time-driven
     /// work is pending (idle reaping while connections are open, token
-    /// refill while any connection is throttled).
+    /// refill while any connection is throttled, a read-hold whose
+    /// holder has deadlines).
     fn wait_timeout(&self) -> Option<Duration> {
         const THROTTLE_POLL: Duration = Duration::from_millis(20);
         const IDLE_POLL_MIN: Duration = Duration::from_millis(10);
         const IDLE_POLL_MAX: Duration = Duration::from_secs(1);
         let mut timeout: Option<Duration> = None;
-        if self.throttled_conns > 0 {
+        if self.throttled_conns > 0 || self.read_hold {
             timeout = Some(THROTTLE_POLL);
         }
         if !self.conns.is_empty() {
@@ -664,8 +703,11 @@ impl<S: EventSource<T>, T: Read + Write> FrontDoor<S, T> {
     /// Handles one readiness report: writes first (freeing backlog may
     /// un-throttle the connection), then budget-limited reads.
     fn service(&mut self, r: Readiness, events: &mut Vec<FrontEvent>) {
-        let Some(wc) = self.conns.get(&r.key) else { return };
-        let reads_off = wc.reads_off();
+        let Some(wc) = self.conns.get(&r.key) else {
+            events.push(FrontEvent::Foreign(r));
+            return;
+        };
+        let reads_off = wc.reads_off() || self.read_hold;
         self.touched.push(r.key);
         if r.writable && self.pump(r.key).is_err() {
             self.reap(r.key);
@@ -928,7 +970,7 @@ impl<S: EventSource<T>, T: Read + Write> FrontDoor<S, T> {
                 self.sticky.remove(&id);
             }
             let desired = Interest {
-                readable: !wc.reads_off(),
+                readable: !(wc.reads_off() || self.read_hold),
                 writable: wc.conn.wants_write() || !outbound_empty,
             };
             if desired != wc.interest {

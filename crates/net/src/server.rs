@@ -464,6 +464,9 @@ impl<S: EventSource<T>, T: Read + Write> EventLoop<S, T> {
                         }
                     }
                     FrontEvent::Hangup(conn, bad_frame) => self.hangup(conn, bad_frame),
+                    // This loop registers nothing of its own: a stale
+                    // report for a connection reaped earlier in the tick.
+                    FrontEvent::Foreign(_) => {}
                 }
             }
             self.submit_cohort();

@@ -1,9 +1,10 @@
 //! One backend link's bounded recovery journal: the image of its last
 //! completed checkpoint plus every ingest frame forwarded since the
 //! checkpoint cut — what a standby is restored from when the link dies.
-//! Pure bookkeeping: the server decides *when* to record, cut and apply
-//! (under the link's stage lock); this module decides what the journal
-//! is worth afterwards.
+//! Pure bookkeeping: the router loop decides *when* to record, cut and
+//! apply (in the same step that queues the frame on the link, so a cut is
+//! an exact wire position); this module decides what the journal is worth
+//! afterwards.
 
 use std::mem;
 
@@ -120,7 +121,7 @@ impl Journal {
         }
     }
 
-    /// A journaled frame was accepted by the channel but refused by the
+    /// A journaled frame was queued on the link but refused by the
     /// backend engine (`Backpressure`): the tail now contains a frame
     /// that was never scored, so replaying it would diverge. Discard.
     pub(crate) fn poison(&mut self) {
@@ -131,10 +132,11 @@ impl Journal {
         }
     }
 
-    /// The capture frame just hit the wire (caller holds the stage
-    /// lock): remember the cut so the reply knows which prefix it
-    /// covers, and restart recording if the journal had been discarded —
-    /// the new base will cover everything up to this very cut.
+    /// The capture frame was just queued on the link (same loop step, so
+    /// nothing can slip between): remember the cut so the reply knows
+    /// which prefix it covers, and restart recording if the journal had
+    /// been discarded — the new base will cover everything up to this
+    /// very cut.
     pub(crate) fn stage_cut(&mut self, enabled: bool) {
         if !self.tail_ok && enabled {
             self.frames.clear();

@@ -55,12 +55,21 @@
 //!   atomically. A per-trip delivered high-water mark suppresses
 //!   duplicate scores, so producers observe a **bit-identical** score
 //!   stream — every score exactly once, in order — and in-flight ingest
-//!   rides out the failover at the topology gate instead of erroring.
+//!   rides out the failover *parked* (producers are not read, frames
+//!   already read wait in arrival order) instead of erroring.
 //!   [`RouterServer::handoff`] (move one partition to a standby) and
 //!   [`RouterServer::rebalance`] (re-split the fleet onto M backends)
 //!   reuse the same drain → install → flip machinery, invisible to
 //!   producers. Barriers arriving mid-failover wait for the new map or
 //!   fail typed — never hang, never answer from a half-flipped fleet.
+//! * **One loop** — all of the above runs on one thread, [`RouterLoop`]:
+//!   a [`tad_net::FrontDoor`] for the producers with every backend link
+//!   registered on the same readiness source. It owns the links, the
+//!   partition map, the trip table and the barriers as plain fields;
+//!   admin calls and the failover driver reach them only through
+//!   closures posted to the loop. It is generic over the readiness
+//!   source and transport, so the repository's deterministic harness
+//!   runs it over scripted I/O.
 //!
 //! ## Quickstart
 //!
@@ -97,10 +106,12 @@
 #![deny(missing_docs)]
 
 mod backend;
+mod evloop;
 mod journal;
 mod partition;
 mod server;
 
+pub use evloop::RouterLoop;
 pub use partition::{backend_for, split_image};
 pub use server::{
     CheckpointStats, HandoffStats, RouterAdminError, RouterConfig, RouterError, RouterServer,

@@ -11,9 +11,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
-use causaltad_suite::net::{EventSource, Interest, Readiness};
+use causaltad_suite::net::{
+    response_from_bytes, EventSource, FrameAssembler, Interest, Readiness, Response,
+    DEFAULT_MAX_FRAME,
+};
 
 /// One scripted step of a transport's read side.
 enum ReadStep {
@@ -140,6 +144,19 @@ impl Write for ScriptedIo {
     }
 }
 
+/// Splits a scripted connection's written bytes back into decoded
+/// response frames, refusing trailing garbage or partial frames.
+pub fn parse_written(bytes: &[u8]) -> Vec<Response> {
+    let mut asm = FrameAssembler::new(DEFAULT_MAX_FRAME);
+    asm.feed(bytes);
+    let mut out = Vec::new();
+    while let Some(frame) = asm.next_frame().expect("written stream frames cleanly") {
+        out.push(response_from_bytes(frame).expect("written frame decodes"));
+    }
+    assert!(!asm.has_partial(), "trailing partial frame in written stream");
+    out
+}
+
 /// One scripted event-loop tick: transports injected before readiness is
 /// reported, then the readiness reports themselves. Keys are connection
 /// ids in injection order (a fresh core assigns `0, 1, 2, …`).
@@ -151,11 +168,25 @@ pub struct Tick {
     /// readiness is reported) — e.g. widening a connection's write
     /// window to model the peer draining its socket.
     pub actions: Vec<Box<dyn FnOnce() + Send>>,
+    /// Set by [`Tick::idle_until`]: the tick repeats, empty, until the
+    /// predicate holds.
+    pub until: Option<Box<dyn Fn() -> bool + Send>>,
 }
 
 impl Tick {
     pub fn new() -> Tick {
         Tick::default()
+    }
+
+    /// An idle stretch of unknown length, for schedules that involve a
+    /// second thread (a router's recovery driver posting work to the
+    /// loop): every time the loop reaches this entry and `done()` is
+    /// still false, `wait` blocks until the source's wake handle is
+    /// called — exactly as a kernel poller would — and reports an empty
+    /// tick; once `done()` holds the schedule moves on. No sleeping, no
+    /// polling: the loop ticks when, and only when, it is woken.
+    pub fn idle_until(done: impl Fn() -> bool + Send + 'static) -> Tick {
+        Tick { until: Some(Box::new(done)), ..Tick::default() }
     }
 
     pub fn inject(mut self, io: ScriptedIo) -> Tick {
@@ -198,6 +229,8 @@ pub struct ScriptedSource {
     /// reregistrations alike. Shared so the test keeps a handle after the
     /// event loop takes ownership of the source.
     interest_log: Arc<Mutex<Vec<(u64, Interest)>>>,
+    /// Set by the wake handle, consumed by an [`Tick::idle_until`] wait.
+    woken: Arc<(Mutex<bool>, Condvar)>,
 }
 
 impl ScriptedSource {
@@ -207,6 +240,7 @@ impl ScriptedSource {
             registered: HashMap::new(),
             pending_inject: Vec::new(),
             interest_log: Arc::new(Mutex::new(Vec::new())),
+            woken: Arc::new((Mutex::new(false), Condvar::new())),
         }
     }
 
@@ -254,6 +288,19 @@ impl EventSource<ScriptedIo> for ScriptedSource {
         // The scripted schedule *is* the clock: timeouts are ignored and
         // every tick is one scripted entry.
         out.clear();
+        while let Some(done) = self.ticks.front().and_then(|tick| tick.until.as_ref()) {
+            if done() {
+                self.ticks.pop_front();
+                continue;
+            }
+            let (flag, cond) = &*self.woken;
+            let (mut woken, timeout) = cond
+                .wait_timeout_while(flag.lock().unwrap(), Duration::from_secs(30), |woken| !*woken)
+                .unwrap();
+            assert!(!timeout.timed_out(), "idle_until: nobody woke the loop for 30 s");
+            *woken = false;
+            return Ok(true);
+        }
         let Some(tick) = self.ticks.pop_front() else {
             return Ok(false);
         };
@@ -282,5 +329,13 @@ impl EventSource<ScriptedIo> for ScriptedSource {
 
     fn accept_injected(&mut self) -> Vec<ScriptedIo> {
         std::mem::take(&mut self.pending_inject)
+    }
+
+    fn wake_handle(&self) -> Arc<dyn Fn() + Send + Sync> {
+        let woken = Arc::clone(&self.woken);
+        Arc::new(move || {
+            *woken.0.lock().unwrap() = true;
+            woken.1.notify_one();
+        })
     }
 }

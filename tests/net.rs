@@ -690,11 +690,8 @@ fn client_reconnects_through_an_outage_and_scores_stay_bit_identical() {
 // made to produce on demand — plus the 256-connection loopback sweep.
 // ---------------------------------------------------------------------------
 
-use causaltad_suite::net::{
-    request_to_bytes, response_from_bytes, EventLoop, FrameAssembler, IngestCore, NetConfig,
-    Request, DEFAULT_MAX_FRAME,
-};
-use common::script::{scripted_conn, ScriptedSource, Tick};
+use causaltad_suite::net::{request_to_bytes, EventLoop, IngestCore, NetConfig, Request};
+use common::script::{parse_written, scripted_conn, ScriptedSource, Tick};
 
 /// The wire request a fleet event becomes.
 fn event_request(ev: &Event) -> Request {
@@ -710,19 +707,6 @@ fn event_request(ev: &Event) -> Request {
 /// One encoded request frame.
 fn frame_bytes(ev: &Event) -> Vec<u8> {
     request_to_bytes(&event_request(ev)).to_vec()
-}
-
-/// Splits a scripted connection's written bytes back into decoded
-/// response frames, refusing trailing garbage or partial frames.
-fn parse_written(bytes: &[u8]) -> Vec<Response> {
-    let mut asm = FrameAssembler::new(DEFAULT_MAX_FRAME);
-    asm.feed(bytes);
-    let mut out = Vec::new();
-    while let Some(frame) = asm.next_frame().expect("written stream frames cleanly") {
-        out.push(response_from_bytes(frame).expect("written frame decodes"));
-    }
-    assert!(!asm.has_partial(), "trailing partial frame in written stream");
-    out
 }
 
 /// Sorts decoded responses into the bit-level `Produced` record, counting

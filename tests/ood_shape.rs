@@ -3,43 +3,67 @@
 //! conditional baseline degrades sharply (Table II's shape).
 //!
 //! This trains two real models on a mid-sized confounded city, so it is the
-//! slowest test in the repository (tens of seconds with the optimised test
-//! profile).
+//! slowest test in the repository; the city and the trained CausalTAD are
+//! shared by both tests, and the two trainings overlap.
+
+use std::sync::OnceLock;
 
 use causaltad::CausalTadConfig;
 use tad_baselines::{BaselineConfig, Detector, Vsae};
 use tad_eval::cities::{xian_s, Scale};
 use tad_eval::harness::evaluate;
 use tad_eval::wrappers::CausalTadDetector;
-use tad_trajsim::generate_city;
+use tad_trajsim::{generate_city, City};
+
+const EPOCHS: usize = 14;
+
+/// One city for the whole binary.
+fn city() -> &'static City {
+    static CITY: OnceLock<City> = OnceLock::new();
+    CITY.get_or_init(|| {
+        let mut cfg = xian_s(Scale::Quick);
+        // Trim for test runtime while keeping the regime (many pairs,
+        // dense coverage, genuine OOD shift).
+        cfg.num_candidate_pairs = 40;
+        cfg.trajs_per_pair = 14;
+        cfg.num_ood_pairs = 30;
+        cfg.num_anomalies = 120;
+        generate_city(&cfg)
+    })
+}
+
+/// One trained CausalTAD for the whole binary (training in debug mode is
+/// most of this file's runtime). A test that changes the detector works
+/// on a clone.
+fn trained() -> &'static CausalTadDetector {
+    static CAUSAL: OnceLock<CausalTadDetector> = OnceLock::new();
+    CAUSAL.get_or_init(|| {
+        let mut causal =
+            CausalTadDetector::new(CausalTadConfig { epochs: EPOCHS, ..Default::default() });
+        causal.fit(&city().net, &city().data.train);
+        causal
+    })
+}
 
 #[test]
 fn causaltad_beats_vsae_out_of_distribution() {
-    let mut cfg = xian_s(Scale::Quick);
-    // Trim for test runtime while keeping the regime (many pairs, dense
-    // coverage, genuine OOD shift).
-    cfg.num_candidate_pairs = 40;
-    cfg.trajs_per_pair = 14;
-    cfg.num_ood_pairs = 30;
-    cfg.num_anomalies = 120;
-    let city = generate_city(&cfg);
-
-    let epochs = 14;
-    let mut vsae = Vsae::vsae(BaselineConfig { epochs, ..Default::default() });
+    let city = city();
+    // The baseline first: the other test is training the shared CausalTAD
+    // meanwhile, on the other core.
+    let mut vsae = Vsae::vsae(BaselineConfig { epochs: EPOCHS, ..Default::default() });
     vsae.fit(&city.net, &city.data.train);
-    let mut causal = CausalTadDetector::new(CausalTadConfig { epochs, ..Default::default() });
-    causal.fit(&city.net, &city.data.train);
+    let causal = trained();
 
     // In distribution: both models must be strong.
     let vsae_id = evaluate(&vsae, &city.data.test_id, &city.data.detour).roc_auc;
-    let causal_id = evaluate(&causal, &city.data.test_id, &city.data.detour).roc_auc;
+    let causal_id = evaluate(causal, &city.data.test_id, &city.data.detour).roc_auc;
     assert!(vsae_id > 0.8, "VSAE ID sanity: {vsae_id:.3}");
     assert!(causal_id > 0.8, "CausalTAD ID sanity: {causal_id:.3}");
 
     // Out of distribution: the paper's claim — CausalTAD generalises,
     // the conditional model does not.
     let vsae_ood = evaluate(&vsae, &city.data.test_ood, &city.data.detour).roc_auc;
-    let causal_ood = evaluate(&causal, &city.data.test_ood, &city.data.detour).roc_auc;
+    let causal_ood = evaluate(causal, &city.data.test_ood, &city.data.detour).roc_auc;
     assert!(
         causal_ood > vsae_ood + 0.05,
         "CausalTAD must clearly beat VSAE on OOD: {causal_ood:.3} vs {vsae_ood:.3}"
@@ -59,15 +83,8 @@ fn causaltad_beats_vsae_out_of_distribution() {
 fn debiasing_term_helps_ood_detection() {
     // Fig. 8's first observation: lambda = 0 (pure TG-VAE) is worse out of
     // distribution than a moderate lambda.
-    let mut cfg = xian_s(Scale::Quick);
-    cfg.num_candidate_pairs = 40;
-    cfg.trajs_per_pair = 14;
-    cfg.num_ood_pairs = 30;
-    cfg.num_anomalies = 120;
-    let city = generate_city(&cfg);
-
-    let mut causal = CausalTadDetector::new(CausalTadConfig { epochs: 14, ..Default::default() });
-    causal.fit(&city.net, &city.data.train);
+    let city = city();
+    let mut causal = trained().clone();
 
     let auc_at = |det: &mut CausalTadDetector, lambda: f64| {
         det.set_lambda(lambda);

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use causaltad_suite::core::CausalTad;
 use causaltad_suite::net::{Client, ClientError, ErrorCode, NetServer, Response};
-use causaltad_suite::router::{backend_for, split_image, RouterConfig, RouterServer};
+use causaltad_suite::router::{backend_for, split_image, RouterServer};
 use causaltad_suite::serve::{image_from_bytes, Completion, Event, FleetConfig};
 use causaltad_suite::trajsim::Trajectory;
 use common::{
@@ -501,9 +501,6 @@ fn dead_stalled_backend_unblocks_producers_and_shutdown() {
         NetServer::builder(Arc::clone(model)).fleet_config(cfg).bind("127.0.0.1:0").expect("bind");
     let router = RouterServer::builder()
         .backends([stall_addr, healthy.local_addr()])
-        // A small channel keeps the amount of traffic needed to reach
-        // the blocking point test-sized.
-        .config(RouterConfig { backend_queue: 64, ..RouterConfig::default() })
         .bind("127.0.0.1:0")
         .expect("bind router");
     let victim_sock = accepter.join().expect("router connected to the stalled backend");
@@ -780,6 +777,90 @@ fn failover_without_checkpoint_replays_from_the_empty_base() {
     }
 }
 
+/// The replay ledger under a stream policy: a trip that trips the dedup
+/// policy *and completes* between the checkpoint and the kill is in the
+/// journal tail, so the promoted standby replays its whole life — scores,
+/// the `PolicyNotice`, the completion — for a route that is long gone.
+/// All of it is replay-induced and must be suppressed (counted in
+/// `router.replay_suppressed`), never counted as a dropped response: the
+/// producer already has every one of those replies, exactly once.
+#[test]
+fn failover_replay_suppresses_policy_notices_of_finished_trips() {
+    use causaltad_suite::serve::{PolicyAction, StreamPolicy};
+
+    let (city, model) = trained();
+    let mut on_victim = (0..).filter(|&id| backend_for(id, 2) == 0);
+    let (done_id, live_id) = (on_victim.next().unwrap(), on_victim.next().unwrap());
+    let (done, live) = (&city.data.test_id[0], &city.data.test_id[1]);
+    let events_of = |id: u64, t: &Trajectory| -> Vec<Event> {
+        let sd = t.sd_pair();
+        let start =
+            Event::TripStart { id, source: sd.source.0, dest: sd.dest.0, time_slot: t.time_slot };
+        let segments = t.segments.iter().map(move |seg| Event::Segment { id, seg: seg.0 });
+        std::iter::once(start).chain(segments).chain([Event::TripEnd { id }]).collect()
+    };
+    let (done_events, live_events) = (events_of(done_id, done), events_of(live_id, live));
+    let clean: Vec<Event> = done_events.iter().chain(&live_events).copied().collect();
+    let reference = in_process(model, &clean, FleetConfig::default());
+
+    let cfg = FleetConfig {
+        num_shards: 2,
+        policy: StreamPolicy { dedup_window: 2, ..StreamPolicy::default() },
+        ..FleetConfig::default()
+    };
+    let (mut backends, router) = spawn_fleet_with_standbys(model, 2, 1, cfg);
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    let mut routed = Produced::default();
+    let mut notices = Vec::new();
+    fn collect(client: &mut Client, routed: &mut Produced, notices: &mut Vec<(u64, PolicyAction)>) {
+        while let Some(resp) = client.try_recv() {
+            match resp {
+                Response::Score(u) => {
+                    let fresh = routed.scores.insert((u.id, u.seq), u.score.to_bits()).is_none();
+                    assert!(fresh, "score ({}, {}) delivered twice", u.id, u.seq);
+                }
+                Response::TripComplete(tc) => {
+                    let fresh =
+                        routed.finals.insert(tc.id, (tc.score.to_bits(), tc.segments())).is_none();
+                    assert!(fresh, "trip {} completed twice", tc.id);
+                }
+                Response::PolicyNotice { id, action, .. } => notices.push((id, action)),
+                other => panic!("unexpected response: {other:?}"),
+            }
+        }
+    }
+
+    router.checkpoint().expect("checkpoint: everything after it is journal tail");
+    // The finished trip, its first segment arriving twice; then the first
+    // two segments of a trip that will live through the failover.
+    send_events(&mut client, &done_events[..2]);
+    send_events(&mut client, &done_events[1..]);
+    send_events(&mut client, &live_events[..3]);
+    client.flush().expect("barrier");
+    collect(&mut client, &mut routed, &mut notices);
+    assert_eq!(notices, [(done_id, PolicyAction::DedupDropped)], "the one pre-crash notice");
+    assert!(routed.finals.contains_key(&done_id), "the trip finished before the kill");
+
+    backends.remove(0).shutdown();
+    send_events(&mut client, &live_events[3..]);
+    client.flush().expect("flush rides out the failover");
+    collect(&mut client, &mut routed, &mut notices);
+
+    assert_bit_identical(&routed, &reference);
+    assert_eq!(notices.len(), 1, "the producer saw the notice exactly once");
+    let stats = router.stats();
+    assert_eq!(stats.failovers, 1);
+    assert_eq!(stats.responses_dropped, 0, "replayed replies are suppressed, not dropped");
+    // The finished trip's scores, notice and completion, plus the live
+    // trip's two pre-crash scores.
+    let replayed = done.segments.len() as u64 + 2 + 2;
+    assert_eq!(router.metrics().counter("router.replay_suppressed"), Some(replayed));
+    router.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
+}
+
 /// The drain/handoff acceptance test: migrate a partition between two
 /// *running* backends mid-stream (3 backends + 1 standby), then rotate a
 /// second partition onto the backend the first handoff freed — producers
@@ -1020,4 +1101,207 @@ fn front_connection_churn_counts_every_connection_and_frees_its_routes() {
     for backend in backends {
         backend.shutdown();
     }
+}
+
+// ---------------------------------------------------------------------------
+// The router loop on scripted I/O: one thread, exact readiness schedules
+// ---------------------------------------------------------------------------
+
+use causaltad_suite::net::{request_to_bytes, response_to_bytes, Request};
+use causaltad_suite::router::{RouterConfig, RouterLoop};
+use causaltad_suite::serve::{FleetSnapshot, ScoreUpdate};
+use common::script::{
+    parse_written, scripted_conn, ScriptedHandle, ScriptedIo, ScriptedSource, Tick,
+};
+
+type ScriptedRouter = RouterLoop<ScriptedSource, ScriptedIo>;
+
+/// The producer is the first (only) injected connection.
+const PRODUCER: u64 = 0;
+
+fn link_key(idx: usize) -> u64 {
+    ScriptedRouter::link_key(idx)
+}
+
+/// `n` scripted backend transports and the test's handles on them.
+fn scripted_links(n: usize) -> (Vec<ScriptedIo>, Vec<ScriptedHandle>) {
+    (0..n).map(|_| scripted_conn()).unzip()
+}
+
+fn wire(reqs: &[Request]) -> Vec<u8> {
+    reqs.iter().flat_map(|req| request_to_bytes(req).to_vec()).collect()
+}
+
+fn trip_start(id: u64) -> Request {
+    Request::TripStart { id, source: 0, dest: 1, time_slot: 0 }
+}
+
+/// The first trip id the two-partition map sends to link `idx`.
+fn id_on(idx: u32, skip: usize) -> u64 {
+    (0..).filter(|&id| backend_for(id, 2) == idx).nth(skip).expect("ids are plentiful")
+}
+
+/// One thread, no sockets: an ingest frame's bytes reach exactly the link
+/// `backend_for` names, and the `Score` that link sends back comes out on
+/// the producer connection that owns the trip.
+#[test]
+fn scripted_router_forwards_to_the_mapped_link_and_fans_the_score_back_in() {
+    let (a, b) = (id_on(0, 0), id_on(1, 0));
+    let (producer_io, producer) = scripted_conn();
+    let (link_ios, links) = scripted_links(2);
+    let to_link0 = [trip_start(a), Request::Segment { id: a, seg: 7 }];
+    let to_link1 = [trip_start(b)];
+    producer.push_read(&wire(&[to_link0[0].clone(), to_link1[0].clone(), to_link0[1].clone()]));
+    let score = Response::Score(ScoreUpdate {
+        id: a,
+        seq: 0,
+        segment: 7,
+        score: 1.5,
+        nll: 0.25,
+        log_scale: -0.5,
+    });
+    links[0].push_read(&response_to_bytes(&score));
+
+    let source = ScriptedSource::new(vec![
+        Tick::new().inject(producer_io).readable(PRODUCER),
+        Tick::new().readable(link_key(0)),
+    ]);
+    let mut router = ScriptedRouter::new(source, link_ios, 2, &RouterConfig::default());
+    router.run();
+
+    assert_eq!(links[0].take_written(), wire(&to_link0), "link 0 got its trip, in order");
+    assert_eq!(links[1].take_written(), wire(&to_link1), "link 1 got the other trip only");
+    assert_eq!(producer.take_written(), response_to_bytes(&score).to_vec());
+    assert_eq!(router.stats().responses_dropped, 0);
+}
+
+/// A link's stream ends at a frame boundary and there is no standby: each
+/// live trip on it gets exactly one typed `EngineClosed`, and a `Flush`
+/// afterwards is still answered, over the surviving link alone.
+#[test]
+fn scripted_link_eof_fails_its_trips_once_and_flush_answers_over_the_survivor() {
+    let (a1, a2, b) = (id_on(0, 0), id_on(0, 1), id_on(1, 0));
+    let (producer_io, producer) = scripted_conn();
+    let (link_ios, links) = scripted_links(2);
+    producer.push_read(&wire(&[trip_start(a1), trip_start(b), trip_start(a2)]));
+    producer.push_read(&wire(&[Request::Flush]));
+    links[0].eof();
+    let stats = Response::Stats(FleetSnapshot::merged(&[]));
+    links[1].push_read(&response_to_bytes(&stats));
+
+    let source = ScriptedSource::new(vec![
+        Tick::new().inject(producer_io).readable(PRODUCER),
+        Tick::new().readable(link_key(0)),
+        Tick::new().readable(PRODUCER),
+        Tick::new().readable(link_key(1)),
+    ]);
+    let mut router = ScriptedRouter::new(source, link_ios, 2, &RouterConfig::default());
+    router.run();
+
+    let mut replies = parse_written(&producer.take_written());
+    assert_eq!(replies.pop(), Some(stats), "the barrier answered, last, over link 1 alone");
+    let mut failed: Vec<u64> = replies
+        .iter()
+        .map(|resp| match resp {
+            Response::Error { code: ErrorCode::EngineClosed, trip: Some(id), .. } => *id,
+            other => panic!("expected a trip-scoped EngineClosed, got {other:?}"),
+        })
+        .collect();
+    failed.sort_unstable();
+    assert_eq!(failed, [a1.min(a2), a1.max(a2)], "one error per live trip on the dead link");
+    assert_eq!(links[1].take_written(), wire(&[trip_start(b), Request::Flush]));
+    let stats = router.stats();
+    assert_eq!((stats.backends_alive, stats.responses_dropped), (1, 0));
+}
+
+/// A link whose socket accepts nothing builds a write backlog; at the
+/// high-water mark the router stops *reading the producer* (a pause, not
+/// an error, and not a blocked loop), and when the socket reopens
+/// everything flows again with no frame lost or reordered.
+#[test]
+fn scripted_link_backlog_holds_producer_reads_and_resumes_losslessly() {
+    let a = id_on(0, 0);
+    let (producer_io, producer) = scripted_conn();
+    let (link_ios, links) = scripted_links(2);
+    // ~1.5 MiB for link 0: past the 1 MiB mark, read 256 KiB per tick.
+    let mut sent = vec![trip_start(a)];
+    let frame_len = request_to_bytes(&Request::Segment { id: a, seg: 0 }).len();
+    sent.extend((0..(3 << 19) / frame_len as u32).map(|seg| Request::Segment { id: a, seg }));
+    let sent = wire(&sent);
+    producer.push_read(&sent);
+    links[0].set_write_window(0);
+
+    let mut ticks = vec![Tick::new().inject(producer_io).readable(PRODUCER)];
+    ticks.extend((0..8).map(|_| Tick::new().readable(PRODUCER)));
+    let (stalled, reopened) = (links[0].clone(), links[0].clone());
+    ticks.push(
+        Tick::new()
+            .act(move || {
+                assert_eq!(stalled.written_len(), 0, "the stalled socket took nothing");
+                reopened.set_write_window(usize::MAX);
+            })
+            .writable(link_key(0)),
+    );
+    ticks.extend((0..8).map(|_| Tick::new().readable(PRODUCER)));
+    let source = ScriptedSource::new(ticks);
+    let interest = source.log_handle();
+    let mut router = ScriptedRouter::new(source, link_ios, 2, &RouterConfig::default());
+    router.run();
+
+    let producer_reads: Vec<bool> = (interest.lock().unwrap().iter())
+        .filter(|(key, _)| *key == PRODUCER)
+        .map(|(_, interest)| interest.readable)
+        .collect();
+    assert_eq!(producer_reads[..3], [true, false, true], "read, held at the mark, resumed");
+    assert!(links[0].take_written() == sent, "every frame reached link 0, in order");
+    assert_eq!(links[1].written_len(), 0);
+    assert!(producer.take_written().is_empty(), "a held producer is told nothing");
+}
+
+/// Frames decoded in the tick that reaps a recoverable link are parked,
+/// ingest and barriers alike, and answered in arrival order on release:
+/// a `Flush` that arrived after two parked segments is answered after
+/// them. (Here the standby dies too, so the release is the abandoned
+/// recovery and every answer is a typed `EngineClosed` — which makes the
+/// order visible on the producer's socket without a scripted backend.)
+#[test]
+fn scripted_hold_parks_frames_and_answers_a_later_flush_after_them() {
+    let a = 5;
+    let (producer_io, producer) = scripted_conn();
+    let (link_ios, links) = scripted_links(2);
+    producer.push_read(&wire(&[trip_start(a), Request::Segment { id: a, seg: 1 }]));
+    producer.push_read(&wire(&[
+        Request::Segment { id: a, seg: 2 },
+        Request::TripEnd { id: a },
+        Request::Flush,
+    ]));
+    links[0].eof();
+    links[1].eof();
+
+    let answered = producer.clone();
+    let source = ScriptedSource::new(vec![
+        Tick::new().inject(producer_io).readable(PRODUCER),
+        // The active link dies first, then the producer's frames decode:
+        // the hold is already engaged when they are handled.
+        Tick::new().readable(link_key(0)).readable(PRODUCER),
+        Tick::new().readable(link_key(1)),
+        // The recovery driver (the one other thread) finds no standby and
+        // releases the hold; the loop ticks only when it is woken.
+        Tick::idle_until(move || answered.written_len() > 0),
+    ]);
+    // One active link, one standby.
+    let mut router = ScriptedRouter::new(source, link_ios, 1, &RouterConfig::default());
+    router.run();
+
+    let replies: Vec<Option<u64>> = parse_written(&producer.take_written())
+        .into_iter()
+        .map(|resp| match resp {
+            Response::Error { code: ErrorCode::EngineClosed, trip, .. } => trip,
+            other => panic!("expected EngineClosed, got {other:?}"),
+        })
+        .collect();
+    // The live trip's loss, the two parked ingest frames, then the flush.
+    assert_eq!(replies, [Some(a), Some(a), Some(a), None]);
+    let stats = router.stats();
+    assert_eq!((stats.failovers, stats.backends_alive, stats.responses_dropped), (0, 0, 0));
 }
