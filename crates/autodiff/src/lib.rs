@@ -8,7 +8,8 @@
 //!
 //! * [`Tensor`] — dense row-major `f32` matrices with cache-friendly matmul
 //!   kernels (including the `A·Bᵀ` form used to project onto gathered
-//!   embedding rows).
+//!   embedding rows), and [`PackedRhs`], a right operand packed once for
+//!   products that reuse it.
 //! * [`Tape`] — an eager reverse-mode tape: ops execute immediately, values
 //!   are always readable, and [`Tape::backward`] accumulates gradients into
 //!   a shared [`ParamStore`].
@@ -53,4 +54,4 @@ pub use math::{fast_exp, fast_sigmoid, fast_tanh};
 pub use params::{CodecError, ParamId, ParamStore};
 pub use pool::TensorPool;
 pub use tape::{logsumexp, Tape, Var};
-pub use tensor::Tensor;
+pub use tensor::{PackedRhs, Tensor};

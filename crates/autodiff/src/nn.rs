@@ -2,6 +2,14 @@
 //!
 //! Layers own only [`ParamId`]s; the actual tensors live in the shared
 //! [`ParamStore`], so a model is a plain struct of layers plus one store.
+//!
+//! A [`GruCell`] is driven three ways: [`BoundGru::step`] records one fused
+//! node per step (the baselines' per-trajectory loops),
+//! [`BoundGru::input_gates`] + [`BoundGru::sequence`] record a whole
+//! teacher-forced ragged micro-batch as one GEMM plus one recurrence node
+//! (CausalTAD's trainer), and [`GruCell::infer_step`] /
+//! [`GruCell::infer_step_rows`] step without a tape (scoring). All three
+//! produce bit-identical hidden rows.
 
 use rand::Rng;
 
@@ -444,15 +452,30 @@ impl BoundGru {
 
     /// Computes the input-gate projections `x·W + b` for a whole
     /// row-stacked sequence in one fused GEMM — the training-side
-    /// counterpart of the inference `StepCache`. Feed slices of the result
-    /// to [`BoundGru::step_pregated`].
+    /// counterpart of the inference `StepCache`. Feed the result to
+    /// [`BoundGru::sequence`].
     pub fn input_gates(&self, tape: &mut Tape, x_all: Var) -> Var {
         tape.linear(x_all, self.w, self.b, false)
     }
 
+    /// The whole ragged recurrence of a micro-batch as one
+    /// [`Tape::gru_sequence`] node: `gx_all` are the time-major
+    /// [`BoundGru::input_gates`] of every (step, sequence) pair, `h0` one
+    /// initial state per sequence, `schedule[t]` the sequences (rows of
+    /// `h0`, ascending) still running at step `t`. Returns every step's
+    /// hidden rows stacked time-major like `gx_all`. `U` and `Uᵀ` are
+    /// packed once per pass and `dU` is a single GEMM; row `i` of step `t`
+    /// is bit-identical to what [`BoundGru::step`] gives that sequence.
+    pub fn sequence(&self, tape: &mut Tape, gx_all: Var, h0: Var, schedule: &[Vec<u32>]) -> Var {
+        tape.gru_sequence(gx_all, h0, self.u, schedule)
+    }
+
     /// One recurrence step consuming rows `[start, start + h.rows)` of a
-    /// precomputed [`BoundGru::input_gates`] block: only the `h·U` product
-    /// runs inside the recurrence. Bit-identical to [`BoundGru::step`].
+    /// precomputed [`BoundGru::input_gates`] block. Bit-identical to
+    /// [`BoundGru::step`]. Kept as the per-step reference
+    /// [`BoundGru::sequence`] is proven against (with
+    /// [`Tape::select_rows`] where a step shrinks and
+    /// [`Tape::concat_rows`] over the steps); nothing trains through it.
     pub fn step_pregated(&self, tape: &mut Tape, gx_all: Var, start: usize, h: Var) -> Var {
         tape.gru_step_pregated(gx_all, start, h, self.u)
     }

@@ -7,10 +7,12 @@
 //!
 //! The op set is exactly what the paper's models need: dense matmuls (plus
 //! the `A·Bᵀ` variant used for projecting onto gathered embedding rows),
-//! elementwise nonlinearities, a fused GRU recurrence step, row/column
-//! slicing and concatenation for packed gates and micro-batched sequence
-//! training, fused softmax cross-entropy, and a row-wise log-sum-exp for
-//! mixture priors.
+//! elementwise nonlinearities, a fused GRU recurrence step
+//! ([`Tape::gru_step`]) and the whole teacher-forced ragged recurrence of a
+//! micro-batch as one node ([`Tape::gru_sequence`]), row/column slicing and
+//! concatenation for packed gates and micro-batched sequence training,
+//! fused softmax cross-entropy, and a row-wise log-sum-exp for mixture
+//! priors.
 //!
 //! ## Memory discipline
 //!
@@ -20,11 +22,23 @@
 //! heap allocation on the tape. Matmul gradients route through the
 //! transpose-aware kernels ([`Tensor::matmul_t_into`],
 //! [`Tensor::matmul_tn_into`]) instead of materialising `transpose()`
-//! copies.
+//! copies, and the recurrence node's per-pass state (the recurrent weight
+//! packed once for the forward and once, transposed, for the backward; its
+//! gate cache; the stacks behind its single `dU` product) is pooled too.
+//!
+//! ## Fused ops and their references
+//!
+//! A fused op is proven against the composition it replaces, which stays
+//! in the crate for that purpose and is selected by nothing at run time:
+//! [`Tape::gru_step`] against the ~18 primitive ops of
+//! `BoundGru::step_unfused`, and [`Tape::gru_sequence`] against one
+//! [`Tape::gru_step_pregated`] per step joined by [`Tape::select_rows`] and
+//! [`Tape::concat_rows`] — bit for bit, gradients included; the node's doc
+//! lists the two evaluation orders it keeps for that.
 
 use crate::params::{ParamId, ParamStore};
 use crate::pool::TensorPool;
-use crate::tensor::Tensor;
+use crate::tensor::{PackedRhs, Tensor};
 
 /// Handle to a node on the tape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,6 +110,15 @@ enum Op {
         h: Var,
         u: Var,
     },
+    /// A whole ragged GRU recurrence over precomputed input gates: the
+    /// value is the time-major stack of every step's hidden rows, `aux`
+    /// the matching `[z | r | n | nh]` rows.
+    GruSequence {
+        gx: Var,
+        h0: Var,
+        u: Var,
+        plan: GruPlan,
+    },
     /// Fused affine projection `x·W + b` (`transposed = false`, `W: in x
     /// out`) or `x·Wᵀ + b` (`transposed = true`, `W: out x in`), with the
     /// bias added in place — no separate broadcast-add node or full-size
@@ -151,6 +174,76 @@ enum Op {
     /// Row-major reinterpretation to a new shape with the same element
     /// count.
     Reshape(Var),
+}
+
+/// Row bookkeeping of one [`Tape::gru_sequence`] node: step `t` owns rows
+/// `starts[t]..starts[t + 1]` of the time-major stacks.
+#[derive(Debug)]
+struct GruPlan {
+    starts: Vec<usize>,
+    /// For every stacked row, the row of its previous state: a row of `h0`
+    /// during step 0, a row of the previous step's block afterwards.
+    prev: Vec<u32>,
+}
+
+impl GruPlan {
+    /// Checks `schedule` (per step, the strictly ascending `h0` rows still
+    /// running, each step a subset of the one before) and resolves every
+    /// row's predecessor.
+    fn new(schedule: &[Vec<u32>], h0_rows: usize) -> Self {
+        let mut starts = Vec::with_capacity(schedule.len() + 1);
+        starts.push(0);
+        let mut prev = Vec::new();
+        let mut before: &[u32] = &[];
+        for (t, active) in schedule.iter().enumerate() {
+            assert!(!active.is_empty(), "gru_sequence: step {t} has no rows");
+            assert!(
+                active.windows(2).all(|w| w[0] < w[1]),
+                "gru_sequence: step {t} rows must be strictly ascending"
+            );
+            if t == 0 {
+                let last = *active.last().expect("non-empty") as usize;
+                assert!(last < h0_rows, "gru_sequence: row {last} out of {h0_rows} initial states");
+                prev.extend_from_slice(active);
+            } else {
+                let mut at = 0;
+                for &id in active {
+                    while at < before.len() && before[at] < id {
+                        at += 1;
+                    }
+                    assert!(
+                        at < before.len() && before[at] == id,
+                        "gru_sequence: row {id} of step {t} was not running in step {}",
+                        t - 1
+                    );
+                    prev.push(at as u32);
+                }
+            }
+            before = active;
+            starts.push(prev.len());
+        }
+        GruPlan { starts, prev }
+    }
+
+    fn steps(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn rows(&self, t: usize) -> usize {
+        self.starts[t + 1] - self.starts[t]
+    }
+
+    /// Whether step `t` reads its previous states straight out of step
+    /// `t - 1`'s block (same rows, same order) instead of a gathered subset.
+    fn continues(&self, t: usize) -> bool {
+        t > 0 && self.rows(t) == self.rows(t - 1)
+    }
+
+    /// The widest step: every step is a subset of the one before, so the
+    /// first.
+    fn max_rows(&self) -> usize {
+        self.rows(0)
+    }
 }
 
 /// An eager reverse-mode autodiff tape.
@@ -460,6 +553,10 @@ impl Tape {
     /// product remains inside the loop. Hidden states are bit-identical to
     /// [`Tape::gru_step`] — the big GEMM row-stacks the same ascending-`k`
     /// accumulation.
+    ///
+    /// One of these per step (re-packing `U` for every product, in both
+    /// directions) is the reference composition [`Tape::gru_sequence`] is
+    /// tested against; training goes through that node.
     pub fn gru_step_pregated(&mut self, gx_all: Var, start: usize, h: Var, u: Var) -> Var {
         let (bsz, hd) = self.value(h).shape();
         debug_assert_eq!(self.value(gx_all).cols(), 3 * hd, "gru_step_pregated: gx width");
@@ -479,6 +576,91 @@ impl Tape {
         );
         self.pool.recycle(gh);
         self.push_with_aux(Op::GruStepPregated { gx: gx_all, start, h, u }, out, Some(packed))
+    }
+
+    /// A whole ragged, teacher-forced GRU recurrence as **one** node.
+    ///
+    /// `schedule[t]` lists, strictly ascending, the rows of `h0` (the
+    /// sequences) still running at step `t`; every step must be a subset of
+    /// the one before. `gx_all` holds the precomputed input gates
+    /// `x·W + b` of every (step, sequence) pair, time-major — step `t`'s
+    /// rows in `schedule[t]` order, after all rows of earlier steps — and
+    /// the result stacks the new hidden rows the same way
+    /// (`Σ_t schedule[t].len()` rows), ready for heads that batch over
+    /// every transition of the micro-batch.
+    ///
+    /// Teacher forcing means every input is known before the recurrence
+    /// starts, which is what lets the node own its per-pass state instead
+    /// of re-deriving it every step: forward packs `U` into the matmul
+    /// panel layout **once** ([`PackedRhs`]), gathers a shrinking step's
+    /// surviving rows into one small scratch, and writes each new row
+    /// straight into the stacked result; backward packs `Uᵀ` once, runs
+    /// BPTT inside the node in place on the incoming gradient, writes each
+    /// input-gate gradient row once, and computes `dU` as a **single**
+    /// `Aᵀ·B` product over all steps' rows. All scratch is pooled.
+    ///
+    /// Values and gradients are bit for bit those of the per-step
+    /// composition it replaces — [`Tape::gru_step_pregated`] per step,
+    /// [`Tape::select_rows`] wherever a step shrinks,
+    /// [`Tape::concat_rows`] over the steps — which is kept as the
+    /// reference it is tested against. Two orders are replicated for that:
+    /// a step that did not shrink continues its `dgh·Uᵀ` chains from the
+    /// previous block's head gradient plus the direct `g⊙z` term, in
+    /// place, while a step that shrank (and step 0) starts them from
+    /// `g⊙z` alone and adds the finished rows into the kept rows' head
+    /// gradient afterwards; and the `dU` stacks are filled in processing
+    /// order (last step first), the order the per-step accumulation
+    /// visited them in.
+    ///
+    /// # Panics
+    /// Panics on an empty or inconsistent schedule, or mismatched shapes.
+    pub fn gru_sequence(&mut self, gx_all: Var, h0: Var, u: Var, schedule: &[Vec<u32>]) -> Var {
+        let (h0_rows, hd) = self.value(h0).shape();
+        let plan = GruPlan::new(schedule, h0_rows);
+        let total = plan.prev.len();
+        assert!(total > 0 && hd > 0, "gru_sequence: empty schedule or state");
+        assert_eq!(self.value(gx_all).shape(), (total, 3 * hd), "gru_sequence: gx shape");
+        assert_eq!(self.value(u).shape(), (hd, 3 * hd), "gru_sequence: U shape");
+
+        let (pr, pc) = PackedRhs::storage_shape(hd, 3 * hd);
+        let packed_u = PackedRhs::pack(&self.values[u.index()], self.pool.take_scratch(pr, pc));
+        let mut h_all = self.pool.take_scratch(total, hd);
+        let mut packed = self.pool.take_scratch(total, 4 * hd);
+        let mut gathered = self.pool.take_scratch(plan.max_rows(), hd);
+        let mut gh = self.pool.take_scratch(plan.max_rows(), 3 * hd);
+        let gx = &self.values[gx_all.index()];
+        let h0v = &self.values[h0.index()];
+        for t in 0..plan.steps() {
+            let (start, rows) = (plan.starts[t], plan.rows(t));
+            let (done, new_rows) = h_all.data_mut().split_at_mut(start * hd);
+            let prev_block = if t == 0 { h0v.data() } else { &done[plan.starts[t - 1] * hd..] };
+            let h_prev = if plan.continues(t) {
+                prev_block
+            } else {
+                let ids = &plan.prev[start..start + rows];
+                for (dst, &id) in gathered.data_mut().chunks_exact_mut(hd).zip(ids) {
+                    dst.copy_from_slice(&prev_block[id as usize * hd..(id as usize + 1) * hd]);
+                }
+                &gathered.data()[..rows * hd]
+            };
+            let gh = &mut gh.data_mut()[..rows * 3 * hd];
+            packed_u.matmul_into(h_prev, gh);
+            for (r, (gh_row, h_row)) in
+                gh.chunks_exact(3 * hd).zip(h_prev.chunks_exact(hd)).enumerate()
+            {
+                gru_gate_forward_row(
+                    gx.row(start + r),
+                    gh_row,
+                    h_row,
+                    &mut new_rows[r * hd..(r + 1) * hd],
+                    packed.row_mut(start + r),
+                );
+            }
+        }
+        self.pool.recycle(packed_u.into_storage());
+        self.pool.recycle(gathered);
+        self.pool.recycle(gh);
+        self.push_with_aux(Op::GruSequence { gx: gx_all, h0, u, plan }, h_all, Some(packed))
     }
 
     /// Fused affine projection: `x·W + b` (`transposed = false`, `W` is
@@ -956,6 +1138,11 @@ impl Tape {
                     );
                     pool.recycle(g);
                 }
+                Op::GruSequence { gx, h0, u, plan } => {
+                    gru_sequence_backward(
+                        values, aux, pool, grad_slots, idx, g, *gx, *h0, *u, plan,
+                    );
+                }
                 Op::Linear { x, w, b, transposed } => {
                     let xv = &values[x.index()];
                     let wv = &values[w.index()];
@@ -1123,11 +1310,10 @@ impl Tape {
     }
 }
 
-/// Shared fused-GRU gate pass: reads pregated inputs from rows
-/// `[gx_start, gx_start + batch)` of `gx`, the recurrent projection from
-/// `gh`, and fills `out` (`h'`) plus `packed` (`[z | r | n | nh]`). Same
-/// three-pass loop structure as `GruCell::infer_step_rows`, so taped and
-/// tape-free steps produce bit-identical hidden states.
+/// Shared fused-GRU gate pass over a block of rows: reads pregated inputs
+/// from rows `[gx_start, gx_start + batch)` of `gx`, the recurrent
+/// projection from `gh`, and fills `out` (`h'`) plus `packed`
+/// (`[z | r | n | nh]`).
 fn gru_gate_forward(
     gx: &Tensor,
     gx_start: usize,
@@ -1136,38 +1322,52 @@ fn gru_gate_forward(
     out: &mut Tensor,
     packed: &mut Tensor,
 ) {
-    let (bsz, hd) = hv.shape();
-    for r in 0..bsz {
-        let gx_row = gx.row(gx_start + r);
-        let gh_row = gh.row(r);
-        let h_row = hv.row(r);
-        let (z_buf, rest) = packed.row_mut(r).split_at_mut(hd);
-        let (r_buf, rest) = rest.split_at_mut(hd);
-        let (n_buf, nh_buf) = rest.split_at_mut(hd);
-        for (c, o) in z_buf.iter_mut().enumerate() {
-            *o = crate::math::fast_sigmoid(gx_row[c] + gh_row[c]);
-        }
-        for (c, o) in r_buf.iter_mut().enumerate() {
-            *o = crate::math::fast_sigmoid(gx_row[hd + c] + gh_row[hd + c]);
-        }
-        nh_buf.copy_from_slice(&gh_row[2 * hd..3 * hd]);
-        let out_row = out.row_mut(r);
-        for (c, o) in out_row.iter_mut().enumerate() {
-            let n = crate::math::fast_tanh(gx_row[2 * hd + c] + r_buf[c] * nh_buf[c]);
-            n_buf[c] = n;
-            *o = n + z_buf[c] * (h_row[c] - n);
-        }
+    for r in 0..hv.rows() {
+        gru_gate_forward_row(
+            gx.row(gx_start + r),
+            gh.row(r),
+            hv.row(r),
+            out.row_mut(r),
+            packed.row_mut(r),
+        );
     }
 }
 
-/// Per-row chain rule of the fused GRU gates, shared by both backward
-/// variants (the delicate dn/dz/dr derivation lives once, mirroring
-/// [`gru_gate_forward`]): fills the input-gate gradients
-/// `dgx_row = [dzx | drx | dnx]` (`ACC_GX` selects plain writes vs
-/// accumulation into a shared slot row, for the pregated variant), writes
-/// the recurrent-gate gradients `dgh_row = [dz_in | dr_in | dn_in·r]`, and
-/// adds the direct `g⊙z` term into `dh_row`.
-fn gru_gate_backward_row<const ACC_GX: bool>(
+/// One row of the fused GRU gates, shared by every taped variant. Same
+/// three-pass loop structure as `GruCell::infer_step_rows`, so taped and
+/// tape-free steps produce bit-identical hidden states.
+fn gru_gate_forward_row(
+    gx_row: &[f32],
+    gh_row: &[f32],
+    h_row: &[f32],
+    out_row: &mut [f32],
+    packed_row: &mut [f32],
+) {
+    let hd = h_row.len();
+    let (z_buf, rest) = packed_row.split_at_mut(hd);
+    let (r_buf, rest) = rest.split_at_mut(hd);
+    let (n_buf, nh_buf) = rest.split_at_mut(hd);
+    for (c, o) in z_buf.iter_mut().enumerate() {
+        *o = crate::math::fast_sigmoid(gx_row[c] + gh_row[c]);
+    }
+    for (c, o) in r_buf.iter_mut().enumerate() {
+        *o = crate::math::fast_sigmoid(gx_row[hd + c] + gh_row[hd + c]);
+    }
+    nh_buf.copy_from_slice(&gh_row[2 * hd..3 * hd]);
+    for (c, o) in out_row.iter_mut().enumerate() {
+        let n = crate::math::fast_tanh(gx_row[2 * hd + c] + r_buf[c] * nh_buf[c]);
+        n_buf[c] = n;
+        *o = n + z_buf[c] * (h_row[c] - n);
+    }
+}
+
+/// Per-row chain rule of the fused GRU gates, shared by every backward
+/// variant (the delicate dn/dz/dr derivation lives once, mirroring
+/// [`gru_gate_forward_row`]): writes the input-gate gradients
+/// `dgx_row = [dzx | drx | dnx]` and the recurrent-gate gradients
+/// `dgh_row = [dz_in | dr_in | dn_in·r]`, and adds the direct `g⊙z` term
+/// into `dh_row`.
+fn gru_gate_backward_row(
     pk: &[f32],
     g_row: &[f32],
     h_row: &[f32],
@@ -1195,35 +1395,13 @@ fn gru_gate_backward_row<const ACC_GX: bool>(
         let dz_in = dz * zc * (1.0 - zc);
         let dr = dn_in * nh[c];
         let dr_in = dr * rc * (1.0 - rc);
-        if ACC_GX {
-            dzx[c] += dz_in;
-            drx[c] += dr_in;
-            dnx[c] += dn_in;
-        } else {
-            dzx[c] = dz_in;
-            drx[c] = dr_in;
-            dnx[c] = dn_in;
-        }
+        dzx[c] = dz_in;
+        drx[c] = dr_in;
+        dnx[c] = dn_in;
         ghz[c] = dz_in;
         ghr[c] = dr_in;
         ghn[c] = dn_in * rc;
         dh_row[c] += gv * zc;
-    }
-}
-
-/// Mutable access to two distinct gradient slots at once.
-fn two_slots_mut(
-    slots: &mut [Option<Tensor>],
-    a: usize,
-    b: usize,
-) -> (&mut Option<Tensor>, &mut Option<Tensor>) {
-    debug_assert_ne!(a, b, "two_slots_mut: aliasing slots");
-    if a < b {
-        let (left, right) = slots.split_at_mut(b);
-        (&mut left[a], &mut right[0])
-    } else {
-        let (left, right) = slots.split_at_mut(a);
-        (&mut right[0], &mut left[b])
     }
 }
 
@@ -1265,7 +1443,7 @@ fn gru_step_backward(
     {
         let dh = grad_slots[h.index()].as_mut().expect("h slot");
         for row in 0..bsz {
-            gru_gate_backward_row::<false>(
+            gru_gate_backward_row(
                 packed.row(row),
                 g.row(row),
                 hv.row(row),
@@ -1308,10 +1486,10 @@ fn gru_step_backward(
     accumulate(grad_slots, pool, x, dx);
 }
 
-/// Backward of the pregated GRU step: gate input gradients land directly
-/// in the matching rows of the `gx` slot (the hoisted input-projection
-/// GEMM's own backward handles `W`/`b`); the recurrent terms accumulate in
-/// place like [`gru_step_backward`].
+/// Backward of the pregated GRU step: gate input gradients are added into
+/// the matching rows of the `gx` slot (the hoisted input-projection GEMM's
+/// own backward handles `W`/`b`); the recurrent terms accumulate in place
+/// like [`gru_step_backward`].
 #[allow(clippy::too_many_arguments)]
 fn gru_pregated_backward(
     values: &[Tensor],
@@ -1330,39 +1508,142 @@ fn gru_pregated_backward(
     let (bsz, hd) = hv.shape();
     let (gxr, gxc) = values[gx.index()].shape();
 
+    let mut dgx = pool.take_scratch(bsz, 3 * hd);
     let mut dgh = pool.take_scratch(bsz, 3 * hd);
-    {
-        let (gx_slot, h_slot) = two_slots_mut(grad_slots, gx.index(), h.index());
-        if gx_slot.is_none() {
-            *gx_slot = Some(pool.take_zeroed(gxr, gxc));
-        }
-        if h_slot.is_none() {
-            *h_slot = Some(pool.take_zeroed(bsz, hd));
-        }
-        let dgx = gx_slot.as_mut().expect("gx slot");
-        let dh = h_slot.as_mut().expect("h slot");
-        for row in 0..bsz {
-            gru_gate_backward_row::<true>(
-                packed.row(row),
-                g.row(row),
-                hv.row(row),
-                hd,
-                dgx.row_mut(start + row),
-                dgh.row_mut(row),
-                dh.row_mut(row),
-            );
-        }
+    if grad_slots[h.index()].is_none() {
+        grad_slots[h.index()] = Some(pool.take_zeroed(bsz, hd));
     }
-
+    let dh = grad_slots[h.index()].as_mut().expect("h slot");
+    for row in 0..bsz {
+        gru_gate_backward_row(
+            packed.row(row),
+            g.row(row),
+            hv.row(row),
+            hd,
+            dgx.row_mut(row),
+            dgh.row_mut(row),
+            dh.row_mut(row),
+        );
+    }
     let uv = &values[u.index()];
     // dh += dgh · Uᵀ
-    dgh.matmul_t_acc_into(uv, grad_slots[h.index()].as_mut().expect("h slot"));
+    dgh.matmul_t_acc_into(uv, dh);
+    if grad_slots[gx.index()].is_none() {
+        grad_slots[gx.index()] = Some(pool.take_zeroed(gxr, gxc));
+    }
+    let gx_slot = grad_slots[gx.index()].as_mut().expect("gx slot");
+    for row in 0..bsz {
+        for (d, &v) in gx_slot.row_mut(start + row).iter_mut().zip(dgx.row(row)) {
+            *d += v;
+        }
+    }
     // dU += Hᵀ · dgh
     if grad_slots[u.index()].is_none() {
         grad_slots[u.index()] = Some(pool.take_zeroed(uv.rows(), uv.cols()));
     }
     hv.matmul_tn_acc_into(&dgh, grad_slots[u.index()].as_mut().expect("u slot"));
+    pool.recycle(dgx);
     pool.recycle(dgh);
+}
+
+/// Backward of [`Tape::gru_sequence`]: BPTT over the node's own steps,
+/// last first, in place on `g` (the gradient of the stacked hidden rows —
+/// block `t - 1` of it is exactly the running `dh` step `t` adds into).
+/// See the forward's doc for the two orders kept for bit-identity with the
+/// per-step composition.
+#[allow(clippy::too_many_arguments)]
+fn gru_sequence_backward(
+    values: &[Tensor],
+    aux: &[Option<Tensor>],
+    pool: &mut TensorPool,
+    grad_slots: &mut [Option<Tensor>],
+    idx: usize,
+    mut g: Tensor,
+    gx: Var,
+    h0: Var,
+    u: Var,
+    plan: &GruPlan,
+) {
+    let packed = aux[idx].as_ref().expect("gru aux missing");
+    let h_all = &values[idx];
+    let h0v = &values[h0.index()];
+    let uv = &values[u.index()];
+    let hd = h0v.cols();
+    let total = plan.prev.len();
+
+    // `dgh · Uᵀ` is `A·Bᵀ` with `B = U`: pack `U`'s rows transposed once.
+    let (pr, pc) = PackedRhs::storage_shape(3 * hd, hd);
+    let packed_ut = PackedRhs::pack_transposed(uv, pool.take_scratch(pr, pc));
+    let mut dgx = pool.take_scratch(total, 3 * hd);
+    // Every step's `dgh` and previous-state rows, in processing order, for
+    // the one `dU` product at the end.
+    let mut dgh_stack = pool.take_scratch(total, 3 * hd);
+    let mut h_stack = pool.take_scratch(total, hd);
+    let mut seeded = pool.take_scratch(plan.max_rows(), hd);
+    let mut dh0 = pool.take_zeroed(h0v.rows(), hd);
+    let mut top = 0;
+    for t in (0..plan.steps()).rev() {
+        let (start, rows) = (plan.starts[t], plan.rows(t));
+        let prev_ids = &plan.prev[start..start + rows];
+        let prev_start = if t == 0 { 0 } else { plan.starts[t - 1] };
+        let prev_block = if t == 0 { h0v.data() } else { &h_all.data()[prev_start * hd..] };
+        let (g_before, g_here) = g.data_mut().split_at_mut(start * hd);
+        let dgh = &mut dgh_stack.data_mut()[top * 3 * hd..(top + rows) * 3 * hd];
+        let h_prev = &mut h_stack.data_mut()[top * hd..(top + rows) * hd];
+        top += rows;
+        let in_place = plan.continues(t);
+        let dh_prev = if in_place {
+            &mut g_before[prev_start * hd..]
+        } else {
+            let fresh = &mut seeded.data_mut()[..rows * hd];
+            fresh.fill(0.0);
+            fresh
+        };
+        for (r, &id) in prev_ids.iter().enumerate() {
+            let h_row = &mut h_prev[r * hd..(r + 1) * hd];
+            h_row.copy_from_slice(&prev_block[id as usize * hd..(id as usize + 1) * hd]);
+            gru_gate_backward_row(
+                packed.row(start + r),
+                &g_here[r * hd..(r + 1) * hd],
+                h_row,
+                hd,
+                dgx.row_mut(start + r),
+                &mut dgh[r * 3 * hd..(r + 1) * 3 * hd],
+                &mut dh_prev[r * hd..(r + 1) * hd],
+            );
+        }
+        packed_ut.matmul_acc_into(dgh, dh_prev);
+        if in_place {
+            continue;
+        }
+        let finished = seeded.data()[..rows * hd].chunks_exact(hd);
+        if t == 0 {
+            for (row, &id) in finished.zip(prev_ids) {
+                dh0.row_mut(id as usize).copy_from_slice(row);
+            }
+        } else {
+            let kept = &mut g_before[prev_start * hd..];
+            for (row, &id) in finished.zip(prev_ids) {
+                let kept_row = &mut kept[id as usize * hd..(id as usize + 1) * hd];
+                for (d, &v) in kept_row.iter_mut().zip(row) {
+                    *d += v;
+                }
+            }
+        }
+    }
+
+    // dU = Σ_t H_prevᵀ · dgh: one product over the stacks continues each
+    // element's chain through the steps in the order they were pushed.
+    let mut du = pool.take_scratch(uv.rows(), uv.cols());
+    h_stack.matmul_tn_into(&dgh_stack, &mut du);
+    accumulate(grad_slots, pool, u, du);
+    accumulate(grad_slots, pool, gx, dgx);
+    accumulate(grad_slots, pool, h0, dh0);
+    pool.recycle(packed_ut.into_storage());
+    pool.recycle(dgh_stack);
+    pool.recycle(h_stack);
+    pool.recycle(seeded);
+    pool.recycle(g);
 }
 
 /// Exact maximum of a slice via 8 parallel lanes. `max` is associative, so

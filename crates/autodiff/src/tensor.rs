@@ -3,14 +3,21 @@
 //! This is the single value type flowing through the autodiff [`crate::Tape`].
 //! Vectors are represented as `1 x n` tensors. The three matmul layouts the
 //! models need — `A·B` ([`Tensor::matmul_into`]), `A·Bᵀ`
-//! ([`Tensor::matmul_t_into`]) and `Aᵀ·B` ([`Tensor::matmul_tn_into`]) — all
-//! share the same register-tiled, panel-packed FMA micro-kernel for
-//! multi-row shapes and fall back to streaming `ikj`-style loops otherwise.
+//! ([`Tensor::matmul_t_into`]) and `Aᵀ·B` ([`Tensor::matmul_tn_into`]), each
+//! with an accumulating `*_acc_into` form — share **one** register-tiled,
+//! panel-packed FMA micro-kernel for every product at least one column
+//! panel (`NR = 16`) wide, at any row count: rows a full `MR = 4` tile does
+//! not cover run as a shorter tile over the same packed panel, and a
+//! product of at most `MR` rows reads a `k`-major right operand in place
+//! through wider tiles. Only outputs narrower than a panel (the
+//! successor-subset heads) use streaming scalar loops. A right operand
+//! that many products reuse can be packed once ([`PackedRhs`]).
 //!
 //! Every kernel accumulates each output element over the inner dimension in
-//! ascending order with `mul_add`, in both the tiled and the scalar paths,
-//! so results are **bit-identical** across paths and across batch
-//! row-stacking (verified by the `matmul_kernels` proptest battery).
+//! ascending order with `mul_add`, in the tiled and the streaming paths
+//! alike, so results are **bit-identical** across paths, across row counts
+//! and across batch row-stacking (verified by the `matmul_kernels` proptest
+//! battery).
 
 use rand::Rng;
 
@@ -259,21 +266,40 @@ impl Tensor {
 
     /// `out = self * other` where `self` is `m x k` and `other` is `k x n`.
     ///
-    /// Multi-row inputs go through a register-tiled micro-kernel
-    /// (`MR x NR` output tiles accumulated in registers, `k` innermost);
-    /// single rows use the `ikj` streaming loop. Both accumulate each
-    /// output element over `p = 0..k` in ascending order, so results are
+    /// Every product at least `NR` columns wide goes through the shared
+    /// register-tiled micro-kernel, whatever its row count (a product of at
+    /// most `MR` rows streams `other`'s rows in place instead of packing
+    /// them: one row tile gives a pack nothing to amortise over); narrower
+    /// outputs use the `ikj` streaming loop. Both accumulate each output
+    /// element over `p = 0..k` in ascending order, so results are
     /// bit-identical between the two paths — batched inference that stacks
     /// rows gives exactly the per-row results.
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.product_nn::<false>(other, out);
+    }
+
+    /// `out += self * other` (accumulating [`Tensor::matmul_into`]): the
+    /// existing `out` contents seed the same ascending-`k` `mul_add` chain.
+    pub fn matmul_acc_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.product_nn::<true>(other, out);
+    }
+
+    fn product_nn<const ACC: bool>(&self, other: &Tensor, out: &mut Tensor) {
         let (m, k) = self.shape();
         let (k2, n) = other.shape();
         assert_eq!(k, k2, "matmul: inner dimensions {k} vs {k2}");
         assert_eq!(out.shape(), (m, n), "matmul: bad output shape");
-        if m >= MR && n >= NR {
-            return self.matmul_into_tiled(other, out);
+        if n >= NR {
+            return matmul_layout_tiled::<false, false, ACC>(
+                &self.data,
+                &other.data,
+                &mut out.data,
+                (m, k, n),
+            );
         }
-        out.fill_zero();
+        if !ACC {
+            out.fill_zero();
+        }
         for i in 0..m {
             let a_row = &self.data[i * k..(i + 1) * k];
             let out_row = &mut out.data[i * n..(i + 1) * n];
@@ -284,78 +310,6 @@ impl Tensor {
                 let b_row = &other.data[p * n..(p + 1) * n];
                 for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
                     *o = a.mul_add(b, *o);
-                }
-            }
-        }
-    }
-
-    /// Register-tiled matmul: full `MR x NR` tiles keep their accumulators
-    /// in registers across the whole `k` loop (the inner `NR` loop
-    /// vectorises; `b`'s row slice is reused by all `MR` rows), edges fall
-    /// back to scalar loops with the same per-element accumulation order.
-    fn matmul_into_tiled(&self, other: &Tensor, out: &mut Tensor) {
-        let (m, k) = self.shape();
-        let n = other.cols();
-        let a = &self.data;
-        let b = &other.data;
-        let main_m = m - m % MR;
-        let main_n = n - n % NR;
-
-        // `j0` outer / `i0` inner: the packed `k x NR` panel of `b` stays
-        // hot in L1 across the whole sweep over `a`'s rows, so total cache
-        // traffic is one read of `a` per column panel instead of one read
-        // of `b` per row block (`b` is the large operand in the batched
-        // GRU/projection shapes). Packing makes the panel's loads
-        // contiguous and cache-line aligned regardless of `n`.
-        with_panel(k * NR, |panel| {
-            let mut j0 = 0;
-            while j0 < main_n {
-                for p in 0..k {
-                    panel[p * NR..(p + 1) * NR].copy_from_slice(&b[p * n + j0..p * n + j0 + NR]);
-                }
-                let mut i0 = 0;
-                while i0 < main_m {
-                    // Fixed-length row views let the compiler elide bounds
-                    // checks in the p-loop below.
-                    let a_rows: [&[f32]; MR] =
-                        std::array::from_fn(|di| &a[(i0 + di) * k..(i0 + di) * k + k]);
-                    let mut acc = [[0.0f32; NR]; MR];
-                    for (p, b_chunk) in panel.chunks_exact(NR).enumerate() {
-                        let b_chunk: &[f32; NR] = b_chunk.try_into().expect("NR-wide");
-                        for (di, acc_row) in acc.iter_mut().enumerate() {
-                            let av = a_rows[di][p];
-                            for (o, &bv) in acc_row.iter_mut().zip(b_chunk) {
-                                *o = av.mul_add(bv, *o);
-                            }
-                        }
-                    }
-                    for (di, acc_row) in acc.iter().enumerate() {
-                        out.data[(i0 + di) * n + j0..(i0 + di) * n + j0 + NR]
-                            .copy_from_slice(acc_row);
-                    }
-                    i0 += MR;
-                }
-                j0 += NR;
-            }
-        });
-
-        // Right edge (all rows, trailing columns) and bottom edge
-        // (trailing rows, all columns): plain k-ascending loops.
-        for i in 0..m {
-            let (j_start, j_end) = if i < main_m { (main_n, n) } else { (0, n) };
-            if j_start == j_end {
-                continue;
-            }
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n + j_start..i * n + j_end];
-            out_row.iter_mut().for_each(|o| *o = 0.0);
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[p * n + j_start..p * n + j_end];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o = av.mul_add(bv, *o);
                 }
             }
         }
@@ -373,100 +327,46 @@ impl Tensor {
     /// Both operands are walked along contiguous rows, so this is the
     /// preferred kernel when the right operand is naturally stored row-major
     /// per output class (e.g. projecting onto a subset of embedding rows).
-    /// Multi-row inputs go through the same register-tiled micro-kernel as
-    /// [`Tensor::matmul_into`] (the `NR`-wide panel of `other` is packed
-    /// transposed); single rows keep the streaming dot-product loop. Both
-    /// paths accumulate over `k` in ascending order, so results are
-    /// bit-identical.
+    /// Products at least `NR` columns wide go through the same register-tiled
+    /// micro-kernel as [`Tensor::matmul_into`] (the `NR`-wide panel of
+    /// `other` is packed transposed) for every row count; narrower outputs
+    /// (successor subsets) keep the streaming dot-product loop. Both paths
+    /// accumulate over `k` in ascending order, so results are bit-identical
+    /// and `a.matmul_t(b)` equals `a.matmul(&b.transpose())` bit for bit.
     pub fn matmul_t_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.product_nt::<false>(other, out);
+    }
+
+    /// `out += self * other^T` (accumulating [`Tensor::matmul_t_into`]).
+    ///
+    /// Gradient accumulation form: recurrent backward steps add straight
+    /// into the shared gradient slot instead of materialising a fresh
+    /// product and an extra add pass. The running value continues the same
+    /// ascending-`k` `mul_add` chain.
+    pub fn matmul_t_acc_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.product_nt::<true>(other, out);
+    }
+
+    fn product_nt<const ACC: bool>(&self, other: &Tensor, out: &mut Tensor) {
         let (m, k) = self.shape();
         let (n, k2) = other.shape();
         assert_eq!(k, k2, "matmul_t: inner dimensions {k} vs {k2}");
         assert_eq!(out.shape(), (m, n), "matmul_t: bad output shape");
-        if m >= MR && n >= NR {
-            return self.matmul_t_into_tiled::<false>(other, out);
+        if n >= NR {
+            return matmul_layout_tiled::<false, true, ACC>(
+                &self.data,
+                &other.data,
+                &mut out.data,
+                (m, k, n),
+            );
         }
         for i in 0..m {
             let a_row = &self.data[i * k..(i + 1) * k];
             for j in 0..n {
                 let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
+                let mut acc = if ACC { out.data[i * n + j] } else { 0.0f32 };
                 for (&a, &b) in a_row.iter().zip(b_row.iter()) {
                     acc = a.mul_add(b, acc);
-                }
-                out.data[i * n + j] = acc;
-            }
-        }
-    }
-
-    /// Register-tiled `A·Bᵀ`: identical tile structure to
-    /// [`Tensor::matmul_into_tiled`], except the `k x NR` panel is packed
-    /// from `NR` *rows* of `other` (a small transpose) instead of `NR`
-    /// columns. The packing is the only difference — the micro-kernel and
-    /// its accumulation order are shared, so `a.matmul_t(b)` equals
-    /// `a.matmul(&b.transpose())` bit for bit.
-    fn matmul_t_into_tiled<const ACC: bool>(&self, other: &Tensor, out: &mut Tensor) {
-        let (m, k) = self.shape();
-        let n = other.rows();
-        let a = &self.data;
-        let b = &other.data;
-        let main_m = m - m % MR;
-        let main_n = n - n % NR;
-
-        with_panel(k * NR, |panel| {
-            let mut j0 = 0;
-            while j0 < main_n {
-                // panel[p][jj] = b[(j0 + jj)][p]: transpose NR rows of
-                // `other` into the k-major layout the shared micro-kernel
-                // streams.
-                for jj in 0..NR {
-                    let b_row = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
-                    for (p, &bv) in b_row.iter().enumerate() {
-                        panel[p * NR + jj] = bv;
-                    }
-                }
-                let mut i0 = 0;
-                while i0 < main_m {
-                    let a_rows: [&[f32]; MR] =
-                        std::array::from_fn(|di| &a[(i0 + di) * k..(i0 + di) * k + k]);
-                    let mut acc = [[0.0f32; NR]; MR];
-                    if ACC {
-                        for (di, acc_row) in acc.iter_mut().enumerate() {
-                            acc_row.copy_from_slice(
-                                &out.data[(i0 + di) * n + j0..(i0 + di) * n + j0 + NR],
-                            );
-                        }
-                    }
-                    for (p, b_chunk) in panel.chunks_exact(NR).enumerate() {
-                        let b_chunk: &[f32; NR] = b_chunk.try_into().expect("NR-wide");
-                        for (di, acc_row) in acc.iter_mut().enumerate() {
-                            let av = a_rows[di][p];
-                            for (o, &bv) in acc_row.iter_mut().zip(b_chunk) {
-                                *o = av.mul_add(bv, *o);
-                            }
-                        }
-                    }
-                    for (di, acc_row) in acc.iter().enumerate() {
-                        out.data[(i0 + di) * n + j0..(i0 + di) * n + j0 + NR]
-                            .copy_from_slice(acc_row);
-                    }
-                    i0 += MR;
-                }
-                j0 += NR;
-            }
-        });
-
-        // Right edge (all rows, trailing columns of `out` = trailing rows of
-        // `other`) and bottom edge: contiguous-row dot products, identical
-        // accumulation order to the single-row path.
-        for i in 0..m {
-            let (j_start, j_end) = if i < main_m { (main_n, n) } else { (0, n) };
-            let a_row = &a[i * k..(i + 1) * k];
-            for j in j_start..j_end {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = if ACC { out.data[i * n + j] } else { 0.0f32 };
-                for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                    acc = av.mul_add(bv, acc);
                 }
                 out.data[i * n + j] = acc;
             }
@@ -480,59 +380,6 @@ impl Tensor {
         out
     }
 
-    /// `out += self * other^T` (accumulating [`Tensor::matmul_t_into`]).
-    ///
-    /// Gradient accumulation form: recurrent backward steps add straight
-    /// into the shared gradient slot instead of materialising a fresh
-    /// product and an extra add pass. The running value continues the same
-    /// ascending-`k` `mul_add` chain.
-    pub fn matmul_t_acc_into(&self, other: &Tensor, out: &mut Tensor) {
-        let (m, k) = self.shape();
-        let (n, k2) = other.shape();
-        assert_eq!(k, k2, "matmul_t_acc: inner dimensions {k} vs {k2}");
-        assert_eq!(out.shape(), (m, n), "matmul_t_acc: bad output shape");
-        if m >= MR && n >= NR {
-            return self.matmul_t_into_tiled::<true>(other, out);
-        }
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = out.data[i * n + j];
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc = a.mul_add(b, acc);
-                }
-                out.data[i * n + j] = acc;
-            }
-        }
-    }
-
-    /// `out += self^T * other` (accumulating [`Tensor::matmul_tn_into`]).
-    /// Same outer-product loop; the existing `out` contents seed the
-    /// accumulators.
-    pub fn matmul_tn_acc_into(&self, other: &Tensor, out: &mut Tensor) {
-        let (p, m) = self.shape();
-        let (p2, n) = other.shape();
-        assert_eq!(p, p2, "matmul_tn_acc: outer dimensions {p} vs {p2}");
-        assert_eq!(out.shape(), (m, n), "matmul_tn_acc: bad output shape");
-        if m >= MR && n >= NR {
-            return self.matmul_tn_into_tiled::<true>(other, out);
-        }
-        for q in 0..p {
-            let a_row = &self.data[q * m..(q + 1) * m];
-            let b_row = &other.data[q * n..(q + 1) * n];
-            for (i, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o = av.mul_add(bv, *o);
-                }
-            }
-        }
-    }
-
     /// `out = self^T * other` where `self` is `p x m` and `other` is `p x n`.
     ///
     /// This is the gradient kernel of the tape's matmul rules
@@ -540,16 +387,35 @@ impl Tensor {
     /// row-major layout, so the backward pass never materialises an explicit
     /// [`Tensor::transpose`] copy. Accumulation per output element runs over
     /// `p` in ascending order with `mul_add` in every path, making the
-    /// result bit-identical to `self.transpose().matmul(other)`.
+    /// result bit-identical to `self.transpose().matmul(other)`. Outputs at
+    /// least `NR` columns wide are register-tiled (`out` is written exactly
+    /// once; the untiled loop re-streams the whole output `p` times).
     pub fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.product_tn::<false>(other, out);
+    }
+
+    /// `out += self^T * other` (accumulating [`Tensor::matmul_tn_into`]):
+    /// the existing `out` contents seed the accumulators.
+    pub fn matmul_tn_acc_into(&self, other: &Tensor, out: &mut Tensor) {
+        self.product_tn::<true>(other, out);
+    }
+
+    fn product_tn<const ACC: bool>(&self, other: &Tensor, out: &mut Tensor) {
         let (p, m) = self.shape();
         let (p2, n) = other.shape();
         assert_eq!(p, p2, "matmul_tn: outer dimensions {p} vs {p2}");
         assert_eq!(out.shape(), (m, n), "matmul_tn: bad output shape");
-        if m >= MR && n >= NR {
-            return self.matmul_tn_into_tiled::<false>(other, out);
+        if n >= NR {
+            return matmul_layout_tiled::<true, false, ACC>(
+                &self.data,
+                &other.data,
+                &mut out.data,
+                (m, p, n),
+            );
         }
-        out.fill_zero();
+        if !ACC {
+            out.fill_zero();
+        }
         // Outer-product accumulation: each `p`-row of `self` scales the
         // matching row of `other` into `m` output rows (inner axpy over `n`
         // vectorises; `p` stays outermost so the per-element order is
@@ -565,71 +431,6 @@ impl Tensor {
                 for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
                     *o = av.mul_add(bv, *o);
                 }
-            }
-        }
-    }
-
-    /// Register-tiled `Aᵀ·B`: `MR x NR` output tiles accumulate in
-    /// registers over the whole shared dimension `p`; the `p x NR` panel of
-    /// `other` is packed once per column block and reused by every row
-    /// block, and `out` is written exactly once (the untiled loop would
-    /// re-stream the whole output `p` times). Edges fall back to scalar
-    /// `p`-ascending dots.
-    fn matmul_tn_into_tiled<const ACC: bool>(&self, other: &Tensor, out: &mut Tensor) {
-        let (p, m) = self.shape();
-        let n = other.cols();
-        let a = &self.data;
-        let b = &other.data;
-        let main_m = m - m % MR;
-        let main_n = n - n % NR;
-
-        with_panel(p * NR, |panel| {
-            let mut j0 = 0;
-            while j0 < main_n {
-                for q in 0..p {
-                    panel[q * NR..(q + 1) * NR].copy_from_slice(&b[q * n + j0..q * n + j0 + NR]);
-                }
-                let mut i0 = 0;
-                while i0 < main_m {
-                    let mut acc = [[0.0f32; NR]; MR];
-                    if ACC {
-                        for (di, acc_row) in acc.iter_mut().enumerate() {
-                            acc_row.copy_from_slice(
-                                &out.data[(i0 + di) * n + j0..(i0 + di) * n + j0 + NR],
-                            );
-                        }
-                    }
-                    for (q, b_chunk) in panel.chunks_exact(NR).enumerate() {
-                        let b_chunk: &[f32; NR] = b_chunk.try_into().expect("NR-wide");
-                        // a[q][i0 + di]: one strided load per tile row.
-                        let a_row = &a[q * m + i0..q * m + i0 + MR];
-                        for (di, acc_row) in acc.iter_mut().enumerate() {
-                            let av = a_row[di];
-                            for (o, &bv) in acc_row.iter_mut().zip(b_chunk) {
-                                *o = av.mul_add(bv, *o);
-                            }
-                        }
-                    }
-                    for (di, acc_row) in acc.iter().enumerate() {
-                        out.data[(i0 + di) * n + j0..(i0 + di) * n + j0 + NR]
-                            .copy_from_slice(acc_row);
-                    }
-                    i0 += MR;
-                }
-                j0 += NR;
-            }
-        });
-
-        // Edges: scalar dots over `p` (both loads strided; edge areas are
-        // at most `MR - 1` rows / `NR - 1` columns wide).
-        for i in 0..m {
-            let (j_start, j_end) = if i < main_m { (main_n, n) } else { (0, n) };
-            for j in j_start..j_end {
-                let mut acc = if ACC { out.data[i * n + j] } else { 0.0f32 };
-                for q in 0..p {
-                    acc = a[q * m + i].mul_add(b[q * n + j], acc);
-                }
-                out.data[i * n + j] = acc;
             }
         }
     }
@@ -655,6 +456,348 @@ impl Tensor {
     /// True if every element is finite (no NaN / infinity).
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
+    }
+}
+
+// ----- the register-tiled product ------------------------------------------
+//
+// One micro-kernel serves every layout and every row count. A product is
+// cut into `NR`-wide column panels of the right operand, laid out `k`-major;
+// the layouts differ only in how a panel is obtained (copied columns of `B`,
+// transposed rows of `Bᵀ`, `B`'s own rows read in place, or a [`PackedRhs`]
+// packed ahead of time) and in how the left operand is indexed. Rows a full
+// `MR`-high tile does not cover run the same kernel as a shorter tile, and
+// the last panel of a ragged width is zero-padded to `NR` lanes with only
+// the valid lanes loaded and stored — so no output element of a tiled
+// product is ever a serial scalar chain, and each is still one
+// ascending-`k` `mul_add` chain of its own.
+
+/// `ROWS x W` output tile accumulated in registers over the whole shared
+/// dimension: `out[di][..] (+)= Σ_p a_vals[p][di] · panel_rows[p][..]`.
+/// `out` starts at the tile's top-left element and has row stride `stride`.
+/// The inner `W` loop vectorises; one panel row is reused by all `ROWS`
+/// rows.
+#[inline(always)]
+fn tile_kernel<'p, const ROWS: usize, const W: usize, const ACC: bool>(
+    a_vals: impl Iterator<Item = [f32; ROWS]>,
+    panel_rows: impl Iterator<Item = &'p [f32; W]>,
+    out: &mut [f32],
+    stride: usize,
+) {
+    let mut acc = [[0.0f32; W]; ROWS];
+    if ACC {
+        for (di, acc_row) in acc.iter_mut().enumerate() {
+            acc_row.copy_from_slice(&out[di * stride..di * stride + W]);
+        }
+    }
+    for (av, b_chunk) in a_vals.zip(panel_rows) {
+        for (acc_row, &a) in acc.iter_mut().zip(&av) {
+            for (o, &bv) in acc_row.iter_mut().zip(b_chunk) {
+                *o = a.mul_add(bv, *o);
+            }
+        }
+    }
+    for (di, acc_row) in acc.iter().enumerate() {
+        out[di * stride..di * stride + W].copy_from_slice(acc_row);
+    }
+}
+
+/// One full-width `ROWS x W` tile of output rows `i0..i0 + ROWS` over the
+/// `k` panel rows `panel_rows` yields; `out` starts at the tile's top-left
+/// element and has row stride `stride`. `A_T` selects how the left operand
+/// is stored: `m x k` row-major (fixed-length row views let the compiler
+/// elide the bounds checks of the `k` loop), or `k x m` (the `Aᵀ·B` layout,
+/// where a tile's `ROWS` values of one `k` step are contiguous).
+#[inline(always)]
+fn row_tile<'p, const ROWS: usize, const W: usize, const A_T: bool, const ACC: bool>(
+    a: &[f32],
+    (m, k, _): (usize, usize, usize),
+    i0: usize,
+    panel_rows: impl Iterator<Item = &'p [f32; W]>,
+    out: &mut [f32],
+    stride: usize,
+) {
+    if A_T {
+        // Indexed, not `chunks_exact(m)`: sizing a run-time-width chunk
+        // iterator costs a division per tile, which a short `k` feels.
+        let a_vals = (0..k).map(|p| a[p * m + i0..p * m + i0 + ROWS].try_into().expect("ROWS"));
+        tile_kernel::<ROWS, W, ACC>(a_vals, panel_rows, out, stride);
+    } else {
+        let a_rows: [&[f32]; ROWS] = std::array::from_fn(|di| &a[(i0 + di) * k..(i0 + di) * k + k]);
+        let a_vals = (0..k).map(|p| std::array::from_fn(|di| a_rows[di][p]));
+        tile_kernel::<ROWS, W, ACC>(a_vals, panel_rows, out, stride);
+    }
+}
+
+/// The rows of a packed `k x NR` panel.
+#[inline(always)]
+fn packed_rows(panel: &[f32]) -> impl Iterator<Item = &[f32; NR]> {
+    panel.chunks_exact(NR).map(|row| row.try_into().expect("NR-wide row"))
+}
+
+/// One `ROWS`-high tile of a packed panel at output rows `i0..i0 + ROWS`,
+/// columns `j0..j0 + width`. The ragged last panel (`width < NR`, padded
+/// lanes zero) runs the same full-width kernel on a stack tile and copies
+/// only the valid lanes, so the kernel never slices by a run-time width.
+#[inline(always)]
+fn panel_tile<const ROWS: usize, const A_T: bool, const ACC: bool>(
+    a: &[f32],
+    dims: (usize, usize, usize),
+    i0: usize,
+    panel: &[f32],
+    out: &mut [f32],
+    j0: usize,
+    width: usize,
+) {
+    let n = dims.2;
+    let out = &mut out[i0 * n + j0..];
+    if width == NR {
+        return row_tile::<ROWS, NR, A_T, ACC>(a, dims, i0, packed_rows(panel), out, n);
+    }
+    let mut edge = [[0.0f32; NR]; ROWS];
+    if ACC {
+        for (di, edge_row) in edge.iter_mut().enumerate() {
+            edge_row[..width].copy_from_slice(&out[di * n..di * n + width]);
+        }
+    }
+    row_tile::<ROWS, NR, A_T, ACC>(a, dims, i0, packed_rows(panel), edge.as_flattened_mut(), NR);
+    for (di, edge_row) in edge.iter().enumerate() {
+        out[di * n..di * n + width].copy_from_slice(&edge_row[..width]);
+    }
+}
+
+/// Sweeps one packed `k x NR` column panel over every output row: full
+/// `MR`-high tiles, then the `m % MR` leftover rows as one shorter tile on
+/// the same panel.
+fn sweep_panel<const A_T: bool, const ACC: bool>(
+    a: &[f32],
+    dims: (usize, usize, usize),
+    panel: &[f32],
+    out: &mut [f32],
+    j0: usize,
+    width: usize,
+) {
+    const { assert!(MR == 4, "the leftover-row dispatches list 1..=MR") };
+    let m = dims.0;
+    let mut i0 = 0;
+    while i0 + MR <= m {
+        panel_tile::<MR, A_T, ACC>(a, dims, i0, panel, out, j0, width);
+        i0 += MR;
+    }
+    match m - i0 {
+        1 => panel_tile::<1, A_T, ACC>(a, dims, i0, panel, out, j0, width),
+        2 => panel_tile::<2, A_T, ACC>(a, dims, i0, panel, out, j0, width),
+        3 => panel_tile::<3, A_T, ACC>(a, dims, i0, panel, out, j0, width),
+        _ => {}
+    }
+}
+
+/// A product of `ROWS <= MR` rows against the row-major `k x n` matrix `b`
+/// read in place: one row tile gives a pack nothing to amortise over, and
+/// the fewer the rows, the wider the tile (`W`) has to be for its
+/// `ROWS * W / 8` independent FMA chains to hide the FMA latency. Covers
+/// as many whole `W`-wide column blocks from `from` on as fit and returns
+/// the first column left over.
+fn sweep_in_place<const ROWS: usize, const W: usize, const A_T: bool, const ACC: bool>(
+    a: &[f32],
+    dims: (usize, usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+    from: usize,
+) -> usize {
+    let n = dims.2;
+    let end = n - (n - from) % W;
+    for j0 in (from..end).step_by(W) {
+        // `chunks`, not `chunks_exact`: the last row is cut short by the
+        // slice end, but never below `W` floats.
+        let rows = b[j0..].chunks(n).map(|row| row[..W].try_into().expect("W-wide row"));
+        row_tile::<ROWS, W, A_T, ACC>(a, dims, 0, rows, &mut out[j0..], n);
+    }
+    end
+}
+
+/// Packs columns `j0..j0 + width` of the row-major `k x n` matrix `b` into
+/// a `k x NR` panel (lanes past `width` zeroed).
+fn pack_cols(b: &[f32], n: usize, j0: usize, width: usize, panel: &mut [f32]) {
+    let rows = panel.chunks_exact_mut(NR).zip(b.chunks_exact(n));
+    if width == NR {
+        // Fixed-length copies: two vector moves a row, not a `memcpy` call.
+        for (row, b_row) in rows {
+            row.copy_from_slice(&b_row[j0..j0 + NR]);
+        }
+    } else {
+        for (row, b_row) in rows {
+            row[..width].copy_from_slice(&b_row[j0..j0 + width]);
+            row[width..].fill(0.0);
+        }
+    }
+}
+
+/// Packs rows `j0..j0 + width` of the row-major `n x k` matrix `b` —
+/// columns of `bᵀ` — into a `k x NR` panel (lanes past `width` zeroed):
+/// `panel[p][jj] = b[j0 + jj][p]`. Each source row is read in contiguous
+/// runs of `PACK_DEPTH`, so the panel rows one block of runs scatters into
+/// (16 KiB) stay in L1 however long `k` is.
+fn pack_rows_transposed(b: &[f32], k: usize, j0: usize, width: usize, panel: &mut [f32]) {
+    const PACK_DEPTH: usize = 256;
+    if width < NR {
+        panel.fill(0.0);
+    }
+    for p0 in (0..k).step_by(PACK_DEPTH) {
+        let depth = PACK_DEPTH.min(k - p0);
+        let block = &mut panel[p0 * NR..(p0 + depth) * NR];
+        for jj in 0..width {
+            let b_run = &b[(j0 + jj) * k + p0..(j0 + jj) * k + p0 + depth];
+            for (pp, &bv) in b_run.iter().enumerate() {
+                block[pp * NR + jj] = bv;
+            }
+        }
+    }
+}
+
+/// The register-tiled product behind all three layouts, for any `m` and
+/// `n >= NR`: `out (+)= A·B` with `a` stored `m x k` (`A_T = false`) or
+/// `k x m` (`A_T = true`) and `b` stored `k x n` (`B_T = false`) or `n x k`
+/// (`B_T = true`).
+///
+/// Column panel outer / row tiles inner: the packed `k x NR` panel stays hot
+/// in L1 across the whole sweep over `a`'s rows, so total cache traffic is
+/// one read of `a` per panel instead of one read of `b` per row block (`b`
+/// is the large operand in the batched GRU/projection shapes). Packing
+/// makes the panel's loads contiguous whatever `n` is. A product of at most
+/// `MR` rows has a single row tile and nothing to amortise a pack over, so
+/// it reads `b`'s rows in place when they are stored `k`-major.
+fn matmul_layout_tiled<const A_T: bool, const B_T: bool, const ACC: bool>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    dims: (usize, usize, usize),
+) {
+    let (m, k, n) = dims;
+    if k == 0 {
+        if !ACC {
+            out.fill(0.0);
+        }
+        return;
+    }
+    let packed_from = match m {
+        1 if !B_T => {
+            let wide = sweep_in_place::<1, 64, A_T, ACC>(a, dims, b, out, 0);
+            sweep_in_place::<1, NR, A_T, ACC>(a, dims, b, out, wide)
+        }
+        2 if !B_T => {
+            let wide = sweep_in_place::<2, 32, A_T, ACC>(a, dims, b, out, 0);
+            sweep_in_place::<2, NR, A_T, ACC>(a, dims, b, out, wide)
+        }
+        3 if !B_T => sweep_in_place::<3, NR, A_T, ACC>(a, dims, b, out, 0),
+        4 if !B_T => sweep_in_place::<4, NR, A_T, ACC>(a, dims, b, out, 0),
+        _ => 0,
+    };
+    with_panel(k * NR, |panel| {
+        for j0 in (packed_from..n).step_by(NR) {
+            let width = NR.min(n - j0);
+            if B_T {
+                pack_rows_transposed(b, k, j0, width, panel);
+            } else {
+                pack_cols(b, n, j0, width, panel);
+            }
+            sweep_panel::<A_T, ACC>(a, dims, panel, out, j0, width);
+        }
+    });
+}
+
+/// A right-hand matmul operand packed once into the micro-kernel's panel
+/// layout, for products that reuse it many times — the recurrent weight
+/// `U` across every step of a training pass ([`crate::Tape::gru_sequence`]
+/// packs `U` for the forward `h·U` and `Uᵀ` for the backward `dgh·Uᵀ` once
+/// per pass; the on-the-fly kernels re-pack per call). Results are bit for
+/// bit those of [`Tensor::matmul_into`] / [`Tensor::matmul_t_into`] on the
+/// unpacked operand: same panels, same micro-kernel.
+///
+/// The panels live in a caller-provided [`Tensor`] of
+/// [`PackedRhs::storage_shape`] so a pool can own the memory.
+#[derive(Debug)]
+pub struct PackedRhs {
+    k: usize,
+    n: usize,
+    /// `ceil(n / NR)` panels of `k x NR`, the last zero-padded.
+    panels: Tensor,
+}
+
+impl PackedRhs {
+    /// Shape of the storage tensor a `k x n` operand packs into.
+    pub fn storage_shape(k: usize, n: usize) -> (usize, usize) {
+        (n.div_ceil(NR) * k, NR)
+    }
+
+    /// Packs `b` (`k x n`) as the right operand of `A·B`.
+    ///
+    /// # Panics
+    /// Panics if `storage` is not of [`PackedRhs::storage_shape`].
+    pub fn pack(b: &Tensor, storage: Tensor) -> Self {
+        let (k, n) = b.shape();
+        Self::pack_with(k, n, storage, |j0, width, panel| pack_cols(&b.data, n, j0, width, panel))
+    }
+
+    /// Packs `bt` (`n x k`) as the right operand of `A·Bᵀ` — the operand
+    /// [`Tensor::matmul_t_into`] takes, packed transposed.
+    ///
+    /// # Panics
+    /// Panics if `storage` is not of [`PackedRhs::storage_shape`].
+    pub fn pack_transposed(bt: &Tensor, storage: Tensor) -> Self {
+        let (n, k) = bt.shape();
+        Self::pack_with(k, n, storage, |j0, width, panel| {
+            pack_rows_transposed(&bt.data, k, j0, width, panel)
+        })
+    }
+
+    fn pack_with(
+        k: usize,
+        n: usize,
+        mut panels: Tensor,
+        pack_panel: impl Fn(usize, usize, &mut [f32]),
+    ) -> Self {
+        assert_eq!(panels.shape(), Self::storage_shape(k, n), "PackedRhs: bad storage shape");
+        for j0 in (0..n).step_by(NR) {
+            pack_panel(j0, NR.min(n - j0), &mut panels.data[j0 * k..(j0 + NR) * k]);
+        }
+        PackedRhs { k, n, panels }
+    }
+
+    /// Gives the storage tensor back (to recycle it).
+    pub fn into_storage(self) -> Tensor {
+        self.panels
+    }
+
+    /// `out = a · B` for the row-major `m x k` slice `a`; `out` is `m x n`.
+    ///
+    /// # Panics
+    /// Panics if the slice lengths do not describe the same `m`.
+    pub fn matmul_into(&self, a: &[f32], out: &mut [f32]) {
+        self.product::<false>(a, out);
+    }
+
+    /// `out += a · B`, continuing each element's `mul_add` chain from the
+    /// value already in `out`.
+    ///
+    /// # Panics
+    /// Panics if the slice lengths do not describe the same `m`.
+    pub fn matmul_acc_into(&self, a: &[f32], out: &mut [f32]) {
+        self.product::<true>(a, out);
+    }
+
+    fn product<const ACC: bool>(&self, a: &[f32], out: &mut [f32]) {
+        let (k, n) = (self.k, self.n);
+        if n == 0 {
+            return;
+        }
+        let m = out.len() / n;
+        assert_eq!(out.len(), m * n, "PackedRhs: output is not m x {n}");
+        assert_eq!(a.len(), m * k, "PackedRhs: left operand is not {m} x {k}");
+        for j0 in (0..n).step_by(NR) {
+            let panel = &self.panels.data[j0 * k..(j0 + NR) * k];
+            sweep_panel::<false, ACC>(a, (m, k, n), panel, out, j0, NR.min(n - j0));
+        }
     }
 }
 
@@ -731,6 +874,46 @@ mod tests {
                 let row = Tensor::from_vec(1, k, a.row(i).to_vec());
                 let naive = row.matmul_t(&b);
                 assert_eq!(tiled.row(i), naive.row(0), "({m},{k},{n}) row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn few_row_products_match_the_scalar_chain_bitwise() {
+        // Products of at most MR rows read the right operand in place with
+        // tiles 64, 32 or 16 columns wide; widths straddling those (and a
+        // ragged tail) must give the ascending-k chain of every element, in
+        // `A·B` and `Aᵀ·B`, plain and accumulating.
+        let mut rng = StdRng::seed_from_u64(13);
+        for m in 1..=MR + 1 {
+            for n in [16, 31, 32, 48, 64, 65, 100, 144] {
+                for k in [0, 1, 7, 24] {
+                    let a = Tensor::rand_uniform(m, k, -1.0, 1.0, &mut rng);
+                    let b = Tensor::rand_uniform(k, n, -1.0, 1.0, &mut rng);
+                    let init = Tensor::rand_uniform(m, n, -1.0, 1.0, &mut rng);
+                    let chain = |seed: &Tensor| {
+                        let mut want = seed.clone();
+                        for i in 0..m {
+                            for j in 0..n {
+                                let mut acc = seed.get(i, j);
+                                for p in 0..k {
+                                    acc = a.get(i, p).mul_add(b.get(p, j), acc);
+                                }
+                                want.set(i, j, acc);
+                            }
+                        }
+                        want
+                    };
+                    let at = a.transpose();
+                    assert_eq!(a.matmul(&b), chain(&Tensor::zeros(m, n)), "A·B ({m},{k},{n})");
+                    assert_eq!(at.matmul_tn(&b), chain(&Tensor::zeros(m, n)), "Aᵀ·B ({m},{k},{n})");
+                    let mut out = init.clone();
+                    a.matmul_acc_into(&b, &mut out);
+                    assert_eq!(out, chain(&init), "A·B acc ({m},{k},{n})");
+                    let mut out = init.clone();
+                    at.matmul_tn_acc_into(&b, &mut out);
+                    assert_eq!(out, chain(&init), "Aᵀ·B acc ({m},{k},{n})");
+                }
             }
         }
     }

@@ -196,6 +196,29 @@ proptest! {
     }
 
     #[test]
+    fn gru_sequence_gradients(seed in 0u64..1000) {
+        // The whole-recurrence node on a ragged schedule: three sequences,
+        // a step that drops one row, a step that keeps both, a step that
+        // drops another. Embedding rows, W, U, b and the initial states all
+        // get finite-difference-checked through it.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut store = ParamStore::new();
+        let emb = Embedding::new(&mut store, "emb", 4, 2, &mut rng);
+        let gru = GruCell::new(&mut store, "gru", 2, 3, &mut rng);
+        let h0_id = store.add("h0", Tensor::rand_uniform(3, 3, -0.9, 0.9, &mut rng));
+        let schedule = vec![vec![0u32, 1, 2], vec![0, 2], vec![0, 2], vec![2]];
+        gradcheck(&mut store, move |tape, store| {
+            let bound = gru.bind(tape, store);
+            let h0 = tape.param(store, h0_id);
+            let x_all = emb.lookup(tape, store, &[0, 3, 1, 2, 2, 1, 0, 3]);
+            let gx_all = bound.input_gates(tape, x_all);
+            let h_all = bound.sequence(tape, gx_all, h0, &schedule);
+            let sq = tape.mul(h_all, h_all);
+            tape.sum_all(sq)
+        }, 1e-3, 3e-2);
+    }
+
+    #[test]
     fn gaussian_head_vae_loss_gradients(seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut store = ParamStore::new();

@@ -9,12 +9,17 @@
 //!
 //! Shapes are drawn to straddle the tile boundaries (`MR = 4` rows,
 //! `NR = 16` columns): degenerate 1×1 / one-row / one-column operands,
-//! sizes just below/at/above the tile edges, and ragged combinations.
+//! sizes just below/at/above the tile edges (5, 6 and 7 rows leave one,
+//! two and three rows to the short tile), and ragged combinations.
+//!
+//! The accumulating forms (`*_acc_into`) must continue the same chain from
+//! whatever `out` already holds, and a product against an operand packed
+//! once ([`PackedRhs`]) must equal the one that packs on the fly.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tad_autodiff::Tensor;
+use tad_autodiff::{PackedRhs, Tensor};
 
 /// Scalar reference for `A·B`: ascending-k `mul_add`, one accumulator per
 /// output element.
@@ -68,9 +73,30 @@ fn reference_matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
+/// Scalar reference for any accumulating layout: element `(i, j)` continues
+/// from `init[i][j]` over `p = 0..k` ascending with `mul_add`.
+fn reference_chain(
+    init: &Tensor,
+    k: usize,
+    a_at: impl Fn(usize, usize) -> f32,
+    b_at: impl Fn(usize, usize) -> f32,
+) -> Tensor {
+    let mut out = init.clone();
+    for i in 0..init.rows() {
+        for j in 0..init.cols() {
+            let mut acc = init.get(i, j);
+            for p in 0..k {
+                acc = a_at(i, p).mul_add(b_at(p, j), acc);
+            }
+            out.set(i, j, acc);
+        }
+    }
+    out
+}
+
 /// Dimension values straddling the MR (4) and NR (16) tile boundaries plus
 /// degenerate sizes.
-const DIMS: [usize; 10] = [1, 2, 3, 4, 5, 8, 15, 16, 17, 33];
+const DIMS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 33];
 
 fn rand_tensor(seed: u64, rows: usize, cols: usize) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -96,7 +122,7 @@ proptest! {
     /// `matmul_into` (tiled + streaming paths) is bit-exact vs the scalar
     /// reference for every shape class.
     #[test]
-    fn matmul_matches_reference_exactly(seed in 0u64..10_000, mi in 0usize..10, ki in 0usize..10, ni in 0usize..10) {
+    fn matmul_matches_reference_exactly(seed in 0u64..10_000, mi in 0usize..DIMS.len(), ki in 0usize..DIMS.len(), ni in 0usize..DIMS.len()) {
         let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
         let a = rand_tensor(seed, m, k);
         let b = rand_tensor(seed ^ 0xa5a5, k, n);
@@ -106,7 +132,7 @@ proptest! {
     /// `matmul_t_into` (tiled + dot-product paths) is bit-exact vs the
     /// scalar reference.
     #[test]
-    fn matmul_t_matches_reference_exactly(seed in 0u64..10_000, mi in 0usize..10, ki in 0usize..10, ni in 0usize..10) {
+    fn matmul_t_matches_reference_exactly(seed in 0u64..10_000, mi in 0usize..DIMS.len(), ki in 0usize..DIMS.len(), ni in 0usize..DIMS.len()) {
         let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
         let a = rand_tensor(seed, m, k);
         let b = rand_tensor(seed ^ 0x5a5a, n, k);
@@ -116,7 +142,7 @@ proptest! {
     /// `matmul_tn_into` (tiled + outer-product paths) is bit-exact vs the
     /// scalar reference.
     #[test]
-    fn matmul_tn_matches_reference_exactly(seed in 0u64..10_000, pi in 0usize..10, mi in 0usize..10, ni in 0usize..10) {
+    fn matmul_tn_matches_reference_exactly(seed in 0u64..10_000, pi in 0usize..DIMS.len(), mi in 0usize..DIMS.len(), ni in 0usize..DIMS.len()) {
         let (p, m, n) = (DIMS[pi], DIMS[mi], DIMS[ni]);
         let a = rand_tensor(seed, p, m);
         let b = rand_tensor(seed ^ 0x3c3c, p, n);
@@ -126,7 +152,7 @@ proptest! {
     /// The three layouts agree with each other through explicit transposes
     /// — exactly, because they share the accumulation order.
     #[test]
-    fn layouts_agree_through_transposes(seed in 0u64..10_000, mi in 0usize..10, ki in 0usize..10, ni in 0usize..10) {
+    fn layouts_agree_through_transposes(seed in 0u64..10_000, mi in 0usize..DIMS.len(), ki in 0usize..DIMS.len(), ni in 0usize..DIMS.len()) {
         let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
         let a = rand_tensor(seed, m, k);
         let b = rand_tensor(seed ^ 0x7171, k, n);
@@ -139,7 +165,7 @@ proptest! {
     /// product of row `i` alone (the property batched training and fleet
     /// inference rely on).
     #[test]
-    fn batched_rows_match_single_rows(seed in 0u64..10_000, mi in 0usize..10, ki in 0usize..10, ni in 0usize..10) {
+    fn batched_rows_match_single_rows(seed in 0u64..10_000, mi in 0usize..DIMS.len(), ki in 0usize..DIMS.len(), ni in 0usize..DIMS.len()) {
         let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
         let a = rand_tensor(seed, m, k);
         let b = rand_tensor(seed ^ 0x1b1b, k, n);
@@ -153,5 +179,70 @@ proptest! {
             let single_t = row.matmul_t(&bt);
             assert_bits_equal(&Tensor::from_vec(1, n, full_t.row(i).to_vec()), &single_t, "matmul_t row")?;
         }
+    }
+
+    /// `matmul_acc_into` / `matmul_t_acc_into` / `matmul_tn_acc_into`
+    /// continue each element's chain from a random `out`, bit-exactly.
+    #[test]
+    fn acc_kernels_continue_the_chain_exactly(seed in 0u64..10_000, mi in 0usize..DIMS.len(), ki in 0usize..DIMS.len(), ni in 0usize..DIMS.len()) {
+        let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
+        let a = rand_tensor(seed, m, k);
+        let at = rand_tensor(seed ^ 0x4444, k, m);
+        let b = rand_tensor(seed ^ 0x6b6b, k, n);
+        let bt = rand_tensor(seed ^ 0x7e7e, n, k);
+        let init = rand_tensor(seed ^ 0x9999, m, n);
+
+        let mut out = init.clone();
+        a.matmul_acc_into(&b, &mut out);
+        let want = reference_chain(&init, k, |i, p| a.get(i, p), |p, j| b.get(p, j));
+        assert_bits_equal(&out, &want, "matmul_acc")?;
+
+        let mut out = init.clone();
+        a.matmul_t_acc_into(&bt, &mut out);
+        let want = reference_chain(&init, k, |i, p| a.get(i, p), |p, j| bt.get(j, p));
+        assert_bits_equal(&out, &want, "matmul_t_acc")?;
+
+        let mut out = init.clone();
+        at.matmul_tn_acc_into(&b, &mut out);
+        let want = reference_chain(&init, k, |i, p| at.get(p, i), |p, j| b.get(p, j));
+        assert_bits_equal(&out, &want, "matmul_tn_acc")?;
+    }
+
+    /// A product against an operand packed once equals the product that
+    /// packs on the fly, for both packings and both forms, at every width
+    /// (a packed operand pads its ragged last panel, so it also covers the
+    /// widths the on-the-fly kernels leave to their streaming loops).
+    #[test]
+    fn packed_operand_matches_on_the_fly(seed in 0u64..10_000, mi in 0usize..DIMS.len(), ki in 0usize..DIMS.len(), ni in 0usize..DIMS.len()) {
+        let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
+        let a = rand_tensor(seed, m, k);
+        let b = rand_tensor(seed ^ 0x1f1f, k, n);
+        let bt = rand_tensor(seed ^ 0x2e2e, n, k);
+        let init = rand_tensor(seed ^ 0x3d3d, m, n);
+        let storage = || {
+            let (rows, cols) = PackedRhs::storage_shape(k, n);
+            // Recycled storage holds arbitrary data; packing must not care.
+            Tensor::full(rows, cols, f32::NAN)
+        };
+
+        let packed = PackedRhs::pack(&b, storage());
+        let mut out = Tensor::full(m, n, f32::NAN);
+        packed.matmul_into(a.data(), out.data_mut());
+        assert_bits_equal(&out, &a.matmul(&b), "packed A·B")?;
+        let mut out = init.clone();
+        packed.matmul_acc_into(a.data(), out.data_mut());
+        let mut want = init.clone();
+        a.matmul_acc_into(&b, &mut want);
+        assert_bits_equal(&out, &want, "packed A·B acc")?;
+
+        let packed_t = PackedRhs::pack_transposed(&bt, storage());
+        let mut out = Tensor::full(m, n, f32::NAN);
+        packed_t.matmul_into(a.data(), out.data_mut());
+        assert_bits_equal(&out, &a.matmul_t(&bt), "packed A·Bᵀ")?;
+        let mut out = init.clone();
+        packed_t.matmul_acc_into(a.data(), out.data_mut());
+        let mut want = init.clone();
+        a.matmul_t_acc_into(&bt, &mut want);
+        assert_bits_equal(&out, &want, "packed A·Bᵀ acc")?;
     }
 }

@@ -1,22 +1,30 @@
 //! Training-path benchmarks: epoch wall-clock, tokens/s and GMAC/s for
-//! forward+backward on the fig7 workload, plus kernel-level GMAC/s for the
-//! three matmul layouts at training shapes.
+//! forward+backward on the fig7 workload at every width `tadbench` trains
+//! at, plus kernel-level timings of the matmul layouts at training shapes
+//! and of the GRU recurrence's own products.
 //!
 //! Three trainers run the same data with identical rng streams:
 //!
 //! * `reference_scalar` — the pre-vectorisation path: one trajectory per
 //!   tape, unfused GRU steps, per-transition CE nodes
-//!   (`CausalTad::trajectory_loss_reference`).
+//!   (`CausalTad::trajectory_loss_reference`). Default widths only.
 //! * `microbatch_1` — the fused sequential path (one trajectory per tape,
-//!   fused GRU op, pooled tape memory).
+//!   pooled tape memory). Default widths only.
 //! * `microbatch_8` — the production path: 8 trajectories row-stacked per
-//!   tape pass.
+//!   tape pass, the whole ragged recurrence one tape node. Every width:
+//!   `default` (hidden 48, the routed `tadbench` workloads), `paper_scale`
+//!   (hidden 128, `train_eval`) and `wide` (embed 64 / hidden 256 / latent
+//!   32, `engine_wide_sat`).
 //!
 //! Besides the Criterion report, the run writes machine-readable
-//! `BENCH_train.json` (override the path with `BENCH_TRAIN_OUT`) so the
-//! perf trajectory is tracked PR-over-PR, and **asserts** that the
-//! micro-batched epoch losses track the scalar reference — a kernel
-//! regression fails the bench run, not just the numbers.
+//! `BENCH_train.json` (override the path with `BENCH_TRAIN_OUT`) with the
+//! host it was taken on and the same figures at the parent commit beside
+//! them, so the perf trajectory is tracked PR-over-PR, and **asserts** that
+//! the micro-batched epoch losses track the scalar reference — a kernel
+//! regression fails the bench run, not just the numbers — and that seven
+//! rows through the recurrent backward product do not cost twice what
+//! eight do (the leftover rows of a row tile must never fall back to a
+//! serial dot chain).
 //!
 //! `CRITERION_QUICK=1` shrinks the workload for CI smoke runs.
 
@@ -29,7 +37,7 @@ use rand::SeedableRng;
 
 use causaltad::{CausalTad, CausalTadConfig};
 use tad_autodiff::optim::Adam;
-use tad_autodiff::{Tape, Tensor};
+use tad_autodiff::{PackedRhs, Tape, Tensor};
 use tad_eval::cities::{xian_s, Scale};
 use tad_trajsim::{generate_city, Trajectory};
 
@@ -37,26 +45,83 @@ fn quick_mode() -> bool {
     std::env::var("CRITERION_QUICK").map(|v| v == "1").unwrap_or(false)
 }
 
-/// The true pre-vectorisation epoch time on this workload, measured at the
-/// seed of this PR (commit b660a21: unblocked scalar kernels,
-/// allocation-per-node tape, per-trajectory training). `reference_scalar`
-/// below reconstructs that *formulation* but runs on the post-PR substrate
-/// (tiled kernels, pooled tape), so it is faster than the real pre-PR path
-/// — compare against this constant for the honest PR-over-PR trajectory.
+/// The true pre-vectorisation epoch time on this workload at default
+/// widths, measured at the seed of the vectorisation PR (commit b660a21:
+/// unblocked scalar kernels, allocation-per-node tape, per-trajectory
+/// training) on the 1-core container of that time. `reference_scalar`
+/// below reconstructs that *formulation* but runs on today's substrate
+/// (tiled kernels, pooled tape), so it is faster than the real pre-PR path.
 const PRE_PR_SECONDS_PER_EPOCH: f64 = 0.567;
+
+/// The parent of the whole-recurrence node (per-step `gru_step_pregated`
+/// nodes, `U` re-packed every step, scalar leftover rows), measured with
+/// this same bench on the host named in `BENCH_train.json`'s `host` block,
+/// full (non-quick) mode, alternated with runs of this change; the median
+/// of three. Trainers: `(width, trainer, seconds per epoch)`; kernels:
+/// `(name, µs per call)`, only those the parent's API could express.
+const PARENT_COMMIT: &str = "833a424";
+const PARENT_TRAINERS: [(&str, &str, f64); 5] = [
+    ("default", "reference_scalar", 0.3631),
+    ("default", "microbatch_1", 0.3168),
+    ("default", "microbatch_8", 0.1391),
+    ("paper_scale", "microbatch_8", 0.4293),
+    ("wide", "microbatch_8", 1.3132),
+];
+const PARENT_KERNELS: [(&str, f64); 12] = [
+    ("matmul_t_128x48x514", 104.32),
+    ("matmul_tn_128x514x48", 100.18),
+    ("matmul_8x24x144", 1.08),
+    ("matmul_t_131x256x514", 974.42),
+    ("h_u_per_call_pack_m1", 16.32),
+    ("h_u_per_call_pack_m8", 62.55),
+    ("dgh_ut_per_call_pack_m1", 251.19),
+    ("dgh_ut_per_call_pack_m5", 472.92),
+    ("dgh_ut_per_call_pack_m7", 986.54),
+    ("dgh_ut_per_call_pack_m8", 252.80),
+    ("du_per_step_25x8", 1955.95),
+    ("du_stacked_200", 1425.62),
+];
 
 /// The fig7 workload: the xian-s quick-scale city (600 training
 /// trajectories at full size; CI smoke uses a 100-trajectory slice).
-fn workload() -> (tad_trajsim::City, usize, usize) {
+fn workload() -> (tad_trajsim::City, usize) {
     let city = generate_city(&xian_s(Scale::Quick));
     let take = if quick_mode() { 100.min(city.data.train.len()) } else { city.data.train.len() };
-    let epochs = if quick_mode() { 2 } else { 4 };
-    (city, take, epochs)
+    (city, take)
 }
 
-fn config() -> CausalTadConfig {
-    CausalTadConfig::default()
+/// One model width the bench trains at.
+struct Width {
+    label: &'static str,
+    cfg: fn() -> CausalTadConfig,
+    /// Epochs of a full (non-quick) run.
+    epochs: usize,
+    /// Run the scalar reference and the sequential trainer too (and assert
+    /// the loss equivalence); the scalar path is too slow to be worth it
+    /// past default widths.
+    all_trainers: bool,
 }
+
+/// `tadbench`'s `wide_model()` widths (`engine_wide_sat`).
+fn wide() -> CausalTadConfig {
+    CausalTadConfig {
+        embed_dim: 64,
+        hidden_dim: 256,
+        latent_dim: 32,
+        ..CausalTadConfig::test_scale()
+    }
+}
+
+const WIDTHS: [Width; 3] = [
+    Width { label: "default", cfg: CausalTadConfig::default, epochs: 4, all_trainers: true },
+    Width {
+        label: "paper_scale",
+        cfg: CausalTadConfig::paper_scale,
+        epochs: 2,
+        all_trainers: false,
+    },
+    Width { label: "wide", cfg: wide, epochs: 2, all_trainers: false },
+];
 
 /// One optimiser epoch of the pre-vectorisation scalar path, mirroring the
 /// `Trainer` loop structure (same shuffle stream, same 1/batch scaling).
@@ -157,6 +222,7 @@ fn epoch_macs(model: &CausalTad, train: &[Trajectory]) -> f64 {
 }
 
 struct TrainRun {
+    width: &'static str,
     label: &'static str,
     seconds_per_epoch: f64,
     tokens_per_s: f64,
@@ -165,14 +231,15 @@ struct TrainRun {
 }
 
 fn run_trainer(
+    width: &Width,
     label: &'static str,
     city: &tad_trajsim::City,
     take: usize,
-    epochs: usize,
     micro_batch: Option<usize>,
 ) -> TrainRun {
     let train = &city.data.train[..take];
-    let cfg = config();
+    let cfg = (width.cfg)();
+    let epochs = if quick_mode() { 2 } else { width.epochs };
     let mut model = CausalTad::new(&city.net, cfg.clone());
     let mut adam = Adam::new(model.store(), cfg.lr);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
@@ -193,6 +260,7 @@ fn run_trainer(
     }
     let secs = started.elapsed().as_secs_f64() / epochs as f64;
     TrainRun {
+        width: width.label,
         label,
         seconds_per_epoch: secs,
         tokens_per_s: tokens as f64 / secs,
@@ -201,63 +269,78 @@ fn run_trainer(
     }
 }
 
-fn json_escape_free(label: &str) -> &str {
-    // Labels are static identifiers; nothing to escape.
-    label
+/// One timed kernel: µs per call and the GMAC/s that is.
+struct KernelRun {
+    name: String,
+    us: f64,
+    gmacs: f64,
 }
 
-fn write_json(
-    runs: &[TrainRun],
-    take: usize,
-    tokens: usize,
-    epochs: usize,
-    kernels: &[(String, f64)],
-) {
+fn write_json(runs: &[TrainRun], take: usize, tokens: usize, kernels: &[KernelRun]) {
     // `cargo bench` runs with the package directory as cwd; default to the
     // workspace root so the artefact lands next to README.md.
     let path = std::env::var("BENCH_TRAIN_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_train.json").to_string()
     });
-    let reference = runs.iter().find(|r| r.label == "reference_scalar");
     let mut out = String::from("{\n");
+    out.push_str(&format!("  {},\n", tad_bench::host_json()));
     out.push_str(&format!(
-        "  \"workload\": {{\"city\": \"xian-s\", \"scale\": \"quick\", \"trajectories\": {take}, \"tokens_per_epoch\": {tokens}, \"epochs\": {epochs}, \"quick_mode\": {}}},\n",
+        "  \"workload\": {{\"city\": \"xian-s\", \"scale\": \"quick\", \"trajectories\": {take}, \"tokens_per_epoch\": {tokens}, \"quick_mode\": {}}},\n",
         quick_mode()
     ));
-    let cfg = config();
     out.push_str(&format!(
-        "  \"config\": {{\"embed_dim\": {}, \"hidden_dim\": {}, \"latent_dim\": {}, \"rp_latent_dim\": {}, \"batch_size\": {}, \"micro_batch\": {}}},\n",
-        cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, cfg.rp_latent_dim, cfg.batch_size, cfg.micro_batch
+        "  \"baseline_pre_pr\": {{\"seconds_per_epoch\": {PRE_PR_SECONDS_PER_EPOCH}, \"note\": \"default widths, measured at seed commit b660a21 on the full (non-quick) workload, on the 1-core container of that time\"}},\n",
     ));
-    out.push_str(&format!(
-        "  \"baseline_pre_pr\": {{\"seconds_per_epoch\": {PRE_PR_SECONDS_PER_EPOCH}, \"note\": \"measured at seed commit b660a21 on the full (non-quick) workload\"}},\n",
-    ));
-    out.push_str("  \"trainers\": {\n");
-    for (i, r) in runs.iter().enumerate() {
-        let speedup = reference.map(|b| b.seconds_per_epoch / r.seconds_per_epoch).unwrap_or(1.0);
-        // The frozen pre-PR baseline was measured on the full workload;
-        // quick-mode slices are not comparable to it.
-        let vs_pre_pr = if quick_mode() {
-            "null".to_string()
-        } else {
-            format!("{:.2}", PRE_PR_SECONDS_PER_EPOCH / r.seconds_per_epoch)
-        };
+    out.push_str("  \"widths\": {\n");
+    for (w, width) in WIDTHS.iter().enumerate() {
+        let cfg = (width.cfg)();
+        let epochs = if quick_mode() { 2 } else { width.epochs };
         out.push_str(&format!(
-            "    \"{}\": {{\"seconds_per_epoch\": {:.6}, \"tokens_per_s\": {:.1}, \"gmacs_fwd_bwd\": {:.3}, \"speedup_vs_reference\": {:.2}, \"speedup_vs_pre_pr\": {vs_pre_pr}, \"final_loss\": {:.9}}}{}\n",
-            json_escape_free(r.label),
-            r.seconds_per_epoch,
-            r.tokens_per_s,
-            r.gmacs,
-            speedup,
-            r.epoch_losses.last().copied().unwrap_or(f64::NAN),
-            if i + 1 < runs.len() { "," } else { "" },
+            "    \"{}\": {{\n      \"config\": {{\"embed_dim\": {}, \"hidden_dim\": {}, \"latent_dim\": {}, \"rp_latent_dim\": {}, \"batch_size\": {}, \"micro_batch\": {}, \"epochs\": {epochs}}},\n      \"trainers\": {{\n",
+            width.label, cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, cfg.rp_latent_dim, cfg.batch_size, cfg.micro_batch
         ));
+        let of_width: Vec<&TrainRun> = runs.iter().filter(|r| r.width == width.label).collect();
+        for (i, r) in of_width.iter().enumerate() {
+            // Parent and pre-PR figures were measured on the full workload;
+            // quick-mode slices are not comparable to them.
+            let parent = PARENT_TRAINERS
+                .iter()
+                .find(|&&(w, t, _)| w == r.width && t == r.label)
+                .filter(|_| !quick_mode())
+                .map_or("null".to_string(), |&(_, _, s)| format!("{s:.6}"));
+            let vs_pre_pr = if quick_mode() || !width.all_trainers {
+                "null".to_string()
+            } else {
+                format!("{:.2}", PRE_PR_SECONDS_PER_EPOCH / r.seconds_per_epoch)
+            };
+            out.push_str(&format!(
+                "        \"{}\": {{\"seconds_per_epoch\": {:.6}, \"parent_seconds_per_epoch\": {parent}, \"tokens_per_s\": {:.1}, \"gmacs_fwd_bwd\": {:.3}, \"speedup_vs_pre_pr\": {vs_pre_pr}, \"final_loss\": {:.9}}}{}\n",
+                r.label,
+                r.seconds_per_epoch,
+                r.tokens_per_s,
+                r.gmacs,
+                r.epoch_losses.last().copied().unwrap_or(f64::NAN),
+                if i + 1 < of_width.len() { "," } else { "" },
+            ));
+        }
+        out.push_str(&format!("      }}\n    }}{}\n", if w + 1 < WIDTHS.len() { "," } else { "" }));
     }
     out.push_str("  },\n");
-    out.push_str("  \"kernels_gmacs\": {\n");
-    for (i, (name, gmacs)) in kernels.iter().enumerate() {
+    out.push_str(&format!(
+        "  \"parent\": {{\"commit\": \"{PARENT_COMMIT}\", \"note\": \"parent_* figures: this bench at the parent commit on this host, full mode, median of three runs alternated with runs of this change; kernels the parent's API could not express read null\"}},\n",
+    ));
+    out.push_str("  \"kernels\": {\n");
+    for (i, k) in kernels.iter().enumerate() {
+        let parent = PARENT_KERNELS
+            .iter()
+            .find(|&&(name, _)| name == k.name)
+            .filter(|_| !quick_mode())
+            .map_or("null".to_string(), |&(_, us)| format!("{us:.2}"));
         out.push_str(&format!(
-            "    \"{name}\": {gmacs:.2}{}\n",
+            "    \"{}\": {{\"us\": {:.2}, \"parent_us\": {parent}, \"gmacs\": {:.2}}}{}\n",
+            k.name,
+            k.us,
+            k.gmacs,
             if i + 1 < kernels.len() { "," } else { "" }
         ));
     }
@@ -268,85 +351,175 @@ fn write_json(
     }
 }
 
-/// GMAC/s of one kernel at a fixed shape, measured over a time budget.
-fn kernel_gmacs(macs_per_call: usize, mut call: impl FnMut()) -> f64 {
+/// Times one kernel at a fixed shape over one slice of time budget.
+fn time_kernel(name: impl Into<String>, macs_per_call: usize, mut call: impl FnMut()) -> KernelRun {
     // Warm-up.
     call();
-    let budget = if quick_mode() { 0.02 } else { 0.25 };
+    let slice = if quick_mode() { 0.004 } else { 0.05 };
     let started = Instant::now();
     let mut calls = 0u64;
-    while started.elapsed().as_secs_f64() < budget {
+    while started.elapsed().as_secs_f64() < slice {
         call();
         calls += 1;
     }
-    let secs = started.elapsed().as_secs_f64();
-    (macs_per_call as u64 * calls) as f64 / secs / 1e9
+    let secs = started.elapsed().as_secs_f64() / calls as f64;
+    KernelRun { name: name.into(), us: secs * 1e6, gmacs: macs_per_call as f64 / secs / 1e9 }
+}
+
+/// Kernel-level timings at the training hot shapes: the full-vocab head
+/// and the batched GRU projection at default widths, then the recurrence's
+/// own products at `wide` widths (hidden 256) — the forward `h·U`, the
+/// backward `dgh·Uᵀ` at full and leftover row counts, and `dU` — each the
+/// way the per-step composition issued it (`U` re-packed by every call)
+/// and the way the whole-recurrence node does (`U`/`Uᵀ` packed once per
+/// pass, one stacked `dU` product).
+fn kernel_runs(vocab: usize) -> Vec<KernelRun> {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut rand = |r: usize, c: usize| Tensor::rand_uniform(r, c, -1.0, 1.0, &mut rng);
+    let mut kernels = Vec::new();
+
+    let (n_rows, dh) = (128usize, 48usize);
+    let x = rand(n_rows, dh);
+    let w = rand(vocab, dh);
+    let mut logits = Tensor::zeros(n_rows, vocab);
+    let g = rand(n_rows, vocab);
+    let mut dw = Tensor::zeros(vocab, dh);
+    kernels.push(time_kernel(
+        format!("matmul_t_{n_rows}x{dh}x{vocab}"),
+        n_rows * dh * vocab,
+        || x.matmul_t_into(&w, &mut logits),
+    ));
+    kernels.push(time_kernel(
+        format!("matmul_tn_{n_rows}x{vocab}x{dh}"),
+        n_rows * vocab * dh,
+        || g.matmul_tn_into(&x, &mut dw),
+    ));
+    let (gru_x, gru_w) = (rand(8, 24), rand(24, 144));
+    let mut gru_out = Tensor::zeros(8, 144);
+    kernels.push(time_kernel("matmul_8x24x144", 8 * 24 * 144, || {
+        gru_x.matmul_into(&gru_w, &mut gru_out)
+    }));
+
+    // A ragged head at hidden 256: 131 rows leave three to the short tile.
+    let hd = 256usize;
+    let (x, w) = (rand(131, hd), rand(vocab, hd));
+    let mut logits = Tensor::zeros(131, vocab);
+    kernels.push(time_kernel(format!("matmul_t_131x{hd}x{vocab}"), 131 * hd * vocab, || {
+        x.matmul_t_into(&w, &mut logits)
+    }));
+
+    let u = rand(hd, 3 * hd);
+    let packed = |pack: fn(&Tensor, Tensor) -> PackedRhs, k: usize, n: usize| {
+        let (rows, cols) = PackedRhs::storage_shape(k, n);
+        pack(&u, Tensor::zeros(rows, cols))
+    };
+    let packed_u = packed(PackedRhs::pack, hd, 3 * hd);
+    let packed_ut = packed(PackedRhs::pack_transposed, 3 * hd, hd);
+    for m in [1usize, 8] {
+        let h = rand(m, hd);
+        let mut gh = Tensor::zeros(m, 3 * hd);
+        kernels.push(time_kernel(format!("h_u_per_call_pack_m{m}"), m * hd * 3 * hd, || {
+            h.matmul_into(&u, &mut gh)
+        }));
+        kernels.push(time_kernel(format!("h_u_packed_once_m{m}"), m * hd * 3 * hd, || {
+            packed_u.matmul_into(h.data(), gh.data_mut())
+        }));
+    }
+    for m in [1usize, 5, 7, 8] {
+        let dgh = rand(m, 3 * hd);
+        let mut dh = Tensor::zeros(m, hd);
+        kernels.push(time_kernel(format!("dgh_ut_per_call_pack_m{m}"), m * hd * 3 * hd, || {
+            dgh.matmul_t_acc_into(&u, &mut dh)
+        }));
+        kernels.push(time_kernel(format!("dgh_ut_packed_once_m{m}"), m * hd * 3 * hd, || {
+            packed_ut.matmul_acc_into(dgh.data(), dh.data_mut())
+        }));
+    }
+    // dU over a 25-step, 8-row recurrence.
+    let (steps, m) = (25usize, 8usize);
+    let (h_stack, dgh_stack) = (rand(steps * m, hd), rand(steps * m, 3 * hd));
+    let step_rows = |t: &Tensor, s: usize| {
+        Tensor::from_vec(m, t.cols(), t.data()[s * m * t.cols()..(s + 1) * m * t.cols()].to_vec())
+    };
+    let per_step: Vec<(Tensor, Tensor)> =
+        (0..steps).map(|s| (step_rows(&h_stack, s), step_rows(&dgh_stack, s))).collect();
+    let mut du = Tensor::zeros(hd, 3 * hd);
+    kernels.push(time_kernel("du_per_step_25x8", steps * m * hd * 3 * hd, || {
+        du.fill_zero();
+        for (h, dgh) in &per_step {
+            h.matmul_tn_acc_into(dgh, &mut du);
+        }
+    }));
+    kernels.push(time_kernel("du_stacked_200", steps * m * hd * 3 * hd, || {
+        h_stack.matmul_tn_into(&dgh_stack, &mut du)
+    }));
+    kernels
 }
 
 fn bench_training(c: &mut Criterion) {
-    let (city, take, epochs) = workload();
+    let (city, take) = workload();
     let tokens: usize = city.data.train[..take].iter().map(|t| t.len()).sum();
 
-    let runs = vec![
-        run_trainer("reference_scalar", &city, take, epochs, None),
-        run_trainer("microbatch_1", &city, take, epochs, Some(1)),
-        run_trainer("microbatch_8", &city, take, epochs, Some(8)),
-    ];
+    let mut runs = Vec::new();
+    for width in &WIDTHS {
+        if width.all_trainers {
+            runs.push(run_trainer(width, "reference_scalar", &city, take, None));
+            runs.push(run_trainer(width, "microbatch_1", &city, take, Some(1)));
+        }
+        runs.push(run_trainer(width, "microbatch_8", &city, take, Some(8)));
+    }
     for r in &runs {
         println!(
-            "train_epoch/{:<18} {:>9.4} s/epoch  {:>9.0} tokens/s  {:>7.2} GMAC/s  final loss {:.6}",
-            r.label, r.seconds_per_epoch, r.tokens_per_s, r.gmacs, r.epoch_losses.last().unwrap()
+            "train_epoch/{:<12} {:<18} {:>9.4} s/epoch  {:>9.0} tokens/s  {:>7.2} GMAC/s  final loss {:.6}",
+            r.width, r.label, r.seconds_per_epoch, r.tokens_per_s, r.gmacs, r.epoch_losses.last().unwrap()
         );
     }
 
     // Regression guard: the micro-batched losses must track the scalar
     // reference per epoch. A broken kernel or backward rule shows up here
     // long before the timings drift.
-    let reference = &runs[0];
-    for r in &runs[1..] {
-        for (epoch, (a, b)) in r.epoch_losses.iter().zip(&reference.epoch_losses).enumerate() {
-            let rel = (a - b).abs() / b.abs().max(1e-12);
-            assert!(
-                rel < 1e-4,
-                "{}: epoch {epoch} loss {a} diverged from reference {b} (rel {rel:e})",
-                r.label
-            );
+    for width in WIDTHS.iter().filter(|w| w.all_trainers) {
+        let of_width: Vec<&TrainRun> = runs.iter().filter(|r| r.width == width.label).collect();
+        let reference = of_width[0];
+        for r in &of_width[1..] {
+            for (epoch, (a, b)) in r.epoch_losses.iter().zip(&reference.epoch_losses).enumerate() {
+                let rel = (a - b).abs() / b.abs().max(1e-12);
+                assert!(
+                    rel < 1e-4,
+                    "{} {}: epoch {epoch} loss {a} diverged from reference {b} (rel {rel:e})",
+                    r.width,
+                    r.label
+                );
+            }
         }
     }
 
-    // Kernel-level GMAC/s at the training hot shapes: the full-vocab head
-    // (forward A·Bᵀ, backward dW = Aᵀ·B) and the batched GRU projection.
-    let mut rng = StdRng::seed_from_u64(7);
-    let vocab = city.net.num_segments();
-    let (n_rows, dh) = (128usize, 48usize);
-    let x = Tensor::rand_uniform(n_rows, dh, -1.0, 1.0, &mut rng);
-    let w = Tensor::rand_uniform(vocab, dh, -1.0, 1.0, &mut rng);
-    let mut logits = Tensor::zeros(n_rows, vocab);
-    let g = Tensor::rand_uniform(n_rows, vocab, -1.0, 1.0, &mut rng);
-    let mut dw = Tensor::zeros(vocab, dh);
-    let gru_x = Tensor::rand_uniform(8, 24, -1.0, 1.0, &mut rng);
-    let gru_w = Tensor::rand_uniform(24, 144, -1.0, 1.0, &mut rng);
-    let mut gru_out = Tensor::zeros(8, 144);
-
-    let kernels = vec![
-        (
-            format!("matmul_t_{n_rows}x{dh}x{vocab}"),
-            kernel_gmacs(n_rows * dh * vocab, || x.matmul_t_into(&w, &mut logits)),
-        ),
-        (
-            format!("matmul_tn_{n_rows}x{vocab}x{dh}"),
-            kernel_gmacs(n_rows * vocab * dh, || g.matmul_tn_into(&x, &mut dw)),
-        ),
-        (
-            "matmul_8x24x144".to_string(),
-            kernel_gmacs(8 * 24 * 144, || gru_x.matmul_into(&gru_w, &mut gru_out)),
-        ),
-    ];
-    for (name, gmacs) in &kernels {
-        println!("kernel/{name:<28} {gmacs:>8.2} GMAC/s");
+    // Five passes over the whole list, the fastest reading of each kernel
+    // kept: a slow phase of the shared host lasts longer than one kernel's
+    // slice, so repeats must be spread out to step around it.
+    let kernels = (0..5)
+        .map(|_| kernel_runs(city.net.num_segments()))
+        .reduce(|best, pass| {
+            best.into_iter().zip(pass).map(|(a, b)| if b.us < a.us { b } else { a }).collect()
+        })
+        .expect("five passes");
+    for k in &kernels {
+        println!("kernel/{:<28} {:>9.2} us  {:>8.2} GMAC/s", k.name, k.us, k.gmacs);
+    }
+    // No row count is a trap: seven rows are one full tile and a three-row
+    // short tile on the same panels, never a serial chain per element
+    // (which made them cost 3.8x eight rows at the parent).
+    let us_of = |name: &str| kernels.iter().find(|k| k.name == name).expect("timed kernel").us;
+    for form in ["per_call_pack", "packed_once"] {
+        let (seven, eight) =
+            (us_of(&format!("dgh_ut_{form}_m7")), us_of(&format!("dgh_ut_{form}_m8")));
+        assert!(
+            seven < 2.0 * eight,
+            "dgh_ut_{form}: 7 rows took {seven:.1} us against {eight:.1} us for 8"
+        );
     }
 
-    write_json(&runs, take, tokens, epochs, &kernels);
+    write_json(&runs, take, tokens, &kernels);
 
     // Keep a Criterion entry so the harness records something per run.
     c.bench_function("training/noop_marker", |b| b.iter(|| std::hint::black_box(0)));

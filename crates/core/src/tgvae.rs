@@ -116,10 +116,15 @@ impl TgVae {
     ///
     /// Hidden states are row-stacked (`batch x hidden`, mirroring the
     /// inference-side `advance_batch`), shrinking as shorter trajectories
-    /// run out of transitions, so the GRU recurrence and the decoder heads
-    /// run one matrix-matrix product per step instead of `batch`
-    /// matrix-vector products. All per-step hidden rows are then stacked
-    /// once and the prediction heads batch over them: the full-vocab
+    /// run out of transitions, so the GRU recurrence runs one
+    /// matrix-matrix product per step instead of `batch` matrix-vector
+    /// products. The ragged schedule is planned up front, the input-gate
+    /// projection of every (step, trajectory) pair is one GEMM, and the
+    /// whole recurrence is **one** tape node
+    /// ([`tad_autodiff::nn::BoundGru::sequence`]:
+    /// the recurrent weight is packed once per pass, its gradient is one
+    /// GEMM) that returns every step's hidden rows stacked time-major.
+    /// The prediction heads batch over that stack: the full-vocab
     /// ablation runs a single `(N x d)·(d x vocab)` GEMM + fused CE over
     /// every transition of every trajectory, and the road-constrained path
     /// groups transitions sharing a successor set into one subset GEMM + CE
@@ -174,7 +179,7 @@ impl TgVae {
 
         // --- Trajectory decoder: batched ragged recurrence --------------
         let init_pre = self.dec_init.forward(tape, store, r);
-        let mut h = tape.tanh(init_pre);
+        let h = tape.tanh(init_pre);
         let bound = self.gru.bind(tape, store);
         let max_transitions = trajs.iter().map(|t| t.len() - 1).max().expect("non-empty batch");
 
@@ -182,52 +187,31 @@ impl TgVae {
         // still running. Knowing every (step, trajectory) pair in advance
         // lets the GRU input-gate projection for the WHOLE batch run as a
         // single time-major GEMM outside the recurrence (the training-side
-        // `StepCache`), and the per-step prediction rows line up with its
-        // row blocks.
-        let mut schedule: Vec<Vec<usize>> = Vec::with_capacity(max_transitions);
+        // `StepCache`), the recurrence itself be one tape node, and the
+        // prediction rows line up with both.
+        let mut schedule: Vec<Vec<u32>> = Vec::with_capacity(max_transitions);
         {
-            let mut active: Vec<usize> = (0..b).collect();
+            let mut active: Vec<u32> = (0..b as u32).collect();
             for t in 0..max_transitions {
-                active.retain(|&i| trajs[i].len() >= t + 2);
+                active.retain(|&i| trajs[i as usize].len() >= t + 2);
                 if active.is_empty() {
                     break;
                 }
                 schedule.push(active.clone());
             }
         }
-        let all_prevs: Vec<u32> = schedule
+        // One record per stacked hidden row: (prev segment, next segment).
+        let preds: Vec<(u32, u32)> = schedule
             .iter()
             .enumerate()
-            .flat_map(|(t, act)| act.iter().map(move |&i| trajs[i][t]))
+            .flat_map(|(t, act)| {
+                act.iter().map(move |&i| (trajs[i as usize][t], trajs[i as usize][t + 1]))
+            })
             .collect();
+        let all_prevs: Vec<u32> = preds.iter().map(|&(prev, _)| prev).collect();
         let x_all = self.traj_embed.lookup(tape, store, &all_prevs);
         let gx_all = bound.input_gates(tape, x_all);
-
-        let mut step_h: Vec<Var> = Vec::with_capacity(schedule.len());
-        // One record per stacked hidden row: (prev segment, next segment).
-        let mut preds: Vec<(u32, u32)> = Vec::with_capacity(all_prevs.len());
-        let mut offset = 0usize;
-        for (t, act) in schedule.iter().enumerate() {
-            // Step 0 always runs the full batch (every trajectory has at
-            // least one transition), so shrinking only happens for t > 0.
-            if t > 0 && act.len() < schedule[t - 1].len() {
-                // Shorter trajectories ran out: shrink the row-stacked
-                // state to the survivors.
-                let keep: Vec<u32> = schedule[t - 1]
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, i)| act.contains(i))
-                    .map(|(row, _)| row as u32)
-                    .collect();
-                h = tape.select_rows(h, &keep);
-            }
-            h = bound.step_pregated(tape, gx_all, offset, h);
-            offset += act.len();
-            step_h.push(h);
-            preds.extend(act.iter().map(|&i| (trajs[i][t], trajs[i][t + 1])));
-        }
-
-        let h_all = if step_h.len() == 1 { step_h[0] } else { tape.concat_rows(&step_h) };
+        let rows_h = bound.sequence(tape, gx_all, h, &schedule);
         let steps;
 
         if cfg.disable_road_constraint {
@@ -235,7 +219,7 @@ impl TgVae {
             // the LM-TAD-style "full-vocab next-token loss" is a single
             // node instead of one per step.
             let targets: Vec<u32> = preds.iter().map(|&(_, next)| next).collect();
-            let logits = self.out_proj.forward_rowmajor(tape, store, h_all);
+            let logits = self.out_proj.forward_rowmajor(tape, store, rows_h);
             let ce = tape.softmax_cross_entropy(logits, &targets);
             total = tape.add(total, ce);
             steps = targets.len();
@@ -262,8 +246,11 @@ impl TgVae {
             }
             steps = valid_rows.len();
             if steps > 0 {
-                let sub =
-                    if steps == preds.len() { h_all } else { tape.select_rows(h_all, &valid_rows) };
+                let sub = if steps == preds.len() {
+                    rows_h
+                } else {
+                    tape.select_rows(rows_h, &valid_rows)
+                };
                 let ce = self.out_proj.subset_cross_entropy(
                     tape,
                     store,
@@ -717,6 +704,32 @@ mod tests {
                 assert!((a - b).abs() < 1e-4, "grad {} diverged: {a} vs {b}", store.name(id));
             }
         }
+    }
+
+    #[test]
+    fn recurrence_node_allocates_nothing_after_the_first_pass() {
+        // The whole-recurrence node draws its per-pass state (packed U and
+        // Uᵀ, gate aux, the dU stacks) from the tape's pool: once one
+        // forward + backward pass has warmed it, further passes of the same
+        // ragged batch must be served from the pool alone.
+        let (mut store, tg, cfg, mut rng) = build();
+        let succ = toy_successors();
+        let trajs: [&[u32]; 5] =
+            [&[0, 1, 2, 3, 4, 5], &[2, 4, 5], &[5, 0, 1, 2], &[1, 3], &[3, 4, 0, 1, 2, 4, 5]];
+        let eps = Tensor::randn(trajs.len(), cfg.latent_dim, 0.0, 1.0, &mut rng);
+        let mut tape = Tape::new();
+        let mut pass = |tape: &mut Tape| {
+            tape.reset();
+            let loss = tg.loss_batch(tape, &store.clone(), &trajs, eps.clone(), &succ, &cfg);
+            tape.backward(loss.total, &mut store);
+        };
+        pass(&mut tape);
+        let (_, warm_misses) = tape.pool_stats();
+        pass(&mut tape);
+        pass(&mut tape);
+        let (hits, misses) = tape.pool_stats();
+        assert_eq!(misses, warm_misses, "a steady-state pass allocated");
+        assert!(hits > 0);
     }
 
     #[test]

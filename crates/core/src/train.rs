@@ -102,7 +102,6 @@ impl Trainer {
                     let scaled = tape.scale(loss, scale);
                     tape.backward(scaled, &mut model.store);
                     batch_loss += v;
-                    counted += chunk.len();
                 }
                 if !batch_ok {
                     // NaN guard: drop the poisoned gradients entirely.
@@ -118,7 +117,11 @@ impl Trainer {
                     model.store.clip_grad_norm(self.cfg.grad_clip);
                 }
                 adam.step(&mut model.store);
+                // Only an accepted batch enters the epoch mean, numerator
+                // and denominator alike: a batch dropped at a later chunk
+                // must not leave its earlier chunks in the count.
                 epoch_loss += batch_loss;
+                counted += eligible.len();
             }
 
             let mean = if counted > 0 { epoch_loss / counted as f64 } else { f64::NAN };
@@ -205,6 +208,73 @@ mod tests {
             let rel = (a - b).abs() / a.abs().max(1e-12);
             assert!(rel < 1e-6, "epoch {epoch} losses diverged: {a} vs {b} (rel {rel:e})");
         }
+    }
+
+    #[test]
+    fn dropped_batch_leaves_no_trajectory_in_the_epoch_mean() {
+        // micro_batch 1 under batch_size 4: a batch is four one-trajectory
+        // chunks. One trajectory's input embedding row is NaN, so its batch
+        // is dropped at that chunk — after earlier chunks of the same batch
+        // were already evaluated. The epoch mean must be the mean over the
+        // trajectories of the accepted batches only.
+        let city = generate_city(&CityConfig::test_scale(305));
+        let mut cfg = CausalTadConfig::test_scale();
+        cfg.epochs = 1;
+        cfg.micro_batch = 1;
+        cfg.batch_size = 4;
+        // A zero learning rate keeps the parameters fixed, so the expected
+        // losses below need no optimiser of their own.
+        cfg.lr = 0.0;
+        let poisoned_seg = city.data.train[0].segments[0].0;
+        let train: Vec<Trajectory> = city
+            .data
+            .train
+            .iter()
+            .enumerate()
+            .filter(|&(i, t)| i == 0 || t.segments.iter().all(|s| s.0 != poisoned_seg))
+            .map(|(_, t)| t.clone())
+            .take(12)
+            .collect();
+        assert_eq!(train.len(), 12);
+
+        let mut model = CausalTad::new(&city.net, cfg.clone());
+        let table = model
+            .store()
+            .ids()
+            .find(|&id| model.store().name(id) == "tg.traj_embed.table")
+            .expect("decoder input embedding");
+        model.store_mut().value_mut(table).row_mut(poisoned_seg as usize).fill(f32::NAN);
+
+        // The trainer's own walk (same shuffle, same noise stream).
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
+        let mut order: Vec<usize> = (0..train.len()).collect();
+        order.shuffle(&mut rng);
+        let mut tape = Tape::new();
+        let (mut accepted_sum, mut accepted) = (0.0f64, 0usize);
+        let mut evaluated_before_the_drop = 0;
+        for batch in order.chunks(cfg.batch_size) {
+            let mut losses = Vec::new();
+            for &idx in batch {
+                tape.reset();
+                let loss = model.trajectory_loss_batch(&mut tape, &[&train[idx]], &mut rng);
+                losses.push(tape.value(loss).get(0, 0) as f64);
+                if !losses[losses.len() - 1].is_finite() {
+                    break;
+                }
+            }
+            if losses.iter().all(|v| v.is_finite()) {
+                accepted_sum += losses.iter().sum::<f64>();
+                accepted += losses.len();
+            } else {
+                evaluated_before_the_drop = losses.len() - 1;
+            }
+        }
+        assert_eq!(accepted, 8, "exactly one batch of four is dropped");
+        assert!(evaluated_before_the_drop > 0, "the poisoned chunk must not lead its batch");
+
+        let report = Trainer::new(cfg).fit(&mut model, &train);
+        assert!(!report.diverged);
+        assert_eq!(report.epoch_losses, vec![accepted_sum / accepted as f64]);
     }
 
     #[test]
