@@ -7,10 +7,10 @@
 //! relative error is ~1e-7 (verified by tests against `std`), far inside
 //! the 1e-5 tolerance the tape-vs-inference consistency tests demand.
 //! Both the tape-free inference paths and the fused training-time GRU op
-//! ([`crate::Tape::gru_step`]) use them — with identical loop structure,
-//! so taped hidden states match inference bit for bit. The remaining
-//! elementwise tape ops (`sigmoid`/`tanh`/`exp`) keep `std`
-//! transcendentals.
+//! ([`crate::Tape::gru_sequence`]) use them — with identical loop structure,
+//! so taped hidden states match inference bit for bit. The elementwise
+//! tape ops (`sigmoid`/`tanh`/`exp`) and the fused softmax cross-entropy
+//! use them too.
 // The polynomial constants are the exact Cephes coefficients; extra digits
 // document provenance even where f32 rounds them.
 #![allow(clippy::excessive_precision)]

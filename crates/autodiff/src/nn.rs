@@ -3,18 +3,19 @@
 //! Layers own only [`ParamId`]s; the actual tensors live in the shared
 //! [`ParamStore`], so a model is a plain struct of layers plus one store.
 //!
-//! A [`GruCell`] is driven three ways: [`BoundGru::step`] records one fused
-//! node per step (the baselines' per-trajectory loops),
-//! [`BoundGru::input_gates`] + [`BoundGru::sequence`] record a whole
-//! teacher-forced ragged micro-batch as one GEMM plus one recurrence node
-//! (CausalTAD's trainer), and [`GruCell::infer_step`] /
-//! [`GruCell::infer_step_rows`] step without a tape (scoring). All three
-//! produce bit-identical hidden rows.
+//! A [`GruCell`] is driven two ways: [`BoundGru::input_gates`] +
+//! [`BoundGru::sequence`] record a whole teacher-forced pass — one
+//! trajectory or a ragged micro-batch — as one GEMM plus one recurrence
+//! node (every trainer: CausalTAD's and the sequence baselines'), and
+//! [`GruCell::infer_step`] / [`GruCell::infer_step_rows`] step without a
+//! tape (scoring). Both produce bit-identical hidden rows.
+//! [`BoundGru::step_pregated`] and [`BoundGru::step_unfused`] are the
+//! references the node is proven against; nothing trains through them.
 
 use rand::Rng;
 
 use crate::params::{ParamId, ParamStore};
-use crate::tape::{Tape, Var};
+use crate::tape::{add_bias_rows, Tape, Var};
 use crate::tensor::{Tensor, MR};
 
 /// Xavier/Glorot uniform initialisation for a `fan_in x fan_out` matrix.
@@ -200,17 +201,6 @@ impl Linear {
     }
 }
 
-/// Adds a `1 x n` bias row to every row of `out`.
-fn add_bias_rows(out: &mut Tensor, bias: &Tensor) {
-    debug_assert_eq!(bias.rows(), 1);
-    debug_assert_eq!(bias.cols(), out.cols());
-    for r in 0..out.rows() {
-        for (o, &b) in out.row_mut(r).iter_mut().zip(bias.row(0)) {
-            *o += b;
-        }
-    }
-}
-
 fn xavier_uniform_out_in<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
     let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
     Tensor::rand_uniform(fan_out, fan_in, -limit, limit, rng)
@@ -318,8 +308,8 @@ impl GruCell {
         }
     }
 
-    /// Tape-free recurrence step for inference. Bit-identical to
-    /// [`BoundGru::step`]: both use the vectorised
+    /// Tape-free recurrence step for inference. Bit-identical to a step of
+    /// [`BoundGru::sequence`]: both use the vectorised
     /// [`crate::math::fast_sigmoid`]/[`crate::math::fast_tanh`] gate
     /// kernels with the same three-pass loop structure.
     ///
@@ -439,17 +429,6 @@ pub struct BoundGru {
 }
 
 impl BoundGru {
-    /// One recurrence step: `x` is `batch x in_dim`, `h` is `batch x hidden`.
-    ///
-    /// Records a single fused [`Tape::gru_step`] node (vectorised gate
-    /// kernels, hand-fused backward) instead of the ~18 primitive ops of
-    /// [`BoundGru::step_unfused`]. Hidden states are bit-identical to
-    /// [`GruCell::infer_step`] and match the unfused formulation within the
-    /// fast-math gate tolerance (absolute error < 1e-6 per element).
-    pub fn step(&self, tape: &mut Tape, x: Var, h: Var) -> Var {
-        tape.gru_step(x, h, self.w, self.u, self.b)
-    }
-
     /// Computes the input-gate projections `x·W + b` for a whole
     /// row-stacked sequence in one fused GEMM — the training-side
     /// counterpart of the inference `StepCache`. Feed the result to
@@ -465,14 +444,17 @@ impl BoundGru {
     /// `h0`, ascending) still running at step `t`. Returns every step's
     /// hidden rows stacked time-major like `gx_all`. `U` and `Uᵀ` are
     /// packed once per pass and `dU` is a single GEMM; row `i` of step `t`
-    /// is bit-identical to what [`BoundGru::step`] gives that sequence.
+    /// is bit-identical to what [`GruCell::infer_step`] gives that sequence.
     pub fn sequence(&self, tape: &mut Tape, gx_all: Var, h0: Var, schedule: &[Vec<u32>]) -> Var {
         tape.gru_sequence(gx_all, h0, self.u, schedule)
     }
 
-    /// One recurrence step consuming rows `[start, start + h.rows)` of a
-    /// precomputed [`BoundGru::input_gates`] block. Bit-identical to
-    /// [`BoundGru::step`]. Kept as the per-step reference
+    /// One recurrence step (`h` is `batch x hidden`) consuming rows
+    /// `[start, start + h.rows)` of a precomputed [`BoundGru::input_gates`]
+    /// block: a single fused [`Tape::gru_step_pregated`] node. Hidden states
+    /// are bit-identical to [`GruCell::infer_step`] and match
+    /// [`BoundGru::step_unfused`] within the fast-math gate tolerance
+    /// (absolute error < 1e-6 per element). Kept as the per-step reference
     /// [`BoundGru::sequence`] is proven against (with
     /// [`Tape::select_rows`] where a step shrinks and
     /// [`Tape::concat_rows`] over the steps); nothing trains through it.
@@ -480,9 +462,9 @@ impl BoundGru {
         tape.gru_step_pregated(gx_all, start, h, self.u)
     }
 
-    /// The op-by-op GRU formulation using only primitive tape ops. Kept as
-    /// the scalar reference path for equivalence tests and benchmarks of
-    /// the fused step.
+    /// The op-by-op GRU formulation (`x` is `batch x in_dim`) using only
+    /// primitive tape ops. Kept as the reference the fused step is proven
+    /// against and as the recurrence of `TgVae::loss_reference`.
     pub fn step_unfused(&self, tape: &mut Tape, x: Var, h: Var) -> Var {
         let hd = self.hidden;
         let gx0 = tape.matmul(x, self.w);
@@ -675,9 +657,10 @@ mod tests {
         let mut tape = Tape::new();
         let bound = gru.bind(&mut tape, &store);
         let x = tape.input(Tensor::rand_uniform(1, 3, -1.0, 1.0, &mut rng));
+        let gx = bound.input_gates(&mut tape, x);
         let h0 = tape.input(Tensor::zeros(1, 6));
-        let h1 = bound.step(&mut tape, x, h0);
-        let h2 = bound.step(&mut tape, x, h1);
+        let h1 = bound.step_pregated(&mut tape, gx, 0, h0);
+        let h2 = bound.step_pregated(&mut tape, gx, 0, h1);
         assert_eq!(tape.value(h2).shape(), (1, 6));
         // GRU output is a convex combination of tanh outputs and prior state.
         assert!(tape.value(h2).data().iter().all(|&v| v > -1.0 && v < 1.0));
@@ -695,8 +678,9 @@ mod tests {
         let mut tape = Tape::new();
         let bound = gru.bind(&mut tape, &store);
         let x = tape.input(Tensor::zeros(1, 2));
+        let gx = bound.input_gates(&mut tape, x);
         let h0 = tape.input(Tensor::from_vec(1, 2, vec![1.0, -1.0]));
-        let h1 = bound.step(&mut tape, x, h0);
+        let h1 = bound.step_pregated(&mut tape, gx, 0, h0);
         assert!((tape.value(h1).get(0, 0) - 0.5).abs() < 1e-6);
         assert!((tape.value(h1).get(0, 1) + 0.5).abs() < 1e-6);
     }
@@ -731,7 +715,8 @@ mod tests {
         let row_taped = row.forward_rowmajor(&mut tape, &store, x);
         let sub_taped = row.forward_subset(&mut tape, &store, x, &[5, 2]);
         let bound = gru.bind(&mut tape, &store);
-        let gru_taped = bound.step(&mut tape, x, h);
+        let gx = bound.input_gates(&mut tape, x);
+        let gru_taped = bound.step_pregated(&mut tape, gx, 0, h);
         let mlp_taped = mlp.forward(&mut tape, &store, x);
 
         let close = |a: &Tensor, b: &Tensor| {

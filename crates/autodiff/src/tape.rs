@@ -7,12 +7,11 @@
 //!
 //! The op set is exactly what the paper's models need: dense matmuls (plus
 //! the `A·Bᵀ` variant used for projecting onto gathered embedding rows),
-//! elementwise nonlinearities, a fused GRU recurrence step
-//! ([`Tape::gru_step`]) and the whole teacher-forced ragged recurrence of a
-//! micro-batch as one node ([`Tape::gru_sequence`]), row/column slicing and
-//! concatenation for packed gates and micro-batched sequence training,
-//! fused softmax cross-entropy, and a row-wise log-sum-exp for mixture
-//! priors.
+//! elementwise nonlinearities, a whole teacher-forced ragged GRU recurrence
+//! as one node ([`Tape::gru_sequence`] — the one recurrence every model in
+//! the workspace trains through), row/column slicing and concatenation for
+//! packed gates and micro-batched sequence training, fused softmax
+//! cross-entropy, and a row-wise log-sum-exp for mixture priors.
 //!
 //! ## Memory discipline
 //!
@@ -29,12 +28,13 @@
 //! ## Fused ops and their references
 //!
 //! A fused op is proven against the composition it replaces, which stays
-//! in the crate for that purpose and is selected by nothing at run time:
-//! [`Tape::gru_step`] against the ~18 primitive ops of
-//! `BoundGru::step_unfused`, and [`Tape::gru_sequence`] against one
+//! in the crate for that purpose and is selected by nothing at run time.
+//! The recurrence is a two-link chain: [`Tape::gru_sequence`] against one
 //! [`Tape::gru_step_pregated`] per step joined by [`Tape::select_rows`] and
 //! [`Tape::concat_rows`] — bit for bit, gradients included; the node's doc
-//! lists the two evaluation orders it keeps for that.
+//! lists the two evaluation orders it keeps for that — and
+//! [`Tape::gru_step_pregated`] against the ~18 primitive ops of
+//! `BoundGru::step_unfused`, within the fast-math gate tolerance.
 
 use crate::params::{ParamId, ParamStore};
 use crate::pool::TensorPool;
@@ -90,16 +90,6 @@ enum Op {
     Exp(Var),
     /// Natural log; inputs must be strictly positive.
     Ln(Var),
-    /// One fused GRU recurrence step `h' = GRU(x, h)` with packed gates
-    /// `[z | r | n]` in `w`/`u`/`b`. `aux` caches `[z | r | n | nh]` for the
-    /// backward pass.
-    GruStep {
-        x: Var,
-        h: Var,
-        w: Var,
-        u: Var,
-        b: Var,
-    },
     /// GRU step consuming precomputed input gates: rows
     /// `[start, start + h.rows)` of `gx` already hold `x·W + b`, so the
     /// whole sequence's input projection runs as one GEMM outside the
@@ -251,7 +241,7 @@ pub struct Tape {
     ops: Vec<Op>,
     values: Vec<Tensor>,
     /// Cached forward by-products (`SoftmaxCrossEntropy` probabilities,
-    /// `GruStep` gate activations).
+    /// GRU gate activations).
     aux: Vec<Option<Tensor>>,
     /// Buffer pool feeding forward values and backward gradients; persists
     /// across [`Tape::reset`] so repeated passes reuse memory.
@@ -406,11 +396,7 @@ impl Tape {
         if br == ar {
             out.add_assign(b_val);
         } else {
-            for r in 0..ar {
-                for (o, &x) in out.row_mut(r).iter_mut().zip(b_val.row(0)) {
-                    *o += x;
-                }
-            }
+            add_bias_rows(&mut out, b_val);
         }
         self.push(Op::Add(a, b), out)
     }
@@ -498,7 +484,8 @@ impl Tape {
 
     // ----- recurrence -------------------------------------------------------
 
-    /// One fused GRU step `h' = GRU(x, h)` with packed `[z | r | n]` gates:
+    /// One fused GRU step `h' = GRU(x, h)` with packed `[z | r | n]` gates
+    /// and the input-gate projection hoisted out of the recurrence:
     ///
     /// ```text
     /// z = sigmoid(xWz + hUz + bz)
@@ -507,52 +494,13 @@ impl Tape {
     /// h' = n + z * (h - n)
     /// ```
     ///
-    /// `w: in x 3h`, `u: h x 3h`, `b: 1 x 3h` are tape nodes (usually
-    /// `Op::Param` leaves). A single node replaces the ~18 primitive ops
-    /// of the composed formulation, with a hand-fused backward. The gate
-    /// nonlinearities use the vectorised [`crate::math::fast_sigmoid`] /
-    /// [`crate::math::fast_tanh`] kernels and the same three-pass loop
-    /// structure as [`crate::nn::GruCell::infer_step`], so taped training
-    /// steps and tape-free inference steps produce bit-identical hidden
-    /// states.
-    pub fn gru_step(&mut self, x: Var, h: Var, w: Var, u: Var, b: Var) -> Var {
-        let (bsz, hd) = self.value(h).shape();
-        let in_dim = self.value(x).cols();
-        debug_assert_eq!(self.value(x).rows(), bsz, "gru_step: batch mismatch");
-        debug_assert_eq!(self.value(w).shape(), (in_dim, 3 * hd), "gru_step: W shape");
-        debug_assert_eq!(self.value(u).shape(), (hd, 3 * hd), "gru_step: U shape");
-        debug_assert_eq!(self.value(b).shape(), (1, 3 * hd), "gru_step: bias shape");
-
-        let mut gx = self.pool.take_scratch(bsz, 3 * hd);
-        self.values[x.index()].matmul_into(&self.values[w.index()], &mut gx);
-        {
-            let bias = &self.values[b.index()];
-            for r in 0..bsz {
-                for (o, &bb) in gx.row_mut(r).iter_mut().zip(bias.row(0)) {
-                    *o += bb;
-                }
-            }
-        }
-        let mut gh = self.pool.take_scratch(bsz, 3 * hd);
-        self.values[h.index()].matmul_into(&self.values[u.index()], &mut gh);
-
-        let mut out = self.pool.take_scratch(bsz, hd);
-        // aux layout: [z | r | n | nh] per row (nh = the hUn slice, needed
-        // by the backward pass of the n gate).
-        let mut packed = self.pool.take_scratch(bsz, 4 * hd);
-        gru_gate_forward(&gx, 0, &gh, &self.values[h.index()], &mut out, &mut packed);
-        self.pool.recycle(gx);
-        self.pool.recycle(gh);
-        self.push_with_aux(Op::GruStep { x, h, w, u, b }, out, Some(packed))
-    }
-
-    /// [`Tape::gru_step`] with the input-gate projection hoisted out of the
-    /// recurrence: rows `[start, start + h.rows)` of `gx_all` must already
-    /// hold `x·W + b` for this step (typically one [`Tape::linear`] GEMM
-    /// over every timestep of the sequence). Only the recurrent `h·U`
-    /// product remains inside the loop. Hidden states are bit-identical to
-    /// [`Tape::gru_step`] — the big GEMM row-stacks the same ascending-`k`
-    /// accumulation.
+    /// Rows `[start, start + h.rows)` of `gx_all` must already hold
+    /// `x·W + b` for this step (one [`Tape::linear`] GEMM over every
+    /// timestep of the sequence); only the recurrent `h·U` product (`u: h x
+    /// 3h`) remains. The gates use the vectorised
+    /// [`crate::math::fast_sigmoid`] / [`crate::math::fast_tanh`] kernels
+    /// and the loop structure of [`crate::nn::GruCell::infer_step`], so
+    /// taped and tape-free steps produce bit-identical hidden states.
     ///
     /// One of these per step (re-packing `U` for every product, in both
     /// directions) is the reference composition [`Tape::gru_sequence`] is
@@ -565,15 +513,19 @@ impl Tape {
         let mut gh = self.pool.take_scratch(bsz, 3 * hd);
         self.values[h.index()].matmul_into(&self.values[u.index()], &mut gh);
         let mut out = self.pool.take_scratch(bsz, hd);
+        // aux layout: [z | r | n | nh] per row (nh = the hUn slice, needed
+        // by the backward pass of the n gate).
         let mut packed = self.pool.take_scratch(bsz, 4 * hd);
-        gru_gate_forward(
-            &self.values[gx_all.index()],
-            start,
-            &gh,
-            &self.values[h.index()],
-            &mut out,
-            &mut packed,
-        );
+        let (gx, hv) = (&self.values[gx_all.index()], &self.values[h.index()]);
+        for r in 0..bsz {
+            gru_gate_forward_row(
+                gx.row(start + r),
+                gh.row(r),
+                hv.row(r),
+                out.row_mut(r),
+                packed.row_mut(r),
+            );
+        }
         self.pool.recycle(gh);
         self.push_with_aux(Op::GruStepPregated { gx: gx_all, start, h, u }, out, Some(packed))
     }
@@ -685,14 +637,7 @@ impl Tape {
         } else {
             self.values[x.index()].matmul_into(&self.values[w.index()], &mut out);
         }
-        {
-            let bias = &self.values[b.index()];
-            for r in 0..m {
-                for (o, &bb) in out.row_mut(r).iter_mut().zip(bias.row(0)) {
-                    *o += bb;
-                }
-            }
-        }
+        add_bias_rows(&mut out, &self.values[b.index()]);
         self.push(Op::Linear { x, w, b, transposed }, out)
     }
 
@@ -1128,10 +1073,6 @@ impl Tape {
                     }
                     accumulate(grad_slots, pool, *a, g);
                 }
-                Op::GruStep { x, h, w, u, b } => {
-                    gru_step_backward(values, aux, pool, grad_slots, idx, &g, *x, *h, *w, *u, *b);
-                    pool.recycle(g);
-                }
                 Op::GruStepPregated { gx, start, h, u } => {
                     gru_pregated_backward(
                         values, aux, pool, grad_slots, idx, &g, *gx, *start, *h, *u,
@@ -1310,29 +1251,6 @@ impl Tape {
     }
 }
 
-/// Shared fused-GRU gate pass over a block of rows: reads pregated inputs
-/// from rows `[gx_start, gx_start + batch)` of `gx`, the recurrent
-/// projection from `gh`, and fills `out` (`h'`) plus `packed`
-/// (`[z | r | n | nh]`).
-fn gru_gate_forward(
-    gx: &Tensor,
-    gx_start: usize,
-    gh: &Tensor,
-    hv: &Tensor,
-    out: &mut Tensor,
-    packed: &mut Tensor,
-) {
-    for r in 0..hv.rows() {
-        gru_gate_forward_row(
-            gx.row(gx_start + r),
-            gh.row(r),
-            hv.row(r),
-            out.row_mut(r),
-            packed.row_mut(r),
-        );
-    }
-}
-
 /// One row of the fused GRU gates, shared by every taped variant. Same
 /// three-pass loop structure as `GruCell::infer_step_rows`, so taped and
 /// tape-free steps produce bit-identical hidden states.
@@ -1371,11 +1289,11 @@ fn gru_gate_backward_row(
     pk: &[f32],
     g_row: &[f32],
     h_row: &[f32],
-    hd: usize,
     dgx_row: &mut [f32],
     dgh_row: &mut [f32],
     dh_row: &mut [f32],
 ) {
+    let hd = h_row.len();
     let (z, rest) = pk.split_at(hd);
     let (rg, rest) = rest.split_at(hd);
     let (nn, nh) = rest.split_at(hd);
@@ -1405,91 +1323,13 @@ fn gru_gate_backward_row(
     }
 }
 
-/// Backward of the fused GRU step: recovers the gate gradients from the
-/// cached `[z | r | n | nh]` activations, then routes the input / recurrent
-/// weight gradients through the transpose-aware matmul kernels.
-#[allow(clippy::too_many_arguments)]
-fn gru_step_backward(
-    values: &[Tensor],
-    aux: &[Option<Tensor>],
-    pool: &mut TensorPool,
-    grad_slots: &mut [Option<Tensor>],
-    idx: usize,
-    g: &Tensor,
-    x: Var,
-    h: Var,
-    w: Var,
-    u: Var,
-    b: Var,
-) {
-    let packed = aux[idx].as_ref().expect("gru aux missing");
-    let hv = &values[h.index()];
-    let (bsz, hd) = hv.shape();
-
-    // The recurrence reuses h / w / u / b across every step of a sequence,
-    // so their gradient slots almost always exist already — accumulate
-    // straight into them with the `*_acc_into` kernels instead of
-    // materialising per-step products plus an add pass.
-    let ensure =
-        |grad_slots: &mut [Option<Tensor>], pool: &mut TensorPool, v: Var, r: usize, c: usize| {
-            if grad_slots[v.index()].is_none() {
-                grad_slots[v.index()] = Some(pool.take_zeroed(r, c));
-            }
-        };
-
-    let mut dgx = pool.take_scratch(bsz, 3 * hd);
-    let mut dgh = pool.take_scratch(bsz, 3 * hd);
-    ensure(grad_slots, pool, h, bsz, hd);
-    {
-        let dh = grad_slots[h.index()].as_mut().expect("h slot");
-        for row in 0..bsz {
-            gru_gate_backward_row(
-                packed.row(row),
-                g.row(row),
-                hv.row(row),
-                hd,
-                dgx.row_mut(row),
-                dgh.row_mut(row),
-                dh.row_mut(row),
-            );
-        }
-    }
-
-    let wv = &values[w.index()];
-    let uv = &values[u.index()];
-    let xv = &values[x.index()];
-
-    // dx = dgx · Wᵀ (x is a per-step embedding gather — fresh slot).
-    let mut dx = pool.take_scratch(bsz, wv.rows());
-    dgx.matmul_t_into(wv, &mut dx);
-    // dh += dgh · Uᵀ (the direct g·z part is already in the slot).
-    dgh.matmul_t_acc_into(uv, grad_slots[h.index()].as_mut().expect("h slot"));
-    // dW += Xᵀ · dgx
-    ensure(grad_slots, pool, w, wv.rows(), wv.cols());
-    xv.matmul_tn_acc_into(&dgx, grad_slots[w.index()].as_mut().expect("w slot"));
-    // dU += Hᵀ · dgh
-    ensure(grad_slots, pool, u, uv.rows(), uv.cols());
-    hv.matmul_tn_acc_into(&dgh, grad_slots[u.index()].as_mut().expect("u slot"));
-    // db += column sums of dgx
-    ensure(grad_slots, pool, b, 1, 3 * hd);
-    {
-        let db = grad_slots[b.index()].as_mut().expect("b slot");
-        for row in 0..bsz {
-            for (d, &v) in db.row_mut(0).iter_mut().zip(dgx.row(row)) {
-                *d += v;
-            }
-        }
-    }
-
-    pool.recycle(dgx);
-    pool.recycle(dgh);
-    accumulate(grad_slots, pool, x, dx);
-}
-
 /// Backward of the pregated GRU step: gate input gradients are added into
 /// the matching rows of the `gx` slot (the hoisted input-projection GEMM's
-/// own backward handles `W`/`b`); the recurrent terms accumulate in place
-/// like [`gru_step_backward`].
+/// own backward handles `W`/`b`). The recurrence reuses `h` and `u` across
+/// every step of a sequence, so their gradient slots almost always exist
+/// already — the recurrent terms accumulate straight into them with the
+/// `*_acc_into` kernels instead of materialising per-step products plus an
+/// add pass.
 #[allow(clippy::too_many_arguments)]
 fn gru_pregated_backward(
     values: &[Tensor],
@@ -1505,43 +1345,33 @@ fn gru_pregated_backward(
 ) {
     let packed = aux[idx].as_ref().expect("gru aux missing");
     let hv = &values[h.index()];
+    let uv = &values[u.index()];
     let (bsz, hd) = hv.shape();
     let (gxr, gxc) = values[gx.index()].shape();
 
     let mut dgx = pool.take_scratch(bsz, 3 * hd);
     let mut dgh = pool.take_scratch(bsz, 3 * hd);
-    if grad_slots[h.index()].is_none() {
-        grad_slots[h.index()] = Some(pool.take_zeroed(bsz, hd));
-    }
-    let dh = grad_slots[h.index()].as_mut().expect("h slot");
+    let dh = grad_slots[h.index()].get_or_insert_with(|| pool.take_zeroed(bsz, hd));
     for row in 0..bsz {
         gru_gate_backward_row(
             packed.row(row),
             g.row(row),
             hv.row(row),
-            hd,
             dgx.row_mut(row),
             dgh.row_mut(row),
             dh.row_mut(row),
         );
     }
-    let uv = &values[u.index()];
     // dh += dgh · Uᵀ
     dgh.matmul_t_acc_into(uv, dh);
-    if grad_slots[gx.index()].is_none() {
-        grad_slots[gx.index()] = Some(pool.take_zeroed(gxr, gxc));
-    }
-    let gx_slot = grad_slots[gx.index()].as_mut().expect("gx slot");
-    for row in 0..bsz {
-        for (d, &v) in gx_slot.row_mut(start + row).iter_mut().zip(dgx.row(row)) {
-            *d += v;
-        }
+    let gx_slot = grad_slots[gx.index()].get_or_insert_with(|| pool.take_zeroed(gxr, gxc));
+    let gx_rows = &mut gx_slot.data_mut()[start * gxc..(start + bsz) * gxc];
+    for (d, &v) in gx_rows.iter_mut().zip(dgx.data()) {
+        *d += v;
     }
     // dU += Hᵀ · dgh
-    if grad_slots[u.index()].is_none() {
-        grad_slots[u.index()] = Some(pool.take_zeroed(uv.rows(), uv.cols()));
-    }
-    hv.matmul_tn_acc_into(&dgh, grad_slots[u.index()].as_mut().expect("u slot"));
+    let du = grad_slots[u.index()].get_or_insert_with(|| pool.take_zeroed(uv.rows(), uv.cols()));
+    hv.matmul_tn_acc_into(&dgh, du);
     pool.recycle(dgx);
     pool.recycle(dgh);
 }
@@ -1606,7 +1436,6 @@ fn gru_sequence_backward(
                 packed.row(start + r),
                 &g_here[r * hd..(r + 1) * hd],
                 h_row,
-                hd,
                 dgx.row_mut(start + r),
                 &mut dgh[r * 3 * hd..(r + 1) * 3 * hd],
                 &mut dh_prev[r * hd..(r + 1) * hd],
@@ -1697,6 +1526,16 @@ pub fn logsumexp(xs: &[f32]) -> f32 {
     }
     let sum: f64 = xs.iter().map(|&x| ((x - max) as f64).exp()).sum();
     max + (sum as f32).ln()
+}
+
+/// Adds a `1 x n` bias row to every row of `out`.
+pub(crate) fn add_bias_rows(out: &mut Tensor, bias: &Tensor) {
+    debug_assert_eq!(bias.shape(), (1, out.cols()));
+    for r in 0..out.rows() {
+        for (o, &b) in out.row_mut(r).iter_mut().zip(bias.row(0)) {
+            *o += b;
+        }
+    }
 }
 
 /// Adds `g` into the gradient slot of `v`, recycling `g` when the slot is
@@ -1917,6 +1756,7 @@ mod tests {
 
     #[test]
     fn gru_step_matches_composed_ops() {
+        use crate::nn::GruCell;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(17);
@@ -1924,59 +1764,40 @@ mod tests {
         let in_dim = 3;
         let bsz = 4;
         let mut store = ParamStore::new();
-        let w_id = store.add("w", Tensor::rand_uniform(in_dim, 3 * hd, -0.7, 0.7, &mut rng));
-        let u_id = store.add("u", Tensor::rand_uniform(hd, 3 * hd, -0.7, 0.7, &mut rng));
-        let b_id = store.add("b", Tensor::rand_uniform(1, 3 * hd, -0.3, 0.3, &mut rng));
+        let gru = GruCell::new(&mut store, "gru", in_dim, hd, &mut rng);
+        // Wider weights than the Xavier init and a non-zero bias, so the
+        // gates leave their linear range.
+        for id in store.ids().collect::<Vec<_>>() {
+            let (r, c) = store.value(id).shape();
+            *store.value_mut(id) = Tensor::rand_uniform(r, c, -0.7, 0.7, &mut rng);
+        }
+        *store.value_mut(gru.gate_bias()) = Tensor::rand_uniform(1, 3 * hd, -0.3, 0.3, &mut rng);
         let x_t = Tensor::rand_uniform(bsz, in_dim, -1.0, 1.0, &mut rng);
         let h_t = Tensor::rand_uniform(bsz, hd, -0.9, 0.9, &mut rng);
 
-        // Composed reference: the op-by-op GRU formulation.
-        let composed = |tape: &mut Tape, store: &ParamStore| -> Var {
+        // The fused step (hoisted input-gate GEMM + one pregated node)
+        // against the op-by-op formulation of `BoundGru::step_unfused`.
+        let run = |fused: bool| {
+            let mut store = store.clone();
+            let mut tape = Tape::new();
+            let bound = gru.bind(&mut tape, &store);
             let x = tape.input(x_t.clone());
             let h = tape.input(h_t.clone());
-            let w = tape.param(store, w_id);
-            let u = tape.param(store, u_id);
-            let b = tape.param(store, b_id);
-            let gx0 = tape.matmul(x, w);
-            let gx = tape.add(gx0, b);
-            let gh = tape.matmul(h, u);
-            let zx = tape.slice_cols(gx, 0, hd);
-            let zh = tape.slice_cols(gh, 0, hd);
-            let z_in = tape.add(zx, zh);
-            let z = tape.sigmoid(z_in);
-            let rx = tape.slice_cols(gx, hd, hd);
-            let rh = tape.slice_cols(gh, hd, hd);
-            let r_in = tape.add(rx, rh);
-            let r = tape.sigmoid(r_in);
-            let nx = tape.slice_cols(gx, 2 * hd, hd);
-            let nh = tape.slice_cols(gh, 2 * hd, hd);
-            let rnh = tape.mul(r, nh);
-            let n_in = tape.add(nx, rnh);
-            let n = tape.tanh(n_in);
-            let h_minus_n = tape.sub(h, n);
-            let gated = tape.mul(z, h_minus_n);
-            tape.add(n, gated)
+            let out = if fused {
+                let gx = bound.input_gates(&mut tape, x);
+                bound.step_pregated(&mut tape, gx, 0, h)
+            } else {
+                bound.step_unfused(&mut tape, x, h)
+            };
+            let loss = tape.sum_all(out);
+            tape.backward(loss, &mut store);
+            (tape.value(out).clone(), store)
         };
-
-        let mut tape_ref = Tape::new();
-        let out_ref = composed(&mut tape_ref, &store);
-        let loss_ref = tape_ref.sum_all(out_ref);
-        let mut store_ref = store.clone();
-        tape_ref.backward(loss_ref, &mut store_ref);
-
-        let mut tape_fused = Tape::new();
-        let x = tape_fused.input(x_t.clone());
-        let h = tape_fused.input(h_t.clone());
-        let w = tape_fused.param(&store, w_id);
-        let u = tape_fused.param(&store, u_id);
-        let b = tape_fused.param(&store, b_id);
-        let out = tape_fused.gru_step(x, h, w, u, b);
-        let loss = tape_fused.sum_all(out);
-        let mut store_fused = store.clone();
-        tape_fused.backward(loss, &mut store_fused);
+        let (out_ref, store_ref) = run(false);
+        let (out_fused, store_fused) = run(true);
 
         // Values: fast-math gates vs std gates, abs error < 1e-6 each.
-        for (a, b) in tape_fused.value(out).data().iter().zip(tape_ref.value(out_ref).data()) {
+        for (a, b) in out_fused.data().iter().zip(out_ref.data()) {
             assert!((a - b).abs() < 1e-5, "forward {a} vs {b}");
         }
         // Gradients agree to combined fast-math + reassociation tolerance.

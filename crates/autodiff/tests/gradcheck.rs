@@ -180,16 +180,17 @@ proptest! {
     fn gru_two_step_gradients(seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut store = ParamStore::new();
+        // The per-step reference node (`Tape::gru_step_pregated`): two
+        // chained steps reading their rows of one hoisted input-gate GEMM.
         let gru = GruCell::new(&mut store, "gru", 2, 3, &mut rng);
-        let x1 = Tensor::rand_uniform(1, 2, -1.0, 1.0, &mut rng);
-        let x2 = Tensor::rand_uniform(1, 2, -1.0, 1.0, &mut rng);
+        let xs = Tensor::rand_uniform(2, 2, -1.0, 1.0, &mut rng);
         gradcheck(&mut store, move |tape, store| {
             let bound = gru.bind(tape, store);
             let h0 = tape.input(Tensor::zeros(1, 3));
-            let a = tape.input(x1.clone());
-            let b = tape.input(x2.clone());
-            let h1 = bound.step(tape, a, h0);
-            let h2 = bound.step(tape, b, h1);
+            let x_all = tape.input(xs.clone());
+            let gx_all = bound.input_gates(tape, x_all);
+            let h1 = bound.step_pregated(tape, gx_all, 0, h0);
+            let h2 = bound.step_pregated(tape, gx_all, 1, h1);
             let sq = tape.mul(h2, h2);
             tape.sum_all(sq)
         }, 1e-3, 3e-2);

@@ -84,31 +84,46 @@ impl SeqCore {
         self.vocab
     }
 
-    fn step_input(&self, tape: &mut Tape, store: &ParamStore, seg: u32, slot: u8) -> Var {
-        let x = self.embed.lookup(tape, store, &[seg]);
-        match &self.slot_embed {
-            Some(se) => {
-                let s = se.lookup(tape, store, &[slot as u32]);
-                tape.concat_cols(x, s)
-            }
-            None => x,
+    /// Runs `gru` teacher-forced over `tokens` from `h0`, returning every
+    /// step's hidden row (`tokens.len() x hidden`, in order). Every input
+    /// is known up front, so the pass is one embedding lookup (the slot
+    /// embedding concatenated once), one input-gate GEMM and one recurrence
+    /// node whatever the length; each row is bit-identical to stepping
+    /// [`GruCell::infer_step`].
+    fn hidden_rows(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        gru: &GruCell,
+        h0: Var,
+        tokens: &[u32],
+        slot: u8,
+    ) -> Var {
+        let bound = gru.bind(tape, store);
+        let mut x = self.embed.lookup(tape, store, tokens);
+        if let Some(se) = &self.slot_embed {
+            let s = se.lookup(tape, store, &vec![slot as u32; tokens.len()]);
+            x = tape.concat_cols(x, s);
         }
+        let gx = bound.input_gates(tape, x);
+        // One sequence: row 0 of `h0` runs at every step.
+        bound.sequence(tape, gx, h0, &vec![vec![0]; tokens.len()])
     }
 
     /// Runs the encoder GRU over `segments`, returning the final hidden
     /// state (`1 x hidden`).
     pub fn encode(&self, tape: &mut Tape, store: &ParamStore, segments: &[u32], slot: u8) -> Var {
-        let bound = self.enc_gru.bind(tape, store);
-        let mut h = tape.input(Tensor::zeros(1, self.hidden));
-        for &seg in segments {
-            let x = self.step_input(tape, store, seg, slot);
-            h = bound.step(tape, x, h);
+        let h0 = tape.input(Tensor::zeros(1, self.hidden));
+        if segments.is_empty() {
+            return h0;
         }
-        h
+        let rows = self.hidden_rows(tape, store, &self.enc_gru, h0, segments, slot);
+        tape.select_rows(rows, &[segments.len() as u32 - 1])
     }
 
     /// Teacher-forced reconstruction loss of `segments` from initial decoder
-    /// state `h0`: `Σ_j CE(g(h_j), t_{j+1})` over the full vocabulary.
+    /// state `h0`: `Σ_j CE(g(h_j), t_{j+1})` over the full vocabulary — one
+    /// head GEMM and one cross-entropy node over all transitions.
     pub fn decode_nll(
         &self,
         tape: &mut Tape,
@@ -117,20 +132,13 @@ impl SeqCore {
         segments: &[u32],
         slot: u8,
     ) -> Var {
-        let bound = self.dec_gru.bind(tape, store);
-        let mut h = h0;
-        let mut total: Option<Var> = None;
-        for w in segments.windows(2) {
-            let x = self.step_input(tape, store, w[0], slot);
-            h = bound.step(tape, x, h);
-            let logits = self.out.forward_rowmajor(tape, store, h);
-            let ce = tape.softmax_cross_entropy(logits, &[w[1]]);
-            total = Some(match total {
-                Some(t) => tape.add(t, ce),
-                None => ce,
-            });
+        if segments.len() < 2 {
+            return tape.scalar(0.0);
         }
-        total.unwrap_or_else(|| tape.scalar(0.0))
+        let (inputs, targets) = (&segments[..segments.len() - 1], &segments[1..]);
+        let rows = self.hidden_rows(tape, store, &self.dec_gru, h0, inputs, slot);
+        let logits = self.out.forward_rowmajor(tape, store, rows);
+        tape.softmax_cross_entropy(logits, targets)
     }
 
     // ----- tape-free inference -------------------------------------------
@@ -213,6 +221,8 @@ where
         let mut counted = 0usize;
         for batch in order.chunks(cfg.batch_size) {
             let scale = 1.0 / batch.len() as f32;
+            let mut batch_loss = 0.0;
+            let mut batch_counted = 0usize;
             let mut ok = true;
             for &idx in batch {
                 let t = &data[idx];
@@ -228,8 +238,8 @@ where
                 }
                 let scaled = tape.scale(loss, scale);
                 tape.backward(scaled, store);
-                epoch_loss += v;
-                counted += 1;
+                batch_loss += v;
+                batch_counted += 1;
             }
             if !ok {
                 store.zero_grads();
@@ -239,6 +249,10 @@ where
                 store.clip_grad_norm(cfg.grad_clip);
             }
             adam.step(store);
+            // Only an accepted batch enters the epoch mean: a batch dropped
+            // at a later example must not leave its earlier ones counted.
+            epoch_loss += batch_loss;
+            counted += batch_counted;
         }
         let mean = if counted > 0 { epoch_loss / counted as f64 } else { f64::NAN };
         losses.push(mean);
@@ -284,6 +298,15 @@ mod tests {
         assert_eq!(tape.value(h).shape(), (1, cfg.hidden_dim));
         let nll = core.decode_nll(&mut tape, &store, h, &[0, 1, 2], 0);
         assert!(tape.value(nll).get(0, 0) > 0.0);
+
+        // No per-token loop on the tape: a longer sequence records exactly
+        // as many nodes as a short one.
+        let short = tape.len();
+        tape.reset();
+        let segs = [0u32, 1, 2, 3, 0, 1, 2, 3, 0];
+        let h = core.encode(&mut tape, &store, &segs, 0);
+        core.decode_nll(&mut tape, &store, h, &segs, 0);
+        assert_eq!(tape.len(), short);
     }
 
     #[test]
@@ -328,6 +351,33 @@ mod tests {
         });
         assert_eq!(losses.len(), 6);
         assert!(losses.last().unwrap() < &losses[0], "{losses:?}");
+    }
+
+    #[test]
+    fn train_loop_leaves_a_dropped_batch_out_of_the_epoch_mean() {
+        use tad_roadnet::SegmentId;
+        // Trajectory `i` costs `i + 1`, except one that comes back NaN and
+        // poisons its batch.
+        let (n, poisoned, batch_size) = (10u32, 7u32, 4usize);
+        let data: Vec<Trajectory> =
+            (0..n).map(|i| Trajectory::normal(vec![SegmentId(i), SegmentId(i + 1)], 0)).collect();
+        let cfg = BaselineConfig { epochs: 1, batch_size, ..BaselineConfig::test_scale() };
+        let mut visited = Vec::new();
+        let losses = train_loop(&mut ParamStore::new(), &cfg, &data, |tape, _, t, _| {
+            let i = t.segments[0].0;
+            visited.push(i);
+            tape.scalar(if i == poisoned { f32::NAN } else { (i + 1) as f32 })
+        });
+        // The batch is abandoned at the NaN, so everything visited from the
+        // batch's start up to it was dropped; the rest was accepted.
+        let at = visited.iter().position(|&i| i == poisoned).expect("poisoned trajectory visited");
+        let batch_start = at / batch_size * batch_size;
+        assert!(at > batch_start, "the NaN must follow a finite example of its batch");
+        let accepted: Vec<u32> =
+            visited[..batch_start].iter().chain(&visited[at + 1..]).copied().collect();
+        let expected =
+            accepted.iter().map(|&i| (i + 1) as f64).sum::<f64>() / accepted.len() as f64;
+        assert_eq!(losses, vec![expected]);
     }
 
     #[test]

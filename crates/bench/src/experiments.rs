@@ -1,11 +1,11 @@
 //! One function per table/figure of the paper's evaluation section (§VI).
 //!
 //! Every function prints a Markdown table mirroring the paper's rows/series
-//! and returns it (the binaries also dump CSV via `--out`). Absolute values
-//! differ from the paper — the substrate is a synthetic city on CPU — but
-//! the *shape* (method ordering, ID→OOD degradation, λ optimum, O(1)
-//! updates, linear scalability) is the reproduction target recorded in
-//! EXPERIMENTS.md.
+//! and returns it (the `paper` binary also dumps CSV via `--out`). Absolute
+//! values differ from the paper — the substrate is a synthetic city on CPU —
+//! but the *shape* (method ordering, ID→OOD degradation, λ optimum, O(1)
+//! updates, linear scalability) is the reproduction target; README
+//! "Reproducing the paper" has the commands that regenerate it.
 
 use std::time::Instant;
 
@@ -423,9 +423,9 @@ pub fn fig7a(opts: &Opts) -> Table {
     table
 }
 
-/// Extra design ablations DESIGN.md calls out: road-constrained decoding,
-/// SD decoder (posterior collapse), and the §V-E.3 time-factorised scaling
-/// extension.
+/// Extra design ablations (the switches documented on
+/// [`causaltad::CausalTadConfig`]): road-constrained decoding, SD decoder
+/// (posterior collapse), and the §V-E.3 time-factorised scaling extension.
 pub fn ablation_design(opts: &Opts) -> Table {
     let cities = selected_cities(opts);
     let city = &cities[0];
@@ -447,9 +447,9 @@ pub fn ablation_design(opts: &Opts) -> Table {
             c.time_factorised_scaling = true;
             c
         }),
-        // The reproduction adjustment documented in DESIGN.md §5 reverted
-        // to the paper's ambiguous literal reading, plus the tied-embedding
-        // variant:
+        // The reproduction adjustment documented on
+        // `CausalTadConfig::score_includes_sd_nll` reverted to the paper's
+        // ambiguous literal reading, plus the tied-embedding variant:
         ("tied-sd-embedding", {
             let mut c = base.clone();
             c.tie_sd_embedding = true;

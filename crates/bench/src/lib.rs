@@ -1,28 +1,32 @@
 //! # tad-bench
 //!
-//! Benchmark harness for the CausalTAD reproduction: one binary per table
-//! and figure of the paper's evaluation section, plus Criterion
-//! micro-benches for the O(1) online-update claim and the substrates.
+//! Benchmark harness for the CausalTAD reproduction: the `paper` binary
+//! regenerates every table and figure of the paper's evaluation section,
+//! plus Criterion micro-benches for the O(1) online-update claim and the
+//! substrates.
 //!
-//! Binaries (run with `--release`):
+//! `cargo run --release -p tad-bench --bin paper -- <artefact>...`:
 //!
-//! | Binary | Paper artefact |
+//! | Artefact | Paper artefact |
 //! |---|---|
-//! | `table1_id` | Table I — in-distribution evaluation |
-//! | `table2_ood` | Table II — out-of-distribution evaluation |
-//! | `table3_ablation` | Table III — TG-VAE / RP-VAE ablation |
-//! | `fig4_score_map` | Fig. 4 — per-segment score visualisation |
-//! | `fig5_stability` | Fig. 5 — stability vs shift ratio |
-//! | `fig6_online` | Fig. 6 — metric vs observed ratio |
-//! | `fig7_efficiency` | Fig. 7 — training scalability + inference runtime |
-//! | `fig8_lambda` | Fig. 8 — λ sweep |
-//! | `ablation_design` | extra design ablations from DESIGN.md |
-//! | `hostile_streams` | corruption × sanitization-policy ROC-AUC grid |
-//! | `run_all` | Tables I/II + Figs 5/6/7b/8 sharing one training pass |
-//! | `diagnose` | per-pool score decomposition + λ sweep (debugging tool) |
+//! | `table1` | Table I — in-distribution evaluation |
+//! | `table2` | Table II — out-of-distribution evaluation |
+//! | `table3` | Table III — TG-VAE / RP-VAE ablation |
+//! | `fig4` | Fig. 4 — per-segment score visualisation |
+//! | `fig5` | Fig. 5 — stability vs shift ratio |
+//! | `fig6` | Fig. 6 — metric vs observed ratio |
+//! | `fig7` | Fig. 7 — training scalability + inference runtime + fleet throughput |
+//! | `fig8` | Fig. 8 — λ sweep |
+//! | `ablation` | extra design ablations (road constraint, SD decoder, §V-E.3 scaling) |
+//! | `hostile` | corruption × sanitization-policy ROC-AUC grid |
+//! | `all` | Tables I/II + Figs 5/6/7b/8 + training times |
 //!
-//! All binaries accept `--scale quick|paper`, `--city xian|chengdu|both`,
-//! `--out <dir>` (CSV dumps) and `--epochs <n>`.
+//! Artefacts named together share one training pass of the full roster.
+//! `paper` accepts `--scale quick|paper`, `--city xian|chengdu|both`,
+//! `--out <dir>` (CSV dumps) and `--epochs <n>`; README "Reproducing the
+//! paper" has the commands. Other binaries: `diagnose` (per-pool score
+//! decomposition + λ sweep, a debugging tool), `soak` (the serving
+//! ledgers) and `tadbench` (the repository benchmark).
 
 pub mod experiments;
 pub mod opts;

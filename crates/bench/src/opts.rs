@@ -1,4 +1,4 @@
-//! Command-line options shared by every experiment binary.
+//! Command-line options shared by every artefact of the `paper` binary.
 
 use std::path::PathBuf;
 
@@ -29,21 +29,6 @@ impl Default for Opts {
 }
 
 impl Opts {
-    /// Parses `std::env::args()`, exiting with a usage message on error.
-    pub fn from_args() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!(
-                    "usage: <bin> [--scale quick|paper] [--city xian|chengdu|both] \
-                     [--out <dir>] [--epochs <n>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Pure parser, testable without process state.
     pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = Opts::default();

@@ -1,8 +1,8 @@
 //! Plain-text result rendering: Markdown and CSV tables.
 //!
-//! `serde_json` is not on the allowed dependency list, so the experiment
-//! binaries print Markdown (for humans / EXPERIMENTS.md) and CSV (for
-//! plotting) through this small builder.
+//! `serde_json` is not on the allowed dependency list, so `tad-bench`'s
+//! `paper` binary (README "Reproducing the paper") prints Markdown (for
+//! humans) and CSV (for plotting) through this small builder.
 
 /// A simple table: named columns, string cells.
 #[derive(Clone, Debug, Default)]

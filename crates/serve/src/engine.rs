@@ -7,7 +7,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use causaltad::{CausalTad, StepCache};
+use causaltad::CausalTad;
 use tad_metrics::{MetricsSnapshot, Registry};
 
 use crate::delta::{delta_to_bytes, FleetDelta};
@@ -51,10 +51,6 @@ pub struct FleetConfig {
     /// O(1) — the cap can sit at the working-set size without throughput
     /// falling off a cliff when it is hit.
     pub max_sessions_per_shard: usize,
-    /// Precompute the decoder's per-token input projections
-    /// ([`CausalTad::build_step_cache`]) so each batched step skips the
-    /// input-gate matmul. Costs `vocab x 3·hidden` floats of memory.
-    pub use_step_cache: bool,
     /// Per-session ingest sanitization (dedup window, reorder repair, gap
     /// policy). The default is all-off, which leaves the scoring path
     /// byte-identical to an unpoliced engine.
@@ -86,7 +82,6 @@ impl Default for FleetConfig {
             max_batch: 2048,
             session_ttl: Duration::from_secs(300),
             max_sessions_per_shard: 8192,
-            use_step_cache: true,
             policy: StreamPolicy::default(),
             admission_session_watermark: 0,
             admission_queue_watermark: 0,
@@ -296,8 +291,10 @@ impl FleetEngineBuilder {
             Some(image) => Some(partition_image(&model, image, cfg.num_shards)?),
             None => None,
         };
-        let cache: Option<Arc<StepCache>> =
-            cfg.use_step_cache.then(|| Arc::new(model.build_step_cache()));
+        // The decoder's per-token input projections, shared by every shard:
+        // each batched step skips the input-gate matmul for `vocab x
+        // 3·hidden` floats of memory.
+        let cache = Arc::new(model.build_step_cache());
         let stats = Arc::new(FleetStats::new());
         let registry = registry.unwrap_or_default();
         let metrics = ServeMetrics::register(&registry);
@@ -307,7 +304,7 @@ impl FleetEngineBuilder {
             let (tx, rx) = sync_channel::<Ingest>(cfg.queue_capacity);
             let ctx = ShardCtx {
                 model: Arc::clone(&model),
-                cache: cache.clone(),
+                cache: Arc::clone(&cache),
                 cfg: cfg.clone(),
                 stats: Arc::clone(&stats),
                 metrics: metrics.clone(),

@@ -71,7 +71,7 @@ impl Ingest {
 /// Everything a shard worker needs, cloned per shard.
 pub(crate) struct ShardCtx {
     pub model: Arc<CausalTad>,
-    pub cache: Option<Arc<StepCache>>,
+    pub cache: Arc<StepCache>,
     pub cfg: FleetConfig,
     pub stats: Arc<FleetStats>,
     pub metrics: ServeMetrics,
@@ -514,7 +514,7 @@ fn process_batch(
             work.iter_mut().map(|item| item.pending.pop_front().expect("a segment is queued")),
         );
         let wave_started = Instant::now();
-        let scores = ctx.model.push_batch(ctx.cache.as_deref(), work, wave_segs);
+        let scores = ctx.model.push_batch(Some(&ctx.cache), work, wave_segs);
         // One relaxed record per wave, attributed to every segment it
         // scored: the per-segment cost of the latency histogram stays a
         // fraction of an atomic op at realistic widths.

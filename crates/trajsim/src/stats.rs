@@ -1,7 +1,7 @@
 //! Dataset statistics: the quantities that determine whether a generated
 //! city is in the "paper regime" (dense coverage of the popular region,
-//! homogeneous lengths, genuine OOD shift). Used by the `diagnose` tool and
-//! reported in EXPERIMENTS.md.
+//! homogeneous lengths, genuine OOD shift). Used by `tad-bench`'s
+//! `diagnose` tool (see README "Reproducing the paper").
 
 use std::collections::HashMap;
 

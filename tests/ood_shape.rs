@@ -2,9 +2,11 @@
 //! unseen SD pairs, CausalTAD retains usable detection quality while the
 //! conditional baseline degrades sharply (Table II's shape).
 //!
-//! This trains two real models on a mid-sized confounded city, so it is the
-//! slowest test in the repository; the city and the trained CausalTAD are
-//! shared by both tests, and the two trainings overlap.
+//! This trains two real models on a mid-sized confounded city: ~2 s, now
+//! that `tad-autodiff`'s kernels are built optimised in the dev profile too
+//! (root `Cargo.toml`; with them unoptimised it was ~4 min, most of a
+//! `cargo test` run). The city and the trained CausalTAD are shared by both
+//! tests, and the two trainings overlap.
 
 use std::sync::OnceLock;
 
