@@ -15,7 +15,7 @@
 //!   a shared [`ParamStore`].
 //! * [`nn`] — layers ([`nn::Linear`], [`nn::Embedding`], [`nn::GruCell`],
 //!   [`nn::Mlp`], [`nn::GaussianHead`]) that own only parameter handles.
-//! * [`optim`] — [`optim::Adam`] (the paper's optimiser) and [`optim::Sgd`].
+//! * [`optim`] — [`optim::Adam`], the paper's optimiser.
 //!
 //! Correctness of every differentiable op is enforced by finite-difference
 //! gradient checks in `tests/gradcheck.rs` (property-based via `proptest`).

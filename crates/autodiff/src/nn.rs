@@ -594,6 +594,19 @@ impl GaussianHead {
     }
 }
 
+/// Closed-form `KL(N(mu, diag(e^logvar)) || N(0, I))` of an inferred
+/// posterior: `Σ -0.5·(1 + lv − m² − e^lv)` over every element, each term
+/// evaluated in f32 and summed in f64 — the tape-free counterpart of the
+/// KL node the training losses build, shared by every scorer that adds a
+/// KL to a score.
+pub fn gaussian_kl(mu: &Tensor, logvar: &Tensor) -> f64 {
+    mu.data()
+        .iter()
+        .zip(logvar.data())
+        .map(|(&m, &lv)| -0.5 * (1.0 + lv - m * m - lv.exp()) as f64)
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

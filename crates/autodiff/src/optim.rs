@@ -71,30 +71,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent, used as a comparison point and in
-/// adversarial inner loops (FactorVAE's discriminator).
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Applies one update from the gradients in `store`, then zeroes them.
-    pub fn step(&self, store: &mut ParamStore) {
-        for id in store.ids().collect::<Vec<_>>() {
-            let (value, grad) = store.value_grad_mut(id);
-            value.add_scaled(grad, -self.lr);
-        }
-        store.zero_grads();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,20 +99,6 @@ mod tests {
         let x = store.value(id).get(0, 0);
         assert!((x - 3.0).abs() < 1e-2, "x = {x}");
         assert_eq!(adam.steps(), 200);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        let id = store.add("x", Tensor::from_vec(1, 1, vec![10.0]));
-        let sgd = Sgd::new(0.1);
-        for _ in 0..100 {
-            let (mut tape, loss) = quadratic_loss(&store, id);
-            tape.backward(loss, &mut store);
-            sgd.step(&mut store);
-        }
-        let x = store.value(id).get(0, 0);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
     }
 
     #[test]

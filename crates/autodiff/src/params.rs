@@ -4,7 +4,13 @@
 //! references them by [`ParamId`] and `backward` accumulates gradients into
 //! the store. Optimisers then consume `grads` and reset them.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::collections::HashSet;
+
+use bytes::{BufMut, Bytes, BytesMut};
+/// Why [`ParamStore::from_bytes`] refused a blob: the shared reader's
+/// error, under the name this crate has always exported it by.
+pub use tad_codec::ReadError as CodecError;
+use tad_codec::Reader;
 
 use crate::tensor::Tensor;
 
@@ -160,39 +166,50 @@ impl ParamStore {
         buf.freeze()
     }
 
-    /// Deserialises a store written by [`ParamStore::to_bytes`].
-    pub fn from_bytes(mut bytes: Bytes) -> Result<Self, CodecError> {
+    /// Deserialises a store written by [`ParamStore::to_bytes`]. Total:
+    /// every read goes through the checked [`Reader`], so no input can
+    /// panic it or make it reserve more than the input's own length pays
+    /// for.
+    ///
+    /// # Errors
+    /// [`CodecError::Truncated`] naming the field the input ended in (a
+    /// shape whose values cannot fit in what is left included), and
+    /// [`CodecError::Malformed`] for a name that is not UTF-8 or appears
+    /// twice, or for trailing bytes.
+    pub fn from_bytes(bytes: Bytes) -> Result<Self, CodecError> {
+        let mut r = Reader::new(&bytes);
         let mut store = ParamStore::new();
-        if bytes.remaining() < 4 {
-            return Err(CodecError::Truncated("param count"));
+        let mut seen = HashSet::new();
+        // Smallest record: empty name, 0 x 0 shape.
+        for _ in 0..r.count(4 + 4 + 4, "param count")? {
+            let name = std::str::from_utf8(r.blob("name")?)
+                .map_err(|_| CodecError::Malformed("parameter name is not UTF-8"))?;
+            if !seen.insert(name) {
+                return Err(CodecError::Malformed("duplicate parameter name"));
+            }
+            let (rows, cols) = (r.u32("shape")? as usize, r.u32("shape")? as usize);
+            // `rows` rows of `4·cols` bytes fit in what is left, so
+            // `rows·cols` cannot overflow.
+            r.bound(rows, cols.saturating_mul(4), "values")?;
+            let mut data = Vec::with_capacity(rows * cols);
+            for _ in 0..rows * cols {
+                data.push(r.f32("values")?);
+            }
+            store.names.push(name.to_owned());
+            store.values.push(Tensor::from_vec(rows, cols, data));
+            store.grads.push(Tensor::zeros(rows, cols));
         }
-        let count = bytes.get_u32_le() as usize;
-        for _ in 0..count {
-            if bytes.remaining() < 4 {
-                return Err(CodecError::Truncated("name length"));
-            }
-            let name_len = bytes.get_u32_le() as usize;
-            if bytes.remaining() < name_len {
-                return Err(CodecError::Truncated("name bytes"));
-            }
-            let name_bytes = bytes.copy_to_bytes(name_len);
-            let name = String::from_utf8(name_bytes.to_vec()).map_err(|_| CodecError::BadUtf8)?;
-            if bytes.remaining() < 8 {
-                return Err(CodecError::Truncated("shape"));
-            }
-            let rows = bytes.get_u32_le() as usize;
-            let cols = bytes.get_u32_le() as usize;
-            let n = rows * cols;
-            if bytes.remaining() < n * 4 {
-                return Err(CodecError::Truncated("values"));
-            }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(bytes.get_f32_le());
-            }
-            store.add(name, Tensor::from_vec(rows, cols, data));
-        }
+        r.finish()?;
         Ok(store)
+    }
+
+    /// True when `other` registers the same names with the same shapes in
+    /// the same order — the condition under which [`ParamId`]s of one
+    /// store address the other, and the precondition of
+    /// [`ParamStore::copy_values_from`].
+    pub fn same_layout(&self, other: &ParamStore) -> bool {
+        self.names == other.names
+            && self.values.iter().map(Tensor::shape).eq(other.values.iter().map(Tensor::shape))
     }
 
     /// Overwrites this store's values from another store with identical
@@ -206,26 +223,6 @@ impl ParamStore {
         }
     }
 }
-
-/// Errors produced when decoding a serialized [`ParamStore`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum CodecError {
-    /// Input ended before the named field could be read.
-    Truncated(&'static str),
-    /// A parameter name was not valid UTF-8.
-    BadUtf8,
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::Truncated(what) => write!(f, "truncated input while reading {what}"),
-            CodecError::BadUtf8 => write!(f, "parameter name is not valid UTF-8"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use tad_autodiff::nn::{GaussianHead, Linear};
+use tad_autodiff::nn::{gaussian_kl, GaussianHead, Linear};
 use tad_autodiff::optim::Adam;
 use tad_autodiff::{ParamStore, Tape, Tensor, Var};
 use tad_roadnet::RoadNetwork;
@@ -203,12 +203,7 @@ impl Detector for FactorVae {
         let prefix = &toks[..n];
         let h = inner.core.infer_encode(&inner.store, prefix, traj.time_slot);
         let (mu, logvar) = inner.head.infer(&inner.store, &h);
-        let kl: f64 = mu
-            .data()
-            .iter()
-            .zip(logvar.data())
-            .map(|(&m, &lv)| -0.5 * (1.0 + lv - m * m - lv.exp()) as f64)
-            .sum();
+        let kl = gaussian_kl(&mu, &logvar);
         let h0 = inner.dec_init.infer(&inner.store, &mu).map(f32::tanh);
         inner.core.infer_decode_nll(&inner.store, &h0, prefix, traj.time_slot) + kl
     }

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tad_autodiff::nn::{GaussianHead, Linear};
+use tad_autodiff::nn::{gaussian_kl, GaussianHead, Linear};
 use tad_autodiff::{ParamStore, Tensor};
 use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
@@ -65,12 +65,7 @@ impl Vsae {
         let inner = self.inner();
         let h = inner.core.infer_encode(&inner.store, toks, slot);
         let (mu, logvar) = inner.head.infer(&inner.store, &h);
-        let kl: f64 = mu
-            .data()
-            .iter()
-            .zip(logvar.data())
-            .map(|(&m, &lv)| -0.5 * (1.0 + lv - m * m - lv.exp()) as f64)
-            .sum();
+        let kl = gaussian_kl(&mu, &logvar);
         let h0 = inner.dec_init.infer(&inner.store, &mu).map(f32::tanh);
         (h0, kl)
     }

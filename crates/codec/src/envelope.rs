@@ -1,11 +1,10 @@
 //! The workspace's shared binary envelope: magic + version + checksummed,
 //! length-prefixed payload.
 //!
-//! Every binary format in this workspace — the session codec here in
-//! `causaltad` (magic `TADC`), `tad-serve`'s fleet-snapshot codec
-//! (`TADF`), and `tad-net`'s wire frames (`TADN`) — wraps its payload in
-//! the same envelope so one pair of helpers carries the hostile-input
-//! guarantees for all of them:
+//! Every persisted or wire format in this workspace wraps its payload in
+//! the same envelope (ARCHITECTURE.md, "Persisted and wire formats", lists
+//! them), so one pair of helpers carries the hostile-input guarantees for
+//! all of them:
 //!
 //! * **Layout** (little-endian): 4 magic bytes, `u16` version, `u64`
 //!   payload length, the payload, then a FNV-1a 64 checksum of the
@@ -15,14 +14,14 @@
 //!   near-`u64::MAX` length — can panic the decoder. Codecs built on it
 //!   inherit that guarantee for their headers.
 //! * **One taxonomy per format**: failures surface as [`EnvelopeError`],
-//!   which each codec converts into its own error type (e.g.
-//!   [`crate::StateCodecError`]) so callers see a single error enum per
+//!   which each codec converts into its own error type (see
+//!   [`crate::codec_error_from!`]) so callers see a single error enum per
 //!   format.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// FNV-1a 64-bit checksum used by every checksummed-envelope codec in the
-/// workspace (session states, fleet snapshots, wire frames).
+/// workspace.
 pub fn checksum64(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
@@ -32,10 +31,8 @@ pub fn checksum64(data: &[u8]) -> u64 {
     h
 }
 
-/// Failures shared by every checksummed-envelope codec (the session codec
-/// in this crate, `tad-serve`'s fleet-snapshot codec, and `tad-net`'s
-/// frame codec). Each codec maps these into its own error type so callers
-/// see one taxonomy per format.
+/// Failures shared by every checksummed-envelope codec. Each codec maps
+/// these into its own error type so callers see one taxonomy per format.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EnvelopeError {
     /// Magic bytes did not match.

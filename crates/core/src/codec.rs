@@ -1,31 +1,26 @@
 //! Binary persistence for trained CausalTAD models and live scorer
 //! sessions.
 //!
-//! Two codecs live here:
+//! Two codecs live here, both one checksummed [`tad_codec::envelope`]
+//! read back through the checked [`Reader`], so hostile bytes are a typed
+//! error and never a panic:
 //!
-//! * **Model codec** ([`model_to_bytes`] / [`model_from_bytes`]) —
-//!   serialises the configuration, every parameter tensor, and the
-//!   precomputed scaling table, so a model trained offline can be shipped
-//!   to an online-detection service. The road network is *not* embedded —
-//!   the caller supplies it at load time (it defines the successor sets),
-//!   and the codec verifies the vocabulary matches. Layout
-//!   (little-endian): magic `TADM`, version u16, config block,
-//!   scaling-table block (optional), then the [`ParamStore`] blob.
-//! * **Session codec** ([`state_to_bytes`] / [`state_from_bytes`]) —
-//!   serialises one in-flight [`ScorerState`] so a serving layer can
-//!   persist live sessions across a restart (see `tad-serve`'s fleet
-//!   snapshots, which embed these blobs). The blob is a standard
-//!   checksummed envelope ([`seal_envelope`]/[`open_envelope`] from the
-//!   shared [`crate::envelope`] module, also used by the fleet-snapshot
-//!   and wire-frame codecs): magic `TADC`, version u16, u64
-//!   payload length, payload (hidden row, score accumulators, last
-//!   segment, time slot, per-segment trace), then a FNV-1a 64 checksum of
-//!   the payload. Decoding hostile bytes returns a typed
-//!   [`StateCodecError`]; no input can panic the decoder.
-//!
-//! [`ParamStore`]: tad_autodiff::ParamStore
+//! * **Model codec** ([`model_to_bytes`] / [`model_from_bytes`], magic
+//!   `TADW`, version 2) — serialises the configuration, the precomputed
+//!   scaling table (optional) and every parameter tensor, so a model
+//!   trained offline can be shipped to an online-detection service. The
+//!   road network is *not* embedded — the caller supplies it at load time
+//!   (it defines the successor sets), and the codec verifies the
+//!   vocabulary matches. Version 1 (magic `TADM`, no checksum) is refused.
+//! * **Session codec** ([`state_to_bytes`] / [`state_from_bytes`], magic
+//!   `TADC`) — serialises one in-flight [`ScorerState`] (hidden row, score
+//!   accumulators, last segment, time slot, per-segment trace) so a
+//!   serving layer can persist live sessions across a restart (see
+//!   `tad-serve`'s fleet snapshots, which embed these blobs).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use tad_autodiff::ParamStore;
+use tad_codec::{open_envelope, seal_envelope, ReadError, Reader};
 use tad_roadnet::RoadNetwork;
 
 use crate::config::CausalTadConfig;
@@ -33,10 +28,8 @@ use crate::model::CausalTad;
 use crate::online::{ScorerState, SegmentTrace};
 use crate::scaling::ScalingTable;
 
-use crate::envelope::{open_envelope, seal_envelope, EnvelopeError};
-
-const MAGIC: &[u8; 4] = b"TADM";
-const VERSION: u16 = 1;
+const MAGIC: &[u8; 4] = b"TADW";
+const VERSION: u16 = 2;
 
 const STATE_MAGIC: &[u8; 4] = b"TADC";
 const STATE_VERSION: u16 = 1;
@@ -50,7 +43,14 @@ pub enum ModelCodecError {
     BadVersion(u16),
     /// Input ended before the named field could be read.
     Truncated(&'static str),
-    /// The parameter blob failed to decode.
+    /// The payload checksum did not match (bit rot or tampering).
+    ChecksumMismatch,
+    /// The payload parsed but violated a structural invariant (a zero
+    /// dimension, a scaling table that does not index the configured
+    /// tokens, trailing bytes).
+    Malformed(&'static str),
+    /// The parameter blob failed to decode, or does not hold exactly the
+    /// tensors a model of the stored configuration registers.
     BadParams,
     /// The supplied road network's segment count does not match the model.
     VocabMismatch {
@@ -67,7 +67,11 @@ impl std::fmt::Display for ModelCodecError {
             ModelCodecError::BadMagic => write!(f, "bad magic bytes"),
             ModelCodecError::BadVersion(v) => write!(f, "unsupported version {v}"),
             ModelCodecError::Truncated(what) => write!(f, "truncated input at {what}"),
-            ModelCodecError::BadParams => write!(f, "parameter blob failed to decode"),
+            ModelCodecError::ChecksumMismatch => write!(f, "model payload checksum mismatch"),
+            ModelCodecError::Malformed(what) => write!(f, "malformed model: {what}"),
+            ModelCodecError::BadParams => {
+                write!(f, "parameter blob failed to decode or does not fit the configuration")
+            }
             ModelCodecError::VocabMismatch { expected, actual } => {
                 write!(f, "model was trained on {expected} segments, network has {actual}")
             }
@@ -77,12 +81,12 @@ impl std::fmt::Display for ModelCodecError {
 
 impl std::error::Error for ModelCodecError {}
 
+tad_codec::codec_error_from!(ModelCodecError);
+
 /// Serialises a trained model.
 pub fn model_to_bytes(model: &CausalTad) -> Bytes {
     let cfg = model.config();
     let mut buf = BytesMut::with_capacity(1024);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
 
     // Config block.
     buf.put_u32_le(model.vocab() as u32);
@@ -111,84 +115,67 @@ pub fn model_to_bytes(model: &CausalTad) -> Bytes {
     let params = model.store().to_bytes();
     buf.put_u32_le(params.len() as u32);
     buf.put_slice(&params);
-    buf.freeze()
+    seal_envelope(MAGIC, VERSION, buf.freeze())
 }
 
 /// Restores a model serialized by [`model_to_bytes`] against a road
 /// network (which must have the same segment count the model was trained
 /// on).
 ///
+/// Nothing the size of the model is allocated on the blob's say-so: the
+/// parameters decode first (bounded by the input's length), and the model
+/// is built only once the stored dimensions account for exactly those
+/// parameters' scalars.
+///
 /// # Errors
 /// Returns the [`ModelCodecError`] naming what failed: wrong magic or
-/// version, a truncation point, an undecodable parameter blob, or a
-/// vocabulary mismatch against `net`. Decoding never panics.
-pub fn model_from_bytes(net: &RoadNetwork, mut bytes: Bytes) -> Result<CausalTad, ModelCodecError> {
-    if bytes.remaining() < 6 {
-        return Err(ModelCodecError::Truncated("header"));
-    }
-    let mut magic = [0u8; 4];
-    bytes.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(ModelCodecError::BadMagic);
-    }
-    let version = bytes.get_u16_le();
-    if version != VERSION {
-        return Err(ModelCodecError::BadVersion(version));
-    }
-    if bytes.remaining() < 4 * 7 + 8 + 1 + 8 {
-        return Err(ModelCodecError::Truncated("config"));
-    }
-    let vocab = bytes.get_u32_le() as usize;
+/// version, a truncation point, a checksum mismatch, a vocabulary mismatch
+/// against `net`, or parameters, dimensions and scaling table that do not
+/// describe one model. Decoding never panics.
+pub fn model_from_bytes(net: &RoadNetwork, bytes: Bytes) -> Result<CausalTad, ModelCodecError> {
+    let payload = open_envelope(MAGIC, VERSION, bytes)?;
+    let mut r = Reader::new(&payload);
+    let vocab = r.u32("config")? as usize;
     if vocab != net.num_segments() {
         return Err(ModelCodecError::VocabMismatch { expected: vocab, actual: net.num_segments() });
     }
     let mut cfg = CausalTadConfig {
-        embed_dim: bytes.get_u32_le() as usize,
-        hidden_dim: bytes.get_u32_le() as usize,
-        latent_dim: bytes.get_u32_le() as usize,
-        rp_latent_dim: bytes.get_u32_le() as usize,
-        lambda: bytes.get_f64_le(),
-        scaling_mc_samples: bytes.get_u32_le() as usize,
-        num_time_slots: bytes.get_u32_le() as usize,
+        embed_dim: r.u32("config")? as usize,
+        hidden_dim: r.u32("config")? as usize,
+        latent_dim: r.u32("config")? as usize,
+        rp_latent_dim: r.u32("config")? as usize,
+        lambda: r.f64("config")?,
+        scaling_mc_samples: r.u32("config")? as usize,
+        num_time_slots: r.u32("config")? as usize,
         ..CausalTadConfig::default()
     };
-    let flags = bytes.get_u8();
-    apply_flag_bits(&mut cfg, flags);
-    cfg.seed = bytes.get_u64_le();
+    apply_flag_bits(&mut cfg, r.u8("config")?);
+    cfg.seed = r.u64("config")?;
+    let scaling = r.opt("scaling flag", |r| r.blob("scaling blob"))?;
+    let params = r.blob("param blob")?;
+    r.finish()?;
 
-    if bytes.remaining() < 1 {
-        return Err(ModelCodecError::Truncated("scaling flag"));
+    let dims = [vocab, cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, cfg.rp_latent_dim];
+    if dims.contains(&0)
+        || cfg.scaling_mc_samples == 0
+        || (cfg.time_factorised_scaling && cfg.num_time_slots == 0)
+    {
+        return Err(ModelCodecError::Malformed("zero model dimension"));
     }
-    let scaling = if bytes.get_u8() == 1 {
-        if bytes.remaining() < 4 {
-            return Err(ModelCodecError::Truncated("scaling length"));
-        }
-        let len = bytes.get_u32_le() as usize;
-        if bytes.remaining() < len {
-            return Err(ModelCodecError::Truncated("scaling blob"));
-        }
-        let blob = bytes.copy_to_bytes(len);
-        Some(
-            ScalingTable::from_bytes(blob)
-                .map_err(|_| ModelCodecError::Truncated("scaling table"))?,
-        )
-    } else {
-        None
-    };
-
-    if bytes.remaining() < 4 {
-        return Err(ModelCodecError::Truncated("param length"));
+    let store = ParamStore::from_bytes(params.into()).map_err(|_| ModelCodecError::BadParams)?;
+    if CausalTad::num_scalars(vocab, &cfg) != store.num_scalars() as u128 {
+        return Err(ModelCodecError::BadParams);
     }
-    let plen = bytes.get_u32_le() as usize;
-    if bytes.remaining() < plen {
-        return Err(ModelCodecError::Truncated("param blob"));
+    let scaling = scaling.map(|blob| ScalingTable::from_bytes(blob.into())).transpose()?;
+    if scaling.as_ref().is_some_and(|table| !table.fits(vocab, &cfg)) {
+        return Err(ModelCodecError::Malformed("scaling table does not fit the configuration"));
     }
-    let pblob = bytes.copy_to_bytes(plen);
-    let store =
-        tad_autodiff::ParamStore::from_bytes(pblob).map_err(|_| ModelCodecError::BadParams)?;
-
     let mut model = CausalTad::new(net, cfg);
-    model.replace_state(store, scaling);
+    if !model.store.same_layout(&store) {
+        return Err(ModelCodecError::BadParams);
+    }
+    model.store = store;
+    model.scaling = scaling;
     Ok(model)
 }
 
@@ -221,18 +208,33 @@ impl std::fmt::Display for StateCodecError {
 
 impl std::error::Error for StateCodecError {}
 
-impl From<EnvelopeError> for StateCodecError {
-    fn from(e: EnvelopeError) -> Self {
-        match e {
-            EnvelopeError::BadMagic => StateCodecError::BadMagic,
-            EnvelopeError::BadVersion(v) => StateCodecError::BadVersion(v),
-            EnvelopeError::Truncated(what) => StateCodecError::Truncated(what),
-            EnvelopeError::ChecksumMismatch => StateCodecError::ChecksumMismatch,
-            EnvelopeError::TrailingBytes => {
-                StateCodecError::Malformed("trailing bytes after checksum")
-            }
-        }
+tad_codec::codec_error_from!(StateCodecError);
+
+/// Appends a per-segment trace: `u32` length, then per entry `u32`
+/// segment, `f64` nll, `f64` log-scale. Shared by the session codec and
+/// `tad-net`'s `TripComplete` frame.
+pub fn put_trace(trace: &[SegmentTrace], buf: &mut impl BufMut) {
+    buf.put_u32_le(trace.len() as u32);
+    for step in trace {
+        buf.put_u32_le(step.segment);
+        buf.put_f64_le(step.nll);
+        buf.put_f64_le(step.log_scale);
     }
+}
+
+/// Reads a trace written by [`put_trace`].
+///
+/// # Errors
+/// [`ReadError::Truncated`]`("trace entries")` when the announced length
+/// outruns the input.
+pub fn read_trace(r: &mut Reader) -> Result<Vec<SegmentTrace>, ReadError> {
+    r.seq(4 + 8 + 8, "trace entries", |r, _| {
+        Ok(SegmentTrace {
+            segment: r.u32("trace entries")?,
+            nll: r.f64("trace entries")?,
+            log_scale: r.f64("trace entries")?,
+        })
+    })
 }
 
 /// Serialises one live [`ScorerState`]. The blob is self-describing
@@ -255,12 +257,7 @@ pub fn state_to_bytes(state: &ScorerState) -> Bytes {
         None => payload.put_u8(0),
     }
     payload.put_u8(state.time_slot);
-    payload.put_u32_le(state.trace.len() as u32);
-    for step in &state.trace {
-        payload.put_u32_le(step.segment);
-        payload.put_f64_le(step.nll);
-        payload.put_f64_le(step.log_scale);
-    }
+    put_trace(&state.trace, &mut payload);
     seal_envelope(STATE_MAGIC, STATE_VERSION, payload.freeze())
 }
 
@@ -273,57 +270,16 @@ pub fn state_to_bytes(state: &ScorerState) -> Bytes {
 /// version, a truncation point, a checksum mismatch, or a structural
 /// violation of the payload.
 pub fn state_from_bytes(bytes: Bytes) -> Result<ScorerState, StateCodecError> {
-    let mut payload = open_envelope(STATE_MAGIC, STATE_VERSION, bytes)?;
-    let state = parse_state_payload(&mut payload)?;
-    if payload.remaining() != 0 {
-        return Err(StateCodecError::Malformed("trailing payload bytes"));
-    }
-    Ok(state)
-}
-
-fn parse_state_payload(payload: &mut Bytes) -> Result<ScorerState, StateCodecError> {
-    if payload.remaining() < 4 {
-        return Err(StateCodecError::Truncated("hidden width"));
-    }
-    let hidden_cols = payload.get_u32_le() as usize;
-    if hidden_cols.checked_mul(4).is_none_or(|need| payload.remaining() < need) {
-        return Err(StateCodecError::Truncated("hidden row"));
-    }
-    let mut hidden = Vec::with_capacity(hidden_cols);
-    for _ in 0..hidden_cols {
-        hidden.push(payload.get_f32_le());
-    }
-    if payload.remaining() < 8 * 3 + 1 {
-        return Err(StateCodecError::Truncated("accumulators"));
-    }
-    let base_nll = payload.get_f64_le();
-    let traj_nll = payload.get_f64_le();
-    let scale_log_sum = payload.get_f64_le();
-    let last = match payload.get_u8() {
-        0 => None,
-        1 => {
-            if payload.remaining() < 4 {
-                return Err(StateCodecError::Truncated("last segment"));
-            }
-            Some(payload.get_u32_le())
-        }
-        _ => return Err(StateCodecError::Malformed("last-segment flag")),
-    };
-    if payload.remaining() < 1 + 4 {
-        return Err(StateCodecError::Truncated("trace length"));
-    }
-    let time_slot = payload.get_u8();
-    let trace_len = payload.get_u32_le() as usize;
-    if trace_len.checked_mul(20).is_none_or(|need| payload.remaining() < need) {
-        return Err(StateCodecError::Truncated("trace entries"));
-    }
-    let mut trace = Vec::with_capacity(trace_len);
-    for _ in 0..trace_len {
-        let segment = payload.get_u32_le();
-        let nll = payload.get_f64_le();
-        let log_scale = payload.get_f64_le();
-        trace.push(SegmentTrace { segment, nll, log_scale });
-    }
+    let payload = open_envelope(STATE_MAGIC, STATE_VERSION, bytes)?;
+    let mut r = Reader::new(&payload);
+    let hidden = r.seq(4, "hidden row", |r, _| r.f32("hidden row"))?;
+    let base_nll = r.f64("accumulators")?;
+    let traj_nll = r.f64("accumulators")?;
+    let scale_log_sum = r.f64("accumulators")?;
+    let last = r.opt("last-segment flag", |r| r.u32("last segment"))?;
+    let time_slot = r.u8("time slot")?;
+    let trace = read_trace(&mut r)?;
+    r.finish()?;
     Ok(ScorerState::from_parts(hidden, base_nll, traj_nll, scale_log_sum, last, time_slot, trace))
 }
 

@@ -52,7 +52,6 @@ pub mod calibrate;
 mod codec;
 mod config;
 pub mod delta;
-pub mod envelope;
 pub mod generate;
 mod model;
 mod online;
@@ -62,12 +61,11 @@ mod tgvae;
 mod train;
 
 pub use codec::{
-    model_from_bytes, model_to_bytes, state_from_bytes, state_to_bytes, ModelCodecError,
-    StateCodecError,
+    model_from_bytes, model_to_bytes, put_trace, read_trace, state_from_bytes, state_to_bytes,
+    ModelCodecError, StateCodecError,
 };
 pub use config::CausalTadConfig;
 pub use delta::{DeltaChain, DeltaChainError, DeltaId};
-pub use envelope::{checksum64, open_envelope, seal_envelope, EnvelopeError};
 pub use model::CausalTad;
 pub use online::{OnlineError, OnlineScorer, ScorerState, SegmentTrace};
 pub use rpvae::RpVae;

@@ -52,6 +52,14 @@ impl CausalTad {
         CausalTad { cfg, store, tg, rp, scaling: None, successors, vocab }
     }
 
+    /// How many scalars [`CausalTad::new`] registers for `vocab` segments
+    /// under `cfg`, in arithmetic no stored dimension can overflow — the
+    /// model codec compares it with the decoded parameters before it lets
+    /// `new` allocate.
+    pub(crate) fn num_scalars(vocab: usize, cfg: &CausalTadConfig) -> u128 {
+        TgVae::num_scalars(vocab, cfg) + RpVae::num_scalars(vocab, cfg)
+    }
+
     /// Model vocabulary (number of road segments).
     pub fn vocab(&self) -> usize {
         self.vocab
@@ -171,13 +179,6 @@ impl CausalTad {
     /// The precomputed scaling table, if available.
     pub fn scaling(&self) -> Option<&ScalingTable> {
         self.scaling.as_ref()
-    }
-
-    /// Overwrites parameters and scaling table (used by the model codec
-    /// when restoring a persisted model).
-    pub(crate) fn replace_state(&mut self, store: ParamStore, scaling: Option<ScalingTable>) {
-        self.store.copy_values_from(&store);
-        self.scaling = scaling;
     }
 
     /// Starts an online scorer for a trip with the given SD pair and
@@ -330,6 +331,28 @@ mod tests {
         let s = model.score(t);
         let tg = model.score_tg_only(t);
         assert!((s - tg).abs() < 1e-9, "{s} vs {tg}");
+    }
+
+    #[test]
+    fn num_scalars_counts_what_new_registers() {
+        let city = small_city();
+        let vocab = city.net.num_segments();
+        for bits in 0..8u32 {
+            let mut cfg = CausalTadConfig::test_scale();
+            cfg.tie_sd_embedding = bits & 1 != 0;
+            cfg.time_factorised_scaling = bits & 2 != 0;
+            if bits & 4 != 0 {
+                // Pairwise distinct widths: a swapped pair shows up in the count.
+                (cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, cfg.rp_latent_dim) = (5, 7, 3, 2);
+                cfg.num_time_slots = 3;
+            }
+            let model = CausalTad::new(&city.net, cfg.clone());
+            assert_eq!(
+                CausalTad::num_scalars(vocab, &cfg),
+                model.store().num_scalars() as u128,
+                "{cfg:?}"
+            );
+        }
     }
 
     #[test]

@@ -65,6 +65,20 @@ impl RpVae {
         }
     }
 
+    /// Scalars [`RpVae::new`] registers, layer by layer in its order (a
+    /// linear layer is `in·out + out`).
+    pub(crate) fn num_scalars(vocab: usize, cfg: &CausalTadConfig) -> u128 {
+        let slots = if cfg.time_factorised_scaling { cfg.num_time_slots } else { 1 };
+        let [tokens, de, dh, dl] = [
+            vocab as u128 * slots as u128,
+            cfg.embed_dim as u128,
+            cfg.hidden_dim as u128,
+            cfg.rp_latent_dim as u128,
+        ];
+        let linear = |i: u128, o: u128| i * o + o;
+        tokens * de + linear(de, dh) + 2 * linear(dh, dl) + linear(dl, dh) + linear(dh, tokens)
+    }
+
     /// Token id for a segment observed in a time slot.
     pub fn token(&self, seg: u32, slot: u8) -> u32 {
         if self.time_factorised {

@@ -17,10 +17,14 @@
 //! RP-VAE can act as a stand-alone detector in the ablation study
 //! (Table III, row "RP-VAE").
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use rand::Rng;
 
+use tad_autodiff::nn::gaussian_kl;
 use tad_autodiff::{logsumexp, ParamStore, Tensor};
+use tad_codec::{ReadError, Reader};
+
+use crate::config::CausalTadConfig;
 
 use crate::rpvae::RpVae;
 
@@ -53,12 +57,7 @@ impl ScalingTable {
             let (mu, logvar) = rp.encode(store, &[v]);
             let latent = mu.cols();
             // KL(q(e|v) || N(0, I)) in closed form.
-            let kl: f64 = mu
-                .data()
-                .iter()
-                .zip(logvar.data())
-                .map(|(&m, &lv)| -0.5 * (1.0 + lv - m * m - lv.exp()) as f64)
-                .sum();
+            let kl = gaussian_kl(&mu, &logvar);
             // Batch the M samples as rows.
             let mut z = Tensor::zeros(mc_samples, latent);
             for m in 0..mc_samples {
@@ -136,26 +135,37 @@ impl ScalingTable {
     /// Deserialises a table written by [`ScalingTable::to_bytes`].
     ///
     /// # Errors
-    /// Returns a static description of the malformation (truncated header,
-    /// truncated entries, or an entry-count/vocab mismatch); never panics.
-    pub fn from_bytes(mut bytes: Bytes) -> Result<Self, &'static str> {
-        if bytes.remaining() < 13 {
-            return Err("truncated scaling header");
-        }
-        let vocab = bytes.get_u32_le() as usize;
-        let time_factorised = bytes.get_u8() != 0;
-        let num_slots = bytes.get_u32_le() as usize;
-        let n = bytes.get_u32_le() as usize;
-        if bytes.remaining() < n * 16 {
-            return Err("truncated scaling entries");
+    /// Returns the [`ReadError`] naming the malformation (truncated header,
+    /// truncated entries, zero slots, an entry-count/vocab mismatch, or
+    /// trailing bytes); never panics.
+    pub fn from_bytes(bytes: Bytes) -> Result<Self, ReadError> {
+        let mut r = Reader::new(&bytes);
+        let vocab = r.u32("scaling header")? as usize;
+        let time_factorised = r.flag("scaling header")?;
+        let num_slots = r.u32("scaling header")? as usize;
+        let n = r.count(8 + 8, "scaling entries")?;
+        // `token_index` takes `slot % num_slots` and indexes `n` entries.
+        let tokens = if time_factorised { vocab.checked_mul(num_slots) } else { Some(vocab) };
+        if num_slots == 0 || tokens != Some(n) {
+            return Err(ReadError::Malformed("scaling entry count"));
         }
         let mut log_scale = Vec::with_capacity(n);
         let mut elbo = Vec::with_capacity(n);
         for _ in 0..n {
-            log_scale.push(bytes.get_f64_le());
-            elbo.push(bytes.get_f64_le());
+            log_scale.push(r.f64("scaling entries")?);
+            elbo.push(r.f64("scaling entries")?);
         }
+        r.finish()?;
         Ok(ScalingTable { log_scale, elbo, vocab, time_factorised, num_slots })
+    }
+
+    /// True when this table indexes the tokens a model of `vocab` segments
+    /// built from `cfg` looks up — what the model codec checks before it
+    /// pairs a decoded table with decoded parameters.
+    pub(crate) fn fits(&self, vocab: usize, cfg: &CausalTadConfig) -> bool {
+        self.vocab == vocab
+            && self.time_factorised == cfg.time_factorised_scaling
+            && (!self.time_factorised || self.num_slots == cfg.num_time_slots)
     }
 }
 

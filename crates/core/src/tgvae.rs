@@ -14,7 +14,7 @@
 
 use rand::Rng;
 
-use tad_autodiff::nn::{Embedding, GaussianHead, GruCell, Linear};
+use tad_autodiff::nn::{gaussian_kl, Embedding, GaussianHead, GruCell, Linear};
 use tad_autodiff::{logsumexp, ParamStore, Tape, Tensor, Var};
 
 use crate::config::CausalTadConfig;
@@ -89,6 +89,21 @@ impl TgVae {
             out_proj: Linear::new_rowmajor(store, "tg.out_proj", dh, vocab, rng),
             latent_dim: dl,
         }
+    }
+
+    /// Scalars [`TgVae::new`] registers, layer by layer in its order (a
+    /// linear layer is `in·out + out`, the GRU `3·hidden·(in + hidden + 1)`).
+    pub(crate) fn num_scalars(vocab: usize, cfg: &CausalTadConfig) -> u128 {
+        let [v, de, dh, dl] =
+            [vocab, cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim].map(|d| d as u128);
+        let linear = |i: u128, o: u128| i * o + o;
+        let embeds = if cfg.tie_sd_embedding { 1 } else { 2 };
+        embeds * v * de
+            + linear(2 * de, dh)
+            + 2 * linear(dh, dl)
+            + 2 * linear(dl, dh)
+            + 3 * linear(dh, v)
+            + 3 * dh * (de + dh + 1)
     }
 
     /// Builds the training loss `L1(c, t)` for one trajectory on `tape`.
@@ -348,12 +363,7 @@ impl TgVae {
         sd.row_mut(0)[s_emb.cols()..].copy_from_slice(d_emb.row(0));
         let enc_h = self.enc.infer(store, &sd).map(f32::tanh);
         let (mu, logvar) = self.head.infer(store, &enc_h);
-        let kl: f64 = mu
-            .data()
-            .iter()
-            .zip(logvar.data())
-            .map(|(&m, &lv)| -0.5 * (1.0 + lv - m * m - lv.exp()) as f64)
-            .sum();
+        let kl = gaussian_kl(&mu, &logvar);
         (mu, kl)
     }
 

@@ -6,70 +6,10 @@
 //! The counting allocator is process-wide, so this file holds exactly one
 //! test: nothing else allocates while the wave is measured.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+mod counting;
 
 use causaltad::{CausalTad, CausalTadConfig, ScorerState};
 use tad_trajsim::{generate_city, CityConfig};
-
-/// Live heap bytes, and their high-water mark since the last reset.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-impl Counting {
-    fn grew(by: usize) {
-        let live = LIVE.fetch_add(by, Relaxed) + by;
-        PEAK.fetch_max(live, Relaxed);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain statistics.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's obligations are `System.alloc`'s.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            Self::grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's obligations are `System.alloc_zeroed`'s.
-        let p = unsafe { System.alloc_zeroed(layout) };
-        if !p.is_null() {
-            Self::grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator with `layout`, i.e. from
-        // `System` with the same layout.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: `ptr` came from `System` with `layout`; the caller
-        // guarantees `new_size` is valid for its alignment.
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            if new_size >= layout.size() {
-                Self::grew(new_size - layout.size());
-            } else {
-                LIVE.fetch_sub(layout.size() - new_size, Relaxed);
-            }
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 const WIDTH: usize = 8192;
 
@@ -112,10 +52,7 @@ fn push_batch_peak_heap_is_one_tile_not_the_wave() {
         model.push_batch(cache, &mut sessions(tile + 1), &segs[..tile + 1]);
 
         let mut wave = sessions(WIDTH);
-        let before = LIVE.load(Relaxed);
-        PEAK.store(before, Relaxed);
-        let scores = model.push_batch(cache, &mut wave, &segs);
-        let extra = PEAK.load(Relaxed) - before;
+        let (scores, extra) = counting::peak_growth(|| model.push_batch(cache, &mut wave, &segs));
         assert_eq!(scores.len(), WIDTH);
 
         let f32s = std::mem::size_of::<f32>();

@@ -1,7 +1,7 @@
 //! Versioned binary codec for [`MetricsSnapshot`]: the `TADM` format.
 //!
 //! Like every binary format in the workspace, a metrics blob is one
-//! [`causaltad::envelope`] (magic `TADM`, version, length-prefixed
+//! [`tad_codec::envelope`] (magic `TADM`, version, length-prefixed
 //! payload, FNV-1a 64 checksum), so it inherits the envelope's totality
 //! guarantees against truncated or bit-flipped input. The payload encodes
 //! histograms sparsely — only non-zero buckets travel — and the decoder
@@ -10,8 +10,8 @@
 //! which makes encoding a bijection on valid snapshots: re-encoding a
 //! decoded blob reproduces it byte for byte.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use causaltad::envelope::{open_envelope, seal_envelope, EnvelopeError};
+use bytes::{BufMut, Bytes, BytesMut};
+use tad_codec::{open_envelope, seal_envelope, EnvelopeError, ReadError, Reader};
 
 use crate::hist::BUCKETS;
 use crate::registry::{MetricEntry, MetricValue, MetricsSnapshot};
@@ -50,6 +50,15 @@ impl std::error::Error for MetricsCodecError {}
 impl From<EnvelopeError> for MetricsCodecError {
     fn from(e: EnvelopeError) -> Self {
         MetricsCodecError::Envelope(e)
+    }
+}
+
+impl From<ReadError> for MetricsCodecError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated(what) => MetricsCodecError::Truncated(what),
+            ReadError::Malformed(what) => MetricsCodecError::Malformed(what),
+        }
     }
 }
 
@@ -94,14 +103,6 @@ pub fn snapshot_to_bytes(snapshot: &MetricsSnapshot) -> Bytes {
     seal_envelope(METRICS_MAGIC, METRICS_VERSION, buf.freeze())
 }
 
-fn need(buf: &Bytes, n: usize, what: &'static str) -> Result<(), MetricsCodecError> {
-    if buf.remaining() < n {
-        Err(MetricsCodecError::Truncated(what))
-    } else {
-        Ok(())
-    }
-}
-
 /// Decodes a sealed `TADM` envelope back into a snapshot.
 ///
 /// # Errors
@@ -109,59 +110,19 @@ fn need(buf: &Bytes, n: usize, what: &'static str) -> Result<(), MetricsCodecErr
 /// or bucket, zero sparse count, or out-of-range bucket index is reported
 /// as a typed [`MetricsCodecError`].
 pub fn snapshot_from_bytes(bytes: Bytes) -> Result<MetricsSnapshot, MetricsCodecError> {
-    let mut payload = open_envelope(METRICS_MAGIC, METRICS_VERSION, bytes)?;
-    need(&payload, 4, "entry count")?;
-    let n_entries = payload.get_u32_le() as usize;
-    let mut entries: Vec<MetricEntry> = Vec::new();
+    let payload = open_envelope(METRICS_MAGIC, METRICS_VERSION, bytes)?;
+    let mut r = Reader::new(&payload);
     let mut last_key: Option<(String, u8)> = None;
-    for _ in 0..n_entries {
-        need(&payload, 2, "name length")?;
-        let name_len = payload.get_u16_le() as usize;
-        need(&payload, name_len, "name bytes")?;
-        let name = String::from_utf8(payload.copy_to_bytes(name_len).to_vec())
+    // Smallest entry: empty name, kind tag, counter value.
+    let entries = r.seq(2 + 1 + 8, "entries", |r, _| {
+        let name_len = r.u16("name length")? as usize;
+        let name = String::from_utf8(r.bytes(name_len, "name bytes")?.to_vec())
             .map_err(|_| MetricsCodecError::Malformed("metric name is not UTF-8"))?;
-        need(&payload, 1, "kind tag")?;
-        let kind = payload.get_u8();
+        let kind = r.u8("kind tag")?;
         let value = match kind {
-            KIND_COUNTER => {
-                need(&payload, 8, "counter value")?;
-                MetricValue::Counter(payload.get_u64_le())
-            }
-            KIND_GAUGE => {
-                need(&payload, 8, "gauge value")?;
-                MetricValue::Gauge(payload.get_u64_le() as i64)
-            }
-            KIND_HISTOGRAM => {
-                need(&payload, 8 * 3 + 4, "histogram header")?;
-                let sum = payload.get_u64_le();
-                let min = payload.get_u64_le();
-                let max = payload.get_u64_le();
-                let nonzero = payload.get_u32_le() as usize;
-                let mut counts = vec![0u64; BUCKETS];
-                let mut count = 0u64;
-                let mut last_idx: Option<usize> = None;
-                for _ in 0..nonzero {
-                    need(&payload, 2 + 8, "sparse bucket")?;
-                    let idx = payload.get_u16_le() as usize;
-                    let c = payload.get_u64_le();
-                    if idx >= BUCKETS {
-                        return Err(MetricsCodecError::Malformed("bucket index out of range"));
-                    }
-                    if last_idx.is_some_and(|last| idx <= last) {
-                        return Err(MetricsCodecError::Malformed("bucket indices out of order"));
-                    }
-                    if c == 0 {
-                        return Err(MetricsCodecError::Malformed("zero count in sparse bucket"));
-                    }
-                    last_idx = Some(idx);
-                    counts[idx] = c;
-                    count = count.wrapping_add(c);
-                }
-                if count == 0 && (min != u64::MAX || max != 0 || sum != 0) {
-                    return Err(MetricsCodecError::Malformed("non-canonical empty histogram"));
-                }
-                MetricValue::Histogram(HistogramSnapshot { counts, count, sum, min, max })
-            }
+            KIND_COUNTER => MetricValue::Counter(r.u64("counter value")?),
+            KIND_GAUGE => MetricValue::Gauge(r.u64("gauge value")? as i64),
+            KIND_HISTOGRAM => MetricValue::Histogram(read_histogram(r)?),
             _ => return Err(MetricsCodecError::Malformed("unknown metric kind")),
         };
         let key = (name.clone(), kind);
@@ -169,12 +130,39 @@ pub fn snapshot_from_bytes(bytes: Bytes) -> Result<MetricsSnapshot, MetricsCodec
             return Err(MetricsCodecError::Malformed("entries out of (name, kind) order"));
         }
         last_key = Some(key);
-        entries.push(MetricEntry { name, value });
-    }
-    if payload.remaining() != 0 {
-        return Err(MetricsCodecError::Malformed("trailing payload bytes"));
-    }
+        Ok(MetricEntry { name, value })
+    })?;
+    r.finish()?;
     Ok(MetricsSnapshot { entries })
+}
+
+fn read_histogram(r: &mut Reader) -> Result<HistogramSnapshot, MetricsCodecError> {
+    let sum = r.u64("histogram header")?;
+    let min = r.u64("histogram header")?;
+    let max = r.u64("histogram header")?;
+    let mut counts = vec![0u64; BUCKETS];
+    let mut count = 0u64;
+    let mut last_idx: Option<usize> = None;
+    for _ in 0..r.count(2 + 8, "sparse buckets")? {
+        let idx = r.u16("sparse bucket")? as usize;
+        let c = r.u64("sparse bucket")?;
+        if idx >= BUCKETS {
+            return Err(MetricsCodecError::Malformed("bucket index out of range"));
+        }
+        if last_idx.is_some_and(|last| idx <= last) {
+            return Err(MetricsCodecError::Malformed("bucket indices out of order"));
+        }
+        if c == 0 {
+            return Err(MetricsCodecError::Malformed("zero count in sparse bucket"));
+        }
+        last_idx = Some(idx);
+        counts[idx] = c;
+        count = count.wrapping_add(c);
+    }
+    if count == 0 && (min != u64::MAX || max != 0 || sum != 0) {
+        return Err(MetricsCodecError::Malformed("non-canonical empty histogram"));
+    }
+    Ok(HistogramSnapshot { counts, count, sum, min, max })
 }
 
 #[cfg(test)]

@@ -305,15 +305,9 @@ impl Client {
     /// [`ClientError::Server`] when the server reports the barrier failed
     /// (e.g. the engine shut down).
     pub fn flush(&mut self) -> Result<FleetSnapshot, ClientError> {
-        self.retry_loop(|c| {
-            c.send(&Request::Flush)?;
-            c.flush_writes()?;
-            loop {
-                match c.read_one()? {
-                    Response::Stats(stats) => return Ok(stats),
-                    resp => c.queue_or_fail(resp)?,
-                }
-            }
+        self.barrier(&Request::Flush, Client::queue_or_fail, |resp| match resp {
+            Response::Stats(stats) => Ok(stats),
+            other => Err(other),
         })
     }
 
@@ -328,15 +322,9 @@ impl Client {
     /// [`ClientError::Disconnected`] when the server hangs up first, and
     /// [`ClientError::Server`] when the capture failed server-side.
     pub fn snapshot(&mut self) -> Result<Bytes, ClientError> {
-        self.retry_loop(|c| {
-            c.send(&Request::SnapshotRequest)?;
-            c.flush_writes()?;
-            loop {
-                match c.read_one()? {
-                    Response::Snapshot { image } => return Ok(image),
-                    resp => c.queue_or_fail(resp)?,
-                }
-            }
+        self.barrier(&Request::SnapshotRequest, Client::queue_or_fail, |resp| match resp {
+            Response::Snapshot { image } => Ok(image),
+            other => Err(other),
         })
     }
 
@@ -352,15 +340,9 @@ impl Client {
     /// [`ClientError::Server`] when the server reports a fatal error
     /// instead.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
-        self.retry_loop(|c| {
-            c.send(&Request::MetricsRequest)?;
-            c.flush_writes()?;
-            loop {
-                match c.read_one()? {
-                    Response::Metrics(snapshot) => return Ok(snapshot),
-                    resp => c.queue_or_fail(resp)?,
-                }
-            }
+        self.barrier(&Request::MetricsRequest, Client::queue_or_fail, |resp| match resp {
+            Response::Metrics(snapshot) => Ok(snapshot),
+            other => Err(other),
         })
     }
 
@@ -376,15 +358,9 @@ impl Client {
     /// tracking yet, or when sent to a router front (admin frames are
     /// refused there).
     pub fn delta(&mut self) -> Result<Bytes, ClientError> {
-        self.retry_loop(|c| {
-            c.send(&Request::DeltaRequest)?;
-            c.flush_writes()?;
-            loop {
-                match c.read_one()? {
-                    Response::Delta { delta } => return Ok(delta),
-                    resp => c.queue_or_fail_admin(resp)?,
-                }
-            }
+        self.barrier(&Request::DeltaRequest, Client::queue_or_fail_admin, |resp| match resp {
+            Response::Delta { delta } => Ok(delta),
+            other => Err(other),
         })
     }
 
@@ -400,15 +376,9 @@ impl Client {
     /// refuses it (shard queues closed), or a router front rejects the
     /// admin frame.
     pub fn install(&mut self, image: Bytes) -> Result<u64, ClientError> {
-        self.retry_loop(|c| {
-            c.send(&Request::Install { image: image.clone() })?;
-            c.flush_writes()?;
-            loop {
-                match c.read_one()? {
-                    Response::Installed { sessions } => return Ok(sessions),
-                    resp => c.queue_or_fail_admin(resp)?,
-                }
-            }
+        self.barrier(&Request::Install { image }, Client::queue_or_fail_admin, |resp| match resp {
+            Response::Installed { sessions } => Ok(sessions),
+            other => Err(other),
         })
     }
 
@@ -423,15 +393,9 @@ impl Client {
     /// [`ClientError::Server`] when the capture failed server-side or a
     /// router front rejects the admin frame.
     pub fn drain(&mut self) -> Result<Bytes, ClientError> {
-        self.retry_loop(|c| {
-            c.send(&Request::Drain)?;
-            c.flush_writes()?;
-            loop {
-                match c.read_one()? {
-                    Response::Drained { image } => return Ok(image),
-                    resp => c.queue_or_fail_admin(resp)?,
-                }
-            }
+        self.barrier(&Request::Drain, Client::queue_or_fail_admin, |resp| match resp {
+            Response::Drained { image } => Ok(image),
+            other => Err(other),
         })
     }
 
@@ -531,6 +495,30 @@ impl Client {
                 Ok(())
             }
         }
+    }
+
+    /// The one barrier behind `flush` / `snapshot` / `metrics` / `delta` /
+    /// `install` / `drain`: under [`Client::retry_loop`], sends `req`,
+    /// pushes the buffered writes, and reads until `pick` takes a
+    /// response as the reply, handing every response it gives back to
+    /// `park` — [`Client::queue_or_fail`] or
+    /// [`Client::queue_or_fail_admin`].
+    fn barrier<T>(
+        &mut self,
+        req: &Request,
+        park: fn(&mut Client, Response) -> Result<(), ClientError>,
+        pick: impl Fn(Response) -> Result<T, Response>,
+    ) -> Result<T, ClientError> {
+        self.retry_loop(|c| {
+            c.send(req)?;
+            c.flush_writes()?;
+            loop {
+                match pick(c.read_one()?) {
+                    Ok(reply) => return Ok(reply),
+                    Err(other) => park(c, other)?,
+                }
+            }
+        })
     }
 
     /// Runs `op`, and on a transport failure dials a fresh connection

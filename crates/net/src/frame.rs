@@ -1,5 +1,5 @@
 //! The `TADN` wire format: every frame is one standard workspace envelope
-//! ([`causaltad::envelope`]) whose payload is a tag byte plus a
+//! ([`tad_codec::envelope`]) whose payload is a tag byte plus a
 //! little-endian body.
 //!
 //! ```text
@@ -17,9 +17,9 @@
 //! crafted-huge-length inputs all come back as a [`FrameError`], never a
 //! panic (property-tested in the repository's `tests/props.rs`).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use causaltad::envelope::{open_envelope, seal_envelope, EnvelopeError};
-use causaltad::SegmentTrace;
+use bytes::{BufMut, Bytes, BytesMut};
+use causaltad::{put_trace, read_trace, SegmentTrace};
+use tad_codec::{open_envelope, seal_envelope, Reader};
 use tad_metrics::{snapshot_from_bytes, snapshot_to_bytes, MetricsSnapshot};
 use tad_serve::{Completion, Event, FleetSnapshot, PolicyAction, ScoreUpdate, TripId, TripOutcome};
 
@@ -425,17 +425,7 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-impl From<EnvelopeError> for FrameError {
-    fn from(e: EnvelopeError) -> Self {
-        match e {
-            EnvelopeError::BadMagic => FrameError::BadMagic,
-            EnvelopeError::BadVersion(v) => FrameError::BadVersion(v),
-            EnvelopeError::Truncated(what) => FrameError::Truncated(what),
-            EnvelopeError::ChecksumMismatch => FrameError::ChecksumMismatch,
-            EnvelopeError::TrailingBytes => FrameError::Malformed("trailing bytes after checksum"),
-        }
-    }
-}
+tad_codec::codec_error_from!(FrameError);
 
 /// Serialises one request frame (envelope included).
 pub fn request_to_bytes(req: &Request) -> Bytes {
@@ -492,12 +482,7 @@ pub fn response_to_bytes(resp: &Response) -> Bytes {
             payload.put_f64_le(tc.score);
             payload.put_f64_le(tc.likelihood_nll);
             payload.put_f64_le(tc.scale_log_sum);
-            payload.put_u32_le(tc.trace.len() as u32);
-            for step in &tc.trace {
-                payload.put_u32_le(step.segment);
-                payload.put_f64_le(step.nll);
-                payload.put_f64_le(step.log_scale);
-            }
+            put_trace(&tc.trace, &mut payload);
         }
         Response::Stats(s) => {
             payload.put_u8(TAG_STATS);
@@ -588,43 +573,22 @@ pub fn response_to_bytes(resp: &Response) -> Bytes {
 /// Returns the [`FrameError`] naming what failed; response tags come back
 /// as [`FrameError::UnexpectedKind`]. Never panics.
 pub fn request_from_bytes(bytes: Bytes) -> Result<Request, FrameError> {
-    let mut payload = open_envelope(FRAME_MAGIC, FRAME_VERSION, bytes)?;
-    if payload.remaining() < 1 {
-        return Err(FrameError::Truncated("frame tag"));
-    }
-    let tag = payload.get_u8();
-    let req = match tag {
-        TAG_TRIP_START => {
-            if payload.remaining() < 8 + 4 + 4 + 1 {
-                return Err(FrameError::Truncated("trip-start body"));
-            }
-            Request::TripStart {
-                id: payload.get_u64_le(),
-                source: payload.get_u32_le(),
-                dest: payload.get_u32_le(),
-                time_slot: payload.get_u8(),
-            }
-        }
-        TAG_SEGMENT => {
-            if payload.remaining() < 8 + 4 {
-                return Err(FrameError::Truncated("segment body"));
-            }
-            Request::Segment { id: payload.get_u64_le(), seg: payload.get_u32_le() }
-        }
-        TAG_TRIP_END => {
-            if payload.remaining() < 8 {
-                return Err(FrameError::Truncated("trip-end body"));
-            }
-            Request::TripEnd { id: payload.get_u64_le() }
-        }
+    let payload = open_envelope(FRAME_MAGIC, FRAME_VERSION, bytes)?;
+    let mut r = Reader::new(&payload);
+    let req = match r.u8("frame tag")? {
+        TAG_TRIP_START => Request::TripStart {
+            id: r.u64("trip-start body")?,
+            source: r.u32("trip-start body")?,
+            dest: r.u32("trip-start body")?,
+            time_slot: r.u8("trip-start body")?,
+        },
+        TAG_SEGMENT => Request::Segment { id: r.u64("segment body")?, seg: r.u32("segment body")? },
+        TAG_TRIP_END => Request::TripEnd { id: r.u64("trip-end body")? },
         TAG_FLUSH => Request::Flush,
         TAG_SNAPSHOT_REQUEST => Request::SnapshotRequest,
         TAG_METRICS_REQUEST => Request::MetricsRequest,
         TAG_DELTA_REQUEST => Request::DeltaRequest,
-        TAG_INSTALL => {
-            let len = payload.remaining();
-            Request::Install { image: payload.copy_to_bytes(len) }
-        }
+        TAG_INSTALL => Request::Install { image: r.rest().into() },
         TAG_DRAIN => Request::Drain,
         TAG_SCORE | TAG_TRIP_COMPLETE | TAG_STATS | TAG_ERROR | TAG_SNAPSHOT | TAG_METRICS
         | TAG_POLICY_NOTICE | TAG_DELTA | TAG_INSTALLED | TAG_DRAINED => {
@@ -632,9 +596,7 @@ pub fn request_from_bytes(bytes: Bytes) -> Result<Request, FrameError> {
         }
         other => return Err(FrameError::UnknownTag(other)),
     };
-    if payload.remaining() != 0 {
-        return Err(FrameError::Malformed("trailing payload bytes"));
-    }
+    r.finish()?;
     Ok(req)
 }
 
@@ -644,174 +606,77 @@ pub fn request_from_bytes(bytes: Bytes) -> Result<Request, FrameError> {
 /// Returns the [`FrameError`] naming what failed; request tags come back
 /// as [`FrameError::UnexpectedKind`]. Never panics.
 pub fn response_from_bytes(bytes: Bytes) -> Result<Response, FrameError> {
-    let mut payload = open_envelope(FRAME_MAGIC, FRAME_VERSION, bytes)?;
-    if payload.remaining() < 1 {
-        return Err(FrameError::Truncated("frame tag"));
-    }
-    let tag = payload.get_u8();
-    let resp = match tag {
-        TAG_SCORE => {
-            if payload.remaining() < 8 + 4 + 4 + 8 * 3 {
-                return Err(FrameError::Truncated("score body"));
-            }
-            Response::Score(ScoreUpdate {
-                id: payload.get_u64_le(),
-                seq: payload.get_u32_le(),
-                segment: payload.get_u32_le(),
-                score: payload.get_f64_le(),
-                nll: payload.get_f64_le(),
-                log_scale: payload.get_f64_le(),
-            })
-        }
-        TAG_TRIP_COMPLETE => {
-            if payload.remaining() < 8 + 1 + 8 * 3 + 4 {
-                return Err(FrameError::Truncated("trip-complete body"));
-            }
-            let id = payload.get_u64_le();
-            let completion = completion_from_byte(payload.get_u8())
-                .ok_or(FrameError::Malformed("completion code"))?;
-            let score = payload.get_f64_le();
-            let likelihood_nll = payload.get_f64_le();
-            let scale_log_sum = payload.get_f64_le();
-            let trace_len = payload.get_u32_le() as usize;
-            if trace_len.checked_mul(20).is_none_or(|need| payload.remaining() < need) {
-                return Err(FrameError::Truncated("trace entries"));
-            }
-            let mut trace = Vec::with_capacity(trace_len);
-            for _ in 0..trace_len {
-                let segment = payload.get_u32_le();
-                let nll = payload.get_f64_le();
-                let log_scale = payload.get_f64_le();
-                trace.push(SegmentTrace { segment, nll, log_scale });
-            }
-            Response::TripComplete(TripComplete {
-                id,
-                completion,
-                score,
-                likelihood_nll,
-                scale_log_sum,
-                trace,
-            })
-        }
-        TAG_STATS => {
-            if payload.remaining() < 8 * 11 + 8 * 3 {
-                return Err(FrameError::Truncated("stats body"));
-            }
-            Response::Stats(FleetSnapshot {
-                events_ingested: payload.get_u64_le(),
-                segments_scored: payload.get_u64_le(),
-                trips_started: payload.get_u64_le(),
-                trips_completed: payload.get_u64_le(),
-                evictions_ttl: payload.get_u64_le(),
-                evictions_lru: payload.get_u64_le(),
-                rejected: payload.get_u64_le(),
-                off_graph_hits: payload.get_u64_le(),
-                batches: payload.get_u64_le(),
-                active_sessions: payload.get_u64_le(),
-                sessions_restored: payload.get_u64_le(),
-                uptime_secs: payload.get_f64_le(),
-                events_per_sec: payload.get_f64_le(),
-                mean_batch_size: payload.get_f64_le(),
-            })
-        }
+    let payload = open_envelope(FRAME_MAGIC, FRAME_VERSION, bytes)?;
+    let mut r = Reader::new(&payload);
+    let resp = match r.u8("frame tag")? {
+        TAG_SCORE => Response::Score(ScoreUpdate {
+            id: r.u64("score body")?,
+            seq: r.u32("score body")?,
+            segment: r.u32("score body")?,
+            score: r.f64("score body")?,
+            nll: r.f64("score body")?,
+            log_scale: r.f64("score body")?,
+        }),
+        TAG_TRIP_COMPLETE => Response::TripComplete(TripComplete {
+            id: r.u64("trip-complete body")?,
+            completion: completion_from_byte(r.u8("trip-complete body")?)
+                .ok_or(FrameError::Malformed("completion code"))?,
+            score: r.f64("trip-complete body")?,
+            likelihood_nll: r.f64("trip-complete body")?,
+            scale_log_sum: r.f64("trip-complete body")?,
+            trace: read_trace(&mut r)?,
+        }),
+        TAG_STATS => Response::Stats(FleetSnapshot {
+            events_ingested: r.u64("stats body")?,
+            segments_scored: r.u64("stats body")?,
+            trips_started: r.u64("stats body")?,
+            trips_completed: r.u64("stats body")?,
+            evictions_ttl: r.u64("stats body")?,
+            evictions_lru: r.u64("stats body")?,
+            rejected: r.u64("stats body")?,
+            off_graph_hits: r.u64("stats body")?,
+            batches: r.u64("stats body")?,
+            active_sessions: r.u64("stats body")?,
+            sessions_restored: r.u64("stats body")?,
+            uptime_secs: r.f64("stats body")?,
+            events_per_sec: r.f64("stats body")?,
+            mean_batch_size: r.f64("stats body")?,
+        }),
         TAG_ERROR => {
-            if payload.remaining() < 1 + 1 {
-                return Err(FrameError::Truncated("error body"));
-            }
-            let code = ErrorCode::from_byte(payload.get_u8())
+            let code = ErrorCode::from_byte(r.u8("error body")?)
                 .ok_or(FrameError::Malformed("error code"))?;
-            let trip = match payload.get_u8() {
-                0 => None,
-                1 => {
-                    if payload.remaining() < 8 {
-                        return Err(FrameError::Truncated("error trip id"));
-                    }
-                    Some(payload.get_u64_le())
-                }
-                _ => return Err(FrameError::Malformed("error trip flag")),
-            };
-            if payload.remaining() < 1 {
-                return Err(FrameError::Truncated("error retry flag"));
-            }
-            let retry_after_ms = match payload.get_u8() {
-                0 => None,
-                1 => {
-                    if payload.remaining() < 8 {
-                        return Err(FrameError::Truncated("error retry-after"));
-                    }
-                    Some(payload.get_u64_le())
-                }
-                _ => return Err(FrameError::Malformed("error retry flag")),
-            };
-            if payload.remaining() < 2 {
-                return Err(FrameError::Truncated("error detail length"));
-            }
-            let dlen = payload.get_u16_le() as usize;
+            let trip = r.opt("error trip flag", |r| r.u64("error trip id"))?;
+            let retry_after_ms = r.opt("error retry flag", |r| r.u64("error retry-after"))?;
+            let dlen = r.u16("error detail length")? as usize;
             if dlen > MAX_ERROR_DETAIL {
                 return Err(FrameError::Malformed("error detail too long"));
             }
-            if payload.remaining() < dlen {
-                return Err(FrameError::Truncated("error detail"));
-            }
-            let raw = payload.copy_to_bytes(dlen);
-            let detail = std::str::from_utf8(raw.as_ref())
+            let detail = std::str::from_utf8(r.bytes(dlen, "error detail")?)
                 .map_err(|_| FrameError::Malformed("error detail not UTF-8"))?
                 .to_string();
             Response::Error { code, trip, retry_after_ms, detail }
         }
-        TAG_SNAPSHOT => {
-            let len = payload.remaining();
-            Response::Snapshot { image: payload.copy_to_bytes(len) }
-        }
-        TAG_METRICS => {
-            let len = payload.remaining();
-            let blob = payload.copy_to_bytes(len);
-            Response::Metrics(
-                snapshot_from_bytes(blob).map_err(|_| FrameError::Malformed("metrics blob"))?,
-            )
-        }
-        TAG_POLICY_NOTICE => {
-            if payload.remaining() < 8 + 1 + 1 {
-                return Err(FrameError::Truncated("policy-notice body"));
-            }
-            let id = payload.get_u64_le();
-            let action = PolicyAction::from_wire_byte(payload.get_u8())
-                .ok_or(FrameError::Malformed("policy action"))?;
-            let seg = match payload.get_u8() {
-                0 => None,
-                1 => {
-                    if payload.remaining() < 4 {
-                        return Err(FrameError::Truncated("policy-notice segment"));
-                    }
-                    Some(payload.get_u32_le())
-                }
-                _ => return Err(FrameError::Malformed("policy-notice segment flag")),
-            };
-            Response::PolicyNotice { id, action, seg }
-        }
-        TAG_DELTA => {
-            let len = payload.remaining();
-            Response::Delta { delta: payload.copy_to_bytes(len) }
-        }
-        TAG_INSTALLED => {
-            if payload.remaining() < 8 {
-                return Err(FrameError::Truncated("installed body"));
-            }
-            Response::Installed { sessions: payload.get_u64_le() }
-        }
-        TAG_DRAINED => {
-            let len = payload.remaining();
-            Response::Drained { image: payload.copy_to_bytes(len) }
-        }
+        TAG_SNAPSHOT => Response::Snapshot { image: r.rest().into() },
+        TAG_METRICS => Response::Metrics(
+            snapshot_from_bytes(r.rest().into())
+                .map_err(|_| FrameError::Malformed("metrics blob"))?,
+        ),
+        TAG_POLICY_NOTICE => Response::PolicyNotice {
+            id: r.u64("policy-notice body")?,
+            action: PolicyAction::from_wire_byte(r.u8("policy-notice body")?)
+                .ok_or(FrameError::Malformed("policy action"))?,
+            seg: r.opt("policy-notice segment flag", |r| r.u32("policy-notice segment"))?,
+        },
+        TAG_DELTA => Response::Delta { delta: r.rest().into() },
+        TAG_INSTALLED => Response::Installed { sessions: r.u64("installed body")? },
+        TAG_DRAINED => Response::Drained { image: r.rest().into() },
         TAG_TRIP_START | TAG_SEGMENT | TAG_TRIP_END | TAG_FLUSH | TAG_SNAPSHOT_REQUEST
         | TAG_METRICS_REQUEST | TAG_DELTA_REQUEST | TAG_INSTALL | TAG_DRAIN => {
             return Err(FrameError::UnexpectedKind { expected: "response", got: "request" });
         }
         other => return Err(FrameError::UnknownTag(other)),
     };
-    if payload.remaining() != 0 {
-        return Err(FrameError::Malformed("trailing payload bytes"));
-    }
+    r.finish()?;
     Ok(resp)
 }
 
@@ -1053,5 +918,51 @@ mod tests {
         assert_eq!(Request::from(ev).to_event(), Some(ev));
         assert_eq!(Request::Flush.to_event(), None);
         assert_eq!(Request::SnapshotRequest.to_event(), None);
+    }
+
+    /// The five envelope formats encode byte for byte as they did at the
+    /// commit before the byte layer moved into `tad-codec` (where these
+    /// digests were taken): router journals, `TADN` peers of another build
+    /// and `tadbench`'s bit-identity oracle all ride on these bytes.
+    #[test]
+    fn envelope_formats_encode_to_golden_bytes() {
+        use causaltad::{state_to_bytes, ScorerState};
+        use tad_serve::{delta_to_bytes, image_to_bytes, FleetDelta, FleetImage, SessionRecord};
+        let state = ScorerState::from_parts(
+            vec![0.25, -1.5, 3.0],
+            1.25,
+            2.5,
+            -0.75,
+            Some(4),
+            2,
+            vec![SegmentTrace { segment: 4, nll: 0.5, log_scale: 0.1 }],
+        );
+        let record = |id: u64| SessionRecord {
+            id,
+            state: state.clone(),
+            pending: vec![7, 9],
+            ending: id % 2 == 1,
+            idle_micros: 1000 * id,
+        };
+        let image = FleetImage { num_shards: 3, sessions: vec![record(1), record(2)] };
+        let delta = FleetDelta {
+            base_epoch: 4,
+            seq: 2,
+            num_shards: 3,
+            removed: vec![3, 9],
+            sessions: vec![record(5)],
+        };
+        let digest = |blobs: Vec<Bytes>| {
+            tad_codec::checksum64(&blobs.iter().flat_map(|b| b.to_vec()).collect::<Vec<u8>>())
+        };
+        let requests = sample_requests().iter().map(request_to_bytes).collect();
+        let responses = sample_responses().iter().map(response_to_bytes).collect();
+        assert_eq!(digest(requests), 0x858e_f695_50b6_fbbc, "TADN requests");
+        assert_eq!(digest(responses), 0x349a_61e6_de11_74f0, "TADN responses");
+        assert_eq!(digest(vec![state_to_bytes(&state)]), 0x25bb_eac5_5157_1739, "TADC");
+        assert_eq!(digest(vec![image_to_bytes(&image)]), 0x612f_67ac_80fb_06ca, "TADF");
+        assert_eq!(digest(vec![delta_to_bytes(&delta)]), 0xffc5_bdc1_4d2a_e630, "TADD");
+        let metrics = snapshot_to_bytes(&sample_metrics());
+        assert_eq!(digest(vec![metrics]), 0x4f5e_c4a9_59c6_f19b, "TADM");
     }
 }

@@ -50,8 +50,31 @@ use crate::frame::{
 };
 use crate::wire::RecvError;
 
+/// Per-connection, per-tick read budget in bytes, for producer
+/// connections here and for `tad-router`'s backend links. A firehosing
+/// connection yields the tick after this much; a level-triggered poller
+/// re-reports it next tick, keeping latency fair across connections
+/// sharing a worker — and one tick's worth of scores read off a router
+/// link cannot overflow a producer's bounded response queue before the
+/// tick's end drains it.
+pub const READ_BUDGET: usize = 256 << 10;
+
+/// Cap on events coalesced into one cross-connection cohort before the
+/// worker submits mid-tick (bounds per-tick submission latency under
+/// firehose load).
+pub(crate) const MAX_COHORT: usize = 8_192;
+
+/// Kernel accept-queue depth requested at bind (capped by the OS
+/// `somaxconn`). The queue absorbs connect storms while the acceptor
+/// thread is descheduled: with the 128-slot `std` default, a burst of a
+/// few hundred connects on a busy host overflows the queue and the
+/// overflowed peers' SYNs are silently dropped, stalling each of them ~1s
+/// on retransmission before they ever reach the accept-time quota check.
+const ACCEPT_BACKLOG: i32 = 1024;
+
 /// Tunables of the network front-end (the engine has its own
-/// [`tad_serve::FleetConfig`]).
+/// [`tad_serve::FleetConfig`]). Accepted sockets always get `TCP_NODELAY`
+/// (score frames are small and latency-sensitive).
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Cap on one frame's payload length; frames announcing more are
@@ -63,27 +86,15 @@ pub struct NetConfig {
     /// in [`NetStats::responses_dropped`]) instead of growing server
     /// memory.
     pub response_queue: usize,
-    /// Set `TCP_NODELAY` on accepted sockets (score frames are small and
-    /// latency-sensitive).
-    pub nodelay: bool,
     /// Event-loop worker threads multiplexing the connections. `0`
     /// (default) sizes to half the machine's parallelism, clamped to
     /// `1..=4` — ingest decode is cheap next to shard scoring, so a few
     /// pollers drive many connections.
     pub event_workers: usize,
-    /// Per-connection, per-tick read budget in bytes. A firehosing
-    /// connection yields the tick after this much; a level-triggered
-    /// poller re-reports it next tick, keeping latency fair across
-    /// connections sharing a worker.
-    pub read_budget: usize,
     /// Write-backlog mark, in bytes, at which a connection's reads are
     /// paused (a slow consumer must drain responses before sending more
     /// events). Reads resume once the backlog falls to half this.
     pub write_highwater: usize,
-    /// Cap on events coalesced into one cross-connection cohort before
-    /// the worker submits mid-tick (bounds per-tick submission latency
-    /// under firehose load).
-    pub max_cohort: usize,
     /// Cap on concurrently open connections across the whole server
     /// (`0` = unlimited, the default). A connection over the quota is
     /// answered with one typed [`ErrorCode::ConnLimit`] error at accept
@@ -116,15 +127,6 @@ pub struct NetConfig {
     /// sustained rate applies. `0` (the default) uses the per-second rate
     /// as the burst.
     pub rate_limit_burst: u64,
-    /// Kernel accept-queue depth requested at bind (default 1024, capped
-    /// by the OS `somaxconn`; `0` keeps the platform default, typically
-    /// 128). The queue absorbs connect storms while the acceptor thread
-    /// is descheduled: with the 128-slot default, a burst of a few
-    /// hundred connects on a busy host overflows the queue and the
-    /// overflowed peers' SYNs are silently dropped, stalling each of
-    /// them ~1s on retransmission before they ever reach the
-    /// accept-time quota check.
-    pub accept_backlog: usize,
 }
 
 impl Default for NetConfig {
@@ -132,16 +134,12 @@ impl Default for NetConfig {
         NetConfig {
             max_frame_len: DEFAULT_MAX_FRAME,
             response_queue: 65_536,
-            nodelay: true,
             event_workers: 0,
-            read_budget: 256 << 10,
             write_highwater: 1 << 20,
-            max_cohort: 8_192,
             max_connections: 0,
             idle_timeout: None,
             rate_limit_segments_per_s: 0,
             rate_limit_burst: 0,
-            accept_backlog: 1024,
         }
     }
 }
@@ -337,8 +335,7 @@ pub struct FrontShared {
 }
 
 impl FrontShared {
-    /// A front door with no connections yet. Of `cfg`, the door reads
-    /// everything but [`NetConfig::max_cohort`].
+    /// A front door with no connections yet.
     pub fn new(cfg: NetConfig, counters: FrontCounters) -> Arc<FrontShared> {
         Arc::new(FrontShared {
             cfg,
@@ -724,7 +721,7 @@ impl<S: EventSource<T>, T: Read + Write> FrontDoor<S, T> {
     fn service_read(&mut self, id: u64, events: &mut Vec<FrontEvent>) {
         let Some(wc) = self.conns.get_mut(&id) else { return };
         let mut frames = Vec::new();
-        let status = wc.conn.read_frames(self.shared.cfg.read_budget, &mut frames);
+        let status = wc.conn.read_frames(READ_BUDGET, &mut frames);
         if !frames.is_empty() {
             // Decoded frames are activity: the idle clock restarts.
             wc.last_activity = Instant::now();
@@ -1065,7 +1062,7 @@ impl FrontListener {
         acceptor_name: &str,
         run: impl Fn(FrontDoor<PollSource, TcpStream>) + Clone + Send + 'static,
     ) -> std::io::Result<FrontListener> {
-        widen_accept_backlog(&listener, shared.cfg.accept_backlog);
+        widen_accept_backlog(&listener);
         let local_addr = listener.local_addr()?;
         let sources = (0..shared.cfg.resolved_workers())
             .map(|_| PollSource::new())
@@ -1119,21 +1116,17 @@ impl FrontListener {
 /// exposes no backlog parameter). On Linux a second `listen` on a
 /// listening socket just updates the backlog, and the kernel clamps the
 /// request to `somaxconn` — so this is best-effort by construction and
-/// the return value is deliberately ignored. `0` keeps the std default.
-/// See [`NetConfig::accept_backlog`] for why it matters.
-fn widen_accept_backlog(listener: &TcpListener, backlog: usize) {
+/// the return value is deliberately ignored. See [`ACCEPT_BACKLOG`] for
+/// why it matters.
+fn widen_accept_backlog(listener: &TcpListener) {
     use std::os::fd::AsRawFd;
     extern "C" {
         fn listen(fd: i32, backlog: i32) -> i32;
     }
-    if backlog == 0 {
-        return;
-    }
-    let capped = i32::try_from(backlog).unwrap_or(i32::MAX);
     // SAFETY: `listen` on a valid listening fd mutates only kernel-side
     // socket state; the fd stays owned by `listener`.
     unsafe {
-        let _ = listen(listener.as_raw_fd(), capped);
+        let _ = listen(listener.as_raw_fd(), ACCEPT_BACKLOG);
     }
 }
 
@@ -1146,9 +1139,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<FrontShared>, wakers: Vec<Poll
             break;
         }
         let Ok(stream) = stream else { continue };
-        if shared.cfg.nodelay {
-            let _ = stream.set_nodelay(true);
-        }
+        let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
             continue;
         }

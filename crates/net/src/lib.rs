@@ -10,7 +10,7 @@
 //! ## Wire format
 //!
 //! Every frame is one standard workspace envelope (see
-//! [`causaltad::envelope`]), little-endian throughout:
+//! [`tad_codec::envelope`]), little-endian throughout:
 //!
 //! | Offset | Size | Field |
 //! |---|---|---|
@@ -110,7 +110,7 @@ pub use frame::{
 };
 pub use front::{
     ConnectionStats, FrontCounters, FrontDoor, FrontEvent, FrontListener, FrontShared, NetConfig,
-    NetStats,
+    NetStats, READ_BUDGET,
 };
 pub use server::{EventLoop, IngestCore, NetError, NetServer, NetServerBuilder};
 pub use wire::{read_response, write_request, FrameAssembler, RecvError};

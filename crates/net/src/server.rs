@@ -69,7 +69,7 @@ use crate::evloop::EventSource;
 use crate::frame::{ErrorCode, FrameError, Request, Response};
 use crate::front::{
     ConnectionStats, FrontCounters, FrontDoor, FrontEvent, FrontListener, FrontShared, NetConfig,
-    NetStats,
+    NetStats, MAX_COHORT,
 };
 
 /// Why the server could not be built or bound.
@@ -569,7 +569,7 @@ impl<S: EventSource<T>, T: Read + Write> EventLoop<S, T> {
         self.cohort.push(ev);
         self.cohort_meta.push(CohortEntry { conn: id, trip, is_start });
         self.door.charge(id);
-        if self.cohort.len() >= self.core.front.cfg.max_cohort {
+        if self.cohort.len() >= MAX_COHORT {
             self.submit_cohort();
         }
     }

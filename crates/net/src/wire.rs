@@ -17,7 +17,7 @@
 use std::io::{Read, Write};
 
 use bytes::Bytes;
-use causaltad::envelope::ENVELOPE_HEADER_LEN;
+use tad_codec::ENVELOPE_HEADER_LEN;
 
 use crate::frame::{
     request_to_bytes, response_from_bytes, FrameError, Request, Response, FRAME_MAGIC,

@@ -34,17 +34,11 @@ use std::sync::mpsc::SyncSender;
 use bytes::Bytes;
 use tad_net::{
     request_to_bytes, response_from_bytes, Conn, EventSource, Interest, ReadStatus, Request,
-    Response,
+    Response, READ_BUDGET,
 };
 
 use crate::journal::Journal;
 use crate::server::BarrierKind;
-
-/// Per-link, per-tick cap on bytes decoded from a backend, so one
-/// snapshot-sized reply burst cannot starve the other connections — and
-/// so one tick's worth of scores cannot overflow a producer's bounded
-/// response queue before the tick's end drains it.
-const READ_BUDGET: usize = 256 << 10;
 
 /// A mapped link with this many unflushed bytes stops the loop reading
 /// producers; reads resume once every mapped link is below half.

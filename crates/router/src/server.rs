@@ -101,7 +101,8 @@ use crate::journal::Journal;
 use crate::partition::{backend_for, split_image};
 
 /// Tunables of the router tier (each backend engine has its own
-/// [`tad_serve::FleetConfig`] behind its own `tad-net` server).
+/// [`tad_serve::FleetConfig`] behind its own `tad-net` server). Accepted
+/// and backend sockets always get `TCP_NODELAY`.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// Cap on one frame's payload length, applied to front requests and
@@ -132,14 +133,6 @@ pub struct RouterConfig {
     /// Without standbys nothing is ever parked: dead backends answer
     /// immediately.
     pub failover_wait: Duration,
-    /// Set `TCP_NODELAY` on accepted and backend sockets.
-    pub nodelay: bool,
-    /// Kernel accept-queue depth requested for the front listening
-    /// socket (default 1024, capped by the OS `somaxconn`; `0` keeps the
-    /// platform default, typically 128). See
-    /// [`NetConfig::accept_backlog`] for why the 128-slot default stalls
-    /// connect storms of a few hundred producers.
-    pub accept_backlog: usize,
 }
 
 impl Default for RouterConfig {
@@ -149,8 +142,6 @@ impl Default for RouterConfig {
             response_queue: 65_536,
             journal_limit: 8_192,
             failover_wait: Duration::from_secs(10),
-            nodelay: true,
-            accept_backlog: 1024,
         }
     }
 }
@@ -364,10 +355,9 @@ impl RouterMetrics {
     }
 }
 
-/// The producer side is the `tad-net` front door with the router's four
-/// front knobs and one worker; everything else (read budget; no quota,
-/// idle timeout or rate limit) is its default — except the write
-/// high-water mark. The door stops *reading* a producer once that many
+/// The producer side is the `tad-net` front door with the router's two
+/// front knobs and one worker; everything else (no quota, idle timeout or
+/// rate limit) is its default — except the write high-water mark. The door stops *reading* a producer once that many
 /// reply bytes sit unflushed behind its socket, and at the 1 MiB default
 /// the router would stall producers for bursts they did not cause: a
 /// dead backend fails every live trip of a connection at once (a full
@@ -381,8 +371,6 @@ pub(crate) fn front_config(cfg: &RouterConfig) -> NetConfig {
         max_frame_len: cfg.max_frame_len,
         response_queue: cfg.response_queue,
         write_highwater: cfg.response_queue.saturating_mul(1 << 10),
-        nodelay: cfg.nodelay,
-        accept_backlog: cfg.accept_backlog,
         event_workers: 1,
         ..NetConfig::default()
     }
@@ -832,9 +820,7 @@ impl RouterServerBuilder {
         for (index, backend_addr) in backends.into_iter().chain(standbys).enumerate() {
             let connect = |error| RouterError::BackendConnect { index, error };
             let stream = TcpStream::connect(backend_addr).map_err(connect)?;
-            if cfg.nodelay {
-                let _ = stream.set_nodelay(true);
-            }
+            let _ = stream.set_nodelay(true);
             // The loop drives this socket through readiness, never a
             // blocking call.
             stream.set_nonblocking(true).map_err(connect)?;

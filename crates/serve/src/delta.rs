@@ -13,12 +13,11 @@
 //! cursor, so a skipped, repeated, or cross-epoch delta is a typed
 //! [`DeltaChainError`], never a silently wrong reconstruction.
 //!
-//! The binary format is the workspace's standard checksummed envelope:
-//! magic `TADD`, version u16, then base epoch, sequence number, shard
-//! count, the tombstoned trip ids, and the dirty sessions in the same
-//! record layout as the `TADF` image codec. Decoding hostile bytes
-//! returns a typed [`SnapshotCodecError`]; no input can panic the
-//! decoder.
+//! The binary format is one checksummed [`tad_codec::envelope`] (magic
+//! `TADD`) whose payload is the base epoch, sequence number, shard count,
+//! the tombstoned trip ids, and the dirty sessions in the same record
+//! layout as the `TADF` image codec. Decoding hostile bytes returns a
+//! typed [`SnapshotCodecError`]; no input can panic the decoder.
 //!
 //! A restore from a reconstructed image is **score-bit-identical** to a
 //! restore from a full image taken at the same quiesce point: dirty
@@ -29,8 +28,9 @@
 
 use std::collections::HashMap;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use causaltad::{open_envelope, seal_envelope, DeltaChain, DeltaChainError, DeltaId};
+use bytes::{BufMut, Bytes, BytesMut};
+use causaltad::{DeltaChain, DeltaChainError, DeltaId};
+use tad_codec::{open_envelope, seal_envelope, Reader};
 
 use crate::event::TripId;
 use crate::snapshot::{
@@ -91,35 +91,14 @@ pub fn delta_to_bytes(delta: &FleetDelta) -> Bytes {
 /// input must be one delta (trailing bytes are rejected); decoding never
 /// panics, whatever the input.
 pub fn delta_from_bytes(bytes: Bytes) -> Result<FleetDelta, SnapshotCodecError> {
-    let mut payload = open_envelope(MAGIC, VERSION, bytes)?;
-    if payload.remaining() < 8 + 8 + 4 + 4 {
-        return Err(SnapshotCodecError::Truncated("delta header"));
-    }
-    let base_epoch = payload.get_u64_le();
-    let seq = payload.get_u64_le();
-    let num_shards = payload.get_u32_le();
-    let removed_len = payload.get_u32_le() as usize;
-    if removed_len.checked_mul(8).is_none_or(|need| payload.remaining() < need) {
-        return Err(SnapshotCodecError::Truncated("tombstones"));
-    }
-    let mut removed = Vec::with_capacity(removed_len);
-    for _ in 0..removed_len {
-        removed.push(payload.get_u64_le());
-    }
-    if payload.remaining() < 4 {
-        return Err(SnapshotCodecError::Truncated("session count"));
-    }
-    let count = payload.get_u32_le() as usize;
-    if count.checked_mul(MIN_RECORD_LEN).is_none_or(|need| payload.remaining() < need) {
-        return Err(SnapshotCodecError::Truncated("session records"));
-    }
-    let mut sessions = Vec::with_capacity(count);
-    for index in 0..count {
-        sessions.push(decode_record(&mut payload, index)?);
-    }
-    if payload.remaining() != 0 {
-        return Err(SnapshotCodecError::Malformed("trailing payload bytes"));
-    }
+    let payload = open_envelope(MAGIC, VERSION, bytes)?;
+    let mut r = Reader::new(&payload);
+    let base_epoch = r.u64("delta header")?;
+    let seq = r.u64("delta header")?;
+    let num_shards = r.u32("delta header")?;
+    let removed = r.seq(8, "tombstones", |r, _| r.u64("tombstones"))?;
+    let sessions = r.seq(MIN_RECORD_LEN, "session records", decode_record)?;
+    r.finish()?;
     Ok(FleetDelta { base_epoch, seq, num_shards, removed, sessions })
 }
 

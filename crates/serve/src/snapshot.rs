@@ -10,13 +10,11 @@
 //! ahead of the snapshot request, then replies with clones of its live
 //! sessions, oldest first.
 //!
-//! The binary format is the workspace's standard checksummed envelope
-//! ([`causaltad::seal_envelope`]/[`causaltad::open_envelope`], shared with
-//! the session codec; little-endian): magic `TADF`, version u16, u64
-//! payload length, payload (shard count, session count, then per-session
-//! records embedding each state as a length-prefixed
-//! [`causaltad::state_to_bytes`] blob), and a trailing FNV-1a 64 checksum
-//! of the payload. Decoding hostile bytes returns a typed
+//! The binary format is one checksummed [`tad_codec::envelope`] (magic
+//! `TADF`) whose little-endian payload is the shard count, the session
+//! count, then per-session records embedding each state as a
+//! length-prefixed [`causaltad::state_to_bytes`] blob. It is read back
+//! through the checked [`Reader`]: decoding hostile bytes returns a typed
 //! [`SnapshotCodecError`]; no input can panic the decoder.
 //!
 //! A restored engine resumes scoring **bit-identically**: restoring a
@@ -24,11 +22,9 @@
 //! exactly the scores of an uninterrupted run (the umbrella `fleet.rs`
 //! integration test enforces this).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use causaltad::{
-    open_envelope, seal_envelope, state_from_bytes, state_to_bytes, EnvelopeError, ScorerState,
-    StateCodecError,
-};
+use bytes::{BufMut, Bytes, BytesMut};
+use causaltad::{state_from_bytes, state_to_bytes, ScorerState, StateCodecError};
+use tad_codec::{open_envelope, seal_envelope, Reader};
 
 use crate::event::TripId;
 
@@ -156,19 +152,7 @@ impl std::fmt::Display for SnapshotCodecError {
 
 impl std::error::Error for SnapshotCodecError {}
 
-impl From<EnvelopeError> for SnapshotCodecError {
-    fn from(e: EnvelopeError) -> Self {
-        match e {
-            EnvelopeError::BadMagic => SnapshotCodecError::BadMagic,
-            EnvelopeError::BadVersion(v) => SnapshotCodecError::BadVersion(v),
-            EnvelopeError::Truncated(what) => SnapshotCodecError::Truncated(what),
-            EnvelopeError::ChecksumMismatch => SnapshotCodecError::ChecksumMismatch,
-            EnvelopeError::TrailingBytes => {
-                SnapshotCodecError::Malformed("trailing bytes after checksum")
-            }
-        }
-    }
-}
+tad_codec::codec_error_from!(SnapshotCodecError);
 
 /// Why a live snapshot (full, checkpoint, delta, or drain capture) could
 /// not be taken.
@@ -224,36 +208,14 @@ pub(crate) fn encode_record(rec: &SessionRecord, payload: &mut BytesMut) {
 /// `index` is the record's position in its list, carried into
 /// [`SnapshotCodecError::BadSession`] for diagnostics.
 pub(crate) fn decode_record(
-    payload: &mut Bytes,
+    r: &mut Reader,
     index: usize,
 ) -> Result<SessionRecord, SnapshotCodecError> {
-    if payload.remaining() < 8 + 8 + 1 + 4 {
-        return Err(SnapshotCodecError::Truncated("record header"));
-    }
-    let id = payload.get_u64_le();
-    let idle_micros = payload.get_u64_le();
-    let ending = match payload.get_u8() {
-        0 => false,
-        1 => true,
-        _ => return Err(SnapshotCodecError::Malformed("ending flag")),
-    };
-    let pending_len = payload.get_u32_le() as usize;
-    if pending_len.checked_mul(4).is_none_or(|need| payload.remaining() < need) {
-        return Err(SnapshotCodecError::Truncated("pending segments"));
-    }
-    let mut pending = Vec::with_capacity(pending_len);
-    for _ in 0..pending_len {
-        pending.push(payload.get_u32_le());
-    }
-    if payload.remaining() < 4 {
-        return Err(SnapshotCodecError::Truncated("state length"));
-    }
-    let state_len = payload.get_u32_le() as usize;
-    if payload.remaining() < state_len {
-        return Err(SnapshotCodecError::Truncated("state blob"));
-    }
-    let blob = payload.copy_to_bytes(state_len);
-    let state = state_from_bytes(blob)
+    let id = r.u64("record header")?;
+    let idle_micros = r.u64("record header")?;
+    let ending = r.flag("ending flag")?;
+    let pending = r.seq(4, "pending segments", |r, _| r.u32("pending segments"))?;
+    let state = state_from_bytes(r.blob("state blob")?.into())
         .map_err(|source| SnapshotCodecError::BadSession { index, source })?;
     Ok(SessionRecord { id, state, pending, ending, idle_micros })
 }
@@ -274,32 +236,18 @@ pub fn image_to_bytes(image: &FleetImage) -> Bytes {
 /// input must be one snapshot (trailing bytes are rejected); decoding
 /// never panics, whatever the input.
 pub fn image_from_bytes(bytes: Bytes) -> Result<FleetImage, SnapshotCodecError> {
-    let mut payload = open_envelope(MAGIC, VERSION, bytes)?;
-    if payload.remaining() < 8 {
-        return Err(SnapshotCodecError::Truncated("session count"));
-    }
-    let num_shards = payload.get_u32_le();
-    let count = payload.get_u32_le() as usize;
-    // Bounding `count` by the smallest possible record caps the allocation
-    // below at the actual input size. Checked math keeps the guard honest
-    // on 32-bit targets too.
-    if count.checked_mul(MIN_RECORD_LEN).is_none_or(|need| payload.remaining() < need) {
-        return Err(SnapshotCodecError::Truncated("session records"));
-    }
-    let mut sessions = Vec::with_capacity(count);
-    for index in 0..count {
-        sessions.push(decode_record(&mut payload, index)?);
-    }
-    if payload.remaining() != 0 {
-        return Err(SnapshotCodecError::Malformed("trailing payload bytes"));
-    }
+    let payload = open_envelope(MAGIC, VERSION, bytes)?;
+    let mut r = Reader::new(&payload);
+    let num_shards = r.u32("shard count")?;
+    let sessions = r.seq(MIN_RECORD_LEN, "session records", decode_record)?;
+    r.finish()?;
     Ok(FleetImage { num_shards, sessions })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use causaltad::checksum64;
+    use tad_codec::checksum64;
 
     fn record(id: TripId, idle_micros: u64) -> SessionRecord {
         SessionRecord {

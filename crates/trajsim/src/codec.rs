@@ -1,20 +1,24 @@
-//! Binary persistence for trajectory datasets.
+//! Binary persistence for trajectory datasets: the `TADT` format.
 //!
-//! Layout (little-endian):
+//! One checksummed [`tad_codec::envelope`] (magic `TADT`, version 2) whose
+//! little-endian payload is:
 //!
 //! ```text
-//! magic "TADT", version u16
 //! 5 x split:  u32 count, count x trajectory
 //! trajectory: u8 label, u8 time_slot, u32 len, len x u32 segment id
 //! ```
+//!
+//! Version 1 carried the same payload behind a bare magic + version with
+//! no checksum; it is refused as [`DataCodecError::BadVersion`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use tad_codec::{open_envelope, seal_envelope, Reader};
 use tad_roadnet::SegmentId;
 
 use crate::dataset::{CityDatasets, Label, Trajectory};
 
 const MAGIC: &[u8; 4] = b"TADT";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
 /// Errors produced when decoding serialized datasets.
 #[derive(Debug, PartialEq, Eq)]
@@ -25,6 +29,10 @@ pub enum DataCodecError {
     BadVersion(u16),
     /// Input ended before the named field could be read.
     Truncated(&'static str),
+    /// The payload checksum did not match (bit rot or tampering).
+    ChecksumMismatch,
+    /// The payload parsed but violated a structural invariant.
+    Malformed(&'static str),
     /// Unknown label byte.
     BadLabel(u8),
 }
@@ -35,6 +43,8 @@ impl std::fmt::Display for DataCodecError {
             DataCodecError::BadMagic => write!(f, "bad magic bytes"),
             DataCodecError::BadVersion(v) => write!(f, "unsupported version {v}"),
             DataCodecError::Truncated(what) => write!(f, "truncated input at {what}"),
+            DataCodecError::ChecksumMismatch => write!(f, "payload checksum mismatch"),
+            DataCodecError::Malformed(what) => write!(f, "malformed datasets: {what}"),
             DataCodecError::BadLabel(l) => write!(f, "unknown label {l}"),
         }
     }
@@ -42,37 +52,36 @@ impl std::fmt::Display for DataCodecError {
 
 impl std::error::Error for DataCodecError {}
 
+tad_codec::codec_error_from!(DataCodecError);
+
 /// Serialises all five splits of a city's datasets.
 pub fn datasets_to_bytes(data: &CityDatasets) -> Bytes {
     let mut buf = BytesMut::with_capacity(1024);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
     for split in [&data.train, &data.test_id, &data.test_ood, &data.detour, &data.switch] {
         put_split(&mut buf, split);
     }
-    buf.freeze()
+    seal_envelope(MAGIC, VERSION, buf.freeze())
 }
 
-/// Deserialises datasets written by [`datasets_to_bytes`].
-pub fn datasets_from_bytes(mut bytes: Bytes) -> Result<CityDatasets, DataCodecError> {
-    if bytes.remaining() < 6 {
-        return Err(DataCodecError::Truncated("header"));
-    }
-    let mut magic = [0u8; 4];
-    bytes.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(DataCodecError::BadMagic);
-    }
-    let version = bytes.get_u16_le();
-    if version != VERSION {
-        return Err(DataCodecError::BadVersion(version));
-    }
-    let train = get_split(&mut bytes)?;
-    let test_id = get_split(&mut bytes)?;
-    let test_ood = get_split(&mut bytes)?;
-    let detour = get_split(&mut bytes)?;
-    let switch = get_split(&mut bytes)?;
-    Ok(CityDatasets { train, test_id, test_ood, detour, switch })
+/// Deserialises datasets written by [`datasets_to_bytes`]. The whole input
+/// must be one `TADT` blob; decoding never panics, whatever the input.
+///
+/// # Errors
+/// Returns the [`DataCodecError`] naming what failed: wrong magic or
+/// version, a truncation point, a checksum mismatch, trailing bytes, or an
+/// unknown label.
+pub fn datasets_from_bytes(bytes: Bytes) -> Result<CityDatasets, DataCodecError> {
+    let payload = open_envelope(MAGIC, VERSION, bytes)?;
+    let mut r = Reader::new(&payload);
+    let data = CityDatasets {
+        train: get_split(&mut r)?,
+        test_id: get_split(&mut r)?,
+        test_ood: get_split(&mut r)?,
+        detour: get_split(&mut r)?,
+        switch: get_split(&mut r)?,
+    };
+    r.finish()?;
+    Ok(data)
 }
 
 fn put_split(buf: &mut BytesMut, split: &[Trajectory]) {
@@ -87,27 +96,15 @@ fn put_split(buf: &mut BytesMut, split: &[Trajectory]) {
     }
 }
 
-fn get_split(bytes: &mut Bytes) -> Result<Vec<Trajectory>, DataCodecError> {
-    if bytes.remaining() < 4 {
-        return Err(DataCodecError::Truncated("split count"));
-    }
-    let count = bytes.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        if bytes.remaining() < 6 {
-            return Err(DataCodecError::Truncated("trajectory header"));
-        }
-        let label = bytes.get_u8();
+fn get_split(r: &mut Reader) -> Result<Vec<Trajectory>, DataCodecError> {
+    // Smallest trajectory record: label, time slot, zero segments.
+    r.seq(1 + 1 + 4, "trajectories", |r, _| {
+        let label = r.u8("label")?;
         let label = Label::from_u8(label).ok_or(DataCodecError::BadLabel(label))?;
-        let time_slot = bytes.get_u8();
-        let len = bytes.get_u32_le() as usize;
-        if bytes.remaining() < len * 4 {
-            return Err(DataCodecError::Truncated("segments"));
-        }
-        let segments = (0..len).map(|_| SegmentId(bytes.get_u32_le())).collect();
-        out.push(Trajectory { segments, time_slot, label });
-    }
-    Ok(out)
+        let time_slot = r.u8("time slot")?;
+        let segments = r.seq(4, "segments", |r, _| r.u32("segments").map(SegmentId))?;
+        Ok(Trajectory { segments, time_slot, label })
+    })
 }
 
 #[cfg(test)]
@@ -139,6 +136,16 @@ mod tests {
         let mut raw = datasets_to_bytes(&CityDatasets::default()).to_vec();
         raw[2] = b'!';
         assert!(matches!(datasets_from_bytes(Bytes::from(raw)), Err(DataCodecError::BadMagic)));
+    }
+
+    #[test]
+    fn version_1_and_flipped_payload_bits_are_typed() {
+        let mut raw = datasets_to_bytes(&CityDatasets::default()).to_vec();
+        raw[4] = 1;
+        assert_eq!(datasets_from_bytes(raw.into()).err(), Some(DataCodecError::BadVersion(1)));
+        let mut raw = datasets_to_bytes(&CityDatasets::default()).to_vec();
+        raw[tad_codec::ENVELOPE_HEADER_LEN] ^= 1;
+        assert_eq!(datasets_from_bytes(raw.into()).err(), Some(DataCodecError::ChecksumMismatch));
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! workspace crate under one roof so the examples and integration tests can
 //! exercise the full pipeline with a single dependency:
 //!
+//! * [`codec`] — the byte layer at the bottom of the graph: the checksummed
+//!   envelope every binary format is sealed in and the one bounds-checked
+//!   reader every decoder reads through.
 //! * [`autodiff`] — tensor + reverse-mode autodiff substrate.
 //! * [`roadnet`] — road-network graph, city generator, Dijkstra/Yen,
 //!   HMM map matching.
@@ -34,6 +37,7 @@
 pub use causaltad as core;
 pub use tad_autodiff as autodiff;
 pub use tad_baselines as baselines;
+pub use tad_codec as codec;
 pub use tad_eval as eval;
 pub use tad_metrics as metrics;
 pub use tad_net as net;

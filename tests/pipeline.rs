@@ -104,14 +104,50 @@ fn lambda_sweep_is_well_defined_without_retraining() {
 
 #[test]
 fn persisted_parameters_reproduce_scores() {
-    use tad_autodiff::ParamStore;
+    use causaltad::{model_from_bytes, model_to_bytes};
     let city = quick_city(1004);
     let model = quick_model(&city, 3);
-    // Round-trip the parameter store through the binary codec.
-    let restored = ParamStore::from_bytes(model.store().to_bytes()).expect("decode");
+    // Round-trip the whole model — configuration, scaling table and every
+    // parameter — through the `TADW` codec, as a serving process loading
+    // it would.
+    let blob = model_to_bytes(&model);
+    let restored = model_from_bytes(&city.net, blob.clone()).expect("decode");
+    assert_eq!(model_to_bytes(&restored), blob, "canonical re-encode");
     for id in model.store().ids() {
-        assert_eq!(restored.value(id), model.store().value(id));
-        assert_eq!(restored.name(id), model.store().name(id));
+        assert_eq!(restored.store().value(id), model.store().value(id));
+        assert_eq!(restored.store().name(id), model.store().name(id));
+    }
+
+    // Offline, streamed and batched scoring all agree to the bit.
+    let trips: Vec<_> = city.data.test_id.iter().chain(&city.data.detour).take(12).collect();
+    let start = |m: &CausalTad| -> Vec<_> {
+        let state = |t: &&tad_trajsim::Trajectory| {
+            let sd = t.sd_pair();
+            m.start_state(sd.source.0, sd.dest.0, t.time_slot).expect("valid request")
+        };
+        trips.iter().map(state).collect()
+    };
+    let (mut ours, mut theirs) = (start(&model), start(&restored));
+    let (mut ours_wave, mut theirs_wave) = (start(&model), start(&restored));
+    let caches = (model.build_step_cache(), restored.build_step_cache());
+    let bits = |scores: Vec<f64>| scores.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    for step in 0..trips.iter().map(|t| t.len()).min().expect("trips") {
+        let segs: Vec<u32> = trips.iter().map(|t| t.segments[step].0).collect();
+        for (i, &seg) in segs.iter().enumerate() {
+            let (a, b) =
+                (model.push_state(&mut ours[i], seg), restored.push_state(&mut theirs[i], seg));
+            assert_eq!(a.to_bits(), b.to_bits(), "push_state, trip {i} step {step}");
+        }
+        assert_eq!(
+            bits(model.push_batch(Some(&caches.0), &mut ours_wave, &segs)),
+            bits(restored.push_batch(Some(&caches.1), &mut theirs_wave, &segs)),
+            "push_batch, step {step}"
+        );
+    }
+    assert_eq!(ours, theirs);
+    assert_eq!(ours_wave, theirs_wave);
+    for t in &trips {
+        assert_eq!(model.score(t).to_bits(), restored.score(t).to_bits());
     }
 }
 

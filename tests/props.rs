@@ -5,8 +5,11 @@ mod common;
 
 use std::sync::Arc;
 
+use causaltad_suite::autodiff::ParamStore;
+use causaltad_suite::codec::{seal_envelope, ReadError, Reader, ENVELOPE_HEADER_LEN};
 use causaltad_suite::core::{
-    state_from_bytes, state_to_bytes, DeltaChainError, ScorerState, SegmentTrace, StateCodecError,
+    model_from_bytes, model_to_bytes, state_from_bytes, state_to_bytes, CausalTad, CausalTadConfig,
+    DeltaChainError, ModelCodecError, ScalingTable, ScorerState, SegmentTrace, StateCodecError,
 };
 use causaltad_suite::metrics::{
     snapshot_from_bytes, snapshot_to_bytes, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
@@ -29,10 +32,11 @@ use common::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use tad_roadnet::codec::{network_from_bytes, network_to_bytes, NetCodecError};
 use tad_roadnet::dijkstra::{length_cost, node_shortest_path, segment_shortest_path};
 use tad_roadnet::grid::{generate_grid_city, GridCityConfig};
-use tad_roadnet::NodeId;
-use tad_trajsim::codec::{datasets_from_bytes, datasets_to_bytes};
+use tad_roadnet::{NodeId, RoadNetwork};
+use tad_trajsim::codec::{datasets_from_bytes, datasets_to_bytes, DataCodecError};
 use tad_trajsim::{corrupt_dataset, generate_city, CityConfig, CorruptionConfig, Trajectory};
 
 /// Largest fleet the snapshot property tests exercise (the codec itself
@@ -1165,4 +1169,318 @@ fn concurrent_histogram_recorders_are_exact() {
     assert_eq!(snapshot.max, n - 1);
     // And the registry-level snapshot carries the identical histogram.
     assert_eq!(registry.snapshot().histogram("serve.score_latency_ns").unwrap(), &snapshot);
+}
+
+/// The single-bit flips a corruption battery tries on a `len`-byte blob:
+/// every bit of the first and last 512 bytes, plus 4 096 seeded positions
+/// in the middle of a blob longer than that.
+fn battery_flips(len: usize) -> Vec<(usize, u32)> {
+    let edges = (0..len.min(512)).chain(len.saturating_sub(512).max(512)..len);
+    let mut flips: Vec<(usize, u32)> = edges.flat_map(|at| (0..8).map(move |b| (at, b))).collect();
+    if len > 1024 {
+        let mut rng = StdRng::seed_from_u64(len as u64);
+        flips.extend((0..4096).map(|_| (rng.gen_range(512..len - 512), rng.gen_range(0u32..8))));
+    }
+    flips
+}
+
+/// The battery every byte format gets. `decode` returns the re-encoding
+/// of what it decoded, or `None` for a typed error (a panic fails the
+/// test by itself). The blob must round-trip canonically; every
+/// truncation must be an error; and a single-bit flip must be an error
+/// too — or, in a format that carries no checksum (`sealed == false`), a
+/// faithful decode of the flipped bytes: never `Ok` with contents that
+/// encode to anything else.
+fn byte_format_battery(blob: &[u8], sealed: bool, decode: impl Fn(&[u8]) -> Option<Vec<u8>>) {
+    assert_eq!(decode(blob).as_deref(), Some(blob), "canonical round-trip");
+    for cut in 0..blob.len() {
+        assert!(decode(&blob[..cut]).is_none(), "cut={cut} of {} accepted", blob.len());
+    }
+    let mut flipped = blob.to_vec();
+    for (byte, bit) in battery_flips(blob.len()) {
+        flipped[byte] ^= 1 << bit;
+        if let Some(again) = decode(&flipped) {
+            assert!(!sealed, "flip byte {byte} bit {bit} passed a checksum");
+            assert_eq!(again, flipped, "flip byte {byte} bit {bit} decoded to other contents");
+        }
+        flipped[byte] ^= 1 << bit;
+    }
+}
+
+/// A small model with pairwise distinct widths (a swapped pair changes a
+/// shape) on a 16-node grid, scaling table included: ~10 KB sealed, so the
+/// batteries below stay cheap in an unoptimised build.
+fn tiny_model() -> (RoadNetwork, CausalTad) {
+    let grid = GridCityConfig { width: 4, height: 4, ..GridCityConfig::tiny() };
+    let net = generate_grid_city(&grid, &mut StdRng::seed_from_u64(7));
+    let cfg = CausalTadConfig {
+        embed_dim: 5,
+        hidden_dim: 7,
+        latent_dim: 3,
+        rp_latent_dim: 2,
+        scaling_mc_samples: 2,
+        ..CausalTadConfig::test_scale()
+    };
+    let mut model = CausalTad::new(&net, cfg);
+    model.precompute_scaling();
+    (net, model)
+}
+
+/// Hand-built parameter blob: `(name, rows, cols)` per record, zeros for
+/// as many values as `values` says (a lying shape has none behind it).
+fn param_blob(count: u32, records: &[(&str, u32, u32, usize)]) -> Vec<u8> {
+    let mut raw = count.to_le_bytes().to_vec();
+    for &(name, rows, cols, values) in records {
+        raw.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        raw.extend_from_slice(name.as_bytes());
+        raw.extend_from_slice(&rows.to_le_bytes());
+        raw.extend_from_slice(&cols.to_le_bytes());
+        raw.extend_from_slice(&vec![0u8; values * 4]);
+    }
+    raw
+}
+
+/// The parameter-blob codec (no checksum of its own: it travels inside
+/// the sealed model): canonical round-trip, every truncation typed, bit
+/// flips typed or faithful, and the crafted inputs that used to panic —
+/// an absurd count, a `2^31 x 2^31` shape, a duplicate name — are typed.
+#[test]
+fn param_store_codec_survives_the_corruption_battery() {
+    let (_, model) = tiny_model();
+    let blob = model.store().to_bytes().to_vec();
+    byte_format_battery(&blob, false, |raw| {
+        ParamStore::from_bytes(raw.to_vec().into()).ok().map(|store| store.to_bytes().to_vec())
+    });
+
+    let decode = |raw: Vec<u8>| ParamStore::from_bytes(raw.into()).err();
+    assert_eq!(decode(param_blob(u32::MAX, &[])), Some(ReadError::Truncated("param count")));
+    for (rows, cols) in [(1 << 31, 1 << 31), (u32::MAX, u32::MAX), (1, u32::MAX), (3, 2)] {
+        let lying = param_blob(1, &[("w", rows, cols, 5)]);
+        assert_eq!(decode(lying), Some(ReadError::Truncated("values")), "{rows} x {cols}");
+    }
+    assert_eq!(
+        decode(param_blob(2, &[("w", 1, 2, 2), ("w", 1, 1, 1)])),
+        Some(ReadError::Malformed("duplicate parameter name"))
+    );
+    assert_eq!(
+        decode(param_blob(1, &[("w", 1, 2, 3)])),
+        Some(ReadError::Malformed("trailing payload bytes"))
+    );
+    // Degenerate but well-formed: a huge empty shape reserves nothing.
+    assert_eq!(decode(param_blob(1, &[("w", 1 << 31, 0, 0)])), None);
+}
+
+/// The scaling-table codec: the same battery, plus the header checks its
+/// lookups rely on — `slot % num_slots` and `log_scale[token]` run on the
+/// shard thread at scoring time, so a zero slot count or a table shorter
+/// than its vocabulary must not decode.
+#[test]
+fn scaling_table_codec_survives_the_corruption_battery() {
+    let (_, model) = tiny_model();
+    let blob = model.scaling().expect("precomputed").to_bytes().to_vec();
+    byte_format_battery(&blob, false, |raw| {
+        ScalingTable::from_bytes(raw.to_vec().into()).ok().map(|table| table.to_bytes().to_vec())
+    });
+
+    let table = |vocab: u32, time_factorised: u8, slots: u32, announced: u32, entries: usize| {
+        let mut raw = vocab.to_le_bytes().to_vec();
+        raw.push(time_factorised);
+        raw.extend_from_slice(&slots.to_le_bytes());
+        raw.extend_from_slice(&announced.to_le_bytes());
+        raw.extend_from_slice(&vec![0u8; entries * 16]);
+        ScalingTable::from_bytes(raw.into()).map(|t| t.len())
+    };
+    assert_eq!(table(3, 0, 1, 3, 3), Ok(3));
+    assert_eq!(table(3, 1, 2, 6, 6), Ok(6));
+    let bad_count = Err(ReadError::Malformed("scaling entry count"));
+    assert_eq!(table(3, 0, 0, 3, 3), bad_count, "num_slots = 0");
+    assert_eq!(table(3, 1, 0, 0, 0), bad_count, "num_slots = 0, time-factorised");
+    assert_eq!(table(3, 0, 1, 2, 2), bad_count, "shorter than vocab");
+    assert_eq!(table(3, 1, 2, 3, 3), bad_count, "shorter than vocab x slots");
+    assert_eq!(table(u32::MAX, 1, u32::MAX, 4, 4), bad_count, "token count overflows");
+    assert_eq!(table(3, 2, 1, 3, 3), Err(ReadError::Malformed("scaling header")), "flag byte");
+    assert_eq!(table(3, 0, 1, u32::MAX, 3), Err(ReadError::Truncated("scaling entries")));
+}
+
+/// Splits a `TADW` blob's payload into its config block, scaling blob and
+/// parameter blob, so a test can swap one and re-seal the rest.
+fn model_parts(blob: &[u8]) -> (Vec<u8>, Option<Vec<u8>>, Vec<u8>) {
+    let mut r = Reader::new(&blob[ENVELOPE_HEADER_LEN..blob.len() - 8]);
+    let config = r.bytes(4 * 5 + 8 + 4 * 2 + 1 + 8, "config").unwrap().to_vec();
+    let scaling = r.opt("scaling flag", |r| r.blob("scaling blob")).unwrap().map(<[u8]>::to_vec);
+    let params = r.blob("param blob").unwrap().to_vec();
+    r.finish().unwrap();
+    (config, scaling, params)
+}
+
+/// Seals model parts back into a `TADW` blob with a **valid** checksum.
+fn model_blob(config: &[u8], scaling: Option<&[u8]>, params: &[u8]) -> Vec<u8> {
+    let mut payload = config.to_vec();
+    match scaling {
+        Some(table) => {
+            payload.push(1);
+            payload.extend_from_slice(&(table.len() as u32).to_le_bytes());
+            payload.extend_from_slice(table);
+        }
+        None => payload.push(0),
+    }
+    payload.extend_from_slice(&(params.len() as u32).to_le_bytes());
+    payload.extend_from_slice(params);
+    seal_envelope(b"TADW", 2, payload.into()).to_vec()
+}
+
+/// The model codec: the sealed battery (every truncation and every bit
+/// flip is a typed error — none panics, none loads as a different model),
+/// then the inputs only a checksum cannot stop: a blob re-sealed with a
+/// valid checksum around parameters, dimensions or a scaling table that
+/// do not describe one model.
+#[test]
+fn model_codec_survives_the_corruption_battery() {
+    let (net, model) = tiny_model();
+    let blob = model_to_bytes(&model).to_vec();
+    byte_format_battery(&blob, true, |raw| {
+        model_from_bytes(&net, raw.to_vec().into()).ok().map(|m| model_to_bytes(&m).to_vec())
+    });
+
+    let decode = |raw: Vec<u8>| model_from_bytes(&net, raw.into()).err();
+    let (config, scaling, params) = model_parts(&blob);
+    let scaling = scaling.expect("the tiny model carries its table");
+    assert_eq!(decode(model_blob(&config, Some(&scaling), &params)), None, "parts reassemble");
+    assert_eq!(decode(model_blob(&config, None, &params)), None, "the table is optional");
+
+    // The pre-envelope format: bare magic + version 1.
+    let mut v1 = blob.clone();
+    v1[4] = 1;
+    assert_eq!(decode(v1), Some(ModelCodecError::BadVersion(1)));
+    let mut old_magic = blob.clone();
+    old_magic[..4].copy_from_slice(b"TADM");
+    assert_eq!(decode(old_magic), Some(ModelCodecError::BadMagic));
+
+    // Parameters that are not the configured model's: one renamed, one
+    // reshaped (same scalars, transposed), one dropped, one named twice.
+    let store = ParamStore::from_bytes(params.clone().into()).expect("valid parameters");
+    type Edit<'a> = &'a dyn Fn(usize, &str, (usize, usize)) -> Option<(String, (usize, usize))>;
+    let params_with = |edit: Edit| {
+        let (mut count, mut records) = (0u32, Vec::new());
+        for (i, id) in store.ids().enumerate() {
+            let value = store.value(id);
+            let Some((name, (rows, cols))) = edit(i, store.name(id), value.shape()) else {
+                continue;
+            };
+            count += 1;
+            records.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            records.extend_from_slice(name.as_bytes());
+            records.extend_from_slice(&(rows as u32).to_le_bytes());
+            records.extend_from_slice(&(cols as u32).to_le_bytes());
+            records.extend(value.data().iter().flat_map(|x| x.to_le_bytes()));
+        }
+        [count.to_le_bytes().to_vec(), records].concat()
+    };
+    let keep = |name: &str, shape| Some((name.to_string(), shape));
+    assert_eq!(params_with(&|_, name, shape| keep(name, shape)), params, "faithful rebuild");
+    let first = store.name(store.ids().next().expect("parameters")).to_string();
+    let edits: [(&str, Edit); 4] = [
+        ("renamed", &|i, name, shape| keep(if i == 2 { "tg.renamed" } else { name }, shape)),
+        ("reshaped", &|i, name, (r, c)| keep(name, if i == 2 { (c, r) } else { (r, c) })),
+        ("dropped", &|i, name, shape| if i == 2 { None } else { keep(name, shape) }),
+        ("named twice", &|i, name, shape| keep(if i == 2 { &first } else { name }, shape)),
+    ];
+    for (what, edit) in edits {
+        let bad = params_with(edit);
+        assert_ne!(bad, params, "{what}");
+        let sealed = model_blob(&config, Some(&scaling), &bad);
+        assert_eq!(decode(sealed), Some(ModelCodecError::BadParams), "{what}");
+    }
+
+    // Dimensions the parameters do not account for (config block:
+    // vocab, embed, hidden, latent, rp_latent as u32s).
+    for (field, value) in [(2usize, 1u32 << 30), (1, 6), (3, u32::MAX), (4, 3)] {
+        let mut widened = config.clone();
+        widened[field * 4..field * 4 + 4].copy_from_slice(&value.to_le_bytes());
+        let sealed = model_blob(&widened, Some(&scaling), &params);
+        assert_eq!(decode(sealed), Some(ModelCodecError::BadParams), "field {field} = {value}");
+    }
+    let mut zeroed = config.clone();
+    zeroed[8..12].copy_from_slice(&0u32.to_le_bytes());
+    assert!(matches!(
+        decode(model_blob(&zeroed, Some(&scaling), &params)),
+        Some(ModelCodecError::Malformed(_))
+    ));
+    let mut other_vocab = config.clone();
+    other_vocab[..4].copy_from_slice(&7u32.to_le_bytes());
+    assert!(matches!(
+        decode(model_blob(&other_vocab, Some(&scaling), &params)),
+        Some(ModelCodecError::VocabMismatch { expected: 7, .. })
+    ));
+
+    // A scaling table that would fault at scoring time: zero slots, one
+    // entry short, or self-consistent but for another vocabulary.
+    let vocab = net.num_segments() as u32;
+    let table = |vocab: u32, slots: u32, entries: u32| {
+        let mut raw = vocab.to_le_bytes().to_vec();
+        raw.push(0);
+        raw.extend_from_slice(&slots.to_le_bytes());
+        raw.extend_from_slice(&entries.to_le_bytes());
+        raw.extend_from_slice(&vec![0u8; entries as usize * 16]);
+        raw
+    };
+    assert_eq!(decode(model_blob(&config, Some(&table(vocab, 1, vocab)), &params)), None);
+    for bad in [table(vocab, 0, vocab), table(vocab, 1, vocab - 1), table(vocab - 1, 1, vocab - 1)]
+    {
+        assert!(matches!(
+            decode(model_blob(&config, Some(&bad), &params)),
+            Some(ModelCodecError::Malformed(_))
+        ));
+    }
+    let mut time_factorised = config.clone();
+    time_factorised[36] |= 1; // flag byte: vocab, 4 dims, lambda, 2 u32s precede it
+    assert_eq!(
+        decode(model_blob(&time_factorised, Some(&scaling), &params)),
+        Some(ModelCodecError::BadParams),
+        "a time-factorised RP-VAE registers more tokens"
+    );
+}
+
+/// The `TADR` road-network codec: the sealed battery, then absurd counts
+/// under a valid checksum.
+#[test]
+fn road_network_codec_survives_the_corruption_battery() {
+    let net = generate_grid_city(&GridCityConfig::tiny(), &mut StdRng::seed_from_u64(4));
+    let blob = network_to_bytes(&net).to_vec();
+    byte_format_battery(&blob, true, |raw| {
+        network_from_bytes(raw.to_vec().into()).ok().map(|n| network_to_bytes(&n).to_vec())
+    });
+
+    let sealed = |payload: Vec<u8>| network_from_bytes(seal_envelope(b"TADR", 2, payload.into()));
+    let huge = u32::MAX.to_le_bytes();
+    assert_eq!(sealed(huge.to_vec()).err(), Some(NetCodecError::Truncated("nodes")));
+    let no_nodes = [0u32.to_le_bytes(), huge].concat();
+    assert_eq!(sealed(no_nodes).err(), Some(NetCodecError::Truncated("segments")));
+    let mut v1 = blob.clone();
+    v1[4] = 1;
+    assert_eq!(network_from_bytes(v1.into()).err(), Some(NetCodecError::BadVersion(1)));
+}
+
+/// The `TADT` dataset codec: the sealed battery, then absurd counts under
+/// a valid checksum (the trajectory count used to size a reservation
+/// unchecked).
+#[test]
+fn dataset_codec_survives_the_corruption_battery() {
+    let city = generate_city(&CityConfig::test_scale(12));
+    let blob = datasets_to_bytes(&city.data).to_vec();
+    byte_format_battery(&blob, true, |raw| {
+        datasets_from_bytes(raw.to_vec().into()).ok().map(|d| datasets_to_bytes(&d).to_vec())
+    });
+
+    let sealed = |payload: Vec<u8>| datasets_from_bytes(seal_envelope(b"TADT", 2, payload.into()));
+    let huge = u32::MAX.to_le_bytes();
+    assert_eq!(sealed(huge.to_vec()).err(), Some(DataCodecError::Truncated("trajectories")));
+    // One trajectory announcing u32::MAX segments.
+    let lying = [&1u32.to_le_bytes()[..], &[0, 0], &huge].concat();
+    assert_eq!(sealed(lying).err(), Some(DataCodecError::Truncated("segments")));
+    let bad_label = [&1u32.to_le_bytes()[..], &[9, 0], &0u32.to_le_bytes()].concat();
+    assert_eq!(sealed(bad_label).err(), Some(DataCodecError::BadLabel(9)));
+    let mut v1 = blob.clone();
+    v1[4] = 1;
+    assert_eq!(datasets_from_bytes(v1.into()).err(), Some(DataCodecError::BadVersion(1)));
 }
