@@ -22,11 +22,46 @@ use causaltad::{CausalTad, CausalTadConfig, SegmentTrace};
 use tad_bench::fleet_walks;
 use tad_eval::cities::{xian_s, Scale};
 use tad_net::{
-    request_from_bytes, request_to_bytes, response_from_bytes, response_to_bytes, Client,
-    NetServer, Request, Response, TripComplete,
+    request_from_bytes, request_to_bytes, response_from_bytes, response_into, response_to_bytes,
+    Client, NetServer, Request, Response, TripComplete,
 };
 use tad_router::RouterServer;
 use tad_serve::{Completion, FleetConfig, ScoreUpdate};
+
+/// The parent of the byte-queue reply path (a `VecDeque<Response>` per
+/// connection, one hand-off and one re-encode per score per hop),
+/// measured with this same bench on the host named in `BENCH_net.json`'s
+/// `host` block, full (non-quick) mode, alternated with runs of this
+/// change; the median of three. Passes: `(name, scored segments per
+/// second)`; codec: `(name, frames per second)`.
+const PARENT_COMMIT: &str = "964ad4a";
+const PARENT_PASSES: [(&str, f64); 7] = [
+    ("loopback", 157_776.2),
+    ("loopback_conns1", 155_834.8),
+    ("loopback_conns4", 134_367.2),
+    ("loopback_conns64", 147_224.0),
+    ("loopback_conns256", 117_862.0),
+    ("loopback_multi4", 134_367.2),
+    ("routed_2backends", 144_353.8),
+];
+const PARENT_CODEC: [(&str, f64); 6] = [
+    ("segment_request_encode", 12_179_965.0),
+    ("segment_request_decode", 14_515_798.0),
+    ("score_response_encode", 8_960_029.0),
+    ("score_response_decode", 8_667_916.0),
+    ("trip_complete_24seg_encode", 751_364.0),
+    ("trip_complete_24seg_decode", 1_190_279.0),
+];
+
+/// The parent's figure for `name`, as JSON (`null` in quick mode — its
+/// slices are not comparable — and for figures not taken at the parent).
+fn parent_of(table: &[(&str, f64)], name: &str, digits: usize) -> String {
+    table
+        .iter()
+        .find(|&&(n, _)| n == name)
+        .filter(|_| !quick_mode())
+        .map_or("null".to_string(), |&(_, v)| format!("{v:.digits$}"))
+}
 
 fn quick_mode() -> bool {
     std::env::var("CRITERION_QUICK").map(|v| v == "1").unwrap_or(false)
@@ -344,6 +379,18 @@ fn bench_loopback(c: &mut Criterion) {
                 std::hint::black_box(response_to_bytes(&score_response()));
             }),
         ),
+        ("score_response_into", {
+            // The reply path's encoder: frames sealed in place, back to
+            // back, in a buffer that already has the room (one wave's
+            // chunk; cleared every 1 024 frames here).
+            let mut chunk = bytes::BytesMut::with_capacity(1024 * 64);
+            frames_per_s(move || {
+                if chunk.len() + 64 > chunk.capacity() {
+                    chunk.truncate(0);
+                }
+                response_into(std::hint::black_box(&score_response()), &mut chunk);
+            })
+        }),
         ("score_response_decode", {
             let blob = response_to_bytes(&score_response());
             frames_per_s(move || {
@@ -390,17 +437,22 @@ fn write_json(
         "  \"workload\": {{\"sessions\": {sessions}, \"walk_len\": {len}, \"events\": {events}, \"quick_mode\": {}}},\n",
         quick_mode()
     ));
+    out.push_str(&format!(
+        "  \"parent\": {{\"commit\": \"{PARENT_COMMIT}\", \"note\": \"parent_* figures: this bench at the parent commit on this host, full mode, median of three runs alternated with runs of this change; null where not taken\"}},\n",
+    ));
     for (name, (elapsed, events, scored)) in passes {
         out.push_str(&format!(
-            "  \"{name}\": {{\"elapsed_s\": {elapsed:.6}, \"scored_segments\": {scored}, \"scored_segments_per_s\": {:.1}, \"events_per_s\": {:.1}}},\n",
+            "  \"{name}\": {{\"elapsed_s\": {elapsed:.6}, \"scored_segments\": {scored}, \"scored_segments_per_s\": {:.1}, \"parent_scored_segments_per_s\": {}, \"events_per_s\": {:.1}}},\n",
             *scored as f64 / elapsed,
+            parent_of(&PARENT_PASSES, name, 1),
             *events as f64 / elapsed,
         ));
     }
     out.push_str("  \"frame_codec_frames_per_s\": {\n");
     for (i, (name, fps)) in codec.iter().enumerate() {
         out.push_str(&format!(
-            "    \"{name}\": {fps:.0}{}\n",
+            "    \"{name}\": {{\"frames_per_s\": {fps:.0}, \"parent_frames_per_s\": {}}}{}\n",
+            parent_of(&PARENT_CODEC, name, 0),
             if i + 1 < codec.len() { "," } else { "" }
         ));
     }

@@ -18,7 +18,7 @@
 //!   [`crate::codec_error_from!`]) so callers see a single error enum per
 //!   format.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// FNV-1a 64-bit checksum used by every checksummed-envelope codec in the
 /// workspace.
@@ -74,12 +74,31 @@ pub const ENVELOPE_HEADER_LEN: usize = 4 + 2 + 8;
 /// payload, then a FNV-1a 64 checksum of the payload.
 pub fn seal_envelope(magic: &[u8; 4], version: u16, payload: Bytes) -> Bytes {
     let mut buf = BytesMut::with_capacity(payload.len() + ENVELOPE_OVERHEAD);
+    seal_envelope_into(magic, version, &mut buf, |buf| buf.put_slice(&payload));
+    buf.freeze()
+}
+
+/// Appends one envelope to `buf` in place: the header goes down first,
+/// `payload` appends the payload behind it, then the length field is
+/// patched and the checksum appended — the bytes [`seal_envelope`] writes,
+/// without an intermediate payload buffer. Whatever `buf` already holds
+/// is left alone, so a caller can run many envelopes into one buffer and
+/// allocates nothing while its capacity lasts.
+pub fn seal_envelope_into(
+    magic: &[u8; 4],
+    version: u16,
+    buf: &mut BytesMut,
+    payload: impl FnOnce(&mut BytesMut),
+) {
     buf.put_slice(magic);
     buf.put_u16_le(version);
-    buf.put_u64_le(payload.len() as u64);
-    buf.put_slice(&payload);
-    buf.put_u64_le(checksum64(&payload));
-    buf.freeze()
+    buf.put_u64_le(0);
+    let body = buf.len();
+    payload(buf);
+    let plen = (buf.len() - body) as u64;
+    buf[body - 8..body].copy_from_slice(&plen.to_le_bytes());
+    let sum = checksum64(&buf[body..]);
+    buf.put_u64_le(sum);
 }
 
 /// Opens an envelope written by [`seal_envelope`], returning the verified
@@ -90,35 +109,43 @@ pub fn seal_envelope(magic: &[u8; 4], version: u16, payload: Bytes) -> Bytes {
 /// # Errors
 /// Returns the [`EnvelopeError`] naming what failed: wrong magic or
 /// version, a truncation point, a checksum mismatch, or trailing bytes.
-pub fn open_envelope(
+pub fn open_envelope(magic: &[u8; 4], version: u16, bytes: Bytes) -> Result<Bytes, EnvelopeError> {
+    envelope_payload(magic, version, &bytes).map(Bytes::from)
+}
+
+/// [`open_envelope`] over borrowed bytes: verifies the envelope and
+/// returns its payload as a slice of the input, copying nothing — for a
+/// reader that only needs to look at a few payload fields before passing
+/// the envelope on whole.
+///
+/// # Errors
+/// As [`open_envelope`].
+pub fn envelope_payload<'a>(
     magic: &[u8; 4],
     version: u16,
-    mut bytes: Bytes,
-) -> Result<Bytes, EnvelopeError> {
-    if bytes.remaining() < ENVELOPE_HEADER_LEN {
+    bytes: &'a [u8],
+) -> Result<&'a [u8], EnvelopeError> {
+    let Some((header, rest)) = bytes.split_at_checked(ENVELOPE_HEADER_LEN) else {
         return Err(EnvelopeError::Truncated("header"));
-    }
-    let mut found = [0u8; 4];
-    bytes.copy_to_slice(&mut found);
-    if &found != magic {
+    };
+    if &header[..4] != magic {
         return Err(EnvelopeError::BadMagic);
     }
-    let found_version = bytes.get_u16_le();
+    let found_version = u16::from_le_bytes([header[4], header[5]]);
     if found_version != version {
         return Err(EnvelopeError::BadVersion(found_version));
     }
-    let plen = bytes.get_u64_le();
+    let plen = u64::from_le_bytes(header[6..].try_into().expect("8 length bytes"));
     // Checked arithmetic: a crafted plen near u64::MAX must fail the
     // guard, not wrap it.
-    if plen.checked_add(8).is_none_or(|need| (bytes.remaining() as u64) < need) {
+    if plen.checked_add(8).is_none_or(|need| (rest.len() as u64) < need) {
         return Err(EnvelopeError::Truncated("payload"));
     }
-    let payload = bytes.copy_to_bytes(plen as usize);
-    let stored = bytes.get_u64_le();
-    if bytes.remaining() != 0 {
+    let (payload, tail) = rest.split_at(plen as usize);
+    if tail.len() != 8 {
         return Err(EnvelopeError::TrailingBytes);
     }
-    if checksum64(payload.as_ref()) != stored {
+    if checksum64(payload) != u64::from_le_bytes(tail.try_into().expect("8 checksum bytes")) {
         return Err(EnvelopeError::ChecksumMismatch);
     }
     Ok(payload)
@@ -145,6 +172,20 @@ mod tests {
         assert_eq!(sealed.len(), payload.len() + ENVELOPE_OVERHEAD);
         let opened = open_envelope(MAGIC, 7, sealed).expect("valid envelope");
         assert_eq!(opened.to_vec(), payload.to_vec());
+    }
+
+    #[test]
+    fn sealing_in_place_appends_the_same_bytes_and_borrowed_opening_agrees() {
+        let payloads: [&[u8]; 3] = [b"", b"x", &[7u8; 300]];
+        let mut run = BytesMut::new();
+        let mut expected = Vec::new();
+        for payload in payloads {
+            seal_envelope_into(MAGIC, 3, &mut run, |buf| buf.put_slice(payload));
+            let sealed = seal_envelope(MAGIC, 3, Bytes::from(payload));
+            assert_eq!(envelope_payload(MAGIC, 3, &sealed), Ok(payload));
+            expected.extend_from_slice(&sealed);
+        }
+        assert_eq!(run.to_vec(), expected);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //!
 //! * [`envelope`] — magic + version + length-prefixed payload + FNV-1a 64
 //!   checksum. [`seal_envelope`] writes one, [`open_envelope`] verifies
-//!   one and hands back the payload.
+//!   one and hands back the payload; [`seal_envelope_into`] and
+//!   [`envelope_payload`] are the same pair over a buffer the caller
+//!   owns, for the paths that move many small envelopes.
 //! * [`Reader`] — the checked cursor a decoder walks that payload with.
 //!   Its typed reads are the only place a length is compared against what
 //!   is left, so "hostile bytes are a typed error, never a panic" is a
@@ -20,7 +22,10 @@
 pub mod envelope;
 mod reader;
 
-pub use envelope::{checksum64, open_envelope, seal_envelope, EnvelopeError, ENVELOPE_HEADER_LEN};
+pub use envelope::{
+    checksum64, envelope_payload, open_envelope, seal_envelope, seal_envelope_into, EnvelopeError,
+    ENVELOPE_HEADER_LEN,
+};
 pub use reader::{ReadError, Reader};
 
 /// Implements `From<`[`EnvelopeError`]`>` and `From<`[`ReadError`]`>` for a

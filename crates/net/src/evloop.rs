@@ -16,12 +16,13 @@
 //! hostile interleavings) that real sockets cannot be made to produce on
 //! demand.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use polling::{Event, Events, Poller};
 
 use crate::wire::{FrameAssembler, RecvError};
@@ -108,17 +109,22 @@ pub trait EventSource<T> {
 }
 
 /// Per-connection nonblocking state machine: incremental frame
-/// reassembly on the read side, a positioned write buffer on the write
-/// side. Generic over the transport so the deterministic harness can
-/// drive it with scripted in-memory streams; production uses
-/// `Conn<TcpStream>` with the socket in nonblocking mode.
+/// reassembly on the read side, a queue of byte runs on the write side.
+/// Generic over the transport so the deterministic harness can drive it
+/// with scripted in-memory streams; production uses `Conn<TcpStream>`
+/// with the socket in nonblocking mode.
 #[derive(Debug)]
 pub struct Conn<T> {
     io: T,
     asm: FrameAssembler,
-    wbuf: Vec<u8>,
-    /// First unwritten byte of `wbuf` (compacted lazily).
+    /// Bytes waiting for the transport, oldest run first. A run is freed
+    /// the moment its last byte is written, so the backlog's memory
+    /// follows the backlog instead of its high-water mark.
+    wq: VecDeque<BytesMut>,
+    /// First unwritten byte of the front run.
     wpos: usize,
+    /// Unwritten bytes across `wq`.
+    backlog: usize,
 }
 
 /// Why [`Conn::read_frames`] stopped consuming bytes.
@@ -138,14 +144,16 @@ pub enum ReadStatus {
 /// lifetime).
 const READ_CHUNK: usize = 16 << 10;
 
-/// Compact the write buffer once its dead prefix crosses this.
-const WRITE_COMPACT_AT: usize = 64 << 10;
+/// [`Conn::queue_bytes`] appends to the newest queued run while it is
+/// shorter than this, so a tick's small frames leave in one write without
+/// any one run (and the copy that grows it) getting large.
+const WRITE_RUN: usize = 64 << 10;
 
 impl<T: Read + Write> Conn<T> {
     /// Wraps a transport (already nonblocking, for real sockets) with an
     /// assembler refusing frames over `max_frame`.
     pub fn new(io: T, max_frame: usize) -> Conn<T> {
-        Conn { io, asm: FrameAssembler::new(max_frame), wbuf: Vec::new(), wpos: 0 }
+        Conn { io, asm: FrameAssembler::new(max_frame), wq: VecDeque::new(), wpos: 0, backlog: 0 }
     }
 
     /// The transport, for registration with an [`EventSource`].
@@ -204,14 +212,26 @@ impl<T: Read + Write> Conn<T> {
     /// Appends already-serialised frame bytes to the write backlog (no
     /// I/O; call [`Conn::flush_writes`] to move them to the transport).
     pub fn queue_bytes(&mut self, bytes: &[u8]) {
-        if self.wpos == self.wbuf.len() {
-            self.wbuf.clear();
-            self.wpos = 0;
-        } else if self.wpos >= WRITE_COMPACT_AT {
-            self.wbuf.drain(..self.wpos);
-            self.wpos = 0;
+        match self.wq.back_mut() {
+            Some(run) if run.len() < WRITE_RUN => {
+                run.put_slice(bytes);
+                self.backlog += bytes.len();
+            }
+            _ => {
+                let mut run = BytesMut::with_capacity(bytes.len());
+                run.put_slice(bytes);
+                self.queue_run(run);
+            }
         }
-        self.wbuf.extend_from_slice(bytes);
+    }
+
+    /// Queues an owned run of serialised frames behind the backlog as it
+    /// is — no copy; the transport is written from the run itself.
+    pub(crate) fn queue_run(&mut self, run: BytesMut) {
+        if !run.is_empty() {
+            self.backlog += run.len();
+            self.wq.push_back(run);
+        }
     }
 
     /// Writes backlog to the transport until it would block or the
@@ -221,34 +241,39 @@ impl<T: Read + Write> Conn<T> {
     /// Transport failures (a zero-byte write is reported as
     /// [`std::io::ErrorKind::WriteZero`]); the connection is dead.
     pub fn flush_writes(&mut self) -> std::io::Result<bool> {
-        while self.wpos < self.wbuf.len() {
-            match self.io.write(&self.wbuf[self.wpos..]) {
+        while let Some(run) = self.wq.front() {
+            match self.io.write(&run[self.wpos..]) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::WriteZero,
                         "transport accepted zero bytes",
                     ))
                 }
-                Ok(n) => self.wpos += n,
+                Ok(n) => {
+                    self.wpos += n;
+                    self.backlog -= n;
+                    if self.wpos == run.len() {
+                        self.wq.pop_front();
+                        self.wpos = 0;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        self.wbuf.clear();
-        self.wpos = 0;
         Ok(true)
     }
 
     /// Bytes queued but not yet accepted by the transport.
     pub fn write_backlog(&self) -> usize {
-        self.wbuf.len() - self.wpos
+        self.backlog
     }
 
     /// Whether a write backlog exists (drives write-interest
     /// registration).
     pub fn wants_write(&self) -> bool {
-        self.wpos < self.wbuf.len()
+        self.backlog > 0
     }
 }
 

@@ -19,7 +19,8 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use causaltad::{put_trace, read_trace, SegmentTrace};
-use tad_codec::{open_envelope, seal_envelope, Reader};
+use tad_codec::envelope::ENVELOPE_OVERHEAD;
+use tad_codec::{envelope_payload, open_envelope, seal_envelope_into, Reader};
 use tad_metrics::{snapshot_from_bytes, snapshot_to_bytes, MetricsSnapshot};
 use tad_serve::{Completion, Event, FleetSnapshot, PolicyAction, ScoreUpdate, TripId, TripOutcome};
 
@@ -429,8 +430,8 @@ tad_codec::codec_error_from!(FrameError);
 
 /// Serialises one request frame (envelope included).
 pub fn request_to_bytes(req: &Request) -> Bytes {
-    let mut payload = BytesMut::with_capacity(32);
-    match *req {
+    let mut frame = BytesMut::with_capacity(ENVELOPE_OVERHEAD + 32);
+    seal_envelope_into(FRAME_MAGIC, FRAME_VERSION, &mut frame, |payload| match *req {
         Request::TripStart { id, source, dest, time_slot } => {
             payload.put_u8(TAG_TRIP_START);
             payload.put_u64_le(id);
@@ -458,14 +459,30 @@ pub fn request_to_bytes(req: &Request) -> Bytes {
             payload.put_slice(image);
         }
         Request::Drain => payload.put_u8(TAG_DRAIN),
-    }
-    seal_envelope(FRAME_MAGIC, FRAME_VERSION, payload.freeze())
+    });
+    frame.freeze()
 }
 
 /// Serialises one response frame (envelope included).
 pub fn response_to_bytes(resp: &Response) -> Bytes {
-    let mut payload = BytesMut::with_capacity(64);
-    match resp {
+    let mut frame = BytesMut::with_capacity(ENVELOPE_OVERHEAD + 64);
+    response_into(resp, &mut frame);
+    frame.freeze()
+}
+
+/// Byte length of a [`Response::Score`] frame: what a chunk of `n` scores
+/// reserves, `n` times.
+pub(crate) const SCORE_FRAME_LEN: usize = ENVELOPE_OVERHEAD + SCORE_PAYLOAD_LEN;
+
+/// Tag, trip id, sequence number, segment, and the three score terms.
+const SCORE_PAYLOAD_LEN: usize = 1 + 8 + 4 + 4 + 3 * 8;
+
+/// Appends one response frame (envelope included) to `out` — the bytes
+/// [`response_to_bytes`] returns, written in place behind whatever `out`
+/// already holds, so a run of frames shares one buffer and an encode
+/// into spare capacity allocates nothing.
+pub fn response_into(resp: &Response, out: &mut BytesMut) {
+    seal_envelope_into(FRAME_MAGIC, FRAME_VERSION, out, |payload| match resp {
         Response::Score(s) => {
             payload.put_u8(TAG_SCORE);
             payload.put_u64_le(s.id);
@@ -482,7 +499,7 @@ pub fn response_to_bytes(resp: &Response) -> Bytes {
             payload.put_f64_le(tc.score);
             payload.put_f64_le(tc.likelihood_nll);
             payload.put_f64_le(tc.scale_log_sum);
-            put_trace(&tc.trace, &mut payload);
+            put_trace(&tc.trace, payload);
         }
         Response::Stats(s) => {
             payload.put_u8(TAG_STATS);
@@ -563,8 +580,30 @@ pub fn response_to_bytes(resp: &Response) -> Bytes {
             payload.put_u8(TAG_DRAINED);
             payload.put_slice(image);
         }
+    });
+}
+
+/// Reads the routing facts of a [`Response::Score`] frame — its trip id
+/// and sequence number, at their fixed payload offsets — without building
+/// the response: what a relay needs to pass the frame's original bytes
+/// on. `Ok(None)` is any frame whose tag is not `Score`, unverified (its
+/// decoder will judge it); a `Score` frame is verified in full, so
+/// whatever this accepts [`response_from_bytes`] accepts too.
+///
+/// # Errors
+/// The [`FrameError`] [`response_from_bytes`] would return for the same
+/// bytes. Never panics.
+pub fn peek_score(frame: &[u8]) -> Result<Option<(TripId, u32)>, FrameError> {
+    if frame.get(tad_codec::ENVELOPE_HEADER_LEN) != Some(&TAG_SCORE) {
+        return Ok(None);
     }
-    seal_envelope(FRAME_MAGIC, FRAME_VERSION, payload.freeze())
+    let mut r = Reader::new(envelope_payload(FRAME_MAGIC, FRAME_VERSION, frame)?);
+    r.u8("frame tag")?;
+    let route = (r.u64("score body")?, r.u32("score body")?);
+    // The segment and the three score terms: present, and nothing after.
+    r.bytes(SCORE_PAYLOAD_LEN - (1 + 8 + 4), "score body")?;
+    r.finish()?;
+    Ok(Some(route))
 }
 
 /// Decodes one request frame. The whole input must be one frame.
@@ -819,6 +858,69 @@ mod tests {
     }
 
     #[test]
+    fn response_into_appends_the_bytes_of_response_to_bytes() {
+        let mut run = BytesMut::new();
+        let mut expected = Vec::new();
+        for resp in sample_responses() {
+            response_into(&resp, &mut run);
+            expected.extend_from_slice(&response_to_bytes(&resp));
+        }
+        assert_eq!(run.to_vec(), expected);
+        let score = response_to_bytes(&sample_responses()[0]);
+        assert_eq!(score.len(), SCORE_FRAME_LEN);
+
+        // Into spare capacity the encoder never asks the heap for anything
+        // (metrics snapshots aside: their blob is built by its own codec).
+        let fixed: Vec<Response> = sample_responses()
+            .into_iter()
+            .filter(|resp| !matches!(resp, Response::Metrics(_)))
+            .collect();
+        let mut run = BytesMut::with_capacity(expected.len());
+        let ((), requests) = crate::counting::heap_requests(|| {
+            fixed.iter().for_each(|resp| response_into(resp, &mut run));
+        });
+        assert_eq!(requests, 0);
+    }
+
+    /// `peek_score` reads a `Score` frame's route, leaves every other tag
+    /// to its decoder, and judges hostile bytes exactly as the decoder
+    /// does: whenever it answers `Some`, the frame decodes to a `Score`
+    /// with that route; whenever it fails, so does the decoder.
+    #[test]
+    fn peek_score_agrees_with_the_decoder_on_every_flip_and_cut() {
+        for resp in sample_responses() {
+            let blob = response_to_bytes(&resp).to_vec();
+            let route = match &resp {
+                Response::Score(s) => Some((s.id, s.seq)),
+                _ => None,
+            };
+            assert_eq!(peek_score(&blob), Ok(route));
+            let mut hostile: Vec<Vec<u8>> =
+                (0..blob.len()).map(|cut| blob[..cut].to_vec()).collect();
+            for byte in 0..blob.len() {
+                for bit in 0..8u32 {
+                    let mut raw = blob.clone();
+                    raw[byte] ^= 1 << bit;
+                    hostile.push(raw);
+                }
+            }
+            hostile.push([&blob[..], &[0u8]].concat());
+            for raw in hostile {
+                match (peek_score(&raw), response_from_bytes(raw.clone().into())) {
+                    (Ok(Some((id, seq))), Ok(Response::Score(s))) => {
+                        assert_eq!((id, seq), (s.id, s.seq))
+                    }
+                    (Ok(Some(_)), other) => panic!("peeked a route the decoder refused: {other:?}"),
+                    (Ok(None), _) => {
+                        assert_ne!(raw.get(tad_codec::ENVELOPE_HEADER_LEN), Some(&TAG_SCORE))
+                    }
+                    (Err(e), decoded) => assert_eq!(decoded, Err(e)),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn direction_confusion_is_typed() {
         let req = request_to_bytes(&Request::Flush);
         assert_eq!(
@@ -882,13 +984,13 @@ mod tests {
         payload.put_f64_le(0.0);
         payload.put_f64_le(0.0);
         payload.put_u32_le(u32::MAX);
-        let blob = seal_envelope(FRAME_MAGIC, FRAME_VERSION, payload.freeze());
+        let blob = tad_codec::seal_envelope(FRAME_MAGIC, FRAME_VERSION, payload.freeze());
         assert_eq!(response_from_bytes(blob), Err(FrameError::Truncated("trace entries")));
         // A snapshot body has no inner length to lie about: it is exactly
         // the payload remainder, so even an empty image decodes cleanly.
         let mut payload = BytesMut::new();
         payload.put_u8(TAG_SNAPSHOT);
-        let blob = seal_envelope(FRAME_MAGIC, FRAME_VERSION, payload.freeze());
+        let blob = tad_codec::seal_envelope(FRAME_MAGIC, FRAME_VERSION, payload.freeze());
         assert_eq!(
             response_from_bytes(blob),
             Ok(Response::Snapshot { image: Bytes::from(Vec::new()) })

@@ -7,10 +7,15 @@
 //! A [`FrontDoor`] is one event worker's half: it adopts accepted
 //! transports against the connection quota, reads and decodes frames
 //! under a per-tick budget, owns each connection's bounded [`Outbound`]
-//! response queue and write buffer, pauses a slow consumer's reads at
+//! response queue and write backlog, pauses a slow consumer's reads at
 //! the write high-water mark, runs the per-connection token bucket and
 //! the idle reaper, and reconciles poller interest at the end of every
-//! tick. It is generic over [`EventSource`] and the transport, so the
+//! tick. The response queue holds *encoded* frames — whoever pushes a
+//! response encodes it, once ([`FrontShared::deliver_chunk`] and
+//! [`FrontDoor::push_chunk`] take a whole run of them) — with a frame
+//! count beside the bytes, which is what [`NetConfig::response_queue`]
+//! bounds; the worker hands the runs to the transport as they are. The
+//! door is generic over [`EventSource`] and the transport, so the
 //! deterministic harness drives the production code with scripted I/O.
 //! A server with transports of its own (the router's backend links)
 //! registers them on the door's source ([`FrontDoor::source_mut`]) and
@@ -41,11 +46,13 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
+use bytes::{BufMut, BytesMut};
+use tad_codec::envelope::{ENVELOPE_HEADER_LEN, ENVELOPE_OVERHEAD};
 use tad_metrics::Counter;
 
 use crate::evloop::{Conn, EventSource, Interest, PollSource, PollWaker, ReadStatus, Readiness};
 use crate::frame::{
-    request_from_bytes, response_to_bytes, ErrorCode, FrameError, Request, Response,
+    request_from_bytes, response_into, response_to_bytes, ErrorCode, FrameError, Request, Response,
     DEFAULT_MAX_FRAME,
 };
 use crate::wire::RecvError;
@@ -81,10 +88,10 @@ pub struct NetConfig {
     /// refused before allocation. Defaults to
     /// [`DEFAULT_MAX_FRAME`] (64 MiB).
     pub max_frame_len: usize,
-    /// Bound of each connection's outgoing response queue, in responses.
-    /// A client that stops draining loses responses beyond this (counted
-    /// in [`NetStats::responses_dropped`]) instead of growing server
-    /// memory.
+    /// Bound of each connection's outgoing response queue, in frames
+    /// (the queue holds them encoded). A client that stops draining loses
+    /// responses beyond this (counted in [`NetStats::responses_dropped`])
+    /// instead of growing server memory.
     pub response_queue: usize,
     /// Event-loop worker threads multiplexing the connections. `0`
     /// (default) sizes to half the machine's parallelism, clamped to
@@ -180,7 +187,7 @@ pub struct NetStats {
     pub responses_dropped: u64,
     /// Request frames decoded off client sockets.
     pub frames_in: u64,
-    /// Response frames written to client sockets.
+    /// Response frames handed to client sockets' write side.
     pub frames_out: u64,
     /// Backpressure `Error` replies sent (events bounced off a full shard
     /// queue).
@@ -245,11 +252,39 @@ pub struct FrontCounters {
     pub conns_rejected: Arc<Counter>,
 }
 
+/// Frames waiting in an [`Outbound`], already encoded: runs of whole
+/// frames in delivery order, each with its frame count.
+#[derive(Default)]
+struct Pending {
+    runs: VecDeque<(BytesMut, usize)>,
+    /// Frames across `runs` — what [`NetConfig::response_queue`] bounds.
+    frames: usize,
+}
+
+/// A pushed run shorter than this is appended to the newest queued run
+/// (while that one is shorter too) instead of queued on its own, so a
+/// stream of single frames reaches the transport as a few writes.
+const COALESCE_BELOW: usize = 64 << 10;
+
+/// Byte length of the first `n` frames of `run`, a run of whole frames.
+fn prefix_len(run: &[u8], n: usize) -> usize {
+    let mut at = 0;
+    for _ in 0..n {
+        let header = &run[at..at + ENVELOPE_HEADER_LEN];
+        let plen = u64::from_le_bytes(header[6..].try_into().expect("8 length bytes"));
+        at += ENVELOPE_OVERHEAD + plen as usize;
+    }
+    at
+}
+
 /// One connection's outbound response queue, shared between the delivery
-/// path (whatever thread produces responses, via [`FrontShared::deliver`])
-/// and the event worker that owns the connection's socket.
+/// path (whatever thread produces responses, via [`FrontShared::deliver`]
+/// and [`FrontShared::deliver_chunk`]) and the event worker that owns the
+/// connection's socket. It holds frame bytes only: a response is encoded
+/// by whoever pushes it, once, and the worker moves the bytes to the
+/// transport as they are.
 struct Outbound {
-    q: Mutex<VecDeque<Response>>,
+    q: Mutex<Pending>,
     cap: usize,
     /// Set while the connection sits on its worker's dirty list; keeps
     /// each push O(1) instead of O(list).
@@ -265,27 +300,43 @@ struct Outbound {
 }
 
 impl Outbound {
-    /// Queues a response unless the queue is at capacity. `false` means
-    /// dropped — the caller counts it.
-    fn push_bounded(&self, resp: Response) -> bool {
-        {
+    /// Queues `run`, `frames` whole encoded frames. A `bounded` push keeps
+    /// only the leading frames the queue has room for; an unbounded one is
+    /// for replies that must not be dropped (admin barriers, frame errors,
+    /// the slow-consumer notice — bounded in practice by the client's own
+    /// request pacing: each answers one inbound frame). Returns how many
+    /// frames did not fit — the caller counts them dropped.
+    fn push_run(&self, mut run: BytesMut, frames: usize, bounded: bool) -> usize {
+        let kept = {
             let mut q = self.q.lock().expect("outbound queue");
-            if q.len() >= self.cap {
-                return false;
+            let room = if bounded { self.cap.saturating_sub(q.frames) } else { usize::MAX };
+            let kept = frames.min(room);
+            if kept < frames {
+                run.truncate(prefix_len(&run, kept));
             }
-            q.push_back(resp);
-        }
+            if kept == 0 {
+                return frames;
+            }
+            q.frames += kept;
+            match q.runs.back_mut() {
+                Some((back, n)) if back.len().max(run.len()) < COALESCE_BELOW => {
+                    back.put_slice(&run);
+                    *n += kept;
+                }
+                _ => q.runs.push_back((run, kept)),
+            }
+            kept
+        };
         self.mark_dirty();
-        true
+        frames - kept
     }
 
-    /// Queues a response unconditionally — for replies that must not be
-    /// dropped (admin barriers, frame errors, the slow-consumer notice).
-    /// Bounded in practice by the client's own request pacing: each such
-    /// reply answers one inbound frame.
-    fn push_always(&self, resp: Response) {
-        self.q.lock().expect("outbound queue").push_back(resp);
-        self.mark_dirty();
+    /// Encodes and queues one response; `false` means a bounded push
+    /// found the queue full.
+    fn push(&self, resp: &Response, bounded: bool) -> bool {
+        let mut frame = BytesMut::with_capacity(ENVELOPE_OVERHEAD + 64);
+        response_into(resp, &mut frame);
+        self.push_run(frame, 1, bounded) == 0
     }
 
     fn mark_dirty(&self) {
@@ -297,12 +348,16 @@ impl Outbound {
         }
     }
 
-    fn pop(&self) -> Option<Response> {
-        self.q.lock().expect("outbound queue").pop_front()
+    /// Takes the oldest queued run and its frame count.
+    fn pop(&self) -> Option<(BytesMut, usize)> {
+        let mut q = self.q.lock().expect("outbound queue");
+        let (run, frames) = q.runs.pop_front()?;
+        q.frames -= frames;
+        Some((run, frames))
     }
 
     fn is_empty(&self) -> bool {
-        self.q.lock().expect("outbound queue").is_empty()
+        self.q.lock().expect("outbound queue").runs.is_empty()
     }
 }
 
@@ -356,14 +411,30 @@ impl FrontShared {
     /// counts it in [`NetStats::responses_dropped`].
     pub fn deliver(&self, conn: u64, resp: Response) {
         let conns = self.conns.read().expect("front lock");
-        if !conns.get(&conn).is_some_and(|h| h.out.push_bounded(resp)) {
+        if !conns.get(&conn).is_some_and(|h| h.out.push(&resp, true)) {
             self.note_dropped();
         }
     }
 
+    /// [`FrontShared::deliver`] for a run of `frames` already-encoded
+    /// response frames, back to back in `chunk` — one table read and one
+    /// queue lock for the lot. The queue keeps the leading frames it has
+    /// room for; the rest (all of them, if the connection is gone) are
+    /// counted in [`NetStats::responses_dropped`].
+    pub fn deliver_chunk(&self, conn: u64, chunk: BytesMut, frames: usize) {
+        let conns = self.conns.read().expect("front lock");
+        let dropped = conns.get(&conn).map_or(frames, |h| h.out.push_run(chunk, frames, true));
+        self.count_dropped(dropped);
+    }
+
     /// Counts a response that had no connection to go to.
     pub fn note_dropped(&self) {
-        self.responses_dropped.fetch_add(1, Ordering::Relaxed);
+        self.count_dropped(1);
+    }
+
+    /// Counts `frames` responses that were not queued.
+    pub(crate) fn count_dropped(&self, frames: usize) {
+        self.responses_dropped.fetch_add(frames as u64, Ordering::Relaxed);
     }
 
     /// Adjusts `conn`'s live-trip count (no-op once the connection is
@@ -657,7 +728,7 @@ impl<S: EventSource<T>, T: Read + Write> FrontDoor<S, T> {
                 continue;
             }
             let out = Arc::new(Outbound {
-                q: Mutex::new(VecDeque::new()),
+                q: Mutex::new(Pending::default()),
                 cap: cfg.response_queue,
                 dirty: AtomicBool::new(false),
                 dirty_list: Arc::clone(&self.dirty),
@@ -759,13 +830,23 @@ impl<S: EventSource<T>, T: Read + Write> FrontDoor<S, T> {
     /// Queues a reply to `id` unless its response queue is full (`false`:
     /// the client is not reading at all).
     pub fn push(&self, id: u64, resp: Response) -> bool {
-        self.conns.get(&id).is_some_and(|wc| wc.out.push_bounded(resp))
+        self.conns.get(&id).is_some_and(|wc| wc.out.push(&resp, true))
+    }
+
+    /// [`FrontShared::deliver_chunk`] from the worker's own thread — how a
+    /// relay passes on frames it received without decoding them. Like
+    /// [`FrontDoor::push`] it still reaches a connection that is closing;
+    /// like `deliver_chunk` it counts what does not fit (everything, if
+    /// the connection is gone) in [`NetStats::responses_dropped`].
+    pub fn push_chunk(&self, id: u64, chunk: BytesMut, frames: usize) {
+        let dropped = self.conns.get(&id).map_or(frames, |wc| wc.out.push_run(chunk, frames, true));
+        self.shared.count_dropped(dropped);
     }
 
     /// Queues a reply to `id` that must not be dropped (barrier replies,
     /// the error ahead of a hang-up). `false`: the connection is gone.
     pub fn push_always(&self, id: u64, resp: Response) -> bool {
-        self.conns.get(&id).map(|wc| wc.out.push_always(resp)).is_some()
+        self.conns.get(&id).map(|wc| wc.out.push(&resp, false)).is_some()
     }
 
     /// `id`'s per-connection counters.
@@ -799,34 +880,33 @@ impl<S: EventSource<T>, T: Read + Write> FrontDoor<S, T> {
             // One notice per episode, queued behind whatever responses
             // the peer already has in flight (it is reading those — the
             // pause gates its *sends*, not its reads).
-            wc.out.push_always(Response::Error {
+            let notice = Response::Error {
                 code: ErrorCode::Throttled,
                 trip: None,
                 retry_after_ms: Some(retry_after_ms.max(1)),
                 detail: "ingest rate limit exceeded; reads paused".to_string(),
-            });
+            };
+            wc.out.push(&notice, false);
         }
     }
 
-    /// Moves queued responses into the connection's write buffer (up to
-    /// the high-water mark) and flushes toward the transport.
+    /// Hands queued runs to the connection (while its write backlog is
+    /// under the high-water mark — so the overshoot is at most one run)
+    /// and flushes toward the transport. The runs move as they are: the
+    /// transport is written from the bytes the pusher encoded.
     ///
-    /// Frames-out counting happens here, at serialization, and lives only
+    /// Frames-out counting happens here, at the hand-off, and lives only
     /// in atomics — never in a metrics registry, whose contents must be
     /// reproducible at the moment a `MetricsRequest` is answered.
-    fn pump(&mut self, id: u64) -> std::io::Result<()> {
+    pub(crate) fn pump(&mut self, id: u64) -> std::io::Result<()> {
         let highwater = self.shared.cfg.write_highwater;
         let Some(wc) = self.conns.get_mut(&id) else { return Ok(()) };
         loop {
             let mut queued = 0u64;
             while wc.conn.write_backlog() < highwater {
-                match wc.out.pop() {
-                    Some(resp) => {
-                        wc.conn.queue_bytes(&response_to_bytes(&resp));
-                        queued += 1;
-                    }
-                    None => break,
-                }
+                let Some((run, frames)) = wc.out.pop() else { break };
+                wc.conn.queue_run(run);
+                queued += frames as u64;
             }
             if queued > 0 {
                 wc.counters.frames_out.fetch_add(queued, Ordering::Relaxed);
@@ -949,7 +1029,7 @@ impl<S: EventSource<T>, T: Read + Write> FrontDoor<S, T> {
                         // resumes reading, it learns why its sends
                         // stalled.
                         let notice = "response backlog exceeds write high-water; reads paused";
-                        wc.out.push_always(Response::error(ErrorCode::Backpressure, None, notice));
+                        wc.out.push(&Response::error(ErrorCode::Backpressure, None, notice), false);
                     }
                 } else if wc.paused && backlog <= highwater / 2 {
                     wc.paused = false;

@@ -95,6 +95,8 @@
 #![deny(missing_docs)]
 
 mod client;
+#[cfg(test)]
+mod counting;
 mod evloop;
 mod frame;
 mod front;
@@ -104,9 +106,9 @@ mod wire;
 pub use client::{Client, ClientError, RetryPolicy};
 pub use evloop::{Conn, EventSource, Interest, PollSource, PollWaker, ReadStatus, Readiness};
 pub use frame::{
-    request_from_bytes, request_to_bytes, response_from_bytes, response_to_bytes, ErrorCode,
-    FrameError, Request, Response, TripComplete, DEFAULT_MAX_FRAME, FRAME_MAGIC, FRAME_VERSION,
-    MAX_ERROR_DETAIL,
+    peek_score, request_from_bytes, request_to_bytes, response_from_bytes, response_into,
+    response_to_bytes, ErrorCode, FrameError, Request, Response, TripComplete, DEFAULT_MAX_FRAME,
+    FRAME_MAGIC, FRAME_VERSION, MAX_ERROR_DETAIL,
 };
 pub use front::{
     ConnectionStats, FrontCounters, FrontDoor, FrontEvent, FrontListener, FrontShared, NetConfig,

@@ -13,11 +13,27 @@
 //!                    │   admin frames  ──▶ inline barriers   │      │
 //!                    │   backpressure Error ◀────────────────│◀─────┘ (queue full)
 //!                    └──▶ drain dirty outbound queues ──────▶│ sockets
+//!                           (encoded runs, handed over as they are;
+//!                            frames_out counted at the hand-off)
 //!
-//! shard workers ──on_score / on_complete──▶ Router ──▶ per-conn outbound
-//!                                                       queue (wakes the
-//!                                                       owning worker)
+//! shard workers ──on_scores: one wave──▶ Router ──▶ per-conn outbound
+//!   one trip-table read per wave; each        queue: runs of encoded
+//!   connection's frames ENCODED HERE into     frames + a frame count
+//!   one chunk, queued under one lock          (response_queue bounds the
+//! shard workers ──on_complete / on_policy──▶  count; wakes the owning
+//!   one frame, encoded by the pusher          worker)
 //! ```
+//!
+//! **A reply is encoded once, by whoever produces it.** The shard hands
+//! a wave's scores over in one call; the response router resolves their
+//! connections under one read of the trip table, encodes each
+//! connection's frames, in wave order, straight into one chunk sized to
+//! them ([`crate::response_into`]), and queues it whole — one connection
+//! table read and one queue lock per (wave, connection). Single replies
+//! (completions, policy notices, admin replies, errors) are encoded at
+//! push time onto the same queue. The queue holds bytes and a frame
+//! count, never a [`Response`]; the worker moves the bytes to the socket
+//! without re-encoding or copying them.
 //!
 //! Every worker tick coalesces the ingest frames that arrived across
 //! *all* of its connections into one **cohort** handed to
@@ -58,6 +74,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
+use bytes::BytesMut;
 use causaltad::CausalTad;
 use tad_metrics::{Counter, DeferredHistogram, Histogram, MetricsSnapshot, Registry};
 use tad_serve::{
@@ -66,7 +83,7 @@ use tad_serve::{
 };
 
 use crate::evloop::EventSource;
-use crate::frame::{ErrorCode, FrameError, Request, Response};
+use crate::frame::{response_into, ErrorCode, FrameError, Request, Response, SCORE_FRAME_LEN};
 use crate::front::{
     ConnectionStats, FrontCounters, FrontDoor, FrontEvent, FrontListener, FrontShared, NetConfig,
     NetStats, MAX_COHORT,
@@ -232,8 +249,34 @@ impl Router {
         }
     }
 
-    fn route_score(&self, update: &ScoreUpdate) {
-        self.deliver(update.id, Response::Score(*update));
+    /// Delivers one wave's scores: resolves every trip's connection under
+    /// one read of the trip table, encodes each connection's frames — in
+    /// wave order — straight into one chunk sized to them, and queues it
+    /// whole. Scores of trips nobody routes are counted dropped.
+    fn route_scores(&self, wave: &[ScoreUpdate]) {
+        let mut routed: Vec<(u64, u32)> = Vec::with_capacity(wave.len());
+        {
+            let trips = self.trips.read().expect("router lock");
+            routed.extend(
+                wave.iter().enumerate().filter_map(|(at, update)| {
+                    trips.get(&update.id).map(|&conn| (conn, at as u32))
+                }),
+            );
+        }
+        self.front.count_dropped(wave.len() - routed.len());
+        // Stable, so a connection's frames keep their wave order. A wave
+        // bound for one connection is grouped as it stands, and skips the
+        // sort's wave-sized scratch.
+        if !routed.is_sorted_by_key(|&(conn, _)| conn) {
+            routed.sort_by_key(|&(conn, _)| conn);
+        }
+        for group in routed.chunk_by(|a, b| a.0 == b.0) {
+            let mut chunk = BytesMut::with_capacity(group.len() * SCORE_FRAME_LEN);
+            for &(_, at) in group {
+                response_into(&Response::Score(wave[at as usize]), &mut chunk);
+            }
+            self.front.deliver_chunk(group[0].0, chunk, group.len());
+        }
     }
 
     fn route_complete(&self, outcome: TripOutcome) {
@@ -322,7 +365,7 @@ impl IngestCore {
         let policy_router = Arc::clone(&router);
         let engine = Arc::new(
             builder
-                .on_score(move |update| score_router.route_score(update))
+                .on_scores(move |wave| score_router.route_scores(wave))
                 .on_complete(move |outcome| complete_router.route_complete(outcome))
                 .on_policy(move |outcome| policy_router.route_policy(outcome))
                 .build()?,
@@ -880,5 +923,110 @@ impl Drop for NetServer {
             // Dropping the core's engine Arc drains and joins the shard
             // workers (FleetEngine's own Drop).
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::counting::heap_requests;
+    use crate::evloop::{Interest, Readiness};
+    use crate::frame::response_to_bytes;
+    use std::sync::Mutex;
+    use std::time::Duration;
+
+    /// A transport that never has anything to read and keeps what is
+    /// written to it (in room reserved up front: a write allocates
+    /// nothing).
+    struct Sink(Arc<Mutex<Vec<u8>>>);
+
+    impl Read for Sink {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::WouldBlock.into())
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().expect("sink").extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A source that hands over its transports at the first tick and
+    /// never reports readiness.
+    struct Quiet(Vec<Sink>);
+
+    impl EventSource<Sink> for Quiet {
+        fn register(&mut self, _: u64, _: &Sink, _: Interest) -> std::io::Result<()> {
+            Ok(())
+        }
+
+        fn reregister(&mut self, _: u64, _: &Sink, _: Interest) -> std::io::Result<()> {
+            Ok(())
+        }
+
+        fn deregister(&mut self, _: u64, _: &Sink) -> std::io::Result<()> {
+            Ok(())
+        }
+
+        fn wait(&mut self, out: &mut Vec<Readiness>, _: Option<Duration>) -> std::io::Result<bool> {
+            out.clear();
+            Ok(true)
+        }
+
+        fn accept_injected(&mut self) -> Vec<Sink> {
+            std::mem::take(&mut self.0)
+        }
+    }
+
+    /// The reply path's allocation contract: a wave's delivery — resolve,
+    /// encode, queue — asks the heap a constant number of times however
+    /// many scores it carries, and moving the queued bytes to the
+    /// transport asks it nothing.
+    #[test]
+    fn a_wave_is_delivered_in_a_constant_number_of_allocations_and_pumped_in_none() {
+        const CONN: u64 = 0;
+        let written = Arc::new(Mutex::new(Vec::with_capacity(1 << 20)));
+        let front = FrontShared::new(NetConfig::default(), FrontCounters::default());
+        let mut door = FrontDoor::new(Arc::clone(&front), Quiet(vec![Sink(Arc::clone(&written))]));
+        let tick = door.poll(&mut Vec::new()).expect("the first tick adopts the connection");
+        let router = Router { front: Arc::clone(&front), trips: RwLock::new(HashMap::new()) };
+        let wave = |width: u64, seq: u32| -> Vec<ScoreUpdate> {
+            let score =
+                |id| ScoreUpdate { id, seq, segment: 7, score: 1.5, nll: 0.5, log_scale: 0.25 };
+            (0..width).map(score).collect()
+        };
+        for update in wave(1024, 0) {
+            assert!(router.claim(update.id, CONN));
+        }
+
+        // The first wave grows what is kept across waves (the queue, the
+        // dirty list, the connection's run queue); the widths after it
+        // differ sixteenfold and must cost the same.
+        let mut requests = Vec::new();
+        let mut expected = Vec::new();
+        for (seq, width) in [(0, 1024), (1, 64), (2, 1024)] {
+            let wave = wave(width, seq);
+            let ((), delivering) = heap_requests(|| router.route_scores(&wave));
+            let (pumped, pumping) = heap_requests(|| door.pump(CONN));
+            pumped.expect("the sink takes everything");
+            requests.push((delivering, pumping));
+            expected
+                .extend(wave.iter().flat_map(|u| response_to_bytes(&Response::Score(*u)).to_vec()));
+        }
+        assert_eq!(requests[1], requests[2], "allocations grew with the wave");
+        let (delivering, pumping) = requests[2];
+        assert!((1..=4).contains(&delivering), "{delivering} allocations to deliver a wave");
+        assert_eq!(pumping, 0, "the pump allocated");
+
+        let stats = front.stats();
+        assert_eq!((stats.frames_out, stats.responses_dropped), (2112, 0));
+        door.finish_tick(tick);
+        assert!(*written.lock().expect("sink") == expected, "every frame arrived, in wave order");
     }
 }

@@ -33,8 +33,7 @@ use std::sync::mpsc::SyncSender;
 
 use bytes::Bytes;
 use tad_net::{
-    request_to_bytes, response_from_bytes, Conn, EventSource, Interest, ReadStatus, Request,
-    Response, READ_BUDGET,
+    request_to_bytes, Conn, EventSource, Interest, ReadStatus, Request, Response, READ_BUDGET,
 };
 
 use crate::journal::Journal;
@@ -146,28 +145,18 @@ impl<T: Read + Write> Link<T> {
         Ok(())
     }
 
-    /// Reads whatever the backend socket has (bounded per tick) and
-    /// decodes the complete frames into `out`. Frames decoded before a
-    /// fault are valid replies and stay in `out`; at the first
-    /// undecodable one decoding stops — a lost reply would misalign the
-    /// pending FIFO, so frames past the corruption point must not be
-    /// matched against pending entries.
+    /// Reads whatever the backend socket has (bounded per tick) into
+    /// `frames`, one whole envelope each, undecoded — the loop forwards a
+    /// `Score`'s bytes as they are and decodes the rest. Frames completed
+    /// before a fault are valid replies and stay in `frames`.
     ///
     /// # Errors
     /// EOF, a framing fault, or a transport error: the reply stream
-    /// cannot be trusted past this point. The caller dispatches `out`,
+    /// cannot be trusted past this point. The caller dispatches `frames`,
     /// then takes the link down.
-    pub(crate) fn read(
-        &mut self,
-        frames: &mut Vec<Bytes>,
-        out: &mut Vec<Response>,
-    ) -> Result<(), LinkDead> {
+    pub(crate) fn read(&mut self, frames: &mut Vec<Bytes>) -> Result<(), LinkDead> {
         let Some(conn) = &mut self.conn else { return Ok(()) };
-        let status = conn.read_frames(READ_BUDGET, frames);
-        for bytes in frames.drain(..) {
-            out.push(response_from_bytes(bytes).map_err(|_| LinkDead)?);
-        }
-        match status {
+        match conn.read_frames(READ_BUDGET, frames) {
             Ok(ReadStatus::WouldBlock) | Ok(ReadStatus::BudgetSpent) => Ok(()),
             Ok(ReadStatus::Eof) | Err(_) => Err(LinkDead),
         }

@@ -7,7 +7,7 @@
 //! ```text
 //!  ┌──────────────────────── one tick of RouterLoop ────────────────────────┐
 //!  │ door.poll ─▶ producer frames ─▶ partition map ─▶ link write buffer ────┼─▶ backends
-//!  │          └─▶ link readiness  ─▶ decode reply ─▶ trip table ─▶ door.push│◀─ replies
+//!  │          └─▶ link readiness  ─▶ peek / decode ─▶ trip table ─▶ door    │◀─ replies
 //!  │ inbox (admin scripts' closures) ─▶ settle: replay parked, flush links, │
 //!  │                                     reap dead links, set the read-hold │
 //!  │ door.finish_tick: drain producers' response queues to their sockets    │
@@ -41,15 +41,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use tad_metrics::MetricsSnapshot;
 use tad_net::{
-    ErrorCode, EventSource, FrontCounters, FrontDoor, FrontEvent, FrontShared, Readiness, Request,
-    Response,
+    peek_score, response_from_bytes, response_into, ErrorCode, EventSource, FrameError,
+    FrontCounters, FrontDoor, FrontEvent, FrontShared, Readiness, Request, Response,
 };
 use tad_serve::{image_from_bytes, image_to_bytes, FleetImage, FleetSnapshot, TripId};
 
-use crate::backend::{Link, PendingEntry, LINK_KEY, WRITE_HIGHWATER};
+use crate::backend::{Link, LinkDead, PendingEntry, LINK_KEY, WRITE_HIGHWATER};
 use crate::journal::Journal;
 use crate::partition::backend_for;
 use crate::server::{front_config, recover, BarrierKind, RouterConfig, RouterMetrics, RouterStats};
@@ -211,8 +211,13 @@ pub struct RouterLoop<S, T> {
     pub(crate) failovers: u64,
     pub(crate) last_recovery_micros: u64,
     failover_wait: Duration,
-    /// Reused by every link read: raw frames, decoded replies.
-    scratch: (Vec<Bytes>, Vec<Response>),
+    /// Reused by every link read: the raw frames of one tick.
+    scratch: Vec<Bytes>,
+    /// The replies being gathered for one producer connection: its id,
+    /// their frames back to back, how many. Consecutive replies to the
+    /// same connection — a backend wave relayed to its owner — reach that
+    /// connection's queue as one chunk ([`RouterLoop::flush_replies`]).
+    replies: Option<(u64, BytesMut, usize)>,
 }
 
 impl<S, T> RouterLoop<S, T>
@@ -261,6 +266,7 @@ where
             last_recovery_micros: 0,
             failover_wait,
             scratch: Default::default(),
+            replies: None,
         }
     }
 
@@ -296,6 +302,7 @@ where
             // then the producers' replies, and only then the next wait.
             self.run_inbox();
             self.settle(tick_start);
+            self.flush_replies();
             for conn in self.door.finish_tick(tick_start) {
                 self.unroute_front(conn);
             }
@@ -305,6 +312,9 @@ where
                 match event {
                     FrontEvent::Frame { conn, req, .. } => self.on_frame(conn, req, tick_start),
                     FrontEvent::Hangup(conn, bad_frame) => {
+                        // The door queues its own parting reply: what was
+                        // gathered for the connection goes first.
+                        self.flush_replies();
                         self.door.hangup(conn, bad_frame);
                         self.unroute_front(conn);
                     }
@@ -318,6 +328,7 @@ where
             // whoever waits on it sees the link as lost.
             link.pending.clear();
         }
+        self.flush_replies();
         self.door.teardown_all();
         // Close the inbox (dropping what is queued) so drivers and admin
         // callers stop waiting on a loop that no longer runs.
@@ -405,24 +416,52 @@ where
             return;
         }
         if ready.readable {
-            let (mut frames, mut replies) = std::mem::take(&mut self.scratch);
-            let read = self.links[idx as usize].read(&mut frames, &mut replies);
-            for resp in replies.drain(..) {
-                self.on_backend_response(idx, resp);
+            let mut frames = std::mem::take(&mut self.scratch);
+            let mut read = self.links[idx as usize].read(&mut frames);
+            // Dispatch stops at the first frame that does not verify or
+            // decode: a lost reply would misalign the pending FIFO, so
+            // frames past the corruption point must not be matched
+            // against pending entries.
+            for frame in frames.drain(..) {
+                if self.on_backend_frame(idx, frame).is_err() {
+                    read = Err(LinkDead);
+                    break;
+                }
             }
-            self.scratch = (frames, replies);
+            self.scratch = frames;
             if read.is_err() {
                 self.link_down(idx);
             }
         }
     }
 
-    /// Queues a response for front connection `conn`; one that cannot be
-    /// queued (connection gone, or its queue full) is counted as dropped.
-    fn deliver(&self, conn: u64, resp: Response) {
-        if !self.door.push(conn, resp) {
-            self.front.note_dropped();
+    /// The chunk gathering replies for `conn`, with its frame count;
+    /// whatever was gathered for another connection is queued first, so
+    /// replies reach the door in the order they were produced.
+    fn replies_for(&mut self, conn: u64) -> (&mut BytesMut, &mut usize) {
+        if self.replies.as_ref().is_some_and(|(open, ..)| *open != conn) {
+            self.flush_replies();
         }
+        let (_, chunk, frames) = self.replies.get_or_insert_with(|| (conn, BytesMut::new(), 0));
+        (chunk, frames)
+    }
+
+    /// Hands the gathered replies to their connection's queue (the door
+    /// counts frames that cannot be queued — connection gone, or its
+    /// queue full — as dropped). Runs before anything else touches a
+    /// producer's queue: at the end of every tick and ahead of the door's
+    /// own parting replies.
+    fn flush_replies(&mut self) {
+        if let Some((conn, chunk, frames)) = self.replies.take() {
+            self.door.push_chunk(conn, chunk, frames);
+        }
+    }
+
+    /// Queues a response for front connection `conn`.
+    fn deliver(&mut self, conn: u64, resp: Response) {
+        let (chunk, frames) = self.replies_for(conn);
+        response_into(&resp, chunk);
+        *frames += 1;
     }
 
     /// Frees a closed front connection's routing claims so a reconnecting
@@ -619,21 +658,40 @@ where
         );
     }
 
-    /// Fan-in: one frame arrived from backend link `idx`.
+    /// Fan-in of one raw frame from backend link `idx`: a `Score` is
+    /// relayed as the bytes it arrived in, every other reply is decoded.
+    fn on_backend_frame(&mut self, idx: u32, frame: Bytes) -> Result<(), FrameError> {
+        match peek_score(&frame)? {
+            Some((id, seq)) => self.on_backend_score(idx, id, seq, &frame),
+            None => self.on_backend_response(idx, response_from_bytes(frame)?),
+        }
+        Ok(())
+    }
+
+    /// Fan-in of a verified `Score` frame from backend link `idx`: `id`
+    /// and `seq` were read out of `frame`, which goes to the owning
+    /// producer connection as the bytes the backend encoded.
+    fn on_backend_score(&mut self, idx: u32, id: TripId, seq: u32, frame: &[u8]) {
+        match self.trips.get_mut(&id) {
+            // During replay the per-trip delivered high-water mark is
+            // the duplicate filter: anything below it was already
+            // delivered pre-crash.
+            Some(route) if route.replaying && seq < route.delivered => self.suppressed(),
+            Some(route) => {
+                route.delivered = seq + 1;
+                let conn = route.conn;
+                let (chunk, frames) = self.replies_for(conn);
+                chunk.put_slice(frame);
+                *frames += 1;
+            }
+            None => self.unrouted(idx),
+        }
+    }
+
+    /// Fan-in: one decoded frame arrived from backend link `idx`.
     fn on_backend_response(&mut self, idx: u32, resp: Response) {
         match resp {
-            Response::Score(update) => match self.trips.get_mut(&update.id) {
-                // During replay the per-trip delivered high-water mark is
-                // the duplicate filter: anything below it was already
-                // delivered pre-crash.
-                Some(route) if route.replaying && update.seq < route.delivered => self.suppressed(),
-                Some(route) => {
-                    route.delivered = update.seq + 1;
-                    let conn = route.conn;
-                    self.deliver(conn, Response::Score(update));
-                }
-                None => self.unrouted(idx),
-            },
+            Response::Score(_) => unreachable!("a Score frame is relayed by on_backend_score"),
             Response::TripComplete(tc) => {
                 // The trip is finished: forget the route so the id can be
                 // started again later.
@@ -651,7 +709,8 @@ where
                 match self.trips.get(&id) {
                     Some(route) if route.replaying => self.suppressed(),
                     Some(route) => {
-                        self.deliver(route.conn, Response::PolicyNotice { id, action, seg })
+                        let conn = route.conn;
+                        self.deliver(conn, Response::PolicyNotice { id, action, seg })
                     }
                     None => self.unrouted(idx),
                 }

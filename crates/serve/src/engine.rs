@@ -20,9 +20,10 @@ use crate::stats::{FleetSnapshot, FleetStats, ServeMetrics};
 /// Completion callback invoked by shard workers with each finished trip.
 pub type CompletionCallback = Arc<dyn Fn(TripOutcome) + Send + Sync>;
 
-/// Score callback invoked by shard workers with every scored segment (the
-/// per-segment online delivery path).
-pub type ScoreCallback = Arc<dyn Fn(&ScoreUpdate) + Send + Sync>;
+/// Score callback invoked by shard workers with the scores of one model
+/// step — a whole `push_batch` wave, in wave order (the per-segment online
+/// delivery path, handed over a wave at a time).
+pub type ScoreCallback = Arc<dyn Fn(&[ScoreUpdate]) + Send + Sync>;
 
 /// Tunables of the fleet engine.
 #[derive(Clone, Debug)]
@@ -226,7 +227,18 @@ impl FleetEngineBuilder {
     /// micro-batched step that consumed the segment, in per-trip order.
     /// Must be cheap or hand off to a channel — it runs on the scoring
     /// threads.
-    pub fn on_score(mut self, cb: impl Fn(&ScoreUpdate) + Send + Sync + 'static) -> Self {
+    pub fn on_score(self, cb: impl Fn(&ScoreUpdate) + Send + Sync + 'static) -> Self {
+        self.on_scores(move |wave| wave.iter().for_each(&cb))
+    }
+
+    /// [`FleetEngineBuilder::on_score`] a wave at a time: called once per
+    /// batched model step with every score it produced, in wave order (a
+    /// trip appears at most once per wave, and its waves arrive in
+    /// order), so a consumer that routes or encodes scores pays its
+    /// per-call costs once per wave instead of once per segment. Replaces
+    /// any `on_score` callback; the same cost rule applies — it runs on
+    /// the scoring threads.
+    pub fn on_scores(mut self, cb: impl Fn(&[ScoreUpdate]) + Send + Sync + 'static) -> Self {
         self.on_score = Some(Arc::new(cb));
         self
     }

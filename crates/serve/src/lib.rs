@@ -27,8 +27,11 @@
 //! * **Online delivery** — an optional `on_score` callback receives a
 //!   [`ScoreUpdate`] for every scored segment, in per-trip order, right
 //!   after the micro-batched step that consumed it — the per-segment
-//!   streaming surface behind the paper's online-detection claim (and the
-//!   `tad-net` front-end's `Score` frames). [`FleetEngine::flush`] is the
+//!   streaming surface behind the paper's online-detection claim. The
+//!   shard hands them over a wave at a time
+//!   ([`FleetEngineBuilder::on_scores`], which is how the `tad-net`
+//!   front-end encodes a wave's `Score` frames in one pass); `on_score`
+//!   is the per-segment view of the same calls. [`FleetEngine::flush`] is the
 //!   matching quiesce barrier: when it returns, every event submitted
 //!   before it has been scored and its callbacks have run.
 //! * **Session persistence** — [`FleetEngine::snapshot`] captures every

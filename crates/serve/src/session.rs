@@ -146,14 +146,7 @@ impl SessionStore {
     /// Panics if `id` is already present (callers check `contains` first).
     pub fn insert(&mut self, id: TripId, session: Session) -> Option<(TripId, Session)> {
         assert!(!self.map.contains_key(&id), "duplicate session insert for trip {id}");
-        let evicted = if self.map.len() >= self.max_sessions {
-            let victim_slot = self.tail;
-            debug_assert_ne!(victim_slot, NIL, "cap >= 1 and store full, so a tail exists");
-            let victim_id = self.slots[victim_slot].as_ref().expect("tail slot is live").id;
-            self.remove(victim_id).map(|s| (victim_id, s))
-        } else {
-            None
-        };
+        let evicted = if self.map.len() >= self.max_sessions { self.pop_lru() } else { None };
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot] = Some(Slot { id, session, prev: NIL, next: NIL });
@@ -213,15 +206,13 @@ impl SessionStore {
         }
     }
 
-    /// Drains every session (shutdown flush), least recently touched first.
-    pub fn drain(&mut self) -> Vec<(TripId, Session)> {
-        let mut out = Vec::with_capacity(self.map.len());
-        while self.tail != NIL {
-            let id = self.slots[self.tail].as_ref().expect("tail slot is live").id;
-            let session = self.remove(id).expect("tail id is mapped");
-            out.push((id, session));
-        }
-        out
+    /// Removes and returns the least recently touched session — the
+    /// shutdown flush and the handoff drain empty the store through this,
+    /// one session at a time, so teardown never holds a second copy of
+    /// the fleet.
+    pub fn pop_lru(&mut self) -> Option<(TripId, Session)> {
+        let id = self.slots.get(self.tail)?.as_ref().expect("tail slot is live").id;
+        Some((id, self.remove(id).expect("tail id is mapped")))
     }
 
     /// Detaches `slot` from the recency list (no-op bookkeeping if it is
@@ -403,7 +394,8 @@ mod tests {
         let mut store = SessionStore::new(4);
         store.insert(1, session(now));
         store.insert(2, session(now));
-        let drained: Vec<TripId> = store.drain().into_iter().map(|(id, _)| id).collect();
+        let drained: Vec<TripId> =
+            std::iter::from_fn(|| store.pop_lru()).map(|(id, _)| id).collect();
         assert_eq!(drained, vec![1, 2]);
         assert_eq!(store.len(), 0);
         assert_eq!(lru_order(&store), Vec::<TripId>::new());

@@ -82,22 +82,34 @@ pub(crate) struct ShardCtx {
 
 impl ShardCtx {
     /// Per-segment bookkeeping after a model step scored `state`'s newest
-    /// segment: the off-graph counter, then the `on_score` delivery.
-    fn deliver_score(&self, id: TripId, state: &ScorerState, score: f64) {
+    /// segment: bumps the off-graph counter and builds the update the
+    /// `on_score` callback is owed.
+    fn score_update(&self, id: TripId, state: &ScorerState, score: f64) -> ScoreUpdate {
         let step = *state.trace().last().expect("a segment was just scored");
         if step.nll == OFF_GRAPH_NLL {
             FleetStats::bump(&self.stats.off_graph_hits);
         }
-        if let Some(cb) = &self.on_score {
-            cb(&ScoreUpdate {
-                id,
-                seq: (state.len() - 1) as u32,
-                segment: step.segment,
-                score,
-                nll: step.nll,
-                log_scale: step.log_scale,
-            });
+        ScoreUpdate {
+            id,
+            seq: (state.len() - 1) as u32,
+            segment: step.segment,
+            score,
+            nll: step.nll,
+            log_scale: step.log_scale,
         }
+    }
+
+    /// Hands one step's scores to the `on_score` callback in one call.
+    fn deliver_scores(&self, wave: &[ScoreUpdate]) {
+        if let Some(cb) = &self.on_score {
+            cb(wave);
+        }
+    }
+
+    /// A segment scored outside the waves (`push_state` at restore time or
+    /// under the gap policy): a wave of one.
+    fn deliver_score(&self, id: TripId, state: &ScorerState, score: f64) {
+        self.deliver_scores(&[self.score_update(id, state, score)]);
     }
 
     /// Delivers a sanitization outcome to the engine's `on_policy`
@@ -194,6 +206,8 @@ struct BatchScratch {
     work: Vec<WorkItem>,
     /// The segment each work item consumes in the current wave.
     wave_segs: Vec<u32>,
+    /// The current wave's scores, as the `on_score` callback gets them.
+    wave_scores: Vec<ScoreUpdate>,
 }
 
 /// Worker entry point; returns when every sender is dropped and the queue
@@ -253,12 +267,11 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<Ingest>) {
             }
             Some(Ingest::Drain(reply)) => {
                 let now = Instant::now();
-                let drained = store.drain();
                 ctx.stats
                     .active_sessions
-                    .fetch_sub(drained.len() as u64, std::sync::atomic::Ordering::Relaxed);
-                let mut records = Vec::with_capacity(drained.len());
-                for (id, session) in drained {
+                    .fetch_sub(store.len() as u64, std::sync::atomic::Ordering::Relaxed);
+                let mut records = Vec::with_capacity(store.len());
+                while let Some((id, session)) = store.pop_lru() {
                     tombstone(&mut removed, id);
                     records.push(record_of(id, &session, now));
                 }
@@ -269,8 +282,9 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<Ingest>) {
         sweep(&ctx, &mut store, &mut removed, &mut last_sweep, sweep_every);
     }
 
-    // Engine dropped: flush whatever is still live.
-    for (id, session) in store.drain() {
+    // Engine dropped: flush whatever is still live, oldest first, one
+    // session at a time — each is freed before the next leaves the store.
+    while let Some((id, session)) = store.pop_lru() {
         ctx.finish(id, session, Completion::Shutdown);
     }
 }
@@ -422,7 +436,7 @@ fn process_batch(
     batch: &mut Vec<Event>,
     scratch: &mut BatchScratch,
 ) {
-    let BatchScratch { touched, ended, work, wave_segs } = scratch;
+    let BatchScratch { touched, ended, work, wave_segs, wave_scores } = scratch;
     let now = Instant::now();
     // Queue-depth accounting: observe the fleet-wide in-flight level with
     // this drain still counted, then retire the drained events from it.
@@ -523,9 +537,13 @@ fn process_batch(
         ctx.metrics.batch_width.record(work.len() as u64);
         FleetStats::bump(&ctx.stats.batches);
         FleetStats::add(&ctx.stats.segments_scored, work.len() as u64);
-        for (item, score) in work.iter().zip(scores) {
-            ctx.deliver_score(item.id, &item.state, score);
-        }
+        wave_scores.clear();
+        wave_scores.extend(
+            work.iter()
+                .zip(scores)
+                .map(|(item, score)| ctx.score_update(item.id, &item.state, score)),
+        );
+        ctx.deliver_scores(wave_scores);
         work.retain_mut(|item| {
             if !item.pending.is_empty() {
                 return true;

@@ -180,7 +180,7 @@ pub fn make_switch<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::preference::{PreferenceConfig, RoadPreference};
-    use crate::routing::{choose_route, RouteChoiceConfig};
+    use crate::routing::{choose_route, RouteChoiceConfig, RouteCosts};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tad_roadnet::grid::{generate_grid_city, GridCityConfig};
@@ -204,8 +204,8 @@ mod tests {
     fn long_trajectory(net: &RoadNetwork, pref: &RoadPreference, rng: &mut StdRng) -> Trajectory {
         let s = net.out_segments(NodeId(0))[0];
         let d = net.in_segments(NodeId((net.num_nodes() - 1) as u32))[0];
-        let route = choose_route(net, pref, s, d, 0, &RouteChoiceConfig::default(), rng).unwrap();
-        Trajectory::normal(route, 0)
+        let costs = RouteCosts::new(net, pref, &RouteChoiceConfig::default());
+        Trajectory::normal(choose_route(net, &costs, s, d, 0, rng).unwrap(), 0)
     }
 
     #[test]
@@ -232,18 +232,12 @@ mod tests {
         let t = long_trajectory(&net, &pref, &mut rng);
         // Build a pool with several diverse routes of the same SD pair.
         let sd = t.sd_pair();
+        let diverse = RouteChoiceConfig { utility_noise: 0.6, ..Default::default() };
+        let costs = RouteCosts::new(&net, &pref, &diverse);
         let pool_owned: Vec<Trajectory> = (0..10)
             .filter_map(|_| {
-                choose_route(
-                    &net,
-                    &pref,
-                    sd.source,
-                    sd.dest,
-                    0,
-                    &RouteChoiceConfig { utility_noise: 0.6, ..Default::default() },
-                    &mut rng,
-                )
-                .map(|r| Trajectory::normal(r, 0))
+                choose_route(&net, &costs, sd.source, sd.dest, 0, &mut rng)
+                    .map(|r| Trajectory::normal(r, 0))
             })
             .collect();
         let pool: Vec<&Trajectory> = pool_owned.iter().collect();

@@ -16,7 +16,7 @@ use tad_roadnet::RoadNetwork;
 use crate::anomaly::{make_detour, make_switch, AnomalyConfig};
 use crate::dataset::{CityDatasets, SdPair, Trajectory};
 use crate::preference::{PreferenceConfig, RoadPreference};
-use crate::routing::{choose_route, RouteChoiceConfig};
+use crate::routing::{choose_route, RouteChoiceConfig, RouteCosts};
 use crate::sd::{sample_candidate_pairs, sample_ood_pairs, SdConfig};
 
 /// Full configuration of a synthetic city and its datasets.
@@ -101,9 +101,10 @@ pub fn generate_city(cfg: &CityConfig) -> City {
     let ood_pairs = sample_ood_pairs(&net, cfg.num_ood_pairs, &cfg.sd, &candidate_pairs, &mut rng);
 
     let num_slots = pref.num_time_slots();
+    let costs = RouteCosts::new(&net, &pref, &cfg.route);
     let record = |pair: &SdPair, rng: &mut StdRng| -> Option<Trajectory> {
         let slot = rng.gen_range(0..num_slots);
-        let route = choose_route(&net, &pref, pair.source, pair.dest, slot, &cfg.route, rng)?;
+        let route = choose_route(&net, &costs, pair.source, pair.dest, slot, rng)?;
         if route.len() < cfg.sd.min_segments / 2 {
             return None;
         }

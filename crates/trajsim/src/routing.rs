@@ -32,24 +32,46 @@ impl Default for RouteChoiceConfig {
     }
 }
 
+/// [`RoadPreference::route_cost`] of every segment in every time slot at
+/// one `gamma`: what every trip of a city prices its routes from. Built
+/// once per city — the cost is a `powf` per segment, and a route search
+/// relaxes each segment's edges many times over.
+#[derive(Clone, Debug)]
+pub struct RouteCosts {
+    /// `per_slot[slot][segment]`.
+    per_slot: Vec<Vec<f64>>,
+    utility_noise: f64,
+}
+
+impl RouteCosts {
+    /// Prices `net` under `pref` for the route-choice model `cfg`.
+    pub fn new(net: &RoadNetwork, pref: &RoadPreference, cfg: &RouteChoiceConfig) -> RouteCosts {
+        let per_slot = (0..pref.num_time_slots())
+            .map(|slot| {
+                net.segment_ids().map(|s| pref.route_cost(net, s, slot, cfg.gamma)).collect()
+            })
+            .collect();
+        RouteCosts { per_slot, utility_noise: cfg.utility_noise }
+    }
+}
+
 /// Samples one route from `source` to `dest` (both road segments, inclusive)
 /// departing in `slot`. Returns `None` only if the pair is unreachable.
 pub fn choose_route<R: Rng + ?Sized>(
     net: &RoadNetwork,
-    pref: &RoadPreference,
+    costs: &RouteCosts,
     source: SegmentId,
     dest: SegmentId,
     slot: usize,
-    cfg: &RouteChoiceConfig,
     rng: &mut R,
 ) -> Option<Vec<SegmentId>> {
     // One noise draw per segment per trip: the driver's idiosyncratic view
     // of the network on this day.
     let noise: Vec<f64> =
-        (0..net.num_segments()).map(|_| (cfg.utility_noise * gauss(rng)).exp()).collect();
-    let result = segment_shortest_path(net, source, dest, |s| {
-        Some(pref.route_cost(net, s, slot, cfg.gamma) * noise[s.index()])
-    })?;
+        (0..net.num_segments()).map(|_| (costs.utility_noise * gauss(rng)).exp()).collect();
+    let base = &costs.per_slot[slot % costs.per_slot.len()];
+    let result =
+        segment_shortest_path(net, source, dest, |s| Some(base[s.index()] * noise[s.index()]))?;
     Some(result.segments)
 }
 
@@ -88,8 +110,8 @@ mod tests {
         let (s, d) = far_pair(&net);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..10 {
-            let route = choose_route(&net, &pref, s, d, 0, &RouteChoiceConfig::default(), &mut rng)
-                .expect("reachable");
+            let costs = RouteCosts::new(&net, &pref, &RouteChoiceConfig::default());
+            let route = choose_route(&net, &costs, s, d, 0, &mut rng).expect("reachable");
             assert!(net.is_connected_path(&route));
             assert_eq!(route.first(), Some(&s));
             assert_eq!(route.last(), Some(&d));
@@ -102,9 +124,10 @@ mod tests {
         let (s, d) = far_pair(&net);
         let mut rng = StdRng::seed_from_u64(2);
         let cfg = RouteChoiceConfig { utility_noise: 0.5, ..Default::default() };
+        let costs = RouteCosts::new(&net, &pref, &cfg);
         let routes: std::collections::HashSet<Vec<u32>> = (0..20)
             .map(|_| {
-                choose_route(&net, &pref, s, d, 0, &cfg, &mut rng)
+                choose_route(&net, &costs, s, d, 0, &mut rng)
                     .unwrap()
                     .iter()
                     .map(|seg| seg.0)
@@ -119,10 +142,11 @@ mod tests {
         let (net, pref) = setup();
         let (s, d) = far_pair(&net);
         let cfg = RouteChoiceConfig { utility_noise: 0.0, ..Default::default() };
+        let costs = RouteCosts::new(&net, &pref, &cfg);
         let mut rng_a = StdRng::seed_from_u64(3);
         let mut rng_b = StdRng::seed_from_u64(4);
-        let a = choose_route(&net, &pref, s, d, 0, &cfg, &mut rng_a).unwrap();
-        let b = choose_route(&net, &pref, s, d, 0, &cfg, &mut rng_b).unwrap();
+        let a = choose_route(&net, &costs, s, d, 0, &mut rng_a).unwrap();
+        let b = choose_route(&net, &costs, s, d, 0, &mut rng_b).unwrap();
         assert_eq!(a, b);
     }
 
@@ -132,11 +156,12 @@ mod tests {
         let (s, d) = far_pair(&net);
         let mut rng = StdRng::seed_from_u64(5);
         let mean_popularity = |gamma: f64, rng: &mut StdRng| -> f64 {
-            let cfg = RouteChoiceConfig { gamma, utility_noise: 0.1 };
+            let costs =
+                RouteCosts::new(&net, &pref, &RouteChoiceConfig { gamma, utility_noise: 0.1 });
             let mut total = 0.0;
             let mut count = 0usize;
             for _ in 0..15 {
-                let route = choose_route(&net, &pref, s, d, 0, &cfg, rng).unwrap();
+                let route = choose_route(&net, &costs, s, d, 0, rng).unwrap();
                 total += route.iter().map(|&seg| pref.weight(seg)).sum::<f64>();
                 count += route.len();
             }
