@@ -47,11 +47,10 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, id) in store.ids().enumerate().collect::<Vec<_>>() {
-            let m = &mut self.m[i];
-            let v = &mut self.v[i];
-            // Split borrow: read grad, write value — no gradient clone.
-            let (value, grad) = store.value_grad_mut(id);
+        // Split borrow: read grad, write value — no gradient clone.
+        for ((value, grad), (m, v)) in
+            store.values_grads_mut().zip(self.m.iter_mut().zip(&mut self.v))
+        {
             for (((p, g), mi), vi) in value
                 .data_mut()
                 .iter_mut()

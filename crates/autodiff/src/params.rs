@@ -3,6 +3,12 @@
 //! All learnable tensors of a model live in one [`ParamStore`]; the tape
 //! references them by [`ParamId`] and `backward` accumulates gradients into
 //! the store. Optimisers then consume `grads` and reset them.
+//!
+//! A store can be cut into contiguous shards ([`ParamStore::split_off`],
+//! [`ParamStore::append`]): the tensors move, every [`ParamId`] stays
+//! valid in the shard that holds it, and sub-models that share no
+//! parameter can be trained on separate threads, each with `&mut` to its
+//! own shard.
 
 use std::collections::HashSet;
 
@@ -19,7 +25,8 @@ use crate::tensor::Tensor;
 pub struct ParamId(pub(crate) u32);
 
 impl ParamId {
-    /// Index into the store's internal vectors.
+    /// Position among the parameters of the store that registered it (a
+    /// shard's own vectors start at its first id, not at zero).
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
@@ -32,6 +39,9 @@ pub struct ParamStore {
     names: Vec<String>,
     values: Vec<Tensor>,
     grads: Vec<Tensor>,
+    /// Id of the first tensor held: non-zero only in a shard that
+    /// [`ParamStore::split_off`] cut from the tail of another store.
+    base: u32,
 }
 
 impl ParamStore {
@@ -49,7 +59,44 @@ impl ParamStore {
         self.names.push(name);
         self.values.push(value);
         self.grads.push(Tensor::zeros(r, c));
-        ParamId((self.values.len() - 1) as u32)
+        ParamId(self.base + (self.values.len() - 1) as u32)
+    }
+
+    /// Position of `id` in this store's vectors. An id below the shard's
+    /// base wraps to an index no vector has, so reaching into the wrong
+    /// shard is an out-of-bounds panic in every profile.
+    #[inline]
+    fn slot(&self, id: ParamId) -> usize {
+        id.0.wrapping_sub(self.base) as usize
+    }
+
+    /// Cuts the store in two at position `at`: `self` keeps the first `at`
+    /// tensors, the returned shard owns the rest. Tensors are moved, no
+    /// scalar is copied, and the ids handed out by [`ParamStore::add`]
+    /// keep addressing the same tensors — each in the shard that now holds
+    /// it. [`ParamStore::append`] is the inverse.
+    pub fn split_off(&mut self, at: usize) -> ParamStore {
+        ParamStore {
+            names: self.names.split_off(at),
+            values: self.values.split_off(at),
+            grads: self.grads.split_off(at),
+            base: self.base + at as u32,
+        }
+    }
+
+    /// Takes back the shard [`ParamStore::split_off`] returned.
+    ///
+    /// # Panics
+    /// Panics when `tail` does not start where `self` ends.
+    pub fn append(&mut self, mut tail: ParamStore) {
+        assert_eq!(
+            tail.base as usize,
+            self.base as usize + self.len(),
+            "append: the shard is not this store's tail"
+        );
+        self.names.append(&mut tail.names);
+        self.values.append(&mut tail.values);
+        self.grads.append(&mut tail.grads);
     }
 
     /// Number of registered parameters (tensors, not scalars).
@@ -70,49 +117,51 @@ impl ParamStore {
     /// Parameter value.
     #[inline]
     pub fn value(&self, id: ParamId) -> &Tensor {
-        &self.values[id.index()]
+        &self.values[self.slot(id)]
     }
 
     /// Mutable parameter value (used by optimisers).
     #[inline]
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.values[id.index()]
+        let slot = self.slot(id);
+        &mut self.values[slot]
     }
 
     /// Accumulated gradient.
     #[inline]
     pub fn grad(&self, id: ParamId) -> &Tensor {
-        &self.grads[id.index()]
+        &self.grads[self.slot(id)]
     }
 
     /// Mutable gradient buffer.
     #[inline]
     pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.grads[id.index()]
-    }
-
-    /// Split borrow for optimisers: the mutable value and the (shared)
-    /// gradient of `id` at once, so update loops need no gradient clone.
-    #[inline]
-    pub fn value_grad_mut(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
-        (&mut self.values[id.index()], &self.grads[id.index()])
+        let slot = self.slot(id);
+        &mut self.grads[slot]
     }
 
     /// Split borrow for scatter-style backward rules: the (shared) value
     /// and the mutable gradient of `id` at once.
     #[inline]
     pub fn value_and_grad_mut(&mut self, id: ParamId) -> (&Tensor, &mut Tensor) {
-        (&self.values[id.index()], &mut self.grads[id.index()])
+        let slot = self.slot(id);
+        (&self.values[slot], &mut self.grads[slot])
     }
 
     /// Parameter name.
     pub fn name(&self, id: ParamId) -> &str {
-        &self.names[id.index()]
+        &self.names[self.slot(id)]
     }
 
     /// Iterate over all parameter ids.
     pub fn ids(&self) -> impl Iterator<Item = ParamId> {
-        (0..self.values.len() as u32).map(ParamId)
+        (self.base..self.base + self.values.len() as u32).map(ParamId)
+    }
+
+    /// Split borrow for optimisers: every `(value, gradient)` pair in id
+    /// order, the values mutable, so update loops need no gradient clone.
+    pub fn values_grads_mut(&mut self) -> impl Iterator<Item = (&mut Tensor, &Tensor)> {
+        self.values.iter_mut().zip(&self.grads)
     }
 
     /// Resets every gradient buffer to zero.
@@ -122,22 +171,39 @@ impl ParamStore {
         }
     }
 
+    /// Squared L2 norm of each gradient, in id order. Summed in that order
+    /// and rooted they are [`ParamStore::grad_norm`]; chaining the shards'
+    /// sequences gives the norm of the whole model, bit for bit.
+    pub fn grad_sq_norms(&self) -> impl Iterator<Item = f64> + '_ {
+        self.grads.iter().map(Tensor::sq_norm)
+    }
+
     /// Global L2 norm of all gradients.
     pub fn grad_norm(&self) -> f64 {
-        self.grads.iter().map(Tensor::sq_norm).sum::<f64>().sqrt()
+        self.grad_sq_norms().sum::<f64>().sqrt()
+    }
+
+    /// The factor that brings gradients of global L2 norm `norm` down to
+    /// `max_norm`; `None` when they are within it already.
+    pub fn clip_factor(norm: f64, max_norm: f64) -> Option<f32> {
+        (norm > max_norm && norm > 0.0).then(|| (max_norm / norm) as f32)
+    }
+
+    /// Multiplies every gradient by `factor`.
+    pub fn scale_grads(&mut self, factor: f32) {
+        for g in &mut self.grads {
+            for x in g.data_mut() {
+                *x *= factor;
+            }
+        }
     }
 
     /// Rescales all gradients so their global L2 norm is at most `max_norm`.
     /// Returns the pre-clipping norm.
     pub fn clip_grad_norm(&mut self, max_norm: f64) -> f64 {
         let norm = self.grad_norm();
-        if norm > max_norm && norm > 0.0 {
-            let scale = (max_norm / norm) as f32;
-            for g in &mut self.grads {
-                for x in g.data_mut() {
-                    *x *= scale;
-                }
-            }
+        if let Some(factor) = Self::clip_factor(norm, max_norm) {
+            self.scale_grads(factor);
         }
         norm
     }
@@ -208,16 +274,24 @@ impl ParamStore {
     /// store address the other, and the precondition of
     /// [`ParamStore::copy_values_from`].
     pub fn same_layout(&self, other: &ParamStore) -> bool {
-        self.names == other.names
+        self.base == other.base
+            && self.names == other.names
             && self.values.iter().map(Tensor::shape).eq(other.values.iter().map(Tensor::shape))
     }
 
-    /// Overwrites this store's values from another store with identical
-    /// layout (same names, same order, same shapes). Used to restore the
-    /// best checkpoint after training.
-    pub fn copy_values_from(&mut self, other: &ParamStore) {
-        assert_eq!(self.names, other.names, "param layout mismatch");
-        for (dst, src) in self.values.iter_mut().zip(other.values.iter()) {
+    /// Every parameter value in id order — what a checkpoint of this store
+    /// has to keep (`to_vec()` it); names and gradient buffers stay behind.
+    pub fn values(&self) -> &[Tensor] {
+        &self.values
+    }
+
+    /// Overwrites this store's values with `values`, one tensor per
+    /// parameter in id order with matching shapes (a copy of
+    /// [`ParamStore::values`] taken earlier, or another store's). Used to
+    /// restore the best checkpoint after training.
+    pub fn copy_values_from(&mut self, values: &[Tensor]) {
+        assert_eq!(self.values.len(), values.len(), "param layout mismatch");
+        for (dst, src) in self.values.iter_mut().zip(values) {
             assert_eq!(dst.shape(), src.shape(), "param shape mismatch");
             dst.data_mut().copy_from_slice(src.data());
         }
@@ -279,6 +353,55 @@ mod tests {
         let before = s.clip_grad_norm(1.0);
         assert!((before - 5.0).abs() < 1e-6);
         assert!((s.grad_norm() - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn split_off_and_append_round_trip() {
+        let mut s = sample_store();
+        let c = s.add("c", Tensor::from_vec(1, 2, vec![7.0, -7.0]));
+        let (whole, bytes) = (s.clone(), s.to_bytes());
+        let ids: Vec<_> = s.ids().collect();
+
+        let mut tail = s.split_off(1);
+        assert_eq!((s.len(), tail.len()), (1, 2));
+        assert_eq!(s.ids().chain(tail.ids()).collect::<Vec<_>>(), ids, "ids survive the cut");
+        assert_eq!(tail.name(c), "c");
+        assert_eq!(tail.value(c).data(), &[7.0, -7.0]);
+        assert!(!tail.same_layout(&ParamStore::from_bytes(tail.to_bytes()).unwrap()), "base");
+        // A shard is a store: it hands out the next id and can be cut again.
+        let d = tail.add("d", Tensor::zeros(1, 1));
+        assert_eq!(d.index(), 3);
+        let dropped = tail.split_off(2);
+        assert_eq!(dropped.name(d), "d");
+        tail.grad_mut(c).set(0, 1, 2.0);
+        assert_eq!(
+            s.grad_sq_norms().chain(tail.grad_sq_norms()).collect::<Vec<_>>(),
+            [0.0, 0.0, 4.0]
+        );
+        tail.zero_grads();
+
+        s.append(tail);
+        assert!(s.same_layout(&whole));
+        assert_eq!(s.to_bytes(), bytes);
+        assert_eq!(s.value(c), whole.value(c));
+    }
+
+    #[test]
+    #[should_panic]
+    fn an_id_of_the_other_shard_is_out_of_bounds() {
+        let mut s = sample_store();
+        let first = s.ids().next().unwrap();
+        let tail = s.split_off(1);
+        tail.value(first);
+    }
+
+    #[test]
+    #[should_panic(expected = "not this store's tail")]
+    fn append_refuses_a_shard_from_elsewhere() {
+        let mut s = sample_store();
+        let tail = s.split_off(1);
+        s.add("x", Tensor::zeros(1, 1));
+        s.append(tail);
     }
 
     #[test]

@@ -212,7 +212,7 @@ where
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xba5e);
     let mut adam = Adam::new(store, cfg.lr);
     let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut best: Option<(f64, ParamStore)> = None;
+    let mut best: Option<(f64, Vec<Tensor>)> = None;
     let mut tape = Tape::new();
 
     for _ in 0..cfg.epochs {
@@ -257,11 +257,11 @@ where
         let mean = if counted > 0 { epoch_loss / counted as f64 } else { f64::NAN };
         losses.push(mean);
         if mean.is_finite() && best.as_ref().is_none_or(|(b, _)| mean < *b) {
-            best = Some((mean, store.clone()));
+            best = Some((mean, store.values().to_vec()));
         }
     }
-    if let Some((_, best_store)) = best {
-        store.copy_values_from(&best_store);
+    if let Some((_, best_values)) = best {
+        store.copy_values_from(&best_values);
     }
     losses
 }

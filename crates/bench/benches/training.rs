@@ -3,7 +3,7 @@
 //! at, plus kernel-level timings of the matmul layouts at training shapes
 //! and of the GRU recurrence's own products.
 //!
-//! Three trainers run the same data with identical rng streams:
+//! Four trainers run the same data with identical rng streams:
 //!
 //! * `reference_scalar` — the pre-vectorisation path: one trajectory per
 //!   tape, unfused GRU steps, per-transition CE nodes
@@ -15,13 +15,20 @@
 //!   `default` (hidden 48, the routed `tadbench` workloads), `paper_scale`
 //!   (hidden 128, `train_eval`) and `wide` (embed 64 / hidden 256 / latent
 //!   32, `engine_wide_sat`).
+//! * `fit` — `causaltad::Trainer::fit` itself, i.e. `CausalTad::fit` minus
+//!   `precompute_scaling`: what every set-up actually pays. The three rows
+//!   above are this file's own one-tape loop over
+//!   `CausalTad::trajectory_loss_batch`; `fit` runs the TG-VAE and the
+//!   RP-VAE as two lanes on two threads and must end every epoch on
+//!   `microbatch_8`'s loss, to the bit. Every width.
 //!
 //! Besides the Criterion report, the run writes machine-readable
 //! `BENCH_train.json` (override the path with `BENCH_TRAIN_OUT`) with the
 //! host it was taken on and the same figures at the parent commit beside
 //! them, so the perf trajectory is tracked PR-over-PR, and **asserts** that
-//! the micro-batched epoch losses track the scalar reference — a kernel
-//! regression fails the bench run, not just the numbers — and that seven
+//! the micro-batched epoch losses track the scalar reference and `fit`'s
+//! equal `microbatch_8`'s — a kernel or trainer regression fails the bench
+//! run, not just the numbers — and that seven
 //! rows through the recurrent backward product do not cost twice what
 //! eight do (the leftover rows of a row tile must never fall back to a
 //! serial dot chain).
@@ -35,7 +42,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use causaltad::{CausalTad, CausalTadConfig};
+use causaltad::{CausalTad, CausalTadConfig, Trainer};
 use tad_autodiff::optim::Adam;
 use tad_autodiff::{PackedRhs, Tape, Tensor};
 use tad_eval::cities::{xian_s, Scale};
@@ -53,33 +60,43 @@ fn quick_mode() -> bool {
 /// (tiled kernels, pooled tape), so it is faster than the real pre-PR path.
 const PRE_PR_SECONDS_PER_EPOCH: f64 = 0.567;
 
-/// The parent of the whole-recurrence node (per-step `gru_step_pregated`
-/// nodes, `U` re-packed every step, scalar leftover rows), measured with
-/// this same bench on the host named in `BENCH_train.json`'s `host` block,
-/// full (non-quick) mode, alternated with runs of this change; the median
-/// of three. Trainers: `(width, trainer, seconds per epoch)`; kernels:
-/// `(name, µs per call)`, only those the parent's API could express.
-const PARENT_COMMIT: &str = "833a424";
-const PARENT_TRAINERS: [(&str, &str, f64); 5] = [
-    ("default", "reference_scalar", 0.3631),
-    ("default", "microbatch_1", 0.3168),
-    ("default", "microbatch_8", 0.1391),
-    ("paper_scale", "microbatch_8", 0.4293),
-    ("wide", "microbatch_8", 1.3132),
+/// The parent of the two-lane trainer (`Trainer::fit` one tape, one
+/// thread), measured with this same bench file on the host named in
+/// `BENCH_train.json`'s `host` block, full (non-quick) mode, alternated
+/// with runs of this change; the median of three. Trainers: `(width,
+/// trainer, seconds per epoch)`; kernels: `(name, µs per call)`. Only the
+/// `fit` rows run code that differs between the two commits — the other
+/// rows and the kernels say how fast the host was in that series.
+const PARENT_COMMIT: &str = "6ee447e";
+const PARENT_TRAINERS: [(&str, &str, f64); 8] = [
+    ("default", "reference_scalar", 0.3588),
+    ("default", "microbatch_1", 0.2173),
+    ("default", "microbatch_8", 0.1234),
+    ("default", "fit", 0.1288),
+    ("paper_scale", "microbatch_8", 0.3429),
+    ("paper_scale", "fit", 0.3759),
+    ("wide", "microbatch_8", 0.9204),
+    ("wide", "fit", 0.9454),
 ];
-const PARENT_KERNELS: [(&str, f64); 12] = [
-    ("matmul_t_128x48x514", 104.32),
-    ("matmul_tn_128x514x48", 100.18),
-    ("matmul_8x24x144", 1.08),
-    ("matmul_t_131x256x514", 974.42),
-    ("h_u_per_call_pack_m1", 16.32),
-    ("h_u_per_call_pack_m8", 62.55),
-    ("dgh_ut_per_call_pack_m1", 251.19),
-    ("dgh_ut_per_call_pack_m5", 472.92),
-    ("dgh_ut_per_call_pack_m7", 986.54),
-    ("dgh_ut_per_call_pack_m8", 252.80),
-    ("du_per_step_25x8", 1955.95),
-    ("du_stacked_200", 1425.62),
+const PARENT_KERNELS: [(&str, f64); 18] = [
+    ("matmul_t_128x48x514", 106.33),
+    ("matmul_tn_128x514x48", 99.48),
+    ("matmul_8x24x144", 1.06),
+    ("matmul_t_131x256x514", 568.92),
+    ("h_u_per_call_pack_m1", 12.01),
+    ("h_u_packed_once_m1", 17.08),
+    ("h_u_per_call_pack_m8", 73.43),
+    ("h_u_packed_once_m8", 50.07),
+    ("dgh_ut_per_call_pack_m1", 115.82),
+    ("dgh_ut_packed_once_m1", 18.18),
+    ("dgh_ut_per_call_pack_m5", 142.23),
+    ("dgh_ut_packed_once_m5", 45.70),
+    ("dgh_ut_per_call_pack_m7", 141.10),
+    ("dgh_ut_packed_once_m7", 46.72),
+    ("dgh_ut_per_call_pack_m8", 160.50),
+    ("dgh_ut_packed_once_m8", 50.83),
+    ("du_per_step_25x8", 1737.83),
+    ("du_stacked_200", 1470.83),
 ];
 
 /// The fig7 workload: the xian-s quick-scale city (600 training
@@ -230,6 +247,41 @@ struct TrainRun {
     epoch_losses: Vec<f64>,
 }
 
+impl TrainRun {
+    /// A finished run of `epoch_losses.len()` epochs over `train` that
+    /// took `wall_s` seconds.
+    fn new(
+        width: &Width,
+        label: &'static str,
+        model: &CausalTad,
+        train: &[Trajectory],
+        wall_s: f64,
+        epoch_losses: Vec<f64>,
+    ) -> TrainRun {
+        let tokens: usize = train.iter().map(|t| t.len()).sum();
+        let secs = wall_s / epoch_losses.len() as f64;
+        TrainRun {
+            width: width.label,
+            label,
+            seconds_per_epoch: secs,
+            tokens_per_s: tokens as f64 / secs,
+            gmacs: epoch_macs(model, train) / secs / 1e9,
+            epoch_losses,
+        }
+    }
+}
+
+impl Width {
+    /// Epochs of this run.
+    fn run_epochs(&self) -> usize {
+        if quick_mode() {
+            2
+        } else {
+            self.epochs
+        }
+    }
+}
+
 fn run_trainer(
     width: &Width,
     label: &'static str,
@@ -239,14 +291,12 @@ fn run_trainer(
 ) -> TrainRun {
     let train = &city.data.train[..take];
     let cfg = (width.cfg)();
-    let epochs = if quick_mode() { 2 } else { width.epochs };
+    let epochs = width.run_epochs();
     let mut model = CausalTad::new(&city.net, cfg.clone());
     let mut adam = Adam::new(model.store(), cfg.lr);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
     let mut order: Vec<usize> = (0..train.len()).collect();
     let mut tape = Tape::new();
-    let tokens: usize = train.iter().map(|t| t.len()).sum();
-    let macs = epoch_macs(&model, train);
     let mut epoch_losses = Vec::with_capacity(epochs);
     let started = Instant::now();
     for _ in 0..epochs {
@@ -258,15 +308,18 @@ fn run_trainer(
         };
         epoch_losses.push(mean);
     }
-    let secs = started.elapsed().as_secs_f64() / epochs as f64;
-    TrainRun {
-        width: width.label,
-        label,
-        seconds_per_epoch: secs,
-        tokens_per_s: tokens as f64 / secs,
-        gmacs: macs / secs / 1e9,
-        epoch_losses,
-    }
+    let wall_s = started.elapsed().as_secs_f64();
+    TrainRun::new(width, label, &model, train, wall_s, epoch_losses)
+}
+
+/// `Trainer::fit` over the same data, seed and epochs as the loops above.
+fn run_fit(width: &Width, city: &tad_trajsim::City, take: usize) -> TrainRun {
+    let train = &city.data.train[..take];
+    let cfg = CausalTadConfig { epochs: width.run_epochs(), ..(width.cfg)() };
+    let mut model = CausalTad::new(&city.net, cfg.clone());
+    let report = Trainer::new(cfg).fit(&mut model, train);
+    let wall_s = report.wall_time.as_secs_f64();
+    TrainRun::new(width, "fit", &model, train, wall_s, report.epoch_losses)
 }
 
 /// One timed kernel: µs per call and the GMAC/s that is.
@@ -294,7 +347,7 @@ fn write_json(runs: &[TrainRun], take: usize, tokens: usize, kernels: &[KernelRu
     out.push_str("  \"widths\": {\n");
     for (w, width) in WIDTHS.iter().enumerate() {
         let cfg = (width.cfg)();
-        let epochs = if quick_mode() { 2 } else { width.epochs };
+        let epochs = width.run_epochs();
         out.push_str(&format!(
             "    \"{}\": {{\n      \"config\": {{\"embed_dim\": {}, \"hidden_dim\": {}, \"latent_dim\": {}, \"rp_latent_dim\": {}, \"batch_size\": {}, \"micro_batch\": {}, \"epochs\": {epochs}}},\n      \"trainers\": {{\n",
             width.label, cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, cfg.rp_latent_dim, cfg.batch_size, cfg.micro_batch
@@ -327,7 +380,7 @@ fn write_json(runs: &[TrainRun], take: usize, tokens: usize, kernels: &[KernelRu
     }
     out.push_str("  },\n");
     out.push_str(&format!(
-        "  \"parent\": {{\"commit\": \"{PARENT_COMMIT}\", \"note\": \"parent_* figures: this bench at the parent commit on this host, full mode, median of three runs alternated with runs of this change; kernels the parent's API could not express read null\"}},\n",
+        "  \"parent\": {{\"commit\": \"{PARENT_COMMIT}\", \"note\": \"parent_* figures: this bench at the parent commit on this host, full mode, median of three runs alternated with runs of this change; only the fit rows run code that differs between the two commits\"}},\n",
     ));
     out.push_str("  \"kernels\": {\n");
     for (i, k) in kernels.iter().enumerate() {
@@ -467,6 +520,7 @@ fn bench_training(c: &mut Criterion) {
             runs.push(run_trainer(width, "microbatch_1", &city, take, Some(1)));
         }
         runs.push(run_trainer(width, "microbatch_8", &city, take, Some(8)));
+        runs.push(run_fit(width, &city, take));
     }
     for r in &runs {
         println!(
@@ -494,6 +548,21 @@ fn bench_training(c: &mut Criterion) {
         }
     }
 
+    // The two-lane trainer is the one-tape loop run on two threads: same
+    // noise, same sums in the same order, so the same losses to the bit.
+    for width in &WIDTHS {
+        let losses_of = |label: &str| {
+            let run = runs.iter().find(|r| r.width == width.label && r.label == label);
+            &run.expect("every width runs both").epoch_losses
+        };
+        assert_eq!(
+            losses_of("fit"),
+            losses_of("microbatch_8"),
+            "{}: Trainer::fit left the one-tape loop's losses",
+            width.label
+        );
+    }
+
     // Five passes over the whole list, the fastest reading of each kernel
     // kept: a slow phase of the shared host lasts longer than one kernel's
     // slice, so repeats must be spread out to step around it.
@@ -508,7 +577,7 @@ fn bench_training(c: &mut Criterion) {
     }
     // No row count is a trap: seven rows are one full tile and a three-row
     // short tile on the same panels, never a serial chain per element
-    // (which made them cost 3.8x eight rows at the parent).
+    // (which made them cost 3.8x eight rows before the whole-recurrence node).
     let us_of = |name: &str| kernels.iter().find(|k| k.name == name).expect("timed kernel").us;
     for form in ["per_call_pack", "packed_once"] {
         let (seven, eight) =

@@ -15,7 +15,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tad_autodiff::{ParamStore, Tape};
+use tad_autodiff::{ParamStore, Tape, Tensor, Var};
 use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
@@ -26,11 +26,28 @@ use crate::scaling::ScalingTable;
 use crate::tgvae::TgVae;
 use crate::train::{TrainReport, Trainer};
 
+/// One micro-batch with its noise drawn ([`CausalTad::draw_chunk`]): the
+/// TG-VAE reads the first two fields, the RP-VAE the last two.
+pub(crate) struct ChunkInputs {
+    /// Segment ids per trajectory.
+    pub(crate) tg_segments: Vec<Vec<u32>>,
+    /// One standard-normal row per trajectory.
+    pub(crate) tg_eps: Tensor,
+    /// Every trajectory's tokens, concatenated in batch order.
+    pub(crate) rp_tokens: Vec<u32>,
+    /// One standard-normal row per token.
+    pub(crate) rp_eps: Tensor,
+}
+
 /// The CausalTAD detector (paper §V).
 #[derive(Clone, Debug)]
 pub struct CausalTad {
     pub(crate) cfg: CausalTadConfig,
+    /// `tg.*` parameters at ids `[0, tg_params)`, `rp.*` after them.
     pub(crate) store: ParamStore,
+    /// Where the store divides: the two VAEs share no parameter, so
+    /// [`Trainer::fit`] hands each its own shard.
+    pub(crate) tg_params: usize,
     pub(crate) tg: TgVae,
     pub(crate) rp: RpVae,
     pub(crate) scaling: Option<ScalingTable>,
@@ -47,9 +64,10 @@ impl CausalTad {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut store = ParamStore::new();
         let tg = TgVae::new(&mut store, vocab, &cfg, &mut rng);
+        let tg_params = store.len();
         let rp = RpVae::new(&mut store, vocab, &cfg, &mut rng);
         let successors = net.segment_ids().map(|s| net.successor_ids(s)).collect();
-        CausalTad { cfg, store, tg, rp, scaling: None, successors, vocab }
+        CausalTad { cfg, store, tg_params, tg, rp, scaling: None, successors, vocab }
     }
 
     /// How many scalars [`CausalTad::new`] registers for `vocab` segments
@@ -94,47 +112,68 @@ impl CausalTad {
         &self.successors[seg as usize]
     }
 
-    /// Builds the summed joint training loss `Σ_i (L1 + L2)` (Eq. 9) for a
-    /// micro-batch of trajectories in one tape pass, returning the loss
-    /// node.
-    ///
-    /// The TG-VAE runs with row-stacked hidden states
-    /// ([`TgVae::loss_batch`]); the RP-VAE sees every trajectory's tokens
-    /// as one batch. Reparameterisation noise is drawn per trajectory in
-    /// batch order (TG then RP), so a micro-batch of size 1 consumes the
-    /// rng stream exactly like [`CausalTad::trajectory_loss_reference`] and
+    /// Draws a micro-batch's reparameterisation noise and lays out what
+    /// each VAE reads of it. The noise is drawn per trajectory in batch
+    /// order (TG then RP), so a micro-batch of size 1 consumes the rng
+    /// stream exactly like [`CausalTad::trajectory_loss_reference`] and
     /// larger micro-batches draw the same values for the same
     /// trajectories.
+    pub(crate) fn draw_chunk(&self, batch: &[&Trajectory], rng: &mut StdRng) -> ChunkInputs {
+        assert!(!batch.is_empty(), "draw_chunk: empty micro-batch");
+        let b = batch.len();
+        let dl = self.cfg.latent_dim;
+        let rp_dl = self.cfg.rp_latent_dim;
+        let total_tokens: usize = batch.iter().map(|t| t.len()).sum();
+        let mut tg_eps = Tensor::zeros(b, dl);
+        let mut rp_eps = Tensor::zeros(total_tokens, rp_dl);
+        let mut rp_tokens: Vec<u32> = Vec::with_capacity(total_tokens);
+        let mut tg_segments: Vec<Vec<u32>> = Vec::with_capacity(b);
+        let mut off = 0usize;
+        for (i, t) in batch.iter().enumerate() {
+            let e = Tensor::randn(1, dl, 0.0, 1.0, rng);
+            tg_eps.row_mut(i).copy_from_slice(e.row(0));
+            let re = Tensor::randn(t.len(), rp_dl, 0.0, 1.0, rng);
+            rp_eps.data_mut()[off * rp_dl..(off + t.len()) * rp_dl].copy_from_slice(re.data());
+            off += t.len();
+            rp_tokens.extend(t.segments.iter().map(|s| self.rp.token(s.0, t.time_slot)));
+            tg_segments.push(t.segments.iter().map(|s| s.0).collect());
+        }
+        ChunkInputs { tg_segments, tg_eps, rp_tokens, rp_eps }
+    }
+
+    /// `Σ_i L1` (§V-B) of a drawn micro-batch on `tape`, reading the TG-VAE's
+    /// parameters from `store` — the whole store or its `tg.*` shard. The
+    /// TG-VAE runs with row-stacked hidden states ([`TgVae::loss_batch`]).
+    pub(crate) fn tg_chunk_loss(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        segments: &[Vec<u32>],
+        eps: Tensor,
+    ) -> Var {
+        let slices: Vec<&[u32]> = segments.iter().map(Vec::as_slice).collect();
+        self.tg.loss_batch(tape, store, &slices, eps, &self.successors, &self.cfg).total
+    }
+
+    /// Builds the summed joint training loss `Σ_i (L1 + L2)` (Eq. 9) for a
+    /// micro-batch of trajectories in one tape pass, returning the loss
+    /// node: the reparameterisation noise is drawn per trajectory in batch
+    /// order (TG then RP), then comes the TG-VAE half, then the RP-VAE half
+    /// (which sees every trajectory's tokens as one batch), then their sum.
+    ///
+    /// This is the one-tape composition of the two halves
+    /// [`Trainer::fit`] runs on two threads; the trainer's bit-identity
+    /// test and the training bench check the lanes against it.
     pub fn trajectory_loss_batch(
         &self,
         tape: &mut Tape,
         batch: &[&Trajectory],
         rng: &mut StdRng,
-    ) -> tad_autodiff::Var {
-        assert!(!batch.is_empty(), "trajectory_loss_batch: empty micro-batch");
-        let b = batch.len();
-        let dl = self.cfg.latent_dim;
-        let rp_dl = self.cfg.rp_latent_dim;
-        let total_tokens: usize = batch.iter().map(|t| t.len()).sum();
-        let mut tg_eps = tad_autodiff::Tensor::zeros(b, dl);
-        let mut rp_eps = tad_autodiff::Tensor::zeros(total_tokens, rp_dl);
-        let mut rp_tokens: Vec<u32> = Vec::with_capacity(total_tokens);
-        let mut seg_lists: Vec<Vec<u32>> = Vec::with_capacity(b);
-        let mut off = 0usize;
-        for (i, t) in batch.iter().enumerate() {
-            let e = tad_autodiff::Tensor::randn(1, dl, 0.0, 1.0, rng);
-            tg_eps.row_mut(i).copy_from_slice(e.row(0));
-            let re = tad_autodiff::Tensor::randn(t.len(), rp_dl, 0.0, 1.0, rng);
-            rp_eps.data_mut()[off * rp_dl..(off + t.len()) * rp_dl].copy_from_slice(re.data());
-            off += t.len();
-            rp_tokens.extend(t.segments.iter().map(|s| self.rp.token(s.0, t.time_slot)));
-            seg_lists.push(t.segments.iter().map(|s| s.0).collect());
-        }
-        let seg_slices: Vec<&[u32]> = seg_lists.iter().map(Vec::as_slice).collect();
-        let tg =
-            self.tg.loss_batch(tape, &self.store, &seg_slices, tg_eps, &self.successors, &self.cfg);
-        let rp = self.rp.loss_with_eps(tape, &self.store, &rp_tokens, rp_eps);
-        tape.add(tg.total, rp)
+    ) -> Var {
+        let chunk = self.draw_chunk(batch, rng);
+        let tg = self.tg_chunk_loss(tape, &self.store, &chunk.tg_segments, chunk.tg_eps);
+        let rp = self.rp.loss_with_eps(tape, &self.store, &chunk.rp_tokens, chunk.rp_eps);
+        tape.add(tg, rp)
     }
 
     /// The pre-vectorisation scalar training loss for one trajectory:
@@ -148,7 +187,7 @@ impl CausalTad {
         segments: &[u32],
         time_slot: u8,
         rng: &mut StdRng,
-    ) -> tad_autodiff::Var {
+    ) -> Var {
         let tg_loss =
             self.tg.loss_reference(tape, &self.store, segments, &self.successors, &self.cfg, rng);
         let tokens: Vec<u32> = segments.iter().map(|&s| self.rp.token(s, time_slot)).collect();

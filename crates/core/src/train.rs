@@ -1,7 +1,19 @@
 //! Training loop for CausalTAD (and reused by the learning baselines'
 //! conventions): Adam, mini-batched trajectory losses, gradient clipping,
 //! NaN guards, and best-epoch checkpointing.
+//!
+//! Eq. 9 trains `L1 + L2` jointly, but the TG-VAE and the RP-VAE share no
+//! parameter and meet only in that `+`, so [`Trainer::fit`] runs them as
+//! two **lanes**: the calling thread owns the `tg.*` shard of the
+//! [`ParamStore`], a helper thread that lives for the duration of `fit`
+//! owns the `rp.*` shard, and each has its own tape and Adam moments. The
+//! split is by parameter ownership, not by trajectory, because that is the
+//! one split that leaves every floating-point sum where it was: the
+//! trained parameters are those of the one-tape loop over
+//! [`CausalTad::trajectory_loss_batch`], bit for bit.
 
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -9,11 +21,12 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use tad_autodiff::optim::Adam;
-use tad_autodiff::{ParamStore, Tape};
+use tad_autodiff::{ParamStore, Tape, Tensor, Var};
 use tad_trajsim::Trajectory;
 
 use crate::config::CausalTadConfig;
 use crate::model::CausalTad;
+use crate::rpvae::RpVae;
 
 /// Summary of one training run.
 #[derive(Clone, Debug)]
@@ -53,6 +66,11 @@ impl Trainer {
 
     /// Runs the full optimisation, restoring the best-epoch parameters at
     /// the end (the paper reports the model performing best on validation).
+    ///
+    /// The calling thread draws every micro-batch's noise, runs the TG-VAE
+    /// lane and makes every decision (NaN guard, clip factor, best epoch);
+    /// the `tad-train-rp` thread runs the RP-VAE lane on the `rp.*` shard,
+    /// which is back in `model.store()` when this returns.
     pub fn fit(&self, model: &mut CausalTad, train: &[Trajectory]) -> TrainReport {
         let start = Instant::now();
         let mut report = TrainReport {
@@ -67,76 +85,212 @@ impl Trainer {
         }
 
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x7ea1);
-        let mut adam = Adam::new(&model.store, self.cfg.lr);
         let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut best: Option<(f64, ParamStore)> = None;
-        let mut tape = Tape::new();
-
+        let mut best_loss = f64::INFINITY;
         let micro_batch = self.cfg.micro_batch.max(1);
-        'epochs: for _epoch in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0f64;
-            let mut counted = 0usize;
-            let mut bad_batches = 0usize;
+        let clip = self.cfg.grad_clip > 0.0;
 
-            for batch in order.chunks(self.cfg.batch_size) {
-                let scale = 1.0 / batch.len() as f32;
-                let mut batch_loss = 0.0f64;
-                let mut batch_ok = true;
-                // Micro-batching: pack several trajectories into one tape
-                // pass with row-stacked hidden states. The gradient of the
-                // summed (then 1/batch-scaled) loss equals the sum of the
-                // per-trajectory scaled gradients, so optimiser steps see
-                // the same update as the sequential path up to f32
-                // reassociation.
-                let eligible: Vec<&Trajectory> =
-                    batch.iter().map(|&idx| &train[idx]).filter(|t| t.len() >= 2).collect();
-                for chunk in eligible.chunks(micro_batch) {
-                    tape.reset();
-                    let loss = model.trajectory_loss_batch(&mut tape, chunk, &mut rng);
-                    let v = tape.value(loss).get(0, 0) as f64;
-                    if !v.is_finite() {
-                        batch_ok = false;
-                        break;
+        let mut store = std::mem::take(&mut model.store);
+        let rp_store = store.split_off(model.tg_params);
+        let mut tg = Lane::new(store, self.cfg.lr);
+        let rp_store = thread::scope(|scope| {
+            let (jobs, inbox) = mpsc::channel();
+            let (outbox, replies) = mpsc::channel();
+            let rp_vae = &model.rp;
+            let lr = self.cfg.lr;
+            let helper = thread::Builder::new()
+                .name("tad-train-rp".into())
+                .spawn_scoped(scope, move || {
+                    rp_lane(rp_vae, Lane::new(rp_store, lr), inbox, outbox)
+                })
+                .expect("spawn the RP-VAE lane");
+            // Once the helper has panicked its ends of both channels are
+            // gone: the next hand-off panics here instead of waiting.
+            let post = |job| jobs.send(job).expect("the RP-VAE lane is gone");
+
+            'epochs: for _epoch in 0..self.cfg.epochs {
+                order.shuffle(&mut rng);
+                let mut epoch_loss = 0.0f64;
+                let mut counted = 0usize;
+                let mut bad_batches = 0usize;
+
+                for batch in order.chunks(self.cfg.batch_size) {
+                    let scale = 1.0 / batch.len() as f32;
+                    let mut batch_loss = 0.0f64;
+                    let mut batch_ok = true;
+                    let mut rp_sq_norms = Vec::new();
+                    // Micro-batching: pack several trajectories into one tape
+                    // pass with row-stacked hidden states. The gradient of the
+                    // summed (then 1/batch-scaled) loss equals the sum of the
+                    // per-trajectory scaled gradients, so optimiser steps see
+                    // the same update as the sequential path up to f32
+                    // reassociation.
+                    let eligible: Vec<&Trajectory> =
+                        batch.iter().map(|&idx| &train[idx]).filter(|t| t.len() >= 2).collect();
+                    let chunks = eligible.chunks(micro_batch);
+                    let last = chunks.len().wrapping_sub(1);
+                    for (i, chunk) in chunks.enumerate() {
+                        let inputs = model.draw_chunk(chunk, &mut rng);
+                        post(RpJob::Chunk {
+                            tokens: inputs.rp_tokens,
+                            eps: inputs.rp_eps,
+                            scale,
+                            want_sq_norms: clip && i == last,
+                        });
+                        let tg_loss = tg.pass(scale, |tape, store| {
+                            model.tg_chunk_loss(tape, store, &inputs.tg_segments, inputs.tg_eps)
+                        });
+                        let (rp_loss, sq_norms) = replies.recv().expect("the RP-VAE lane is gone");
+                        rp_sq_norms = sq_norms;
+                        // The `+` of Eq. 9, in f32 as the one tape adds it.
+                        let v = (tg_loss + rp_loss) as f64;
+                        if !v.is_finite() {
+                            batch_ok = false;
+                            break;
+                        }
+                        batch_loss += v;
                     }
-                    let scaled = tape.scale(loss, scale);
-                    tape.backward(scaled, &mut model.store);
-                    batch_loss += v;
-                }
-                if !batch_ok {
-                    // NaN guard: drop the poisoned gradients entirely.
-                    model.store.zero_grads();
-                    bad_batches += 1;
-                    if bad_batches > 3 {
-                        report.diverged = true;
-                        break 'epochs;
+                    if !batch_ok {
+                        // NaN guard: drop the poisoned gradients entirely.
+                        tg.store.zero_grads();
+                        post(RpJob::Discard);
+                        bad_batches += 1;
+                        if bad_batches > 3 {
+                            report.diverged = true;
+                            break 'epochs;
+                        }
+                        continue;
                     }
-                    continue;
+                    // One global norm over both shards, folded in id order.
+                    let grad_scale = if clip {
+                        let norm = tg.store.grad_sq_norms().chain(rp_sq_norms).sum::<f64>().sqrt();
+                        ParamStore::clip_factor(norm, self.cfg.grad_clip)
+                    } else {
+                        None
+                    };
+                    post(RpJob::Step { grad_scale });
+                    tg.step(grad_scale);
+                    // Only an accepted batch enters the epoch mean, numerator
+                    // and denominator alike: a batch dropped at a later chunk
+                    // must not leave its earlier chunks in the count.
+                    epoch_loss += batch_loss;
+                    counted += eligible.len();
                 }
-                if self.cfg.grad_clip > 0.0 {
-                    model.store.clip_grad_norm(self.cfg.grad_clip);
+
+                let mean = if counted > 0 { epoch_loss / counted as f64 } else { f64::NAN };
+                report.epoch_losses.push(mean);
+                if mean.is_finite() && mean < best_loss {
+                    best_loss = mean;
+                    post(RpJob::Checkpoint);
+                    tg.checkpoint();
                 }
-                adam.step(&mut model.store);
-                // Only an accepted batch enters the epoch mean, numerator
-                // and denominator alike: a batch dropped at a later chunk
-                // must not leave its earlier chunks in the count.
-                epoch_loss += batch_loss;
-                counted += eligible.len();
             }
 
-            let mean = if counted > 0 { epoch_loss / counted as f64 } else { f64::NAN };
-            report.epoch_losses.push(mean);
-            if mean.is_finite() && best.as_ref().is_none_or(|(b, _)| mean < *b) {
-                best = Some((mean, model.store.clone()));
-            }
-        }
+            drop(jobs);
+            helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
 
-        if let Some((_, best_store)) = best {
-            model.store.copy_values_from(&best_store);
-        }
+        model.store = tg.finish();
+        model.store.append(rp_store);
         report.wall_time = start.elapsed();
         report
     }
+}
+
+/// One VAE's half of the optimisation: its shard of the parameters, the
+/// tape its passes are recorded on, its Adam moments, and its half of the
+/// best epoch's values.
+struct Lane {
+    store: ParamStore,
+    tape: Tape,
+    adam: Adam,
+    best: Option<Vec<Tensor>>,
+}
+
+impl Lane {
+    fn new(store: ParamStore, lr: f32) -> Self {
+        let adam = Adam::new(&store, lr);
+        Lane { store, tape: Tape::new(), adam, best: None }
+    }
+
+    /// Forward pass of the loss `build` records, and — when the loss is
+    /// finite — the backward pass of `scale` times it into the shard's
+    /// gradients. Returns the loss. (A lane cannot see the other's loss, so
+    /// it back-propagates a chunk the other lane will get dropped; the
+    /// drop zeroes those gradients.)
+    fn pass(&mut self, scale: f32, build: impl FnOnce(&mut Tape, &ParamStore) -> Var) -> f32 {
+        self.tape.reset();
+        let loss = build(&mut self.tape, &self.store);
+        let v = self.tape.value(loss).get(0, 0);
+        if v.is_finite() {
+            let scaled = self.tape.scale(loss, scale);
+            self.tape.backward(scaled, &mut self.store);
+        }
+        v
+    }
+
+    /// Clips by the global factor, then one Adam step (which zeroes the
+    /// shard's gradients).
+    fn step(&mut self, grad_scale: Option<f32>) {
+        if let Some(factor) = grad_scale {
+            self.store.scale_grads(factor);
+        }
+        self.adam.step(&mut self.store);
+    }
+
+    /// Keeps the current values as the best epoch's.
+    fn checkpoint(&mut self) {
+        self.best = Some(self.store.values().to_vec());
+    }
+
+    /// The shard, holding the best epoch's values.
+    fn finish(mut self) -> ParamStore {
+        if let Some(best) = &self.best {
+            self.store.copy_values_from(best);
+        }
+        self.store
+    }
+}
+
+/// What the calling thread asks of the RP-VAE lane, in order.
+enum RpJob {
+    /// One micro-batch: forward, and backward of `scale·L2`. Answered with
+    /// the loss and — when asked, i.e. on the last chunk of a clipped
+    /// batch — the shard's per-tensor squared gradient norms.
+    Chunk { tokens: Vec<u32>, eps: Tensor, scale: f32, want_sq_norms: bool },
+    /// The batch was accepted: clip by the global factor and step.
+    Step { grad_scale: Option<f32> },
+    /// The batch was dropped: zero the gradients.
+    Discard,
+    /// The epoch is the best so far: keep its values.
+    Checkpoint,
+}
+
+/// The helper thread's loop: serves jobs until the trainer hangs up, then
+/// returns the `rp.*` shard holding the best epoch's values.
+fn rp_lane(
+    rp: &RpVae,
+    mut lane: Lane,
+    inbox: Receiver<RpJob>,
+    outbox: Sender<(f32, Vec<f64>)>,
+) -> ParamStore {
+    for job in inbox {
+        match job {
+            RpJob::Chunk { tokens, eps, scale, want_sq_norms } => {
+                let loss =
+                    lane.pass(scale, |tape, store| rp.loss_with_eps(tape, store, &tokens, eps));
+                let sq_norms =
+                    if want_sq_norms { lane.store.grad_sq_norms().collect() } else { Vec::new() };
+                if outbox.send((loss, sq_norms)).is_err() {
+                    break;
+                }
+            }
+            RpJob::Step { grad_scale } => lane.step(grad_scale),
+            RpJob::Discard => lane.store.zero_grads(),
+            RpJob::Checkpoint => lane.checkpoint(),
+        }
+    }
+    lane.finish()
 }
 
 #[cfg(test)]
@@ -275,6 +429,198 @@ mod tests {
         let report = Trainer::new(cfg).fit(&mut model, &train);
         assert!(!report.diverged);
         assert_eq!(report.epoch_losses, vec![accepted_sum / accepted as f64]);
+    }
+
+    /// The loop `Trainer::fit` ran before it had lanes: one tape, one
+    /// store, one Adam, `L1 + L2` added on the tape. Kept here as the
+    /// reference the two-lane loop is pinned to.
+    fn one_tape_fit(
+        cfg: &CausalTadConfig,
+        model: &mut CausalTad,
+        train: &[Trajectory],
+    ) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
+        let mut adam = Adam::new(&model.store, cfg.lr);
+        let mut order: Vec<usize> = (0..train.len()).collect();
+        let mut best: Option<(f64, Vec<Tensor>)> = None;
+        let mut tape = Tape::new();
+        let mut losses = Vec::new();
+        for _epoch in 0..cfg.epochs {
+            order.shuffle(&mut rng);
+            let (mut epoch_loss, mut counted) = (0.0f64, 0usize);
+            for batch in order.chunks(cfg.batch_size) {
+                let scale = 1.0 / batch.len() as f32;
+                let eligible: Vec<&Trajectory> =
+                    batch.iter().map(|&idx| &train[idx]).filter(|t| t.len() >= 2).collect();
+                for chunk in eligible.chunks(cfg.micro_batch.max(1)) {
+                    tape.reset();
+                    let loss = model.trajectory_loss_batch(&mut tape, chunk, &mut rng);
+                    let v = tape.value(loss).get(0, 0) as f64;
+                    assert!(v.is_finite());
+                    let scaled = tape.scale(loss, scale);
+                    tape.backward(scaled, &mut model.store);
+                    epoch_loss += v;
+                }
+                if cfg.grad_clip > 0.0 {
+                    model.store.clip_grad_norm(cfg.grad_clip);
+                }
+                adam.step(&mut model.store);
+                counted += eligible.len();
+            }
+            let mean = epoch_loss / counted as f64;
+            losses.push(mean);
+            if best.as_ref().is_none_or(|(b, _)| mean < *b) {
+                best = Some((mean, model.store.values().to_vec()));
+            }
+        }
+        model.store.copy_values_from(&best.expect("an epoch ran").1);
+        losses
+    }
+
+    /// FNV-1a 64 over the `to_bits` of each parameter, with its name.
+    fn param_bits(store: &ParamStore) -> Vec<(String, u64)> {
+        let fnv = |t: &Tensor| {
+            t.data()
+                .iter()
+                .flat_map(|x| x.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+                    (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        };
+        store.ids().map(|id| (store.name(id).to_owned(), fnv(store.value(id)))).collect()
+    }
+
+    /// The RP-VAE's token embedding: a parameter of the helper's shard.
+    fn rp_embed_table(model: &CausalTad) -> tad_autodiff::ParamId {
+        let store = model.store();
+        store.ids().find(|&id| store.name(id) == "rp.embed.table").expect("RP-VAE embedding")
+    }
+
+    #[test]
+    fn two_lane_fit_matches_the_one_tape_loop_bit_for_bit() {
+        let city = generate_city(&CityConfig::test_scale(306));
+        let train = &city.data.train;
+        let mut cases: Vec<(String, CausalTadConfig)> = Vec::new();
+        for (width, base) in
+            [("test_scale", CausalTadConfig::test_scale()), ("default", CausalTadConfig::default())]
+        {
+            for micro_batch in [1, 3, 8] {
+                cases.push((
+                    format!("{width}, micro_batch {micro_batch}"),
+                    CausalTadConfig { micro_batch, ..base.clone() },
+                ));
+            }
+        }
+        let base = CausalTadConfig::test_scale();
+        cases.push((
+            "time_factorised_scaling".into(),
+            CausalTadConfig { time_factorised_scaling: true, ..base.clone() },
+        ));
+        cases.push((
+            "tie_sd_embedding".into(),
+            CausalTadConfig { tie_sd_embedding: true, ..base.clone() },
+        ));
+        cases.push((
+            "disable_sd_decoder".into(),
+            CausalTadConfig { disable_sd_decoder: true, ..base },
+        ));
+
+        for (what, mut cfg) in cases {
+            // Three epochs at a learning rate that overshoots: in the six
+            // width x micro_batch cases the second epoch is the best, so
+            // the per-lane restore is exercised.
+            cfg.epochs = 3;
+            cfg.lr = 1e-1;
+            let mut reference = CausalTad::new(&city.net, cfg.clone());
+            let expected = one_tape_fit(&cfg, &mut reference, train);
+            let mut model = CausalTad::new(&city.net, cfg.clone());
+            let report = Trainer::new(cfg).fit(&mut model, train);
+            assert!(!report.diverged, "{what}");
+            assert_eq!(report.epoch_losses, expected, "{what}: epoch losses");
+            assert!(model.store().same_layout(reference.store()), "{what}: store layout");
+            assert_eq!(param_bits(model.store()), param_bits(reference.store()), "{what}");
+        }
+    }
+
+    #[test]
+    fn dropped_batch_on_the_helper_lane_leaves_no_trace() {
+        // The twin of `dropped_batch_leaves_no_trajectory_in_the_epoch_mean`
+        // with the poison on the RP-VAE's side: the helper's loss is the
+        // NaN, and the TG lane has back-propagated its half of the chunk by
+        // the time it learns so.
+        let city = generate_city(&CityConfig::test_scale(305));
+        let mut cfg = CausalTadConfig::test_scale();
+        cfg.epochs = 1;
+        cfg.micro_batch = 1;
+        cfg.batch_size = 4;
+        cfg.lr = 0.0;
+        let poisoned_seg = city.data.train[0].segments[0].0;
+        let train: Vec<Trajectory> = city
+            .data
+            .train
+            .iter()
+            .enumerate()
+            .filter(|&(i, t)| i == 0 || t.segments.iter().all(|s| s.0 != poisoned_seg))
+            .map(|(_, t)| t.clone())
+            .take(12)
+            .collect();
+
+        let mut model = CausalTad::new(&city.net, cfg.clone());
+        let table = rp_embed_table(&model);
+        assert!(table.index() >= model.tg_params, "the poison must sit in the helper's shard");
+        model.store_mut().value_mut(table).row_mut(poisoned_seg as usize).fill(f32::NAN);
+
+        // Epoch mean over the accepted batches, by the one-tape walk.
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
+        let mut order: Vec<usize> = (0..train.len()).collect();
+        order.shuffle(&mut rng);
+        let mut tape = Tape::new();
+        let (mut accepted_sum, mut accepted) = (0.0f64, 0usize);
+        for batch in order.chunks(cfg.batch_size) {
+            let mut losses = Vec::new();
+            for &idx in batch {
+                tape.reset();
+                let loss = model.trajectory_loss_batch(&mut tape, &[&train[idx]], &mut rng);
+                losses.push(tape.value(loss).get(0, 0) as f64);
+                if !losses[losses.len() - 1].is_finite() {
+                    break;
+                }
+            }
+            if losses.iter().all(|v| v.is_finite()) {
+                accepted_sum += losses.iter().sum::<f64>();
+                accepted += losses.len();
+            }
+        }
+        assert_eq!(accepted, 8, "exactly one batch of four is dropped");
+
+        let report = Trainer::new(cfg.clone()).fit(&mut model, &train);
+        assert!(!report.diverged);
+        assert_eq!(report.epoch_losses, vec![accepted_sum / accepted as f64]);
+        assert_eq!(model.store().grad_norm(), 0.0, "both shards' gradients are zeroed");
+
+        // The poisoned trajectory as the only batch, at a learning rate that
+        // would show a step: none may be taken, on either lane.
+        cfg.lr = 1e-2;
+        let mut model = CausalTad::new(&city.net, cfg.clone());
+        model.store_mut().value_mut(table).row_mut(poisoned_seg as usize).fill(f32::NAN);
+        let before = param_bits(model.store());
+        let report = Trainer::new(cfg).fit(&mut model, &train[..1]);
+        assert!(report.epoch_losses[0].is_nan(), "the only batch was dropped");
+        assert_eq!(model.store().grad_norm(), 0.0);
+        assert_eq!(param_bits(model.store()), before, "no optimiser step was taken");
+    }
+
+    #[test]
+    #[should_panic(expected = "the RP-VAE lane is gone")]
+    fn a_panic_on_the_helper_lane_is_a_panic_of_fit() {
+        let city = generate_city(&CityConfig::test_scale(307));
+        let cfg = CausalTadConfig::test_scale();
+        let mut model = CausalTad::new(&city.net, cfg.clone());
+        let table = rp_embed_table(&model);
+        // A one-row table: the helper's first lookup is out of bounds, the
+        // TG lane's pass is untouched. `fit` must die, not wait.
+        *model.store_mut().value_mut(table) = Tensor::zeros(1, cfg.embed_dim);
+        Trainer::new(cfg).fit(&mut model, &city.data.train);
     }
 
     #[test]

@@ -650,13 +650,20 @@ where
             Ok((router.map.slots[partition as usize], target))
         });
         let (source, target) = picked.expect(LOOP_ALIVE)?;
-        let blob = self
-            .admin_drain(source)
-            .map_err(|detail| RouterAdminError::Backend { backend: source, detail })?;
-        let image = image_from_bytes(blob.clone()).map_err(|e| RouterAdminError::Backend {
-            backend: source,
-            detail: format!("drained image undecodable: {e}"),
-        })?;
+        let drained = self.admin_drain(source).and_then(|blob| {
+            let image = image_from_bytes(blob.clone())
+                .map_err(|e| format!("drained image undecodable: {e}"))?;
+            Ok((blob, image))
+        });
+        let (blob, image) = match drained {
+            Ok(drained) => drained,
+            Err(detail) => {
+                // The target was never touched: it goes back to the head
+                // of the pool, where `take_standby` found it.
+                self.on_loop(move |router| router.standbys.insert(0, target));
+                return Err(RouterAdminError::Backend { backend: source, detail });
+            }
+        };
         let moved = match self.admin_install(target, image) {
             Ok(moved) => moved,
             Err(detail) => {
@@ -941,8 +948,9 @@ impl RouterServer {
     /// [`RouterAdminError::NoSuchPartition`] for an out-of-range
     /// partition, [`RouterAdminError::NoStandby`] when the pool is
     /// empty, and [`RouterAdminError::Backend`] when the drain or
-    /// install fails (a failed install re-installs the drained sessions
-    /// back onto the source, best-effort).
+    /// install fails (a failed drain returns the untouched standby to the
+    /// pool; a failed install re-installs the drained sessions back onto
+    /// the source, best-effort, and drops the suspect standby).
     pub fn handoff(&self, partition: u32) -> Result<HandoffStats, RouterAdminError> {
         self.handle.held(|| self.handle.handoff_inner(partition))
     }

@@ -911,6 +911,67 @@ fn live_handoff_between_running_backends_is_invisible_to_producers() {
     }
 }
 
+/// A handoff that fails before the standby was touched must give it back:
+/// the source of partition 0 is dead and unrecoverable (a zero-length
+/// journal is discarded by the first forwarded frame, so its death starts
+/// no failover), its drain fails typed — and the standby is still in the
+/// pool for the healthy partition's handoff that follows.
+#[test]
+fn handoff_with_an_undrainable_source_returns_the_standby_to_the_pool() {
+    let (city, model) = trained();
+    let cfg = FleetConfig { num_shards: 1, ..FleetConfig::default() };
+    let mut backends: Vec<NetServer> = (0..3)
+        .map(|_| {
+            NetServer::builder(Arc::clone(model))
+                .fleet_config(cfg.clone())
+                .bind("127.0.0.1:0")
+                .expect("bind backend")
+        })
+        .collect();
+    let router = RouterServer::builder()
+        .backends(backends.iter().take(2).map(|b| b.local_addr()))
+        .standbys(backends.iter().skip(2).map(|b| b.local_addr()))
+        .config(RouterConfig { journal_limit: 0, ..RouterConfig::default() })
+        .bind("127.0.0.1:0")
+        .expect("bind router");
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+
+    let t = &city.data.test_id[0];
+    let sd = t.sd_pair();
+    for id in [id_on(0, 0), id_on(1, 0)] {
+        client.trip_start(id, sd.source.0, sd.dest.0, t.time_slot).expect("write");
+        client.segment(id, t.segments[0].0).expect("write");
+    }
+    client.flush().expect("both backends healthy");
+    assert_eq!(router.stats().standbys_available, 1);
+
+    backends.remove(0).shutdown();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while router.stats().backends_alive != 2 {
+        assert!(Instant::now() < deadline, "router never noticed the dead backend");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(router.stats().failovers, 0, "an unrecoverable link starts no failover");
+
+    match router.handoff(0) {
+        Err(RouterAdminError::Backend { backend: 0, .. }) => {}
+        other => panic!("expected the dead source's drain to fail typed, got {other:?}"),
+    }
+    let stats = router.stats();
+    assert_eq!(stats.standbys_available, 1, "the untouched standby went back to the pool");
+    assert_eq!(stats.partition_epoch, 0, "a failed handoff never flips the map");
+
+    let moved = router.handoff(1).expect("the healthy partition moves onto that standby");
+    assert_eq!((moved.sessions_moved, moved.epoch), (1, 1));
+    assert_eq!(router.stats().standbys_available, 1, "handoffs rotate, they do not consume");
+    client.segment(id_on(1, 0), t.segments[1].0).expect("write");
+    client.flush().expect("the moved trip keeps scoring");
+    router.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
+}
+
 /// The rebalance acceptance test: shrink a 3-partition fleet onto 2
 /// backends mid-stream. Every live session is drained, merged, re-split
 /// with the same pure partitioner that routes future events, and
