@@ -28,7 +28,8 @@ pub fn fast_exp(x: f32) -> f32 {
     // 1.5 * 2^23: adding then subtracting rounds to the nearest integer.
     const ROUND_MAGIC: f32 = 12_582_912.0;
     let x = x.clamp(-87.0, 87.0);
-    let n = (x * LOG2E + ROUND_MAGIC) - ROUND_MAGIC;
+    let shifted = x * LOG2E + ROUND_MAGIC;
+    let n = shifted - ROUND_MAGIC;
     let r = (x - n * LN2_HI) - n * LN2_LO;
     let p = 1.987_569_15e-4f32;
     let p = p * r + 1.398_199_95e-3;
@@ -37,7 +38,13 @@ pub fn fast_exp(x: f32) -> f32 {
     let p = p * r + 1.666_666_55e-1;
     let p = p * r + 5.000_000_1e-1;
     let p = p * (r * r) + r + 1.0;
-    let scale = f32::from_bits(((n as i32 + 127) << 23) as u32);
+    // `shifted` lies in `[2^23, 2^24)`, where a float's mantissa is its
+    // integer part: `n` sits in the low bits of `shifted`, offset by the
+    // magic's own. Read there, not through `n as i32`: a float-to-int cast
+    // saturates, which compiles to a scalar convert-and-fix-up per lane
+    // inside the otherwise vectorised gate loops.
+    let n = shifted.to_bits() as i32 - ROUND_MAGIC.to_bits() as i32;
+    let scale = f32::from_bits(((n + 127) << 23) as u32);
     p * scale
 }
 
@@ -92,6 +99,33 @@ mod tests {
         }
         assert_eq!(fast_tanh(100.0), 1.0);
         assert_eq!(fast_tanh(-100.0), -1.0);
+    }
+
+    #[test]
+    fn exponent_read_from_the_mantissa_is_the_saturating_cast() {
+        // `fast_exp` reads its power of two out of the rounding sum's low
+        // bits. The formulation it replaced took it through a
+        // float-to-int cast; both must give every bit of every result.
+        // Every 251st bit pattern (so every exponent, both signs, NaNs
+        // and infinities) plus the clamp's edges.
+        fn by_cast(x: f32) -> f32 {
+            let x = x.clamp(-87.0, 87.0);
+            let n = (x * std::f32::consts::LOG2_E + 12_582_912.0) - 12_582_912.0;
+            let r = (x - n * 0.693_359_375) - n * -2.121_944_4e-4;
+            let p = 1.987_569_15e-4f32;
+            let p = p * r + 1.398_199_95e-3;
+            let p = p * r + 8.333_451_9e-3;
+            let p = p * r + 4.166_579_6e-2;
+            let p = p * r + 1.666_666_55e-1;
+            let p = p * r + 5.000_000_1e-1;
+            let p = p * (r * r) + r + 1.0;
+            p * f32::from_bits(((n as i32 + 127) << 23) as u32)
+        }
+        let edges = [-87.0f32, 87.0, -0.0, 0.0, f32::MIN, f32::MAX, f32::INFINITY, f32::NAN];
+        for x in (0..=u32::MAX).step_by(251).map(f32::from_bits).chain(edges) {
+            let (got, want) = (fast_exp(x), by_cast(x));
+            assert!(got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()), "exp({x})");
+        }
     }
 
     #[test]

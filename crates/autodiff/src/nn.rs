@@ -7,16 +7,19 @@
 //! [`BoundGru::sequence`] record a whole teacher-forced pass — one
 //! trajectory or a ragged micro-batch — as one GEMM plus one recurrence
 //! node (every trainer: CausalTAD's and the sequence baselines'), and
-//! [`GruCell::infer_step`] / [`GruCell::infer_step_rows`] step without a
-//! tape (scoring). Both produce bit-identical hidden rows.
-//! [`BoundGru::step_pregated`] and [`BoundGru::step_unfused`] are the
-//! references the node is proven against; nothing trains through them.
+//! [`GruCell::infer_step_rows`] steps without a tape (scoring): any number
+//! of rows against a recurrent weight packed once
+//! ([`GruCell::pack_recurrent`]), with [`GruCell::infer_step`] and
+//! [`GruCell::infer_sequence`] as its one-call forms. Both produce
+//! bit-identical hidden rows. [`BoundGru::step_pregated`] and
+//! [`BoundGru::step_unfused`] are the references the node is proven
+//! against; nothing trains through them.
 
 use rand::Rng;
 
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{add_bias_rows, Tape, Var};
-use crate::tensor::{Tensor, MR};
+use crate::tensor::{PackedRhs, Tensor, MR};
 
 /// Xavier/Glorot uniform initialisation for a `fan_in x fan_out` matrix.
 pub fn xavier_uniform<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
@@ -175,29 +178,57 @@ impl Linear {
     /// Forward pass without a tape (inference only): `x · W + b`.
     pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
         let mut out = x.matmul(store.value(self.w));
-        add_bias_rows(&mut out, store.value(self.b));
+        add_bias_rows(out.data_mut(), store.value(self.b));
         out
     }
 
     /// Tape-free forward for a row-major (`out x in`) layer: `x · Wᵀ + b`.
     pub fn infer_rowmajor(&self, store: &ParamStore, x: &Tensor) -> Tensor {
         let mut out = x.matmul_t(store.value(self.w));
-        add_bias_rows(&mut out, store.value(self.b));
+        add_bias_rows(out.data_mut(), store.value(self.b));
         out
     }
 
-    /// Tape-free class-subset projection for a row-major layer; returns
-    /// `batch x classes.len()` logits at `O(in_dim * classes.len())` cost.
-    pub fn infer_subset(&self, store: &ParamStore, x: &Tensor, classes: &[u32]) -> Tensor {
-        let w_rows = store.value(self.w).gather_rows(classes);
-        let mut out = x.matmul_t(&w_rows);
-        let bias = store.value(self.b);
-        for r in 0..out.rows() {
-            for (o, &c) in out.row_mut(r).iter_mut().zip(classes.iter()) {
-                *o += bias.get(0, c as usize);
-            }
+    /// [`Linear::infer`] for one input row in borrowed storage: `out = x ·
+    /// W + b`, nothing allocated.
+    pub fn infer_row(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        store.value(self.w).mul_rows_into(x, out);
+        add_bias_rows(out, store.value(self.b));
+    }
+
+    /// The weight of a row-major (`out x in`) layer packed once as the
+    /// right operand of `x · Wᵀ`, for callers that project many inputs:
+    /// [`Linear::infer_rowmajor`] re-packs it on every call.
+    pub fn pack_rowmajor(&self, store: &ParamStore) -> PackedRhs {
+        let w = store.value(self.w);
+        let (rows, cols) = PackedRhs::storage_shape(w.cols(), w.rows());
+        PackedRhs::pack_transposed(w, Tensor::zeros(rows, cols))
+    }
+
+    /// [`Linear::infer_rowmajor`] for one input row against the weight
+    /// packed by [`Linear::pack_rowmajor`], bit for bit; nothing allocated.
+    pub fn infer_row_packed(&self, store: &ParamStore, w: &PackedRhs, x: &[f32], out: &mut [f32]) {
+        w.matmul_into(x, out);
+        add_bias_rows(out, store.value(self.b));
+    }
+
+    /// Tape-free class-subset projection of one input row for a row-major
+    /// layer: `out[j]` is the logit of class `classes[j]`, at
+    /// `O(in_dim * classes.len())` cost and with the candidates' dot
+    /// products interleaved ([`Tensor::dot_rows_into`]) — the bits of
+    /// [`Linear::forward_subset`]'s gather + product, with no gather.
+    pub fn infer_subset_row(
+        &self,
+        store: &ParamStore,
+        x: &[f32],
+        classes: &[u32],
+        out: &mut [f32],
+    ) {
+        store.value(self.w).dot_rows_into(x, classes, out);
+        let bias = store.value(self.b).data();
+        for (o, &c) in out.iter_mut().zip(classes) {
+            *o += bias[c as usize];
         }
-        out
     }
 }
 
@@ -308,23 +339,51 @@ impl GruCell {
         }
     }
 
-    /// Tape-free recurrence step for inference. Bit-identical to a step of
-    /// [`BoundGru::sequence`]: both use the vectorised
-    /// [`crate::math::fast_sigmoid`]/[`crate::math::fast_tanh`] gate
-    /// kernels with the same three-pass loop structure.
-    ///
-    /// Allocates `x.rows() x 3h` twice over (input gates and `h·U`), so it
-    /// is meant for single rows and small batches; a wide batch should
-    /// walk [`GruCell::infer_tile_rows`]-high tiles through
-    /// [`GruCell::infer_step_rows`] with one reused scratch.
+    /// The recurrent weight `U` packed once for [`GruCell::infer_step_rows`]
+    /// (valid until `U` changes).
+    pub fn pack_recurrent(&self, store: &ParamStore) -> PackedRhs {
+        let (rows, cols) = PackedRhs::storage_shape(self.hidden, 3 * self.hidden);
+        PackedRhs::pack(store.value(self.u), Tensor::zeros(rows, cols))
+    }
+
+    /// One tape-free recurrence step of a batch, as a new tensor: the
+    /// one-call form of [`GruCell::infer_step_rows`]. It projects the
+    /// inputs, packs `U` and allocates the scratch on every call, so it is
+    /// for tests and one-off steps; anything that steps repeatedly holds
+    /// the packed weight (and, over a fixed vocabulary, the pregated
+    /// inputs) and calls the row step itself.
     pub fn infer_step(&self, store: &ParamStore, x: &Tensor, h: &Tensor) -> Tensor {
-        debug_assert_eq!(x.rows(), h.rows(), "GruCell: batch mismatch");
+        assert_eq!(x.rows(), h.rows(), "GruCell: batch mismatch");
         let gx = self.input_gates(store, x);
-        let mut gh = Tensor::zeros(h.rows(), 3 * self.hidden);
+        let mut gh = vec![0.0; h.rows() * 3 * self.hidden];
         let mut out = Tensor::zeros(h.rows(), self.hidden);
-        let out_rows = out.data_mut().chunks_exact_mut(self.hidden);
-        self.infer_step_rows(store, |r| gx.row(r), h, &mut gh, out_rows);
+        let out_rows = out.data_mut().chunks_exact_mut(self.hidden.max(1));
+        self.infer_step_rows(
+            &self.pack_recurrent(store),
+            |r| gx.row(r),
+            h.data(),
+            &mut gh,
+            out_rows,
+        );
         out
+    }
+
+    /// Steps one sequence from `h0` through its pregated inputs (`gx`:
+    /// one [`GruCell::input_gates`] row per step), returning every step's
+    /// hidden row (`gx.rows() x hidden`) — the tape-free counterpart of
+    /// [`BoundGru::sequence`] on a one-row schedule, bit for bit. `U` is
+    /// packed once for the pass.
+    pub fn infer_sequence(&self, store: &ParamStore, gx: &Tensor, h0: &[f32]) -> Tensor {
+        let hd = self.hidden;
+        let u = self.pack_recurrent(store);
+        let mut gh = vec![0.0; 3 * hd];
+        let mut rows = Tensor::zeros(gx.rows(), hd);
+        for t in 0..gx.rows() {
+            let (done, rest) = rows.data_mut().split_at_mut(t * hd);
+            let prev = if t == 0 { h0 } else { &done[(t - 1) * hd..] };
+            self.infer_step_rows(&u, |_| gx.row(t), prev, &mut gh, [&mut rest[..hd]]);
+        }
+        rows
     }
 
     /// The input-gate pre-activations `x · W + b` (`batch x 3h`) that
@@ -333,7 +392,7 @@ impl GruCell {
     /// once per token and skip this matmul on every step.
     pub fn input_gates(&self, store: &ParamStore, x: &Tensor) -> Tensor {
         let mut gx = x.matmul(store.value(self.w));
-        add_bias_rows(&mut gx, store.value(self.b));
+        add_bias_rows(gx.data_mut(), store.value(self.b));
         gx
     }
 
@@ -349,38 +408,46 @@ impl GruCell {
         (rows / MR * MR).max(MR)
     }
 
-    /// One batched recurrence step over a tile of rows, written into the
-    /// caller's storage. `h` holds the tile's stacked hidden rows, row
-    /// `r`'s pregated input (`x · W + b`, see [`GruCell::input_gates`]) is
-    /// read through `gx_of` — e.g. straight out of a precomputed per-token
-    /// table, skipping any gather copy — and `gh` is scratch of shape
-    /// `h.rows() x 3h` that receives `h · U` and is then consumed in place
-    /// by the gate epilogue. The new hidden row `r` goes to the `r`-th
-    /// slice `out` yields (which may be the very row `h` was stacked
-    /// from), so no `rows x hidden` result matrix exists.
+    /// The tape-free recurrence step — the one every scorer runs, for one
+    /// row or a tile of them — written into the caller's storage. `u` is
+    /// [`GruCell::pack_recurrent`], `hs` the stacked hidden rows
+    /// (`rows x hidden`), row `r`'s pregated input (`x · W + b`, see
+    /// [`GruCell::input_gates`]) is read through `gx_of` — e.g. straight
+    /// out of a precomputed per-token table, skipping any gather copy —
+    /// and `gh` is scratch of `rows x 3h` floats that receives `hs · U` and
+    /// is then consumed in place by the gate epilogue. The new hidden row
+    /// `r` goes to the `r`-th slice `out` yields (typically the storage
+    /// `hs` row `r` was stacked from), so no `rows x hidden` result matrix
+    /// exists.
     ///
     /// Each row's result depends only on that row's inputs, bit for bit:
     /// the matmul accumulates k-ascending per row whatever the row count.
+    /// It is bit-identical to a step of [`BoundGru::sequence`]: both use
+    /// the vectorised [`crate::math::fast_sigmoid`] /
+    /// [`crate::math::fast_tanh`] gate kernels with the same three-pass
+    /// loop structure.
     ///
     /// # Panics
-    /// Panics if `gh` is not `h.rows() x 3h` or `out` yields fewer than
-    /// `h.rows()` slices of `hidden` floats.
+    /// Panics if `hs` and `gh` do not hold the same number of `hidden` /
+    /// `3h`-wide rows, or `out` yields fewer slices of `hidden` floats.
     pub fn infer_step_rows<'a, 'o>(
         &self,
-        store: &ParamStore,
+        u: &PackedRhs,
         gx_of: impl Fn(usize) -> &'a [f32],
-        h: &Tensor,
-        gh: &mut Tensor,
+        hs: &[f32],
+        gh: &mut [f32],
         out: impl IntoIterator<Item = &'o mut [f32]>,
     ) {
         let hd = self.hidden;
-        h.matmul_into(store.value(self.u), gh);
+        assert_eq!(hs.len() * 3, gh.len(), "GruCell: gate scratch is not rows x 3h");
+        u.matmul_into(hs, gh);
         let mut out = out.into_iter();
         // Three separate elementwise passes (z, r, then n + blend)
         // vectorise much better than one fused loop: each pass inlines a
         // single polynomial and stays within the register budget. The z
         // and r gates overwrite their own pre-activations in `gh`.
-        for (r, gh_row) in gh.data_mut().chunks_exact_mut(3 * hd).enumerate() {
+        let rows = gh.chunks_exact_mut((3 * hd).max(1)).zip(hs.chunks_exact(hd.max(1)));
+        for (r, (gh_row, h_row)) in rows.enumerate() {
             let out_row = out.next().expect("GruCell: one output row per hidden row");
             assert_eq!(out_row.len(), hd, "GruCell: output row width");
             let gx_row = gx_of(r);
@@ -389,7 +456,6 @@ impl GruCell {
             let (rx, nx) = gx_rest.split_at(hd);
             let (z, gh_rest) = gh_row.split_at_mut(hd);
             let (rg, nh) = gh_rest.split_at_mut(hd);
-            let h_row = h.row(r);
             for (g, &x) in z.iter_mut().zip(zx) {
                 *g = crate::math::fast_sigmoid(x + *g);
             }
@@ -592,6 +658,12 @@ impl GaussianHead {
     pub fn infer(&self, store: &ParamStore, x: &Tensor) -> (Tensor, Tensor) {
         (self.mu.infer(store, x), self.logvar.infer(store, x))
     }
+
+    /// [`GaussianHead::infer`] for one input row in borrowed storage.
+    pub fn infer_row(&self, store: &ParamStore, x: &[f32], mu: &mut [f32], logvar: &mut [f32]) {
+        self.mu.infer_row(store, x, mu);
+        self.logvar.infer_row(store, x, logvar);
+    }
 }
 
 /// Closed-form `KL(N(mu, diag(e^logvar)) || N(0, I))` of an inferred
@@ -599,12 +671,8 @@ impl GaussianHead {
 /// evaluated in f32 and summed in f64 — the tape-free counterpart of the
 /// KL node the training losses build, shared by every scorer that adds a
 /// KL to a score.
-pub fn gaussian_kl(mu: &Tensor, logvar: &Tensor) -> f64 {
-    mu.data()
-        .iter()
-        .zip(logvar.data())
-        .map(|(&m, &lv)| -0.5 * (1.0 + lv - m * m - lv.exp()) as f64)
-        .sum()
+pub fn gaussian_kl(mu: &[f32], logvar: &[f32]) -> f64 {
+    mu.iter().zip(logvar).map(|(&m, &lv)| -0.5 * (1.0 + lv - m * m - lv.exp()) as f64).sum()
 }
 
 #[cfg(test)]
@@ -740,7 +808,11 @@ mod tests {
         };
         close(tape.value(lin_taped), &lin.infer(&store, &x_t));
         close(tape.value(row_taped), &row.infer_rowmajor(&store, &x_t));
-        close(tape.value(sub_taped), &row.infer_subset(&store, &x_t, &[5, 2]));
+        for r in 0..x_t.rows() {
+            let mut sub = [0.0f32; 2];
+            row.infer_subset_row(&store, x_t.row(r), &[5, 2], &mut sub);
+            close(&Tensor::row_vector(tape.value(sub_taped).row(r)), &Tensor::row_vector(&sub));
+        }
         close(tape.value(gru_taped), &gru.infer_step(&store, &x_t, &h_t));
         close(tape.value(mlp_taped), &mlp.infer(&store, &x_t));
     }

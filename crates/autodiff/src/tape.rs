@@ -396,7 +396,7 @@ impl Tape {
         if br == ar {
             out.add_assign(b_val);
         } else {
-            add_bias_rows(&mut out, b_val);
+            add_bias_rows(out.data_mut(), b_val);
         }
         self.push(Op::Add(a, b), out)
     }
@@ -637,7 +637,7 @@ impl Tape {
         } else {
             self.values[x.index()].matmul_into(&self.values[w.index()], &mut out);
         }
-        add_bias_rows(&mut out, &self.values[b.index()]);
+        add_bias_rows(out.data_mut(), &self.values[b.index()]);
         self.push(Op::Linear { x, w, b, transposed }, out)
     }
 
@@ -1529,10 +1529,10 @@ pub fn logsumexp(xs: &[f32]) -> f32 {
 }
 
 /// Adds a `1 x n` bias row to every row of `out`.
-pub(crate) fn add_bias_rows(out: &mut Tensor, bias: &Tensor) {
-    debug_assert_eq!(bias.shape(), (1, out.cols()));
-    for r in 0..out.rows() {
-        for (o, &b) in out.row_mut(r).iter_mut().zip(bias.row(0)) {
+pub(crate) fn add_bias_rows(out: &mut [f32], bias: &Tensor) {
+    debug_assert_eq!(bias.rows(), 1);
+    for out_row in out.chunks_exact_mut(bias.cols().max(1)) {
+        for (o, &b) in out_row.iter_mut().zip(bias.data()) {
             *o += b;
         }
     }

@@ -9,9 +9,12 @@
 //! panel (`NR = 16`) wide, at any row count: rows a full `MR = 4` tile does
 //! not cover run as a shorter tile over the same packed panel, and a
 //! product of at most `MR` rows reads a `k`-major right operand in place
-//! through wider tiles. Only outputs narrower than a panel (the
-//! successor-subset heads) use streaming scalar loops. A right operand
-//! that many products reuse can be packed once ([`PackedRhs`]).
+//! through wider tiles. Only outputs narrower than a panel use streaming
+//! scalar loops. A right operand that many products reuse can be packed
+//! once ([`PackedRhs`]); its one- and two-row products take their
+//! accumulator chains from neighbouring panels. The successor-subset heads
+//! dot one row with a few weight rows, their chains interleaved
+//! ([`Tensor::dot_rows_into`]).
 //!
 //! Every kernel accumulates each output element over the inner dimension in
 //! ascending order with `mul_add`, in the tiled and the streaming paths
@@ -27,6 +30,9 @@ pub(crate) const MR: usize = 4;
 /// 256-bit vectors of `f32`; with `MR = 4` the 8 accumulators fit the
 /// AVX2 register file without spills).
 const NR: usize = 16;
+
+/// Rows whose dot-product chains [`Tensor::dot_rows_into`] interleaves.
+const DOT_LANES: usize = 4;
 
 std::thread_local! {
     /// Reusable packing panel for the tiled kernels. Training issues
@@ -286,30 +292,44 @@ impl Tensor {
 
     fn product_nn<const ACC: bool>(&self, other: &Tensor, out: &mut Tensor) {
         let (m, k) = self.shape();
-        let (k2, n) = other.shape();
-        assert_eq!(k, k2, "matmul: inner dimensions {k} vs {k2}");
-        assert_eq!(out.shape(), (m, n), "matmul: bad output shape");
+        assert_eq!(k, other.rows, "matmul: inner dimensions {k} vs {}", other.rows);
+        assert_eq!(out.shape(), (m, other.cols), "matmul: bad output shape");
+        other.rows_product::<ACC>(&self.data, &mut out.data);
+    }
+
+    /// `out = a · self` for the row-major `m x rows()` slice `a`; `out` is
+    /// `m x cols()`. [`Tensor::matmul_into`] for left operands and outputs
+    /// that live in borrowed storage (a scratch buffer, a session's own
+    /// hidden row), bit for bit.
+    ///
+    /// # Panics
+    /// Panics if the slice lengths do not describe the same `m`.
+    pub fn mul_rows_into(&self, a: &[f32], out: &mut [f32]) {
+        self.rows_product::<false>(a, out);
+    }
+
+    fn rows_product<const ACC: bool>(&self, a: &[f32], out: &mut [f32]) {
+        let (k, n) = self.shape();
+        if n == 0 {
+            return;
+        }
+        let m = out.len() / n;
+        assert_eq!(out.len(), m * n, "matmul: output is not m x {n}");
+        assert_eq!(a.len(), m * k, "matmul: left operand is not {m} x {k}");
         if n >= NR {
-            return matmul_layout_tiled::<false, false, ACC>(
-                &self.data,
-                &other.data,
-                &mut out.data,
-                (m, k, n),
-            );
+            return matmul_layout_tiled::<false, false, ACC>(a, &self.data, out, (m, k, n));
         }
         if !ACC {
-            out.fill_zero();
+            out.fill(0.0);
         }
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (p, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
+        for (a_row, out_row) in a.chunks_exact(k.max(1)).zip(out.chunks_exact_mut(n)) {
+            for (p, &av) in a_row.iter().enumerate() {
+                if av == 0.0 {
                     continue;
                 }
-                let b_row = &other.data[p * n..(p + 1) * n];
+                let b_row = &self.data[p * n..(p + 1) * n];
                 for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o = a.mul_add(b, *o);
+                    *o = av.mul_add(b, *o);
                 }
             }
         }
@@ -453,6 +473,39 @@ impl Tensor {
         out
     }
 
+    /// Dots `x` with the given rows: `out[j] = Σ_p x[p] · self[rows[j]][p]`,
+    /// each a `p`-ascending `mul_add` chain from zero — the bits
+    /// [`Tensor::matmul_t_into`] gives against the gathered rows, with no
+    /// gather. The chains of four rows advance together: one such
+    /// chain is bound by the latency of its own `mul_add`s, so a small
+    /// candidate set (a road segment's successors) costs what one
+    /// candidate does.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `cols()` long, `out` not as long as `rows`, or
+    /// a row is out of range.
+    pub fn dot_rows_into(&self, x: &[f32], rows: &[u32], out: &mut [f32]) {
+        let k = self.cols;
+        assert_eq!(x.len(), k, "dot_rows: x is not {k} long");
+        assert_eq!(out.len(), rows.len(), "dot_rows: one output per row");
+        for (ids, outs) in rows.chunks(DOT_LANES).zip(out.chunks_mut(DOT_LANES)) {
+            // A short last group repeats its last row: an idle lane costs
+            // nothing next to the chain's latency, and there is one loop.
+            let w: [&[f32]; DOT_LANES] = std::array::from_fn(|l| {
+                let id = ids[l.min(ids.len() - 1)] as usize;
+                assert!(id < self.rows, "dot_rows: row {id} out of {}", self.rows);
+                &self.data[id * k..id * k + k]
+            });
+            let mut acc = [0.0f32; DOT_LANES];
+            for (p, &xv) in x.iter().enumerate() {
+                for (a, w_row) in acc.iter_mut().zip(&w) {
+                    *a = xv.mul_add(w_row[p], *a);
+                }
+            }
+            outs.copy_from_slice(&acc[..outs.len()]);
+        }
+    }
+
     /// True if every element is finite (no NaN / infinity).
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
@@ -592,6 +645,47 @@ fn sweep_panel<const A_T: bool, const ACC: bool>(
     }
 }
 
+/// A `ROWS`-row tile across `PANELS` adjacent full-width packed panels,
+/// walked together: `out[r][q·NR + l] (+)= Σ_p a[r][p] · panel_q[p][l]`. One
+/// or two rows on a single panel are two or four accumulator vectors —
+/// `mul_add` chains too few to hide their own latency — so the short tiles
+/// of a packed product take `ROWS · PANELS · NR / 8 = 8` chains from
+/// neighbouring panels instead; each panel is still read front to back.
+/// `a` starts at the tile's first row, `out` at its top-left element (row
+/// stride `stride`).
+#[inline(always)]
+fn multi_panel_tile<const ROWS: usize, const PANELS: usize, const ACC: bool>(
+    a: &[f32],
+    k: usize,
+    panels: &[f32],
+    out: &mut [f32],
+    stride: usize,
+) {
+    let a_rows: [&[f32]; ROWS] = std::array::from_fn(|r| &a[r * k..r * k + k]);
+    let streams: [&[[f32; NR]]; PANELS] =
+        std::array::from_fn(|q| &panels[q * k * NR..(q + 1) * k * NR].as_chunks::<NR>().0[..k]);
+    let mut acc = [[[0.0f32; NR]; PANELS]; ROWS];
+    if ACC {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            acc_row.as_flattened_mut().copy_from_slice(&out[r * stride..r * stride + PANELS * NR]);
+        }
+    }
+    for p in 0..k {
+        for (q, stream) in streams.iter().enumerate() {
+            let b_row = &stream[p];
+            for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
+                let av = a_row[p];
+                for (o, &bv) in acc_row[q].iter_mut().zip(b_row) {
+                    *o = av.mul_add(bv, *o);
+                }
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * stride..r * stride + PANELS * NR].copy_from_slice(acc_row.as_flattened());
+    }
+}
+
 /// A product of `ROWS <= MR` rows against the row-major `k x n` matrix `b`
 /// read in place: one row tile gives a pack nothing to amortise over, and
 /// the fewer the rows, the wider the tile (`W`) has to be for its
@@ -710,9 +804,12 @@ fn matmul_layout_tiled<const A_T: bool, const B_T: bool, const ACC: bool>(
 /// layout, for products that reuse it many times — the recurrent weight
 /// `U` across every step of a training pass ([`crate::Tape::gru_sequence`]
 /// packs `U` for the forward `h·U` and `Uᵀ` for the backward `dgh·Uᵀ` once
-/// per pass; the on-the-fly kernels re-pack per call). Results are bit for
+/// per pass; a scoring model packs it once for all its waves and single
+/// steps; the on-the-fly kernels re-pack per call). Results are bit for
 /// bit those of [`Tensor::matmul_into`] / [`Tensor::matmul_t_into`] on the
-/// unpacked operand: same panels, same micro-kernel.
+/// unpacked operand: same panels, same micro-kernel — at one and two rows
+/// run across four and two panels at once, where a single panel's tile
+/// would be two or four accumulator chains waiting on their own latency.
 ///
 /// The panels live in a caller-provided [`Tensor`] of
 /// [`PackedRhs::storage_shape`] so a pool can own the memory.
@@ -769,6 +866,11 @@ impl PackedRhs {
         self.panels
     }
 
+    /// Heap footprint of the packed panels in bytes.
+    pub fn bytes(&self) -> usize {
+        self.panels.len() * std::mem::size_of::<f32>()
+    }
+
     /// `out = a · B` for the row-major `m x k` slice `a`; `out` is `m x n`.
     ///
     /// # Panics
@@ -794,10 +896,39 @@ impl PackedRhs {
         let m = out.len() / n;
         assert_eq!(out.len(), m * n, "PackedRhs: output is not m x {n}");
         assert_eq!(a.len(), m * k, "PackedRhs: left operand is not {m} x {k}");
-        for j0 in (0..n).step_by(NR) {
+        // One or two rows are one short tile per panel: take them across
+        // neighbouring panels while whole groups of full panels last.
+        let from = match m {
+            1 => {
+                let wide = self.sweep_short::<1, 4, ACC>(a, out, 0);
+                self.sweep_short::<1, 2, ACC>(a, out, wide)
+            }
+            2 => self.sweep_short::<2, 2, ACC>(a, out, 0),
+            _ => 0,
+        };
+        for j0 in (from..n).step_by(NR) {
             let panel = &self.panels.data[j0 * k..(j0 + NR) * k];
             sweep_panel::<false, ACC>(a, (m, k, n), panel, out, j0, NR.min(n - j0));
         }
+    }
+
+    /// Covers as many whole groups of `PANELS` full-width panels from column
+    /// `from` on as fit with [`multi_panel_tile`]s of all `ROWS` rows of
+    /// `a`, and returns the first column left over.
+    fn sweep_short<const ROWS: usize, const PANELS: usize, const ACC: bool>(
+        &self,
+        a: &[f32],
+        out: &mut [f32],
+        from: usize,
+    ) -> usize {
+        let (k, n) = (self.k, self.n);
+        let width = PANELS * NR;
+        let end = from + (n - n % NR - from) / width * width;
+        for j0 in (from..end).step_by(width) {
+            let panels = &self.panels.data[j0 * k..(j0 + width) * k];
+            multi_panel_tile::<ROWS, PANELS, ACC>(a, k, panels, &mut out[j0..], n);
+        }
+        end
     }
 }
 

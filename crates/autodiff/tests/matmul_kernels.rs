@@ -246,3 +246,83 @@ proptest! {
         assert_bits_equal(&out, &want, "packed A·Bᵀ acc")?;
     }
 }
+
+/// Bit equality outside `proptest!`.
+fn same_bits(got: &[f32], want: &Tensor, what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (x, y)) in got.iter().zip(want.data()).enumerate() {
+        assert!(x.to_bits() == y.to_bits(), "{what}: element {i} differs: {x} vs {y}");
+    }
+}
+
+/// One and two rows of a packed product run as short tiles across four
+/// and two neighbouring panels, three to five as single-panel tiles: at
+/// odd inner dimensions and at widths on both sides of one, two and four
+/// panels (16, 32, 64 columns) — ragged last panel included — every form
+/// must equal the on-the-fly product of the same rows.
+#[test]
+fn packed_products_of_one_to_five_rows_match_on_the_fly_at_odd_shapes() {
+    for m in 1..=5 {
+        for k in [1, 7, 33, 101] {
+            for n in [1, 15, 31, 33, 63, 64, 65, 95, 127, 129, 191, 300] {
+                let seed = (m * 1000 + k * 10 + n) as u64;
+                let a = rand_tensor(seed, m, k);
+                let b = rand_tensor(seed ^ 0x1f1f, k, n);
+                let bt = rand_tensor(seed ^ 0x2e2e, n, k);
+                let init = rand_tensor(seed ^ 0x3d3d, m, n);
+                let what = |form: &str| format!("{form} ({m},{k},{n})");
+                let storage = || {
+                    let (rows, cols) = PackedRhs::storage_shape(k, n);
+                    Tensor::full(rows, cols, f32::NAN)
+                };
+
+                let packed = PackedRhs::pack(&b, storage());
+                let mut out = vec![f32::NAN; m * n];
+                packed.matmul_into(a.data(), &mut out);
+                same_bits(&out, &a.matmul(&b), &what("packed A·B"));
+                let mut out = init.clone();
+                packed.matmul_acc_into(a.data(), out.data_mut());
+                let mut want = init.clone();
+                a.matmul_acc_into(&b, &mut want);
+                same_bits(out.data(), &want, &what("packed A·B acc"));
+
+                let packed_t = PackedRhs::pack_transposed(&bt, storage());
+                let mut out = vec![f32::NAN; m * n];
+                packed_t.matmul_into(a.data(), &mut out);
+                same_bits(&out, &a.matmul_t(&bt), &what("packed A·Bᵀ"));
+                let mut out = init.clone();
+                packed_t.matmul_acc_into(a.data(), out.data_mut());
+                let mut want = init.clone();
+                a.matmul_t_acc_into(&bt, &mut want);
+                same_bits(out.data(), &want, &what("packed A·Bᵀ acc"));
+
+                // The same product on borrowed rows.
+                let mut out = vec![f32::NAN; m * n];
+                b.mul_rows_into(a.data(), &mut out);
+                same_bits(&out, &a.matmul(&b), &what("borrowed rows"));
+            }
+        }
+    }
+}
+
+/// `dot_rows_into` interleaves four rows' chains: groups of one to nine
+/// rows (short last groups, a repeated row) at odd widths give the bits of
+/// the gather + `A·Bᵀ` it replaces.
+#[test]
+fn dot_rows_match_gather_then_matmul_t() {
+    for k in [1, 5, 48, 101, 256] {
+        let w = rand_tensor(k as u64, 23, k);
+        let x = rand_tensor(k as u64 ^ 0x77, 1, k);
+        for count in 0..=9 {
+            let rows: Vec<u32> = (0..count).map(|j| (j * 7 + 3) % 23).chain([3]).collect();
+            let mut out = vec![f32::NAN; rows.len()];
+            w.dot_rows_into(x.data(), &rows, &mut out);
+            same_bits(
+                &out,
+                &x.matmul_t(&w.gather_rows(&rows)),
+                &format!("k {k}, {count} + 1 rows"),
+            );
+        }
+        w.dot_rows_into(x.data(), &[], &mut []);
+    }
+}

@@ -203,7 +203,7 @@ impl Detector for FactorVae {
         let prefix = &toks[..n];
         let h = inner.core.infer_encode(&inner.store, prefix, traj.time_slot);
         let (mu, logvar) = inner.head.infer(&inner.store, &h);
-        let kl = gaussian_kl(&mu, &logvar);
+        let kl = gaussian_kl(mu.data(), logvar.data());
         let h0 = inner.dec_init.infer(&inner.store, &mu).map(f32::tanh);
         inner.core.infer_decode_nll(&inner.store, &h0, prefix, traj.time_slot) + kl
     }

@@ -143,31 +143,42 @@ impl SeqCore {
 
     // ----- tape-free inference -------------------------------------------
 
-    fn infer_step_input(&self, store: &ParamStore, seg: u32, slot: u8) -> Tensor {
-        let x = self.embed.embed(store, &[seg]);
-        match &self.slot_embed {
-            Some(se) => {
-                let s = se.embed(store, &[slot as u32]);
-                let mut out = Tensor::zeros(1, x.cols() + s.cols());
-                out.row_mut(0)[..x.cols()].copy_from_slice(x.row(0));
-                out.row_mut(0)[x.cols()..].copy_from_slice(s.row(0));
-                out
+    /// The tape-free [`SeqCore::hidden_rows`]: the same one lookup, one
+    /// input-gate GEMM and one packed `U`, stepped through
+    /// [`GruCell::infer_sequence`].
+    fn infer_hidden_rows(
+        &self,
+        store: &ParamStore,
+        gru: &GruCell,
+        h0: &[f32],
+        tokens: &[u32],
+        slot: u8,
+    ) -> Tensor {
+        let mut x = self.embed.embed(store, tokens);
+        if let Some(se) = &self.slot_embed {
+            let (e, s) = (x, se.embed(store, &[slot as u32]));
+            x = Tensor::zeros(tokens.len(), e.cols() + s.cols());
+            for t in 0..tokens.len() {
+                let (seg_part, slot_part) = x.row_mut(t).split_at_mut(e.cols());
+                seg_part.copy_from_slice(e.row(t));
+                slot_part.copy_from_slice(s.row(0));
             }
-            None => x,
         }
+        gru.infer_sequence(store, &gru.input_gates(store, &x), h0)
     }
 
     /// Tape-free encoder pass.
     pub fn infer_encode(&self, store: &ParamStore, segments: &[u32], slot: u8) -> Tensor {
-        let mut h = Tensor::zeros(1, self.hidden);
-        for &seg in segments {
-            let x = self.infer_step_input(store, seg, slot);
-            h = self.enc_gru.infer_step(store, &x, &h);
-        }
-        h
+        let h0 = vec![0.0; self.hidden];
+        let Some(last) = segments.len().checked_sub(1) else {
+            return Tensor::from_vec(1, self.hidden, h0);
+        };
+        let rows = self.infer_hidden_rows(store, &self.enc_gru, &h0, segments, slot);
+        Tensor::row_vector(rows.row(last))
     }
 
-    /// Tape-free reconstruction NLL from initial decoder state `h0`.
+    /// Tape-free reconstruction NLL from initial decoder state `h0`: every
+    /// step's hidden row, then one head GEMM over all of them.
     pub fn infer_decode_nll(
         &self,
         store: &ParamStore,
@@ -175,16 +186,17 @@ impl SeqCore {
         segments: &[u32],
         slot: u8,
     ) -> f64 {
-        let mut h = h0.clone();
-        let mut total = 0.0f64;
-        for w in segments.windows(2) {
-            let x = self.infer_step_input(store, w[0], slot);
-            h = self.dec_gru.infer_step(store, &x, &h);
-            let logits = self.out.infer_rowmajor(store, &h);
-            let row = logits.row(0);
-            total += (logsumexp(row) - row[w[1] as usize]) as f64;
+        if segments.len() < 2 {
+            return 0.0;
         }
-        total
+        let (inputs, targets) = (&segments[..segments.len() - 1], &segments[1..]);
+        let rows = self.infer_hidden_rows(store, &self.dec_gru, h0.row(0), inputs, slot);
+        let logits = self.out.infer_rowmajor(store, &rows);
+        let nll = |(t, &next): (usize, &u32)| {
+            let row = logits.row(t);
+            (logsumexp(row) - row[next as usize]) as f64
+        };
+        targets.iter().enumerate().map(nll).sum()
     }
 }
 

@@ -65,7 +65,7 @@ impl Vsae {
         let inner = self.inner();
         let h = inner.core.infer_encode(&inner.store, toks, slot);
         let (mu, logvar) = inner.head.infer(&inner.store, &h);
-        let kl = gaussian_kl(&mu, &logvar);
+        let kl = gaussian_kl(mu.data(), logvar.data());
         let h0 = inner.dec_init.infer(&inner.store, &mu).map(f32::tanh);
         (h0, kl)
     }

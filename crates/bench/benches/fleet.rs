@@ -4,12 +4,14 @@
 //! Two complementary views:
 //!
 //! * The `fleet_wave` sweep: ns per segment of one scoring *wave* (every
-//!   session advances one segment) at widths 64 / 512 / 4096 / 16 384 and
-//!   hidden widths 48 / 256 — `naive` loops `CausalTad::push_state`,
-//!   `batched` makes one `CausalTad::push_batch` call with a step cache.
-//!   Written to `BENCH_score.json` (override the path with
-//!   `BENCH_SCORE_OUT`) next to the same sweep taken before `push_batch`
-//!   was row-tiled, so the flat-in-width curve is on record.
+//!   session advances one segment) at widths 1 / 8 / 64 / 512 / 4096 /
+//!   16 384 and hidden widths 48 / 128 / 256 — `naive` loops
+//!   `CausalTad::push_state`, `batched` makes one `CausalTad::push_batch`
+//!   call. Both step against the model's resident inference plan; at
+//!   width 1 they are the same step. Written to `BENCH_score.json`
+//!   (override the path with `BENCH_SCORE_OUT`) next to the same sweep
+//!   taken at the parent commit, where every `push_state` projected its
+//!   input, read `U` in place and allocated seven times.
 //! * An end-to-end events/sec summary (printed after the criterion run)
 //!   replaying full interleaved streams through the naive loop, a 1-shard
 //!   `tad-serve` engine, and a default-shard engine — the acceptance
@@ -28,33 +30,46 @@ use tad_bench::{fleet_walks, time_engine_fleet, time_naive_fleet};
 use tad_eval::cities::{xian_s, Scale};
 use tad_serve::FleetConfig;
 
-const WAVE_WIDTHS: [usize; 4] = [64, 512, 4096, 16_384];
-const HIDDEN_WIDTHS: [usize; 2] = [48, 256];
+const WAVE_WIDTHS: [usize; 6] = [1, 8, 64, 512, 4096, 16_384];
+const HIDDEN_WIDTHS: [usize; 3] = [48, 128, 256];
 const SESSION_COUNTS: [usize; 3] = [64, 512, 4096];
 const WALK_LEN: usize = 24;
 
-/// The same sweep at the parent of the row-tiling change (commit 008d280:
-/// one `n x hidden` stack, one `n x 3·hidden` gate matrix and one
-/// `n x hidden` result per wave), on the 2-vCPU development host — per
-/// cell the median of three runs alternated with runs of the tiled code:
+/// The same sweep at the parent of the resident-plan change (commit
+/// 3df84f7: `push_state` projected `x·W`, read `U` in place and allocated
+/// per push; `push_batch` packed `U` per tile and kept a step cache of its
+/// own), on the 2-vCPU development host — per cell the median of three
+/// full runs alternated with runs of this code:
 /// `row(hidden, width, naive ns/segment, batched ns/segment)`.
-const BEFORE_TILING: [WaveRow; 8] = [
-    row(48, 64, 2618.0, 759.0),
-    row(48, 512, 2511.0, 803.0),
-    row(48, 4096, 2547.0, 902.0),
-    row(48, 16_384, 2645.0, 1011.0),
-    row(256, 64, 27586.0, 8673.0),
-    row(256, 512, 26740.0, 8584.0),
-    row(256, 4096, 27042.0, 10121.0),
-    row(256, 16_384, 27314.0, 12305.0),
+const AT_PARENT: [WaveRow; 18] = [
+    row(48, 1, 2915.0, 1857.0),
+    row(48, 8, 2894.0, 1209.6),
+    row(48, 64, 2827.1, 1150.8),
+    row(48, 512, 2494.6, 1046.8),
+    row(48, 4096, 2381.4, 1039.9),
+    row(48, 16_384, 2594.2, 947.4),
+    row(128, 1, 6700.0, 5770.0),
+    row(128, 8, 8383.4, 3743.4),
+    row(128, 64, 7477.6, 3168.8),
+    row(128, 512, 7249.7, 3047.9),
+    row(128, 4096, 7500.7, 3055.9),
+    row(128, 16_384, 7844.0, 3272.1),
+    row(256, 1, 17256.0, 13723.0),
+    row(256, 8, 17649.5, 11799.6),
+    row(256, 64, 21797.3, 9839.4),
+    row(256, 512, 20506.4, 9588.9),
+    row(256, 4096, 21519.9, 10312.9),
+    row(256, 16_384, 22617.1, 10261.0),
 ];
 
 const WAVE_NOTE: &str = "every session past its first segment advances one segment; \
-    batched = one push_batch with the step cache, naive = push_state per session";
-const BEFORE_NOTE: &str = "untiled push_batch; per cell the median of three full (non-quick) \
-    runs on the 2-vCPU development host, alternated with runs of the tiled code; the host's \
-    speed drifts 20-60 % over minutes, so read each block for its trend over width, not block \
-    against block";
+    batched = one push_batch, naive = push_state per session, both against the model's \
+    resident inference plan";
+const PARENT_NOTE: &str = "push_state projecting x·W, reading U in place and allocating per \
+    push; per cell the median of three full (non-quick) runs on the 2-vCPU development host, \
+    alternated with runs of this code, whose naive column read 760-920 / 4100-5200 / \
+    10100-18000 ns at hidden 48 / 128 / 256 in those runs; the host's speed drifts 20-60 % \
+    over minutes, so read each block for its trend over width, not block against block";
 
 fn quick_mode() -> bool {
     std::env::var("CRITERION_QUICK").map(|v| v == "1").unwrap_or(false)
@@ -142,7 +157,6 @@ fn bench_waves(_c: &mut Criterion) {
     let mut rows = Vec::new();
     for &hidden in &HIDDEN_WIDTHS {
         let model = trained_model(hidden);
-        let cache = model.build_step_cache();
         for &width in &WAVE_WIDTHS {
             let walks = fleet_walks(&model, width, 4, 11);
             let (states, segs) = wave_fixture(&model, &walks);
@@ -152,7 +166,7 @@ fn bench_waves(_c: &mut Criterion) {
                 }
             });
             let batched_ns = wave_ns_per_seg(&states, |states| {
-                black_box(model.push_batch(Some(&cache), states, &segs));
+                black_box(model.push_batch(None, states, &segs));
             });
             println!(
                 "{hidden:>8} {width:>10} {naive_ns:>16.0} {batched_ns:>16.0} {:>9.2}x",
@@ -180,8 +194,8 @@ fn write_json(rows: &[WaveRow]) {
         quick_mode()
     ));
     out.push_str(&format!(
-        "  \"before_row_tiling\": {{\"commit\": \"008d280\", \"note\": \"{BEFORE_NOTE}\", \"rows\": [\n{}\n  ]}},\n",
-        list(&BEFORE_TILING)
+        "  \"at_parent\": {{\"commit\": \"3df84f7\", \"note\": \"{PARENT_NOTE}\", \"rows\": [\n{}\n  ]}},\n",
+        list(&AT_PARENT)
     ));
     out.push_str(&format!("  \"fleet_wave\": [\n{}\n  ]\n}}\n", list(rows)));
     match std::fs::write(&path, out) {

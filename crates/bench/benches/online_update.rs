@@ -1,6 +1,8 @@
 //! Verifies the paper's O(1) online-update claim: the cost of
 //! `OnlineScorer::push` must not grow with how many segments have already
-//! been consumed.
+//! been consumed — at test scale (hidden 20) and at the serving width
+//! (hidden 256), where one push is one pass over the packed recurrent
+//! weight.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -9,10 +11,9 @@ use rand::{Rng, SeedableRng};
 use causaltad::{CausalTad, CausalTadConfig};
 use tad_trajsim::{generate_city, City, CityConfig};
 
-fn trained_model() -> (City, CausalTad) {
+fn trained_model(hidden_dim: usize) -> (City, CausalTad) {
     let city = generate_city(&CityConfig::test_scale(900));
-    let mut cfg = CausalTadConfig::test_scale();
-    cfg.epochs = 1;
+    let cfg = CausalTadConfig { hidden_dim, epochs: 1, ..CausalTadConfig::test_scale() };
     let mut model = CausalTad::new(&city.net, cfg);
     model.fit(&city.data.train);
     (city, model)
@@ -32,11 +33,18 @@ fn long_walk(model: &CausalTad, start: u32, len: usize, rng: &mut StdRng) -> Vec
 }
 
 fn bench_online_update(c: &mut Criterion) {
-    let (_city, model) = trained_model();
+    let test_scale = CausalTadConfig::test_scale().hidden_dim;
+    for (hidden_dim, name) in [(test_scale, "online_push"), (256, "online_push_hidden256")] {
+        bench_push_at_depths(c, hidden_dim, name);
+    }
+}
+
+fn bench_push_at_depths(c: &mut Criterion, hidden_dim: usize, name: &str) {
+    let (_city, model) = trained_model(hidden_dim);
     let mut rng = StdRng::seed_from_u64(1);
     let walk = long_walk(&model, 0, 512, &mut rng);
 
-    let mut group = c.benchmark_group("online_push");
+    let mut group = c.benchmark_group(name);
     group.sample_size(30);
     // Cost of push() after different prefix depths: flat = O(1).
     for &depth in &[8usize, 64, 256] {
@@ -61,7 +69,7 @@ fn bench_online_update(c: &mut Criterion) {
 }
 
 fn bench_scaling_lookup(c: &mut Criterion) {
-    let (_city, model) = trained_model();
+    let (_city, model) = trained_model(CausalTadConfig::test_scale().hidden_dim);
     let table = model.scaling().expect("fitted");
     c.bench_function("scaling_table_lookup", |b| {
         b.iter(|| std::hint::black_box(table.log_scale(std::hint::black_box(5), 0)))

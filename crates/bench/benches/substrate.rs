@@ -38,8 +38,15 @@ fn bench_gru_step(c: &mut Criterion) {
     let gru = GruCell::new(&mut store, "g", 24, 48, &mut rng);
     let x = Tensor::rand_uniform(1, 24, -1.0, 1.0, &mut rng);
     let h = Tensor::rand_uniform(1, 48, -1.0, 1.0, &mut rng);
+    // The row step as the scorers run it: `U` packed and the input gates
+    // projected ahead of time (`infer_step` does both on every call).
+    let (u, gx) = (gru.pack_recurrent(&store), gru.input_gates(&store, &x));
+    let (mut gh, mut out) = (vec![0.0; 3 * 48], vec![0.0; 48]);
     c.bench_function("gru_infer_step_24_48", |bch| {
-        bch.iter(|| gru.infer_step(&store, std::hint::black_box(&x), &h))
+        bch.iter(|| {
+            let h = std::hint::black_box(h.data());
+            gru.infer_step_rows(&u, |_| gx.row(0), h, &mut gh, [&mut out[..]]);
+        })
     });
 }
 

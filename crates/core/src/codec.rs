@@ -171,10 +171,10 @@ pub fn model_from_bytes(net: &RoadNetwork, bytes: Bytes) -> Result<CausalTad, Mo
         return Err(ModelCodecError::Malformed("scaling table does not fit the configuration"));
     }
     let mut model = CausalTad::new(net, cfg);
-    if !model.store.same_layout(&store) {
+    if !model.store().same_layout(&store) {
         return Err(ModelCodecError::BadParams);
     }
-    model.store = store;
+    *model.store_mut() = store;
     model.scaling = scaling;
     Ok(model)
 }

@@ -9,9 +9,10 @@
 
 use rand::Rng;
 
-use tad_autodiff::{logsumexp, Tensor};
+use tad_autodiff::logsumexp;
 
 use crate::model::CausalTad;
+use crate::tgvae::StepScratch;
 
 /// Controls for [`sample_route`].
 #[derive(Clone, Debug)]
@@ -52,13 +53,14 @@ pub fn sample_route<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> (Vec<u32>, GenerateOutcome) {
     assert!(cfg.temperature > 0.0, "temperature must be positive");
-    let (r, _) = model.tg.encode_mean(&model.store, source, dest);
-    let mut h: Tensor = model.tg.init_hidden(&model.store, &r);
+    let (store, plan) = (model.store(), model.plan());
+    let mut scratch = StepScratch::default();
+    let (mut h, _) = model.tg.start(store, plan, &mut scratch.buf, source, dest);
     let mut walk = vec![source];
     let mut cur = source;
 
     while walk.len() < cfg.max_len {
-        h = model.tg.advance(&model.store, &h, cur);
+        model.tg.advance(plan, &mut scratch, h.data_mut(), cur);
         if cur == dest && walk.len() > 1 {
             return (walk, GenerateOutcome::ReachedDestination);
         }
@@ -66,8 +68,8 @@ pub fn sample_route<R: Rng + ?Sized>(
         if cands.is_empty() {
             return (walk, GenerateOutcome::DeadEnd);
         }
-        let logits = model.tg.candidate_logits(&model.store, &h, cands);
-        let next = sample_categorical(&logits, cfg.temperature, rng);
+        let logits = model.tg.candidate_logits(store, &mut scratch.buf, h.data(), cands);
+        let next = sample_categorical(logits, cfg.temperature, rng);
         cur = cands[next];
         walk.push(cur);
         if cur == dest {

@@ -12,6 +12,8 @@
 //! The offline [`CausalTad::score`] replays the online scorer so that the
 //! two paths cannot diverge (verified by integration tests).
 
+use std::sync::{Arc, OnceLock};
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,7 +25,7 @@ use crate::config::CausalTadConfig;
 use crate::online::OnlineScorer;
 use crate::rpvae::RpVae;
 use crate::scaling::ScalingTable;
-use crate::tgvae::TgVae;
+use crate::tgvae::{InferencePlan, TgVae};
 use crate::train::{TrainReport, Trainer};
 
 /// One micro-batch with its noise drawn ([`CausalTad::draw_chunk`]): the
@@ -44,7 +46,13 @@ pub(crate) struct ChunkInputs {
 pub struct CausalTad {
     pub(crate) cfg: CausalTadConfig,
     /// `tg.*` parameters at ids `[0, tg_params)`, `rp.*` after them.
-    pub(crate) store: ParamStore,
+    /// Private to this module: every `&mut` path to the parameters is
+    /// [`CausalTad::store_mut`], which drops `plan`.
+    store: ParamStore,
+    /// What tape-free scoring derives from `store` once: built by the
+    /// first call that needs it, shared by clones (which hold the same
+    /// parameters) and by every engine serving this model.
+    plan: OnceLock<Arc<InferencePlan>>,
     /// Where the store divides: the two VAEs share no parameter, so
     /// [`Trainer::fit`] hands each its own shard.
     pub(crate) tg_params: usize,
@@ -67,7 +75,17 @@ impl CausalTad {
         let tg_params = store.len();
         let rp = RpVae::new(&mut store, vocab, &cfg, &mut rng);
         let successors = net.segment_ids().map(|s| net.successor_ids(s)).collect();
-        CausalTad { cfg, store, tg_params, tg, rp, scaling: None, successors, vocab }
+        CausalTad {
+            cfg,
+            store,
+            plan: OnceLock::new(),
+            tg_params,
+            tg,
+            rp,
+            scaling: None,
+            successors,
+            vocab,
+        }
     }
 
     /// How many scalars [`CausalTad::new`] registers for `vocab` segments
@@ -100,11 +118,23 @@ impl CausalTad {
     }
 
     /// Mutable parameter store for custom optimisation loops (benches, the
-    /// scalar reference trainer). After changing parameters, call
-    /// [`CausalTad::precompute_scaling`] before scoring — the scaling table
-    /// caches values derived from them.
+    /// scalar reference trainer), and the one way to the parameters every
+    /// in-crate writer takes too (training, model decoding). It drops the
+    /// inference plan, so the next score is stepped against the parameters
+    /// as they then are. The scaling table is *not* recomputed: after
+    /// changing `rp.*` parameters call [`CausalTad::precompute_scaling`]
+    /// before scoring.
     pub fn store_mut(&mut self) -> &mut ParamStore {
+        self.plan = OnceLock::new();
         &mut self.store
+    }
+
+    /// The resident inference plan, built on first use. `&mut` access to
+    /// the parameters drops it; nothing else does.
+    pub(crate) fn plan(&self) -> &InferencePlan {
+        self.plan.get_or_init(|| {
+            Arc::new(self.tg.build_plan(&self.store, self.cfg.score_includes_sd_nll))
+        })
     }
 
     /// Successor segments of `seg`.
@@ -370,6 +400,50 @@ mod tests {
         let s = model.score(t);
         let tg = model.score_tg_only(t);
         assert!((s - tg).abs() < 1e-9, "{s} vs {tg}");
+    }
+
+    #[test]
+    fn a_write_through_store_mut_drops_the_inference_plan() {
+        // The plan caches products of the parameters. Score (so it exists),
+        // change one recurrent weight through `store_mut`, and the next
+        // pushes must be those of a model decoded fresh from the changed
+        // parameters — not of the plan built before the write.
+        let city = small_city();
+        let mut model = CausalTad::new(&city.net, CausalTadConfig::test_scale());
+        model.precompute_scaling();
+        let trips: Vec<&Trajectory> = city.data.test_id.iter().take(5).collect();
+        let states = |m: &CausalTad| -> Vec<crate::ScorerState> {
+            let start = |t: &&Trajectory| {
+                let sd = t.sd_pair();
+                let mut st = m.start_state(sd.source.0, sd.dest.0, t.time_slot).expect("on map");
+                m.push_state(&mut st, t.segments[0].0);
+                st
+            };
+            trips.iter().map(start).collect()
+        };
+        let segs: Vec<u32> = trips.iter().map(|t| t.segments[1].0).collect();
+        let step = |m: &CausalTad| {
+            let (mut singles, mut wave) = (states(m), states(m));
+            let pushed: Vec<u64> = singles
+                .iter_mut()
+                .zip(&segs)
+                .map(|(st, &seg)| m.push_state(st, seg).to_bits())
+                .collect();
+            let batched: Vec<u64> =
+                m.push_batch(None, &mut wave, &segs).into_iter().map(f64::to_bits).collect();
+            assert_eq!(singles, wave);
+            let hidden: Vec<Vec<u32>> =
+                wave.iter().map(|st| st.hidden().iter().map(|x| x.to_bits()).collect()).collect();
+            (pushed, batched, hidden)
+        };
+
+        let before = step(&model);
+        let u = model.store().ids().find(|&id| model.store().name(id) == "tg.gru.u");
+        model.store_mut().value_mut(u.expect("the decoder GRU")).row_mut(0).fill(0.75);
+        let after = step(&model);
+        let fresh = crate::model_from_bytes(&city.net, crate::model_to_bytes(&model));
+        assert_eq!(after, step(&fresh.expect("round trip")), "stepped against a stale plan");
+        assert_ne!(after.2, before.2, "the weight written is one the step reads");
     }
 
     #[test]

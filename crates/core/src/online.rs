@@ -13,13 +13,25 @@
 //! * [`ScorerState`] — the owned, snapshotable state behind it. A serving
 //!   layer (see the `tad-serve` crate) keeps thousands of these alive and
 //!   advances whole cohorts at once through [`CausalTad::push_batch`],
-//!   turning the per-segment GRU step and successor projection into
-//!   matrix-matrix products.
+//!   turning the per-segment GRU step into matrix-matrix products.
+//!
+//! Both are one step: [`CausalTad::push_state`] is a
+//! [`CausalTad::push_batch`] wave of one row. Each steps against the
+//! model's resident inference plan (the per-token gate table and the
+//! packed recurrent weight, derived once per model) through a per-thread
+//! scratch, so a pushed segment allocates nothing but its trace entry.
+
+use std::cell::RefCell;
 
 use tad_autodiff::Tensor;
 
 use crate::model::CausalTad;
-use crate::tgvae::StepCache;
+use crate::tgvae::{StepCache, StepScratch};
+
+std::thread_local! {
+    /// The scoring thread's step buffers: one row tile at most.
+    static SCRATCH: RefCell<StepScratch> = RefCell::new(StepScratch::default());
+}
 
 /// Per-segment contribution to the anomaly score (Fig. 4's data).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -234,16 +246,12 @@ impl CausalTad {
                 return Err(OnlineError::SegmentOutOfRange { segment: seg, vocab });
             }
         }
-        let (r, kl) = self.tg.encode_mean(&self.store, source, dest);
-        let sd_nll = if self.config().score_includes_sd_nll {
-            self.tg.sd_nll(&self.store, &r, source, dest)
-        } else {
-            0.0
-        };
-        let h = self.tg.init_hidden(&self.store, &r);
+        let (h, base_nll) = SCRATCH.with_borrow_mut(|scratch| {
+            self.tg.start(self.store(), self.plan(), &mut scratch.buf, source, dest)
+        });
         Ok(ScorerState {
             h,
-            base_nll: kl + sd_nll,
+            base_nll,
             traj_nll: 0.0,
             scale_log_sum: 0.0,
             last: None,
@@ -253,45 +261,36 @@ impl CausalTad {
     }
 
     /// Consumes the next observed segment of `state`, returning the updated
-    /// debiased score. O(1) in the number of segments seen so far.
+    /// debiased score. O(1) in the number of segments seen so far, and the
+    /// one-row case of [`CausalTad::push_batch`]: the same step, in place
+    /// on the state's hidden row.
     ///
     /// # Panics
     /// Panics if `seg` is outside the model vocabulary or the state was not
     /// produced by [`CausalTad::start_state`] on this model.
     pub fn push_state(&self, state: &mut ScorerState, seg: u32) -> f64 {
-        let table = self.scaling().expect("state was started, so the table exists");
-        let nll = match state.last {
-            // t_1 is the source — fixed by the condition c, so no
-            // prediction loss is charged for it.
-            None => 0.0,
-            Some(prev) => {
-                let cands = self.successors_of(prev);
-                self.tg.step_nll(&self.store, &state.h, cands, seg)
-            }
-        };
-        state.traj_nll += nll;
-        let log_scale = table.log_scale(seg, state.time_slot);
-        state.scale_log_sum += log_scale;
-        state.h = self.tg.advance(&self.store, &state.h, seg);
-        state.last = Some(seg);
-        state.trace.push(SegmentTrace { segment: seg, nll, log_scale });
-        state.score(self.config().lambda)
+        let mut score = f64::NAN;
+        self.step_wave(std::slice::from_mut(state), &[seg], |s| score = s);
+        score
     }
 
     /// Advances many live sessions by one segment each in a single
     /// micro-batch: session `i` consumes `segs[i]`. The GRU step runs as
-    /// `tile x hidden` matrix products (and, with a [`StepCache`], skips the
-    /// input-gate matmul entirely); sessions of a tile sharing a successor
-    /// set share one projection product. Returns the updated debiased score
-    /// per session, identical bit for bit to calling
-    /// [`CausalTad::push_state`] per session in isolation.
+    /// `tile x hidden` matrix products against the model's resident
+    /// inference plan — the input-gate projection is a row of its table,
+    /// the recurrent weight is packed once per model, not per tile.
+    /// Returns the updated debiased score per session, identical bit for
+    /// bit to calling [`CausalTad::push_state`] per session in isolation.
     ///
     /// The wave is walked in row tiles of [`crate::TgVae::wave_tile_rows`]
     /// sessions: each tile's hidden rows are stacked, scored, stepped and
     /// written back into their sessions while they are cache-hot, through
-    /// one tile-sized scratch allocated per call. Beyond the returned
-    /// scores nothing is `states.len()` wide, so a wave's memory and its
-    /// time per session do not depend on how many sessions it carries.
+    /// the calling thread's tile-sized scratch. Beyond the returned scores
+    /// nothing is `states.len()` wide, so a wave's memory and its time per
+    /// session do not depend on how many sessions it carries.
+    ///
+    /// `cache` is a handle onto the plan the wave would use anyway
+    /// ([`CausalTad::build_step_cache`]): `None` means the model's plan.
     ///
     /// `states` may hold the states inline (`&mut [ScorerState]`) or by
     /// mutable reference (`&mut [&mut ScorerState]`), so callers can batch
@@ -307,48 +306,56 @@ impl CausalTad {
         segs: &[u32],
     ) -> Vec<f64> {
         assert_eq!(states.len(), segs.len(), "push_batch: states vs segs length");
-        let table = self.scaling().expect("states were started, so the table exists");
-        let n = states.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let hidden = states[0].as_mut().h.cols();
-        let lambda = self.config().lambda;
-
-        let tile = self.wave_tile_rows().min(n);
-        let mut hs = Tensor::zeros(tile, hidden);
-        let mut gh = Tensor::zeros(tile, 3 * hidden);
-        let mut cands: Vec<Option<&[u32]>> = Vec::with_capacity(tile);
-        let mut nlls = vec![0.0f64; tile];
-        let mut scores = Vec::with_capacity(n);
-        for (states, segs) in states.chunks_mut(tile).zip(segs.chunks(tile)) {
-            let rows = states.len();
-            hs.resize_rows(rows);
-            gh.resize_rows(rows);
-            cands.clear();
-            for (i, st) in states.iter_mut().enumerate() {
-                let st = st.as_mut();
-                hs.row_mut(i).copy_from_slice(st.h.row(0));
-                // t_1 is the source — fixed by the condition c, so a
-                // session without a predecessor is charged no loss.
-                cands.push(st.last.map(|prev| self.successors_of(prev)));
-            }
-            let nlls = &mut nlls[..rows];
-            self.tg.step_nll_batch(&self.store, &hs, &cands, segs, nlls);
-            let new_h = states.iter_mut().map(|st| st.as_mut().h.row_mut(0));
-            self.tg.advance_batch(&self.store, cache, &hs, segs, &mut gh, new_h);
-
-            for ((st, &seg), &nll) in states.iter_mut().zip(segs).zip(nlls.iter()) {
-                let st = st.as_mut();
-                st.traj_nll += nll;
-                let log_scale = table.log_scale(seg, st.time_slot);
-                st.scale_log_sum += log_scale;
-                st.last = Some(seg);
-                st.trace.push(SegmentTrace { segment: seg, nll, log_scale });
-                scores.push(st.score(lambda));
-            }
-        }
+        debug_assert!(
+            cache.is_none_or(|c| std::ptr::eq(c.plan, self.plan())),
+            "push_batch: the step cache is a handle onto another model's plan"
+        );
+        let mut scores = Vec::with_capacity(states.len());
+        self.step_wave(states, segs, |s| scores.push(s));
         scores
+    }
+
+    /// The step behind every push: walks `states` in row tiles, charging
+    /// row `i` for observing `segs[i]` and advancing its hidden row, and
+    /// hands each row's updated score to `emit` in order.
+    fn step_wave<S: AsMut<ScorerState>>(
+        &self,
+        states: &mut [S],
+        segs: &[u32],
+        mut emit: impl FnMut(f64),
+    ) {
+        let table = self.scaling().expect("states were started, so the table exists");
+        let (store, plan) = (self.store(), self.plan());
+        let hidden = self.config().hidden_dim;
+        let lambda = self.config().lambda;
+        let tile = self.wave_tile_rows();
+        SCRATCH.with_borrow_mut(|scratch| {
+            for (states, segs) in states.chunks_mut(tile).zip(segs.chunks(tile)) {
+                let (hs, gh, logits) = scratch.tile(states.len(), hidden);
+                let rows = states.iter_mut().zip(segs).zip(hs.chunks_exact_mut(hidden));
+                for ((st, &seg), h_row) in rows {
+                    let st = st.as_mut();
+                    h_row.copy_from_slice(st.h.row(0));
+                    let nll = match st.last {
+                        // t_1 is the source — fixed by the condition c, so
+                        // a session without a predecessor is charged no
+                        // prediction loss.
+                        None => 0.0,
+                        Some(prev) => {
+                            self.tg.step_nll(store, logits, h_row, self.successors_of(prev), seg)
+                        }
+                    };
+                    st.traj_nll += nll;
+                    let log_scale = table.log_scale(seg, st.time_slot);
+                    st.scale_log_sum += log_scale;
+                    st.last = Some(seg);
+                    st.trace.push(SegmentTrace { segment: seg, nll, log_scale });
+                    emit(st.score(lambda));
+                }
+                let new_h = states.iter_mut().map(|st| st.as_mut().h.row_mut(0));
+                self.tg.advance_batch(plan, hs, segs, gh, new_h);
+            }
+        });
     }
 
     /// Sessions per row tile of a [`CausalTad::push_batch`] wave — a fixed
@@ -359,10 +366,16 @@ impl CausalTad {
         self.tg.wave_tile_rows()
     }
 
-    /// Precomputes the decoder's per-token input-gate projections so batched
-    /// stepping skips the `x · W` matmul. Rebuild after parameter updates.
-    pub fn build_step_cache(&self) -> StepCache {
-        self.tg.build_step_cache(&self.store)
+    /// A handle onto the model's resident inference plan — the decoder's
+    /// per-token input-gate projections, its packed recurrent weight and,
+    /// when trip starts charge the SD reconstruction, the packed SD heads
+    /// — building it if this is the first call that needs it (a few
+    /// milliseconds; every push and trip start would otherwise). The plan
+    /// is one copy per model however many handles or engines use it, and
+    /// is dropped by [`CausalTad::store_mut`], which the handle's borrow
+    /// rules out while it lives.
+    pub fn build_step_cache(&self) -> StepCache<'_> {
+        StepCache { plan: self.plan() }
     }
 }
 

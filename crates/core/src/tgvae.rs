@@ -15,7 +15,7 @@
 use rand::Rng;
 
 use tad_autodiff::nn::{gaussian_kl, Embedding, GaussianHead, GruCell, Linear};
-use tad_autodiff::{logsumexp, ParamStore, Tape, Tensor, Var};
+use tad_autodiff::{logsumexp, PackedRhs, ParamStore, Tape, Tensor, Var};
 
 use crate::config::CausalTadConfig;
 
@@ -352,81 +352,124 @@ impl TgVae {
     }
 
     // ----- inference (tape-free) ----------------------------------------
+    //
+    // Everything below steps against an [`InferencePlan`] — what is fixed
+    // per model, derived once — through a caller-owned [`StepScratch`], so
+    // a pushed segment allocates nothing. One row and a tile of rows run
+    // the same code.
 
-    /// Encodes the SD pair to the posterior mean `r = mu` and returns the
-    /// closed-form KL of `Q1(R | c)` against the standard normal.
-    pub fn encode_mean(&self, store: &ParamStore, s: u32, d: u32) -> (Tensor, f64) {
-        let s_emb = self.sd_embed.embed(store, &[s]);
-        let d_emb = self.sd_embed.embed(store, &[d]);
-        let mut sd = Tensor::zeros(1, s_emb.cols() * 2);
-        sd.row_mut(0)[..s_emb.cols()].copy_from_slice(s_emb.row(0));
-        sd.row_mut(0)[s_emb.cols()..].copy_from_slice(d_emb.row(0));
-        let enc_h = self.enc.infer(store, &sd).map(f32::tanh);
-        let (mu, logvar) = self.head.infer(store, &enc_h);
-        let kl = gaussian_kl(&mu, &logvar);
-        (mu, kl)
+    /// Derives the model's [`InferencePlan`] from its current parameters;
+    /// `with_sd_heads` when trip starts charge `-log P(c | r)`
+    /// (`score_includes_sd_nll`).
+    pub(crate) fn build_plan(&self, store: &ParamStore, with_sd_heads: bool) -> InferencePlan {
+        let table = store.value(self.traj_embed.table());
+        InferencePlan {
+            gx: self.gru.input_gates(store, table),
+            u: self.gru.pack_recurrent(store),
+            sd_heads: with_sd_heads
+                .then(|| [self.src_head.pack_rowmajor(store), self.dst_head.pack_rowmajor(store)]),
+        }
     }
 
-    /// `-log P(c | r)`: negative log-likelihood of the SD pair under the SD
-    /// decoder.
-    pub fn sd_nll(&self, store: &ParamStore, r: &Tensor, s: u32, d: u32) -> f64 {
-        let sd_h = self.sd_dec_hidden.infer(store, r).map(|x| x.max(0.0));
-        let src_logits = self.src_head.infer_rowmajor(store, &sd_h);
-        let dst_logits = self.dst_head.infer_rowmajor(store, &sd_h);
-        nll_from_logits(src_logits.row(0), s as usize)
-            + nll_from_logits(dst_logits.row(0), d as usize)
-    }
+    /// Opens a trip: encodes the SD pair to the posterior mean `r = mu` of
+    /// `Q1(R | c)` and returns the decoder's initial hidden row
+    /// `h_0 = tanh(W r)` with the trip's fixed NLL — the closed-form KL of
+    /// `Q1` against the standard normal, plus `-log P(c | r)` under the SD
+    /// decoder when the plan carries its heads. The intermediates live in
+    /// `buf`; only the returned row is allocated.
+    pub(crate) fn start(
+        &self,
+        store: &ParamStore,
+        plan: &InferencePlan,
+        buf: &mut Vec<f32>,
+        s: u32,
+        d: u32,
+    ) -> (Tensor, f64) {
+        let (de, dh, dl) = (self.sd_embed.dim(), self.gru.hidden(), self.latent_dim);
+        let vocab = if plan.sd_heads.is_some() { self.src_head.out_dim() } else { 0 };
+        buf.resize(2 * de + 2 * dh + 2 * dl + vocab, 0.0);
+        let (sd, rest) = buf.split_at_mut(2 * de);
+        let (enc_h, rest) = rest.split_at_mut(dh);
+        let (mu, rest) = rest.split_at_mut(dl);
+        let (logvar, rest) = rest.split_at_mut(dl);
+        let (sd_h, logits) = rest.split_at_mut(dh);
 
-    /// Initial decoder hidden state `h_0 = tanh(W r)`.
-    pub fn init_hidden(&self, store: &ParamStore, r: &Tensor) -> Tensor {
-        self.dec_init.infer(store, r).map(f32::tanh)
+        let table = store.value(self.sd_embed.table());
+        sd[..de].copy_from_slice(table.row(s as usize));
+        sd[de..].copy_from_slice(table.row(d as usize));
+        self.enc.infer_row(store, sd, enc_h);
+        enc_h.iter_mut().for_each(|x| *x = x.tanh());
+        self.head.infer_row(store, enc_h, mu, logvar);
+        let kl = gaussian_kl(mu, logvar);
+
+        let mut sd_nll = 0.0;
+        if let Some([src, dst]) = &plan.sd_heads {
+            self.sd_dec_hidden.infer_row(store, mu, sd_h);
+            sd_h.iter_mut().for_each(|x| *x = x.max(0.0));
+            self.src_head.infer_row_packed(store, src, sd_h, logits);
+            sd_nll = nll_from_logits(logits, s as usize);
+            self.dst_head.infer_row_packed(store, dst, sd_h, logits);
+            sd_nll += nll_from_logits(logits, d as usize);
+        }
+
+        let mut h = Tensor::zeros(1, dh);
+        self.dec_init.infer_row(store, mu, h.data_mut());
+        h.data_mut().iter_mut().for_each(|x| *x = x.tanh());
+        (h, kl + sd_nll)
     }
 
     /// `-log P(t_next | h, successors(prev))` under the road-constrained
     /// projection; [`OFF_GRAPH_NLL`] when `next` is not a successor of
-    /// `prev`.
-    pub fn step_nll(&self, store: &ParamStore, h: &Tensor, cands: &[u32], next: u32) -> f64 {
+    /// `prev`. `logits` is scratch.
+    pub(crate) fn step_nll(
+        &self,
+        store: &ParamStore,
+        logits: &mut Vec<f32>,
+        h: &[f32],
+        cands: &[u32],
+        next: u32,
+    ) -> f64 {
         let Some(pos) = cands.iter().position(|&c| c == next) else {
             return OFF_GRAPH_NLL;
         };
-        let logits = self.out_proj.infer_subset(store, h, cands);
-        nll_from_logits(logits.row(0), pos)
+        nll_from_logits(self.candidate_logits(store, logits, h, cands), pos)
     }
 
-    /// Advances the decoder hidden state with segment `seg`.
-    pub fn advance(&self, store: &ParamStore, h: &Tensor, seg: u32) -> Tensor {
-        let x = self.traj_embed.embed(store, &[seg]);
-        self.gru.infer_step(store, &x, h)
+    /// Raw next-segment logits over a candidate set (scoring, and
+    /// trajectory generation), written to `logits`: the candidates' dot
+    /// products advance together, nothing is gathered.
+    pub(crate) fn candidate_logits<'l>(
+        &self,
+        store: &ParamStore,
+        logits: &'l mut Vec<f32>,
+        h: &[f32],
+        cands: &[u32],
+    ) -> &'l [f32] {
+        logits.resize(cands.len(), 0.0);
+        self.out_proj.infer_subset_row(store, h, cands, logits);
+        logits
     }
 
-    /// Raw next-segment logits over a candidate set (used by trajectory
-    /// generation).
-    pub fn candidate_logits(&self, store: &ParamStore, h: &Tensor, cands: &[u32]) -> Vec<f32> {
-        self.out_proj.infer_subset(store, h, cands).row(0).to_vec()
+    /// Advances one decoder hidden row with segment `seg`, in place: the
+    /// one-row case of [`TgVae::advance_batch`].
+    pub(crate) fn advance(
+        &self,
+        plan: &InferencePlan,
+        scratch: &mut StepScratch,
+        h: &mut [f32],
+        seg: u32,
+    ) {
+        let (hs, gh, _) = scratch.tile(1, h.len());
+        hs.copy_from_slice(h);
+        self.advance_batch(plan, hs, &[seg], gh, [h]);
     }
 
     // ----- batched inference (fleet scoring) -----------------------------
 
-    /// Precomputes `E · W + b` for every vocabulary token: the decoder
-    /// GRU's input-gate activations depend only on the consumed segment, so
-    /// a serving layer can pay for them once instead of per push.
-    pub fn build_step_cache(&self, store: &ParamStore) -> StepCache {
-        let table = store.value(self.traj_embed.table());
-        let mut gx = table.matmul(store.value(self.gru.input_weight()));
-        let bias = store.value(self.gru.gate_bias());
-        for r in 0..gx.rows() {
-            for (o, &b) in gx.row_mut(r).iter_mut().zip(bias.row(0)) {
-                *o += b;
-            }
-        }
-        StepCache { gx }
-    }
-
     /// Rows per tile of a scoring wave (see
-    /// [`GruCell::infer_tile_rows`]): [`TgVae::advance_batch`] and
-    /// [`TgVae::step_nll_batch`] are meant to be walked over a wide batch
-    /// in tiles of this height, so the working set is one tile whatever
-    /// the batch width.
+    /// [`GruCell::infer_tile_rows`]): [`crate::CausalTad::push_batch`]
+    /// walks a wide batch in tiles of this height, so the working set is
+    /// one tile whatever the batch width.
     pub fn wave_tile_rows(&self) -> usize {
         self.gru.infer_tile_rows()
     }
@@ -435,124 +478,85 @@ impl TgVae {
     /// tile's stacked hidden rows) consumes `segs[i]`, and its new hidden
     /// row is written to the `i`-th slice `out` yields — typically the
     /// session's own hidden row, which `hs` was stacked from. `gh` is
-    /// `hs.rows() x 3·hidden` scratch. One `tile x hidden` GRU step
-    /// instead of `tile` matrix-vector steps; with a [`StepCache`] the
-    /// input-gate matmul is a row lookup. Row `i` of the result is
-    /// bit-identical to [`TgVae::advance`] on row `i` alone.
-    pub fn advance_batch<'o>(
+    /// `rows x 3·hidden` scratch. One `tile x hidden` product against the
+    /// plan's packed `U` instead of `tile` matrix-vector steps, and the
+    /// input-gate projection is a row of the plan's table. Row `i` of the
+    /// result depends on row `i` alone, bit for bit.
+    pub(crate) fn advance_batch<'o>(
         &self,
-        store: &ParamStore,
-        cache: Option<&StepCache>,
-        hs: &Tensor,
+        plan: &InferencePlan,
+        hs: &[f32],
         segs: &[u32],
-        gh: &mut Tensor,
+        gh: &mut [f32],
         out: impl IntoIterator<Item = &'o mut [f32]>,
     ) {
-        debug_assert_eq!(hs.rows(), segs.len(), "advance_batch: batch size");
-        match cache {
-            // Rows are read straight from the cache table — no gather copy.
-            Some(c) => self.gru.infer_step_rows(store, |r| c.gx.row(segs[r] as usize), hs, gh, out),
-            None => {
-                let gx = self.gru.input_gates(store, &self.traj_embed.embed(store, segs));
-                self.gru.infer_step_rows(store, |r| gx.row(r), hs, gh, out)
-            }
-        }
-    }
-
-    /// Batched road-constrained next-segment NLLs over a tile: row `i` of
-    /// `hs` is scored against candidate set `cands[i]` with observed
-    /// segment `next[i]`, into `out[i]`. A row without a candidate set
-    /// (`None`: a session before its first segment, whose opening segment
-    /// is fixed by the SD condition) is charged `0.0`; off-graph
-    /// transitions get [`OFF_GRAPH_NLL`]. Rows sharing a candidate set are
-    /// projected with a single `group x candidates` matrix-matrix product.
-    /// Results match [`TgVae::step_nll`] per row, bit for bit.
-    pub fn step_nll_batch(
-        &self,
-        store: &ParamStore,
-        hs: &Tensor,
-        cands: &[Option<&[u32]>],
-        next: &[u32],
-        out: &mut [f64],
-    ) {
-        assert_eq!(hs.rows(), cands.len(), "step_nll_batch: hs vs cands");
-        assert_eq!(cands.len(), next.len(), "step_nll_batch: cands vs next");
-        assert_eq!(cands.len(), out.len(), "step_nll_batch: cands vs out");
-        for (o, cset) in out.iter_mut().zip(cands) {
-            *o = if cset.is_some() { OFF_GRAPH_NLL } else { 0.0 };
-        }
-        // Group rows sharing a successor set. The successor lists are
-        // cached per segment, so identical sets share one slice — sorting
-        // row indices by slice identity groups them without a hash map.
-        let set_of = |i: u32| cands[i as usize].expect("ordered rows have a candidate set");
-        let mut order: Vec<u32> = (0..next.len() as u32)
-            .filter(|&i| cands[i as usize].is_some_and(|cset| cset.contains(&next[i as usize])))
-            .collect();
-        order.sort_unstable_by_key(|&i| set_of(i).as_ptr() as usize);
-        let same_set =
-            |a: &[u32], b: &[u32]| std::ptr::eq(a.as_ptr(), b.as_ptr()) && a.len() == b.len();
-
-        let w = store.value(self.out_proj.weight());
-        let bias = store.value(self.out_proj.bias());
-        let mut logit_buf: Vec<f32> = Vec::new();
-        let mut start = 0;
-        while start < order.len() {
-            let cset = set_of(order[start]);
-            let mut end = start + 1;
-            while end < order.len() && same_set(set_of(order[end]), cset) {
-                end += 1;
-            }
-            let rows = &order[start..end];
-            start = end;
-            if let [i] = rows[..] {
-                // Singleton group: dot each candidate row directly (same
-                // k-ascending accumulation as the matrix path), no gathers.
-                let h_row = hs.row(i as usize);
-                logit_buf.clear();
-                logit_buf.extend(cset.iter().map(|&c| {
-                    let w_row = w.row(c as usize);
-                    let mut acc = 0.0f32;
-                    for (&a, &b) in h_row.iter().zip(w_row) {
-                        acc = a.mul_add(b, acc);
-                    }
-                    acc + bias.get(0, c as usize)
-                }));
-                let pos = cset
-                    .iter()
-                    .position(|&c| c == next[i as usize])
-                    .expect("grouped rows contain their target");
-                out[i as usize] = nll_from_logits(&logit_buf, pos);
-                continue;
-            }
-            let w_rows = w.gather_rows(cset);
-            let sub = hs.gather_rows(rows);
-            let mut logits = sub.matmul_t(&w_rows);
-            for (g, &i) in rows.iter().enumerate() {
-                for (o, &c) in logits.row_mut(g).iter_mut().zip(cset.iter()) {
-                    *o += bias.get(0, c as usize);
-                }
-                let pos = cset
-                    .iter()
-                    .position(|&c| c == next[i as usize])
-                    .expect("grouped rows contain their target");
-                out[i as usize] = nll_from_logits(logits.row(g), pos);
-            }
-        }
+        debug_assert_eq!(hs.len(), segs.len() * self.gru.hidden(), "advance_batch: batch size");
+        self.gru.infer_step_rows(&plan.u, |r| plan.gx.row(segs[r] as usize), hs, gh, out);
     }
 }
 
-/// Precomputed per-token GRU input-gate projections (`vocab x 3h`), built by
-/// [`TgVae::build_step_cache`]. Valid until the model parameters change.
-#[derive(Clone, Debug)]
-pub struct StepCache {
-    /// `E · W + b` for every token.
+/// What tape-free scoring derives from a model's parameters once instead
+/// of per pushed segment: the decoder GRU's per-token input-gate
+/// projections, its recurrent weight in the matmul kernel's packed layout,
+/// and — when trip starts charge the SD reconstruction — the two
+/// full-vocabulary SD heads, packed. `vocab·3h + h·3h` floats (plus
+/// `2·vocab·h` with the heads). Built by [`TgVae::build_plan`]; describes
+/// the parameters it was built from and nothing later.
+#[derive(Debug)]
+pub(crate) struct InferencePlan {
+    /// `E · W + b` for every token (`vocab x 3h`).
     gx: Tensor,
+    /// `U` (`h x 3h`), packed.
+    u: PackedRhs,
+    /// `src_head` and `dst_head` weights (`vocab x h`), packed transposed.
+    sd_heads: Option<[PackedRhs; 2]>,
 }
 
-impl StepCache {
-    /// Approximate heap footprint, for capacity planning in serving layers.
+impl InferencePlan {
+    /// Heap footprint in bytes.
+    pub(crate) fn bytes(&self) -> usize {
+        let heads = self.sd_heads.iter().flatten().map(PackedRhs::bytes).sum::<usize>();
+        self.gx.len() * std::mem::size_of::<f32>() + self.u.bytes() + heads
+    }
+}
+
+/// Reusable buffers of the tape-free step: a tile's stacked hidden rows
+/// and gate pre-activations, and one small buffer for whatever a row needs
+/// besides (candidate logits; a trip start's intermediates). They only
+/// grow, so a warm scratch makes the step allocation-free.
+#[derive(Debug, Default)]
+pub(crate) struct StepScratch {
+    hs: Vec<f32>,
+    gh: Vec<f32>,
+    pub(crate) buf: Vec<f32>,
+}
+
+impl StepScratch {
+    /// The stacked-hidden (`rows x hidden`) and gate (`rows x 3·hidden`)
+    /// buffers of a tile, and the small buffer.
+    pub(crate) fn tile(
+        &mut self,
+        rows: usize,
+        hidden: usize,
+    ) -> (&mut [f32], &mut [f32], &mut Vec<f32>) {
+        self.hs.resize(rows * hidden, 0.0);
+        self.gh.resize(rows * 3 * hidden, 0.0);
+        (&mut self.hs, &mut self.gh, &mut self.buf)
+    }
+}
+
+/// A handle onto a model's resident inference plan
+/// ([`crate::CausalTad::build_step_cache`]). It borrows the model, so the
+/// parameters cannot change while it is held.
+#[derive(Clone, Copy, Debug)]
+pub struct StepCache<'m> {
+    pub(crate) plan: &'m InferencePlan,
+}
+
+impl StepCache<'_> {
+    /// Heap footprint of the plan, for capacity planning in serving layers.
     pub fn bytes(&self) -> usize {
-        self.gx.len() * std::mem::size_of::<f32>()
+        self.plan.bytes()
     }
 }
 
@@ -628,11 +632,12 @@ mod tests {
         }
         // After training on 0 -> 1 -> ..., the first decoder step must
         // prefer 1 over 2 among successors(0) = {1, 2}.
-        let (r, _) = tg.encode_mean(&store, 0, 4);
-        let mut h = tg.init_hidden(&store, &r);
-        h = tg.advance(&store, &h, 0);
-        let nll_trained = tg.step_nll(&store, &h, &succ[0], 1);
-        let nll_alt = tg.step_nll(&store, &h, &succ[0], 2);
+        let plan = tg.build_plan(&store, false);
+        let mut scratch = StepScratch::default();
+        let (mut h, _) = tg.start(&store, &plan, &mut scratch.buf, 0, 4);
+        tg.advance(&plan, &mut scratch, h.data_mut(), 0);
+        let nll_trained = tg.step_nll(&store, &mut scratch.buf, h.data(), &succ[0], 1);
+        let nll_alt = tg.step_nll(&store, &mut scratch.buf, h.data(), &succ[0], 2);
         assert!(nll_trained < nll_alt, "trained transition {nll_trained} vs alternative {nll_alt}");
     }
 
@@ -745,8 +750,7 @@ mod tests {
     #[test]
     fn off_graph_transition_gets_penalty() {
         let (store, tg, _, _) = build();
-        let h = Tensor::zeros(1, 20);
-        assert_eq!(tg.step_nll(&store, &h, &[1, 2], 5), OFF_GRAPH_NLL);
+        assert_eq!(tg.step_nll(&store, &mut Vec::new(), &[0.0; 20], &[1, 2], 5), OFF_GRAPH_NLL);
     }
 
     #[test]
@@ -773,52 +777,58 @@ mod tests {
     #[test]
     fn advance_batch_matches_sequential_advance() {
         let (store, tg, _, _) = build();
-        let cache = tg.build_step_cache(&store);
-        let (r0, _) = tg.encode_mean(&store, 0, 4);
-        let (r1, _) = tg.encode_mean(&store, 2, 5);
-        let h0 = tg.init_hidden(&store, &r0);
-        let h1 = tg.init_hidden(&store, &r1);
+        let plan = tg.build_plan(&store, false);
+        let mut scratch = StepScratch::default();
+        let (h0, _) = tg.start(&store, &plan, &mut scratch.buf, 0, 4);
+        let (h1, _) = tg.start(&store, &plan, &mut scratch.buf, 2, 5);
         let hidden = h0.cols();
-        let mut hs = Tensor::zeros(2, hidden);
-        hs.row_mut(0).copy_from_slice(h0.row(0));
-        hs.row_mut(1).copy_from_slice(h1.row(0));
+        let hs = [h0.data(), h1.data()].concat();
         let segs = [3u32, 1];
 
-        for cache_opt in [None, Some(&cache)] {
-            let mut gh = Tensor::zeros(2, 3 * hidden);
-            let mut batched = Tensor::zeros(2, hidden);
-            let out = batched.data_mut().chunks_exact_mut(hidden);
-            tg.advance_batch(&store, cache_opt, &hs, &segs, &mut gh, out);
-            let a = tg.advance(&store, &h0, segs[0]);
-            let b = tg.advance(&store, &h1, segs[1]);
-            assert_eq!(batched.row(0), a.row(0), "row 0, cache={}", cache_opt.is_some());
-            assert_eq!(batched.row(1), b.row(0), "row 1, cache={}", cache_opt.is_some());
+        let mut gh = vec![0.0; 2 * 3 * hidden];
+        let mut batched = Tensor::zeros(2, hidden);
+        let out = batched.data_mut().chunks_exact_mut(hidden);
+        tg.advance_batch(&plan, &hs, &segs, &mut gh, out);
+        for (i, mut h) in [h0, h1].into_iter().enumerate() {
+            tg.advance(&plan, &mut scratch, h.data_mut(), segs[i]);
+            assert_eq!(batched.row(i), h.row(0), "row {i}");
+            // ... and both are the step the GRU cell takes from scratch:
+            // input projection, `U` packed per call, no table.
+            let x = store.value(tg.traj_embed.table()).gather_rows(&[segs[i]]);
+            let h_in = Tensor::row_vector(&hs[i * hidden..(i + 1) * hidden]);
+            assert_eq!(tg.gru.infer_step(&store, &x, &h_in).row(0), h.row(0), "row {i} vs cell");
         }
     }
 
     #[test]
-    fn step_nll_batch_matches_sequential_and_flags_off_graph() {
+    fn start_charges_the_sd_reconstruction_only_with_the_packed_heads() {
+        // The packed full-vocabulary heads give the logits of the taped SD
+        // decoder; without them a trip start charges the KL alone and
+        // opens on the same hidden row.
         let (store, tg, _, _) = build();
-        let succ = toy_successors();
-        let (r, _) = tg.encode_mean(&store, 0, 4);
-        let h0 = tg.init_hidden(&store, &r);
-        let h1 = tg.advance(&store, &h0, 0);
-        let hidden = h0.cols();
-        let mut hs = Tensor::zeros(4, hidden);
-        hs.row_mut(0).copy_from_slice(h0.row(0));
-        hs.row_mut(1).copy_from_slice(h1.row(0));
-        hs.row_mut(2).copy_from_slice(h1.row(0));
-        hs.row_mut(3).copy_from_slice(h0.row(0));
-        // Rows 0 and 1 share successors(0); row 2 asks for an off-graph
-        // hop; row 3 has no predecessor yet.
-        let cands = [Some(&succ[0][..]), Some(&succ[0][..]), Some(&succ[3][..]), None];
-        let next = [1u32, 2, 0, 4];
-        let mut batched = [f64::NAN; 4];
-        tg.step_nll_batch(&store, &hs, &cands, &next, &mut batched);
-        assert_eq!(batched[0], tg.step_nll(&store, &h0, &succ[0], 1));
-        assert_eq!(batched[1], tg.step_nll(&store, &h1, &succ[0], 2));
-        assert_eq!(batched[2], OFF_GRAPH_NLL);
-        assert_eq!(batched[3], 0.0);
+        let mut buf = Vec::new();
+        let (h_kl, kl) = tg.start(&store, &tg.build_plan(&store, false), &mut buf, 1, 4);
+        let (h_sd, with_sd) = tg.start(&store, &tg.build_plan(&store, true), &mut buf, 1, 4);
+        assert_eq!(h_kl, h_sd);
+
+        let mut tape = Tape::new();
+        let mu = {
+            let s = tg.sd_embed.lookup(&mut tape, &store, &[1]);
+            let d = tg.sd_embed.lookup(&mut tape, &store, &[4]);
+            let sd = tape.concat_cols(s, d);
+            let enc_pre = tg.enc.forward(&mut tape, &store, sd);
+            let enc_h = tape.tanh(enc_pre);
+            tg.head.forward(&mut tape, &store, enc_h).0
+        };
+        let sd_pre = tg.sd_dec_hidden.forward(&mut tape, &store, mu);
+        let sd_h = tape.relu(sd_pre);
+        let src_logits = tg.src_head.forward_rowmajor(&mut tape, &store, sd_h);
+        let src_ce = tape.softmax_cross_entropy(src_logits, &[1]);
+        let dst_logits = tg.dst_head.forward_rowmajor(&mut tape, &store, sd_h);
+        let dst_ce = tape.softmax_cross_entropy(dst_logits, &[4]);
+        let taped = (tape.value(src_ce).get(0, 0) + tape.value(dst_ce).get(0, 0)) as f64;
+        assert!(kl >= 0.0 && with_sd > kl);
+        assert!((with_sd - kl - taped).abs() < 1e-4, "{} vs taped {taped}", with_sd - kl);
     }
 
     #[test]

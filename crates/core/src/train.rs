@@ -90,7 +90,7 @@ impl Trainer {
         let micro_batch = self.cfg.micro_batch.max(1);
         let clip = self.cfg.grad_clip > 0.0;
 
-        let mut store = std::mem::take(&mut model.store);
+        let mut store = std::mem::take(model.store_mut());
         let rp_store = store.split_off(model.tg_params);
         let mut tg = Lane::new(store, self.cfg.lr);
         let rp_store = thread::scope(|scope| {
@@ -190,8 +190,8 @@ impl Trainer {
             helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         });
 
-        model.store = tg.finish();
-        model.store.append(rp_store);
+        *model.store_mut() = tg.finish();
+        model.store_mut().append(rp_store);
         report.wall_time = start.elapsed();
         report
     }
@@ -440,7 +440,7 @@ mod tests {
         train: &[Trajectory],
     ) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
-        let mut adam = Adam::new(&model.store, cfg.lr);
+        let mut adam = Adam::new(model.store(), cfg.lr);
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut best: Option<(f64, Vec<Tensor>)> = None;
         let mut tape = Tape::new();
@@ -458,22 +458,22 @@ mod tests {
                     let v = tape.value(loss).get(0, 0) as f64;
                     assert!(v.is_finite());
                     let scaled = tape.scale(loss, scale);
-                    tape.backward(scaled, &mut model.store);
+                    tape.backward(scaled, model.store_mut());
                     epoch_loss += v;
                 }
                 if cfg.grad_clip > 0.0 {
-                    model.store.clip_grad_norm(cfg.grad_clip);
+                    model.store_mut().clip_grad_norm(cfg.grad_clip);
                 }
-                adam.step(&mut model.store);
+                adam.step(model.store_mut());
                 counted += eligible.len();
             }
             let mean = epoch_loss / counted as f64;
             losses.push(mean);
             if best.as_ref().is_none_or(|(b, _)| mean < *b) {
-                best = Some((mean, model.store.values().to_vec()));
+                best = Some((mean, model.store().values().to_vec()));
             }
         }
-        model.store.copy_values_from(&best.expect("an epoch ran").1);
+        model.store_mut().copy_values_from(&best.expect("an epoch ran").1);
         losses
     }
 

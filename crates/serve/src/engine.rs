@@ -303,10 +303,12 @@ impl FleetEngineBuilder {
             Some(image) => Some(partition_image(&model, image, cfg.num_shards)?),
             None => None,
         };
-        // The decoder's per-token input projections, shared by every shard:
-        // each batched step skips the input-gate matmul for `vocab x
-        // 3·hidden` floats of memory.
-        let cache = Arc::new(model.build_step_cache());
+        // Every wave steps against the model's resident inference plan
+        // (per-token input-gate table, packed recurrent weight): one copy
+        // per model, shared by its shards and by every engine serving it.
+        // Derive it here if nothing has yet, not inside a shard's first
+        // wave.
+        model.build_step_cache();
         let stats = Arc::new(FleetStats::new());
         let registry = registry.unwrap_or_default();
         let metrics = ServeMetrics::register(&registry);
@@ -316,7 +318,6 @@ impl FleetEngineBuilder {
             let (tx, rx) = sync_channel::<Ingest>(cfg.queue_capacity);
             let ctx = ShardCtx {
                 model: Arc::clone(&model),
-                cache: Arc::clone(&cache),
                 cfg: cfg.clone(),
                 stats: Arc::clone(&stats),
                 metrics: metrics.clone(),

@@ -13,12 +13,13 @@
 //!   per-trip event order is preserved, shards run in parallel.
 //! * **Micro-batched stepping** — each worker drains its queue in waves
 //!   and advances every live session in the wave through
-//!   [`causaltad::CausalTad::push_batch`]: the GRU step and the
-//!   successor-set projection become matrix-matrix products over the whole
-//!   cohort instead of per-session matrix-vector products, and the
-//!   precomputed [`causaltad::StepCache`] eliminates the input-gate matmul
-//!   entirely. Scores are numerically identical to running each trip
-//!   through its own [`causaltad::OnlineScorer`].
+//!   [`causaltad::CausalTad::push_batch`]: the GRU step becomes
+//!   matrix-matrix products over the whole cohort instead of per-session
+//!   matrix-vector products, against the model's resident inference plan
+//!   (the input-gate projection is a table row, the recurrent weight is
+//!   packed once per model — one copy however many engines serve it).
+//!   Scores are numerically identical to running each trip through its
+//!   own [`causaltad::OnlineScorer`].
 //! * **Session lifecycle** — live [`causaltad::ScorerState`]s are kept in
 //!   a per-shard store with TTL sweeps for trips that went silent and an
 //!   O(1) LRU cap bounding memory; completed and evicted trips are

@@ -9,7 +9,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use causaltad::{CausalTad, ScorerState, StepCache, OFF_GRAPH_NLL};
+use causaltad::{CausalTad, ScorerState, OFF_GRAPH_NLL};
 
 use crate::engine::{CompletionCallback, FleetConfig, ScoreCallback};
 use crate::event::{Completion, Event, ScoreUpdate, TripId, TripOutcome};
@@ -71,7 +71,6 @@ impl Ingest {
 /// Everything a shard worker needs, cloned per shard.
 pub(crate) struct ShardCtx {
     pub model: Arc<CausalTad>,
-    pub cache: Arc<StepCache>,
     pub cfg: FleetConfig,
     pub stats: Arc<FleetStats>,
     pub metrics: ServeMetrics,
@@ -528,7 +527,7 @@ fn process_batch(
             work.iter_mut().map(|item| item.pending.pop_front().expect("a segment is queued")),
         );
         let wave_started = Instant::now();
-        let scores = ctx.model.push_batch(Some(&ctx.cache), work, wave_segs);
+        let scores = ctx.model.push_batch(None, work, wave_segs);
         // One relaxed record per wave, attributed to every segment it
         // scored: the per-segment cost of the latency histogram stays a
         // fraction of an atomic op at realistic widths.
