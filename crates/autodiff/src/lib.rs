@@ -16,6 +16,8 @@
 //! * [`nn`] — layers ([`nn::Linear`], [`nn::Embedding`], [`nn::GruCell`],
 //!   [`nn::Mlp`], [`nn::GaussianHead`]) that own only parameter handles.
 //! * [`optim`] — [`optim::Adam`], the paper's optimiser.
+//! * [`train`] — [`train::run`], the one epoch/mini-batch loop every
+//!   learned model is optimised by, generic over the item type.
 //!
 //! Correctness of every differentiable op is enforced by finite-difference
 //! gradient checks in `tests/gradcheck.rs` (property-based via `proptest`).
@@ -49,6 +51,7 @@ mod params;
 mod pool;
 mod tape;
 mod tensor;
+pub mod train;
 
 pub use math::{fast_exp, fast_sigmoid, fast_tanh};
 pub use params::{CodecError, ParamId, ParamStore};

@@ -1,6 +1,7 @@
 //! The common interface all detectors (baselines and CausalTAD wrappers)
 //! implement, so the evaluation harness can treat them uniformly.
 
+use tad_autodiff::train::Schedule;
 use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
@@ -67,6 +68,17 @@ impl Default for BaselineConfig {
 }
 
 impl BaselineConfig {
+    /// What the shared optimisation loop reads of this configuration: the
+    /// baselines take one trajectory per tape pass.
+    pub(crate) fn schedule(&self) -> Schedule {
+        Schedule {
+            epochs: self.epochs,
+            batch_size: self.batch_size,
+            micro_batch: 1,
+            grad_clip: self.grad_clip,
+        }
+    }
+
     /// Tiny configuration for unit tests.
     pub fn test_scale() -> Self {
         BaselineConfig {

@@ -13,6 +13,7 @@ use rand::SeedableRng;
 
 use tad_autodiff::nn::{gaussian_kl, GaussianHead, Linear};
 use tad_autodiff::optim::Adam;
+use tad_autodiff::train::{self, Lane, Lanes};
 use tad_autodiff::{ParamStore, Tape, Tensor, Var};
 use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
@@ -119,6 +120,61 @@ impl FactorVae {
     }
 }
 
+/// The two players under the workspace's one optimisation loop: the VAE is
+/// the lane it optimises, and the discriminator takes its update on the
+/// batch's latent samples right after each accepted VAE step.
+struct Players<'a> {
+    model: &'a FactorVae,
+    /// The VAE's layers; its parameters are in `lane` while training runs.
+    vae: &'a Inner,
+    lane: Lane,
+    disc: Discriminator,
+    disc_adam: Adam,
+    /// The detached `z` of every trajectory passed in the current batch.
+    batch_z: Vec<Tensor>,
+}
+
+impl Lanes<Trajectory> for Players<'_> {
+    fn pass(&mut self, chunk: &[&Trajectory], scale: f32, _last: bool, rng: &mut StdRng) -> f32 {
+        let Players { model, vae, lane, disc, batch_z, .. } = self;
+        let t = chunk[0];
+        lane.pass(scale, |tape, store| {
+            let toks = tokens(t);
+            let h = vae.core.encode(tape, store, &toks, t.time_slot);
+            let (mu, logvar) = vae.head.forward(tape, store, h);
+            let kl = tape.kl_std_normal(mu, logvar);
+            let eps = Tensor::randn(1, model.cfg.latent_dim, 0.0, 1.0, rng);
+            let z = tape.gaussian_sample(mu, logvar, eps);
+            batch_z.push(tape.value(z).clone());
+            let tc = disc.tc_logit_on_vae_tape(tape, z);
+            let tc_w = tape.scale(tc, model.gamma);
+            let h0_pre = vae.dec_init.forward(tape, store, z);
+            let h0 = tape.tanh(h0_pre);
+            let rec = vae.core.decode_nll(tape, store, h0, &toks, t.time_slot);
+            let partial = tape.add(rec, kl);
+            tape.add(partial, tc_w)
+        })
+    }
+
+    fn grad_sq_norm(&mut self) -> f64 {
+        self.lane.grad_sq_norms().sum()
+    }
+
+    fn step(&mut self, grad_scale: Option<f32>, rng: &mut StdRng) {
+        self.lane.step(grad_scale);
+        self.disc.train_step(&mut self.disc_adam, &self.batch_z, rng);
+        self.batch_z.clear();
+    }
+
+    fn discard(&mut self) {
+        self.lane.discard();
+        self.batch_z.clear();
+    }
+
+    /// An adversarial loss has no best epoch: the last one's values stand.
+    fn checkpoint(&mut self) {}
+}
+
 impl Detector for FactorVae {
     fn name(&self) -> &'static str {
         "FactorVAE"
@@ -142,58 +198,22 @@ impl Detector for FactorVae {
             self.cfg.hidden_dim,
             &mut rng,
         );
-        let mut disc = Discriminator::new(self.cfg.latent_dim, self.cfg.hidden_dim, &mut rng);
-        let mut disc_adam = Adam::new(&disc.store, self.cfg.lr);
+        let disc = Discriminator::new(self.cfg.latent_dim, self.cfg.hidden_dim, &mut rng);
+        let mut vae = Inner { store, core, head, dec_init };
 
-        // Custom loop: the discriminator trains on whole batches of z.
-        let mut adam = Adam::new(&store, self.cfg.lr);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut tape = Tape::new();
-        for _ in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for batch in order.chunks(self.cfg.batch_size) {
-                let scale = 1.0 / batch.len() as f32;
-                let mut batch_z: Vec<Tensor> = Vec::with_capacity(batch.len());
-                let mut ok = true;
-                for &idx in batch {
-                    let t = &train[idx];
-                    if t.len() < 2 {
-                        continue;
-                    }
-                    let toks = tokens(t);
-                    tape.reset();
-                    let h = core.encode(&mut tape, &store, &toks, t.time_slot);
-                    let (mu, logvar) = head.forward(&mut tape, &store, h);
-                    let kl = tape.kl_std_normal(mu, logvar);
-                    let eps = Tensor::randn(1, self.cfg.latent_dim, 0.0, 1.0, &mut rng);
-                    let z = tape.gaussian_sample(mu, logvar, eps);
-                    batch_z.push(tape.value(z).clone());
-                    let tc = disc.tc_logit_on_vae_tape(&mut tape, z);
-                    let tc_w = tape.scale(tc, self.gamma);
-                    let h0_pre = dec_init.forward(&mut tape, &store, z);
-                    let h0 = tape.tanh(h0_pre);
-                    let rec = core.decode_nll(&mut tape, &store, h0, &toks, t.time_slot);
-                    let partial = tape.add(rec, kl);
-                    let loss = tape.add(partial, tc_w);
-                    if !tape.value(loss).get(0, 0).is_finite() {
-                        ok = false;
-                        break;
-                    }
-                    let scaled = tape.scale(loss, scale);
-                    tape.backward(scaled, &mut store);
-                }
-                if !ok {
-                    store.zero_grads();
-                    continue;
-                }
-                if self.cfg.grad_clip > 0.0 {
-                    store.clip_grad_norm(self.cfg.grad_clip);
-                }
-                adam.step(&mut store);
-                disc.train_step(&mut disc_adam, &batch_z, &mut rng);
-            }
-        }
-        self.inner = Some(Inner { store, core, head, dec_init });
+        // The init stream runs on into training: shuffles, noise, and the
+        // discriminator's permutations.
+        let mut players = Players {
+            model: self,
+            lane: Lane::new(std::mem::take(&mut vae.store), self.cfg.lr),
+            vae: &vae,
+            disc_adam: Adam::new(&disc.store, self.cfg.lr),
+            disc,
+            batch_z: Vec::new(),
+        };
+        train::run(&mut players, train, |t| t.len() >= 2, &self.cfg.schedule(), &mut rng);
+        vae.store = players.lane.finish();
+        self.inner = Some(vae);
     }
 
     fn score_prefix(&self, traj: &Trajectory, prefix_len: usize) -> f64 {
@@ -212,8 +232,96 @@ impl Detector for FactorVae {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::reference::param_bits;
     use rand::Rng;
     use tad_trajsim::{generate_city, CityConfig};
+
+    impl FactorVae {
+        /// `fit` as it stood before it moved onto `train::run`, loop and all:
+        /// the reference the shared loop is pinned to.
+        fn parent_fit(&mut self, net: &RoadNetwork, train: &[Trajectory]) {
+            let mut rng = StdRng::seed_from_u64(self.cfg.seed);
+            let mut store = ParamStore::new();
+            let core =
+                SeqCore::new(&mut store, "fvae", net.num_segments(), &self.cfg, false, &mut rng);
+            let head = GaussianHead::new(
+                &mut store,
+                "fvae.head",
+                self.cfg.hidden_dim,
+                self.cfg.latent_dim,
+                &mut rng,
+            );
+            let dec_init = Linear::new(
+                &mut store,
+                "fvae.dec_init",
+                self.cfg.latent_dim,
+                self.cfg.hidden_dim,
+                &mut rng,
+            );
+            let mut disc = Discriminator::new(self.cfg.latent_dim, self.cfg.hidden_dim, &mut rng);
+            let mut disc_adam = Adam::new(&disc.store, self.cfg.lr);
+
+            // Custom loop: the discriminator trains on whole batches of z.
+            let mut adam = Adam::new(&store, self.cfg.lr);
+            let mut order: Vec<usize> = (0..train.len()).collect();
+            let mut tape = Tape::new();
+            for _ in 0..self.cfg.epochs {
+                order.shuffle(&mut rng);
+                for batch in order.chunks(self.cfg.batch_size) {
+                    let scale = 1.0 / batch.len() as f32;
+                    let mut batch_z: Vec<Tensor> = Vec::with_capacity(batch.len());
+                    let mut ok = true;
+                    for &idx in batch {
+                        let t = &train[idx];
+                        if t.len() < 2 {
+                            continue;
+                        }
+                        let toks = tokens(t);
+                        tape.reset();
+                        let h = core.encode(&mut tape, &store, &toks, t.time_slot);
+                        let (mu, logvar) = head.forward(&mut tape, &store, h);
+                        let kl = tape.kl_std_normal(mu, logvar);
+                        let eps = Tensor::randn(1, self.cfg.latent_dim, 0.0, 1.0, &mut rng);
+                        let z = tape.gaussian_sample(mu, logvar, eps);
+                        batch_z.push(tape.value(z).clone());
+                        let tc = disc.tc_logit_on_vae_tape(&mut tape, z);
+                        let tc_w = tape.scale(tc, self.gamma);
+                        let h0_pre = dec_init.forward(&mut tape, &store, z);
+                        let h0 = tape.tanh(h0_pre);
+                        let rec = core.decode_nll(&mut tape, &store, h0, &toks, t.time_slot);
+                        let partial = tape.add(rec, kl);
+                        let loss = tape.add(partial, tc_w);
+                        if !tape.value(loss).get(0, 0).is_finite() {
+                            ok = false;
+                            break;
+                        }
+                        let scaled = tape.scale(loss, scale);
+                        tape.backward(scaled, &mut store);
+                    }
+                    if !ok {
+                        store.zero_grads();
+                        continue;
+                    }
+                    if self.cfg.grad_clip > 0.0 {
+                        store.clip_grad_norm(self.cfg.grad_clip);
+                    }
+                    adam.step(&mut store);
+                    disc.train_step(&mut disc_adam, &batch_z, &mut rng);
+                }
+            }
+            self.inner = Some(Inner { store, core, head, dec_init });
+        }
+    }
+
+    #[test]
+    fn fit_matches_the_parent_loop_bit_for_bit() {
+        let city = generate_city(&CityConfig::test_scale(423));
+        let mut expected = FactorVae::new(BaselineConfig::test_scale(), 2.0);
+        expected.parent_fit(&city.net, &city.data.train);
+        let mut m = FactorVae::new(BaselineConfig::test_scale(), 2.0);
+        m.fit(&city.net, &city.data.train);
+        assert_eq!(param_bits(&m.inner().store), param_bits(&expected.inner().store));
+    }
 
     #[test]
     fn factor_vae_fits_and_scores() {

@@ -10,12 +10,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use tad_autodiff::nn::{GaussianHead, Linear};
+use tad_autodiff::train::TrainReport;
 use tad_autodiff::{logsumexp, ParamStore, Tape, Tensor, Var};
 use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
 use crate::detector::{BaselineConfig, Detector};
-use crate::seq::{tokens, train_loop, SeqCore};
+use crate::seq::{fit_store, tokens, SeqCore};
 
 const LN_2PI: f32 = 1.837_877_1;
 
@@ -86,6 +87,66 @@ impl GmVsae {
         tape.sub(log_q, log_p)
     }
 
+    /// Registers the parameters, initialised from the `cfg.seed` stream.
+    fn init(&self, net: &RoadNetwork) -> Inner {
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
+        let mut store = ParamStore::new();
+        let core = SeqCore::new(&mut store, "gmv", net.num_segments(), &self.cfg, false, &mut rng);
+        let head = GaussianHead::new(
+            &mut store,
+            "gmv.head",
+            self.cfg.hidden_dim,
+            self.cfg.latent_dim,
+            &mut rng,
+        );
+        let dec_init = Linear::new(
+            &mut store,
+            "gmv.dec_init",
+            self.cfg.latent_dim,
+            self.cfg.hidden_dim,
+            &mut rng,
+        );
+        // Spread the initial component means so they can specialise.
+        let mix_means = store
+            .add("gmv.mix_means", Tensor::randn(self.k, self.cfg.latent_dim, 0.0, 1.0, &mut rng));
+        Inner { store, core, head, dec_init, mix_means }
+    }
+
+    /// One trajectory's `reconstruction + KL to the mixture`, the
+    /// parameters of `inner` read from `store` — training holds them
+    /// outside it while it runs.
+    fn loss(
+        &self,
+        inner: &Inner,
+        tape: &mut Tape,
+        store: &ParamStore,
+        t: &Trajectory,
+        rng: &mut StdRng,
+    ) -> Var {
+        let (k, latent) = (self.k, self.cfg.latent_dim);
+        let toks = tokens(t);
+        let h = inner.core.encode(tape, store, &toks, t.time_slot);
+        let (mu, logvar) = inner.head.forward(tape, store, h);
+        let eps = Tensor::randn(1, latent, 0.0, 1.0, rng);
+        let z = tape.gaussian_sample(mu, logvar, eps);
+        let kl = Self::kl_mixture(tape, store, inner.mix_means, z, mu, logvar, k, latent);
+        let h0_pre = inner.dec_init.forward(tape, store, z);
+        let h0 = tape.tanh(h0_pre);
+        let rec = inner.core.decode_nll(tape, store, h0, &toks, t.time_slot);
+        tape.add(rec, kl)
+    }
+
+    /// Trains a fresh set of parameters on `train`.
+    fn train(&self, net: &RoadNetwork, train: &[Trajectory]) -> (Inner, TrainReport) {
+        let mut inner = self.init(net);
+        let mut store = std::mem::take(&mut inner.store);
+        let report = fit_store(&mut store, &self.cfg, train, |tape, store, chunk, rng| {
+            self.loss(&inner, tape, store, chunk[0], rng)
+        });
+        inner.store = store;
+        (inner, report)
+    }
+
     /// Tape-free `log q − log p_mix` at `z = mu`.
     fn infer_kl_mixture(&self, mu: &Tensor, logvar: &Tensor) -> f64 {
         let inner = self.inner();
@@ -114,40 +175,7 @@ impl Detector for GmVsae {
     }
 
     fn fit(&mut self, net: &RoadNetwork, train: &[Trajectory]) {
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut store = ParamStore::new();
-        let core = SeqCore::new(&mut store, "gmv", net.num_segments(), &self.cfg, false, &mut rng);
-        let head = GaussianHead::new(
-            &mut store,
-            "gmv.head",
-            self.cfg.hidden_dim,
-            self.cfg.latent_dim,
-            &mut rng,
-        );
-        let dec_init = Linear::new(
-            &mut store,
-            "gmv.dec_init",
-            self.cfg.latent_dim,
-            self.cfg.hidden_dim,
-            &mut rng,
-        );
-        // Spread the initial component means so they can specialise.
-        let mix_means = store
-            .add("gmv.mix_means", Tensor::randn(self.k, self.cfg.latent_dim, 0.0, 1.0, &mut rng));
-        let (k, latent) = (self.k, self.cfg.latent_dim);
-        train_loop(&mut store, &self.cfg, train, |tape, store, t, rng| {
-            let toks = tokens(t);
-            let h = core.encode(tape, store, &toks, t.time_slot);
-            let (mu, logvar) = head.forward(tape, store, h);
-            let eps = Tensor::randn(1, latent, 0.0, 1.0, rng);
-            let z = tape.gaussian_sample(mu, logvar, eps);
-            let kl = Self::kl_mixture(tape, store, mix_means, z, mu, logvar, k, latent);
-            let h0_pre = dec_init.forward(tape, store, z);
-            let h0 = tape.tanh(h0_pre);
-            let rec = core.decode_nll(tape, store, h0, &toks, t.time_slot);
-            tape.add(rec, kl)
-        });
-        self.inner = Some(Inner { store, core, head, dec_init, mix_means });
+        self.inner = Some(self.train(net, train).0);
     }
 
     fn score_prefix(&self, traj: &Trajectory, prefix_len: usize) -> f64 {
@@ -166,7 +194,27 @@ impl Detector for GmVsae {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::reference::{param_bits, train_loop};
     use tad_trajsim::{generate_city, CityConfig};
+
+    #[test]
+    fn fit_matches_the_parent_loop_bit_for_bit() {
+        let city = generate_city(&CityConfig::test_scale(433));
+        // The second learning rate overshoots: an early epoch is the best
+        // one, so the restore is exercised.
+        for lr in [BaselineConfig::test_scale().lr, 1.0] {
+            let cfg = BaselineConfig { lr, ..BaselineConfig::test_scale() };
+            let m = GmVsae::new(cfg.clone(), 3);
+            let mut reference = m.init(&city.net);
+            let mut store = std::mem::take(&mut reference.store);
+            let expected = train_loop(&mut store, &cfg, &city.data.train, |tape, store, t, rng| {
+                m.loss(&reference, tape, store, t, rng)
+            });
+            let (inner, report) = m.train(&city.net, &city.data.train);
+            assert_eq!(report.epoch_losses, expected, "lr {lr}");
+            assert_eq!(param_bits(&inner.store), param_bits(&store), "lr {lr}");
+        }
+    }
 
     #[test]
     fn gmvsae_fits_and_separates() {

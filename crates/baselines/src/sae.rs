@@ -7,12 +7,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tad_autodiff::ParamStore;
+use tad_autodiff::train::TrainReport;
+use tad_autodiff::{ParamStore, Tape, Var};
 use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
 use crate::detector::{BaselineConfig, Detector};
-use crate::seq::{tokens, train_loop, SeqCore};
+use crate::seq::{fit_store, tokens, SeqCore};
 
 /// The SAE detector.
 pub struct Sae {
@@ -34,6 +35,35 @@ impl Sae {
     fn inner(&self) -> &Inner {
         self.inner.as_ref().expect("SAE: call fit() before scoring")
     }
+
+    /// Registers the parameters, initialised from the `cfg.seed` stream.
+    fn init(&self, net: &RoadNetwork) -> Inner {
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
+        let mut store = ParamStore::new();
+        let core = SeqCore::new(&mut store, "sae", net.num_segments(), &self.cfg, false, &mut rng);
+        Inner { store, core }
+    }
+
+    /// Trains a fresh set of parameters on `train`.
+    fn train(&self, net: &RoadNetwork, train: &[Trajectory]) -> (Inner, TrainReport) {
+        let mut inner = self.init(net);
+        let mut store = std::mem::take(&mut inner.store);
+        let report = fit_store(&mut store, &self.cfg, train, |tape, store, chunk, _| {
+            inner.loss(tape, store, chunk[0])
+        });
+        inner.store = store;
+        (inner, report)
+    }
+}
+
+impl Inner {
+    /// One trajectory's reconstruction loss, its parameters read from
+    /// `store` — training holds them outside `self` while it runs.
+    fn loss(&self, tape: &mut Tape, store: &ParamStore, t: &Trajectory) -> Var {
+        let toks = tokens(t);
+        let h = self.core.encode(tape, store, &toks, t.time_slot);
+        self.core.decode_nll(tape, store, h, &toks, t.time_slot)
+    }
 }
 
 impl Detector for Sae {
@@ -42,15 +72,7 @@ impl Detector for Sae {
     }
 
     fn fit(&mut self, net: &RoadNetwork, train: &[Trajectory]) {
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut store = ParamStore::new();
-        let core = SeqCore::new(&mut store, "sae", net.num_segments(), &self.cfg, false, &mut rng);
-        train_loop(&mut store, &self.cfg, train, |tape, store, t, _| {
-            let toks = tokens(t);
-            let h = core.encode(tape, store, &toks, t.time_slot);
-            core.decode_nll(tape, store, h, &toks, t.time_slot)
-        });
-        self.inner = Some(Inner { store, core });
+        self.inner = Some(self.train(net, train).0);
     }
 
     fn score_prefix(&self, traj: &Trajectory, prefix_len: usize) -> f64 {
@@ -66,7 +88,27 @@ impl Detector for Sae {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::reference::{param_bits, train_loop};
     use tad_trajsim::{generate_city, CityConfig};
+
+    #[test]
+    fn fit_matches_the_parent_loop_bit_for_bit() {
+        let city = generate_city(&CityConfig::test_scale(403));
+        // The second learning rate overshoots: the first epoch is the best
+        // one, so the restore is exercised.
+        for lr in [BaselineConfig::test_scale().lr, 1.0] {
+            let cfg = BaselineConfig { lr, ..BaselineConfig::test_scale() };
+            let sae = Sae::new(cfg.clone());
+            let mut reference = sae.init(&city.net);
+            let mut store = std::mem::take(&mut reference.store);
+            let expected = train_loop(&mut store, &cfg, &city.data.train, |tape, store, t, _| {
+                reference.loss(tape, store, t)
+            });
+            let (inner, report) = sae.train(&city.net, &city.data.train);
+            assert_eq!(report.epoch_losses, expected, "lr {lr}");
+            assert_eq!(param_bits(&inner.store), param_bits(&store), "lr {lr}");
+        }
+    }
 
     #[test]
     fn sae_separates_anomalies_from_training_routes() {

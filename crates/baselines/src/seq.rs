@@ -7,15 +7,15 @@
 //! * [`SeqCore`] — embeddings, encoder GRU, decoder GRU and the full-vocab
 //!   output projection (the baselines do *not* use CausalTAD's
 //!   road-constrained projection — that is one of its contributions);
-//! * a generic mini-batch [`train_loop`] with gradient clipping, NaN
-//!   guards, and best-epoch checkpointing.
+//! * [`fit_store`] — the baselines' entry to the workspace's one
+//!   optimisation loop, [`tad_autodiff::train::run`], which CausalTAD
+//!   trains through too.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use tad_autodiff::nn::{Embedding, GruCell, Linear};
-use tad_autodiff::optim::Adam;
+use tad_autodiff::train::{self, Lane, OneLane, TrainReport};
 use tad_autodiff::{logsumexp, ParamStore, Tape, Tensor, Var};
 use tad_trajsim::Trajectory;
 
@@ -205,99 +205,123 @@ pub fn tokens(traj: &Trajectory) -> Vec<u32> {
     traj.segments.iter().map(|s| s.0).collect()
 }
 
-/// Generic training loop: shuffled mini-batches, per-example loss closure,
-/// gradient clipping, NaN guard, best-epoch checkpoint restore. Returns the
-/// mean per-trajectory loss per epoch.
-pub fn train_loop<F>(
+/// Optimises `store` under `cfg` against a closure from a chunk of
+/// trajectories — one, as the baselines train today — to its summed loss:
+/// the one-lane case of [`train::run`], shuffle and noise from one stream
+/// seeded `cfg.seed ^ 0xba5e`, the store left on its best epoch's values.
+pub fn fit_store<F>(
     store: &mut ParamStore,
     cfg: &BaselineConfig,
     data: &[Trajectory],
-    mut per_example_loss: F,
-) -> Vec<f64>
+    loss: F,
+) -> TrainReport
 where
-    F: FnMut(&mut Tape, &ParamStore, &Trajectory, &mut StdRng) -> Var,
+    F: FnMut(&mut Tape, &ParamStore, &[&Trajectory], &mut StdRng) -> Var,
 {
-    let mut losses = Vec::with_capacity(cfg.epochs);
-    if data.is_empty() {
-        return losses;
-    }
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xba5e);
-    let mut adam = Adam::new(store, cfg.lr);
-    let mut order: Vec<usize> = (0..data.len()).collect();
-    let mut best: Option<(f64, Vec<Tensor>)> = None;
-    let mut tape = Tape::new();
+    let mut one = OneLane { lane: Lane::new(std::mem::take(store), cfg.lr), loss };
+    let report = train::run(&mut one, data, |t| t.len() >= 2, &cfg.schedule(), &mut rng);
+    *store = one.lane.finish();
+    report
+}
 
-    for _ in 0..cfg.epochs {
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0;
-        let mut counted = 0usize;
-        for batch in order.chunks(cfg.batch_size) {
-            let scale = 1.0 / batch.len() as f32;
-            let mut batch_loss = 0.0;
-            let mut batch_counted = 0usize;
-            let mut ok = true;
-            for &idx in batch {
-                let t = &data[idx];
-                if t.len() < 2 {
+/// What the pins of the learned baselines compare [`fit_store`] with.
+#[cfg(test)]
+pub(crate) mod reference {
+    use rand::seq::SliceRandom;
+    use tad_autodiff::optim::Adam;
+
+    use super::*;
+
+    /// `seq::train_loop` as it stood before the baselines moved onto
+    /// [`train::run`], body unchanged: the loop [`fit_store`] is pinned to.
+    pub(crate) fn train_loop<F>(
+        store: &mut ParamStore,
+        cfg: &BaselineConfig,
+        data: &[Trajectory],
+        mut per_example_loss: F,
+    ) -> Vec<f64>
+    where
+        F: FnMut(&mut Tape, &ParamStore, &Trajectory, &mut StdRng) -> Var,
+    {
+        let mut losses = Vec::with_capacity(cfg.epochs);
+        if data.is_empty() {
+            return losses;
+        }
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xba5e);
+        let mut adam = Adam::new(store, cfg.lr);
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        let mut best: Option<(f64, Vec<Tensor>)> = None;
+        let mut tape = Tape::new();
+
+        for _ in 0..cfg.epochs {
+            order.shuffle(&mut rng);
+            let mut epoch_loss = 0.0;
+            let mut counted = 0usize;
+            for batch in order.chunks(cfg.batch_size) {
+                let scale = 1.0 / batch.len() as f32;
+                let mut batch_loss = 0.0;
+                let mut batch_counted = 0usize;
+                let mut ok = true;
+                for &idx in batch {
+                    let t = &data[idx];
+                    if t.len() < 2 {
+                        continue;
+                    }
+                    tape.reset();
+                    let loss = per_example_loss(&mut tape, store, t, &mut rng);
+                    let v = tape.value(loss).get(0, 0) as f64;
+                    if !v.is_finite() {
+                        ok = false;
+                        break;
+                    }
+                    let scaled = tape.scale(loss, scale);
+                    tape.backward(scaled, store);
+                    batch_loss += v;
+                    batch_counted += 1;
+                }
+                if !ok {
+                    store.zero_grads();
                     continue;
                 }
-                tape.reset();
-                let loss = per_example_loss(&mut tape, store, t, &mut rng);
-                let v = tape.value(loss).get(0, 0) as f64;
-                if !v.is_finite() {
-                    ok = false;
-                    break;
+                if cfg.grad_clip > 0.0 {
+                    store.clip_grad_norm(cfg.grad_clip);
                 }
-                let scaled = tape.scale(loss, scale);
-                tape.backward(scaled, store);
-                batch_loss += v;
-                batch_counted += 1;
+                adam.step(store);
+                // Only an accepted batch enters the epoch mean: a batch dropped
+                // at a later example must not leave its earlier ones counted.
+                epoch_loss += batch_loss;
+                counted += batch_counted;
             }
-            if !ok {
-                store.zero_grads();
-                continue;
+            let mean = if counted > 0 { epoch_loss / counted as f64 } else { f64::NAN };
+            losses.push(mean);
+            if mean.is_finite() && best.as_ref().is_none_or(|(b, _)| mean < *b) {
+                best = Some((mean, store.values().to_vec()));
             }
-            if cfg.grad_clip > 0.0 {
-                store.clip_grad_norm(cfg.grad_clip);
-            }
-            adam.step(store);
-            // Only an accepted batch enters the epoch mean: a batch dropped
-            // at a later example must not leave its earlier ones counted.
-            epoch_loss += batch_loss;
-            counted += batch_counted;
         }
-        let mean = if counted > 0 { epoch_loss / counted as f64 } else { f64::NAN };
-        losses.push(mean);
-        if mean.is_finite() && best.as_ref().is_none_or(|(b, _)| mean < *b) {
-            best = Some((mean, store.values().to_vec()));
+        if let Some((_, best_values)) = best {
+            store.copy_values_from(&best_values);
         }
+        losses
     }
-    if let Some((_, best_values)) = best {
-        store.copy_values_from(&best_values);
+
+    /// FNV-1a 64 over the `to_bits` of each parameter, with its name.
+    pub(crate) fn param_bits(store: &ParamStore) -> Vec<(String, u64)> {
+        let fnv = |t: &Tensor| {
+            t.data()
+                .iter()
+                .flat_map(|x| x.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+                    (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        };
+        store.ids().map(|id| (store.name(id).to_owned(), fnv(store.value(id)))).collect()
     }
-    losses
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn toy_trajs() -> Vec<Trajectory> {
-        use tad_roadnet::SegmentId;
-        (0..6)
-            .map(|i| {
-                Trajectory::normal(
-                    vec![
-                        SegmentId(i % 4),
-                        SegmentId((i + 1) % 4),
-                        SegmentId((i + 2) % 4),
-                        SegmentId((i + 3) % 4),
-                    ],
-                    (i % 4) as u8,
-                )
-            })
-            .collect()
-    }
 
     #[test]
     fn core_encode_decode_shapes() {
@@ -347,56 +371,5 @@ mod tests {
         let h_inf = core.infer_encode(&store, &segs, 0);
         let inferred = core.infer_decode_nll(&store, &h_inf, &segs, 0);
         assert!((taped - inferred).abs() < 1e-4, "{taped} vs {inferred}");
-    }
-
-    #[test]
-    fn train_loop_reduces_loss() {
-        let cfg = BaselineConfig { epochs: 6, ..BaselineConfig::test_scale() };
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut store = ParamStore::new();
-        let core = SeqCore::new(&mut store, "t", 4, &cfg, false, &mut rng);
-        let data = toy_trajs();
-        let losses = train_loop(&mut store, &cfg, &data, |tape, store, t, _| {
-            let toks = tokens(t);
-            let h = core.encode(tape, store, &toks, t.time_slot);
-            core.decode_nll(tape, store, h, &toks, t.time_slot)
-        });
-        assert_eq!(losses.len(), 6);
-        assert!(losses.last().unwrap() < &losses[0], "{losses:?}");
-    }
-
-    #[test]
-    fn train_loop_leaves_a_dropped_batch_out_of_the_epoch_mean() {
-        use tad_roadnet::SegmentId;
-        // Trajectory `i` costs `i + 1`, except one that comes back NaN and
-        // poisons its batch.
-        let (n, poisoned, batch_size) = (10u32, 7u32, 4usize);
-        let data: Vec<Trajectory> =
-            (0..n).map(|i| Trajectory::normal(vec![SegmentId(i), SegmentId(i + 1)], 0)).collect();
-        let cfg = BaselineConfig { epochs: 1, batch_size, ..BaselineConfig::test_scale() };
-        let mut visited = Vec::new();
-        let losses = train_loop(&mut ParamStore::new(), &cfg, &data, |tape, _, t, _| {
-            let i = t.segments[0].0;
-            visited.push(i);
-            tape.scalar(if i == poisoned { f32::NAN } else { (i + 1) as f32 })
-        });
-        // The batch is abandoned at the NaN, so everything visited from the
-        // batch's start up to it was dropped; the rest was accepted.
-        let at = visited.iter().position(|&i| i == poisoned).expect("poisoned trajectory visited");
-        let batch_start = at / batch_size * batch_size;
-        assert!(at > batch_start, "the NaN must follow a finite example of its batch");
-        let accepted: Vec<u32> =
-            visited[..batch_start].iter().chain(&visited[at + 1..]).copied().collect();
-        let expected =
-            accepted.iter().map(|&i| (i + 1) as f64).sum::<f64>() / accepted.len() as f64;
-        assert_eq!(losses, vec![expected]);
-    }
-
-    #[test]
-    fn train_loop_empty_data_noop() {
-        let cfg = BaselineConfig::test_scale();
-        let mut store = ParamStore::new();
-        let losses = train_loop(&mut store, &cfg, &[], |tape, _, _, _| tape.scalar(0.0));
-        assert!(losses.is_empty());
     }
 }

@@ -12,12 +12,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use tad_autodiff::nn::{gaussian_kl, GaussianHead, Linear};
-use tad_autodiff::{ParamStore, Tensor};
+use tad_autodiff::train::TrainReport;
+use tad_autodiff::{ParamStore, Tape, Tensor, Var};
 use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
 use crate::detector::{BaselineConfig, Detector};
-use crate::seq::{tokens, train_loop, SeqCore};
+use crate::seq::{fit_store, tokens, SeqCore};
 
 /// A variational sequence autoencoder (VSAE / β-VAE / DeepTEA).
 pub struct Vsae {
@@ -71,12 +72,9 @@ impl Vsae {
     }
 }
 
-impl Detector for Vsae {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn fit(&mut self, net: &RoadNetwork, train: &[Trajectory]) {
+impl Vsae {
+    /// Registers the parameters, initialised from the `cfg.seed` stream.
+    fn init(&self, net: &RoadNetwork) -> Inner {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut store = ParamStore::new();
         let core = SeqCore::new(
@@ -101,22 +99,51 @@ impl Detector for Vsae {
             self.cfg.hidden_dim,
             &mut rng,
         );
-        let beta = self.beta;
-        let latent = self.cfg.latent_dim;
-        train_loop(&mut store, &self.cfg, train, |tape, store, t, rng| {
-            let toks = tokens(t);
-            let h = core.encode(tape, store, &toks, t.time_slot);
-            let (mu, logvar) = head.forward(tape, store, h);
-            let kl = tape.kl_std_normal(mu, logvar);
-            let kl_w = tape.scale(kl, beta);
-            let eps = Tensor::randn(1, latent, 0.0, 1.0, rng);
-            let z = tape.gaussian_sample(mu, logvar, eps);
-            let h0_pre = dec_init.forward(tape, store, z);
-            let h0 = tape.tanh(h0_pre);
-            let rec = core.decode_nll(tape, store, h0, &toks, t.time_slot);
-            tape.add(rec, kl_w)
+        Inner { store, core, head, dec_init }
+    }
+
+    /// One trajectory's `reconstruction + β·KL`, the parameters of `inner`
+    /// read from `store` — training holds them outside it while it runs.
+    fn loss(
+        &self,
+        inner: &Inner,
+        tape: &mut Tape,
+        store: &ParamStore,
+        t: &Trajectory,
+        rng: &mut StdRng,
+    ) -> Var {
+        let toks = tokens(t);
+        let h = inner.core.encode(tape, store, &toks, t.time_slot);
+        let (mu, logvar) = inner.head.forward(tape, store, h);
+        let kl = tape.kl_std_normal(mu, logvar);
+        let kl_w = tape.scale(kl, self.beta);
+        let eps = Tensor::randn(1, self.cfg.latent_dim, 0.0, 1.0, rng);
+        let z = tape.gaussian_sample(mu, logvar, eps);
+        let h0_pre = inner.dec_init.forward(tape, store, z);
+        let h0 = tape.tanh(h0_pre);
+        let rec = inner.core.decode_nll(tape, store, h0, &toks, t.time_slot);
+        tape.add(rec, kl_w)
+    }
+
+    /// Trains a fresh set of parameters on `train`.
+    fn train(&self, net: &RoadNetwork, train: &[Trajectory]) -> (Inner, TrainReport) {
+        let mut inner = self.init(net);
+        let mut store = std::mem::take(&mut inner.store);
+        let report = fit_store(&mut store, &self.cfg, train, |tape, store, chunk, rng| {
+            self.loss(&inner, tape, store, chunk[0], rng)
         });
-        self.inner = Some(Inner { store, core, head, dec_init });
+        inner.store = store;
+        (inner, report)
+    }
+}
+
+impl Detector for Vsae {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn fit(&mut self, net: &RoadNetwork, train: &[Trajectory]) {
+        self.inner = Some(self.train(net, train).0);
     }
 
     fn score_prefix(&self, traj: &Trajectory, prefix_len: usize) -> f64 {
@@ -133,7 +160,34 @@ impl Detector for Vsae {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::reference::{param_bits, train_loop};
     use tad_trajsim::{generate_city, CityConfig};
+
+    #[test]
+    fn fit_matches_the_parent_loop_bit_for_bit() {
+        let city = generate_city(&CityConfig::test_scale(413));
+        // The second learning rate overshoots: an early epoch is the best
+        // one, so the restore is exercised.
+        let cfg = BaselineConfig::test_scale();
+        let hot = BaselineConfig { lr: 1.0, ..cfg.clone() };
+        // β = 1, β ≠ 1, and the time-aware backbone.
+        for m in [
+            Vsae::vsae(cfg.clone()),
+            Vsae::beta_vae(cfg.clone(), 4.0),
+            Vsae::deeptea(cfg.clone()),
+            Vsae::vsae(hot),
+        ] {
+            let cfg = &m.cfg;
+            let mut reference = m.init(&city.net);
+            let mut store = std::mem::take(&mut reference.store);
+            let expected = train_loop(&mut store, cfg, &city.data.train, |tape, store, t, rng| {
+                m.loss(&reference, tape, store, t, rng)
+            });
+            let (inner, report) = m.train(&city.net, &city.data.train);
+            assert_eq!(report.epoch_losses, expected, "{}, lr {}", m.name, cfg.lr);
+            assert_eq!(param_bits(&inner.store), param_bits(&store), "{}, lr {}", m.name, cfg.lr);
+        }
+    }
 
     #[test]
     fn vsae_separates_detours() {

@@ -316,8 +316,8 @@ fn run_trainer(
 fn run_fit(width: &Width, city: &tad_trajsim::City, take: usize) -> TrainRun {
     let train = &city.data.train[..take];
     let cfg = CausalTadConfig { epochs: width.run_epochs(), ..(width.cfg)() };
-    let mut model = CausalTad::new(&city.net, cfg.clone());
-    let report = Trainer::new(cfg).fit(&mut model, train);
+    let mut model = CausalTad::new(&city.net, cfg);
+    let report = Trainer::fit(&mut model, train);
     let wall_s = report.wall_time.as_secs_f64();
     TrainRun::new(width, "fit", &model, train, wall_s, report.epoch_losses)
 }

@@ -227,7 +227,7 @@ impl CausalTad {
 
     /// Trains both VAEs jointly (Eq. 9) and precomputes the scaling table.
     pub fn fit(&mut self, train: &[Trajectory]) -> TrainReport {
-        let report = Trainer::new(self.cfg.clone()).fit(self, train);
+        let report = Trainer::fit(self, train);
         self.precompute_scaling();
         report
     }

@@ -1,6 +1,8 @@
-//! Training loop for CausalTAD (and reused by the learning baselines'
-//! conventions): Adam, mini-batched trajectory losses, gradient clipping,
-//! NaN guards, and best-epoch checkpointing.
+//! Training CausalTAD: Eq. 9 through the workspace's one optimisation loop,
+//! [`tad_autodiff::train::run`]. Adam, mini-batched trajectory losses,
+//! gradient clipping, the NaN guard and best-epoch checkpointing live
+//! there, and the learning baselines train through the same function; what
+//! is here is what only CausalTAD has.
 //!
 //! Eq. 9 trains `L1 + L2` jointly, but the TG-VAE and the RP-VAE share no
 //! parameter and meet only in that `+`, so [`Trainer::fit`] runs them as
@@ -14,241 +16,116 @@
 
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread;
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use tad_autodiff::optim::Adam;
-use tad_autodiff::{ParamStore, Tape, Tensor, Var};
+use tad_autodiff::train::{self, Lane, Lanes, Schedule};
+use tad_autodiff::{ParamStore, Tensor};
 use tad_trajsim::Trajectory;
 
-use crate::config::CausalTadConfig;
 use crate::model::CausalTad;
 use crate::rpvae::RpVae;
 
-/// Summary of one training run.
-#[derive(Clone, Debug)]
-pub struct TrainReport {
-    /// Mean joint loss (`L1 + L2`, Eq. 9) per epoch.
-    pub epoch_losses: Vec<f64>,
-    /// Wall-clock time of the whole fit.
-    pub wall_time: Duration,
-    /// Number of trajectories used.
-    pub num_trajectories: usize,
-    /// True when non-finite losses forced an early stop.
-    pub diverged: bool,
-}
-
-impl TrainReport {
-    /// Final epoch loss (NaN when no epoch ran).
-    pub fn final_loss(&self) -> f64 {
-        self.epoch_losses.last().copied().unwrap_or(f64::NAN)
-    }
-
-    /// Best (lowest) epoch loss.
-    pub fn best_loss(&self) -> f64 {
-        self.epoch_losses.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-}
+pub use tad_autodiff::train::TrainReport;
 
 /// Drives the optimisation of a [`CausalTad`] model.
-pub struct Trainer {
-    cfg: CausalTadConfig,
-}
+pub struct Trainer;
 
 impl Trainer {
-    /// Creates a trainer from the model configuration.
-    pub fn new(cfg: CausalTadConfig) -> Self {
-        Trainer { cfg }
-    }
-
-    /// Runs the full optimisation, restoring the best-epoch parameters at
-    /// the end (the paper reports the model performing best on validation).
+    /// Runs the full optimisation under `model.config()`, restoring the
+    /// best-epoch parameters at the end.
     ///
     /// The calling thread draws every micro-batch's noise, runs the TG-VAE
-    /// lane and makes every decision (NaN guard, clip factor, best epoch);
-    /// the `tad-train-rp` thread runs the RP-VAE lane on the `rp.*` shard,
-    /// which is back in `model.store()` when this returns.
-    pub fn fit(&self, model: &mut CausalTad, train: &[Trajectory]) -> TrainReport {
-        let start = Instant::now();
-        let mut report = TrainReport {
-            epoch_losses: Vec::with_capacity(self.cfg.epochs),
-            wall_time: Duration::ZERO,
-            num_trajectories: train.len(),
-            diverged: false,
+    /// lane and makes every decision (it is the one inside
+    /// [`train::run`]); the `tad-train-rp` thread runs the RP-VAE lane on
+    /// the `rp.*` shard, which is back in `model.store()` when this returns.
+    pub fn fit(model: &mut CausalTad, train: &[Trajectory]) -> TrainReport {
+        let cfg = model.config();
+        let schedule = Schedule {
+            epochs: cfg.epochs,
+            batch_size: cfg.batch_size,
+            micro_batch: cfg.micro_batch,
+            grad_clip: cfg.grad_clip,
         };
-        if train.is_empty() {
-            report.wall_time = start.elapsed();
-            return report;
-        }
+        let lr = cfg.lr;
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
 
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x7ea1);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        let mut best_loss = f64::INFINITY;
-        let micro_batch = self.cfg.micro_batch.max(1);
-        let clip = self.cfg.grad_clip > 0.0;
-
-        let mut store = std::mem::take(model.store_mut());
-        let rp_store = store.split_off(model.tg_params);
-        let mut tg = Lane::new(store, self.cfg.lr);
-        let rp_store = thread::scope(|scope| {
+        let mut tg_store = std::mem::take(model.store_mut());
+        let rp_store = tg_store.split_off(model.tg_params);
+        let shared = &*model;
+        let (report, tg_store, rp_store) = thread::scope(|scope| {
             let (jobs, inbox) = mpsc::channel();
             let (outbox, replies) = mpsc::channel();
-            let rp_vae = &model.rp;
-            let lr = self.cfg.lr;
             let helper = thread::Builder::new()
                 .name("tad-train-rp".into())
                 .spawn_scoped(scope, move || {
-                    rp_lane(rp_vae, Lane::new(rp_store, lr), inbox, outbox)
+                    rp_lane(&shared.rp, Lane::new(rp_store, lr), inbox, outbox)
                 })
                 .expect("spawn the RP-VAE lane");
-            // Once the helper has panicked its ends of both channels are
-            // gone: the next hand-off panics here instead of waiting.
-            let post = |job| jobs.send(job).expect("the RP-VAE lane is gone");
-
-            'epochs: for _epoch in 0..self.cfg.epochs {
-                order.shuffle(&mut rng);
-                let mut epoch_loss = 0.0f64;
-                let mut counted = 0usize;
-                let mut bad_batches = 0usize;
-
-                for batch in order.chunks(self.cfg.batch_size) {
-                    let scale = 1.0 / batch.len() as f32;
-                    let mut batch_loss = 0.0f64;
-                    let mut batch_ok = true;
-                    let mut rp_sq_norms = Vec::new();
-                    // Micro-batching: pack several trajectories into one tape
-                    // pass with row-stacked hidden states. The gradient of the
-                    // summed (then 1/batch-scaled) loss equals the sum of the
-                    // per-trajectory scaled gradients, so optimiser steps see
-                    // the same update as the sequential path up to f32
-                    // reassociation.
-                    let eligible: Vec<&Trajectory> =
-                        batch.iter().map(|&idx| &train[idx]).filter(|t| t.len() >= 2).collect();
-                    let chunks = eligible.chunks(micro_batch);
-                    let last = chunks.len().wrapping_sub(1);
-                    for (i, chunk) in chunks.enumerate() {
-                        let inputs = model.draw_chunk(chunk, &mut rng);
-                        post(RpJob::Chunk {
-                            tokens: inputs.rp_tokens,
-                            eps: inputs.rp_eps,
-                            scale,
-                            want_sq_norms: clip && i == last,
-                        });
-                        let tg_loss = tg.pass(scale, |tape, store| {
-                            model.tg_chunk_loss(tape, store, &inputs.tg_segments, inputs.tg_eps)
-                        });
-                        let (rp_loss, sq_norms) = replies.recv().expect("the RP-VAE lane is gone");
-                        rp_sq_norms = sq_norms;
-                        // The `+` of Eq. 9, in f32 as the one tape adds it.
-                        let v = (tg_loss + rp_loss) as f64;
-                        if !v.is_finite() {
-                            batch_ok = false;
-                            break;
-                        }
-                        batch_loss += v;
-                    }
-                    if !batch_ok {
-                        // NaN guard: drop the poisoned gradients entirely.
-                        tg.store.zero_grads();
-                        post(RpJob::Discard);
-                        bad_batches += 1;
-                        if bad_batches > 3 {
-                            report.diverged = true;
-                            break 'epochs;
-                        }
-                        continue;
-                    }
-                    // One global norm over both shards, folded in id order.
-                    let grad_scale = if clip {
-                        let norm = tg.store.grad_sq_norms().chain(rp_sq_norms).sum::<f64>().sqrt();
-                        ParamStore::clip_factor(norm, self.cfg.grad_clip)
-                    } else {
-                        None
-                    };
-                    post(RpJob::Step { grad_scale });
-                    tg.step(grad_scale);
-                    // Only an accepted batch enters the epoch mean, numerator
-                    // and denominator alike: a batch dropped at a later chunk
-                    // must not leave its earlier chunks in the count.
-                    epoch_loss += batch_loss;
-                    counted += eligible.len();
-                }
-
-                let mean = if counted > 0 { epoch_loss / counted as f64 } else { f64::NAN };
-                report.epoch_losses.push(mean);
-                if mean.is_finite() && mean < best_loss {
-                    best_loss = mean;
-                    post(RpJob::Checkpoint);
-                    tg.checkpoint();
-                }
-            }
-
-            drop(jobs);
-            helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            let tg = Lane::new(tg_store, lr);
+            let mut lanes = TwoLanes { model: shared, tg, jobs, replies, rp_sq_norms: Vec::new() };
+            let report = train::run(&mut lanes, train, |t| t.len() >= 2, &schedule, &mut rng);
+            // Hanging up is what ends the helper's loop.
+            drop(lanes.jobs);
+            let rp_store = helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (report, lanes.tg.finish(), rp_store)
         });
 
-        *model.store_mut() = tg.finish();
+        *model.store_mut() = tg_store;
         model.store_mut().append(rp_store);
-        report.wall_time = start.elapsed();
         report
     }
 }
 
-/// One VAE's half of the optimisation: its shard of the parameters, the
-/// tape its passes are recorded on, its Adam moments, and its half of the
-/// best epoch's values.
-struct Lane {
-    store: ParamStore,
-    tape: Tape,
-    adam: Adam,
-    best: Option<Vec<Tensor>>,
+/// CausalTAD's pair of lanes: the `tg.*` shard here, on the thread that
+/// runs the loop, the `rp.*` shard behind a pair of channels. Once the
+/// helper has panicked its ends of both are gone, so the next hand-off
+/// panics here instead of waiting.
+struct TwoLanes<'a> {
+    model: &'a CausalTad,
+    tg: Lane,
+    jobs: Sender<RpJob>,
+    replies: Receiver<(f32, Vec<f64>)>,
+    /// The helper's squared gradient norms, as its last reply carried them.
+    rp_sq_norms: Vec<f64>,
 }
 
-impl Lane {
-    fn new(store: ParamStore, lr: f32) -> Self {
-        let adam = Adam::new(&store, lr);
-        Lane { store, tape: Tape::new(), adam, best: None }
+const RP_GONE: &str = "the RP-VAE lane is gone";
+
+impl Lanes<Trajectory> for TwoLanes<'_> {
+    fn pass(&mut self, chunk: &[&Trajectory], scale: f32, last: bool, rng: &mut StdRng) -> f32 {
+        let model = self.model;
+        let inputs = model.draw_chunk(chunk, rng);
+        let (tokens, eps) = (inputs.rp_tokens, inputs.rp_eps);
+        self.jobs.send(RpJob::Chunk { tokens, eps, scale, want_sq_norms: last }).expect(RP_GONE);
+        let tg_loss = self.tg.pass(scale, |tape, store| {
+            model.tg_chunk_loss(tape, store, &inputs.tg_segments, inputs.tg_eps)
+        });
+        let (rp_loss, sq_norms) = self.replies.recv().expect(RP_GONE);
+        self.rp_sq_norms = sq_norms;
+        // The `+` of Eq. 9, in f32 as the one tape adds it.
+        tg_loss + rp_loss
     }
 
-    /// Forward pass of the loss `build` records, and — when the loss is
-    /// finite — the backward pass of `scale` times it into the shard's
-    /// gradients. Returns the loss. (A lane cannot see the other's loss, so
-    /// it back-propagates a chunk the other lane will get dropped; the
-    /// drop zeroes those gradients.)
-    fn pass(&mut self, scale: f32, build: impl FnOnce(&mut Tape, &ParamStore) -> Var) -> f32 {
-        self.tape.reset();
-        let loss = build(&mut self.tape, &self.store);
-        let v = self.tape.value(loss).get(0, 0);
-        if v.is_finite() {
-            let scaled = self.tape.scale(loss, scale);
-            self.tape.backward(scaled, &mut self.store);
-        }
-        v
+    /// One global norm over both shards, folded in id order.
+    fn grad_sq_norm(&mut self) -> f64 {
+        self.tg.grad_sq_norms().chain(std::mem::take(&mut self.rp_sq_norms)).sum()
     }
 
-    /// Clips by the global factor, then one Adam step (which zeroes the
-    /// shard's gradients).
-    fn step(&mut self, grad_scale: Option<f32>) {
-        if let Some(factor) = grad_scale {
-            self.store.scale_grads(factor);
-        }
-        self.adam.step(&mut self.store);
+    fn step(&mut self, grad_scale: Option<f32>, _rng: &mut StdRng) {
+        self.jobs.send(RpJob::Step { grad_scale }).expect(RP_GONE);
+        self.tg.step(grad_scale);
     }
 
-    /// Keeps the current values as the best epoch's.
+    fn discard(&mut self) {
+        self.tg.discard();
+        self.jobs.send(RpJob::Discard).expect(RP_GONE);
+    }
+
     fn checkpoint(&mut self) {
-        self.best = Some(self.store.values().to_vec());
-    }
-
-    /// The shard, holding the best epoch's values.
-    fn finish(mut self) -> ParamStore {
-        if let Some(best) = &self.best {
-            self.store.copy_values_from(best);
-        }
-        self.store
+        self.jobs.send(RpJob::Checkpoint).expect(RP_GONE);
+        self.tg.checkpoint();
     }
 }
 
@@ -280,13 +157,13 @@ fn rp_lane(
                 let loss =
                     lane.pass(scale, |tape, store| rp.loss_with_eps(tape, store, &tokens, eps));
                 let sq_norms =
-                    if want_sq_norms { lane.store.grad_sq_norms().collect() } else { Vec::new() };
+                    if want_sq_norms { lane.grad_sq_norms().collect() } else { Vec::new() };
                 if outbox.send((loss, sq_norms)).is_err() {
                     break;
                 }
             }
             RpJob::Step { grad_scale } => lane.step(grad_scale),
-            RpJob::Discard => lane.store.zero_grads(),
+            RpJob::Discard => lane.discard(),
             RpJob::Checkpoint => lane.checkpoint(),
         }
     }
@@ -296,6 +173,10 @@ fn rp_lane(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CausalTadConfig;
+    use rand::seq::SliceRandom;
+    use tad_autodiff::optim::Adam;
+    use tad_autodiff::Tape;
     use tad_trajsim::{generate_city, CityConfig};
 
     #[test]
@@ -321,7 +202,7 @@ mod tests {
     fn empty_training_set_is_a_noop() {
         let city = generate_city(&CityConfig::test_scale(301));
         let mut model = CausalTad::new(&city.net, CausalTadConfig::test_scale());
-        let report = Trainer::new(CausalTadConfig::test_scale()).fit(&mut model, &[]);
+        let report = Trainer::fit(&mut model, &[]);
         assert!(report.epoch_losses.is_empty());
         assert_eq!(report.num_trajectories, 0);
         assert!(!report.diverged);
@@ -353,10 +234,10 @@ mod tests {
         seq_cfg.micro_batch = 1;
         let mut mb_cfg = seq_cfg.clone();
         mb_cfg.micro_batch = 4;
-        let mut seq_model = CausalTad::new(&city.net, seq_cfg.clone());
-        let seq = Trainer::new(seq_cfg).fit(&mut seq_model, &city.data.train);
-        let mut mb_model = CausalTad::new(&city.net, mb_cfg.clone());
-        let mb = Trainer::new(mb_cfg).fit(&mut mb_model, &city.data.train);
+        let mut seq_model = CausalTad::new(&city.net, seq_cfg);
+        let seq = Trainer::fit(&mut seq_model, &city.data.train);
+        let mut mb_model = CausalTad::new(&city.net, mb_cfg);
+        let mb = Trainer::fit(&mut mb_model, &city.data.train);
         assert_eq!(seq.epoch_losses.len(), mb.epoch_losses.len());
         for (epoch, (a, b)) in seq.epoch_losses.iter().zip(&mb.epoch_losses).enumerate() {
             let rel = (a - b).abs() / a.abs().max(1e-12);
@@ -426,7 +307,7 @@ mod tests {
         assert_eq!(accepted, 8, "exactly one batch of four is dropped");
         assert!(evaluated_before_the_drop > 0, "the poisoned chunk must not lead its batch");
 
-        let report = Trainer::new(cfg).fit(&mut model, &train);
+        let report = Trainer::fit(&mut model, &train);
         assert!(!report.diverged);
         assert_eq!(report.epoch_losses, vec![accepted_sum / accepted as f64]);
     }
@@ -533,8 +414,8 @@ mod tests {
             cfg.lr = 1e-1;
             let mut reference = CausalTad::new(&city.net, cfg.clone());
             let expected = one_tape_fit(&cfg, &mut reference, train);
-            let mut model = CausalTad::new(&city.net, cfg.clone());
-            let report = Trainer::new(cfg).fit(&mut model, train);
+            let mut model = CausalTad::new(&city.net, cfg);
+            let report = Trainer::fit(&mut model, train);
             assert!(!report.diverged, "{what}");
             assert_eq!(report.epoch_losses, expected, "{what}: epoch losses");
             assert!(model.store().same_layout(reference.store()), "{what}: store layout");
@@ -593,7 +474,7 @@ mod tests {
         }
         assert_eq!(accepted, 8, "exactly one batch of four is dropped");
 
-        let report = Trainer::new(cfg.clone()).fit(&mut model, &train);
+        let report = Trainer::fit(&mut model, &train);
         assert!(!report.diverged);
         assert_eq!(report.epoch_losses, vec![accepted_sum / accepted as f64]);
         assert_eq!(model.store().grad_norm(), 0.0, "both shards' gradients are zeroed");
@@ -601,10 +482,10 @@ mod tests {
         // The poisoned trajectory as the only batch, at a learning rate that
         // would show a step: none may be taken, on either lane.
         cfg.lr = 1e-2;
-        let mut model = CausalTad::new(&city.net, cfg.clone());
+        let mut model = CausalTad::new(&city.net, cfg);
         model.store_mut().value_mut(table).row_mut(poisoned_seg as usize).fill(f32::NAN);
         let before = param_bits(model.store());
-        let report = Trainer::new(cfg).fit(&mut model, &train[..1]);
+        let report = Trainer::fit(&mut model, &train[..1]);
         assert!(report.epoch_losses[0].is_nan(), "the only batch was dropped");
         assert_eq!(model.store().grad_norm(), 0.0);
         assert_eq!(param_bits(model.store()), before, "no optimiser step was taken");
@@ -620,7 +501,7 @@ mod tests {
         // A one-row table: the helper's first lookup is out of bounds, the
         // TG lane's pass is untouched. `fit` must die, not wait.
         *model.store_mut().value_mut(table) = Tensor::zeros(1, cfg.embed_dim);
-        Trainer::new(cfg).fit(&mut model, &city.data.train);
+        Trainer::fit(&mut model, &city.data.train);
     }
 
     #[test]
