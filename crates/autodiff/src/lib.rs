@@ -54,7 +54,7 @@ mod tensor;
 pub mod train;
 
 pub use math::{fast_exp, fast_sigmoid, fast_tanh};
-pub use params::{CodecError, ParamId, ParamStore};
+pub use params::{CodecError, LayoutError, ParamId, ParamStore};
 pub use pool::TensorPool;
 pub use tape::{logsumexp, Tape, Var};
 pub use tensor::{PackedRhs, Tensor};

@@ -58,7 +58,9 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Registers a new layer's parameters under `name.w` / `name.b`.
+    /// Registers a new layer's parameters under `name.w` / `name.b`
+    /// ([`ParamStore::param`]: drawn from `rng` in a fresh store, claimed
+    /// in a decoded one — as for every constructor in this module).
     pub fn new<R: Rng + ?Sized>(
         store: &mut ParamStore,
         name: &str,
@@ -66,8 +68,9 @@ impl Linear {
         out_dim: usize,
         rng: &mut R,
     ) -> Self {
-        let w = store.add(format!("{name}.w"), xavier_uniform(in_dim, out_dim, rng));
-        let b = store.add(format!("{name}.b"), Tensor::zeros(1, out_dim));
+        let w =
+            store.param(format!("{name}.w"), (in_dim, out_dim), |r, c| xavier_uniform(r, c, rng));
+        let b = store.param(format!("{name}.b"), (1, out_dim), Tensor::zeros);
         Linear { w, b, in_dim, out_dim }
     }
 
@@ -150,8 +153,9 @@ impl Linear {
         out_dim: usize,
         rng: &mut R,
     ) -> Self {
-        let w = store.add(format!("{name}.w"), xavier_uniform_out_in(in_dim, out_dim, rng));
-        let b = store.add(format!("{name}.b"), Tensor::zeros(1, out_dim));
+        let w =
+            store.param(format!("{name}.w"), (out_dim, in_dim), |r, c| xavier_uniform(r, c, rng));
+        let b = store.param(format!("{name}.b"), (1, out_dim), Tensor::zeros);
         Linear { w, b, in_dim, out_dim }
     }
 
@@ -232,11 +236,6 @@ impl Linear {
     }
 }
 
-fn xavier_uniform_out_in<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
-    let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    Tensor::rand_uniform(fan_out, fan_in, -limit, limit, rng)
-}
-
 /// Token embedding table of shape `vocab x dim`.
 #[derive(Clone, Debug)]
 pub struct Embedding {
@@ -254,7 +253,9 @@ impl Embedding {
         dim: usize,
         rng: &mut R,
     ) -> Self {
-        let table = store.add(format!("{name}.table"), Tensor::randn(vocab, dim, 0.0, 0.1, rng));
+        let table = store.param(format!("{name}.table"), (vocab, dim), |r, c| {
+            Tensor::randn(r, c, 0.0, 0.1, rng)
+        });
         Embedding { table, vocab, dim }
     }
 
@@ -312,9 +313,12 @@ impl GruCell {
         hidden: usize,
         rng: &mut R,
     ) -> Self {
-        let w = store.add(format!("{name}.w"), xavier_uniform(in_dim, 3 * hidden, rng));
-        let u = store.add(format!("{name}.u"), xavier_uniform(hidden, 3 * hidden, rng));
-        let b = store.add(format!("{name}.b"), Tensor::zeros(1, 3 * hidden));
+        // Saturating: a width read from a hostile header is compared with
+        // a decoded shape, never multiplied into an allocation.
+        let gates = hidden.saturating_mul(3);
+        let w = store.param(format!("{name}.w"), (in_dim, gates), |r, c| xavier_uniform(r, c, rng));
+        let u = store.param(format!("{name}.u"), (hidden, gates), |r, c| xavier_uniform(r, c, rng));
+        let b = store.param(format!("{name}.b"), (1, gates), Tensor::zeros);
         GruCell { w, u, b, in_dim, hidden }
     }
 
@@ -467,11 +471,6 @@ impl GruCell {
                 *o = n + z[c] * (h_row[c] - n);
             }
         }
-    }
-
-    /// Input-gate weight parameter handle (`in x 3h`).
-    pub fn input_weight(&self) -> ParamId {
-        self.w
     }
 
     /// Gate bias parameter handle (`1 x 3h`).

@@ -9,6 +9,10 @@
 //! valid in the shard that holds it, and sub-models that share no
 //! parameter can be trained on separate threads, each with `&mut` to its
 //! own shard.
+//!
+//! A constructor is the one description of a model's parameters: the
+//! [`ParamStore::param`] calls that fill a fresh store claim, in order,
+//! the parameters of one [`ParamStore::from_bytes`] decoded.
 
 use std::collections::HashSet;
 
@@ -33,6 +37,28 @@ impl ParamId {
     }
 }
 
+/// Why a decoded store is not the model its constructor describes
+/// ([`ParamStore::finish`]), naming the parameter at fault.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LayoutError {
+    /// Registered where the store holds another name or shape, or nothing.
+    Mismatch(String),
+    /// Stored, and claimed by no registration.
+    Unclaimed(String),
+}
+
+impl std::fmt::Display for LayoutError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (name, what) = match self {
+            LayoutError::Mismatch(name) => (name, "is not stored as the model registers it"),
+            LayoutError::Unclaimed(name) => (name, "is not one the model registers"),
+        };
+        write!(f, "parameter {name:?} {what}")
+    }
+}
+
+impl std::error::Error for LayoutError {}
+
 /// Owns every learnable tensor of a model together with its gradient buffer.
 #[derive(Clone, Debug, Default)]
 pub struct ParamStore {
@@ -42,6 +68,10 @@ pub struct ParamStore {
     /// Id of the first tensor held: non-zero only in a shard that
     /// [`ParamStore::split_off`] cut from the tail of another store.
     base: u32,
+    /// `Some` from [`ParamStore::from_bytes`] until [`ParamStore::finish`]:
+    /// registration claims what was decoded instead of appending — how
+    /// many so far, or the first that was not there to claim.
+    adoption: Option<Result<usize, LayoutError>>,
 }
 
 impl ParamStore {
@@ -50,16 +80,58 @@ impl ParamStore {
         Self::default()
     }
 
-    /// Registers a parameter, returning its handle. Names are used for
-    /// diagnostics and serialization and must be unique.
+    /// [`ParamStore::param`] for a tensor the caller already holds.
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
-        let name = name.into();
-        assert!(!self.names.iter().any(|n| n == &name), "duplicate parameter name {name:?}");
-        let (r, c) = value.shape();
-        self.names.push(name);
-        self.values.push(value);
-        self.grads.push(Tensor::zeros(r, c));
-        ParamId(self.base + (self.values.len() - 1) as u32)
+        self.param(name.into(), value.shape(), |_, _| value)
+    }
+
+    /// Registers the parameter `name` of shape `(rows, cols)`, returning
+    /// its handle — the verb layer constructors are written in. Names are
+    /// used for diagnostics and serialization and must be unique. A fresh
+    /// store runs `init` on the shape and appends the tensor. A store
+    /// decoded from bytes runs and allocates nothing: it checks that its
+    /// next unclaimed parameter has this name and shape and returns that
+    /// one's id, or remembers the mismatch for [`ParamStore::finish`].
+    pub fn param(
+        &mut self,
+        name: String,
+        shape: (usize, usize),
+        init: impl FnOnce(usize, usize) -> Tensor,
+    ) -> ParamId {
+        let Some(claimed) = &mut self.adoption else {
+            assert!(!self.names.contains(&name), "duplicate parameter name {name:?}");
+            self.names.push(name);
+            self.values.push(init(shape.0, shape.1));
+            self.grads.push(Tensor::zeros(shape.0, shape.1));
+            return ParamId(self.base + (self.values.len() - 1) as u32);
+        };
+        let &mut Ok(at) = claimed else { return ParamId(self.base) };
+        *claimed = match self.names.get(at) {
+            Some(stored) if *stored == name && self.values[at].shape() == shape => Ok(at + 1),
+            _ => Err(LayoutError::Mismatch(name)),
+        };
+        ParamId(self.base + at as u32)
+    }
+
+    /// Parameters registered so far: all of a fresh store's, the claimed
+    /// ones of a decoded store.
+    pub fn registered(&self) -> usize {
+        match &self.adoption {
+            Some(Ok(claimed)) => *claimed,
+            _ => self.values.len(),
+        }
+    }
+
+    /// Closes the registration of a decoded store, from here on a store
+    /// like any other; a fresh store has nothing to close.
+    ///
+    /// # Errors
+    /// The first [`ParamStore::param`] the decoded parameters did not
+    /// answer, else the first of them left unclaimed. Ids handed out
+    /// before an `Err` address nothing.
+    pub fn finish(&mut self) -> Result<(), LayoutError> {
+        let claimed = self.adoption.take().unwrap_or(Ok(self.names.len()))?;
+        self.names.get(claimed).map_or(Ok(()), |left| Err(LayoutError::Unclaimed(left.clone())))
     }
 
     /// Position of `id` in this store's vectors. An id below the shard's
@@ -81,6 +153,7 @@ impl ParamStore {
             values: self.values.split_off(at),
             grads: self.grads.split_off(at),
             base: self.base + at as u32,
+            adoption: None,
         }
     }
 
@@ -235,7 +308,8 @@ impl ParamStore {
     /// Deserialises a store written by [`ParamStore::to_bytes`]. Total:
     /// every read goes through the checked [`Reader`], so no input can
     /// panic it or make it reserve more than the input's own length pays
-    /// for.
+    /// for. The parameters come back unclaimed: build the model against
+    /// the store ([`ParamStore::param`]) and [`ParamStore::finish`].
     ///
     /// # Errors
     /// [`CodecError::Truncated`] naming the field the input ended in (a
@@ -243,8 +317,17 @@ impl ParamStore {
     /// [`CodecError::Malformed`] for a name that is not UTF-8 or appears
     /// twice, or for trailing bytes.
     pub fn from_bytes(bytes: Bytes) -> Result<Self, CodecError> {
-        let mut r = Reader::new(&bytes);
-        let mut store = ParamStore::new();
+        Self::from_slice(&bytes)
+    }
+
+    /// [`ParamStore::from_bytes`] over borrowed bytes, copying nothing but
+    /// the values.
+    ///
+    /// # Errors
+    /// As [`ParamStore::from_bytes`].
+    pub fn from_slice(bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(bytes);
+        let mut store = ParamStore { adoption: Some(Ok(0)), ..ParamStore::new() };
         let mut seen = HashSet::new();
         // Smallest record: empty name, 0 x 0 shape.
         for _ in 0..r.count(4 + 4 + 4, "param count")? {
@@ -334,6 +417,62 @@ mod tests {
         for id in s.ids() {
             assert_eq!(restored.name(id), s.name(id));
             assert_eq!(restored.value(id), s.value(id));
+        }
+    }
+
+    /// A parameter as a constructor names it.
+    type Named = (&'static str, (usize, usize));
+    const SAMPLE: [Named; 2] = [("w", (2, 2)), ("b", (1, 3))];
+
+    /// Registers `params` the way a layer's `new` does; `drawn` counts the
+    /// initialisers that ran.
+    fn register(s: &mut ParamStore, params: &[Named], drawn: &mut usize) -> Vec<ParamId> {
+        let mut param = |&(name, shape): &Named| {
+            s.param(name.to_string(), shape, |rows, cols| {
+                *drawn += 1;
+                Tensor::zeros(rows, cols)
+            })
+        };
+        params.iter().map(&mut param).collect()
+    }
+
+    #[test]
+    fn adoption_hands_back_the_ids_a_fresh_store_would() {
+        let (mut fresh, mut drawn) = (ParamStore::new(), 0);
+        let fresh_ids = register(&mut fresh, &SAMPLE, &mut drawn);
+        assert_eq!((drawn, fresh.registered(), fresh.finish()), (2, 2, Ok(())));
+        assert!(fresh.same_layout(&sample_store()));
+
+        let blob = sample_store().to_bytes();
+        let mut decoded = ParamStore::from_bytes(blob.clone()).unwrap();
+        assert_eq!(decoded.registered(), 0, "decoded parameters start unclaimed");
+        let ids = register(&mut decoded, &SAMPLE[..1], &mut drawn);
+        assert_eq!(decoded.registered(), 1);
+        let ids = [ids, register(&mut decoded, &SAMPLE[1..], &mut drawn)].concat();
+        assert_eq!((ids, drawn), (fresh_ids, 2), "same ids, no initialiser run");
+        assert_eq!(decoded.finish(), Ok(()));
+        assert_eq!(decoded.to_bytes(), blob, "claiming changes no value");
+        // Closed, it is a store like any other: registration appends again.
+        let c = decoded.param("c".into(), (1, 1), Tensor::zeros);
+        assert_eq!((c.index(), decoded.len(), decoded.finish()), (2, 3, Ok(())));
+    }
+
+    #[test]
+    fn adoption_fails_typed_naming_the_offender() {
+        let mismatch = |name: &str| LayoutError::Mismatch(name.into());
+        let cases: [(&str, &[Named], LayoutError); 5] = [
+            ("wrong name", &[SAMPLE[0], ("bias", (1, 3))], mismatch("bias")),
+            ("wrong shape", &[SAMPLE[0], ("b", (3, 1))], mismatch("b")),
+            ("too few stored", &[SAMPLE[0], SAMPLE[1], ("c", (1, 1))], mismatch("c")),
+            ("left over", &SAMPLE[..1], LayoutError::Unclaimed("b".into())),
+            // The first mismatch is the one reported, whatever follows it.
+            ("first of two", &[("w", (4, 1)), ("x", (1, 3))], mismatch("w")),
+        ];
+        for (what, params, error) in cases {
+            let mut decoded = ParamStore::from_bytes(sample_store().to_bytes()).unwrap();
+            let mut drawn = 0;
+            assert_eq!(register(&mut decoded, params, &mut drawn).len(), params.len(), "{what}");
+            assert_eq!((decoded.finish(), drawn), (Err(error), 0), "{what}");
         }
     }
 

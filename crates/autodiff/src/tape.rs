@@ -88,8 +88,6 @@ enum Op {
     Tanh(Var),
     Relu(Var),
     Exp(Var),
-    /// Natural log; inputs must be strictly positive.
-    Ln(Var),
     /// GRU step consuming precomputed input gates: rows
     /// `[start, start + h.rows)` of `gx` already hold `x·W + b`, so the
     /// whole sequence's input projection runs as one GEMM outside the
@@ -137,8 +135,6 @@ enum Op {
     },
     /// Sum of all elements, producing a `1 x 1` scalar.
     SumAll(Var),
-    /// Mean of all elements, producing a `1 x 1` scalar.
-    MeanAll(Var),
     /// Fused softmax + cross-entropy, summed over rows, producing `1 x 1`.
     /// `aux` caches the softmax probabilities for the backward pass.
     SoftmaxCrossEntropy {
@@ -476,12 +472,6 @@ impl Tape {
         self.push(Op::Exp(a), out)
     }
 
-    /// Elementwise natural logarithm (inputs must be positive).
-    pub fn ln(&mut self, a: Var) -> Var {
-        let out = self.pooled_map(a, f32::ln);
-        self.push(Op::Ln(a), out)
-    }
-
     // ----- recurrence -------------------------------------------------------
 
     /// One fused GRU step `h' = GRU(x, h)` with packed `[z | r | n]` gates
@@ -723,14 +713,6 @@ impl Tape {
         let s = self.value(a).sum() as f32;
         let out = self.pool.take_full(1, 1, s);
         self.push(Op::SumAll(a), out)
-    }
-
-    /// Mean of all elements (`1 x 1`).
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let v = self.value(a);
-        let m = (v.sum() / v.len() as f64) as f32;
-        let out = self.pool.take_full(1, 1, m);
-        self.push(Op::MeanAll(a), out)
     }
 
     /// Row-wise `log(sum_j exp(x_ij)))`, producing a `rows x 1` column.
@@ -1067,12 +1049,6 @@ impl Tape {
                     }
                     accumulate(grad_slots, pool, *a, g);
                 }
-                Op::Ln(a) => {
-                    for (x, &y) in g.data_mut().iter_mut().zip(values[a.index()].data()) {
-                        *x /= y;
-                    }
-                    accumulate(grad_slots, pool, *a, g);
-                }
                 Op::GruStepPregated { gx, start, h, u } => {
                     gru_pregated_backward(
                         values, aux, pool, grad_slots, idx, &g, *gx, *start, *h, *u,
@@ -1161,13 +1137,6 @@ impl Tape {
                 Op::SumAll(a) => {
                     let gv = g.get(0, 0);
                     let (r, c) = values[a.index()].shape();
-                    let da = pool.take_full(r, c, gv);
-                    accumulate(grad_slots, pool, *a, da);
-                    pool.recycle(g);
-                }
-                Op::MeanAll(a) => {
-                    let (r, c) = values[a.index()].shape();
-                    let gv = g.get(0, 0) / (r * c) as f32;
                     let da = pool.take_full(r, c, gv);
                     accumulate(grad_slots, pool, *a, da);
                     pool.recycle(g);

@@ -202,15 +202,6 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Changes the row count in place, keeping the column width: trailing
-    /// rows are dropped, new rows are zero. Shrinking (and growing back
-    /// within the original allocation) does not reallocate, so a scratch
-    /// matrix sized for a full row tile can serve a shorter last tile.
-    pub fn resize_rows(&mut self, rows: usize) {
-        self.data.resize(rows * self.cols, 0.0);
-        self.rows = rows;
-    }
-
     /// Sets every element to zero without reallocating.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);

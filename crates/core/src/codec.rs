@@ -20,7 +20,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use tad_autodiff::ParamStore;
-use tad_codec::{open_envelope, seal_envelope, ReadError, Reader};
+use tad_codec::{envelope_payload, open_envelope, seal_envelope, ReadError, Reader};
 use tad_roadnet::RoadNetwork;
 
 use crate::config::CausalTadConfig;
@@ -123,9 +123,9 @@ pub fn model_to_bytes(model: &CausalTad) -> Bytes {
 /// on).
 ///
 /// Nothing the size of the model is allocated on the blob's say-so: the
-/// parameters decode first (bounded by the input's length), and the model
-/// is built only once the stored dimensions account for exactly those
-/// parameters' scalars.
+/// parameters decode first (bounded by the input's length), and the
+/// constructor that initialises a fresh model then claims them one by one
+/// — name and shape compared, nothing drawn, no second store.
 ///
 /// # Errors
 /// Returns the [`ModelCodecError`] naming what failed: wrong magic or
@@ -133,8 +133,7 @@ pub fn model_to_bytes(model: &CausalTad) -> Bytes {
 /// against `net`, or parameters, dimensions and scaling table that do not
 /// describe one model. Decoding never panics.
 pub fn model_from_bytes(net: &RoadNetwork, bytes: Bytes) -> Result<CausalTad, ModelCodecError> {
-    let payload = open_envelope(MAGIC, VERSION, bytes)?;
-    let mut r = Reader::new(&payload);
+    let mut r = Reader::new(envelope_payload(MAGIC, VERSION, &bytes)?);
     let vocab = r.u32("config")? as usize;
     if vocab != net.num_segments() {
         return Err(ModelCodecError::VocabMismatch { expected: vocab, actual: net.num_segments() });
@@ -162,20 +161,12 @@ pub fn model_from_bytes(net: &RoadNetwork, bytes: Bytes) -> Result<CausalTad, Mo
     {
         return Err(ModelCodecError::Malformed("zero model dimension"));
     }
-    let store = ParamStore::from_bytes(params.into()).map_err(|_| ModelCodecError::BadParams)?;
-    if CausalTad::num_scalars(vocab, &cfg) != store.num_scalars() as u128 {
-        return Err(ModelCodecError::BadParams);
-    }
-    let scaling = scaling.map(|blob| ScalingTable::from_bytes(blob.into())).transpose()?;
-    if scaling.as_ref().is_some_and(|table| !table.fits(vocab, &cfg)) {
+    let store = ParamStore::from_slice(params).map_err(|_| ModelCodecError::BadParams)?;
+    let mut model = CausalTad::on_store(net, cfg, store).map_err(|_| ModelCodecError::BadParams)?;
+    model.scaling = scaling.map(|blob| ScalingTable::from_bytes(blob.into())).transpose()?;
+    if model.scaling.as_ref().is_some_and(|table| !table.fits(vocab, &model.cfg)) {
         return Err(ModelCodecError::Malformed("scaling table does not fit the configuration"));
     }
-    let mut model = CausalTad::new(net, cfg);
-    if !model.store().same_layout(&store) {
-        return Err(ModelCodecError::BadParams);
-    }
-    *model.store_mut() = store;
-    model.scaling = scaling;
     Ok(model)
 }
 
@@ -326,6 +317,43 @@ mod tests {
         let restored = model_from_bytes(&city.net, blob).expect("decode");
         for t in city.data.test_id.iter().take(5).chain(city.data.detour.iter().take(5)) {
             assert_eq!(model.score(t), restored.score(t));
+        }
+    }
+
+    #[test]
+    fn a_decoded_model_re_encodes_to_the_blob_it_came_from() {
+        let (city, _) = trained();
+        let timed = CausalTadConfig {
+            time_factorised_scaling: true,
+            tie_sd_embedding: true,
+            ..CausalTadConfig::test_scale()
+        };
+        for cfg in [CausalTadConfig::test_scale(), CausalTadConfig::default(), timed] {
+            let mut model = CausalTad::new(&city.net, cfg);
+            model.precompute_scaling();
+            let blob = model_to_bytes(&model);
+            let restored = model_from_bytes(&city.net, blob.clone()).expect("decode");
+            assert!(restored.store().same_layout(model.store()));
+            assert_eq!(restored.tg_params, model.tg_params);
+            assert_eq!(model_to_bytes(&restored), blob);
+        }
+    }
+
+    #[test]
+    fn parameters_of_the_other_embedding_tying_are_refused() {
+        // The flag byte follows seven u32s and one f64 of configuration;
+        // re-sealed, so only the constructor's walk can refuse the blob.
+        const FLAGS_AT: usize = 7 * 4 + 8;
+        let (city, _) = trained();
+        for tied in [true, false] {
+            let cfg = CausalTadConfig { tie_sd_embedding: tied, ..CausalTadConfig::test_scale() };
+            let blob = model_to_bytes(&CausalTad::new(&city.net, cfg));
+            let mut payload = envelope_payload(MAGIC, VERSION, &blob).expect("sealed").to_vec();
+            assert_eq!(payload[FLAGS_AT] & 4 != 0, tied);
+            payload[FLAGS_AT] ^= 4;
+            let lying = seal_envelope(MAGIC, VERSION, payload.into());
+            assert_eq!(model_from_bytes(&city.net, lying).err(), Some(ModelCodecError::BadParams));
+            assert!(model_from_bytes(&city.net, blob).is_ok(), "tied = {tied}");
         }
     }
 

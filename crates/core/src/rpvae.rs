@@ -33,6 +33,7 @@ pub struct RpVae {
     /// Token reconstruction head (row-major over tokens).
     out: Linear,
     vocab: usize,
+    /// Time slots the tokens are factorised over; 1 when they are not.
     num_slots: usize,
     time_factorised: bool,
     latent_dim: usize,
@@ -48,7 +49,8 @@ impl RpVae {
         cfg: &CausalTadConfig,
         rng: &mut R,
     ) -> Self {
-        let tokens = if cfg.time_factorised_scaling { vocab * cfg.num_time_slots } else { vocab };
+        let num_slots = if cfg.time_factorised_scaling { cfg.num_time_slots } else { 1 };
+        let tokens = vocab.saturating_mul(num_slots);
         let de = cfg.embed_dim;
         let dh = cfg.hidden_dim;
         let dl = cfg.rp_latent_dim;
@@ -59,42 +61,20 @@ impl RpVae {
             dec_hidden: Linear::new(store, "rp.dec_hidden", dl, dh, rng),
             out: Linear::new_rowmajor(store, "rp.out", dh, tokens, rng),
             vocab,
-            num_slots: cfg.num_time_slots,
+            num_slots,
             time_factorised: cfg.time_factorised_scaling,
             latent_dim: dl,
         }
     }
 
-    /// Scalars [`RpVae::new`] registers, layer by layer in its order (a
-    /// linear layer is `in·out + out`).
-    pub(crate) fn num_scalars(vocab: usize, cfg: &CausalTadConfig) -> u128 {
-        let slots = if cfg.time_factorised_scaling { cfg.num_time_slots } else { 1 };
-        let [tokens, de, dh, dl] = [
-            vocab as u128 * slots as u128,
-            cfg.embed_dim as u128,
-            cfg.hidden_dim as u128,
-            cfg.rp_latent_dim as u128,
-        ];
-        let linear = |i: u128, o: u128| i * o + o;
-        tokens * de + linear(de, dh) + 2 * linear(dh, dl) + linear(dl, dh) + linear(dh, tokens)
-    }
-
     /// Token id for a segment observed in a time slot.
     pub fn token(&self, seg: u32, slot: u8) -> u32 {
-        if self.time_factorised {
-            (slot as u32 % self.num_slots as u32) * self.vocab as u32 + seg
-        } else {
-            seg
-        }
+        (slot as u32 % self.num_slots as u32) * self.vocab as u32 + seg
     }
 
     /// Number of distinct tokens.
     pub fn num_tokens(&self) -> usize {
-        if self.time_factorised {
-            self.vocab * self.num_slots
-        } else {
-            self.vocab
-        }
+        self.vocab * self.num_slots
     }
 
     /// Whether tokens are `(segment, slot)` pairs.
@@ -104,11 +84,7 @@ impl RpVae {
 
     /// Number of time slots (1 when not time-factorised).
     pub fn num_slots(&self) -> usize {
-        if self.time_factorised {
-            self.num_slots
-        } else {
-            1
-        }
+        self.num_slots
     }
 
     /// Segment vocabulary size (excluding slot factorisation).

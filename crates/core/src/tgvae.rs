@@ -61,7 +61,8 @@ pub struct TgLoss {
 }
 
 impl TgVae {
-    /// Registers all parameters in `store`.
+    /// Registers all parameters in `store`: the one list of their names
+    /// and shapes, which initialises a fresh store and checks a decoded one.
     pub fn new<R: Rng + ?Sized>(
         store: &mut ParamStore,
         vocab: usize,
@@ -79,7 +80,7 @@ impl TgVae {
                 Embedding::new(store, "tg.sd_embed", vocab, de, rng)
             },
             traj_embed,
-            enc: Linear::new(store, "tg.enc", 2 * de, dh, rng),
+            enc: Linear::new(store, "tg.enc", de.saturating_mul(2), dh, rng),
             head: GaussianHead::new(store, "tg.head", dh, dl, rng),
             dec_init: Linear::new(store, "tg.dec_init", dl, dh, rng),
             sd_dec_hidden: Linear::new(store, "tg.sd_dec_hidden", dl, dh, rng),
@@ -89,21 +90,6 @@ impl TgVae {
             out_proj: Linear::new_rowmajor(store, "tg.out_proj", dh, vocab, rng),
             latent_dim: dl,
         }
-    }
-
-    /// Scalars [`TgVae::new`] registers, layer by layer in its order (a
-    /// linear layer is `in·out + out`, the GRU `3·hidden·(in + hidden + 1)`).
-    pub(crate) fn num_scalars(vocab: usize, cfg: &CausalTadConfig) -> u128 {
-        let [v, de, dh, dl] =
-            [vocab, cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim].map(|d| d as u128);
-        let linear = |i: u128, o: u128| i * o + o;
-        let embeds = if cfg.tie_sd_embedding { 1 } else { 2 };
-        embeds * v * de
-            + linear(2 * de, dh)
-            + 2 * linear(dh, dl)
-            + 2 * linear(dl, dh)
-            + 3 * linear(dh, v)
-            + 3 * dh * (de + dh + 1)
     }
 
     /// Builds the training loss `L1(c, t)` for one trajectory on `tape`.

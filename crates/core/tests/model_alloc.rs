@@ -2,7 +2,10 @@
 //! *announced* model is allocated on a blob's say-so. A correctly sealed
 //! blob whose config block claims `hidden_dim = 1 << 30` (a 12 EiB
 //! recurrent matrix) is refused having held at most a small multiple of
-//! the blob's own length.
+//! the blob's own length. And an honest blob loads holding one store, not
+//! two: its parameters are claimed by the model's constructor as decoded
+//! (values + gradient buffers, 2x the blob), where a freshly initialised
+//! model used to be built beside them only to be overwritten (4x).
 //!
 //! The counting allocator is process-wide, so this file holds exactly one
 //! test: nothing else allocates while the decode is measured.
@@ -33,6 +36,9 @@ fn model_decode_allocates_by_the_blob_not_by_its_announced_dimensions() {
     assert!(extra >= len / 2, "the allocator is counting: {extra} B");
 
     // The control: the blob it was made from differs in that one field
-    // and loads.
-    assert!(model_from_bytes(&city.net, honest).is_ok());
+    // and loads, never holding a second store.
+    let len = honest.len();
+    let (loaded, extra) = counting::peak_growth(|| model_from_bytes(&city.net, honest));
+    assert!(loaded.is_ok());
+    assert!(2 * extra <= 5 * len, "peak heap grew {extra} B loading a {len} B blob");
 }

@@ -17,7 +17,7 @@
 use std::io::{Read, Write};
 
 use bytes::Bytes;
-use tad_codec::ENVELOPE_HEADER_LEN;
+use tad_codec::{Reader, ENVELOPE_HEADER_LEN};
 
 use crate::frame::{
     request_to_bytes, response_from_bytes, FrameError, Request, Response, FRAME_MAGIC,
@@ -90,14 +90,15 @@ fn validate_header(
     header: &[u8; ENVELOPE_HEADER_LEN],
     max_payload: usize,
 ) -> Result<u64, FrameError> {
-    if &header[..4] != FRAME_MAGIC {
+    let mut r = Reader::new(header);
+    if r.bytes(4, "header")? != FRAME_MAGIC {
         return Err(FrameError::BadMagic);
     }
-    let version = u16::from_le_bytes([header[4], header[5]]);
+    let version = r.u16("header")?;
     if version != FRAME_VERSION {
         return Err(FrameError::BadVersion(version));
     }
-    let plen = u64::from_le_bytes(header[6..14].try_into().expect("8 header bytes"));
+    let plen = r.u64("header")?;
     if plen > max_payload as u64 {
         return Err(FrameError::TooLarge { len: plen, max: max_payload });
     }
