@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the substrates: tensor kernels, GRU steps,
-//! shortest paths, map matching, and the scaling-table precompute.
+//! shortest paths, city generation, map matching, and the scaling-table
+//! precompute.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -8,7 +9,10 @@ use rand::SeedableRng;
 use causaltad::{CausalTad, CausalTadConfig};
 use tad_autodiff::nn::GruCell;
 use tad_autodiff::{ParamStore, Tensor};
-use tad_roadnet::dijkstra::{length_cost, node_shortest_path, segment_shortest_path};
+use tad_eval::cities::{xian_s, Scale};
+use tad_roadnet::dijkstra::{
+    length_cost, node_shortest_path, segment_shortest_path, SegmentSearch,
+};
 use tad_roadnet::grid::{generate_grid_city, GridCityConfig};
 use tad_roadnet::index::SegmentIndex;
 use tad_roadnet::matching::{match_trajectory, synthesize_gps, MatchConfig};
@@ -66,6 +70,19 @@ fn bench_dijkstra(c: &mut Criterion) {
     c.bench_function("dijkstra_segment_16x16", |bch| {
         bch.iter(|| segment_shortest_path(&net, s, d, length_cost(&net)))
     });
+    // The same query on a held search, as every generator search runs.
+    let mut search = SegmentSearch::new(&net);
+    c.bench_function("dijkstra_segment_16x16_reused", |bch| {
+        bch.iter(|| search.path(s, d, length_cost(&net)))
+    });
+}
+
+fn bench_generate_city(c: &mut Criterion) {
+    let cfg = xian_s(Scale::Quick);
+    let mut group = c.benchmark_group("trajsim");
+    group.sample_size(10);
+    group.bench_function("generate_city_xian_quick", |bch| bch.iter(|| generate_city(&cfg)));
+    group.finish();
 }
 
 fn bench_map_matching(c: &mut Criterion) {
@@ -104,6 +121,7 @@ criterion_group!(
     bench_matmul,
     bench_gru_step,
     bench_dijkstra,
+    bench_generate_city,
     bench_map_matching,
     bench_scaling_precompute
 );

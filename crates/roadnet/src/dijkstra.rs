@@ -2,12 +2,14 @@
 //!
 //! Two flavours are provided:
 //!
-//! * **segment-space** search ([`segment_shortest_path`]): states are
-//!   directed segments connected by the successor relation. This is the
-//!   search the paper's Detour anomaly generator needs ("temporarily delete
-//!   `t_k` from the road network and apply Dijkstra") and the one the route
-//!   choice model of `tad-trajsim` perturbs, because route preference is a
-//!   property of segments, not intersections.
+//! * **segment-space** search ([`SegmentSearch`], held by callers that
+//!   search one network many times, and [`segment_shortest_path`] for one
+//!   query): states are directed segments connected by the successor
+//!   relation. This is the search the paper's Detour anomaly generator
+//!   needs ("temporarily delete `t_k` from the road network and apply
+//!   Dijkstra") and the one the route choice model of `tad-trajsim`
+//!   perturbs, because route preference is a property of segments, not
+//!   intersections.
 //! * **node-space** search ([`node_shortest_path`]) for plain
 //!   intersection-to-intersection queries.
 //!
@@ -15,12 +17,12 @@
 //! `None` bans a segment, which is how detours and Yen's spur searches
 //! remove edges without mutating the graph.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::graph::{NodeId, RoadNetwork, SegmentId};
 
-/// Heap entry ordered by smallest cost first.
+/// Node-space heap entry ordered by smallest cost first.
 #[derive(Debug)]
 struct HeapEntry {
     cost: f64,
@@ -58,58 +60,132 @@ pub struct PathResult {
 }
 
 /// Dijkstra in segment space from `start` to `goal` (both inclusive in the
-/// returned path). `cost(seg)` prices *entering* each segment after the
-/// first; `None` bans a segment entirely (including `goal`, which then makes
-/// the search fail). The cost of the `start` segment itself is not counted,
-/// matching the semantics of extending an existing trajectory.
+/// returned path): [`SegmentSearch::path`] on a search built for this one
+/// query. A caller that searches one network many times holds a
+/// [`SegmentSearch`] instead.
 pub fn segment_shortest_path(
     net: &RoadNetwork,
     start: SegmentId,
     goal: SegmentId,
     cost: impl Fn(SegmentId) -> Option<f64>,
 ) -> Option<PathResult> {
-    cost(goal)?;
-    if start == goal {
-        return Some(PathResult { segments: vec![start], cost: 0.0 });
-    }
-    let n = net.num_segments();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<u32> = vec![u32::MAX; n];
-    let mut heap = BinaryHeap::new();
-    dist[start.index()] = 0.0;
-    heap.push(HeapEntry { cost: 0.0, state: start.0 });
+    SegmentSearch::new(net).path(start, goal, cost)
+}
 
-    while let Some(HeapEntry { cost: d, state }) = heap.pop() {
-        if state == goal.0 {
-            break;
+/// A reusable segment-space Dijkstra over one network.
+///
+/// Built once per network: every segment's successor list (U-turns
+/// already filtered, as [`RoadNetwork::successors`] does) is flattened into
+/// one offset array and one successor array, and the distance, predecessor
+/// and heap buffers are kept from one search to the next, so a query
+/// allocates only the path it returns.
+///
+/// A heap entry is one packed key, `cost.to_bits() << 32 | segment`, popped
+/// smallest first. The bits of a non-negative `f64` order as its value
+/// does, so this is cost order with ties broken by the smaller segment id:
+/// every pop, relaxation and predecessor is that of a heap of `(cost,
+/// segment)` pairs under `f64::total_cmp`.
+#[derive(Debug)]
+pub struct SegmentSearch<'n> {
+    net: &'n RoadNetwork,
+    /// The successors of segment `s` are `succ[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<u32>,
+    succ: Vec<u32>,
+    dist: Vec<f64>,
+    prev: Vec<u32>,
+    heap: BinaryHeap<Reverse<u128>>,
+}
+
+impl<'n> SegmentSearch<'n> {
+    /// Flattens `net`'s successor relation and sizes the buffers.
+    pub fn new(net: &'n RoadNetwork) -> Self {
+        let n = net.num_segments();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut succ = Vec::new();
+        offsets.push(0);
+        for seg in net.segment_ids() {
+            succ.extend(net.successors(seg).map(|s| s.0));
+            offsets.push(succ.len() as u32);
         }
-        if d > dist[state as usize] {
-            continue;
+        SegmentSearch {
+            net,
+            offsets,
+            succ,
+            dist: vec![f64::INFINITY; n],
+            prev: vec![u32::MAX; n],
+            heap: BinaryHeap::new(),
         }
-        for next in net.successors(SegmentId(state)) {
-            let Some(step) = cost(next) else { continue };
-            debug_assert!(step >= 0.0, "negative segment cost");
-            let nd = d + step;
-            if nd < dist[next.index()] {
-                dist[next.index()] = nd;
-                prev[next.index()] = state;
-                heap.push(HeapEntry { cost: nd, state: next.0 });
+    }
+
+    /// The network this search runs on.
+    pub fn net(&self) -> &'n RoadNetwork {
+        self.net
+    }
+
+    /// The cheapest path from `start` to `goal`, both inclusive.
+    /// `cost(seg)` prices *entering* each segment after the first and must
+    /// not be negative; `None` bans a segment entirely (including `goal`,
+    /// which then makes the search fail). The cost of the `start` segment
+    /// itself is not counted, matching the semantics of extending an
+    /// existing trajectory.
+    pub fn path(
+        &mut self,
+        start: SegmentId,
+        goal: SegmentId,
+        cost: impl Fn(SegmentId) -> Option<f64>,
+    ) -> Option<PathResult> {
+        cost(goal)?;
+        if start == goal {
+            return Some(PathResult { segments: vec![start], cost: 0.0 });
+        }
+        let SegmentSearch { offsets, succ, dist, prev, heap, .. } = self;
+        // `prev` needs no reset: the walk back from `goal` only reads
+        // entries this search wrote.
+        dist.fill(f64::INFINITY);
+        heap.clear();
+        dist[start.index()] = 0.0;
+        heap.push(Reverse(heap_key(0.0, start.0)));
+
+        while let Some(Reverse(key)) = heap.pop() {
+            let (d, state) = (f64::from_bits((key >> 32) as u64), key as u32);
+            if state == goal.0 {
+                break;
+            }
+            let s = state as usize;
+            if d > dist[s] {
+                continue;
+            }
+            for &next in &succ[offsets[s] as usize..offsets[s + 1] as usize] {
+                let Some(step) = cost(SegmentId(next)) else { continue };
+                debug_assert!(step >= 0.0, "negative segment cost");
+                let nd = d + step;
+                if nd < dist[next as usize] {
+                    dist[next as usize] = nd;
+                    prev[next as usize] = state;
+                    heap.push(Reverse(heap_key(nd, next)));
+                }
             }
         }
-    }
 
-    if dist[goal.index()].is_infinite() {
-        return None;
+        if dist[goal.index()].is_infinite() {
+            return None;
+        }
+        let mut segments = vec![goal];
+        let mut cur = goal.0;
+        while cur != start.0 {
+            cur = prev[cur as usize];
+            debug_assert_ne!(cur, u32::MAX, "broken predecessor chain");
+            segments.push(SegmentId(cur));
+        }
+        segments.reverse();
+        Some(PathResult { segments, cost: dist[goal.index()] })
     }
-    let mut segments = vec![goal];
-    let mut cur = goal.0;
-    while cur != start.0 {
-        cur = prev[cur as usize];
-        debug_assert_ne!(cur, u32::MAX, "broken predecessor chain");
-        segments.push(SegmentId(cur));
-    }
-    segments.reverse();
-    Some(PathResult { segments, cost: dist[goal.index()] })
+}
+
+/// `(cost, segment)` as one integer whose order is cost order, then
+/// segment order, for any non-negative `cost`.
+fn heap_key(cost: f64, segment: u32) -> u128 {
+    (u128::from(cost.to_bits()) << 32) | u128::from(segment)
 }
 
 /// Dijkstra in node space from `from` to `to`. Returns the segment sequence
@@ -213,6 +289,125 @@ mod tests {
     use super::*;
     use crate::geometry::Point;
     use crate::graph::RoadClass;
+    use crate::grid::{generate_grid_city, GridCityConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The segment-space search before [`SegmentSearch`]: fresh buffers and
+    /// a heap of [`HeapEntry`] per query, successors read off the network.
+    fn reference_path(
+        net: &RoadNetwork,
+        start: SegmentId,
+        goal: SegmentId,
+        cost: impl Fn(SegmentId) -> Option<f64>,
+    ) -> Option<PathResult> {
+        cost(goal)?;
+        if start == goal {
+            return Some(PathResult { segments: vec![start], cost: 0.0 });
+        }
+        let n = net.num_segments();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut prev: Vec<u32> = vec![u32::MAX; n];
+        let mut heap = BinaryHeap::new();
+        dist[start.index()] = 0.0;
+        heap.push(HeapEntry { cost: 0.0, state: start.0 });
+
+        while let Some(HeapEntry { cost: d, state }) = heap.pop() {
+            if state == goal.0 {
+                break;
+            }
+            if d > dist[state as usize] {
+                continue;
+            }
+            for next in net.successors(SegmentId(state)) {
+                let Some(step) = cost(next) else { continue };
+                let nd = d + step;
+                if nd < dist[next.index()] {
+                    dist[next.index()] = nd;
+                    prev[next.index()] = state;
+                    heap.push(HeapEntry { cost: nd, state: next.0 });
+                }
+            }
+        }
+
+        if dist[goal.index()].is_infinite() {
+            return None;
+        }
+        let mut segments = vec![goal];
+        let mut cur = goal.0;
+        while cur != start.0 {
+            cur = prev[cur as usize];
+            segments.push(SegmentId(cur));
+        }
+        segments.reverse();
+        Some(PathResult { segments, cost: dist[goal.index()] })
+    }
+
+    /// One held search per city answers every query exactly as the
+    /// reference does, segment for segment and cost bit for bit: jittered
+    /// lengths, equal block lengths (exact ties everywhere), random costs
+    /// with zeros and repeats, random bans, a banned goal, `start == goal`
+    /// and pairs made unreachable. Queries of every kind interleave on the
+    /// one search, so a buffer one query leaves stale fails another.
+    #[test]
+    fn a_held_search_matches_the_binary_heap_reference_bit_for_bit() {
+        let (mut queries, mut paths, mut none, mut trivial) = (0, 0, 0, 0);
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cfg = GridCityConfig {
+                width: 6 + seed as usize % 3,
+                height: 7,
+                jitter: if seed % 2 == 0 { 0.08 } else { 0.0 },
+                missing_edge_prob: 0.06,
+                ..GridCityConfig::default()
+            };
+            let net = generate_grid_city(&cfg, &mut rng);
+            let n = net.num_segments();
+            let mut search = SegmentSearch::new(&net);
+            for q in 0..80 {
+                let start = SegmentId(rng.gen_range(0..n as u32));
+                let goal = if q % 13 == 0 { start } else { SegmentId(rng.gen_range(0..n as u32)) };
+                let random: Vec<f64> = (0..n)
+                    .map(|_| match q % 3 {
+                        1 => rng.gen_range(0..4) as f64,
+                        _ => rng.gen_range(0.0..500.0),
+                    })
+                    .collect();
+                let mut banned = vec![false; n];
+                match (q / 3) % 4 {
+                    0 => {}
+                    1 => banned.iter_mut().for_each(|b| *b = rng.gen_bool(0.1)),
+                    2 => banned[goal.index()] = true,
+                    _ => net.successors(start).for_each(|s| banned[s.index()] = true),
+                }
+                let cost = |s: SegmentId| match (banned[s.index()], q % 3) {
+                    (true, _) => None,
+                    (false, 0) => Some(net.segment(s).length),
+                    (false, _) => Some(random[s.index()]),
+                };
+                let (got, want) =
+                    (search.path(start, goal, cost), reference_path(&net, start, goal, cost));
+                match (&got, &want) {
+                    (Some(g), Some(w)) => {
+                        assert_eq!(g.segments, w.segments, "city {seed} query {q}");
+                        assert_eq!(g.cost.to_bits(), w.cost.to_bits(), "city {seed} query {q}");
+                        if start == goal {
+                            trivial += 1;
+                        } else {
+                            paths += 1;
+                        }
+                    }
+                    (None, None) => none += 1,
+                    _ => panic!("city {seed} query {q}: {got:?} against {want:?}"),
+                }
+                queries += 1;
+            }
+        }
+        assert!(
+            queries >= 200 && paths >= 150 && none >= 100 && trivial >= 20,
+            "{paths} {none} {trivial}"
+        );
+    }
 
     /// A 3x3 grid with bidirectional unit-length edges.
     fn grid3() -> (RoadNetwork, Vec<NodeId>) {

@@ -6,13 +6,14 @@
 //! provides the k cheapest loopless segment paths by repeatedly re-running
 //! Dijkstra with spur-edge bans.
 
-use crate::dijkstra::{segment_shortest_path, PathResult};
-use crate::graph::{RoadNetwork, SegmentId};
+use crate::dijkstra::{PathResult, SegmentSearch};
+use crate::graph::SegmentId;
 
 /// Computes up to `k` cheapest loopless segment paths from `start` to
-/// `goal` (both inclusive), ordered by non-decreasing cost.
+/// `goal` (both inclusive), ordered by non-decreasing cost. Every spur
+/// search runs on `search`.
 pub fn k_shortest_paths(
-    net: &RoadNetwork,
+    search: &mut SegmentSearch<'_>,
     start: SegmentId,
     goal: SegmentId,
     k: usize,
@@ -22,7 +23,7 @@ pub fn k_shortest_paths(
     if k == 0 {
         return found;
     }
-    let Some(best) = segment_shortest_path(net, start, goal, &cost) else {
+    let Some(best) = search.path(start, goal, &cost) else {
         return found;
     };
     found.push(best);
@@ -49,7 +50,7 @@ pub fn k_shortest_paths(
             // loopless.
             let banned_root: Vec<SegmentId> = root[..spur_idx].to_vec();
 
-            let spur = segment_shortest_path(net, spur_node, goal, |s| {
+            let spur = search.path(spur_node, goal, |s| {
                 if banned_next.contains(&s) || banned_root.contains(&s) {
                     None
                 } else {
@@ -92,9 +93,9 @@ pub fn k_shortest_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::length_cost;
+    use crate::dijkstra::{length_cost, segment_shortest_path};
     use crate::geometry::Point;
-    use crate::graph::{NodeId, RoadClass};
+    use crate::graph::{NodeId, RoadClass, RoadNetwork};
 
     fn grid(n: usize) -> (RoadNetwork, Vec<NodeId>) {
         let mut net = RoadNetwork::new();
@@ -125,7 +126,8 @@ mod tests {
         let (net, nodes) = grid(4);
         let start = net.segment_between(nodes[0], nodes[1]).unwrap();
         let goal = net.segment_between(nodes[14], nodes[15]).unwrap();
-        let paths = k_shortest_paths(&net, start, goal, 5, length_cost(&net));
+        let paths =
+            k_shortest_paths(&mut SegmentSearch::new(&net), start, goal, 5, length_cost(&net));
         assert_eq!(paths.len(), 5);
         for w in paths.windows(2) {
             assert!(w[0].cost <= w[1].cost + 1e-9, "costs must be non-decreasing");
@@ -145,7 +147,8 @@ mod tests {
         let (net, nodes) = grid(4);
         let start = net.segment_between(nodes[0], nodes[1]).unwrap();
         let goal = net.segment_between(nodes[11], nodes[15]).unwrap();
-        let paths = k_shortest_paths(&net, start, goal, 3, length_cost(&net));
+        let paths =
+            k_shortest_paths(&mut SegmentSearch::new(&net), start, goal, 3, length_cost(&net));
         let direct = segment_shortest_path(&net, start, goal, length_cost(&net)).unwrap();
         assert_eq!(paths[0].segments, direct.segments);
         assert!((paths[0].cost - direct.cost).abs() < 1e-12);
@@ -156,9 +159,10 @@ mod tests {
         let (net, nodes) = grid(3);
         let start = net.segment_between(nodes[0], nodes[1]).unwrap();
         let goal = net.segment_between(nodes[7], nodes[8]).unwrap();
-        assert!(k_shortest_paths(&net, start, goal, 0, length_cost(&net)).is_empty());
+        assert!(k_shortest_paths(&mut SegmentSearch::new(&net), start, goal, 0, length_cost(&net))
+            .is_empty());
         // Banning the goal makes it unreachable.
-        let paths = k_shortest_paths(&net, start, goal, 3, |s| {
+        let paths = k_shortest_paths(&mut SegmentSearch::new(&net), start, goal, 3, |s| {
             if s == goal {
                 None
             } else {
@@ -179,7 +183,7 @@ mod tests {
         net.add_segment(b, a, 1.0, RoadClass::Local);
         let bc = net.add_segment(b, c, 1.0, RoadClass::Local);
         net.add_segment(c, b, 1.0, RoadClass::Local);
-        let paths = k_shortest_paths(&net, ab, bc, 4, length_cost(&net));
+        let paths = k_shortest_paths(&mut SegmentSearch::new(&net), ab, bc, 4, length_cost(&net));
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].segments, vec![ab, bc]);
     }

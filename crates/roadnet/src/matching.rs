@@ -9,7 +9,7 @@
 //! network distance between consecutive candidates. Gaps between matched
 //! segments are filled with shortest paths so the output is a connected walk.
 
-use crate::dijkstra::{bounded_node_distance, segment_shortest_path};
+use crate::dijkstra::{bounded_node_distance, length_cost, SegmentSearch};
 use crate::geometry::Point;
 use crate::graph::{RoadNetwork, SegmentId};
 use crate::index::SegmentIndex;
@@ -172,6 +172,8 @@ fn transition_logprob(
 /// segments with shortest paths so the result is a connected walk.
 fn connect_walk(net: &RoadNetwork, matched: &[SegmentId]) -> Vec<SegmentId> {
     let mut walk: Vec<SegmentId> = Vec::with_capacity(matched.len());
+    // Built by the first gap, then held for the rest.
+    let mut search: Option<SegmentSearch> = None;
     for &s in matched {
         if walk.last() == Some(&s) {
             continue;
@@ -181,8 +183,9 @@ fn connect_walk(net: &RoadNetwork, matched: &[SegmentId]) -> Vec<SegmentId> {
             Some(&prev) => {
                 if net.segment(prev).to == net.segment(s).from {
                     walk.push(s);
-                } else if let Some(bridge) =
-                    segment_shortest_path(net, prev, s, |seg| Some(net.segment(seg).length))
+                } else if let Some(bridge) = search
+                    .get_or_insert_with(|| SegmentSearch::new(net))
+                    .path(prev, s, length_cost(net))
                 {
                     // The bridge includes both endpoints; skip the repeated prev.
                     walk.extend(bridge.segments.into_iter().skip(1));
@@ -236,7 +239,7 @@ fn gauss<R: rand::Rng + ?Sized>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::{length_cost, node_shortest_path};
+    use crate::dijkstra::node_shortest_path;
     use crate::graph::NodeId;
     use crate::grid::{generate_grid_city, GridCityConfig};
     use rand::rngs::StdRng;

@@ -10,9 +10,9 @@
 //!   (`|t' ∩ t| / |t' ∪ t|`), then switch from `t` to `t'`."
 
 use rand::Rng;
-use tad_roadnet::dijkstra::segment_shortest_path;
+use tad_roadnet::dijkstra::{length_cost, SegmentSearch};
 use tad_roadnet::kpaths::k_shortest_paths;
-use tad_roadnet::{RoadNetwork, SegmentId};
+use tad_roadnet::SegmentId;
 
 use crate::dataset::{Label, Trajectory};
 
@@ -47,13 +47,14 @@ impl Default for AnomalyConfig {
 }
 
 /// Creates a Detour anomaly from `traj`, or `None` if no acceptable detour
-/// exists within the attempt budget.
+/// exists within the attempt budget. Every reroute runs on `search`.
 pub fn make_detour<R: Rng + ?Sized>(
-    net: &RoadNetwork,
+    search: &mut SegmentSearch<'_>,
     traj: &Trajectory,
     cfg: &AnomalyConfig,
     rng: &mut R,
 ) -> Option<Trajectory> {
+    let net = search.net();
     let n = traj.segments.len();
     if n < 5 {
         return None;
@@ -69,13 +70,9 @@ pub fn make_detour<R: Rng + ?Sized>(
         let banned = traj.segments[k];
         let from = traj.segments[i];
         let to = traj.segments[j];
-        let Some(reroute) = segment_shortest_path(net, from, to, |s| {
-            if s == banned {
-                None
-            } else {
-                Some(net.segment(s).length)
-            }
-        }) else {
+        let Some(reroute) =
+            search.path(from, to, |s| if s == banned { None } else { Some(net.segment(s).length) })
+        else {
             continue;
         };
         let original = &traj.segments[i..=j];
@@ -104,13 +101,15 @@ pub fn make_detour<R: Rng + ?Sized>(
 /// one is sampled as the target route `t'`. When no recorded trajectory is
 /// dissimilar enough, Yen's k-shortest paths provide a synthetic
 /// alternative route (so Switch anomalies exist even for sparse SD pairs).
+/// Every search, Yen's included, runs on `search`.
 pub fn make_switch<R: Rng + ?Sized>(
-    net: &RoadNetwork,
+    search: &mut SegmentSearch<'_>,
     traj: &Trajectory,
     pool: &[&Trajectory],
     cfg: &AnomalyConfig,
     rng: &mut R,
 ) -> Option<Trajectory> {
+    let net = search.net();
     let n = traj.segments.len();
     if n < 5 {
         return None;
@@ -125,17 +124,17 @@ pub fn make_switch<R: Rng + ?Sized>(
     if alternatives.is_empty() {
         let sd = traj.sd_pair();
         let traj_set: std::collections::HashSet<_> = traj.segments.iter().copied().collect();
-        alternatives = k_shortest_paths(net, sd.source, sd.dest, cfg.switch_fallback_k, |s| {
-            Some(net.segment(s).length)
-        })
-        .into_iter()
-        .map(|p| p.segments)
-        .filter(|p| {
-            let inter = p.iter().filter(|s| traj_set.contains(s)).count();
-            let union = p.len() + traj_set.len() - inter;
-            p != &traj.segments && (inter as f64 / union as f64) <= cfg.switch_similarity_max
-        })
-        .collect();
+        alternatives =
+            k_shortest_paths(search, sd.source, sd.dest, cfg.switch_fallback_k, length_cost(net))
+                .into_iter()
+                .map(|p| p.segments)
+                .filter(|p| {
+                    let inter = p.iter().filter(|s| traj_set.contains(s)).count();
+                    let union = p.len() + traj_set.len() - inter;
+                    p != &traj.segments
+                        && (inter as f64 / union as f64) <= cfg.switch_similarity_max
+                })
+                .collect();
     }
     if alternatives.is_empty() {
         return None;
@@ -153,8 +152,7 @@ pub fn make_switch<R: Rng + ?Sized>(
         if to == from {
             continue;
         }
-        let Some(bridge) = segment_shortest_path(net, from, to, |s| Some(net.segment(s).length))
-        else {
+        let Some(bridge) = search.path(from, to, length_cost(net)) else {
             continue;
         };
         let mut segments = traj.segments[..i].to_vec();
@@ -184,7 +182,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tad_roadnet::grid::{generate_grid_city, GridCityConfig};
-    use tad_roadnet::NodeId;
+    use tad_roadnet::{NodeId, RoadNetwork};
 
     fn setup() -> (RoadNetwork, RoadPreference, StdRng) {
         let mut rng = StdRng::seed_from_u64(40);
@@ -205,14 +203,19 @@ mod tests {
         let s = net.out_segments(NodeId(0))[0];
         let d = net.in_segments(NodeId((net.num_nodes() - 1) as u32))[0];
         let costs = RouteCosts::new(net, pref, &RouteChoiceConfig::default());
-        Trajectory::normal(choose_route(net, &costs, s, d, 0, rng).unwrap(), 0)
+        Trajectory::normal(
+            choose_route(&mut SegmentSearch::new(net), &costs, s, d, 0, rng).unwrap(),
+            0,
+        )
     }
 
     #[test]
     fn detour_is_connected_same_sd_and_longer() {
         let (net, pref, mut rng) = setup();
         let t = long_trajectory(&net, &pref, &mut rng);
-        let detour = make_detour(&net, &t, &AnomalyConfig::default(), &mut rng).expect("detour");
+        let detour =
+            make_detour(&mut SegmentSearch::new(&net), &t, &AnomalyConfig::default(), &mut rng)
+                .expect("detour");
         assert_eq!(detour.label, Label::Detour);
         assert!(net.is_connected_path(&detour.segments));
         assert_eq!(detour.sd_pair(), t.sd_pair());
@@ -223,7 +226,13 @@ mod tests {
     fn detour_rejects_short_trajectories() {
         let (net, _, mut rng) = setup();
         let t = Trajectory::normal(vec![SegmentId(0), SegmentId(1)], 0);
-        assert!(make_detour(&net, &t, &AnomalyConfig::default(), &mut rng).is_none());
+        assert!(make_detour(
+            &mut SegmentSearch::new(&net),
+            &t,
+            &AnomalyConfig::default(),
+            &mut rng
+        )
+        .is_none());
     }
 
     #[test]
@@ -236,12 +245,18 @@ mod tests {
         let costs = RouteCosts::new(&net, &pref, &diverse);
         let pool_owned: Vec<Trajectory> = (0..10)
             .filter_map(|_| {
-                choose_route(&net, &costs, sd.source, sd.dest, 0, &mut rng)
+                choose_route(&mut SegmentSearch::new(&net), &costs, sd.source, sd.dest, 0, &mut rng)
                     .map(|r| Trajectory::normal(r, 0))
             })
             .collect();
         let pool: Vec<&Trajectory> = pool_owned.iter().collect();
-        let switched = make_switch(&net, &t, &pool, &AnomalyConfig::default(), &mut rng);
+        let switched = make_switch(
+            &mut SegmentSearch::new(&net),
+            &t,
+            &pool,
+            &AnomalyConfig::default(),
+            &mut rng,
+        );
         if let Some(sw) = switched {
             assert_eq!(sw.label, Label::Switch);
             assert!(net.is_connected_path(&sw.segments));
@@ -257,7 +272,8 @@ mod tests {
         let (net, pref, mut rng) = setup();
         let t = long_trajectory(&net, &pref, &mut rng);
         let cfg = AnomalyConfig { switch_similarity_max: 0.9, ..Default::default() };
-        let switched = make_switch(&net, &t, &[], &cfg, &mut rng).expect("fallback switch");
+        let switched = make_switch(&mut SegmentSearch::new(&net), &t, &[], &cfg, &mut rng)
+            .expect("fallback switch");
         assert!(net.is_connected_path(&switched.segments));
         assert_eq!(switched.sd_pair(), t.sd_pair());
     }
@@ -267,7 +283,9 @@ mod tests {
         let (net, pref, mut rng) = setup();
         let mut t = long_trajectory(&net, &pref, &mut rng);
         t.time_slot = 3;
-        let detour = make_detour(&net, &t, &AnomalyConfig::default(), &mut rng).unwrap();
+        let detour =
+            make_detour(&mut SegmentSearch::new(&net), &t, &AnomalyConfig::default(), &mut rng)
+                .unwrap();
         assert_eq!(detour.time_slot, 3);
     }
 }

@@ -1,5 +1,7 @@
 //! Trajectory and dataset types.
 
+use std::cmp::Ordering;
+
 use tad_roadnet::SegmentId;
 
 /// Ground-truth label of a generated trajectory.
@@ -93,12 +95,19 @@ impl Trajectory {
     /// the measure the paper's Switch generator thresholds on
     /// (`|t' ∩ t| / |t' ∪ t|`).
     pub fn jaccard(&self, other: &Trajectory) -> f64 {
-        let a: std::collections::HashSet<_> = self.segments.iter().collect();
-        let b: std::collections::HashSet<_> = other.segments.iter().collect();
+        let (a, b) = (distinct_ids(&self.segments), distinct_ids(&other.segments));
         if a.is_empty() && b.is_empty() {
             return 1.0;
         }
-        let inter = a.intersection(&b).count();
+        // A merge of the two sorted sets counts their intersection.
+        let (mut i, mut j, mut inter) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => (i, j, inter) = (i + 1, j + 1, inter + 1),
+            }
+        }
         let union = a.len() + b.len() - inter;
         inter as f64 / union as f64
     }
@@ -110,6 +119,14 @@ impl Trajectory {
         let k = ((n as f64 * ratio).round() as usize).clamp(1, n);
         &self.segments[..k]
     }
+}
+
+/// The segment set of a walk: its ids, sorted, each once.
+fn distinct_ids(segments: &[SegmentId]) -> Vec<u32> {
+    let mut ids: Vec<u32> = segments.iter().map(|s| s.0).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 /// The datasets the paper evaluates on, for one city.
@@ -173,6 +190,29 @@ mod tests {
         let b = traj(&[3, 4, 5, 6]);
         // intersection 2, union 6.
         assert!((a.jaccard(&b) - 2.0 / 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn jaccard_counts_repeated_segments_once() {
+        // The same measure over hash sets.
+        let reference = |a: &Trajectory, b: &Trajectory| -> f64 {
+            let a: std::collections::HashSet<_> = a.segments.iter().collect();
+            let b: std::collections::HashSet<_> = b.segments.iter().collect();
+            let inter = a.intersection(&b).count();
+            inter as f64 / (a.len() + b.len() - inter) as f64
+        };
+        let cases = [
+            (traj(&[1, 2, 2, 3, 1, 4]), traj(&[4, 4, 5, 1, 6, 5])),
+            (traj(&[9, 9, 9]), traj(&[9])),
+            (traj(&[7, 3, 7, 3]), traj(&[8, 2, 8])),
+            (traj(&[5, 1, 4, 1, 5, 9, 2, 6]), traj(&[2, 7, 1, 8, 2, 8, 1, 8])),
+        ];
+        for (a, b) in &cases {
+            assert_eq!(a.jaccard(b).to_bits(), reference(a, b).to_bits(), "{a:?} vs {b:?}");
+            assert_eq!(b.jaccard(a).to_bits(), reference(b, a).to_bits(), "{b:?} vs {a:?}");
+        }
+        // intersection {1, 4}, union {1, 2, 3, 4, 5, 6}.
+        assert!((cases[0].0.jaccard(&cases[0].1) - 2.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -10,13 +10,16 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::mpsc;
+use std::thread;
+use tad_roadnet::dijkstra::SegmentSearch;
 use tad_roadnet::grid::{generate_grid_city, GridCityConfig};
-use tad_roadnet::RoadNetwork;
+use tad_roadnet::{RoadNetwork, SegmentId};
 
 use crate::anomaly::{make_detour, make_switch, AnomalyConfig};
 use crate::dataset::{CityDatasets, SdPair, Trajectory};
 use crate::preference::{PreferenceConfig, RoadPreference};
-use crate::routing::{choose_route, RouteChoiceConfig, RouteCosts};
+use crate::routing::{cheapest_route, RouteChoiceConfig, RouteCosts};
 use crate::sd::{sample_candidate_pairs, sample_ood_pairs, SdConfig};
 
 /// Full configuration of a synthetic city and its datasets.
@@ -87,50 +90,49 @@ pub struct City {
 
 /// Generates a city and all of its datasets from a config. Deterministic in
 /// `cfg.seed`.
+///
+/// One [`SegmentSearch`] serves every shortest path the generator runs. The
+/// calling thread is the only one that draws from the seeded rng: while
+/// trips are recorded it draws each trip's slot and perceived costs in trip
+/// order, and one scoped helper thread, `tad-trajsim-route`, runs their
+/// searches, which draw nothing, so the city is the same bit for bit as a
+/// one-thread run's.
 pub fn generate_city(cfg: &CityConfig) -> City {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let net = generate_grid_city(&cfg.grid, &mut rng);
     let pref = RoadPreference::generate(&net, &cfg.pref, &mut rng);
+    let mut search = SegmentSearch::new(&net);
 
     let candidate_pairs =
-        sample_candidate_pairs(&net, &pref, cfg.num_candidate_pairs, &cfg.sd, &mut rng);
+        sample_candidate_pairs(&mut search, &pref, cfg.num_candidate_pairs, &cfg.sd, &mut rng);
     assert!(
         !candidate_pairs.is_empty(),
         "no candidate SD pairs found; relax SdConfig::min_segments or grow the grid"
     );
-    let ood_pairs = sample_ood_pairs(&net, cfg.num_ood_pairs, &cfg.sd, &candidate_pairs, &mut rng);
+    let ood_pairs =
+        sample_ood_pairs(&mut search, cfg.num_ood_pairs, &cfg.sd, &candidate_pairs, &mut rng);
 
-    let num_slots = pref.num_time_slots();
-    let costs = RouteCosts::new(&net, &pref, &cfg.route);
-    let record = |pair: &SdPair, rng: &mut StdRng| -> Option<Trajectory> {
-        let slot = rng.gen_range(0..num_slots);
-        let route = choose_route(&net, &costs, pair.source, pair.dest, slot, rng)?;
-        if route.len() < cfg.sd.min_segments / 2 {
-            return None;
-        }
-        Some(Trajectory::normal(route, slot as u8))
-    };
-
-    let mut train = Vec::new();
-    let mut test_id = Vec::new();
+    // Every recorded trip in draw order, with the split it joins.
+    let mut trips = Vec::new();
     for pair in &candidate_pairs {
         for i in 0..cfg.trajs_per_pair {
-            if let Some(t) = record(pair, &mut rng) {
-                if i % 2 == 0 {
-                    train.push(t);
-                } else {
-                    test_id.push(t);
-                }
-            }
+            trips.push((*pair, if i % 2 == 0 { Split::Train } else { Split::TestId }));
         }
     }
-
-    let mut test_ood = Vec::new();
     for pair in &ood_pairs {
-        for _ in 0..cfg.trajs_per_ood_pair {
-            if let Some(t) = record(pair, &mut rng) {
-                test_ood.push(t);
-            }
+        trips.extend((0..cfg.trajs_per_ood_pair).map(|_| (*pair, Split::TestOod)));
+    }
+    let costs = RouteCosts::new(&net, &pref, &cfg.route);
+    let routes = record_routes(&mut search, &costs, pref.num_time_slots(), &trips, &mut rng);
+
+    let (mut train, mut test_id, mut test_ood) = (Vec::new(), Vec::new(), Vec::new());
+    for ((_, split), (slot, route)) in trips.iter().zip(routes) {
+        let Some(route) = route.filter(|r| r.len() >= cfg.sd.min_segments / 2) else { continue };
+        let t = Trajectory::normal(route, slot);
+        match split {
+            Split::Train => train.push(t),
+            Split::TestId => test_id.push(t),
+            Split::TestOod => test_ood.push(t),
         }
     }
 
@@ -148,7 +150,7 @@ pub fn generate_city(cfg: &CityConfig) -> City {
         while detour.len() < cfg.num_anomalies && attempts < budget {
             attempts += 1;
             let base = &test_id[rng.gen_range(0..test_id.len())];
-            if let Some(a) = make_detour(&net, base, &cfg.anomaly, &mut rng) {
+            if let Some(a) = make_detour(&mut search, base, &cfg.anomaly, &mut rng) {
                 detour.push(a);
             }
         }
@@ -157,7 +159,7 @@ pub fn generate_city(cfg: &CityConfig) -> City {
             attempts += 1;
             let base = &test_id[rng.gen_range(0..test_id.len())];
             let pool = by_sd.get(&base.sd_pair()).map(Vec::as_slice).unwrap_or(&[]);
-            if let Some(a) = make_switch(&net, base, pool, &cfg.anomaly, &mut rng) {
+            if let Some(a) = make_switch(&mut search, base, pool, &cfg.anomaly, &mut rng) {
                 switch.push(a);
             }
         }
@@ -171,6 +173,61 @@ pub fn generate_city(cfg: &CityConfig) -> City {
         ood_pairs,
         data: CityDatasets { train, test_id, test_ood, detour, switch },
     }
+}
+
+/// The split a recorded trip joins.
+#[derive(Clone, Copy)]
+enum Split {
+    Train,
+    TestId,
+    TestOod,
+}
+
+/// Perceived-cost vectors in flight between the drawing thread and the
+/// search thread.
+const ROUTES_IN_FLIGHT: usize = 16;
+
+/// Records one route per trip: each trip's departure slot and its route
+/// (`None` when unreachable), in trip order.
+///
+/// The calling thread draws every trip's slot and
+/// [`RouteCosts::perceive`]s, in trip order, and streams them to the
+/// `tad-trajsim-route` thread, which runs [`cheapest_route`] on `search`.
+/// A panic there is a panic here.
+fn record_routes(
+    search: &mut SegmentSearch<'_>,
+    costs: &RouteCosts,
+    num_slots: usize,
+    trips: &[(SdPair, Split)],
+    rng: &mut StdRng,
+) -> Vec<(u8, Option<Vec<SegmentId>>)> {
+    thread::scope(|scope| {
+        let (to_helper, inbox) = mpsc::sync_channel::<(SdPair, Vec<f64>)>(ROUTES_IN_FLIGHT);
+        let helper = thread::Builder::new()
+            .name("tad-trajsim-route".into())
+            .spawn_scoped(scope, move || {
+                inbox
+                    .into_iter()
+                    .map(|(pair, perceived)| {
+                        cheapest_route(search, &perceived, pair.source, pair.dest)
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .expect("spawn the route search thread");
+        let mut slots = Vec::with_capacity(trips.len());
+        for (pair, _) in trips {
+            let slot = rng.gen_range(0..num_slots);
+            slots.push(slot as u8);
+            // A send fails only once the helper is gone; its join says why.
+            if to_helper.send((*pair, costs.perceive(slot, rng))).is_err() {
+                break;
+            }
+        }
+        // Hanging up is what ends the helper's loop.
+        drop(to_helper);
+        let routes = helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        slots.into_iter().zip(routes).collect()
+    })
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! correct.
 
 use rand::Rng;
-use tad_roadnet::dijkstra::segment_shortest_path;
+use tad_roadnet::dijkstra::SegmentSearch;
 use tad_roadnet::{RoadNetwork, SegmentId};
 
 use crate::preference::RoadPreference;
@@ -53,26 +53,41 @@ impl RouteCosts {
             .collect();
         RouteCosts { per_slot, utility_noise: cfg.utility_noise }
     }
+
+    /// One driver's view of the network on one trip departing in `slot`:
+    /// every segment's route cost times its own log-normal noise draw, in
+    /// segment order. This is the trip's whole use of `rng`; the search on
+    /// the result ([`cheapest_route`]) draws nothing.
+    pub fn perceive<R: Rng + ?Sized>(&self, slot: usize, rng: &mut R) -> Vec<f64> {
+        let base = &self.per_slot[slot % self.per_slot.len()];
+        base.iter().map(|&cost| cost * (self.utility_noise * gauss(rng)).exp()).collect()
+    }
+}
+
+/// The cheapest route from `source` to `dest` (both road segments,
+/// inclusive) under `perceived` costs from [`RouteCosts::perceive`].
+/// Returns `None` only if the pair is unreachable.
+pub fn cheapest_route(
+    search: &mut SegmentSearch<'_>,
+    perceived: &[f64],
+    source: SegmentId,
+    dest: SegmentId,
+) -> Option<Vec<SegmentId>> {
+    Some(search.path(source, dest, |s| Some(perceived[s.index()]))?.segments)
 }
 
 /// Samples one route from `source` to `dest` (both road segments, inclusive)
-/// departing in `slot`. Returns `None` only if the pair is unreachable.
+/// departing in `slot`: [`RouteCosts::perceive`], then [`cheapest_route`].
+/// Returns `None` only if the pair is unreachable.
 pub fn choose_route<R: Rng + ?Sized>(
-    net: &RoadNetwork,
+    search: &mut SegmentSearch<'_>,
     costs: &RouteCosts,
     source: SegmentId,
     dest: SegmentId,
     slot: usize,
     rng: &mut R,
 ) -> Option<Vec<SegmentId>> {
-    // One noise draw per segment per trip: the driver's idiosyncratic view
-    // of the network on this day.
-    let noise: Vec<f64> =
-        (0..net.num_segments()).map(|_| (costs.utility_noise * gauss(rng)).exp()).collect();
-    let base = &costs.per_slot[slot % costs.per_slot.len()];
-    let result =
-        segment_shortest_path(net, source, dest, |s| Some(base[s.index()] * noise[s.index()]))?;
-    Some(result.segments)
+    cheapest_route(search, &costs.perceive(slot, rng), source, dest)
 }
 
 fn gauss<R: Rng + ?Sized>(rng: &mut R) -> f64 {
@@ -111,7 +126,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..10 {
             let costs = RouteCosts::new(&net, &pref, &RouteChoiceConfig::default());
-            let route = choose_route(&net, &costs, s, d, 0, &mut rng).expect("reachable");
+            let route = choose_route(&mut SegmentSearch::new(&net), &costs, s, d, 0, &mut rng)
+                .expect("reachable");
             assert!(net.is_connected_path(&route));
             assert_eq!(route.first(), Some(&s));
             assert_eq!(route.last(), Some(&d));
@@ -127,7 +143,7 @@ mod tests {
         let costs = RouteCosts::new(&net, &pref, &cfg);
         let routes: std::collections::HashSet<Vec<u32>> = (0..20)
             .map(|_| {
-                choose_route(&net, &costs, s, d, 0, &mut rng)
+                choose_route(&mut SegmentSearch::new(&net), &costs, s, d, 0, &mut rng)
                     .unwrap()
                     .iter()
                     .map(|seg| seg.0)
@@ -145,8 +161,8 @@ mod tests {
         let costs = RouteCosts::new(&net, &pref, &cfg);
         let mut rng_a = StdRng::seed_from_u64(3);
         let mut rng_b = StdRng::seed_from_u64(4);
-        let a = choose_route(&net, &costs, s, d, 0, &mut rng_a).unwrap();
-        let b = choose_route(&net, &costs, s, d, 0, &mut rng_b).unwrap();
+        let a = choose_route(&mut SegmentSearch::new(&net), &costs, s, d, 0, &mut rng_a).unwrap();
+        let b = choose_route(&mut SegmentSearch::new(&net), &costs, s, d, 0, &mut rng_b).unwrap();
         assert_eq!(a, b);
     }
 
@@ -161,7 +177,8 @@ mod tests {
             let mut total = 0.0;
             let mut count = 0usize;
             for _ in 0..15 {
-                let route = choose_route(&net, &costs, s, d, 0, rng).unwrap();
+                let route =
+                    choose_route(&mut SegmentSearch::new(&net), &costs, s, d, 0, rng).unwrap();
                 total += route.iter().map(|&seg| pref.weight(seg)).sum::<f64>();
                 count += route.len();
             }

@@ -8,8 +8,8 @@
 //! popularity-agnostic SD pairs of the paper's out-of-distribution split.
 
 use rand::Rng;
-use tad_roadnet::dijkstra::segment_shortest_path;
-use tad_roadnet::{RoadNetwork, SegmentId};
+use tad_roadnet::dijkstra::{length_cost, SegmentSearch};
+use tad_roadnet::SegmentId;
 
 use crate::dataset::SdPair;
 use crate::preference::RoadPreference;
@@ -38,37 +38,40 @@ impl Default for SdConfig {
 }
 
 /// Samples `count` distinct candidate SD pairs with popularity-biased
-/// endpoints (`E → C`).
+/// endpoints (`E → C`). Every length check runs on `search`.
 pub fn sample_candidate_pairs<R: Rng + ?Sized>(
-    net: &RoadNetwork,
+    search: &mut SegmentSearch<'_>,
     pref: &RoadPreference,
     count: usize,
     cfg: &SdConfig,
     rng: &mut R,
 ) -> Vec<SdPair> {
     let weights: Vec<f64> =
-        net.segment_ids().map(|s| pref.weight(s).powf(cfg.popularity_bias)).collect();
-    sample_pairs(net, count, cfg, rng, |rng| weighted_draw(&weights, rng))
+        search.net().segment_ids().map(|s| pref.weight(s).powf(cfg.popularity_bias)).collect();
+    let total: f64 = weights.iter().sum();
+    sample_pairs(search, count, cfg, rng, |rng| weighted_draw(&weights, total, rng))
 }
 
 /// Samples `count` distinct OOD SD pairs with uniform endpoints
-/// (the distribution shift of the paper's OOD evaluation).
+/// (the distribution shift of the paper's OOD evaluation). Every length
+/// check runs on `search`.
 pub fn sample_ood_pairs<R: Rng + ?Sized>(
-    net: &RoadNetwork,
+    search: &mut SegmentSearch<'_>,
     count: usize,
     cfg: &SdConfig,
     exclude: &[SdPair],
     rng: &mut R,
 ) -> Vec<SdPair> {
-    let n = net.num_segments();
-    let mut pairs = sample_pairs(net, count + exclude.len(), cfg, rng, |rng| rng.gen_range(0..n));
+    let n = search.net().num_segments();
+    let mut pairs =
+        sample_pairs(search, count + exclude.len(), cfg, rng, |rng| rng.gen_range(0..n));
     pairs.retain(|p| !exclude.contains(p));
     pairs.truncate(count);
     pairs
 }
 
 fn sample_pairs<R: Rng + ?Sized>(
-    net: &RoadNetwork,
+    search: &mut SegmentSearch<'_>,
     count: usize,
     cfg: &SdConfig,
     rng: &mut R,
@@ -91,7 +94,7 @@ fn sample_pairs<R: Rng + ?Sized>(
         // Require a route of at least `min_segments` hops; shortest-path
         // length lower-bounds every sampled route's hop count only loosely,
         // so check the actual shortest hop count.
-        match segment_shortest_path(net, s, d, |seg| Some(net.segment(seg).length)) {
+        match search.path(s, d, length_cost(search.net())) {
             Some(path)
                 if path.segments.len() >= cfg.min_segments
                     && (cfg.max_segments == 0 || path.segments.len() <= cfg.max_segments) =>
@@ -104,9 +107,8 @@ fn sample_pairs<R: Rng + ?Sized>(
     pairs
 }
 
-/// Draws an index proportional to `weights`.
-fn weighted_draw<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
-    let total: f64 = weights.iter().sum();
+/// Draws an index proportional to `weights`, whose sum is `total`.
+fn weighted_draw<R: Rng + ?Sized>(weights: &[f64], total: f64, rng: &mut R) -> usize {
     let mut x = rng.gen_range(0.0..total);
     for (i, &w) in weights.iter().enumerate() {
         x -= w;
@@ -124,6 +126,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tad_roadnet::grid::{generate_grid_city, GridCityConfig};
+    use tad_roadnet::RoadNetwork;
 
     fn setup() -> (RoadNetwork, RoadPreference) {
         let mut rng = StdRng::seed_from_u64(30);
@@ -137,14 +140,13 @@ mod tests {
         let (net, pref) = setup();
         let mut rng = StdRng::seed_from_u64(1);
         let cfg = SdConfig { min_segments: 6, ..Default::default() };
-        let pairs = sample_candidate_pairs(&net, &pref, 20, &cfg, &mut rng);
+        let mut search = SegmentSearch::new(&net);
+        let pairs = sample_candidate_pairs(&mut search, &pref, 20, &cfg, &mut rng);
         assert_eq!(pairs.len(), 20);
         let unique: std::collections::HashSet<_> = pairs.iter().collect();
         assert_eq!(unique.len(), pairs.len());
         for p in &pairs {
-            let path =
-                segment_shortest_path(&net, p.source, p.dest, |s| Some(net.segment(s).length))
-                    .unwrap();
+            let path = search.path(p.source, p.dest, |s| Some(net.segment(s).length)).unwrap();
             assert!(path.segments.len() >= 6);
         }
     }
@@ -154,8 +156,9 @@ mod tests {
         let (net, pref) = setup();
         let mut rng = StdRng::seed_from_u64(2);
         let cfg = SdConfig { min_segments: 6, ..Default::default() };
-        let candidates = sample_candidate_pairs(&net, &pref, 10, &cfg, &mut rng);
-        let ood = sample_ood_pairs(&net, 15, &cfg, &candidates, &mut rng);
+        let candidates =
+            sample_candidate_pairs(&mut SegmentSearch::new(&net), &pref, 10, &cfg, &mut rng);
+        let ood = sample_ood_pairs(&mut SegmentSearch::new(&net), 15, &cfg, &candidates, &mut rng);
         assert!(!ood.is_empty());
         for p in &ood {
             assert!(!candidates.contains(p), "OOD pair duplicates a candidate");
@@ -171,8 +174,9 @@ mod tests {
                 / (2 * pairs.len()) as f64
         };
         let cfg = SdConfig { min_segments: 5, ..Default::default() };
-        let biased = sample_candidate_pairs(&net, &pref, 40, &cfg, &mut rng);
-        let uniform = sample_ood_pairs(&net, 40, &cfg, &[], &mut rng);
+        let biased =
+            sample_candidate_pairs(&mut SegmentSearch::new(&net), &pref, 40, &cfg, &mut rng);
+        let uniform = sample_ood_pairs(&mut SegmentSearch::new(&net), 40, &cfg, &[], &mut rng);
         assert!(
             mean_weight(&biased) > mean_weight(&uniform),
             "candidate endpoints should be more popular on average"
@@ -184,7 +188,7 @@ mod tests {
         let weights = [0.0, 0.0, 5.0, 0.0];
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..20 {
-            assert_eq!(weighted_draw(&weights, &mut rng), 2);
+            assert_eq!(weighted_draw(&weights, 5.0, &mut rng), 2);
         }
     }
 
@@ -193,7 +197,7 @@ mod tests {
         let (net, pref) = setup();
         let mut rng = StdRng::seed_from_u64(5);
         let cfg = SdConfig { min_segments: 10_000, max_attempts: 5, ..Default::default() };
-        let pairs = sample_candidate_pairs(&net, &pref, 3, &cfg, &mut rng);
+        let pairs = sample_candidate_pairs(&mut SegmentSearch::new(&net), &pref, 3, &cfg, &mut rng);
         assert!(pairs.is_empty());
     }
 }
