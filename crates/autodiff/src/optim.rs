@@ -43,22 +43,35 @@ impl Adam {
     /// Applies one update from the gradients currently in `store`, then
     /// zeroes them.
     pub fn step(&mut self, store: &mut ParamStore) {
+        self.step_scaled(store, None);
+    }
+
+    /// [`Adam::step`] on the gradients times `grad_scale` (a clip factor),
+    /// if any: one pass over each parameter that scales, updates and zeroes
+    /// the gradient element by element — the f32 operations of
+    /// [`ParamStore::scale_grads`], then the update, then
+    /// [`ParamStore::zero_grads`], in that order.
+    pub fn step_scaled(&mut self, store: &mut ParamStore, grad_scale: Option<f32>) {
         assert_eq!(self.m.len(), store.len(), "Adam: store layout changed");
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        // Split borrow: read grad, write value — no gradient clone.
         for ((value, grad), (m, v)) in
             store.values_grads_mut().zip(self.m.iter_mut().zip(&mut self.v))
         {
             for (((p, g), mi), vi) in value
                 .data_mut()
                 .iter_mut()
-                .zip(grad.data())
+                .zip(grad.data_mut())
                 .zip(m.data_mut().iter_mut())
                 .zip(v.data_mut().iter_mut())
             {
-                let g = g + self.weight_decay * *p;
+                let scaled = match grad_scale {
+                    Some(factor) => *g * factor,
+                    None => *g,
+                };
+                *g = 0.0;
+                let g = scaled + self.weight_decay * *p;
                 *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
                 *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
                 let m_hat = *mi / bc1;
@@ -66,7 +79,6 @@ impl Adam {
                 *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
             }
         }
-        store.zero_grads();
     }
 }
 

@@ -232,9 +232,10 @@ impl ParamStore {
     }
 
     /// Split borrow for optimisers: every `(value, gradient)` pair in id
-    /// order, the values mutable, so update loops need no gradient clone.
-    pub fn values_grads_mut(&mut self) -> impl Iterator<Item = (&mut Tensor, &Tensor)> {
-        self.values.iter_mut().zip(&self.grads)
+    /// order, both mutable, so one pass can update a value and consume its
+    /// gradient.
+    pub fn values_grads_mut(&mut self) -> impl Iterator<Item = (&mut Tensor, &mut Tensor)> {
+        self.values.iter_mut().zip(&mut self.grads)
     }
 
     /// Resets every gradient buffer to zero.

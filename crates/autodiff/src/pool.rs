@@ -1,44 +1,32 @@
-//! Shape-keyed tensor buffer pool.
+//! Size-classed tensor buffer pool.
 //!
 //! The tape's forward pass and `backward()` both churn through short-lived
-//! tensors whose shapes repeat every trajectory (gate activations, logits,
-//! gradients). [`TensorPool`] keeps the freed buffers keyed by element
-//! count so steady-state training performs no heap allocation: the pool
-//! warms up on the first tape pass of an epoch and is hit-only afterwards.
+//! tensors (gate activations, logits, gradients). [`TensorPool`] keeps the
+//! freed buffers so a training pass reuses the last one's instead of
+//! allocating its own.
 //!
-//! Buffers are keyed by *element count*, not `(rows, cols)` — a freed
-//! `4 x 12` gradient can come back as a `1 x 48` bias row. Small counts
-//! (training shapes repeat exactly) key by their exact size; large counts
-//! share power-of-two buckets, so the ragged micro-batch sizes of the
-//! vocab-wide CE buffers (a different `tokens x vocab` every chunk) reuse
-//! one buffer family instead of parking a new multi-MB allocation per
-//! distinct size. Each bucket also caps its idle list, bounding worst-case
-//! retention. Contents of a recycled buffer are arbitrary;
-//! [`TensorPool::take_scratch`] hands them out as-is for callers that
-//! overwrite every element, while [`TensorPool::take_zeroed`] /
-//! [`TensorPool::take_full`] clear them first.
+//! Training shapes do not repeat exactly: a micro-batch is ragged, so the
+//! `tokens x rp_latent` family (and with it every `tokens x hidden` and
+//! `tokens x vocab` buffer) has a different row count every chunk. Every
+//! element count therefore keys its power-of-two class, not its exact size
+//! — a freed `127 x 32` buffer serves the next `126 x 32` take, and a freed
+//! `4 x 12` gradient can come back as a `1 x 48` bias row. A recycled
+//! buffer too small for a take grows to exactly that take, never by
+//! doubling, and each class caps its idle list: the pool holds about one
+//! pass's working set, not the union of every shape it has seen. Contents
+//! of a recycled buffer are arbitrary; [`TensorPool::take_scratch`] hands
+//! them out as-is for callers that overwrite every element, while
+//! [`TensorPool::take_zeroed`] / [`TensorPool::take_full`] clear them first.
 
 use std::collections::HashMap;
 
 use crate::tensor::Tensor;
 
-/// Element counts up to this size use exact-size buckets; larger buffers
-/// share power-of-two buckets (and get resized on take).
-const EXACT_BUCKET_MAX: usize = 4096;
-/// Idle buffers retained per bucket; excess recycles are dropped.
+/// Idle buffers retained per class; excess recycles are dropped.
 const BUCKET_CAP: usize = 32;
 
-/// Bucket key for an element count.
-#[inline]
-fn bucket(n: usize) -> usize {
-    if n <= EXACT_BUCKET_MAX {
-        n
-    } else {
-        n.next_power_of_two()
-    }
-}
-
-/// Reusable buffer pool for [`Tensor`]s, keyed by bucketed element count.
+/// Reusable buffer pool for [`Tensor`]s, keyed by the power-of-two class
+/// of their element count.
 #[derive(Debug, Default)]
 pub struct TensorPool {
     free: HashMap<usize, Vec<Vec<f32>>>,
@@ -56,15 +44,11 @@ impl TensorPool {
     /// zeros). Only use when every element is overwritten before being read.
     pub fn take_scratch(&mut self, rows: usize, cols: usize) -> Tensor {
         let n = rows * cols;
-        match self.free.get_mut(&bucket(n)).and_then(Vec::pop) {
+        match self.free.get_mut(&n.next_power_of_two()).and_then(Vec::pop) {
             Some(mut buf) => {
                 self.hits += 1;
-                // Large buckets hold mixed sizes within one power of two;
-                // the resize stays inside the buffer's capacity family and
-                // settles after the first few chunks.
-                if buf.len() != n {
-                    buf.resize(n, 0.0);
-                }
+                buf.reserve_exact(n.saturating_sub(buf.len()));
+                buf.resize(n, 0.0);
                 Tensor::from_vec(rows, cols, buf)
             }
             None => {
@@ -96,14 +80,14 @@ impl TensorPool {
     }
 
     /// Returns a tensor's buffer to the pool for reuse. Buffers beyond the
-    /// per-bucket cap are dropped, so idle retention stays bounded even
+    /// per-class cap are dropped, so idle retention stays bounded even
     /// under adversarial shape sequences.
     pub fn recycle(&mut self, t: Tensor) {
         let n = t.len();
         if n == 0 {
             return;
         }
-        let idle = self.free.entry(bucket(n)).or_default();
+        let idle = self.free.entry(n.next_power_of_two()).or_default();
         if idle.len() < BUCKET_CAP {
             idle.push(t.into_data());
         }
@@ -163,18 +147,32 @@ mod tests {
     }
 
     #[test]
+    fn ragged_small_sizes_reuse_one_buffer() {
+        // A micro-batch's `tokens x rp_latent` rows shrink by one from one
+        // chunk to the next: one buffer serves both.
+        let mut pool = TensorPool::new();
+        let t = pool.take_scratch(127, 32);
+        pool.recycle(t);
+        let t2 = pool.take_zeroed(126, 32);
+        assert_eq!((pool.hits(), pool.misses()), (1, 1));
+        assert_eq!(t2.shape(), (126, 32));
+        assert!(t2.data().iter().all(|&x| x == 0.0));
+        pool.recycle(t2);
+        assert_eq!(pool.idle_buffers(), 1);
+    }
+
+    #[test]
     fn large_ragged_sizes_share_one_bucket() {
-        // Ragged micro-batch CE shapes (tokens x vocab) differ every chunk;
-        // power-of-two bucketing must reuse the same buffer family instead
-        // of parking one buffer per distinct size.
+        // Ragged `tokens x vocab` CE shapes: the larger take reuses the
+        // smaller buffer of its class, grown to exactly its size.
         let mut pool = TensorPool::new();
         let t = pool.take_zeroed(130, 514);
         pool.recycle(t);
-        // Different element count, same power-of-two class.
         let t2 = pool.take_zeroed(140, 514);
-        assert_eq!(pool.hits(), 1, "ragged large take should hit the bucket");
+        assert_eq!(pool.hits(), 1, "ragged large take should hit the class");
         assert_eq!(t2.shape(), (140, 514));
         assert!(t2.data().iter().all(|&x| x == 0.0));
+        assert_eq!(t2.into_data().capacity(), 140 * 514, "grown exactly, not doubled");
     }
 
     #[test]

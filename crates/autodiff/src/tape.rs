@@ -16,9 +16,10 @@
 //! ## Memory discipline
 //!
 //! Every forward value and every backward gradient is drawn from an
-//! internal [`TensorPool`] that survives [`Tape::reset`]: after the first
-//! trajectory of an epoch warms the pool, steady-state training performs no
-//! heap allocation on the tape. Matmul gradients route through the
+//! internal [`TensorPool`] that survives [`Tape::reset`]: once the passes
+//! have taken the largest buffer of each size class, training performs no
+//! heap allocation on the tape, and the pool holds about one pass's
+//! working set. Matmul gradients route through the
 //! transpose-aware kernels ([`Tensor::matmul_t_into`],
 //! [`Tensor::matmul_tn_into`]) instead of materialising `transpose()`
 //! copies, and the recurrence node's per-pass state (the recurrent weight

@@ -200,13 +200,10 @@ impl Lane {
         self.store.grad_sq_norms()
     }
 
-    /// Clips by the global factor, then one Adam step (which zeroes the
-    /// shard's gradients).
+    /// One Adam step on the gradients clipped by the global factor, if
+    /// any, which zeroes the shard's gradients: one pass per parameter.
     pub fn step(&mut self, grad_scale: Option<f32>) {
-        if let Some(factor) = grad_scale {
-            self.store.scale_grads(factor);
-        }
-        self.adam.step(&mut self.store);
+        self.adam.step_scaled(&mut self.store, grad_scale);
     }
 
     /// Zeroes the shard's gradients.
@@ -214,9 +211,18 @@ impl Lane {
         self.store.zero_grads();
     }
 
-    /// Keeps the current values as the best epoch's.
+    /// Keeps the current values as the best epoch's, copied into the
+    /// snapshot the first checkpoint allocated: never two snapshots alive.
     pub fn checkpoint(&mut self) {
-        self.best = Some(self.store.values().to_vec());
+        let values = self.store.values();
+        match &mut self.best {
+            Some(best) => {
+                for (kept, value) in best.iter_mut().zip(values) {
+                    kept.data_mut().copy_from_slice(value.data());
+                }
+            }
+            None => self.best = Some(values.to_vec()),
+        }
     }
 
     /// The shard, holding the best epoch's values (the last epoch's when

@@ -232,9 +232,22 @@ impl Detector for FactorVae {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::reference::param_bits;
+    use crate::seq::reference::{param_bits, trained_digest};
     use rand::Rng;
     use tad_trajsim::{generate_city, CityConfig};
+
+    #[test]
+    fn trained_bits_match_their_checked_in_digests() {
+        // Test city 7: `tests/cities.rs` pins its bytes.
+        let city = generate_city(&CityConfig::test_scale(7));
+        let mut m = FactorVae::new(BaselineConfig::test_scale(), 2.0);
+        m.fit(&city.net, &city.data.train);
+        let scores = city.data.test_id.iter().map(|t| m.score(t));
+        assert_eq!(
+            trained_digest(&m.inner().store, scores),
+            "params 0xd1254cfc53c1dc2f scores 0xc92fdc9e28507102"
+        );
+    }
 
     impl FactorVae {
         /// `fit` as it stood before it moved onto `train::run`, loop and all:

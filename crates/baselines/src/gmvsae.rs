@@ -194,8 +194,21 @@ impl Detector for GmVsae {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::reference::{param_bits, train_loop};
+    use crate::seq::reference::{param_bits, train_loop, trained_digest};
     use tad_trajsim::{generate_city, CityConfig};
+
+    #[test]
+    fn trained_bits_match_their_checked_in_digests() {
+        // Test city 7: `tests/cities.rs` pins its bytes.
+        let city = generate_city(&CityConfig::test_scale(7));
+        let mut m = GmVsae::new(BaselineConfig::test_scale(), 4);
+        m.fit(&city.net, &city.data.train);
+        let scores = city.data.test_id.iter().map(|t| m.score(t));
+        assert_eq!(
+            trained_digest(&m.inner().store, scores),
+            "params 0xe89efdc2d961acff scores 0xe9a7024d58463fb9"
+        );
+    }
 
     #[test]
     fn fit_matches_the_parent_loop_bit_for_bit() {

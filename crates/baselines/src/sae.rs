@@ -88,8 +88,21 @@ impl Detector for Sae {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::reference::{param_bits, train_loop};
+    use crate::seq::reference::{param_bits, train_loop, trained_digest};
     use tad_trajsim::{generate_city, CityConfig};
+
+    #[test]
+    fn trained_bits_match_their_checked_in_digests() {
+        // Test city 7: `tests/cities.rs` pins its bytes.
+        let city = generate_city(&CityConfig::test_scale(7));
+        let mut sae = Sae::new(BaselineConfig::test_scale());
+        sae.fit(&city.net, &city.data.train);
+        let scores = city.data.test_id.iter().map(|t| sae.score(t));
+        assert_eq!(
+            trained_digest(&sae.inner().store, scores),
+            "params 0xdcc92246fe848a2a scores 0x85d8261241131bb2"
+        );
+    }
 
     #[test]
     fn fit_matches_the_parent_loop_bit_for_bit() {

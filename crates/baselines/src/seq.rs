@@ -230,6 +230,7 @@ where
 pub(crate) mod reference {
     use rand::seq::SliceRandom;
     use tad_autodiff::optim::Adam;
+    use tad_codec::checksum64;
 
     use super::*;
 
@@ -316,6 +317,15 @@ pub(crate) mod reference {
                 })
         };
         store.ids().map(|id| (store.name(id).to_owned(), fnv(store.value(id)))).collect()
+    }
+
+    /// What the golden pins compare: FNV-1a 64 of a fitted model's
+    /// parameter blob (names, shapes, every value's bits) and of its scores'
+    /// bits, in order.
+    pub(crate) fn trained_digest(store: &ParamStore, scores: impl Iterator<Item = f64>) -> String {
+        let scores: Vec<u8> = scores.flat_map(|s| s.to_bits().to_le_bytes()).collect();
+        let (params, scores) = (checksum64(&store.to_bytes()), checksum64(&scores));
+        format!("params {params:#018x} scores {scores:#018x}")
     }
 }
 

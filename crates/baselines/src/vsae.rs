@@ -160,8 +160,32 @@ impl Detector for Vsae {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::reference::{param_bits, train_loop};
+    use crate::seq::reference::{param_bits, train_loop, trained_digest};
     use tad_trajsim::{generate_city, CityConfig};
+
+    #[test]
+    fn trained_bits_match_their_checked_in_digests() {
+        // Test city 7: `tests/cities.rs` pins its bytes.
+        let city = generate_city(&CityConfig::test_scale(7));
+        let cfg = BaselineConfig::test_scale();
+        let digests: Vec<String> =
+            [Vsae::vsae(cfg.clone()), Vsae::beta_vae(cfg.clone(), 4.0), Vsae::deeptea(cfg)]
+                .into_iter()
+                .map(|mut m| {
+                    m.fit(&city.net, &city.data.train);
+                    let scores = city.data.test_id.iter().map(|t| m.score(t));
+                    format!("{} {}", m.name, trained_digest(&m.inner().store, scores))
+                })
+                .collect();
+        assert_eq!(
+            digests,
+            [
+                "VSAE params 0xd1828ebdefada6e9 scores 0x78b87a6fb644f6f7",
+                "BetaVAE params 0x9e5534281f9fc1df scores 0x97ed8a9b1b962091",
+                "DeepTEA params 0xdc3c2dff7c971c39 scores 0xf6518ef97c32b8ed",
+            ]
+        );
+    }
 
     #[test]
     fn fit_matches_the_parent_loop_bit_for_bit() {

@@ -1,5 +1,6 @@
 //! A process-wide counting allocator for the tests that pin a peak-heap
-//! property (`wave_alloc.rs`, `model_alloc.rs`). Each of those files holds
+//! property (`wave_alloc.rs`, `model_alloc.rs`, `push_alloc.rs`,
+//! `fit_alloc.rs`). Each of those files holds
 //! exactly one test, so nothing else allocates while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
