@@ -10,11 +10,14 @@
 //!   kernels (including the `A·Bᵀ` form used to project onto gathered
 //!   embedding rows), and [`PackedRhs`], a right operand packed once for
 //!   products that reuse it.
+//! * [`ops`] — the forward kernels both paths share, over slices: the
+//!   affine map, the road-constrained subset logits, the GRU gate epilogue.
 //! * [`Tape`] — an eager reverse-mode tape: ops execute immediately, values
 //!   are always readable, and [`Tape::backward`] accumulates gradients into
 //!   a shared [`ParamStore`].
 //! * [`nn`] — layers ([`nn::Linear`], [`nn::Embedding`], [`nn::GruCell`],
-//!   [`nn::Mlp`], [`nn::GaussianHead`]) that own only parameter handles.
+//!   [`nn::GaussianHead`]) that own only parameter handles, each with one
+//!   taped forward and one tape-free `infer` on the same [`ops`] kernel.
 //! * [`optim`] — [`optim::Adam`], the paper's optimiser.
 //! * [`train`] — [`train::run`], the one epoch/mini-batch loop every
 //!   learned model is optimised by, generic over the item type.
@@ -26,19 +29,22 @@
 //!
 //! ```
 //! use tad_autodiff::{ParamStore, Tape, Tensor};
-//! use tad_autodiff::nn::{Activation, Mlp};
+//! use tad_autodiff::nn::Linear;
 //! use tad_autodiff::optim::Adam;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let mut store = ParamStore::new();
-//! let mlp = Mlp::new(&mut store, "net", &[2, 8, 2], Activation::Tanh, &mut rng);
+//! let hidden = Linear::new(&mut store, "net.l0", 2, 8, &mut rng);
+//! let out = Linear::new(&mut store, "net.l1", 8, 2, &mut rng);
 //! let mut adam = Adam::new(&store, 1e-2);
 //!
 //! // One supervised step: classify the point (1, -1) as class 0.
 //! let mut tape = Tape::new();
 //! let x = tape.input(Tensor::row_vector(&[1.0, -1.0]));
-//! let logits = mlp.forward(&mut tape, &store, x);
+//! let h_pre = hidden.forward(&mut tape, &store, x);
+//! let h = tape.tanh(h_pre);
+//! let logits = out.forward(&mut tape, &store, h);
 //! let loss = tape.softmax_cross_entropy(logits, &[0]);
 //! tape.backward(loss, &mut store);
 //! adam.step(&mut store);
@@ -46,6 +52,7 @@
 
 pub mod math;
 pub mod nn;
+pub mod ops;
 pub mod optim;
 mod params;
 mod pool;

@@ -4,13 +4,11 @@
 //! `libm` calls dominate the per-cell cost of batched GRU stepping (two
 //! sigmoids and a tanh per hidden unit). These polynomial versions inline
 //! into the gate loops, cost ~20 flops each, and auto-vectorise. Maximum
-//! relative error is ~1e-7 (verified by tests against `std`), far inside
-//! the 1e-5 tolerance the tape-vs-inference consistency tests demand.
-//! Both the tape-free inference paths and the fused training-time GRU op
-//! ([`crate::Tape::gru_sequence`]) use them — with identical loop structure,
-//! so taped hidden states match inference bit for bit. The elementwise
-//! tape ops (`sigmoid`/`tanh`/`exp`) and the fused softmax cross-entropy
-//! use them too.
+//! relative error is ~1e-7 (verified by tests against `std`). The GRU gate
+//! epilogue ([`crate::ops::gru_gates`]) — one function, which the fused
+//! training-time GRU nodes and tape-free scoring both call — is built on
+//! them, as are the elementwise tape ops (`sigmoid`/`tanh`/`exp`) and the
+//! fused softmax cross-entropy.
 // The polynomial constants are the exact Cephes coefficients; extra digits
 // document provenance even where f32 rounds them.
 #![allow(clippy::excessive_precision)]

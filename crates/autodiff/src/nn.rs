@@ -3,22 +3,28 @@
 //! Layers own only [`ParamId`]s; the actual tensors live in the shared
 //! [`ParamStore`], so a model is a plain struct of layers plus one store.
 //!
+//! A layer has one taped forward (`forward`, recording onto a [`Tape`] for
+//! training) and one tape-free forward (`infer`, over slices, for scoring),
+//! and both take their values from the same [`crate::ops`] kernel: a
+//! [`Linear`] layer's affine map and road-constrained subset logits, a
+//! [`GruCell`]'s gate epilogue. The two agree bit for bit by construction.
+//!
 //! A [`GruCell`] is driven two ways: [`BoundGru::input_gates`] +
 //! [`BoundGru::sequence`] record a whole teacher-forced pass — one
 //! trajectory or a ragged micro-batch — as one GEMM plus one recurrence
 //! node (every trainer: CausalTAD's and the sequence baselines'), and
 //! [`GruCell::infer_step_rows`] steps without a tape (scoring): any number
 //! of rows against a recurrent weight packed once
-//! ([`GruCell::pack_recurrent`]), with [`GruCell::infer_step`] and
-//! [`GruCell::infer_sequence`] as its one-call forms. Both produce
-//! bit-identical hidden rows. [`BoundGru::step_pregated`] and
+//! ([`GruCell::pack_recurrent`]), with [`GruCell::infer_sequence`] as its
+//! one-sequence form. [`BoundGru::step_pregated`] and
 //! [`BoundGru::step_unfused`] are the references the node is proven
 //! against; nothing trains through them.
 
 use rand::Rng;
 
+use crate::ops;
 use crate::params::{ParamId, ParamStore};
-use crate::tape::{add_bias_rows, Tape, Var};
+use crate::tape::{Tape, Var};
 use crate::tensor::{PackedRhs, Tensor, MR};
 
 /// Xavier/Glorot uniform initialisation for a `fan_in x fan_out` matrix.
@@ -27,34 +33,16 @@ pub fn xavier_uniform<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut 
     Tensor::rand_uniform(fan_in, fan_out, -limit, limit, rng)
 }
 
-/// Activation applied between MLP layers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Activation {
-    Relu,
-    Tanh,
-    Sigmoid,
-    /// No nonlinearity.
-    Identity,
-}
-
-impl Activation {
-    fn apply(self, tape: &mut Tape, x: Var) -> Var {
-        match self {
-            Activation::Relu => tape.relu(x),
-            Activation::Tanh => tape.tanh(x),
-            Activation::Sigmoid => tape.sigmoid(x),
-            Activation::Identity => x,
-        }
-    }
-}
-
-/// Fully connected layer `y = x · W + b` with `W: in x out`, `b: 1 x out`.
+/// Fully connected layer `y = x · W + b` with `W: in x out` ([`Linear::new`])
+/// or `y = x · Wᵀ + b` with `W: out x in`, one contiguous row per output
+/// class ([`Linear::new_rowmajor`]); `b: 1 x out`. The layer records its
+/// layout, so every forward applies the product its weight is stored for.
 #[derive(Clone, Debug)]
 pub struct Linear {
     w: ParamId,
     b: ParamId,
-    in_dim: usize,
     out_dim: usize,
+    rowmajor: bool,
 }
 
 impl Linear {
@@ -71,25 +59,43 @@ impl Linear {
         let w =
             store.param(format!("{name}.w"), (in_dim, out_dim), |r, c| xavier_uniform(r, c, rng));
         let b = store.param(format!("{name}.b"), (1, out_dim), Tensor::zeros);
-        Linear { w, b, in_dim, out_dim }
+        Linear { w, b, out_dim, rowmajor: false }
     }
 
-    /// Applies the layer to a `batch x in_dim` input (one fused
-    /// matmul+bias node).
+    /// Registers a layer whose weight is stored `out x in` (one contiguous
+    /// row per output class), enabling [`Linear::forward_subset`],
+    /// [`Linear::subset_cross_entropy`] and [`Linear::infer_subset_row`].
+    pub fn new_rowmajor<R: Rng + ?Sized>(
+        store: &mut ParamStore,
+        name: &str,
+        in_dim: usize,
+        out_dim: usize,
+        rng: &mut R,
+    ) -> Self {
+        let w =
+            store.param(format!("{name}.w"), (out_dim, in_dim), |r, c| xavier_uniform(r, c, rng));
+        let b = store.param(format!("{name}.b"), (1, out_dim), Tensor::zeros);
+        Linear { w, b, out_dim, rowmajor: true }
+    }
+
+    /// Applies the layer to a `batch x in` input: one fused matmul + bias
+    /// node ([`Tape::linear`]) in the layer's layout — the full-vocab heads
+    /// produce `batch x vocab` outputs, so skipping a separate
+    /// broadcast-add node saves a full-size copy in both passes.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        debug_assert_eq!(tape.value(x).cols(), self.in_dim, "Linear: input dim");
         let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
-        tape.linear(x, w, b, false)
+        tape.linear(x, w, b, self.rowmajor)
     }
 
     /// Projects onto a *subset* of output classes: gathers rows `classes` of
-    /// `Wᵀ` (plus matching bias entries) and returns `batch x classes.len()`
-    /// logits. This is the road-constrained prediction kernel: cost is
+    /// `W` (plus matching bias entries) and returns `batch x classes.len()`
+    /// logits. This is the composed reference of the road-constrained
+    /// prediction kernel ([`Linear::subset_cross_entropy`] fuses it for
+    /// training, [`Linear::infer_subset_row`] runs it for scoring): cost is
     /// `O(in_dim * classes.len())` instead of `O(in_dim * out_dim)`.
     ///
-    /// Requires the layer to have been created with [`Linear::new_rowmajor`]
-    /// so that `W` is stored `out x in`.
+    /// Requires a row-major layer ([`Linear::new_rowmajor`]).
     pub fn forward_subset(
         &self,
         tape: &mut Tape,
@@ -97,11 +103,7 @@ impl Linear {
         x: Var,
         classes: &[u32],
     ) -> Var {
-        debug_assert_eq!(
-            store.value(self.w).cols(),
-            self.in_dim,
-            "forward_subset requires a row-major (out x in) weight; use new_rowmajor"
-        );
+        debug_assert!(self.rowmajor, "forward_subset requires a row-major layer");
         let w_rows = tape.gather_rows(store, self.w, classes); // k x in
         let logits = tape.matmul_t(x, w_rows); // batch x k
         let b = tape.gather_cols(store, self.b, classes);
@@ -112,8 +114,7 @@ impl Linear {
     /// row `i` of `x` is scored against classes
     /// `cands[offsets[i]..offsets[i+1]]` with `targets[i]` indexing into
     /// its span; returns the summed CE loss as one fused tape node
-    /// ([`Tape::subset_softmax_ce`]). This is the batched training-side
-    /// counterpart of [`Linear::forward_subset`]: a micro-batch's entire
+    /// ([`Tape::subset_softmax_ce`]). A micro-batch's entire
     /// road-constrained head records one node instead of several per
     /// transition.
     pub fn subset_cross_entropy(
@@ -125,43 +126,8 @@ impl Linear {
         offsets: &[u32],
         targets: &[u32],
     ) -> Var {
-        debug_assert_eq!(
-            store.value(self.w).cols(),
-            self.in_dim,
-            "subset_cross_entropy requires a row-major (out x in) weight; use new_rowmajor"
-        );
+        debug_assert!(self.rowmajor, "subset_cross_entropy requires a row-major layer");
         tape.subset_softmax_ce(store, x, self.w, self.b, cands, offsets, targets)
-    }
-
-    /// Full projection for a layer created with [`Linear::new_rowmajor`]:
-    /// `y = x · Wᵀ + b` with `W: out x in` (one fused matmul+bias node —
-    /// the full-vocab heads produce `batch x vocab` outputs, so skipping
-    /// the separate broadcast-add node saves a full-size copy in both
-    /// passes).
-    pub fn forward_rowmajor(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let w = tape.param(store, self.w);
-        let b = tape.param(store, self.b);
-        tape.linear(x, w, b, true)
-    }
-
-    /// Registers a layer whose weight is stored `out x in` (one contiguous
-    /// row per output class), enabling [`Linear::forward_subset`].
-    pub fn new_rowmajor<R: Rng + ?Sized>(
-        store: &mut ParamStore,
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-        rng: &mut R,
-    ) -> Self {
-        let w =
-            store.param(format!("{name}.w"), (out_dim, in_dim), |r, c| xavier_uniform(r, c, rng));
-        let b = store.param(format!("{name}.b"), (1, out_dim), Tensor::zeros);
-        Linear { w, b, in_dim, out_dim }
-    }
-
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
     }
 
     /// Output dimension.
@@ -179,48 +145,36 @@ impl Linear {
         self.b
     }
 
-    /// Forward pass without a tape (inference only): `x · W + b`.
-    pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut out = x.matmul(store.value(self.w));
-        add_bias_rows(out.data_mut(), store.value(self.b));
-        out
+    /// [`Linear::forward`] without a tape, in borrowed storage: `x` holds
+    /// any number of row-major input rows and `out` receives as many output
+    /// rows. The kernel is the taped node's ([`ops::linear`]), so are the
+    /// bits.
+    pub fn infer(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        ops::linear(x, store.value(self.w), store.value(self.b), self.rowmajor, out);
     }
 
-    /// Tape-free forward for a row-major (`out x in`) layer: `x · Wᵀ + b`.
-    pub fn infer_rowmajor(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut out = x.matmul_t(store.value(self.w));
-        add_bias_rows(out.data_mut(), store.value(self.b));
-        out
-    }
-
-    /// [`Linear::infer`] for one input row in borrowed storage: `out = x ·
-    /// W + b`, nothing allocated.
-    pub fn infer_row(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
-        store.value(self.w).mul_rows_into(x, out);
-        add_bias_rows(out, store.value(self.b));
-    }
-
-    /// The weight of a row-major (`out x in`) layer packed once as the
-    /// right operand of `x · Wᵀ`, for callers that project many inputs:
-    /// [`Linear::infer_rowmajor`] re-packs it on every call.
-    pub fn pack_rowmajor(&self, store: &ParamStore) -> PackedRhs {
+    /// The weight of a row-major layer packed once as the right operand of
+    /// [`Linear::infer_packed`], for callers that project many inputs
+    /// against a weight that does not change (valid until it does).
+    pub fn pack(&self, store: &ParamStore) -> PackedRhs {
+        debug_assert!(self.rowmajor, "pack requires a row-major layer");
         let w = store.value(self.w);
         let (rows, cols) = PackedRhs::storage_shape(w.cols(), w.rows());
         PackedRhs::pack_transposed(w, Tensor::zeros(rows, cols))
     }
 
-    /// [`Linear::infer_rowmajor`] for one input row against the weight
-    /// packed by [`Linear::pack_rowmajor`], bit for bit; nothing allocated.
-    pub fn infer_row_packed(&self, store: &ParamStore, w: &PackedRhs, x: &[f32], out: &mut [f32]) {
+    /// [`Linear::infer`] against the weight packed by [`Linear::pack`],
+    /// bit for bit; nothing allocated.
+    pub fn infer_packed(&self, store: &ParamStore, w: &PackedRhs, x: &[f32], out: &mut [f32]) {
         w.matmul_into(x, out);
-        add_bias_rows(out, store.value(self.b));
+        ops::add_bias_rows(out, store.value(self.b));
     }
 
     /// Tape-free class-subset projection of one input row for a row-major
-    /// layer: `out[j]` is the logit of class `classes[j]`, at
-    /// `O(in_dim * classes.len())` cost and with the candidates' dot
-    /// products interleaved ([`Tensor::dot_rows_into`]) — the bits of
-    /// [`Linear::forward_subset`]'s gather + product, with no gather.
+    /// layer: `out[j]` is the logit of class `classes[j]`
+    /// ([`ops::subset_logits`], the kernel of the fused training node) —
+    /// the bits of [`Linear::forward_subset`]'s gather + product, with no
+    /// gather.
     pub fn infer_subset_row(
         &self,
         store: &ParamStore,
@@ -228,11 +182,8 @@ impl Linear {
         classes: &[u32],
         out: &mut [f32],
     ) {
-        store.value(self.w).dot_rows_into(x, classes, out);
-        let bias = store.value(self.b).data();
-        for (o, &c) in out.iter_mut().zip(classes) {
-            *o += bias[c as usize];
-        }
+        debug_assert!(self.rowmajor, "infer_subset_row requires a row-major layer");
+        ops::subset_logits(store.value(self.w), store.value(self.b), x, classes, out);
     }
 }
 
@@ -265,11 +216,6 @@ impl Embedding {
         tape.gather_rows(store, self.table, ids)
     }
 
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
     /// Embedding dimension.
     pub fn dim(&self) -> usize {
         self.dim
@@ -288,7 +234,8 @@ impl Embedding {
 
 /// Gated recurrent unit cell with packed gates.
 ///
-/// `W: in x 3h`, `U: h x 3h`, `b: 1 x 3h`, gate order `[z | r | n]`:
+/// `W: in x 3h`, `U: h x 3h`, `b: 1 x 3h`, gate order `[z | r | n]`
+/// ([`ops::gru_gates`]):
 /// ```text
 /// z = sigmoid(xWz + hUz + bz)
 /// r = sigmoid(xWr + hUr + br)
@@ -300,7 +247,6 @@ pub struct GruCell {
     w: ParamId,
     u: ParamId,
     b: ParamId,
-    in_dim: usize,
     hidden: usize,
 }
 
@@ -319,17 +265,12 @@ impl GruCell {
         let w = store.param(format!("{name}.w"), (in_dim, gates), |r, c| xavier_uniform(r, c, rng));
         let u = store.param(format!("{name}.u"), (hidden, gates), |r, c| xavier_uniform(r, c, rng));
         let b = store.param(format!("{name}.b"), (1, gates), Tensor::zeros);
-        GruCell { w, u, b, in_dim, hidden }
+        GruCell { w, u, b, hidden }
     }
 
     /// Hidden state width.
     pub fn hidden(&self) -> usize {
         self.hidden
-    }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
     }
 
     /// Records the parameter leaves once per tape so repeated steps reuse
@@ -348,28 +289,6 @@ impl GruCell {
     pub fn pack_recurrent(&self, store: &ParamStore) -> PackedRhs {
         let (rows, cols) = PackedRhs::storage_shape(self.hidden, 3 * self.hidden);
         PackedRhs::pack(store.value(self.u), Tensor::zeros(rows, cols))
-    }
-
-    /// One tape-free recurrence step of a batch, as a new tensor: the
-    /// one-call form of [`GruCell::infer_step_rows`]. It projects the
-    /// inputs, packs `U` and allocates the scratch on every call, so it is
-    /// for tests and one-off steps; anything that steps repeatedly holds
-    /// the packed weight (and, over a fixed vocabulary, the pregated
-    /// inputs) and calls the row step itself.
-    pub fn infer_step(&self, store: &ParamStore, x: &Tensor, h: &Tensor) -> Tensor {
-        assert_eq!(x.rows(), h.rows(), "GruCell: batch mismatch");
-        let gx = self.input_gates(store, x);
-        let mut gh = vec![0.0; h.rows() * 3 * self.hidden];
-        let mut out = Tensor::zeros(h.rows(), self.hidden);
-        let out_rows = out.data_mut().chunks_exact_mut(self.hidden.max(1));
-        self.infer_step_rows(
-            &self.pack_recurrent(store),
-            |r| gx.row(r),
-            h.data(),
-            &mut gh,
-            out_rows,
-        );
-        out
     }
 
     /// Steps one sequence from `h0` through its pregated inputs (`gx`:
@@ -391,12 +310,13 @@ impl GruCell {
     }
 
     /// The input-gate pre-activations `x · W + b` (`batch x 3h`) that
-    /// [`GruCell::infer_step_rows`] reads per row. They depend only on the
+    /// [`GruCell::infer_step_rows`] reads per row — [`ops::linear`], as
+    /// [`BoundGru::input_gates`] records it. They depend only on the
     /// input, so callers with a fixed input vocabulary precompute them
     /// once per token and skip this matmul on every step.
     pub fn input_gates(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut gx = x.matmul(store.value(self.w));
-        add_bias_rows(gx.data_mut(), store.value(self.b));
+        let mut gx = Tensor::zeros(x.rows(), 3 * self.hidden);
+        ops::linear(x.data(), store.value(self.w), store.value(self.b), false, gx.data_mut());
         gx
     }
 
@@ -426,10 +346,8 @@ impl GruCell {
     ///
     /// Each row's result depends only on that row's inputs, bit for bit:
     /// the matmul accumulates k-ascending per row whatever the row count.
-    /// It is bit-identical to a step of [`BoundGru::sequence`]: both use
-    /// the vectorised [`crate::math::fast_sigmoid`] /
-    /// [`crate::math::fast_tanh`] gate kernels with the same three-pass
-    /// loop structure.
+    /// The epilogue is [`ops::gru_gates`], the one [`BoundGru::sequence`]
+    /// records, so a row is bit-identical to the taped step.
     ///
     /// # Panics
     /// Panics if `hs` and `gh` do not hold the same number of `hidden` /
@@ -446,30 +364,11 @@ impl GruCell {
         assert_eq!(hs.len() * 3, gh.len(), "GruCell: gate scratch is not rows x 3h");
         u.matmul_into(hs, gh);
         let mut out = out.into_iter();
-        // Three separate elementwise passes (z, r, then n + blend)
-        // vectorise much better than one fused loop: each pass inlines a
-        // single polynomial and stays within the register budget. The z
-        // and r gates overwrite their own pre-activations in `gh`.
         let rows = gh.chunks_exact_mut((3 * hd).max(1)).zip(hs.chunks_exact(hd.max(1)));
         for (r, (gh_row, h_row)) in rows.enumerate() {
             let out_row = out.next().expect("GruCell: one output row per hidden row");
             assert_eq!(out_row.len(), hd, "GruCell: output row width");
-            let gx_row = gx_of(r);
-            debug_assert_eq!(gx_row.len(), 3 * hd, "GruCell: pregated input width");
-            let (zx, gx_rest) = gx_row.split_at(hd);
-            let (rx, nx) = gx_rest.split_at(hd);
-            let (z, gh_rest) = gh_row.split_at_mut(hd);
-            let (rg, nh) = gh_rest.split_at_mut(hd);
-            for (g, &x) in z.iter_mut().zip(zx) {
-                *g = crate::math::fast_sigmoid(x + *g);
-            }
-            for (g, &x) in rg.iter_mut().zip(rx) {
-                *g = crate::math::fast_sigmoid(x + *g);
-            }
-            for (c, o) in out_row.iter_mut().enumerate() {
-                let n = crate::math::fast_tanh(nx[c] + rg[c] * nh[c]);
-                *o = n + z[c] * (h_row[c] - n);
-            }
+            ops::gru_gates(gx_of(r), gh_row, h_row, out_row, None);
         }
     }
 
@@ -477,11 +376,6 @@ impl GruCell {
     pub fn gate_bias(&self) -> ParamId {
         self.b
     }
-}
-
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 /// A [`GruCell`] whose weights are already on a tape.
@@ -496,7 +390,8 @@ pub struct BoundGru {
 impl BoundGru {
     /// Computes the input-gate projections `x·W + b` for a whole
     /// row-stacked sequence in one fused GEMM — the training-side
-    /// counterpart of the inference `StepCache`. Feed the result to
+    /// counterpart of the scoring plan's per-token gate table
+    /// ([`GruCell::input_gates`]). Feed the result to
     /// [`BoundGru::sequence`].
     pub fn input_gates(&self, tape: &mut Tape, x_all: Var) -> Var {
         tape.linear(x_all, self.w, self.b, false)
@@ -509,7 +404,8 @@ impl BoundGru {
     /// `h0`, ascending) still running at step `t`. Returns every step's
     /// hidden rows stacked time-major like `gx_all`. `U` and `Uᵀ` are
     /// packed once per pass and `dU` is a single GEMM; row `i` of step `t`
-    /// is bit-identical to what [`GruCell::infer_step`] gives that sequence.
+    /// is bit-identical to what [`GruCell::infer_step_rows`] gives that
+    /// sequence.
     pub fn sequence(&self, tape: &mut Tape, gx_all: Var, h0: Var, schedule: &[Vec<u32>]) -> Var {
         tape.gru_sequence(gx_all, h0, self.u, schedule)
     }
@@ -517,7 +413,7 @@ impl BoundGru {
     /// One recurrence step (`h` is `batch x hidden`) consuming rows
     /// `[start, start + h.rows)` of a precomputed [`BoundGru::input_gates`]
     /// block: a single fused [`Tape::gru_step_pregated`] node. Hidden states
-    /// are bit-identical to [`GruCell::infer_step`] and match
+    /// are bit-identical to [`GruCell::infer_step_rows`] and match
     /// [`BoundGru::step_unfused`] within the fast-math gate tolerance
     /// (absolute error < 1e-6 per element). Kept as the per-step reference
     /// [`BoundGru::sequence`] is proven against (with
@@ -559,68 +455,6 @@ impl BoundGru {
     }
 }
 
-/// Multi-layer perceptron with a shared hidden activation and linear output.
-#[derive(Clone, Debug)]
-pub struct Mlp {
-    layers: Vec<Linear>,
-    activation: Activation,
-}
-
-impl Mlp {
-    /// Builds an MLP with the given layer widths, e.g. `[in, hidden, out]`.
-    pub fn new<R: Rng + ?Sized>(
-        store: &mut ParamStore,
-        name: &str,
-        dims: &[usize],
-        activation: Activation,
-        rng: &mut R,
-    ) -> Self {
-        assert!(dims.len() >= 2, "Mlp needs at least input and output dims");
-        let layers = dims
-            .windows(2)
-            .enumerate()
-            .map(|(i, w)| Linear::new(store, &format!("{name}.l{i}"), w[0], w[1], rng))
-            .collect();
-        Mlp { layers, activation }
-    }
-
-    /// Forward pass: activation between layers, linear final layer.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, mut x: Var) -> Var {
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            x = layer.forward(tape, store, x);
-            if i < last {
-                x = self.activation.apply(tape, x);
-            }
-        }
-        x
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").out_dim()
-    }
-
-    /// Tape-free forward pass for inference.
-    pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut cur = self.layers[0].infer(store, x);
-        for layer in self.layers.iter().skip(1) {
-            apply_activation(self.activation, &mut cur);
-            cur = layer.infer(store, &cur);
-        }
-        cur
-    }
-}
-
-fn apply_activation(act: Activation, t: &mut Tensor) {
-    match act {
-        Activation::Relu => t.data_mut().iter_mut().for_each(|x| *x = x.max(0.0)),
-        Activation::Tanh => t.data_mut().iter_mut().for_each(|x| *x = x.tanh()),
-        Activation::Sigmoid => t.data_mut().iter_mut().for_each(|x| *x = sigmoid(*x)),
-        Activation::Identity => {}
-    }
-}
-
 /// Head producing the parameters of a diagonal Gaussian posterior.
 #[derive(Clone, Debug)]
 pub struct GaussianHead {
@@ -653,15 +487,11 @@ impl GaussianHead {
         self.mu.out_dim()
     }
 
-    /// Tape-free forward for inference: `(mu, logvar)`.
-    pub fn infer(&self, store: &ParamStore, x: &Tensor) -> (Tensor, Tensor) {
-        (self.mu.infer(store, x), self.logvar.infer(store, x))
-    }
-
-    /// [`GaussianHead::infer`] for one input row in borrowed storage.
-    pub fn infer_row(&self, store: &ParamStore, x: &[f32], mu: &mut [f32], logvar: &mut [f32]) {
-        self.mu.infer_row(store, x, mu);
-        self.logvar.infer_row(store, x, logvar);
+    /// [`GaussianHead::forward`] without a tape, in borrowed storage (any
+    /// number of rows, [`Linear::infer`]).
+    pub fn infer(&self, store: &ParamStore, x: &[f32], mu: &mut [f32], logvar: &mut [f32]) {
+        self.mu.infer(store, x, mu);
+        self.logvar.infer(store, x, logvar);
     }
 }
 
@@ -679,6 +509,10 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn linear_shapes_and_bias() {
@@ -709,13 +543,47 @@ mod tests {
 
         let mut tape = Tape::new();
         let x = tape.input(x_t.clone());
-        let full = layer.forward_rowmajor(&mut tape, &store, x);
+        let full = layer.forward(&mut tape, &store, x);
         let subset = layer.forward_subset(&mut tape, &store, x, &[6, 0, 3]);
         let fv = tape.value(full).clone();
         let sv = tape.value(subset).clone();
         for (i, &c) in [6usize, 0, 3].iter().enumerate() {
             assert!((fv.get(0, c) - sv.get(0, i)).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn a_square_rowmajor_layer_forwards_x_times_w_transposed() {
+        // A square weight fits the product of either layout, so only the
+        // layer's record of its own layout picks the right one.
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut store = ParamStore::new();
+        let layer = Linear::new_rowmajor(&mut store, "sq", 3, 3, &mut rng);
+        *store.value_mut(layer.bias()) = Tensor::row_vector(&[0.5, -1.0, 2.0]);
+        let x_t = Tensor::rand_uniform(2, 3, -1.0, 1.0, &mut rng);
+        let (w, b) = (store.value(layer.weight()), store.value(layer.bias()));
+        // `x·Wᵀ + b` and `x·W + b` as ascending-`k` `mul_add` chains.
+        let product = |transposed: bool| {
+            let mut y = Tensor::zeros(2, 3);
+            for i in 0..2 {
+                for j in 0..3 {
+                    let w_at = |k| if transposed { w.get(j, k) } else { w.get(k, j) };
+                    let dot = (0..3).fold(0.0f32, |acc, k| x_t.get(i, k).mul_add(w_at(k), acc));
+                    y.set(i, j, dot + b.get(0, j));
+                }
+            }
+            y
+        };
+        let (want, wrong) = (product(true), product(false));
+        assert_ne!(want, wrong, "the weight is not symmetric enough to tell the layouts apart");
+
+        let mut tape = Tape::new();
+        let x = tape.input(x_t.clone());
+        let y = layer.forward(&mut tape, &store, x);
+        assert_eq!(bits(tape.value(y).data()), bits(want.data()));
+        let mut out = [0.0f32; 6];
+        layer.infer(&store, x_t.data(), &mut out);
+        assert_eq!(bits(&out), bits(want.data()));
     }
 
     #[test]
@@ -766,54 +634,88 @@ mod tests {
     }
 
     #[test]
-    fn mlp_forward_dims() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut store = ParamStore::new();
-        let mlp = Mlp::new(&mut store, "mlp", &[4, 8, 3], Activation::Relu, &mut rng);
-        let mut tape = Tape::new();
-        let x = tape.input(Tensor::rand_uniform(5, 4, -1.0, 1.0, &mut rng));
-        let y = mlp.forward(&mut tape, &store, x);
-        assert_eq!(tape.value(y).shape(), (5, 3));
-        assert_eq!(mlp.out_dim(), 3);
-    }
-
-    #[test]
     fn infer_paths_match_tape_paths() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut store = ParamStore::new();
-        let lin = Linear::new(&mut store, "lin", 4, 3, &mut rng);
-        let row = Linear::new_rowmajor(&mut store, "row", 4, 6, &mut rng);
-        let gru = GruCell::new(&mut store, "gru", 4, 5, &mut rng);
-        let mlp = Mlp::new(&mut store, "mlp", &[4, 6, 2], Activation::Relu, &mut rng);
-        let x_t = Tensor::rand_uniform(2, 4, -1.0, 1.0, &mut rng);
-        let h_t = Tensor::rand_uniform(2, 5, -1.0, 1.0, &mut rng);
+        // Every tape-free forward against its taped twin, to the bit, at
+        // widths on both sides of the matmul panel (16 columns) and row
+        // counts on both sides of its row tile (4 rows).
+        for hd in [5, 20, 32, 48, 128] {
+            for rows in [1, 3, 4, 7, 9, 17] {
+                let case = format!("hidden {hd}, {rows} rows");
+                let (in_dim, vocab) = (7, 2 * hd + 3);
+                let mut rng = StdRng::seed_from_u64((hd * 100 + rows) as u64);
+                let mut store = ParamStore::new();
+                let lin = Linear::new(&mut store, "lin", in_dim, hd, &mut rng);
+                let row = Linear::new_rowmajor(&mut store, "row", hd, vocab, &mut rng);
+                let head = GaussianHead::new(&mut store, "head", in_dim, hd, &mut rng);
+                let gru = GruCell::new(&mut store, "gru", in_dim, hd, &mut rng);
+                // Non-zero biases, and weights wide enough to leave the
+                // gates' linear range.
+                for id in store.ids().collect::<Vec<_>>() {
+                    let (r, c) = store.value(id).shape();
+                    *store.value_mut(id) = Tensor::rand_uniform(r, c, -0.7, 0.7, &mut rng);
+                }
+                let x_t = Tensor::rand_uniform(rows, in_dim, -1.0, 1.0, &mut rng);
+                let h_t = Tensor::rand_uniform(rows, hd, -0.9, 0.9, &mut rng);
+                let mut tape = Tape::new();
+                let x = tape.input(x_t.clone());
+                let h = tape.input(h_t.clone());
 
-        let mut tape = Tape::new();
-        let x = tape.input(x_t.clone());
-        let h = tape.input(h_t.clone());
-        let lin_taped = lin.forward(&mut tape, &store, x);
-        let row_taped = row.forward_rowmajor(&mut tape, &store, x);
-        let sub_taped = row.forward_subset(&mut tape, &store, x, &[5, 2]);
-        let bound = gru.bind(&mut tape, &store);
-        let gx = bound.input_gates(&mut tape, x);
-        let gru_taped = bound.step_pregated(&mut tape, gx, 0, h);
-        let mlp_taped = mlp.forward(&mut tape, &store, x);
+                // Linear in both layouts, the row-major one also against
+                // its packed weight and on a subset of its classes.
+                let taped = lin.forward(&mut tape, &store, x);
+                let mut out = vec![0.0; rows * hd];
+                lin.infer(&store, x_t.data(), &mut out);
+                assert_eq!(bits(tape.value(taped).data()), bits(&out), "Linear, {case}");
 
-        let close = |a: &Tensor, b: &Tensor| {
-            assert_eq!(a.shape(), b.shape());
-            for (x, y) in a.data().iter().zip(b.data()) {
-                assert!((x - y).abs() < 1e-5, "{x} vs {y}");
+                let taped = row.forward(&mut tape, &store, h);
+                let mut out = vec![0.0; rows * vocab];
+                row.infer(&store, h_t.data(), &mut out);
+                assert_eq!(bits(tape.value(taped).data()), bits(&out), "row-major, {case}");
+                out.fill(0.0);
+                row.infer_packed(&store, &row.pack(&store), h_t.data(), &mut out);
+                assert_eq!(bits(tape.value(taped).data()), bits(&out), "packed, {case}");
+
+                let classes: Vec<u32> = (0..vocab as u32).rev().step_by(3).collect();
+                let taped = row.forward_subset(&mut tape, &store, h, &classes);
+                let mut sub = vec![0.0; classes.len()];
+                for r in 0..rows {
+                    row.infer_subset_row(&store, h_t.row(r), &classes, &mut sub);
+                    assert_eq!(bits(tape.value(taped).row(r)), bits(&sub), "subset, {case}");
+                }
+
+                let (mu, logvar) = head.forward(&mut tape, &store, x);
+                let (mut mu_i, mut logvar_i) = (vec![0.0; rows * hd], vec![0.0; rows * hd]);
+                head.infer(&store, x_t.data(), &mut mu_i, &mut logvar_i);
+                assert_eq!(bits(tape.value(mu).data()), bits(&mu_i), "mu, {case}");
+                assert_eq!(bits(tape.value(logvar).data()), bits(&logvar_i), "logvar, {case}");
+
+                // The GRU: its input gates, then `rows` sequences one step
+                // each (and the per-step reference node), then one
+                // sequence of `rows` steps.
+                let bound = gru.bind(&mut tape, &store);
+                let gx = bound.input_gates(&mut tape, x);
+                let gx_t = gru.input_gates(&store, &x_t);
+                assert_eq!(bits(tape.value(gx).data()), bits(gx_t.data()), "gates, {case}");
+
+                let all_rows: Vec<u32> = (0..rows as u32).collect();
+                let wide = bound.sequence(&mut tape, gx, h, &[all_rows]);
+                let pregated = bound.step_pregated(&mut tape, gx, 0, h);
+                let (mut gh, mut out) = (vec![0.0; rows * 3 * hd], vec![0.0; rows * hd]);
+                let u = gru.pack_recurrent(&store);
+                gru.infer_step_rows(&u, |r| gx_t.row(r), h_t.data(), &mut gh, out.chunks_mut(hd));
+                assert_eq!(bits(tape.value(wide).data()), bits(&out), "one step, {case}");
+                assert_eq!(bits(tape.value(pregated).data()), bits(&out), "pregated, {case}");
+
+                let h0 = tape.input(Tensor::row_vector(h_t.row(0)));
+                let long = bound.sequence(&mut tape, gx, h0, &vec![vec![0]; rows]);
+                let inferred = gru.infer_sequence(&store, &gx_t, h_t.row(0));
+                assert_eq!(
+                    bits(tape.value(long).data()),
+                    bits(inferred.data()),
+                    "sequence, {case}"
+                );
             }
-        };
-        close(tape.value(lin_taped), &lin.infer(&store, &x_t));
-        close(tape.value(row_taped), &row.infer_rowmajor(&store, &x_t));
-        for r in 0..x_t.rows() {
-            let mut sub = [0.0f32; 2];
-            row.infer_subset_row(&store, x_t.row(r), &[5, 2], &mut sub);
-            close(&Tensor::row_vector(tape.value(sub_taped).row(r)), &Tensor::row_vector(&sub));
         }
-        close(tape.value(gru_taped), &gru.infer_step(&store, &x_t, &h_t));
-        close(tape.value(mlp_taped), &mlp.infer(&store, &x_t));
     }
 
     #[test]

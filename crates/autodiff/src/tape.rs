@@ -13,6 +13,11 @@
 //! packed gates and micro-batched sequence training, fused softmax
 //! cross-entropy, and a row-wise log-sum-exp for mixture priors.
 //!
+//! Where a forward has a tape-free twin in [`crate::nn`] — the affine map,
+//! the road-constrained subset logits, the GRU gate epilogue — the node
+//! takes its value from the [`crate::ops`] kernel the layer's `infer`
+//! calls, so the two agree bit for bit by construction.
+//!
 //! ## Memory discipline
 //!
 //! Every forward value and every backward gradient is drawn from an
@@ -37,6 +42,7 @@
 //! [`Tape::gru_step_pregated`] against the ~18 primitive ops of
 //! `BoundGru::step_unfused`, within the fast-math gate tolerance.
 
+use crate::ops::{self, add_bias_rows};
 use crate::params::{ParamId, ParamStore};
 use crate::pool::TensorPool;
 use crate::tensor::{PackedRhs, Tensor};
@@ -92,7 +98,7 @@ enum Op {
     /// GRU step consuming precomputed input gates: rows
     /// `[start, start + h.rows)` of `gx` already hold `x·W + b`, so the
     /// whole sequence's input projection runs as one GEMM outside the
-    /// recurrence. `aux` caches `[z | r | n | nh]`.
+    /// recurrence. `aux` is a GRU gate cache (see [`gru_aux`]).
     GruStepPregated {
         gx: Var,
         start: usize,
@@ -101,7 +107,7 @@ enum Op {
     },
     /// A whole ragged GRU recurrence over precomputed input gates: the
     /// value is the time-major stack of every step's hidden rows, `aux`
-    /// the matching `[z | r | n | nh]` rows.
+    /// the matching rows' gate cache (see [`gru_aux`]).
     GruSequence {
         gx: Var,
         h0: Var,
@@ -488,10 +494,9 @@ impl Tape {
     /// Rows `[start, start + h.rows)` of `gx_all` must already hold
     /// `x·W + b` for this step (one [`Tape::linear`] GEMM over every
     /// timestep of the sequence); only the recurrent `h·U` product (`u: h x
-    /// 3h`) remains. The gates use the vectorised
-    /// [`crate::math::fast_sigmoid`] / [`crate::math::fast_tanh`] kernels
-    /// and the loop structure of [`crate::nn::GruCell::infer_step`], so
-    /// taped and tape-free steps produce bit-identical hidden states.
+    /// 3h`) remains. The gates are [`ops::gru_gates`], the epilogue of
+    /// [`crate::nn::GruCell::infer_step_rows`] too, so taped and tape-free
+    /// steps produce bit-identical hidden states.
     ///
     /// One of these per step (re-packing `U` for every product, in both
     /// directions) is the reference composition [`Tape::gru_sequence`] is
@@ -501,24 +506,16 @@ impl Tape {
         debug_assert_eq!(self.value(gx_all).cols(), 3 * hd, "gru_step_pregated: gx width");
         debug_assert!(start + bsz <= self.value(gx_all).rows(), "gru_step_pregated: gx row range");
         debug_assert_eq!(self.value(u).shape(), (hd, 3 * hd), "gru_step_pregated: U shape");
-        let mut gh = self.pool.take_scratch(bsz, 3 * hd);
-        self.values[h.index()].matmul_into(&self.values[u.index()], &mut gh);
         let mut out = self.pool.take_scratch(bsz, hd);
-        // aux layout: [z | r | n | nh] per row (nh = the hUn slice, needed
-        // by the backward pass of the n gate).
-        let mut packed = self.pool.take_scratch(bsz, 4 * hd);
+        let mut cache = self.pool.take_scratch(bsz, 4 * hd);
+        let (gates, n_rows) = cache.data_mut().split_at_mut(bsz * 3 * hd);
         let (gx, hv) = (&self.values[gx_all.index()], &self.values[h.index()]);
-        for r in 0..bsz {
-            gru_gate_forward_row(
-                gx.row(start + r),
-                gh.row(r),
-                hv.row(r),
-                out.row_mut(r),
-                packed.row_mut(r),
-            );
+        self.values[u.index()].mul_rows_into(hv.data(), gates);
+        let rows = gates.chunks_exact_mut(3 * hd).zip(n_rows.chunks_exact_mut(hd));
+        for (r, (gh, n)) in rows.enumerate() {
+            ops::gru_gates(gx.row(start + r), gh, hv.row(r), out.row_mut(r), Some(n));
         }
-        self.pool.recycle(gh);
-        self.push_with_aux(Op::GruStepPregated { gx: gx_all, start, h, u }, out, Some(packed))
+        self.push_with_aux(Op::GruStepPregated { gx: gx_all, start, h, u }, out, Some(cache))
     }
 
     /// A whole ragged, teacher-forced GRU recurrence as **one** node.
@@ -568,9 +565,9 @@ impl Tape {
         let (pr, pc) = PackedRhs::storage_shape(hd, 3 * hd);
         let packed_u = PackedRhs::pack(&self.values[u.index()], self.pool.take_scratch(pr, pc));
         let mut h_all = self.pool.take_scratch(total, hd);
-        let mut packed = self.pool.take_scratch(total, 4 * hd);
+        let mut cache = self.pool.take_scratch(total, 4 * hd);
+        let (gates, n_all) = cache.data_mut().split_at_mut(total * 3 * hd);
         let mut gathered = self.pool.take_scratch(plan.max_rows(), hd);
-        let mut gh = self.pool.take_scratch(plan.max_rows(), 3 * hd);
         let gx = &self.values[gx_all.index()];
         let h0v = &self.values[h0.index()];
         for t in 0..plan.steps() {
@@ -586,31 +583,26 @@ impl Tape {
                 }
                 &gathered.data()[..rows * hd]
             };
-            let gh = &mut gh.data_mut()[..rows * 3 * hd];
+            let gh = &mut gates[start * 3 * hd..(start + rows) * 3 * hd];
             packed_u.matmul_into(h_prev, gh);
-            for (r, (gh_row, h_row)) in
-                gh.chunks_exact(3 * hd).zip(h_prev.chunks_exact(hd)).enumerate()
-            {
-                gru_gate_forward_row(
-                    gx.row(start + r),
-                    gh_row,
-                    h_row,
-                    &mut new_rows[r * hd..(r + 1) * hd],
-                    packed.row_mut(start + r),
-                );
+            let n_rows = n_all[start * hd..(start + rows) * hd].chunks_exact_mut(hd);
+            let rows = gh.chunks_exact_mut(3 * hd).zip(h_prev.chunks_exact(hd)).zip(n_rows);
+            for (r, ((gh, h), n)) in rows.enumerate() {
+                let out = &mut new_rows[r * hd..(r + 1) * hd];
+                ops::gru_gates(gx.row(start + r), gh, h, out, Some(n));
             }
         }
         self.pool.recycle(packed_u.into_storage());
         self.pool.recycle(gathered);
-        self.pool.recycle(gh);
-        self.push_with_aux(Op::GruSequence { gx: gx_all, h0, u, plan }, h_all, Some(packed))
+        self.push_with_aux(Op::GruSequence { gx: gx_all, h0, u, plan }, h_all, Some(cache))
     }
 
     /// Fused affine projection: `x·W + b` (`transposed = false`, `W` is
     /// `in x out`) or `x·Wᵀ + b` (`transposed = true`, `W` is `out x in`,
     /// one contiguous row per output class). The bias lands in the matmul
     /// output in place, so there is no broadcast-add node and no full-size
-    /// gradient copy in backward.
+    /// gradient copy in backward. The value is [`ops::linear`], the kernel
+    /// of [`crate::nn::Linear::infer`].
     pub fn linear(&mut self, x: Var, w: Var, b: Var, transposed: bool) -> Var {
         let (m, k) = self.value(x).shape();
         let (wr, wc) = self.value(w).shape();
@@ -623,12 +615,8 @@ impl Tape {
         };
         assert_eq!(self.value(b).shape(), (1, out_dim), "linear: bias shape");
         let mut out = self.pool.take_scratch(m, out_dim);
-        if transposed {
-            self.values[x.index()].matmul_t_into(&self.values[w.index()], &mut out);
-        } else {
-            self.values[x.index()].matmul_into(&self.values[w.index()], &mut out);
-        }
-        add_bias_rows(out.data_mut(), &self.values[b.index()]);
+        let v = &self.values;
+        ops::linear(v[x.index()].data(), &v[w.index()], &v[b.index()], transposed, out.data_mut());
         self.push(Op::Linear { x, w, b, transposed }, out)
     }
 
@@ -732,8 +720,6 @@ impl Tape {
     ///
     /// `targets[r]` is the class index for row `r` of `logits`. The softmax
     /// probabilities are cached for the backward pass (never recomputed).
-    /// The per-row negative log-likelihoods can be recovered via
-    /// [`Tape::ce_row_nll`].
     ///
     /// One [`crate::math::fast_exp`] per element (numerically stabilised by
     /// the row max, summed in `f64`, normalised by the reciprocal) replaces
@@ -784,7 +770,9 @@ impl Tape {
     /// candidate sets are tiny (a handful of successors), so the composed
     /// per-group formulation (row gather, weight gather, matmul, bias
     /// gather, add, CE) drowned in per-node bookkeeping. The fused backward
-    /// scatter-adds straight into the parameter gradients. Per-row NLLs are
+    /// scatter-adds straight into the parameter gradients. Each span's
+    /// logits are [`ops::subset_logits`], the kernel tape-free scoring
+    /// calls ([`crate::nn::Linear::infer_subset_row`]). Per-row NLLs are
     /// bit-identical to the composed ops (same ascending-`k` dot, same
     /// stabilised softmax); only the final summation order differs (one
     /// `f64` accumulation instead of an f32 add chain).
@@ -821,23 +809,12 @@ impl Tape {
                 assert!(width > 0, "subset_ce: empty candidate span at row {i}");
                 let t = targets[i] as usize;
                 assert!(t < width, "subset_ce: target {t} out of span {width}");
-                let x_row = xv.row(i);
-                let mut max = f32::NEG_INFINITY;
-                for (slot, &c) in flat[span.clone()].iter_mut().zip(&cands[span.clone()]) {
-                    let c = c as usize;
-                    assert!(c < wv.rows(), "subset_ce: class {c} out of {}", wv.rows());
-                    let w_row = wv.row(c);
-                    let mut acc = 0.0f32;
-                    for (&a, &wk) in x_row.iter().zip(w_row.iter()) {
-                        acc = a.mul_add(wk, acc);
-                    }
-                    let logit = acc + bv.get(0, c);
-                    *slot = logit;
-                    max = max.max(logit);
-                }
-                let target_logit = flat[span.start + t];
+                let logits = &mut flat[span.clone()];
+                ops::subset_logits(wv, bv, xv.row(i), &cands[span], logits);
+                let max = logits.iter().fold(f32::NEG_INFINITY, |m, &l| m.max(l));
+                let target_logit = logits[t];
                 let mut sum = 0.0f64;
-                for p in flat[span.clone()].iter_mut() {
+                for p in logits.iter_mut() {
                     let e = crate::math::fast_exp(*p - max);
                     *p = e;
                     sum += e as f64;
@@ -845,7 +822,7 @@ impl Tape {
                 let lse = max + (sum as f32).ln();
                 loss += (lse - target_logit) as f64;
                 let inv = (1.0 / sum) as f32;
-                for p in flat[span].iter_mut() {
+                for p in logits.iter_mut() {
                     *p *= inv;
                 }
             }
@@ -863,22 +840,6 @@ impl Tape {
             out,
             Some(probs),
         )
-    }
-
-    /// Per-row negative log-likelihood of the targets of a
-    /// [`Tape::softmax_cross_entropy`] node.
-    pub fn ce_row_nll(&self, ce: Var) -> Vec<f64> {
-        match &self.ops[ce.index()] {
-            Op::SoftmaxCrossEntropy { targets, .. } => {
-                let probs = self.aux[ce.index()].as_ref().expect("ce aux");
-                targets
-                    .iter()
-                    .enumerate()
-                    .map(|(r, &t)| -(probs.get(r, t as usize).max(f32::MIN_POSITIVE) as f64).ln())
-                    .collect()
-            }
-            _ => panic!("ce_row_nll called on a non-cross-entropy node"),
-        }
     }
 
     // ----- composite helpers ----------------------------------------------
@@ -1221,42 +1182,23 @@ impl Tape {
     }
 }
 
-/// One row of the fused GRU gates, shared by every taped variant. Same
-/// three-pass loop structure as `GruCell::infer_step_rows`, so taped and
-/// tape-free steps produce bit-identical hidden states.
-fn gru_gate_forward_row(
-    gx_row: &[f32],
-    gh_row: &[f32],
-    h_row: &[f32],
-    out_row: &mut [f32],
-    packed_row: &mut [f32],
-) {
-    let hd = h_row.len();
-    let (z_buf, rest) = packed_row.split_at_mut(hd);
-    let (r_buf, rest) = rest.split_at_mut(hd);
-    let (n_buf, nh_buf) = rest.split_at_mut(hd);
-    for (c, o) in z_buf.iter_mut().enumerate() {
-        *o = crate::math::fast_sigmoid(gx_row[c] + gh_row[c]);
-    }
-    for (c, o) in r_buf.iter_mut().enumerate() {
-        *o = crate::math::fast_sigmoid(gx_row[hd + c] + gh_row[hd + c]);
-    }
-    nh_buf.copy_from_slice(&gh_row[2 * hd..3 * hd]);
-    for (c, o) in out_row.iter_mut().enumerate() {
-        let n = crate::math::fast_tanh(gx_row[2 * hd + c] + r_buf[c] * nh_buf[c]);
-        n_buf[c] = n;
-        *o = n + z_buf[c] * (h_row[c] - n);
-    }
+/// The gate cache (`aux`) of a GRU node over `rows` rows, `rows x 4h`
+/// floats in two blocks: the `[z | r | nh]` rows [`ops::gru_gates`] leaves
+/// in place of each row's `h·U`, then each row's `n`.
+fn gru_aux(aux: &Option<Tensor>) -> (&[f32], &[f32]) {
+    let cache = aux.as_ref().expect("gru aux missing").data();
+    cache.split_at(cache.len() / 4 * 3)
 }
 
 /// Per-row chain rule of the fused GRU gates, shared by every backward
 /// variant (the delicate dn/dz/dr derivation lives once, mirroring
-/// [`gru_gate_forward_row`]): writes the input-gate gradients
-/// `dgx_row = [dzx | drx | dnx]` and the recurrent-gate gradients
-/// `dgh_row = [dz_in | dr_in | dn_in·r]`, and adds the direct `g⊙z` term
-/// into `dh_row`.
+/// [`ops::gru_gates`]): from the row's cached `gates = [z | r | nh]` and
+/// `nn = n`, writes the input-gate gradients `dgx_row = [dzx | drx | dnx]`
+/// and the recurrent-gate gradients `dgh_row = [dz_in | dr_in | dn_in·r]`,
+/// and adds the direct `g⊙z` term into `dh_row`.
 fn gru_gate_backward_row(
-    pk: &[f32],
+    gates: &[f32],
+    nn: &[f32],
     g_row: &[f32],
     h_row: &[f32],
     dgx_row: &mut [f32],
@@ -1264,9 +1206,8 @@ fn gru_gate_backward_row(
     dh_row: &mut [f32],
 ) {
     let hd = h_row.len();
-    let (z, rest) = pk.split_at(hd);
-    let (rg, rest) = rest.split_at(hd);
-    let (nn, nh) = rest.split_at(hd);
+    let (z, rest) = gates.split_at(hd);
+    let (rg, nh) = rest.split_at(hd);
     let (dzx, rest) = dgx_row.split_at_mut(hd);
     let (drx, dnx) = rest.split_at_mut(hd);
     let (ghz, rest) = dgh_row.split_at_mut(hd);
@@ -1313,7 +1254,7 @@ fn gru_pregated_backward(
     h: Var,
     u: Var,
 ) {
-    let packed = aux[idx].as_ref().expect("gru aux missing");
+    let (gates, nn) = gru_aux(&aux[idx]);
     let hv = &values[h.index()];
     let uv = &values[u.index()];
     let (bsz, hd) = hv.shape();
@@ -1324,7 +1265,8 @@ fn gru_pregated_backward(
     let dh = grad_slots[h.index()].get_or_insert_with(|| pool.take_zeroed(bsz, hd));
     for row in 0..bsz {
         gru_gate_backward_row(
-            packed.row(row),
+            &gates[row * 3 * hd..(row + 1) * 3 * hd],
+            &nn[row * hd..(row + 1) * hd],
             g.row(row),
             hv.row(row),
             dgx.row_mut(row),
@@ -1364,7 +1306,7 @@ fn gru_sequence_backward(
     u: Var,
     plan: &GruPlan,
 ) {
-    let packed = aux[idx].as_ref().expect("gru aux missing");
+    let (gates, nn) = gru_aux(&aux[idx]);
     let h_all = &values[idx];
     let h0v = &values[h0.index()];
     let uv = &values[u.index()];
@@ -1402,8 +1344,10 @@ fn gru_sequence_backward(
         for (r, &id) in prev_ids.iter().enumerate() {
             let h_row = &mut h_prev[r * hd..(r + 1) * hd];
             h_row.copy_from_slice(&prev_block[id as usize * hd..(id as usize + 1) * hd]);
+            let row = start + r;
             gru_gate_backward_row(
-                packed.row(start + r),
+                &gates[row * 3 * hd..(row + 1) * 3 * hd],
+                &nn[row * hd..(row + 1) * hd],
                 &g_here[r * hd..(r + 1) * hd],
                 h_row,
                 dgx.row_mut(start + r),
@@ -1498,16 +1442,6 @@ pub fn logsumexp(xs: &[f32]) -> f32 {
     max + (sum as f32).ln()
 }
 
-/// Adds a `1 x n` bias row to every row of `out`.
-pub(crate) fn add_bias_rows(out: &mut [f32], bias: &Tensor) {
-    debug_assert_eq!(bias.rows(), 1);
-    for out_row in out.chunks_exact_mut(bias.cols().max(1)) {
-        for (o, &b) in out_row.iter_mut().zip(bias.data()) {
-            *o += b;
-        }
-    }
-}
-
 /// Adds `g` into the gradient slot of `v`, recycling `g` when the slot is
 /// already occupied.
 fn accumulate(grad_slots: &mut [Option<Tensor>], pool: &mut TensorPool, v: Var, g: Tensor) {
@@ -1572,8 +1506,6 @@ mod tests {
         let loss = tape.softmax_cross_entropy(logits, &[2]);
         let expected = logsumexp(&[1.0, 2.0, 3.0]) - 3.0;
         assert!((tape.value(loss).get(0, 0) - expected).abs() < 1e-5);
-        let nll = tape.ce_row_nll(loss);
-        assert!((nll[0] - expected as f64).abs() < 1e-5);
     }
 
     #[test]

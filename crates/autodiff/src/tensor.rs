@@ -363,23 +363,39 @@ impl Tensor {
         let (n, k2) = other.shape();
         assert_eq!(k, k2, "matmul_t: inner dimensions {k} vs {k2}");
         assert_eq!(out.shape(), (m, n), "matmul_t: bad output shape");
+        other.rows_product_t::<ACC>(&self.data, &mut out.data);
+    }
+
+    /// `out = a · selfᵀ` for the row-major `m x cols()` slice `a`; `out` is
+    /// `m x rows()`. [`Tensor::matmul_t_into`] for left operands and
+    /// outputs in borrowed storage, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if the slice lengths do not describe the same `m`.
+    pub(crate) fn mul_rows_t_into(&self, a: &[f32], out: &mut [f32]) {
+        self.rows_product_t::<false>(a, out);
+    }
+
+    fn rows_product_t<const ACC: bool>(&self, a: &[f32], out: &mut [f32]) {
+        let (n, k) = self.shape();
+        if n == 0 {
+            return;
+        }
+        let m = out.len() / n;
+        assert_eq!(out.len(), m * n, "matmul_t: output is not m x {n}");
+        assert_eq!(a.len(), m * k, "matmul_t: left operand is not {m} x {k}");
         if n >= NR {
-            return matmul_layout_tiled::<false, true, ACC>(
-                &self.data,
-                &other.data,
-                &mut out.data,
-                (m, k, n),
-            );
+            return matmul_layout_tiled::<false, true, ACC>(a, &self.data, out, (m, k, n));
         }
         for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
+            let a_row = &a[i * k..(i + 1) * k];
             for j in 0..n {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = if ACC { out.data[i * n + j] } else { 0.0f32 };
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc = a.mul_add(b, acc);
+                let b_row = &self.data[j * k..(j + 1) * k];
+                let mut acc = if ACC { out[i * n + j] } else { 0.0f32 };
+                for (&x, &y) in a_row.iter().zip(b_row.iter()) {
+                    acc = x.mul_add(y, acc);
                 }
-                out.data[i * n + j] = acc;
+                out[i * n + j] = acc;
             }
         }
     }

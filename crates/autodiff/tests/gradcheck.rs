@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tad_autodiff::nn::{Activation, Embedding, GaussianHead, GruCell, Linear, Mlp};
+use tad_autodiff::nn::{Embedding, GaussianHead, GruCell, Linear};
 use tad_autodiff::{ParamStore, Tape, Tensor};
 
 /// Evaluates `f` as a pure function of the store's current parameter values.
@@ -166,11 +166,14 @@ proptest! {
     fn mlp_gradients(seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut store = ParamStore::new();
-        let mlp = Mlp::new(&mut store, "mlp", &[3, 5, 2], Activation::Tanh, &mut rng);
+        let l0 = Linear::new(&mut store, "mlp.l0", 3, 5, &mut rng);
+        let l1 = Linear::new(&mut store, "mlp.l1", 5, 2, &mut rng);
         let x_t = Tensor::rand_uniform(2, 3, -1.0, 1.0, &mut rng);
         gradcheck(&mut store, move |tape, store| {
             let x = tape.input(x_t.clone());
-            let y = mlp.forward(tape, store, x);
+            let h_pre = l0.forward(tape, store, x);
+            let h = tape.tanh(h_pre);
+            let y = l1.forward(tape, store, h);
             tape.softmax_cross_entropy(y, &[0, 1])
         }, 1e-3, 3e-2);
     }

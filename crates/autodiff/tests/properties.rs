@@ -56,19 +56,29 @@ proptest! {
     #[test]
     fn softmax_ce_probs_normalise(seed in 0u64..1000, rows in 1usize..5, cols in 2usize..8) {
         let logits = rand_tensor(seed, rows, cols);
+        let mut store = ParamStore::new();
+        let id = store.add("logits", logits.clone());
         let mut tape = Tape::new();
-        let x = tape.input(logits.clone());
+        let x = tape.param(&store, id);
         let targets: Vec<u32> = (0..rows as u32).map(|r| r % cols as u32).collect();
         let ce = tape.softmax_cross_entropy(x, &targets);
         // The loss must be at least the NLL of a uniform prediction when
         // logits are equal; generally: ce >= 0 and finite.
         let v = tape.value(ce).get(0, 0);
         prop_assert!(v.is_finite() && v >= 0.0);
-        // Per-row NLL equals lse - logit[target].
-        let nll = tape.ce_row_nll(ce);
-        for (r, &t) in targets.iter().enumerate() {
-            let expected = (logsumexp(logits.row(r)) - logits.get(r, t as usize)) as f64;
-            prop_assert!((nll[r] - expected).abs() < 1e-4);
+        // The loss is the sum of the per-row NLLs lse - logit[target].
+        let expected: f64 = targets
+            .iter()
+            .enumerate()
+            .map(|(r, &t)| (logsumexp(logits.row(r)) - logits.get(r, t as usize)) as f64)
+            .sum();
+        prop_assert!((v as f64 - expected).abs() < 1e-4 * rows as f64);
+        // The gradient is probs - onehot: a row of probabilities summing to
+        // one is a gradient row summing to zero.
+        tape.backward(ce, &mut store);
+        for r in 0..rows {
+            let sum: f32 = store.grad(id).row(r).iter().sum();
+            prop_assert!(sum.abs() < 1e-5, "row {r} sums to {sum}");
         }
     }
 

@@ -221,11 +221,9 @@ impl Detector for FactorVae {
         let toks = tokens(traj);
         let n = prefix_len.clamp(2.min(toks.len()), toks.len());
         let prefix = &toks[..n];
-        let h = inner.core.infer_encode(&inner.store, prefix, traj.time_slot);
-        let (mu, logvar) = inner.head.infer(&inner.store, &h);
-        let kl = gaussian_kl(mu.data(), logvar.data());
-        let h0 = inner.dec_init.infer(&inner.store, &mu).map(f32::tanh);
-        inner.core.infer_decode_nll(&inner.store, &h0, prefix, traj.time_slot) + kl
+        let (core, store) = (&inner.core, &inner.store);
+        let p = core.infer_posterior(store, &inner.head, &inner.dec_init, prefix, traj.time_slot);
+        core.infer_decode_nll(store, &p.h0, prefix, traj.time_slot) + gaussian_kl(&p.mu, &p.logvar)
     }
 }
 

@@ -148,17 +148,17 @@ impl GmVsae {
     }
 
     /// Tape-free `log q − log p_mix` at `z = mu`.
-    fn infer_kl_mixture(&self, mu: &Tensor, logvar: &Tensor) -> f64 {
+    fn infer_kl_mixture(&self, mu: &[f32], logvar: &[f32]) -> f64 {
         let inner = self.inner();
-        let latent = mu.cols();
+        let latent = mu.len();
         // log q(mu|x): the quadratic term vanishes at z = mu.
-        let log_q: f64 = logvar.data().iter().map(|&lv| -0.5 * (LN_2PI + lv) as f64).sum();
+        let log_q: f64 = logvar.iter().map(|&lv| -0.5 * (LN_2PI + lv) as f64).sum();
         let means = inner.store.value(inner.mix_means);
         let mut comp = Vec::with_capacity(self.k);
         for kk in 0..self.k {
             let mut d2 = 0.0f32;
-            for c in 0..latent {
-                let d = mu.get(0, c) - means.get(kk, c);
+            for (&m, &mean) in mu.iter().zip(means.row(kk)) {
+                let d = m - mean;
                 d2 += d * d;
             }
             comp.push(-0.5 * d2);
@@ -183,11 +183,10 @@ impl Detector for GmVsae {
         let toks = tokens(traj);
         let n = prefix_len.clamp(2.min(toks.len()), toks.len());
         let prefix = &toks[..n];
-        let h = inner.core.infer_encode(&inner.store, prefix, traj.time_slot);
-        let (mu, logvar) = inner.head.infer(&inner.store, &h);
-        let kl = self.infer_kl_mixture(&mu, &logvar);
-        let h0 = inner.dec_init.infer(&inner.store, &mu).map(f32::tanh);
-        inner.core.infer_decode_nll(&inner.store, &h0, prefix, traj.time_slot) + kl
+        let (core, store) = (&inner.core, &inner.store);
+        let p = core.infer_posterior(store, &inner.head, &inner.dec_init, prefix, traj.time_slot);
+        let kl = self.infer_kl_mixture(&p.mu, &p.logvar);
+        core.infer_decode_nll(store, &p.h0, prefix, traj.time_slot) + kl
     }
 }
 

@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tad_autodiff::nn::{Embedding, GruCell, Linear};
+use tad_autodiff::nn::{Embedding, GaussianHead, GruCell, Linear};
 use tad_autodiff::train::{self, Lane, OneLane, TrainReport};
 use tad_autodiff::{logsumexp, ParamStore, Tape, Tensor, Var};
 use tad_trajsim::Trajectory;
@@ -36,7 +36,6 @@ pub struct SeqCore {
     /// (DeepTEA's time conditioning).
     pub slot_embed: Option<Embedding>,
     hidden: usize,
-    vocab: usize,
 }
 
 impl SeqCore {
@@ -70,18 +69,7 @@ impl SeqCore {
                 None
             },
             hidden: dh,
-            vocab,
         }
-    }
-
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
     }
 
     /// Runs `gru` teacher-forced over `tokens` from `h0`, returning every
@@ -89,7 +77,7 @@ impl SeqCore {
     /// is known up front, so the pass is one embedding lookup (the slot
     /// embedding concatenated once), one input-gate GEMM and one recurrence
     /// node whatever the length; each row is bit-identical to stepping
-    /// [`GruCell::infer_step`].
+    /// [`GruCell::infer_step_rows`].
     fn hidden_rows(
         &self,
         tape: &mut Tape,
@@ -137,7 +125,7 @@ impl SeqCore {
         }
         let (inputs, targets) = (&segments[..segments.len() - 1], &segments[1..]);
         let rows = self.hidden_rows(tape, store, &self.dec_gru, h0, inputs, slot);
-        let logits = self.out.forward_rowmajor(tape, store, rows);
+        let logits = self.out.forward(tape, store, rows);
         tape.softmax_cross_entropy(logits, targets)
     }
 
@@ -167,14 +155,36 @@ impl SeqCore {
         gru.infer_sequence(store, &gru.input_gates(store, &x), h0)
     }
 
-    /// Tape-free encoder pass.
-    pub fn infer_encode(&self, store: &ParamStore, segments: &[u32], slot: u8) -> Tensor {
+    /// Tape-free encoder pass: the final hidden row.
+    pub fn infer_encode(&self, store: &ParamStore, segments: &[u32], slot: u8) -> Vec<f32> {
         let h0 = vec![0.0; self.hidden];
         let Some(last) = segments.len().checked_sub(1) else {
-            return Tensor::from_vec(1, self.hidden, h0);
+            return h0;
         };
         let rows = self.infer_hidden_rows(store, &self.enc_gru, &h0, segments, slot);
-        Tensor::row_vector(rows.row(last))
+        rows.row(last).to_vec()
+    }
+
+    /// The tape-free posterior of a VAE baseline: `segments` encoded, the
+    /// `head`'s `(mu, logvar)` at the encoding, and the decoder's initial
+    /// state `tanh(dec_init · mu)` — the posterior mean stands in for a
+    /// sample.
+    pub fn infer_posterior(
+        &self,
+        store: &ParamStore,
+        head: &GaussianHead,
+        dec_init: &Linear,
+        segments: &[u32],
+        slot: u8,
+    ) -> Posterior {
+        let h = self.infer_encode(store, segments, slot);
+        let latent = head.latent_dim();
+        let (mut mu, mut logvar) = (vec![0.0; latent], vec![0.0; latent]);
+        head.infer(store, &h, &mut mu, &mut logvar);
+        let mut h0 = vec![0.0; self.hidden];
+        dec_init.infer(store, &mu, &mut h0);
+        h0.iter_mut().for_each(|x| *x = x.tanh());
+        Posterior { mu, logvar, h0 }
     }
 
     /// Tape-free reconstruction NLL from initial decoder state `h0`: every
@@ -182,7 +192,7 @@ impl SeqCore {
     pub fn infer_decode_nll(
         &self,
         store: &ParamStore,
-        h0: &Tensor,
+        h0: &[f32],
         segments: &[u32],
         slot: u8,
     ) -> f64 {
@@ -190,14 +200,25 @@ impl SeqCore {
             return 0.0;
         }
         let (inputs, targets) = (&segments[..segments.len() - 1], &segments[1..]);
-        let rows = self.infer_hidden_rows(store, &self.dec_gru, h0.row(0), inputs, slot);
-        let logits = self.out.infer_rowmajor(store, &rows);
+        let rows = self.infer_hidden_rows(store, &self.dec_gru, h0, inputs, slot);
+        let mut logits = Tensor::zeros(rows.rows(), self.out.out_dim());
+        self.out.infer(store, rows.data(), logits.data_mut());
         let nll = |(t, &next): (usize, &u32)| {
             let row = logits.row(t);
             (logsumexp(row) - row[next as usize]) as f64
         };
         targets.iter().enumerate().map(nll).sum()
     }
+}
+
+/// What [`SeqCore::infer_posterior`] gives a VAE baseline to score with.
+pub struct Posterior {
+    /// Posterior mean.
+    pub mu: Vec<f32>,
+    /// Posterior log-variance.
+    pub logvar: Vec<f32>,
+    /// The decoder's initial state at the mean.
+    pub h0: Vec<f32>,
 }
 
 /// Raw token view of a trajectory.
@@ -364,7 +385,7 @@ mod tests {
         // Different slots must produce different encodings.
         let h0 = core.infer_encode(&store, &[0, 1, 2], 0);
         let h1 = core.infer_encode(&store, &[0, 1, 2], 3);
-        assert_ne!(h0.data(), h1.data());
+        assert_ne!(h0, h1);
     }
 
     #[test]

@@ -59,17 +59,6 @@ impl Vsae {
     fn inner(&self) -> &Inner {
         self.inner.as_ref().expect("VSAE: call fit() before scoring")
     }
-
-    /// Tape-free: encode a prefix to the posterior mean and the closed-form
-    /// KL, then return `(h0, kl)`.
-    fn infer_latent(&self, toks: &[u32], slot: u8) -> (Tensor, f64) {
-        let inner = self.inner();
-        let h = inner.core.infer_encode(&inner.store, toks, slot);
-        let (mu, logvar) = inner.head.infer(&inner.store, &h);
-        let kl = gaussian_kl(mu.data(), logvar.data());
-        let h0 = inner.dec_init.infer(&inner.store, &mu).map(f32::tanh);
-        (h0, kl)
-    }
 }
 
 impl Vsae {
@@ -151,9 +140,10 @@ impl Detector for Vsae {
         let toks = tokens(traj);
         let n = prefix_len.clamp(2.min(toks.len()), toks.len());
         let prefix = &toks[..n];
-        let (h0, kl) = self.infer_latent(prefix, traj.time_slot);
-        let rec = inner.core.infer_decode_nll(&inner.store, &h0, prefix, traj.time_slot);
-        rec + self.beta as f64 * kl
+        let (core, store) = (&inner.core, &inner.store);
+        let p = core.infer_posterior(store, &inner.head, &inner.dec_init, prefix, traj.time_slot);
+        let rec = core.infer_decode_nll(store, &p.h0, prefix, traj.time_slot);
+        rec + self.beta as f64 * gaussian_kl(&p.mu, &p.logvar)
     }
 }
 

@@ -43,7 +43,7 @@ fn bench_gru_step(c: &mut Criterion) {
     let x = Tensor::rand_uniform(1, 24, -1.0, 1.0, &mut rng);
     let h = Tensor::rand_uniform(1, 48, -1.0, 1.0, &mut rng);
     // The row step as the scorers run it: `U` packed and the input gates
-    // projected ahead of time (`infer_step` does both on every call).
+    // projected ahead of time.
     let (u, gx) = (gru.pack_recurrent(&store), gru.input_gates(&store, &x));
     let (mut gh, mut out) = (vec![0.0; 3 * 48], vec![0.0; 48]);
     c.bench_function("gru_infer_step_24_48", |bch| {

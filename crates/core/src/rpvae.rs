@@ -127,7 +127,7 @@ impl RpVae {
         let z = tape.gaussian_sample(mu, logvar, eps);
         let dec_pre = self.dec_hidden.forward(tape, store, z);
         let dec_h = tape.relu(dec_pre);
-        let logits = self.out.forward_rowmajor(tape, store, dec_h);
+        let logits = self.out.forward(tape, store, dec_h);
         let ce = tape.softmax_cross_entropy(logits, tokens);
         tape.add(ce, kl)
     }
@@ -135,15 +135,25 @@ impl RpVae {
     /// Tape-free posterior `(mu, logvar)` for a batch of tokens.
     pub fn encode(&self, store: &ParamStore, tokens: &[u32]) -> (Tensor, Tensor) {
         let x = self.embed.embed(store, tokens);
-        let enc_h = self.enc.infer(store, &x).map(f32::tanh);
-        self.head.infer(store, &enc_h)
+        let enc_h = infer(&self.enc, store, &x).map(f32::tanh);
+        let mut mu = Tensor::zeros(tokens.len(), self.latent_dim);
+        let mut logvar = Tensor::zeros(tokens.len(), self.latent_dim);
+        self.head.infer(store, enc_h.data(), mu.data_mut(), logvar.data_mut());
+        (mu, logvar)
     }
 
     /// Tape-free decoder logits for a batch of latent samples.
     pub fn decode_logits(&self, store: &ParamStore, z: &Tensor) -> Tensor {
-        let dec_h = self.dec_hidden.infer(store, z).map(|x| x.max(0.0));
-        self.out.infer_rowmajor(store, &dec_h)
+        let dec_h = infer(&self.dec_hidden, store, z).map(|x| x.max(0.0));
+        infer(&self.out, store, &dec_h)
     }
+}
+
+/// [`Linear::infer`] of a batch, into a new tensor.
+fn infer(layer: &Linear, store: &ParamStore, x: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(x.rows(), layer.out_dim());
+    layer.infer(store, x.data(), out.data_mut());
+    out
 }
 
 #[cfg(test)]

@@ -128,9 +128,9 @@ impl TgVae {
     /// The prediction heads batch over that stack: the full-vocab
     /// ablation runs a single `(N x d)·(d x vocab)` GEMM + fused CE over
     /// every transition of every trajectory, and the road-constrained path
-    /// groups transitions sharing a successor set into one subset GEMM + CE
-    /// per group (first-occurrence order, so the reduction is
-    /// deterministic).
+    /// scores every valid transition of the micro-batch in **one** fused
+    /// subset-CE node ([`tad_autodiff::nn::Linear::subset_cross_entropy`]),
+    /// each row against its own successor span, in stacking order.
     ///
     /// `eps` holds one pre-drawn standard-normal row per trajectory (the
     /// caller controls the rng stream so batched and sequential training
@@ -170,9 +170,9 @@ impl TgVae {
         if !cfg.disable_sd_decoder {
             let sd_pre = self.sd_dec_hidden.forward(tape, store, r);
             let sd_h = tape.relu(sd_pre);
-            let src_logits = self.src_head.forward_rowmajor(tape, store, sd_h);
+            let src_logits = self.src_head.forward(tape, store, sd_h);
             let src_ce = tape.softmax_cross_entropy(src_logits, &s_ids);
-            let dst_logits = self.dst_head.forward_rowmajor(tape, store, sd_h);
+            let dst_logits = self.dst_head.forward(tape, store, sd_h);
             let dst_ce = tape.softmax_cross_entropy(dst_logits, &d_ids);
             let sd_ce = tape.add(src_ce, dst_ce);
             total = tape.add(total, sd_ce);
@@ -187,9 +187,9 @@ impl TgVae {
         // Plan the ragged schedule up front: per step, the trajectories
         // still running. Knowing every (step, trajectory) pair in advance
         // lets the GRU input-gate projection for the WHOLE batch run as a
-        // single time-major GEMM outside the recurrence (the training-side
-        // `StepCache`), the recurrence itself be one tape node, and the
-        // prediction rows line up with both.
+        // single time-major GEMM outside the recurrence (the plan's gate
+        // table, for training), the recurrence itself be one tape node,
+        // and the prediction rows line up with both.
         let mut schedule: Vec<Vec<u32>> = Vec::with_capacity(max_transitions);
         {
             let mut active: Vec<u32> = (0..b as u32).collect();
@@ -220,7 +220,7 @@ impl TgVae {
             // the LM-TAD-style "full-vocab next-token loss" is a single
             // node instead of one per step.
             let targets: Vec<u32> = preds.iter().map(|&(_, next)| next).collect();
-            let logits = self.out_proj.forward_rowmajor(tape, store, rows_h);
+            let logits = self.out_proj.forward(tape, store, rows_h);
             let ce = tape.softmax_cross_entropy(logits, &targets);
             total = tape.add(total, ce);
             steps = targets.len();
@@ -301,9 +301,9 @@ impl TgVae {
         if !cfg.disable_sd_decoder {
             let sd_pre = self.sd_dec_hidden.forward(tape, store, r);
             let sd_h = tape.relu(sd_pre);
-            let src_logits = self.src_head.forward_rowmajor(tape, store, sd_h);
+            let src_logits = self.src_head.forward(tape, store, sd_h);
             let src_ce = tape.softmax_cross_entropy(src_logits, &[s]);
-            let dst_logits = self.dst_head.forward_rowmajor(tape, store, sd_h);
+            let dst_logits = self.dst_head.forward(tape, store, sd_h);
             let dst_ce = tape.softmax_cross_entropy(dst_logits, &[d]);
             let sd_ce = tape.add(src_ce, dst_ce);
             total = tape.add(total, sd_ce);
@@ -319,7 +319,7 @@ impl TgVae {
             let x = self.traj_embed.lookup(tape, store, &[prev]);
             h = bound.step_unfused(tape, x, h);
             if cfg.disable_road_constraint {
-                let logits = self.out_proj.forward_rowmajor(tape, store, h);
+                let logits = self.out_proj.forward(tape, store, h);
                 let ce = tape.softmax_cross_entropy(logits, &[next]);
                 total = tape.add(total, ce);
                 steps += 1;
@@ -352,8 +352,7 @@ impl TgVae {
         InferencePlan {
             gx: self.gru.input_gates(store, table),
             u: self.gru.pack_recurrent(store),
-            sd_heads: with_sd_heads
-                .then(|| [self.src_head.pack_rowmajor(store), self.dst_head.pack_rowmajor(store)]),
+            sd_heads: with_sd_heads.then(|| [self.src_head.pack(store), self.dst_head.pack(store)]),
         }
     }
 
@@ -383,23 +382,23 @@ impl TgVae {
         let table = store.value(self.sd_embed.table());
         sd[..de].copy_from_slice(table.row(s as usize));
         sd[de..].copy_from_slice(table.row(d as usize));
-        self.enc.infer_row(store, sd, enc_h);
+        self.enc.infer(store, sd, enc_h);
         enc_h.iter_mut().for_each(|x| *x = x.tanh());
-        self.head.infer_row(store, enc_h, mu, logvar);
+        self.head.infer(store, enc_h, mu, logvar);
         let kl = gaussian_kl(mu, logvar);
 
         let mut sd_nll = 0.0;
         if let Some([src, dst]) = &plan.sd_heads {
-            self.sd_dec_hidden.infer_row(store, mu, sd_h);
+            self.sd_dec_hidden.infer(store, mu, sd_h);
             sd_h.iter_mut().for_each(|x| *x = x.max(0.0));
-            self.src_head.infer_row_packed(store, src, sd_h, logits);
+            self.src_head.infer_packed(store, src, sd_h, logits);
             sd_nll = nll_from_logits(logits, s as usize);
-            self.dst_head.infer_row_packed(store, dst, sd_h, logits);
+            self.dst_head.infer_packed(store, dst, sd_h, logits);
             sd_nll += nll_from_logits(logits, d as usize);
         }
 
         let mut h = Tensor::zeros(1, dh);
-        self.dec_init.infer_row(store, mu, h.data_mut());
+        self.dec_init.infer(store, mu, h.data_mut());
         h.data_mut().iter_mut().for_each(|x| *x = x.tanh());
         (h, kl + sd_nll)
     }
@@ -781,8 +780,10 @@ mod tests {
             // ... and both are the step the GRU cell takes from scratch:
             // input projection, `U` packed per call, no table.
             let x = store.value(tg.traj_embed.table()).gather_rows(&[segs[i]]);
-            let h_in = Tensor::row_vector(&hs[i * hidden..(i + 1) * hidden]);
-            assert_eq!(tg.gru.infer_step(&store, &x, &h_in).row(0), h.row(0), "row {i} vs cell");
+            let gx = tg.gru.input_gates(&store, &x);
+            let h_in = &hs[i * hidden..(i + 1) * hidden];
+            let cell = tg.gru.infer_sequence(&store, &gx, h_in);
+            assert_eq!(cell.row(0), h.row(0), "row {i} vs cell");
         }
     }
 
@@ -808,9 +809,9 @@ mod tests {
         };
         let sd_pre = tg.sd_dec_hidden.forward(&mut tape, &store, mu);
         let sd_h = tape.relu(sd_pre);
-        let src_logits = tg.src_head.forward_rowmajor(&mut tape, &store, sd_h);
+        let src_logits = tg.src_head.forward(&mut tape, &store, sd_h);
         let src_ce = tape.softmax_cross_entropy(src_logits, &[1]);
-        let dst_logits = tg.dst_head.forward_rowmajor(&mut tape, &store, sd_h);
+        let dst_logits = tg.dst_head.forward(&mut tape, &store, sd_h);
         let dst_ce = tape.softmax_cross_entropy(dst_logits, &[4]);
         let taped = (tape.value(src_ce).get(0, 0) + tape.value(dst_ce).get(0, 0)) as f64;
         assert!(kl >= 0.0 && with_sd > kl);
