@@ -25,8 +25,8 @@
 //! `paper` accepts `--scale quick|paper`, `--city xian|chengdu|both`,
 //! `--out <dir>` (CSV dumps) and `--epochs <n>`; README "Reproducing the
 //! paper" has the commands. Other binaries: `diagnose` (per-pool score
-//! decomposition + λ sweep, a debugging tool), `soak` (the serving
-//! ledgers) and `tadbench` (the repository benchmark).
+//! decomposition + λ sweep, a debugging tool) and `tadbench` (the
+//! repository benchmark, which also carries sustained serving load).
 
 pub mod experiments;
 pub mod opts;

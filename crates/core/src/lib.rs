@@ -51,7 +51,6 @@
 pub mod calibrate;
 mod codec;
 mod config;
-pub mod delta;
 pub mod generate;
 mod model;
 mod online;
@@ -65,7 +64,6 @@ pub use codec::{
     ModelCodecError, StateCodecError,
 };
 pub use config::CausalTadConfig;
-pub use delta::{DeltaChain, DeltaChainError, DeltaId};
 pub use model::CausalTad;
 pub use online::{OnlineError, OnlineScorer, ScorerState, SegmentTrace};
 pub use rpvae::RpVae;

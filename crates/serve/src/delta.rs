@@ -8,10 +8,10 @@
 //! [`FleetDelta`]s captured with [`crate::FleetEngine::delta`]: the
 //! sessions dirtied since the previous capture (per-session dirty bits in
 //! the session store) plus the ids removed since then (tombstones).
-//! [`DeltaBase`] replays a chain back into the equivalent full image;
-//! admission order is validated by the shared [`causaltad::DeltaChain`]
-//! cursor, so a skipped, repeated, or cross-epoch delta is a typed
-//! [`DeltaChainError`], never a silently wrong reconstruction.
+//! [`DeltaBase`] replays a chain back into the equivalent full image. It
+//! admits only the next delta of its chain — the base's epoch and
+//! `seq = applied + 1` — so a skipped, repeated, or cross-epoch delta is a
+//! typed [`DeltaChainError`], never a silently wrong reconstruction.
 //!
 //! The binary format is one checksummed [`tad_codec::envelope`] (magic
 //! `TADD`) whose payload is the base epoch, sequence number, shard count,
@@ -29,7 +29,6 @@
 use std::collections::HashMap;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use causaltad::{DeltaChain, DeltaChainError, DeltaId};
 use tad_codec::{open_envelope, seal_envelope, Reader};
 
 use crate::event::TripId;
@@ -61,12 +60,42 @@ pub struct FleetDelta {
     pub sessions: Vec<SessionRecord>,
 }
 
-impl FleetDelta {
-    /// This delta's chain identity (epoch + sequence number).
-    pub fn id(&self) -> DeltaId {
-        DeltaId { base_epoch: self.base_epoch, seq: self.seq }
+/// Why [`DeltaBase::apply`] rejected a delta.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DeltaChainError {
+    /// The delta extends a different base image than the one held.
+    BaseMismatch {
+        /// Epoch of the base image the chain holds.
+        expected_epoch: u64,
+        /// Epoch the delta was captured against.
+        found_epoch: u64,
+    },
+    /// The delta is not the next one in the log (skipped, repeated, or
+    /// out of order).
+    OutOfOrder {
+        /// The sequence number the chain will accept next.
+        expected_seq: u64,
+        /// The sequence number the delta carries.
+        found_seq: u64,
+    },
+}
+
+impl std::fmt::Display for DeltaChainError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DeltaChainError::BaseMismatch { expected_epoch, found_epoch } => write!(
+                f,
+                "delta extends base epoch {found_epoch}, but the chain holds epoch \
+                 {expected_epoch}"
+            ),
+            DeltaChainError::OutOfOrder { expected_seq, found_seq } => {
+                write!(f, "delta seq {found_seq} out of order; the chain expects {expected_seq}")
+            }
+        }
     }
 }
+
+impl std::error::Error for DeltaChainError {}
 
 /// Serialises a fleet delta (the incremental artifact of a checkpoint
 /// chain).
@@ -111,24 +140,26 @@ pub fn delta_from_bytes(bytes: Bytes) -> Result<FleetDelta, SnapshotCodecError> 
 #[derive(Clone, Debug)]
 pub struct DeltaBase {
     image: FleetImage,
-    chain: DeltaChain,
+    epoch: u64,
+    applied: u64,
 }
 
 impl DeltaBase {
     /// Starts a chain from the checkpoint `image` stamped with `epoch`
-    /// (both come from [`crate::FleetEngine::checkpoint`]).
+    /// (both come from [`crate::FleetEngine::checkpoint`]); the first
+    /// admissible delta is `seq == 1`.
     pub fn new(image: FleetImage, epoch: u64) -> Self {
-        DeltaBase { image, chain: DeltaChain::new(epoch) }
+        DeltaBase { image, epoch, applied: 0 }
     }
 
     /// Epoch of the checkpoint this chain extends.
     pub fn epoch(&self) -> u64 {
-        self.chain.epoch()
+        self.epoch
     }
 
     /// How many deltas have been applied so far.
     pub fn applied(&self) -> u64 {
-        self.chain.applied()
+        self.applied
     }
 
     /// The current reconstruction.
@@ -145,11 +176,22 @@ impl DeltaBase {
     /// upserts (replace an existing id in place, append a new one).
     ///
     /// # Errors
-    /// [`DeltaChainError`] when `delta` is not exactly the next delta of
-    /// this chain (wrong epoch, or a skipped/repeated/reordered sequence
-    /// number); the reconstruction is unchanged on error.
+    /// [`DeltaChainError::BaseMismatch`] when `delta` names another epoch,
+    /// [`DeltaChainError::OutOfOrder`] when it is not the next sequence
+    /// number (skipped, repeated or reordered); the reconstruction is
+    /// unchanged on error.
     pub fn apply(&mut self, delta: &FleetDelta) -> Result<(), DeltaChainError> {
-        self.chain.admit(delta.id())?;
+        if delta.base_epoch != self.epoch {
+            return Err(DeltaChainError::BaseMismatch {
+                expected_epoch: self.epoch,
+                found_epoch: delta.base_epoch,
+            });
+        }
+        let expected_seq = self.applied + 1;
+        if delta.seq != expected_seq {
+            return Err(DeltaChainError::OutOfOrder { expected_seq, found_seq: delta.seq });
+        }
+        self.applied = expected_seq;
         if !delta.removed.is_empty() {
             let gone: std::collections::HashSet<TripId> = delta.removed.iter().copied().collect();
             self.image.sessions.retain(|rec| !gone.contains(&rec.id));
@@ -261,5 +303,38 @@ mod tests {
         );
         base.apply(&d2).unwrap();
         assert_eq!(base.applied(), 2);
+    }
+
+    #[test]
+    fn chain_admits_only_consecutive_same_epoch_deltas() {
+        let delta = |base_epoch, seq, tag| FleetDelta {
+            base_epoch,
+            seq,
+            num_shards: 1,
+            removed: Vec::new(),
+            sessions: vec![record(1, tag)],
+        };
+        let mut base = DeltaBase::new(FleetImage::default(), 7);
+        assert_eq!((base.epoch(), base.applied()), (7, 0));
+        base.apply(&delta(7, 1, 1.0)).unwrap();
+        base.apply(&delta(7, 2, 2.0)).unwrap();
+        assert_eq!(base.applied(), 2);
+        // Repeats, skips, and regressions are all typed rejections that
+        // leave the chain and the reconstruction where they were.
+        for bad in [0, 2, 4] {
+            assert_eq!(
+                base.apply(&delta(7, bad, -1.0)),
+                Err(DeltaChainError::OutOfOrder { expected_seq: 3, found_seq: bad })
+            );
+        }
+        assert_eq!(
+            base.apply(&delta(8, 3, -1.0)),
+            Err(DeltaChainError::BaseMismatch { expected_epoch: 7, found_epoch: 8 })
+        );
+        assert_eq!(base.applied(), 2);
+        assert_eq!(base.image().sessions, vec![record(1, 2.0)]);
+        base.apply(&delta(7, 3, 3.0)).unwrap();
+        assert_eq!(base.applied(), 3);
+        assert_eq!(base.image().sessions, vec![record(1, 3.0)]);
     }
 }

@@ -58,10 +58,10 @@ pub struct FleetConfig {
     pub policy: StreamPolicy,
     /// Fleet-wide admission watermark on live sessions: while the
     /// `active_sessions` count is at or above it, **new** `TripStart`s
-    /// are shed ([`SubmitError::Shed`] / [`CohortOutcome::shed`]) while
-    /// events of already-admitted trips keep scoring — graceful
-    /// degradation instead of queue-thrash under a session flood. `0`
-    /// (the default) disables the watermark.
+    /// are shed ([`SubmitError::Shed`] / [`SubmitError::ShedChunk`] /
+    /// [`CohortOutcome::shed`]) while events of already-admitted trips
+    /// keep scoring — graceful degradation instead of queue-thrash under
+    /// a session flood. `0` (the default) disables the watermark.
     pub admission_session_watermark: usize,
     /// Fleet-wide admission watermark on queued-but-unscored events (the
     /// `serve.ingest_inflight` gauge): while the in-flight depth is at or
@@ -151,6 +151,11 @@ pub enum SubmitError {
     /// **new** `TripStart` — shed, handed back. Events of already-admitted
     /// trips are never shed.
     Shed(Event),
+    /// The fleet was above an admission watermark during
+    /// [`FleetEngine::submit_all`]; carries the events it shed — the
+    /// chunk's `TripStart`s and every later event of those trips — in
+    /// submission order. Every other event of the call was accepted.
+    ShedChunk(Vec<Event>),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -165,6 +170,9 @@ impl std::fmt::Display for SubmitError {
             }
             SubmitError::Shed(ev) => {
                 write!(f, "admission watermark reached; shed new trip {}", ev.trip_id())
+            }
+            SubmitError::ShedChunk(evs) => {
+                write!(f, "admission watermark reached; shed {} events of new trips", evs.len())
             }
         }
     }
@@ -366,6 +374,16 @@ struct Admission {
     retry_after: Duration,
 }
 
+/// A chunk split by [`FleetEngine::group`].
+struct Grouped {
+    /// Per shard: the events it receives, in submission order, and each
+    /// one's index in the chunk.
+    shards: Vec<(Vec<Event>, Vec<usize>)>,
+    /// Events shed by admission control, with their chunk indexes, in
+    /// submission order.
+    shed: Vec<(usize, Event)>,
+}
+
 /// The engine's delta-chain position: the epoch of the last checkpoint
 /// and the sequence number of the last delta captured against it.
 /// Guarded by one mutex so concurrent checkpoint/delta callers serialize
@@ -458,9 +476,10 @@ impl FleetEngine {
 
     /// Whether the fleet is currently above an admission watermark — the
     /// state in which the submit paths shed **new** `TripStart`s
-    /// ([`SubmitError::Shed`] / [`CohortOutcome::shed`]) while events of
-    /// already-admitted trips keep flowing. Always `false` with both
-    /// watermarks at their default `0`.
+    /// ([`SubmitError::Shed`] / [`SubmitError::ShedChunk`] /
+    /// [`CohortOutcome::shed`]) while events of already-admitted trips
+    /// keep flowing. Always `false` with both watermarks at their default
+    /// `0`.
     pub fn admission_overloaded(&self) -> bool {
         let adm = &self.admission;
         (adm.session_watermark > 0
@@ -526,39 +545,75 @@ impl FleetEngine {
         }
     }
 
+    /// The grouping step of both chunk submit paths: splits `events` by
+    /// shard in submission order and applies the chunk's shed rule (see
+    /// [`FleetEngine::try_submit_cohort`]), counting the shed events.
+    fn group(&self, events: impl IntoIterator<Item = Event>) -> Grouped {
+        let overloaded = self.admission_overloaded();
+        let mut shed_trips: Vec<TripId> = Vec::new();
+        let mut grouped =
+            Grouped { shards: vec![Default::default(); self.senders.len()], shed: Vec::new() };
+        for (idx, ev) in events.into_iter().enumerate() {
+            if overloaded {
+                let id = ev.trip_id();
+                let start = matches!(ev, Event::TripStart { .. });
+                if start && !shed_trips.contains(&id) {
+                    shed_trips.push(id);
+                }
+                if start || shed_trips.contains(&id) {
+                    grouped.shed.push((idx, ev));
+                    continue;
+                }
+            }
+            let (group, indexes) = &mut grouped.shards[self.shard_of(&ev)];
+            group.push(ev);
+            indexes.push(idx);
+        }
+        if !grouped.shed.is_empty() {
+            self.metrics.admission_shed.add(grouped.shed.len() as u64);
+        }
+        grouped
+    }
+
     /// Bulk enqueue: groups `events` by shard (preserving per-trip order)
     /// and hands each shard its group as one queue message. High-volume
     /// producers should prefer this — it amortises the per-message channel
     /// synchronisation across the whole chunk. Blocks while queues are
-    /// full.
+    /// full. Admission control sheds the chunk's new trips as
+    /// [`FleetEngine::try_submit_cohort`] does.
     /// On engine shutdown mid-call, every not-yet-accepted event (the
-    /// failing shard's group plus all unsent groups) is handed back in
-    /// [`SubmitError::ClosedChunk`]; groups already delivered to other
-    /// shards stay delivered.
+    /// failing shard's group, all unsent groups and any shed events) is
+    /// handed back in [`SubmitError::ClosedChunk`]; groups already
+    /// delivered to other shards stay delivered.
     ///
     /// # Errors
     /// [`SubmitError::ClosedChunk`] when the engine shut down mid-call,
-    /// carrying every event that was not accepted.
+    /// carrying every event that was not accepted;
+    /// [`SubmitError::ShedChunk`] when the fleet was above an admission
+    /// watermark and the chunk held new trips, carrying their events.
     pub fn submit_all(&self, events: impl IntoIterator<Item = Event>) -> Result<(), SubmitError> {
-        let mut per_shard: Vec<Vec<Event>> = vec![Vec::new(); self.senders.len()];
-        for ev in events {
-            per_shard[self.shard_of(&ev)].push(ev);
-        }
-        let mut groups = per_shard.into_iter().enumerate();
-        for (shard, group) in &mut groups {
+        let Grouped { shards, shed } = self.group(events);
+        let shed: Vec<Event> = shed.into_iter().map(|(_, ev)| ev).collect();
+        let mut groups = shards.into_iter().enumerate();
+        for (shard, (group, _)) in &mut groups {
             if group.is_empty() {
                 continue;
             }
             let len = group.len() as u64;
             if let Err(e) = self.senders[shard].send(Ingest::Many(group)) {
                 let mut unaccepted = e.0.into_events();
-                unaccepted.extend(groups.flat_map(|(_, g)| g));
+                unaccepted.extend(groups.flat_map(|(_, (g, _))| g));
+                unaccepted.extend(shed);
                 return Err(SubmitError::ClosedChunk(unaccepted));
             }
             FleetStats::add(&self.stats.events_ingested, len);
             self.metrics.inflight.add(len as i64);
         }
-        Ok(())
+        if shed.is_empty() {
+            Ok(())
+        } else {
+            Err(SubmitError::ShedChunk(shed))
+        }
     }
 
     /// Non-blocking bulk enqueue for the network tier's cross-connection
@@ -587,34 +642,12 @@ impl FleetEngine {
     /// start never entered the engine) — into [`CohortOutcome::shed`],
     /// while events of already-admitted trips pass through untouched.
     pub fn try_submit_cohort(&self, events: Vec<Event>) -> CohortOutcome {
-        let shards = self.senders.len();
-        let mut outcome = CohortOutcome::default();
-        let overloaded = self.admission_overloaded();
-        let mut shed_trips: Vec<TripId> = Vec::new();
-        let mut groups: Vec<(Vec<Event>, Vec<usize>)> = vec![Default::default(); shards];
-        for (idx, ev) in events.into_iter().enumerate() {
-            if overloaded {
-                let id = ev.trip_id();
-                if matches!(ev, Event::TripStart { .. }) {
-                    if !shed_trips.contains(&id) {
-                        shed_trips.push(id);
-                    }
-                    outcome.shed.push(idx);
-                    continue;
-                }
-                if shed_trips.contains(&id) {
-                    outcome.shed.push(idx);
-                    continue;
-                }
-            }
-            let shard = self.shard_of(&ev);
-            groups[shard].0.push(ev);
-            groups[shard].1.push(idx);
-        }
-        if !outcome.shed.is_empty() {
-            self.metrics.admission_shed.add(outcome.shed.len() as u64);
-        }
-        for (shard, (group, indexes)) in groups.into_iter().enumerate() {
+        let Grouped { shards, shed } = self.group(events);
+        let mut outcome = CohortOutcome {
+            shed: shed.into_iter().map(|(idx, _)| idx).collect(),
+            ..CohortOutcome::default()
+        };
+        for (shard, (group, indexes)) in shards.into_iter().enumerate() {
             if group.is_empty() {
                 continue;
             }

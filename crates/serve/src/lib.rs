@@ -89,7 +89,7 @@ mod shard;
 mod snapshot;
 mod stats;
 
-pub use delta::{delta_from_bytes, delta_to_bytes, DeltaBase, FleetDelta};
+pub use delta::{delta_from_bytes, delta_to_bytes, DeltaBase, DeltaChainError, FleetDelta};
 pub use engine::{
     CohortOutcome, CompletionCallback, FleetConfig, FleetEngine, FleetEngineBuilder, ScoreCallback,
     ServeError, SubmitError,

@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use tad_metrics::{Counter, Gauge, Histogram, Registry};
 
@@ -31,7 +31,10 @@ pub(crate) struct ServeMetrics {
     /// `TripEnd`.
     pub reorder_flushed: Arc<Counter>,
     /// `serve.gap_score_through`: off-network jumps admitted under
-    /// [`crate::GapPolicy::ScoreThrough`].
+    /// [`crate::GapPolicy::ScoreThrough`]. Like `serve.dedup_dropped`, it
+    /// equals the `PolicyNotice`s producers receive for it, through a
+    /// router too (`tests/router.rs`,
+    /// `policy_notices_fan_in_through_the_router_to_the_owner`).
     pub gap_score_through: Arc<Counter>,
     /// `serve.trip_resets`: off-network jumps that reset the trip's
     /// Markov context under [`crate::GapPolicy::Reset`].
@@ -152,30 +155,6 @@ impl FleetStats {
 }
 
 impl FleetSnapshot {
-    /// Ingested-event throughput over this snapshot's own uptime —
-    /// identical to the `events_per_sec` field, provided as a method so
-    /// merged and plain snapshots expose one derived-rate surface.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events_per_sec
-    }
-
-    /// Scored-segment throughput over this snapshot's uptime; the number
-    /// the soak harness and benches report as sustained seg/s. 0.0 when
-    /// the uptime is 0.
-    pub fn segments_per_sec(&self) -> f64 {
-        if self.uptime_secs > 0.0 {
-            self.segments_scored as f64 / self.uptime_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// `uptime_secs` as a [`Duration`]. For a merged snapshot this is the
-    /// oldest backend's uptime (see [`FleetSnapshot::merged`]).
-    pub fn uptime(&self) -> Duration {
-        Duration::from_secs_f64(self.uptime_secs.max(0.0))
-    }
-
     /// Sums per-backend snapshots into one fleet-wide view: every counter
     /// adds up and the derived values are recomputed over the aggregate.
     ///
@@ -301,13 +280,11 @@ mod tests {
         // would read 20+ here).
         assert!((merged.uptime_secs - 7.0).abs() < 1e-12);
         assert!((merged.events_per_sec - 70.0 / 7.0).abs() < 1e-12);
-        assert!((merged.segments_per_sec() - 100.0 / 7.0).abs() < 1e-12);
-        assert!((merged.uptime().as_secs_f64() - 7.0).abs() < 1e-12);
         // Degenerate inputs stay well-defined.
         let empty = FleetSnapshot::merged(&[]);
         assert_eq!(empty.segments_scored, 0);
         assert_eq!(empty.mean_batch_size, 0.0);
-        assert_eq!(empty.segments_per_sec(), 0.0);
+        assert_eq!((empty.uptime_secs, empty.events_per_sec), (0.0, 0.0));
     }
 
     #[test]

@@ -1,31 +1,42 @@
-//! The queue-depth arm of fleet admission control
+//! Fleet admission control on the engine itself. The queue-depth arm
 //! ([`FleetConfig::admission_queue_watermark`]): while the
 //! `serve.ingest_inflight` gauge is at or above the watermark, new
 //! `TripStart`s are shed and events of already-admitted trips keep scoring.
+//! The session arm ([`FleetConfig::admission_session_watermark`]) on the
+//! bulk path: `submit_all` sheds a chunk's new trips like a cohort does.
 //!
 //! Sleep-free: an `on_score` callback parked on a channel holds the single
 //! shard mid-wave, so what is submitted meanwhile stays queued (the gauge
 //! drops when a batch is *drained*, not when it is scored) and every gauge
-//! reading below is exact.
+//! reading below is exact; the session count is exact after a `flush`.
 
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use causaltad::{CausalTad, CausalTadConfig};
 use tad_serve::{CohortOutcome, Event, FleetConfig, FleetEngine, SubmitError, TripId};
-use tad_trajsim::{generate_city, CityConfig};
+use tad_trajsim::{generate_city, City, CityConfig, Trajectory};
 
 /// `(trip, seq, score bits)` of every score delivery, in delivery order.
 type Scores = Arc<Mutex<Vec<(TripId, u32, u64)>>>;
 
+/// One trained model for the binary, and a test trip of 5+ segments.
+fn trained() -> (&'static Arc<CausalTad>, &'static Trajectory) {
+    static SHARED: OnceLock<(City, Arc<CausalTad>)> = OnceLock::new();
+    let (city, model) = SHARED.get_or_init(|| {
+        let city = generate_city(&CityConfig::test_scale(91));
+        let cfg = CausalTadConfig { epochs: 1, ..CausalTadConfig::test_scale() };
+        let mut model = CausalTad::new(&city.net, cfg);
+        model.fit(&city.data.train);
+        (city, Arc::new(model))
+    });
+    let t = city.data.test_id.iter().find(|t| t.len() >= 5).expect("a trip of 5+ segments");
+    (model, t)
+}
+
 #[test]
 fn queue_watermark_sheds_new_trips_while_the_admitted_trip_keeps_scoring() {
-    let city = generate_city(&CityConfig::test_scale(91));
-    let cfg = CausalTadConfig { epochs: 1, ..CausalTadConfig::test_scale() };
-    let mut model = CausalTad::new(&city.net, cfg);
-    model.fit(&city.data.train);
-    let model = Arc::new(model);
-    let t = city.data.test_id.iter().find(|t| t.len() >= 5).expect("a trip of 5+ segments");
+    let (model, t) = trained();
     let sd = t.sd_pair();
     let start =
         |id| Event::TripStart { id, source: sd.source.0, dest: sd.dest.0, time_slot: t.time_slot };
@@ -34,7 +45,7 @@ fn queue_watermark_sheds_new_trips_while_the_admitted_trip_keeps_scoring() {
     // What trip 1 scores on an engine nothing ever loads.
     let unloaded: Scores = Arc::default();
     let sink = Arc::clone(&unloaded);
-    let engine = FleetEngine::builder(Arc::clone(&model))
+    let engine = FleetEngine::builder(Arc::clone(model))
         .config(FleetConfig { num_shards: 1, ..FleetConfig::default() })
         .on_score(move |u| sink.lock().unwrap().push((u.id, u.seq, u.score.to_bits())))
         .build()
@@ -52,7 +63,7 @@ fn queue_watermark_sheds_new_trips_while_the_admitted_trip_keeps_scoring() {
     let (entered_tx, entered_rx) = channel();
     let (release_tx, release_rx) = channel::<()>();
     let release_rx = Mutex::new(release_rx);
-    let engine = FleetEngine::builder(Arc::clone(&model))
+    let engine = FleetEngine::builder(Arc::clone(model))
         .config(FleetConfig {
             num_shards: 1,
             admission_queue_watermark: 2,
@@ -105,4 +116,43 @@ fn queue_watermark_sheds_new_trips_while_the_admitted_trip_keeps_scoring() {
     engine.submit(start(2)).expect("below the watermark again");
     let stats = engine.shutdown();
     assert_eq!(stats.trips_started, 2);
+}
+
+/// `submit_all` applies the cohort's shed rule: above the session
+/// watermark a chunk's new trip is handed back with its same-chunk
+/// segment, while the admitted trip's segments in that chunk score.
+#[test]
+fn submit_all_sheds_new_trips_above_the_session_watermark() {
+    let (model, t) = trained();
+    let sd = t.sd_pair();
+    let start =
+        |id| Event::TripStart { id, source: sd.source.0, dest: sd.dest.0, time_slot: t.time_slot };
+    let seg = |id, i: usize| Event::Segment { id, seg: t.segments[i].0 };
+    let scores: Scores = Arc::default();
+    let sink = Arc::clone(&scores);
+    let engine = FleetEngine::builder(Arc::clone(model))
+        .config(FleetConfig {
+            num_shards: 2,
+            admission_session_watermark: 1,
+            ..FleetConfig::default()
+        })
+        .on_score(move |u| sink.lock().unwrap().push((u.id, u.seq, u.score.to_bits())))
+        .build()
+        .expect("trained model");
+
+    engine.submit_all([start(1), seg(1, 0)]).expect("below the watermark");
+    engine.flush().expect("shards live");
+    assert!(engine.admission_overloaded(), "one live session is at the watermark");
+
+    match engine.submit_all([start(2), seg(1, 1), seg(2, 0), seg(1, 2)]) {
+        Err(SubmitError::ShedChunk(shed)) => assert_eq!(shed, [start(2), seg(2, 0)]),
+        other => panic!("expected ShedChunk, got {other:?}"),
+    }
+    engine.flush().expect("shards live");
+    let scored: Vec<(TripId, u32)> =
+        scores.lock().unwrap().iter().map(|&(id, seq, _)| (id, seq)).collect();
+    assert_eq!(scored, [(1, 0), (1, 1), (1, 2)], "only the admitted trip scored");
+    assert_eq!(engine.metrics().counter("serve.admission_shed"), Some(2));
+    let stats = engine.shutdown();
+    assert_eq!((stats.trips_started, stats.events_ingested), (1, 4));
 }

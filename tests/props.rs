@@ -9,7 +9,7 @@ use causaltad_suite::autodiff::ParamStore;
 use causaltad_suite::codec::{seal_envelope, ReadError, Reader, ENVELOPE_HEADER_LEN};
 use causaltad_suite::core::{
     model_from_bytes, model_to_bytes, state_from_bytes, state_to_bytes, CausalTad, CausalTadConfig,
-    DeltaChainError, ModelCodecError, ScalingTable, ScorerState, SegmentTrace, StateCodecError,
+    ModelCodecError, ScalingTable, ScorerState, SegmentTrace, StateCodecError,
 };
 use causaltad_suite::metrics::{
     snapshot_from_bytes, snapshot_to_bytes, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
@@ -22,8 +22,8 @@ use causaltad_suite::net::{
 use causaltad_suite::router::{backend_for, split_image, RouterServer};
 use causaltad_suite::serve::{
     delta_from_bytes, delta_to_bytes, image_from_bytes, image_to_bytes, Completion, DeltaBase,
-    Event, FleetConfig, FleetDelta, FleetImage, FleetSnapshot, GapPolicy, PolicyAction,
-    ScoreUpdate, SessionRecord, SnapshotCodecError, StreamPolicy,
+    DeltaChainError, Event, FleetConfig, FleetDelta, FleetImage, FleetSnapshot, GapPolicy,
+    PolicyAction, ScoreUpdate, SessionRecord, SnapshotCodecError, StreamPolicy,
 };
 use common::script::scripted_conn;
 use common::{

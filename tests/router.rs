@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use causaltad_suite::core::CausalTad;
-use causaltad_suite::net::{Client, ClientError, ErrorCode, NetServer, Response};
+use causaltad_suite::net::{Client, ClientError, ErrorCode, NetConfig, NetServer, Response};
 use causaltad_suite::router::{backend_for, split_image, RouterServer};
 use causaltad_suite::serve::{image_from_bytes, Completion, Event, FleetConfig};
 use causaltad_suite::trajsim::Trajectory;
@@ -34,10 +34,21 @@ fn spawn_fleet(
     n: usize,
     cfg: FleetConfig,
 ) -> (Vec<NetServer>, RouterServer) {
+    spawn_fleet_on(model, n, cfg, NetConfig::default())
+}
+
+/// [`spawn_fleet`] with the backends' front-door config.
+fn spawn_fleet_on(
+    model: &Arc<CausalTad>,
+    n: usize,
+    cfg: FleetConfig,
+    net: NetConfig,
+) -> (Vec<NetServer>, RouterServer) {
     let backends: Vec<NetServer> = (0..n)
         .map(|_| {
             NetServer::builder(Arc::clone(model))
                 .fleet_config(cfg.clone())
+                .net_config(net.clone())
                 .bind("127.0.0.1:0")
                 .expect("bind backend")
         })
@@ -171,49 +182,56 @@ fn routed_snapshot_restores_n_to_m_bit_exactly() {
     }
 }
 
-/// Fan-in isolation: two producers streaming disjoint trips through the
-/// same router concurrently each receive exactly their own trips'
-/// responses (their union still bit-identical to in-process ingest), and
-/// a `TripStart` for an id another live connection owns is refused with a
-/// typed reject that does not disturb the owner.
+/// Fan-in isolation: producers streaming disjoint trips through the same
+/// router concurrently — two, then 64 thin connections each owning one
+/// trip — each receive exactly their own trips' responses (their union
+/// still bit-identical to in-process ingest), and a `TripStart` for an id
+/// another live connection owns is refused with a typed reject that does
+/// not disturb the owner.
 #[test]
 fn router_fans_in_to_the_owning_front_connection_only() {
     let (city, model) = trained();
-    let trips: Vec<&Trajectory> = city.data.test_id.iter().take(8).collect();
-    let events = interleave(&trips);
     let cfg = FleetConfig { num_shards: 2, ..FleetConfig::default() };
-
-    let reference = in_process(model, &events, cfg.clone());
-
-    let (backends, router) = spawn_fleet(model, 2, cfg);
+    let (backends, router) = spawn_fleet(model, 2, cfg.clone());
     let addr = router.local_addr();
-    let handles: Vec<_> = (0..2u64)
-        .map(|producer| {
-            let own: Vec<Event> =
-                events.iter().copied().filter(|ev| trip_of(ev) % 2 == producer).collect();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                send_events(&mut client, &own);
-                client.flush().expect("barrier");
-                let mut got = Produced::default();
-                drain(&mut client, &mut got);
-                got
+
+    // 8 trips over 2 producers, then 64 over 64 (trajectories reused
+    // cyclically; the engine keys routing and state on the id).
+    for (producers, n_trips) in [(2u64, 8), (64, 64)] {
+        let trips: Vec<&Trajectory> = city.data.test_id.iter().cycle().take(n_trips).collect();
+        let events = interleave(&trips);
+        let reference = in_process(model, &events, cfg.clone());
+        let handles: Vec<_> = (0..producers)
+            .map(|producer| {
+                let own: Vec<Event> = events
+                    .iter()
+                    .copied()
+                    .filter(|ev| trip_of(ev) % producers == producer)
+                    .collect();
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    send_events(&mut client, &own);
+                    client.flush().expect("barrier");
+                    let mut got = Produced::default();
+                    drain(&mut client, &mut got);
+                    got
+                })
             })
-        })
-        .collect();
-    let mut routed = Produced::default();
-    for (producer, handle) in handles.into_iter().enumerate() {
-        let got = handle.join().expect("producer thread");
-        for &(id, _) in got.scores.keys() {
-            assert_eq!(id % 2, producer as u64, "cross-delivered score");
+            .collect();
+        let mut routed = Produced::default();
+        for (producer, handle) in handles.into_iter().enumerate() {
+            let got = handle.join().expect("producer thread");
+            for &(id, _) in got.scores.keys() {
+                assert_eq!(id % producers, producer as u64, "cross-delivered score");
+            }
+            for &id in got.finals.keys() {
+                assert_eq!(id % producers, producer as u64, "cross-delivered completion");
+            }
+            routed.scores.extend(got.scores);
+            routed.finals.extend(got.finals);
         }
-        for &id in got.finals.keys() {
-            assert_eq!(id % 2, producer as u64, "cross-delivered completion");
-        }
-        routed.scores.extend(got.scores);
-        routed.finals.extend(got.finals);
+        assert_bit_identical(&routed, &reference);
     }
-    assert_bit_identical(&routed, &reference);
 
     // Ownership is enforced at the router: a second connection cannot
     // start a trip a live connection owns.
@@ -249,9 +267,8 @@ fn router_fans_in_to_the_owning_front_connection_only() {
     }
     assert_eq!((scored, completed), (1, true), "the owner's trip was undisturbed");
     router.shutdown();
-    for backend in backends {
-        backend.shutdown();
-    }
+    let live: u64 = backends.into_iter().map(|b| b.shutdown().active_sessions).sum();
+    assert_eq!(live, 0, "every trip was ended");
 }
 
 /// Sanitization through the routed tier: backends configured with a dedup
@@ -259,14 +276,33 @@ fn router_fans_in_to_the_owning_front_connection_only() {
 /// clean stream through one in-process engine, and every
 /// `PolicyNotice` fans in to the front connection that owns the trip —
 /// the producer sees the same notices it would get talking to a backend
-/// directly, and the fleet-merged metrics count every drop.
+/// directly, and the fleet-merged metrics count every drop and every
+/// off-network jump scored through.
 #[test]
 fn policy_notices_fan_in_through_the_router_to_the_owner() {
     use causaltad_suite::serve::{PolicyAction, StreamPolicy};
 
     let (city, model) = trained();
     let trips: Vec<&Trajectory> = city.data.test_id.iter().take(6).collect();
-    let clean = interleave(&trips);
+    // Every trip ends on an off-network jump: a segment that is neither a
+    // road-graph successor of its last one nor on the trip. The default
+    // `GapPolicy::ScoreThrough` admits it, charged as an unpoliced engine
+    // charges it, and says so with a notice.
+    let jump = |t: &Trajectory| -> u32 {
+        let last = t.segments.last().expect("non-empty trip").0;
+        (0..)
+            .find(|&s| {
+                !model.successors_of(last).contains(&s) && t.segments.iter().all(|seg| seg.0 != s)
+            })
+            .expect("a segment off the trip")
+    };
+    let clean: Vec<Event> = interleave(&trips)
+        .into_iter()
+        .flat_map(|ev| match ev {
+            Event::TripEnd { id } => vec![Event::Segment { id, seg: jump(trips[id as usize]) }, ev],
+            other => vec![other],
+        })
+        .collect();
     // At-least-once transport: every segment frame arrives twice.
     let dirty: Vec<Event> = clean
         .iter()
@@ -275,7 +311,7 @@ fn policy_notices_fan_in_through_the_router_to_the_owner() {
             other => vec![other],
         })
         .collect();
-    let segments: usize = trips.iter().map(|t| t.len()).sum();
+    let segments: usize = trips.iter().map(|t| t.len() + 1).sum();
 
     // Reference: the *clean* stream through one unpoliced engine.
     let reference = in_process(model, &clean, FleetConfig::default());
@@ -308,9 +344,8 @@ fn policy_notices_fan_in_through_the_router_to_the_owner() {
                             }
                         }
                         Response::PolicyNotice { id, action, seg } => {
-                            assert_eq!(action, PolicyAction::DedupDropped);
                             assert!(seg.is_some());
-                            notices.push(id);
+                            notices.push((id, action));
                         }
                         other => panic!("unexpected response: {other:?}"),
                     }
@@ -320,23 +355,30 @@ fn policy_notices_fan_in_through_the_router_to_the_owner() {
         })
         .collect();
     let mut routed = Produced::default();
-    let mut notice_total = 0usize;
+    let (mut dedup_notices, mut gap_notices) = (0u64, 0u64);
     for (producer, handle) in handles.into_iter().enumerate() {
         let (got, notices) = handle.join().expect("producer thread");
-        for &id in &notices {
+        for &(id, action) in &notices {
             assert_eq!(id % 2, producer as u64, "notice fanned in to the wrong producer");
+            match action {
+                PolicyAction::DedupDropped => dedup_notices += 1,
+                PolicyAction::GapScoredThrough => gap_notices += 1,
+                other => panic!("unexpected policy action: {other:?}"),
+            }
         }
-        notice_total += notices.len();
         routed.scores.extend(got.scores);
         routed.finals.extend(got.finals);
     }
     assert_bit_identical(&routed, &reference);
-    assert_eq!(notice_total, segments, "one notice per duplicated segment");
+    assert_eq!(dedup_notices, segments as u64, "one notice per duplicated segment");
+    assert_eq!(gap_notices, trips.len() as u64, "one notice per off-network jump");
 
-    // The fleet-merged metrics agree with the wire notices.
+    // The fleet-merged metrics balance the wire notices: every policy
+    // action was both counted and delivered, none invented.
     let mut client = Client::connect(addr).expect("connect");
     let fleet = client.metrics().expect("fleet metrics");
-    assert_eq!(fleet.counter("serve.dedup_dropped"), Some(segments as u64));
+    assert_eq!(fleet.counter("serve.dedup_dropped"), Some(dedup_notices));
+    assert_eq!(fleet.counter("serve.gap_score_through"), Some(gap_notices));
     assert_eq!(router.stats().responses_dropped, 0);
     router.shutdown();
     for backend in backends {
@@ -350,6 +392,14 @@ fn policy_notices_fan_in_through_the_router_to_the_owner() {
 /// (struct equality and re-encoded bytes) to merging the same registries
 /// in process. Arrival order at the barrier cannot matter because the
 /// histogram merge is an exact element-wise sum, hence commutative.
+///
+/// Run twice: over unlimited backends, then over backends whose ingest
+/// rate limit throttles the router's links. The second run adds the
+/// throttle ledger: every episode notice a backend emitted
+/// (`net.throttled`) was counted exactly once at the router, on the link
+/// it came from (`router.backend.N.throttled`, summing to
+/// `router.throttled`). No wait is needed: a link's throttle notices are
+/// queued ahead of its reply to the `Flush` barrier.
 #[test]
 fn fleet_metrics_merged_over_the_wire_match_in_process_aggregation() {
     use causaltad_suite::metrics::{snapshot_to_bytes, MetricsSnapshot};
@@ -358,47 +408,71 @@ fn fleet_metrics_merged_over_the_wire_match_in_process_aggregation() {
     let trips: Vec<&Trajectory> = city.data.test_id.iter().take(10).collect();
     let events = interleave(&trips);
     let cfg = FleetConfig { num_shards: 2, ..FleetConfig::default() };
-    let (backends, router) = spawn_fleet(model, 2, cfg);
-    let mut client = Client::connect(router.local_addr()).expect("connect");
-    send_events(&mut client, &events);
-    client.flush().expect("fleet barrier");
-    let mut routed = Produced::default();
-    drain(&mut client, &mut routed);
-    assert_eq!(routed.finals.len(), trips.len());
+    // A bucket of 4 refilled at 500 events/s: each link's share of the
+    // stream arrives in a burst that overdraws it.
+    let limited =
+        NetConfig { rate_limit_segments_per_s: 500, rate_limit_burst: 4, ..NetConfig::default() };
+    for net in [NetConfig::default(), limited] {
+        let rate_limited = net.rate_limit_segments_per_s > 0;
+        let (backends, router) = spawn_fleet_on(model, 2, cfg.clone(), net);
+        let mut client = Client::connect(router.local_addr()).expect("connect");
+        send_events(&mut client, &events);
+        client.flush().expect("fleet barrier");
+        let mut routed = Produced::default();
+        drain(&mut client, &mut routed);
+        assert_eq!(routed.finals.len(), trips.len());
 
-    let fleet = client.metrics().expect("fleet metrics over the wire");
+        let fleet = client.metrics().expect("fleet metrics over the wire");
 
-    // In-process ground truth, computed after the wire answer at a
-    // quiesced point: the same registries must merge to the same bits.
-    let parts: Vec<MetricsSnapshot> =
-        backends.iter().map(|b| b.metrics()).chain([router.metrics()]).collect();
-    let expect = MetricsSnapshot::merged(&parts);
-    assert_eq!(fleet, expect, "wire-merged fleet metrics must equal in-process aggregation");
-    assert_eq!(
-        snapshot_to_bytes(&fleet),
-        snapshot_to_bytes(&expect),
-        "wire-merged fleet metrics must re-encode to identical bytes"
-    );
+        // In-process ground truth, computed after the wire answer at a
+        // quiesced point: the same registries must merge to the same bits.
+        let parts: Vec<MetricsSnapshot> =
+            backends.iter().map(|b| b.metrics()).chain([router.metrics()]).collect();
+        let expect = MetricsSnapshot::merged(&parts);
+        assert_eq!(fleet, expect, "wire-merged fleet metrics must equal in-process aggregation");
+        assert_eq!(
+            snapshot_to_bytes(&fleet),
+            snapshot_to_bytes(&expect),
+            "wire-merged fleet metrics must re-encode to identical bytes"
+        );
 
-    // The single snapshot covers all three tiers. Serve: one latency
-    // sample per scored segment, fleet-wide.
-    let segments: u64 = trips.iter().map(|t| t.segments.len() as u64).sum();
-    let lat = fleet.histogram("serve.score_latency_ns").expect("serve histogram");
-    assert_eq!(lat.count, segments, "one fleet-wide latency sample per segment");
-    // Router: one forward sample per ingest event, and the per-backend
-    // split sums to the total.
-    let fwd = fleet.histogram("router.forward_ns").expect("router histogram");
-    assert_eq!(fwd.count, events.len() as u64, "one forward sample per ingest event");
-    let per_backend: u64 = (0..2)
-        .map(|i| fleet.histogram(&format!("router.backend.{i}.forward_ns")).map_or(0, |h| h.count))
-        .sum();
-    assert_eq!(per_backend, fwd.count, "per-backend forwards sum to the fleet total");
-    // Net: both backends decoded frames.
-    assert!(fleet.histogram("net.frame_decode_ns").expect("net histogram").count > 0);
+        // The single snapshot covers all three tiers. Serve: one latency
+        // sample per scored segment, fleet-wide.
+        let segments: u64 = trips.iter().map(|t| t.segments.len() as u64).sum();
+        let lat = fleet.histogram("serve.score_latency_ns").expect("serve histogram");
+        assert_eq!(lat.count, segments, "one fleet-wide latency sample per segment");
+        // Router: one forward sample per ingest event, and the per-backend
+        // split sums to the total.
+        let fwd = fleet.histogram("router.forward_ns").expect("router histogram");
+        assert_eq!(fwd.count, events.len() as u64, "one forward sample per ingest event");
+        let per_backend: u64 = (0..2)
+            .map(|i| {
+                fleet.histogram(&format!("router.backend.{i}.forward_ns")).map_or(0, |h| h.count)
+            })
+            .sum();
+        assert_eq!(per_backend, fwd.count, "per-backend forwards sum to the fleet total");
+        // Net: both backends decoded frames.
+        assert!(fleet.histogram("net.frame_decode_ns").expect("net histogram").count > 0);
 
-    router.shutdown();
-    for backend in backends {
-        backend.shutdown();
+        // The throttle ledger, link by link, then fleet-wide.
+        let counter = |snapshot: &MetricsSnapshot, name: &str| snapshot.counter(name).unwrap_or(0);
+        for (i, backend) in parts[..2].iter().enumerate() {
+            assert_eq!(
+                counter(&fleet, &format!("router.backend.{i}.throttled")),
+                counter(backend, "net.throttled"),
+                "link {i}: the router counts every throttle notice its backend emitted"
+            );
+        }
+        let throttled = counter(&fleet, "net.throttled");
+        assert_eq!(throttled > 0, rate_limited, "throttling engages exactly under a rate limit");
+        assert_eq!(counter(&fleet, "router.throttled"), throttled, "router throttle ledger");
+        assert_eq!(counter(&fleet, "net.idle_reaped"), 0, "no collateral reaping");
+        assert_eq!(counter(&fleet, "net.conns_rejected"), 0, "no collateral rejects");
+
+        router.shutdown();
+        for backend in backends {
+            backend.shutdown();
+        }
     }
 }
 
