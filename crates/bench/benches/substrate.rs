@@ -1,6 +1,6 @@
-//! Micro-benchmarks of the substrates: tensor kernels, GRU steps,
-//! shortest paths, city generation, map matching, and the scaling-table
-//! precompute.
+//! Micro-benchmarks of the substrates: tensor kernels, GRU steps, the
+//! recurrent backward product at a full and a leftover row count, shortest
+//! paths, city generation, map matching, and the scaling-table precompute.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -8,7 +8,7 @@ use rand::SeedableRng;
 
 use causaltad::{CausalTad, CausalTadConfig};
 use tad_autodiff::nn::GruCell;
-use tad_autodiff::{ParamStore, Tensor};
+use tad_autodiff::{PackedRhs, ParamStore, Tensor};
 use tad_eval::cities::{xian_s, Scale};
 use tad_roadnet::dijkstra::{
     length_cost, node_shortest_path, segment_shortest_path, SegmentSearch,
@@ -52,6 +52,25 @@ fn bench_gru_step(c: &mut Criterion) {
             gru.infer_step_rows(&u, |_| gx.row(0), h, &mut gh, [&mut out[..]]);
         })
     });
+}
+
+/// `dgh·Uᵀ` at hidden 256 with `Uᵀ` packed once, as `Tape::gru_sequence`'s
+/// backward runs it, at 8 rows (two full 4-row tiles) and 7 (one full
+/// tile and a 3-row tile over the same packed panels). The two read about
+/// the same: a leftover row never falls back to a serial dot chain.
+fn bench_recurrent_backward(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(4);
+    let hd = 256;
+    let u = Tensor::rand_uniform(hd, 3 * hd, -1.0, 1.0, &mut rng);
+    let (rows, cols) = PackedRhs::storage_shape(3 * hd, hd);
+    let packed_ut = PackedRhs::pack_transposed(&u, Tensor::zeros(rows, cols));
+    for m in [7, 8] {
+        let dgh = Tensor::rand_uniform(m, 3 * hd, -1.0, 1.0, &mut rng);
+        let mut dh = Tensor::zeros(m, hd);
+        c.bench_function(format!("dgh_ut_packed_once_m{m}"), |bch| {
+            bch.iter(|| packed_ut.matmul_acc_into(std::hint::black_box(dgh.data()), dh.data_mut()))
+        });
+    }
 }
 
 fn bench_dijkstra(c: &mut Criterion) {
@@ -120,6 +139,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_gru_step,
+    bench_recurrent_backward,
     bench_dijkstra,
     bench_generate_city,
     bench_map_matching,

@@ -578,7 +578,7 @@ pub fn fleet_walks(
 /// Seconds to replay every walk through per-session `OnlineScorer::push`
 /// loops (the pre-`tad-serve` serving strategy), interleaved round-robin
 /// like real fleet telemetry.
-pub fn time_naive_fleet(model: &causaltad::CausalTad, walks: &[Vec<u32>]) -> f64 {
+fn time_naive_fleet(model: &causaltad::CausalTad, walks: &[Vec<u32>]) -> f64 {
     let started = Instant::now();
     let mut scorers: Vec<_> =
         walks.iter().map(|w| model.online(w[0], *w.last().expect("non-empty"), 0)).collect();
@@ -598,7 +598,7 @@ pub fn time_naive_fleet(model: &causaltad::CausalTad, walks: &[Vec<u32>]) -> f64
 /// Events are fed from several producer threads, as gateway frontends
 /// would; each producer owns a disjoint slice of the fleet so per-trip
 /// order is preserved.
-pub fn time_engine_fleet(
+fn time_engine_fleet(
     model: &std::sync::Arc<causaltad::CausalTad>,
     walks: &[Vec<u32>],
     shards: usize,

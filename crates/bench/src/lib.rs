@@ -2,8 +2,10 @@
 //!
 //! Benchmark harness for the CausalTAD reproduction: the `paper` binary
 //! regenerates every table and figure of the paper's evaluation section,
-//! plus Criterion micro-benches for the O(1) online-update claim and the
-//! substrates.
+//! `tadbench` is the repository benchmark, and Criterion micro-benches
+//! cover the O(1) online-update claim, the substrates, persistence and the
+//! `fleet_wave` sweep (`push_state` vs `push_batch` over wave and hidden
+//! widths; the one bench that writes an artefact, `BENCH_score.json`).
 //!
 //! `cargo run --release -p tad-bench --bin paper -- <artefact>...`:
 //!
@@ -34,7 +36,7 @@ pub mod suite;
 
 pub use experiments::{
     ablation_design, emit, fig4, fig7a, fleet_throughput, fleet_walks, hostile_streams, table3,
-    time_engine_fleet, time_naive_fleet, training_times, Study,
+    training_times, Study,
 };
 pub use opts::{CityChoice, Opts};
 

@@ -121,8 +121,8 @@ impl CausalTad {
         &self.store
     }
 
-    /// Mutable parameter store for custom optimisation loops (benches, the
-    /// scalar reference trainer), and the one way to the parameters
+    /// Mutable parameter store for custom optimisation loops (the
+    /// reference trainers of the tests), and the one way to the parameters
     /// training takes too. It drops the
     /// inference plan, so the next score is stepped against the parameters
     /// as they then are. The scaling table is *not* recomputed: after
@@ -149,9 +149,9 @@ impl CausalTad {
     /// Draws a micro-batch's reparameterisation noise and lays out what
     /// each VAE reads of it. The noise is drawn per trajectory in batch
     /// order (TG then RP), so a micro-batch of size 1 consumes the rng
-    /// stream exactly like [`CausalTad::trajectory_loss_reference`] and
-    /// larger micro-batches draw the same values for the same
-    /// trajectories.
+    /// stream exactly like the scalar reference (`TgVae::loss_reference`
+    /// then `RpVae::loss`, one trajectory per tape) and larger
+    /// micro-batches draw the same values for the same trajectories.
     pub(crate) fn draw_chunk(&self, batch: &[&Trajectory], rng: &mut StdRng) -> ChunkInputs {
         assert!(!batch.is_empty(), "draw_chunk: empty micro-batch");
         let b = batch.len();
@@ -197,7 +197,7 @@ impl CausalTad {
     ///
     /// This is the one-tape composition of the two halves
     /// [`Trainer::fit`] runs on two threads; the trainer's bit-identity
-    /// test and the training bench check the lanes against it.
+    /// test checks the lanes against it.
     pub fn trajectory_loss_batch(
         &self,
         tape: &mut Tape,
@@ -208,25 +208,6 @@ impl CausalTad {
         let tg = self.tg_chunk_loss(tape, &self.store, &chunk.tg_segments, chunk.tg_eps);
         let rp = self.rp.loss_with_eps(tape, &self.store, &chunk.rp_tokens, chunk.rp_eps);
         tape.add(tg, rp)
-    }
-
-    /// The pre-vectorisation scalar training loss for one trajectory:
-    /// unfused GRU steps, one tape node per primitive op, per-transition
-    /// CE. Exposed so the training bench and the equivalence tests can
-    /// compare the micro-batched trainer against the original formulation
-    /// (identical rng consumption per trajectory).
-    pub fn trajectory_loss_reference(
-        &self,
-        tape: &mut Tape,
-        segments: &[u32],
-        time_slot: u8,
-        rng: &mut StdRng,
-    ) -> Var {
-        let tg_loss =
-            self.tg.loss_reference(tape, &self.store, segments, &self.successors, &self.cfg, rng);
-        let tokens: Vec<u32> = segments.iter().map(|&s| self.rp.token(s, time_slot)).collect();
-        let rp_loss = self.rp.loss(tape, &self.store, &tokens, rng);
-        tape.add(tg_loss.total, rp_loss)
     }
 
     /// Trains both VAEs jointly (Eq. 9) and precomputes the scaling table.

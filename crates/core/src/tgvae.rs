@@ -269,8 +269,8 @@ impl TgVae {
 
     /// The pre-vectorisation scalar reference: one trajectory, one tape op
     /// per primitive (unfused GRU steps, one subset projection + CE per
-    /// transition). Kept verbatim so equivalence tests and the training
-    /// bench can compare the micro-batched path against the original
+    /// transition). Kept verbatim so the equivalence tests can compare the
+    /// fused loss and the micro-batched trainer against the original
     /// formulation — both consume the rng stream identically.
     pub fn loss_reference<R: Rng + ?Sized>(
         &self,

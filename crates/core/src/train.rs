@@ -176,7 +176,7 @@ mod tests {
     use crate::config::CausalTadConfig;
     use rand::seq::SliceRandom;
     use tad_autodiff::optim::Adam;
-    use tad_autodiff::Tape;
+    use tad_autodiff::{Tape, Var};
     use tad_trajsim::{generate_city, CityConfig};
 
     #[test]
@@ -312,13 +312,19 @@ mod tests {
         assert_eq!(report.epoch_losses, vec![accepted_sum / accepted as f64]);
     }
 
+    /// What [`one_tape_fit`] evaluates per chunk of a batch.
+    type ChunkLoss = fn(&CausalTad, &mut Tape, &[&Trajectory], &mut StdRng) -> Var;
+
     /// The loop `Trainer::fit` ran before it had lanes: one tape, one
-    /// store, one Adam, `L1 + L2` added on the tape. Kept here as the
-    /// reference the two-lane loop is pinned to.
+    /// store, one Adam, `L1 + L2` added on the tape, each batch cut into
+    /// chunks of `micro_batch`. Kept here as the reference the two-lane
+    /// loop is pinned to.
     fn one_tape_fit(
         cfg: &CausalTadConfig,
         model: &mut CausalTad,
         train: &[Trajectory],
+        micro_batch: usize,
+        chunk_loss: ChunkLoss,
     ) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
         let mut adam = Adam::new(model.store(), cfg.lr);
@@ -333,9 +339,9 @@ mod tests {
                 let scale = 1.0 / batch.len() as f32;
                 let eligible: Vec<&Trajectory> =
                     batch.iter().map(|&idx| &train[idx]).filter(|t| t.len() >= 2).collect();
-                for chunk in eligible.chunks(cfg.micro_batch.max(1)) {
+                for chunk in eligible.chunks(micro_batch.max(1)) {
                     tape.reset();
-                    let loss = model.trajectory_loss_batch(&mut tape, chunk, &mut rng);
+                    let loss = chunk_loss(model, &mut tape, chunk, &mut rng);
                     let v = tape.value(loss).get(0, 0) as f64;
                     assert!(v.is_finite());
                     let scaled = tape.scale(loss, scale);
@@ -392,6 +398,16 @@ mod tests {
                 ));
             }
         }
+        // The widths `tadbench` trains at beyond those two: `train_eval`'s
+        // and `engine_wide_sat`'s, at their micro-batch.
+        cases.push(("paper_scale, micro_batch 8".into(), CausalTadConfig::paper_scale()));
+        let wide = CausalTadConfig {
+            embed_dim: 64,
+            hidden_dim: 256,
+            latent_dim: 32,
+            ..CausalTadConfig::test_scale()
+        };
+        cases.push(("wide, micro_batch 8".into(), wide));
         let base = CausalTadConfig::test_scale();
         cases.push((
             "time_factorised_scaling".into(),
@@ -408,18 +424,71 @@ mod tests {
 
         for (what, mut cfg) in cases {
             // Three epochs at a learning rate that overshoots: in the six
-            // width x micro_batch cases the second epoch is the best, so
-            // the per-lane restore is exercised.
+            // test_scale / default x micro_batch cases the second epoch is
+            // the best, so the per-lane restore is exercised.
             cfg.epochs = 3;
             cfg.lr = 1e-1;
             let mut reference = CausalTad::new(&city.net, cfg.clone());
-            let expected = one_tape_fit(&cfg, &mut reference, train);
+            let expected = one_tape_fit(
+                &cfg,
+                &mut reference,
+                train,
+                cfg.micro_batch,
+                CausalTad::trajectory_loss_batch,
+            );
             let mut model = CausalTad::new(&city.net, cfg);
             let report = Trainer::fit(&mut model, train);
             assert!(!report.diverged, "{what}");
             assert_eq!(report.epoch_losses, expected, "{what}: epoch losses");
             assert!(model.store().same_layout(reference.store()), "{what}: store layout");
             assert_eq!(param_bits(model.store()), param_bits(reference.store()), "{what}");
+        }
+    }
+
+    /// The scalar reference loss of a one-trajectory chunk: the TG-VAE's
+    /// unfused per-op formulation (`TgVae::loss_reference`, GRU steps by
+    /// `BoundGru::step_unfused`, one CE node per transition) plus
+    /// `RpVae::loss`, drawing the noise in the trainer's order.
+    fn scalar_reference_loss(
+        model: &CausalTad,
+        tape: &mut Tape,
+        chunk: &[&Trajectory],
+        rng: &mut StdRng,
+    ) -> Var {
+        let [t] = chunk else { panic!("the scalar reference takes one trajectory per tape") };
+        let segments: Vec<u32> = t.segments.iter().map(|s| s.0).collect();
+        let tokens: Vec<u32> = segments.iter().map(|&s| model.rp.token(s, t.time_slot)).collect();
+        let (store, cfg) = (model.store(), model.config());
+        let tg = model.tg.loss_reference(tape, store, &segments, &model.successors, cfg, rng);
+        let rp = model.rp.loss(tape, store, &tokens, rng);
+        tape.add(tg.total, rp)
+    }
+
+    #[test]
+    fn microbatch_trainer_tracks_the_scalar_reference_per_epoch() {
+        // `Trainer::fit` (micro-batched, fused, two lanes) against the
+        // formulation it replaced. Both draw identical noise; what differs
+        // is f32 reassociation in the batched nodes and the fast-math gate
+        // and CE kernels, so the epoch losses agree closely, not bit for
+        // bit.
+        let city = generate_city(&CityConfig::test_scale(307));
+        let train = &city.data.train;
+        for (width, base) in
+            [("test_scale", CausalTadConfig::test_scale()), ("default", CausalTadConfig::default())]
+        {
+            let cfg = CausalTadConfig { epochs: 3, ..base };
+            let mut reference = CausalTad::new(&city.net, cfg.clone());
+            let expected = one_tape_fit(&cfg, &mut reference, train, 1, scalar_reference_loss);
+            let mut model = CausalTad::new(&city.net, cfg);
+            let report = Trainer::fit(&mut model, train);
+            assert_eq!(report.epoch_losses.len(), expected.len(), "{width}");
+            for (epoch, (a, b)) in report.epoch_losses.iter().zip(&expected).enumerate() {
+                let rel = (a - b).abs() / b.abs().max(1e-12);
+                assert!(
+                    rel < 1e-6,
+                    "{width}: epoch {epoch} loss {a} vs reference {b} (rel {rel:e})"
+                );
+            }
         }
     }
 
