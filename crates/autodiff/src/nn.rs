@@ -28,7 +28,7 @@ use crate::tape::{Tape, Var};
 use crate::tensor::{PackedRhs, Tensor, MR};
 
 /// Xavier/Glorot uniform initialisation for a `fan_in x fan_out` matrix.
-pub fn xavier_uniform<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
+fn xavier_uniform<R: Rng + ?Sized>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
     let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
     Tensor::rand_uniform(fan_in, fan_out, -limit, limit, rng)
 }

@@ -49,7 +49,7 @@ impl Adam {
     /// [`Adam::step`] on the gradients times `grad_scale` (a clip factor),
     /// if any: one pass over each parameter that scales, updates and zeroes
     /// the gradient element by element — the f32 operations of
-    /// [`ParamStore::scale_grads`], then the update, then
+    /// `ParamStore::scale_grads`, then the update, then
     /// [`ParamStore::zero_grads`], in that order.
     pub fn step_scaled(&mut self, store: &mut ParamStore, grad_scale: Option<f32>) {
         assert_eq!(self.m.len(), store.len(), "Adam: store layout changed");

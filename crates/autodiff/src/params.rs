@@ -264,7 +264,7 @@ impl ParamStore {
     }
 
     /// Multiplies every gradient by `factor`.
-    pub fn scale_grads(&mut self, factor: f32) {
+    fn scale_grads(&mut self, factor: f32) {
         for g in &mut self.grads {
             for x in g.data_mut() {
                 *x *= factor;

@@ -102,16 +102,16 @@ impl TensorPool {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Number of buffers currently parked in the pool.
-    pub fn idle_buffers(&self) -> usize {
-        self.free.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of buffers currently parked in the pool.
+    fn idle_buffers(pool: &TensorPool) -> usize {
+        pool.free.values().map(Vec::len).sum()
+    }
 
     #[test]
     fn recycle_then_take_reuses_buffer() {
@@ -119,7 +119,7 @@ mod tests {
         let t = pool.take_zeroed(2, 3);
         assert_eq!(pool.misses(), 1);
         pool.recycle(t);
-        assert_eq!(pool.idle_buffers(), 1);
+        assert_eq!(idle_buffers(&pool), 1);
         // Same element count, different shape: still a hit.
         let t2 = pool.take_zeroed(3, 2);
         assert_eq!(pool.hits(), 1);
@@ -143,7 +143,7 @@ mod tests {
     fn zero_sized_tensors_are_not_pooled() {
         let mut pool = TensorPool::new();
         pool.recycle(Tensor::zeros(0, 5));
-        assert_eq!(pool.idle_buffers(), 0);
+        assert_eq!(idle_buffers(&pool), 0);
     }
 
     #[test]
@@ -158,7 +158,7 @@ mod tests {
         assert_eq!(t2.shape(), (126, 32));
         assert!(t2.data().iter().all(|&x| x == 0.0));
         pool.recycle(t2);
-        assert_eq!(pool.idle_buffers(), 1);
+        assert_eq!(idle_buffers(&pool), 1);
     }
 
     #[test]
@@ -181,6 +181,6 @@ mod tests {
         for _ in 0..(BUCKET_CAP + 10) {
             pool.recycle(Tensor::zeros(1, 8));
         }
-        assert_eq!(pool.idle_buffers(), BUCKET_CAP);
+        assert_eq!(idle_buffers(&pool), BUCKET_CAP);
     }
 }

@@ -10,13 +10,12 @@
 //! cargo run --release -p tad-bench --bin diagnose -- [bias] [noise] [epochs]
 //! ```
 
-use std::collections::HashMap;
-
 use causaltad::CausalTadConfig;
 use tad_baselines::{BaselineConfig, Detector, Vsae};
 use tad_eval::cities::{xian_s, Scale};
 use tad_eval::harness::evaluate;
 use tad_eval::wrappers::CausalTadDetector;
+use tad_trajsim::stats::{segment_frequencies, unseen_share};
 use tad_trajsim::{generate_city, Trajectory};
 
 fn main() {
@@ -41,23 +40,16 @@ fn main() {
         cc.route.utility_noise
     );
 
-    let mut freq: HashMap<u32, usize> = HashMap::new();
-    for t in &city.data.train {
-        for s in &t.segments {
-            *freq.entry(s.0).or_default() += 1;
-        }
-    }
-
     let mut vsae = Vsae::vsae(BaselineConfig { epochs, ..Default::default() });
     vsae.fit(&city.net, &city.data.train);
     let mut causal = CausalTadDetector::new(CausalTadConfig { epochs, ..Default::default() });
     causal.fit(&city.net, &city.data.train);
     let model = causal.model().expect("trained");
     let table = model.scaling().expect("trained");
+    let seen = segment_frequencies(&city.data.train);
 
     let stats = |name: &str, pool: &[Trajectory]| {
         let mut nseg = 0usize;
-        let mut unseen = 0usize;
         let mut scale = 0.0;
         let mut nll = 0.0;
         for t in pool {
@@ -66,9 +58,6 @@ fn main() {
             for &seg in &t.segments {
                 s.push(seg.0);
                 nseg += 1;
-                if freq.get(&seg.0).copied().unwrap_or(0) == 0 {
-                    unseen += 1;
-                }
                 scale += table.log_scale(seg.0, t.time_slot);
             }
             nll += s.likelihood_nll();
@@ -76,7 +65,7 @@ fn main() {
         println!(
             "  {name:<9} len {:5.1}  unseen% {:4.1}  scale/seg {:5.2}  nll/seg {:5.2}",
             nseg as f64 / pool.len() as f64,
-            unseen as f64 / nseg as f64 * 100.0,
+            unseen_share(&seen, pool) * 100.0,
             scale / nseg as f64,
             nll / nseg as f64
         );

@@ -149,7 +149,7 @@ pub fn train_ablation_roster(city: &City, opts: &Opts) -> Vec<CausalTadDetector>
 }
 
 /// Number of worker threads for training fan-outs.
-pub fn available_workers() -> usize {
+fn available_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2)
 }
 

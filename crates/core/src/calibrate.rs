@@ -1,10 +1,9 @@
 //! Alarm-threshold calibration.
 //!
 //! ROC/PR-AUC evaluate rankings, but a deployed detector needs a concrete
-//! alarm threshold. This module calibrates one from normal trajectories:
-//! either a score quantile (bounding the false-positive rate) or a robust
-//! mean + k·std rule. Length-normalised scores are supported because raw
-//! scores grow with trajectory length.
+//! alarm threshold. This module calibrates one from normal trajectories: a
+//! score quantile, bounding the false-positive rate. Length-normalised
+//! scores are supported because raw scores grow with trajectory length.
 
 use tad_trajsim::Trajectory;
 
@@ -72,29 +71,6 @@ pub fn calibrate_quantile(
     Threshold { value, normalisation, calibration_fpr: fpr }
 }
 
-/// Calibrates a `mean + k * std` threshold over the normal scores.
-pub fn calibrate_sigma(
-    model: &CausalTad,
-    normals: &[Trajectory],
-    k: f64,
-    normalisation: Normalisation,
-) -> Threshold {
-    assert!(!normals.is_empty(), "calibration set must not be empty");
-    let scores: Vec<f64> = normals
-        .iter()
-        .map(|t| match normalisation {
-            Normalisation::Raw => model.score(t),
-            Normalisation::PerSegment => model.score(t) / t.len().max(1) as f64,
-        })
-        .collect();
-    let n = scores.len() as f64;
-    let mean = scores.iter().sum::<f64>() / n;
-    let var = scores.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
-    let value = mean + k * var.sqrt();
-    let fpr = scores.iter().filter(|&&s| s > value).count() as f64 / n;
-    Threshold { value, normalisation, calibration_fpr: fpr }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,16 +103,6 @@ mod tests {
                 / ts.len() as f64
         };
         assert!(alarms(&city.data.detour) > alarms(&city.data.test_id));
-    }
-
-    #[test]
-    fn sigma_threshold_is_above_mean() {
-        let (city, model) = trained();
-        let th = calibrate_sigma(&model, &city.data.test_id, 3.0, Normalisation::Raw);
-        let mean: f64 = city.data.test_id.iter().map(|t| model.score(t)).sum::<f64>()
-            / city.data.test_id.len() as f64;
-        assert!(th.value > mean);
-        assert!(th.calibration_fpr < 0.1);
     }
 
     #[test]

@@ -51,7 +51,6 @@
 pub mod calibrate;
 mod codec;
 mod config;
-pub mod generate;
 mod model;
 mod online;
 mod rpvae;

@@ -296,19 +296,11 @@ impl CausalTad {
         }
         scorer.likelihood_nll()
     }
-
-    /// Ablation score using only the RP-VAE segment likelihoods: the
-    /// "RP-VAE" row of Table III (`-Σ_i ELBO log P(t_i)`).
-    pub fn score_rp_only(&self, traj: &Trajectory) -> f64 {
-        let table = self.scaling.as_ref().expect("scaling table not computed; call fit()");
-        traj.segments.iter().map(|&s| -table.elbo(s.0, traj.time_slot)).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
     use tad_trajsim::{generate_city, CityConfig};
 
     fn small_city() -> tad_trajsim::City {
@@ -462,15 +454,5 @@ mod tests {
         let t = &city.data.test_ood[0];
         let diff = with_sd.score(t) - without_sd.score(t);
         assert!(diff > 0.0, "SD NLL must add a positive term, diff {diff}");
-    }
-
-    #[test]
-    fn rp_only_scores_defined() {
-        let city = small_city();
-        let model = quick_model(&city);
-        let mut rng = StdRng::seed_from_u64(0);
-        let idx = rng.gen_range(0..city.data.test_id.len());
-        let s = model.score_rp_only(&city.data.test_id[idx]);
-        assert!(s.is_finite());
     }
 }

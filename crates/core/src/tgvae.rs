@@ -435,20 +435,6 @@ impl TgVae {
         logits
     }
 
-    /// Advances one decoder hidden row with segment `seg`, in place: the
-    /// one-row case of [`TgVae::advance_batch`].
-    pub(crate) fn advance(
-        &self,
-        plan: &InferencePlan,
-        scratch: &mut StepScratch,
-        h: &mut [f32],
-        seg: u32,
-    ) {
-        let (hs, gh, _) = scratch.tile(1, h.len());
-        hs.copy_from_slice(h);
-        self.advance_batch(plan, hs, &[seg], gh, [h]);
-    }
-
     // ----- batched inference (fleet scoring) -----------------------------
 
     /// Rows per tile of a scoring wave (see
@@ -561,6 +547,20 @@ mod tests {
         (0..6u32).map(|i| vec![(i + 1) % 6, (i + 2) % 6]).collect()
     }
 
+    /// Advances one decoder hidden row with segment `seg`, in place: the
+    /// one-row case of [`TgVae::advance_batch`].
+    fn advance(
+        tg: &TgVae,
+        plan: &InferencePlan,
+        scratch: &mut StepScratch,
+        h: &mut [f32],
+        seg: u32,
+    ) {
+        let (hs, gh, _) = scratch.tile(1, h.len());
+        hs.copy_from_slice(h);
+        tg.advance_batch(plan, hs, &[seg], gh, [h]);
+    }
+
     fn build() -> (ParamStore, TgVae, CausalTadConfig, StdRng) {
         let cfg = CausalTadConfig::test_scale();
         let mut rng = StdRng::seed_from_u64(1);
@@ -620,7 +620,7 @@ mod tests {
         let plan = tg.build_plan(&store, false);
         let mut scratch = StepScratch::default();
         let (mut h, _) = tg.start(&store, &plan, &mut scratch.buf, 0, 4);
-        tg.advance(&plan, &mut scratch, h.data_mut(), 0);
+        advance(&tg, &plan, &mut scratch, h.data_mut(), 0);
         let nll_trained = tg.step_nll(&store, &mut scratch.buf, h.data(), &succ[0], 1);
         let nll_alt = tg.step_nll(&store, &mut scratch.buf, h.data(), &succ[0], 2);
         assert!(nll_trained < nll_alt, "trained transition {nll_trained} vs alternative {nll_alt}");
@@ -775,7 +775,7 @@ mod tests {
         let out = batched.data_mut().chunks_exact_mut(hidden);
         tg.advance_batch(&plan, &hs, &segs, &mut gh, out);
         for (i, mut h) in [h0, h1].into_iter().enumerate() {
-            tg.advance(&plan, &mut scratch, h.data_mut(), segs[i]);
+            advance(&tg, &plan, &mut scratch, h.data_mut(), segs[i]);
             assert_eq!(batched.row(i), h.row(0), "row {i}");
             // ... and both are the step the GRU cell takes from scratch:
             // input projection, `U` packed per call, no table.

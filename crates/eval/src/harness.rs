@@ -35,10 +35,7 @@ pub fn evaluate_at_ratio(
     observed_ratio: f64,
 ) -> ComboResult {
     evaluate_with(
-        |t| {
-            let n = ((t.len() as f64) * observed_ratio).round() as usize;
-            det.score_prefix(t, n.max(1))
-        },
+        |t| det.score_prefix(t, t.observed_prefix(observed_ratio).len()),
         normals,
         anomalies,
     )

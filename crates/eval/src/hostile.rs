@@ -40,11 +40,7 @@ use crate::metrics::{pr_auc, roc_auc};
 /// Panics if the engine fails to complete a trip: every trip here is
 /// submitted with a terminating `TripEnd`, so a missing final score is an
 /// engine bug, not an evaluation outcome.
-pub fn fleet_scores(
-    model: &Arc<CausalTad>,
-    policy: &StreamPolicy,
-    trips: &[Trajectory],
-) -> Vec<f64> {
+fn fleet_scores(model: &Arc<CausalTad>, policy: &StreamPolicy, trips: &[Trajectory]) -> Vec<f64> {
     let finals: Arc<Mutex<HashMap<u64, f64>>> = Arc::new(Mutex::new(HashMap::new()));
     let sink = Arc::clone(&finals);
     let cfg = FleetConfig { policy: policy.clone(), ..FleetConfig::default() };

@@ -31,11 +31,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Formats a metric with 4 decimal places (the paper's precision).
     pub fn metric(x: f64) -> String {
         format!("{x:.4}")
@@ -98,7 +93,6 @@ mod tests {
         assert!(md.contains("### Demo"));
         assert!(md.contains("| a | b |"));
         assert!(md.contains("| 1 | 2 |"));
-        assert_eq!(t.num_rows(), 1);
     }
 
     #[test]

@@ -250,15 +250,6 @@ impl MetricsSnapshot {
             _ => None,
         })
     }
-
-    /// The subset of entries whose names start with `prefix` — e.g.
-    /// `with_prefix("serve.")` isolates one tier out of a fleet-merged
-    /// snapshot.
-    pub fn with_prefix(&self, prefix: &str) -> MetricsSnapshot {
-        MetricsSnapshot {
-            entries: self.entries.iter().filter(|e| e.name.starts_with(prefix)).cloned().collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -318,16 +309,5 @@ mod tests {
         assert_eq!(lat.max, 200);
         // Same discipline as FleetSnapshot::merged: empty in, empty out.
         assert_eq!(MetricsSnapshot::merged(&[]), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn with_prefix_filters() {
-        let reg = Registry::new();
-        reg.counter("serve.a").inc();
-        reg.counter("net.b").inc();
-        let snap = reg.snapshot();
-        let serve = snap.with_prefix("serve.");
-        assert_eq!(serve.entries.len(), 1);
-        assert_eq!(serve.entries[0].name, "serve.a");
     }
 }

@@ -146,7 +146,6 @@ pub struct Client {
     reader: TcpStream,
     writer: BufWriter<TcpStream>,
     queue: VecDeque<Response>,
-    max_frame_len: usize,
     addrs: Vec<SocketAddr>,
     retry: Option<RetryPolicy>,
     read_timeout: Option<Duration>,
@@ -174,7 +173,6 @@ impl Client {
             reader: stream,
             writer,
             queue: VecDeque::new(),
-            max_frame_len: DEFAULT_MAX_FRAME,
             addrs,
             retry: None,
             read_timeout: None,
@@ -196,13 +194,6 @@ impl Client {
     /// replies ([`ClientError::Server`]) are never retried.
     pub fn with_retry(mut self, policy: RetryPolicy) -> Client {
         self.retry = Some(policy);
-        self
-    }
-
-    /// Raises (or lowers) the cap on incoming frame payloads — raise it
-    /// when snapshots of very large fleets exceed the 64 MiB default.
-    pub fn with_max_frame_len(mut self, max: usize) -> Client {
-        self.max_frame_len = max;
         self
     }
 
@@ -425,7 +416,7 @@ impl Client {
     /// [`ClientError::Timeout`] (the platform reports it as `WouldBlock`
     /// or `TimedOut` depending on the OS).
     fn read_one(&mut self) -> Result<Response, ClientError> {
-        match read_response(&mut self.reader, self.max_frame_len) {
+        match read_response(&mut self.reader, DEFAULT_MAX_FRAME) {
             Ok(Some(resp)) => Ok(resp),
             Ok(None) => Err(ClientError::Disconnected),
             Err(RecvError::Io(e))

@@ -154,7 +154,7 @@ impl Default for NetConfig {
 impl NetConfig {
     /// The worker count [`NetConfig::event_workers`] resolves to on this
     /// machine.
-    pub fn resolved_workers(&self) -> usize {
+    fn resolved_workers(&self) -> usize {
         if self.event_workers > 0 {
             return self.event_workers;
         }
@@ -1117,7 +1117,7 @@ impl<S: EventSource<T>, T: Read + Write> FrontDoor<S, T> {
 }
 
 /// The production wiring of a front door: one acceptor thread dealing
-/// accepted sockets round-robin to [`NetConfig::resolved_workers`] event
+/// accepted sockets round-robin to `NetConfig::resolved_workers` event
 /// workers, each running the server's tick loop over its own
 /// `FrontDoor<PollSource, TcpStream>`.
 pub struct FrontListener {

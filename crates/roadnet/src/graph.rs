@@ -63,15 +63,6 @@ impl RoadClass {
             _ => None,
         }
     }
-
-    /// Free-flow speed in m/s used when converting lengths to travel times.
-    pub fn free_flow_speed(self) -> f64 {
-        match self {
-            RoadClass::Major => 22.0,    // ~80 km/h
-            RoadClass::Arterial => 14.0, // ~50 km/h
-            RoadClass::Local => 8.5,     // ~30 km/h
-        }
-    }
 }
 
 /// An intersection.
@@ -197,13 +188,6 @@ impl RoadNetwork {
         self.out_segments[a.index()].iter().copied().find(|&s| self.segment(s).to == b)
     }
 
-    /// The reverse twin of `seg` (the segment covering the same road in the
-    /// opposite direction), if present.
-    pub fn reverse_of(&self, seg: SegmentId) -> Option<SegmentId> {
-        let s = self.segment(seg);
-        self.segment_between(s.to, s.from)
-    }
-
     /// True when `path` is a connected walk: each consecutive pair of
     /// segments shares an intersection head-to-tail.
     pub fn is_connected_path(&self, path: &[SegmentId]) -> bool {
@@ -312,15 +296,6 @@ mod tests {
         // b is a dead end: the only way onward is the U-turn.
         let succ: Vec<_> = net.successors(ab).collect();
         assert_eq!(succ, vec![ba]);
-    }
-
-    #[test]
-    fn reverse_of_finds_twin() {
-        let (net, n) = ring();
-        let s01 = net.segment_between(n[0], n[1]).unwrap();
-        let s10 = net.segment_between(n[1], n[0]).unwrap();
-        assert_eq!(net.reverse_of(s01), Some(s10));
-        assert_eq!(net.reverse_of(s10), Some(s01));
     }
 
     #[test]

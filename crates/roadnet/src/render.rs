@@ -100,7 +100,7 @@ pub fn render_svg(net: &RoadNetwork, highlights: &[Highlight], opts: &RenderOpti
 }
 
 /// Blue (0.0) → red (1.0) colour ramp via simple RGB interpolation.
-pub fn ramp(value: f64) -> String {
+fn ramp(value: f64) -> String {
     let v = value.clamp(0.0, 1.0);
     let r = (255.0 * v) as u8;
     let b = (255.0 * (1.0 - v)) as u8;

@@ -848,11 +848,6 @@ impl FleetEngine {
         self.stats.snapshot()
     }
 
-    /// Shared handle to the live counters (e.g. for a metrics exporter).
-    pub fn stats_handle(&self) -> Arc<FleetStats> {
-        Arc::clone(&self.stats)
-    }
-
     /// Point-in-time copy of the engine's latency/depth metrics (the
     /// `serve.*` names — score latency, batch width, queue depth). When
     /// the engine was built with [`FleetEngineBuilder::metrics_registry`],

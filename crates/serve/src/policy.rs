@@ -146,18 +146,6 @@ impl PolicyAction {
             _ => return None,
         })
     }
-
-    /// True for the quarantine classifications (malformed input that was
-    /// rejected), false for the sanitizing transforms.
-    pub fn is_quarantine(self) -> bool {
-        matches!(
-            self,
-            PolicyAction::QuarantinedDuplicateStart
-                | PolicyAction::QuarantinedUnknownTrip
-                | PolicyAction::QuarantinedOutOfVocab
-                | PolicyAction::QuarantinedBadStart
-        )
-    }
 }
 
 /// One sanitization outcome, delivered to the engine's
@@ -208,7 +196,5 @@ mod tests {
             assert_eq!(PolicyAction::from_wire_byte(action.wire_byte()), Some(action));
         }
         assert_eq!(PolicyAction::from_wire_byte(200), None);
-        assert!(PolicyAction::QuarantinedUnknownTrip.is_quarantine());
-        assert!(!PolicyAction::TripReset.is_quarantine());
     }
 }

@@ -77,25 +77,6 @@ impl CorruptionConfig {
     pub fn drops(p: f64, seed: u64) -> Self {
         CorruptionConfig { drop_prob: p, seed, ..CorruptionConfig::default() }
     }
-
-    /// Pure GPS jitter at probability `p`.
-    pub fn jitter(p: f64, seed: u64) -> Self {
-        CorruptionConfig { jitter_prob: p, seed, ..CorruptionConfig::default() }
-    }
-
-    /// Pure off-network teleports at probability `p`.
-    pub fn teleports(p: f64, seed: u64) -> Self {
-        CorruptionConfig { teleport_prob: p, seed, ..CorruptionConfig::default() }
-    }
-
-    /// True when every channel is disabled (the identity transform).
-    pub fn is_identity(&self) -> bool {
-        self.duplicate_prob <= 0.0
-            && self.reorder_prob <= 0.0
-            && self.drop_prob <= 0.0
-            && self.jitter_prob <= 0.0
-            && self.teleport_prob <= 0.0
-    }
 }
 
 /// Applies the configured fault channels to one trajectory, drawing all
@@ -201,7 +182,6 @@ mod tests {
     fn identity_config_is_a_no_op() {
         let city = city();
         let cfg = CorruptionConfig::default();
-        assert!(cfg.is_identity());
         let out = corrupt_dataset(&city.net, &city.data.test_id, &cfg);
         assert_eq!(out, city.data.test_id);
     }

@@ -16,11 +16,6 @@ pub enum Label {
 }
 
 impl Label {
-    /// True for either anomaly class.
-    pub fn is_anomalous(self) -> bool {
-        !matches!(self, Label::Normal)
-    }
-
     /// Stable byte encoding for the codec.
     pub fn as_u8(self) -> u8 {
         match self {
@@ -225,13 +220,10 @@ mod tests {
     }
 
     #[test]
-    fn label_roundtrip_and_anomaly_flag() {
+    fn label_byte_roundtrip() {
         for label in [Label::Normal, Label::Detour, Label::Switch] {
             assert_eq!(Label::from_u8(label.as_u8()), Some(label));
         }
         assert_eq!(Label::from_u8(9), None);
-        assert!(!Label::Normal.is_anomalous());
-        assert!(Label::Detour.is_anomalous());
-        assert!(Label::Switch.is_anomalous());
     }
 }

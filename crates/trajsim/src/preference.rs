@@ -61,7 +61,6 @@ pub struct RoadPreference {
     weights: Vec<f64>,
     /// `congestion[slot][segment]`, multiplier `>= 1`.
     congestion: Vec<Vec<f64>>,
-    pois: Vec<Point>,
     num_time_slots: usize,
 }
 
@@ -118,7 +117,7 @@ impl RoadPreference {
             congestion.push(per_seg);
         }
 
-        RoadPreference { weights, congestion, pois, num_time_slots: cfg.num_time_slots }
+        RoadPreference { weights, congestion, num_time_slots: cfg.num_time_slots }
     }
 
     /// Popularity weight of a segment (`> 0`).
@@ -136,11 +135,6 @@ impl RoadPreference {
     /// Number of time slots.
     pub fn num_time_slots(&self) -> usize {
         self.num_time_slots
-    }
-
-    /// POI hotspot positions (for visualisation and tests).
-    pub fn pois(&self) -> &[Point] {
-        &self.pois
     }
 
     /// The generalised travel cost drivers perceive for a segment: length
