@@ -10,9 +10,10 @@
 //! [`GruCell`]'s gate epilogue. The two agree bit for bit by construction.
 //!
 //! A [`GruCell`] is driven two ways: [`BoundGru::input_gates`] +
-//! [`BoundGru::sequence`] record a whole teacher-forced pass — one
-//! trajectory or a ragged micro-batch — as one GEMM plus one recurrence
-//! node (every trainer: CausalTAD's and the sequence baselines'), and
+//! [`BoundGru::sequence`] record a whole teacher-forced pass — a ragged
+//! batch of trajectories, planned by [`ragged_schedule`] — as one GEMM
+//! plus one recurrence node (every trainer: CausalTAD's and the sequence
+//! baselines'), and
 //! [`GruCell::infer_step_rows`] steps without a tape (scoring): any number
 //! of rows against a recurrent weight packed once
 //! ([`GruCell::pack_recurrent`]), with [`GruCell::infer_sequence`] as its
@@ -114,7 +115,7 @@ impl Linear {
     /// row `i` of `x` is scored against classes
     /// `cands[offsets[i]..offsets[i+1]]` with `targets[i]` indexing into
     /// its span; returns the summed CE loss as one fused tape node
-    /// ([`Tape::subset_softmax_ce`]). A micro-batch's entire
+    /// ([`Tape::subset_softmax_ce`]). A batch's entire
     /// road-constrained head records one node instead of several per
     /// transition.
     pub fn subset_cross_entropy(
@@ -397,11 +398,12 @@ impl BoundGru {
         tape.linear(x_all, self.w, self.b, false)
     }
 
-    /// The whole ragged recurrence of a micro-batch as one
+    /// The whole ragged recurrence of a batch as one
     /// [`Tape::gru_sequence`] node: `gx_all` are the time-major
     /// [`BoundGru::input_gates`] of every (step, sequence) pair, `h0` one
     /// initial state per sequence, `schedule[t]` the sequences (rows of
-    /// `h0`, ascending) still running at step `t`. Returns every step's
+    /// `h0`, ascending) still running at step `t` ([`ragged_schedule`]).
+    /// Returns every step's
     /// hidden rows stacked time-major like `gx_all`. `U` and `Uᵀ` are
     /// packed once per pass and `dU` is a single GEMM; row `i` of step `t`
     /// is bit-identical to what [`GruCell::infer_step_rows`] gives that
@@ -453,6 +455,22 @@ impl BoundGru {
         let gated = tape.mul(z, h_minus_n);
         tape.add(n, gated)
     }
+}
+
+/// The ragged schedule of a batch of teacher-forced sequences whose row `i`
+/// runs `steps[i]` steps: per step, the rows still running, ascending, for
+/// [`BoundGru::sequence`]. Planning it up front is what lets the input
+/// gates of every (step, sequence) pair be one GEMM outside the recurrence
+/// and the heads line up with its time-major rows.
+pub fn ragged_schedule(steps: &[usize]) -> Vec<Vec<u32>> {
+    let longest = steps.iter().copied().max().unwrap_or(0);
+    let mut schedule: Vec<Vec<u32>> = Vec::with_capacity(longest);
+    let mut active: Vec<u32> = (0..steps.len() as u32).collect();
+    for t in 0..longest {
+        active.retain(|&i| steps[i as usize] > t);
+        schedule.push(active.clone());
+    }
+    schedule
 }
 
 /// Head producing the parameters of a diagonal Gaussian posterior.

@@ -5,7 +5,7 @@
 //! freed buffers so a training pass reuses the last one's instead of
 //! allocating its own.
 //!
-//! Training shapes do not repeat exactly: a micro-batch is ragged, so the
+//! Training shapes do not repeat exactly: a batch is ragged, so the
 //! `tokens x rp_latent` family (and with it every `tokens x hidden` and
 //! `tokens x vocab` buffer) has a different row count every chunk. Every
 //! element count therefore keys its power-of-two class, not its exact size
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn ragged_small_sizes_reuse_one_buffer() {
-        // A micro-batch's `tokens x rp_latent` rows shrink by one from one
+        // A batch's `tokens x rp_latent` rows shrink by one from one
         // chunk to the next: one buffer serves both.
         let mut pool = TensorPool::new();
         let t = pool.take_scratch(127, 32);

@@ -10,7 +10,7 @@
 //! elementwise nonlinearities, a whole teacher-forced ragged GRU recurrence
 //! as one node ([`Tape::gru_sequence`] — the one recurrence every model in
 //! the workspace trains through), row/column slicing and concatenation for
-//! packed gates and micro-batched sequence training, fused softmax
+//! packed gates and batched sequence training, fused softmax
 //! cross-entropy, and a row-wise log-sum-exp for mixture priors.
 //!
 //! Where a forward has a tape-free twin in [`crate::nn`] — the affine map,
@@ -134,7 +134,7 @@ enum Op {
         start: usize,
         len: usize,
     },
-    /// Row gather from another node (micro-batch shrinking / regrouping);
+    /// Row gather from another node (batch shrinking / regrouping);
     /// rows may repeat. Gradients scatter-add back.
     SelectRows {
         src: Var,
@@ -152,7 +152,7 @@ enum Op {
     /// row-major (`out x in`) weight parameter and its bias, summed over
     /// rows (`1 x 1`): row `i` of `x` is scored against weight rows
     /// `cands[offsets[i]..offsets[i+1]]`, with `targets[i]` indexing into
-    /// that span. One node covers every transition of a micro-batch; `aux`
+    /// that span. One node covers every transition of a batch; `aux`
     /// caches the flattened softmax probabilities.
     SubsetSoftmaxCe {
         x: Var,
@@ -527,7 +527,7 @@ impl Tape {
     /// rows in `schedule[t]` order, after all rows of earlier steps — and
     /// the result stacks the new hidden rows the same way
     /// (`Σ_t schedule[t].len()` rows), ready for heads that batch over
-    /// every transition of the micro-batch.
+    /// every transition of the batch.
     ///
     /// Teacher forcing means every input is known before the recurrence
     /// starts, which is what lets the node own its per-pass state instead
@@ -670,7 +670,7 @@ impl Tape {
     }
 
     /// Gathers rows `ids` of node `src` (rows may repeat, order is free).
-    /// This is the micro-batching workhorse: shrinking the active row set
+    /// This is the batching workhorse: shrinking the active row set
     /// when trajectories end, and regrouping prediction rows that share a
     /// candidate set. Gradients scatter-add back into `src`.
     pub fn select_rows(&mut self, src: Var, ids: &[u32]) -> Var {

@@ -49,10 +49,8 @@ impl TrainReport {
 pub struct Schedule {
     /// Passes over the items.
     pub epochs: usize,
-    /// Items per optimiser step (0 is read as 1).
+    /// Items per optimiser step, and per tape pass (0 is read as 1).
     pub batch_size: usize,
-    /// Items per tape pass (0 is read as 1).
-    pub micro_batch: usize,
     /// Global gradient-norm clip (0 disables).
     pub grad_clip: f64,
 }
@@ -60,11 +58,11 @@ pub struct Schedule {
 /// The work of one optimisation: one lane or several, on this thread or
 /// others.
 pub trait Lanes<T> {
-    /// Forward pass of one micro-batch's summed loss, which it returns, and
-    /// — when that is finite — backward pass of `scale` times it. `last`
-    /// marks the final chunk of a batch that will be clipped: unless its
-    /// loss is not finite, [`Lanes::grad_sq_norm`] is the next call.
-    fn pass(&mut self, chunk: &[&T], scale: f32, last: bool, rng: &mut StdRng) -> f32;
+    /// Forward pass of one batch's summed loss, which it returns, and —
+    /// when that is finite — backward pass of `scale` times it. When the
+    /// loss is finite and the run clips, [`Lanes::grad_sq_norm`] is the
+    /// next call.
+    fn pass(&mut self, batch: &[&T], scale: f32, rng: &mut StdRng) -> f32;
 
     /// Every gradient's squared L2 norm, summed in parameter-id order.
     fn grad_sq_norm(&mut self) -> f64;
@@ -86,8 +84,8 @@ pub trait Lanes<T> {
 /// on to the lanes for their noise: one stream orders all that is random.
 ///
 /// A mini-batch is `batch_size` items of the shuffled order, each weighted
-/// one over the batch's length; those `eligible` are passed in chunks of
-/// `micro_batch`. A batch with a non-finite chunk loss is dropped whole and
+/// one over the batch's length; those `eligible` make one pass, and one
+/// optimiser step follows. A batch with a non-finite loss is dropped and
 /// more than three drops in an epoch end the run as diverged.
 pub fn run<T>(
     lanes: &mut impl Lanes<T>,
@@ -99,7 +97,7 @@ pub fn run<T>(
     let start = Instant::now();
     let mut epoch_losses = Vec::with_capacity(schedule.epochs);
     let mut diverged = false;
-    let (batch_size, micro_batch) = (schedule.batch_size.max(1), schedule.micro_batch.max(1));
+    let batch_size = schedule.batch_size.max(1);
     let clip = schedule.grad_clip > 0.0;
     let mut order: Vec<usize> = (0..items.len()).collect();
     let mut best_loss = f64::INFINITY;
@@ -117,16 +115,8 @@ pub fn run<T>(
                 // parameter by its stale momentum.
                 continue;
             }
-            // Micro-batching: the gradient of the summed (then 1/batch-scaled)
-            // loss equals the sum of the per-item scaled gradients, so the
-            // optimiser sees the same update up to f32 reassociation.
-            let chunks = passed.chunks(micro_batch);
-            let last = chunks.len() - 1;
-            let batch_loss = chunks.enumerate().try_fold(0.0f64, |sum, (i, chunk)| {
-                let v = lanes.pass(chunk, scale, clip && i == last, rng) as f64;
-                v.is_finite().then_some(sum + v)
-            });
-            let Some(batch_loss) = batch_loss else {
+            let batch_loss = lanes.pass(&passed, scale, rng) as f64;
+            if !batch_loss.is_finite() {
                 // NaN guard: drop the poisoned gradients entirely.
                 lanes.discard();
                 bad_batches += 1;
@@ -135,7 +125,7 @@ pub fn run<T>(
                     break 'epochs;
                 }
                 continue;
-            };
+            }
             let grad_scale = if clip {
                 ParamStore::clip_factor(lanes.grad_sq_norm().sqrt(), schedule.grad_clip)
             } else {
@@ -143,8 +133,7 @@ pub fn run<T>(
             };
             lanes.step(grad_scale, rng);
             // Only an accepted batch enters the epoch mean, numerator and
-            // denominator alike: a batch dropped at a later chunk must not
-            // leave its earlier chunks in the count.
+            // denominator alike.
             epoch_loss += batch_loss;
             counted += passed.len();
         }
@@ -182,7 +171,7 @@ impl Lane {
     /// Forward pass of the loss `build` records, and — when the loss is
     /// finite — the backward pass of `scale` times it into the shard's
     /// gradients. Returns the loss. (A lane cannot see another's loss, so
-    /// it back-propagates a chunk the other lane will get dropped; the
+    /// it back-propagates a batch the other lane will get dropped; the
     /// drop zeroes those gradients.)
     pub fn pass(&mut self, scale: f32, build: impl FnOnce(&mut Tape, &ParamStore) -> Var) -> f32 {
         self.tape.reset();
@@ -235,12 +224,12 @@ impl Lane {
     }
 }
 
-/// The one-lane case of [`Lanes`]: every parameter in `lane`, a chunk's
+/// The one-lane case of [`Lanes`]: every parameter in `lane`, a batch's
 /// summed loss recorded by `loss`.
 pub struct OneLane<F> {
     /// The whole model's parameters.
     pub lane: Lane,
-    /// `(tape, parameters, chunk, rng)` to the chunk's summed loss.
+    /// `(tape, parameters, batch, rng)` to the batch's summed loss.
     pub loss: F,
 }
 
@@ -248,9 +237,9 @@ impl<T, F> Lanes<T> for OneLane<F>
 where
     F: FnMut(&mut Tape, &ParamStore, &[&T], &mut StdRng) -> Var,
 {
-    fn pass(&mut self, chunk: &[&T], scale: f32, _last: bool, rng: &mut StdRng) -> f32 {
+    fn pass(&mut self, batch: &[&T], scale: f32, rng: &mut StdRng) -> f32 {
         let loss = &mut self.loss;
-        self.lane.pass(scale, |tape, store| loss(tape, store, chunk, rng))
+        self.lane.pass(scale, |tape, store| loss(tape, store, batch, rng))
     }
 
     fn grad_sq_norm(&mut self) -> f64 {
@@ -276,10 +265,10 @@ mod tests {
     use crate::params::ParamId;
     use rand::SeedableRng;
 
-    type ChunkLoss<T> = Box<dyn FnMut(&mut Tape, &ParamStore, &[&T], &mut StdRng) -> Var>;
+    type BatchLoss<T> = Box<dyn FnMut(&mut Tape, &ParamStore, &[&T], &mut StdRng) -> Var>;
 
     fn schedule(epochs: usize, batch_size: usize) -> Schedule {
-        Schedule { epochs, batch_size, micro_batch: 1, grad_clip: 5.0 }
+        Schedule { epochs, batch_size, grad_clip: 5.0 }
     }
 
     /// A one-parameter model `x`, started at `x0`.
@@ -289,12 +278,12 @@ mod tests {
         (store, id)
     }
 
-    /// `Σ (x − item)²` over the chunk: the items are the targets.
-    fn sq_err(id: ParamId) -> ChunkLoss<f32> {
-        Box::new(move |tape, store, chunk, _| {
+    /// `Σ (x − item)²` over the batch: the items are the targets.
+    fn sq_err(id: ParamId) -> BatchLoss<f32> {
+        Box::new(move |tape, store, batch, _| {
             let x = tape.param(store, id);
             let mut total = tape.scalar(0.0);
-            for &&target in chunk {
+            for &&target in batch {
                 let shifted = tape.add_scalar(x, -target);
                 let sq = tape.mul(shifted, shifted);
                 total = tape.add(total, sq);
@@ -325,25 +314,27 @@ mod tests {
         // poisons its batch.
         let (n, poisoned, batch_size) = (10u32, 7u32, 4usize);
         let data: Vec<u32> = (0..n).collect();
-        let visited = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let seen = visited.clone();
-        let loss: ChunkLoss<u32> = Box::new(move |tape, _, chunk, _| {
-            let i = *chunk[0];
-            seen.borrow_mut().push(i);
-            tape.scalar(if i == poisoned { f32::NAN } else { (i + 1) as f32 })
+        let passed = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let seen = passed.clone();
+        let loss: BatchLoss<u32> = Box::new(move |tape, _, batch, _| {
+            let items: Vec<u32> = batch.iter().map(|&&i| i).collect();
+            let cost = |i: u32| if i == poisoned { f32::NAN } else { (i + 1) as f32 };
+            let total = items.iter().map(|&i| cost(i)).sum();
+            seen.borrow_mut().push(items);
+            tape.scalar(total)
         });
         let mut lane = OneLane { lane: Lane::new(ParamStore::new(), 1e-3), loss };
         let mut rng = StdRng::seed_from_u64(0xba5e);
         let losses =
             run(&mut lane, &data, |_| true, &schedule(1, batch_size), &mut rng).epoch_losses;
-        let visited = visited.borrow();
-        // The batch is abandoned at the NaN, so everything visited from the
-        // batch's start up to it was dropped; the rest was accepted.
-        let at = visited.iter().position(|&i| i == poisoned).expect("poisoned trajectory visited");
-        let batch_start = at / batch_size * batch_size;
-        assert!(at > batch_start, "the NaN must follow a finite example of its batch");
-        let accepted: Vec<u32> =
-            visited[..batch_start].iter().chain(&visited[at + 1..]).copied().collect();
+        // One pass per batch; the poisoned one is dropped whole, the rest
+        // are accepted.
+        let passed = passed.borrow();
+        assert_eq!(passed.len(), 3, "10 items in batches of 4");
+        let (dropped, accepted): (Vec<&Vec<u32>>, Vec<&Vec<u32>>) =
+            passed.iter().partition(|b| b.contains(&poisoned));
+        assert_eq!(dropped.len(), 1);
+        let accepted: Vec<u32> = accepted.into_iter().flatten().copied().collect();
         let expected =
             accepted.iter().map(|&i| (i + 1) as f64).sum::<f64>() / accepted.len() as f64;
         assert_eq!(losses, vec![expected]);
@@ -351,7 +342,7 @@ mod tests {
 
     #[test]
     fn train_loop_empty_data_noop() {
-        let loss: ChunkLoss<f32> = Box::new(|tape, _, _, _| tape.scalar(0.0));
+        let loss: BatchLoss<f32> = Box::new(|tape, _, _, _| tape.scalar(0.0));
         let mut lane = OneLane { lane: Lane::new(ParamStore::new(), 1e-3), loss };
         let mut rng = StdRng::seed_from_u64(0);
         let losses = run(&mut lane, &[], non_negative, &schedule(3, 8), &mut rng).epoch_losses;
@@ -389,14 +380,19 @@ mod tests {
 
     #[test]
     fn zero_batch_and_micro_batch_sizes_are_read_as_one() {
-        let fit = |batch_size: usize, micro_batch: usize| {
+        let fit = |batch_size: usize| {
             let (store, id) = toy_store(-5.0);
             let mut lane = OneLane { lane: Lane::new(store, 0.2), loss: sq_err(id) };
             let mut rng = StdRng::seed_from_u64(3);
-            let schedule = Schedule { epochs: 3, batch_size, micro_batch, grad_clip: 5.0 };
-            let report = run(&mut lane, &[2.0f32, 3.0, 4.0], non_negative, &schedule, &mut rng);
+            let report = run(
+                &mut lane,
+                &[2.0f32, 3.0, 4.0],
+                non_negative,
+                &schedule(3, batch_size),
+                &mut rng,
+            );
             (report.epoch_losses, lane.lane.finish().value(id).get(0, 0).to_bits())
         };
-        assert_eq!(fit(0, 0), fit(1, 1));
+        assert_eq!(fit(0), fit(1));
     }
 }

@@ -68,15 +68,9 @@ impl Default for BaselineConfig {
 }
 
 impl BaselineConfig {
-    /// What the shared optimisation loop reads of this configuration: the
-    /// baselines take one trajectory per tape pass.
+    /// What the shared optimisation loop reads of this configuration.
     pub(crate) fn schedule(&self) -> Schedule {
-        Schedule {
-            epochs: self.epochs,
-            batch_size: self.batch_size,
-            micro_batch: 1,
-            grad_clip: self.grad_clip,
-        }
+        Schedule { epochs: self.epochs, batch_size: self.batch_size, grad_clip: self.grad_clip }
     }
 
     /// Tiny configuration for unit tests.

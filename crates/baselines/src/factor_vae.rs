@@ -13,13 +13,13 @@ use rand::SeedableRng;
 
 use tad_autodiff::nn::{gaussian_kl, GaussianHead, Linear};
 use tad_autodiff::optim::Adam;
-use tad_autodiff::train::{self, Lane, Lanes};
+use tad_autodiff::train::{self, Lane, Lanes, TrainReport};
 use tad_autodiff::{ParamStore, Tape, Tensor, Var};
 use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
 use crate::detector::{BaselineConfig, Detector};
-use crate::seq::{tokens, SeqCore};
+use crate::seq::{chunk_noise, chunk_tokens, tokens, SeqCore};
 
 /// The FactorVAE detector.
 pub struct FactorVae {
@@ -51,9 +51,9 @@ impl Discriminator {
         Discriminator { store, l1, l2 }
     }
 
-    /// `log D(z) - log(1 - D(z))` as logit difference, with the
-    /// discriminator weights entering the (VAE) tape as constants so no
-    /// gradient reaches them.
+    /// `log D(z) - log(1 - D(z))` per row of `z`, as logit differences
+    /// (`rows x 1`), with the discriminator weights entering the (VAE)
+    /// tape as constants so no gradient reaches them.
     fn tc_logit_on_vae_tape(&self, tape: &mut Tape, z: Var) -> Var {
         let w1 = tape.input(self.store.value(self.l1.weight()).clone());
         let b1 = tape.input(self.store.value(self.l1.bias()).clone());
@@ -69,19 +69,15 @@ impl Discriminator {
         tape.sub(real, perm)
     }
 
-    /// One discriminator update on a batch of detached latent samples.
-    fn train_step(&mut self, adam: &mut Adam, zs: &[Tensor], rng: &mut StdRng) {
-        if zs.len() < 2 {
+    /// One discriminator update on a batch of detached latent samples, one
+    /// per row of `real`.
+    fn train_step(&mut self, adam: &mut Adam, real: &Tensor, rng: &mut StdRng) {
+        let (n, latent) = real.shape();
+        if n < 2 {
             return;
         }
-        let latent = zs[0].cols();
-        let n = zs.len();
-        // Stack real samples and dimension-wise permuted samples.
-        let mut real = Tensor::zeros(n, latent);
+        // Dimension-wise permuted samples.
         let mut perm = Tensor::zeros(n, latent);
-        for (i, z) in zs.iter().enumerate() {
-            real.row_mut(i).copy_from_slice(z.row(0));
-        }
         for c in 0..latent {
             let mut order: Vec<usize> = (0..n).collect();
             order.shuffle(rng);
@@ -90,7 +86,7 @@ impl Discriminator {
             }
         }
         let mut tape = Tape::new();
-        let x_real = tape.input(real);
+        let x_real = tape.input(real.clone());
         let x_perm = tape.input(perm);
         let loss_real = self.class_loss(&mut tape, x_real, 0, n);
         let loss_perm = self.class_loss(&mut tape, x_perm, 1, n);
@@ -118,69 +114,11 @@ impl FactorVae {
     fn inner(&self) -> &Inner {
         self.inner.as_ref().expect("FactorVAE: call fit() before scoring")
     }
-}
 
-/// The two players under the workspace's one optimisation loop: the VAE is
-/// the lane it optimises, and the discriminator takes its update on the
-/// batch's latent samples right after each accepted VAE step.
-struct Players<'a> {
-    model: &'a FactorVae,
-    /// The VAE's layers; its parameters are in `lane` while training runs.
-    vae: &'a Inner,
-    lane: Lane,
-    disc: Discriminator,
-    disc_adam: Adam,
-    /// The detached `z` of every trajectory passed in the current batch.
-    batch_z: Vec<Tensor>,
-}
-
-impl Lanes<Trajectory> for Players<'_> {
-    fn pass(&mut self, chunk: &[&Trajectory], scale: f32, _last: bool, rng: &mut StdRng) -> f32 {
-        let Players { model, vae, lane, disc, batch_z, .. } = self;
-        let t = chunk[0];
-        lane.pass(scale, |tape, store| {
-            let toks = tokens(t);
-            let h = vae.core.encode(tape, store, &toks, t.time_slot);
-            let (mu, logvar) = vae.head.forward(tape, store, h);
-            let kl = tape.kl_std_normal(mu, logvar);
-            let eps = Tensor::randn(1, model.cfg.latent_dim, 0.0, 1.0, rng);
-            let z = tape.gaussian_sample(mu, logvar, eps);
-            batch_z.push(tape.value(z).clone());
-            let tc = disc.tc_logit_on_vae_tape(tape, z);
-            let tc_w = tape.scale(tc, model.gamma);
-            let h0_pre = vae.dec_init.forward(tape, store, z);
-            let h0 = tape.tanh(h0_pre);
-            let rec = vae.core.decode_nll(tape, store, h0, &toks, t.time_slot);
-            let partial = tape.add(rec, kl);
-            tape.add(partial, tc_w)
-        })
-    }
-
-    fn grad_sq_norm(&mut self) -> f64 {
-        self.lane.grad_sq_norms().sum()
-    }
-
-    fn step(&mut self, grad_scale: Option<f32>, rng: &mut StdRng) {
-        self.lane.step(grad_scale);
-        self.disc.train_step(&mut self.disc_adam, &self.batch_z, rng);
-        self.batch_z.clear();
-    }
-
-    fn discard(&mut self) {
-        self.lane.discard();
-        self.batch_z.clear();
-    }
-
-    /// An adversarial loss has no best epoch: the last one's values stand.
-    fn checkpoint(&mut self) {}
-}
-
-impl Detector for FactorVae {
-    fn name(&self) -> &'static str {
-        "FactorVAE"
-    }
-
-    fn fit(&mut self, net: &RoadNetwork, train: &[Trajectory]) {
+    /// Registers the VAE's parameters and the discriminator, initialised
+    /// from the `cfg.seed` stream, and returns that stream: it runs on into
+    /// training (shuffles, noise, and the discriminator's permutations).
+    fn init(&self, net: &RoadNetwork) -> (Inner, Discriminator, StdRng) {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut store = ParamStore::new();
         let core = SeqCore::new(&mut store, "fvae", net.num_segments(), &self.cfg, false, &mut rng);
@@ -199,21 +137,103 @@ impl Detector for FactorVae {
             &mut rng,
         );
         let disc = Discriminator::new(self.cfg.latent_dim, self.cfg.hidden_dim, &mut rng);
-        let mut vae = Inner { store, core, head, dec_init };
+        (Inner { store, core, head, dec_init }, disc, rng)
+    }
 
-        // The init stream runs on into training: shuffles, noise, and the
-        // discriminator's permutations.
+    /// A chunk's summed `reconstruction + KL + γ·TC`, the parameters of
+    /// `vae` read from `store` — training holds them outside it while it
+    /// runs — and the detached `z` rows the discriminator trains on.
+    fn loss(
+        &self,
+        vae: &Inner,
+        disc: &Discriminator,
+        tape: &mut Tape,
+        store: &ParamStore,
+        chunk: &[&Trajectory],
+        rng: &mut StdRng,
+    ) -> (Var, Tensor) {
+        let (toks, slots) = chunk_tokens(chunk);
+        let h = vae.core.encode(tape, store, &toks, &slots);
+        let (mu, logvar) = vae.head.forward(tape, store, h);
+        let kl = tape.kl_std_normal(mu, logvar);
+        let eps = chunk_noise(chunk.len(), self.cfg.latent_dim, rng);
+        let z = tape.gaussian_sample(mu, logvar, eps);
+        let tc = disc.tc_logit_on_vae_tape(tape, z);
+        let tc_sum = tape.sum_all(tc);
+        let tc_w = tape.scale(tc_sum, self.gamma);
+        let h0_pre = vae.dec_init.forward(tape, store, z);
+        let h0 = tape.tanh(h0_pre);
+        let rec = vae.core.decode_nll(tape, store, h0, &toks, &slots);
+        let partial = tape.add(rec, kl);
+        (tape.add(partial, tc_w), tape.value(z).clone())
+    }
+
+    /// Trains a fresh VAE, and its discriminator, on `train`.
+    fn train(&self, net: &RoadNetwork, train: &[Trajectory]) -> (Inner, TrainReport) {
+        let (mut vae, disc, mut rng) = self.init(net);
         let mut players = Players {
             model: self,
             lane: Lane::new(std::mem::take(&mut vae.store), self.cfg.lr),
             vae: &vae,
             disc_adam: Adam::new(&disc.store, self.cfg.lr),
             disc,
-            batch_z: Vec::new(),
+            batch_z: Tensor::zeros(0, self.cfg.latent_dim),
         };
-        train::run(&mut players, train, |t| t.len() >= 2, &self.cfg.schedule(), &mut rng);
+        let report =
+            train::run(&mut players, train, |t| t.len() >= 2, &self.cfg.schedule(), &mut rng);
         vae.store = players.lane.finish();
-        self.inner = Some(vae);
+        (vae, report)
+    }
+}
+
+/// The two players under the workspace's one optimisation loop: the VAE is
+/// the lane it optimises, and the discriminator takes its update on the
+/// batch's latent samples right after each accepted VAE step.
+struct Players<'a> {
+    model: &'a FactorVae,
+    /// The VAE's layers; its parameters are in `lane` while training runs.
+    vae: &'a Inner,
+    lane: Lane,
+    disc: Discriminator,
+    disc_adam: Adam,
+    /// The detached `z` of the batch last passed, one row per trajectory.
+    batch_z: Tensor,
+}
+
+impl Lanes<Trajectory> for Players<'_> {
+    fn pass(&mut self, batch: &[&Trajectory], scale: f32, rng: &mut StdRng) -> f32 {
+        let Players { model, vae, lane, disc, batch_z, .. } = self;
+        lane.pass(scale, |tape, store| {
+            let (loss, z) = model.loss(vae, disc, tape, store, batch, rng);
+            *batch_z = z;
+            loss
+        })
+    }
+
+    fn grad_sq_norm(&mut self) -> f64 {
+        self.lane.grad_sq_norms().sum()
+    }
+
+    fn step(&mut self, grad_scale: Option<f32>, rng: &mut StdRng) {
+        self.lane.step(grad_scale);
+        self.disc.train_step(&mut self.disc_adam, &self.batch_z, rng);
+    }
+
+    fn discard(&mut self) {
+        self.lane.discard();
+    }
+
+    /// An adversarial loss has no best epoch: the last one's values stand.
+    fn checkpoint(&mut self) {}
+}
+
+impl Detector for FactorVae {
+    fn name(&self) -> &'static str {
+        "FactorVAE"
+    }
+
+    fn fit(&mut self, net: &RoadNetwork, train: &[Trajectory]) {
+        self.inner = Some(self.train(net, train).0);
     }
 
     fn score_prefix(&self, traj: &Trajectory, prefix_len: usize) -> f64 {
@@ -230,7 +250,7 @@ impl Detector for FactorVae {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::reference::{param_bits, trained_digest};
+    use crate::seq::reference::{assert_tracks, param_bits, trained_digest};
     use rand::Rng;
     use tad_trajsim::{generate_city, CityConfig};
 
@@ -243,71 +263,52 @@ mod tests {
         let scores = city.data.test_id.iter().map(|t| m.score(t));
         assert_eq!(
             trained_digest(&m.inner().store, scores),
-            "params 0xd1254cfc53c1dc2f scores 0xc92fdc9e28507102"
+            "params 0xfe3268d1794b4428 scores 0x5b16119e94f9a3ed"
         );
     }
 
     impl FactorVae {
-        /// `fit` as it stood before it moved onto `train::run`, loop and all:
-        /// the reference the shared loop is pinned to.
-        fn parent_fit(&mut self, net: &RoadNetwork, train: &[Trajectory]) {
-            let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-            let mut store = ParamStore::new();
-            let core =
-                SeqCore::new(&mut store, "fvae", net.num_segments(), &self.cfg, false, &mut rng);
-            let head = GaussianHead::new(
-                &mut store,
-                "fvae.head",
-                self.cfg.hidden_dim,
-                self.cfg.latent_dim,
-                &mut rng,
-            );
-            let dec_init = Linear::new(
-                &mut store,
-                "fvae.dec_init",
-                self.cfg.latent_dim,
-                self.cfg.hidden_dim,
-                &mut rng,
-            );
-            let mut disc = Discriminator::new(self.cfg.latent_dim, self.cfg.hidden_dim, &mut rng);
+        /// `fit` as it stood before it moved onto `train::run`, loop and
+        /// all, with the eligible trajectories of each batch handed to the
+        /// loss in tape passes of `per_pass` whose gradients accumulate
+        /// into one step: the reference the shared loop is pinned to at
+        /// `cfg.batch_size`, the per-example loop at 1. The trained VAE and
+        /// the epoch losses.
+        fn parent_fit(
+            &self,
+            net: &RoadNetwork,
+            train: &[Trajectory],
+            per_pass: usize,
+        ) -> (Inner, Vec<f64>) {
+            let (mut vae, mut disc, mut rng) = self.init(net);
             let mut disc_adam = Adam::new(&disc.store, self.cfg.lr);
+            let mut store = std::mem::take(&mut vae.store);
 
             // Custom loop: the discriminator trains on whole batches of z.
             let mut adam = Adam::new(&store, self.cfg.lr);
             let mut order: Vec<usize> = (0..train.len()).collect();
             let mut tape = Tape::new();
+            let mut losses = Vec::new();
             for _ in 0..self.cfg.epochs {
                 order.shuffle(&mut rng);
+                let (mut epoch_loss, mut counted) = (0.0f64, 0usize);
                 for batch in order.chunks(self.cfg.batch_size) {
                     let scale = 1.0 / batch.len() as f32;
-                    let mut batch_z: Vec<Tensor> = Vec::with_capacity(batch.len());
-                    let mut ok = true;
-                    for &idx in batch {
-                        let t = &train[idx];
-                        if t.len() < 2 {
-                            continue;
-                        }
-                        let toks = tokens(t);
+                    let eligible: Vec<&Trajectory> =
+                        batch.iter().map(|&idx| &train[idx]).filter(|t| t.len() >= 2).collect();
+                    let (mut batch_z, mut batch_loss, mut ok) = (Vec::new(), 0.0f64, true);
+                    for chunk in eligible.chunks(per_pass) {
                         tape.reset();
-                        let h = core.encode(&mut tape, &store, &toks, t.time_slot);
-                        let (mu, logvar) = head.forward(&mut tape, &store, h);
-                        let kl = tape.kl_std_normal(mu, logvar);
-                        let eps = Tensor::randn(1, self.cfg.latent_dim, 0.0, 1.0, &mut rng);
-                        let z = tape.gaussian_sample(mu, logvar, eps);
-                        batch_z.push(tape.value(z).clone());
-                        let tc = disc.tc_logit_on_vae_tape(&mut tape, z);
-                        let tc_w = tape.scale(tc, self.gamma);
-                        let h0_pre = dec_init.forward(&mut tape, &store, z);
-                        let h0 = tape.tanh(h0_pre);
-                        let rec = core.decode_nll(&mut tape, &store, h0, &toks, t.time_slot);
-                        let partial = tape.add(rec, kl);
-                        let loss = tape.add(partial, tc_w);
-                        if !tape.value(loss).get(0, 0).is_finite() {
+                        let (loss, z) = self.loss(&vae, &disc, &mut tape, &store, chunk, &mut rng);
+                        batch_z.extend_from_slice(z.data());
+                        let v = tape.value(loss).get(0, 0);
+                        if !v.is_finite() {
                             ok = false;
                             break;
                         }
                         let scaled = tape.scale(loss, scale);
                         tape.backward(scaled, &mut store);
+                        batch_loss += v as f64;
                     }
                     if !ok {
                         store.zero_grads();
@@ -317,21 +318,36 @@ mod tests {
                         store.clip_grad_norm(self.cfg.grad_clip);
                     }
                     adam.step(&mut store);
-                    disc.train_step(&mut disc_adam, &batch_z, &mut rng);
+                    let latent = self.cfg.latent_dim;
+                    let real = Tensor::from_vec(batch_z.len() / latent, latent, batch_z);
+                    disc.train_step(&mut disc_adam, &real, &mut rng);
+                    epoch_loss += batch_loss;
+                    counted += eligible.len();
                 }
+                losses.push(epoch_loss / counted as f64);
             }
-            self.inner = Some(Inner { store, core, head, dec_init });
+            vae.store = store;
+            (vae, losses)
         }
     }
 
     #[test]
     fn fit_matches_the_parent_loop_bit_for_bit() {
         let city = generate_city(&CityConfig::test_scale(423));
-        let mut expected = FactorVae::new(BaselineConfig::test_scale(), 2.0);
-        expected.parent_fit(&city.net, &city.data.train);
-        let mut m = FactorVae::new(BaselineConfig::test_scale(), 2.0);
-        m.fit(&city.net, &city.data.train);
-        assert_eq!(param_bits(&m.inner().store), param_bits(&expected.inner().store));
+        let m = FactorVae::new(BaselineConfig::test_scale(), 2.0);
+        let (expected, losses) = m.parent_fit(&city.net, &city.data.train, m.cfg.batch_size);
+        let (inner, report) = m.train(&city.net, &city.data.train);
+        assert_eq!(report.epoch_losses, losses);
+        assert_eq!(param_bits(&inner.store), param_bits(&expected.store));
+    }
+
+    #[test]
+    fn fit_tracks_the_per_example_parent_loop() {
+        let city = generate_city(&CityConfig::test_scale(423));
+        let m = FactorVae::new(BaselineConfig::test_scale(), 2.0);
+        let (_, expected) = m.parent_fit(&city.net, &city.data.train, 1);
+        let (_, report) = m.train(&city.net, &city.data.train);
+        assert_tracks(&report.epoch_losses, &expected, "FactorVAE");
     }
 
     #[test]
@@ -353,13 +369,8 @@ mod tests {
         let mut disc = Discriminator::new(4, 16, &mut rng);
         let mut adam = Adam::new(&disc.store, 0.01);
         for _ in 0..60 {
-            let zs: Vec<Tensor> = (0..16)
-                .map(|_| {
-                    let v: f32 = rng.gen_range(-2.0..2.0);
-                    Tensor::from_vec(1, 4, vec![v; 4])
-                })
-                .collect();
-            disc.train_step(&mut adam, &zs, &mut rng);
+            let zs: Vec<f32> = (0..16).flat_map(|_| [rng.gen_range(-2.0..2.0); 4]).collect();
+            disc.train_step(&mut adam, &Tensor::from_vec(16, 4, zs), &mut rng);
         }
         // A fresh correlated sample should be classified "real" (class 0).
         let mut tape = Tape::new();

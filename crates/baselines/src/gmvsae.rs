@@ -16,7 +16,7 @@ use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
 use crate::detector::{BaselineConfig, Detector};
-use crate::seq::{fit_store, tokens, SeqCore};
+use crate::seq::{chunk_noise, chunk_tokens, fit_store, tokens, SeqCore};
 
 const LN_2PI: f32 = 1.837_877_1;
 
@@ -48,7 +48,8 @@ impl GmVsae {
         self.inner.as_ref().expect("GM-VSAE: call fit() before scoring")
     }
 
-    /// `log q(z|x) − log p_mix(z)` on the tape (single-sample KL estimate).
+    /// `Σ_i log q(z_i|x_i) − log p_mix(z_i)` over the rows of `z` on the
+    /// tape (single-sample KL estimates).
     #[allow(clippy::too_many_arguments)]
     fn kl_mixture(
         tape: &mut Tape,
@@ -71,18 +72,23 @@ impl GmVsae {
         let sum_q = tape.sum_all(inner_sum);
         let log_q = tape.scale(sum_q, -0.5);
 
-        // log p_mix(z) = logsumexp_k(-0.5 ||z - mu_k||^2) - D/2 ln 2π - ln K
-        let ones = tape.input(Tensor::full(k, 1, 1.0));
-        let z_rep = tape.matmul(ones, z); // K x latent
+        // log p_mix(z) = logsumexp_k(-0.5 ||z - mu_k||^2) - D/2 ln 2π - ln K,
+        // every (row, component) pair at row i·K + k.
+        let b = tape.value(z).rows() as u32;
+        let rows: Vec<u32> = (0..b).flat_map(|i| std::iter::repeat_n(i, k)).collect();
+        let z_rep = tape.select_rows(z, &rows); // bK x latent
+        let components: Vec<u32> = (0..b).flat_map(|_| 0..k as u32).collect();
         let means = tape.param(store, mix_means);
-        let dk = tape.sub(z_rep, means);
+        let means_rep = tape.select_rows(means, &components); // bK x latent
+        let dk = tape.sub(z_rep, means_rep);
         let dk_sq = tape.mul(dk, dk);
         let col = tape.input(Tensor::full(latent, 1, 1.0));
-        let row_sums = tape.matmul(dk_sq, col); // K x 1
+        let row_sums = tape.matmul(dk_sq, col); // bK x 1
         let neg_half = tape.scale(row_sums, -0.5);
-        let as_row = tape.reshape(neg_half, 1, k);
-        let lse = tape.logsumexp_rows(as_row); // 1 x 1
-        let log_p = tape.add_scalar(lse, -0.5 * latent as f32 * LN_2PI - (k as f32).ln());
+        let per_row = tape.reshape(neg_half, b as usize, k);
+        let lse = tape.logsumexp_rows(per_row); // b x 1
+        let log_p_rows = tape.add_scalar(lse, -0.5 * latent as f32 * LN_2PI - (k as f32).ln());
+        let log_p = tape.sum_all(log_p_rows);
 
         tape.sub(log_q, log_p)
     }
@@ -112,7 +118,7 @@ impl GmVsae {
         Inner { store, core, head, dec_init, mix_means }
     }
 
-    /// One trajectory's `reconstruction + KL to the mixture`, the
+    /// A chunk's summed `reconstruction + KL to the mixture`, the
     /// parameters of `inner` read from `store` — training holds them
     /// outside it while it runs.
     fn loss(
@@ -120,19 +126,19 @@ impl GmVsae {
         inner: &Inner,
         tape: &mut Tape,
         store: &ParamStore,
-        t: &Trajectory,
+        chunk: &[&Trajectory],
         rng: &mut StdRng,
     ) -> Var {
         let (k, latent) = (self.k, self.cfg.latent_dim);
-        let toks = tokens(t);
-        let h = inner.core.encode(tape, store, &toks, t.time_slot);
+        let (toks, slots) = chunk_tokens(chunk);
+        let h = inner.core.encode(tape, store, &toks, &slots);
         let (mu, logvar) = inner.head.forward(tape, store, h);
-        let eps = Tensor::randn(1, latent, 0.0, 1.0, rng);
+        let eps = chunk_noise(chunk.len(), latent, rng);
         let z = tape.gaussian_sample(mu, logvar, eps);
         let kl = Self::kl_mixture(tape, store, inner.mix_means, z, mu, logvar, k, latent);
         let h0_pre = inner.dec_init.forward(tape, store, z);
         let h0 = tape.tanh(h0_pre);
-        let rec = inner.core.decode_nll(tape, store, h0, &toks, t.time_slot);
+        let rec = inner.core.decode_nll(tape, store, h0, &toks, &slots);
         tape.add(rec, kl)
     }
 
@@ -140,8 +146,8 @@ impl GmVsae {
     fn train(&self, net: &RoadNetwork, train: &[Trajectory]) -> (Inner, TrainReport) {
         let mut inner = self.init(net);
         let mut store = std::mem::take(&mut inner.store);
-        let report = fit_store(&mut store, &self.cfg, train, |tape, store, chunk, rng| {
-            self.loss(&inner, tape, store, chunk[0], rng)
+        let report = fit_store(&mut store, &self.cfg, train, |tape, store, batch, rng| {
+            self.loss(&inner, tape, store, batch, rng)
         });
         inner.store = store;
         (inner, report)
@@ -193,8 +199,23 @@ impl Detector for GmVsae {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::reference::{param_bits, train_loop, trained_digest};
-    use tad_trajsim::{generate_city, CityConfig};
+    use crate::seq::reference::{assert_tracks, param_bits, train_loop, trained_digest};
+    use tad_trajsim::{generate_city, City, CityConfig};
+
+    impl GmVsae {
+        /// The reference loop's epoch losses and trained store, the
+        /// batches handed to the loss in tape passes of `per_pass`.
+        fn reference_fit(&self, city: &City, per_pass: usize) -> (Vec<f64>, ParamStore) {
+            let mut reference = self.init(&city.net);
+            let mut store = std::mem::take(&mut reference.store);
+            let data = &city.data.train;
+            let losses =
+                train_loop(&mut store, &self.cfg, data, per_pass, |tape, store, chunk, rng| {
+                    self.loss(&reference, tape, store, chunk, rng)
+                });
+            (losses, store)
+        }
+    }
 
     #[test]
     fn trained_bits_match_their_checked_in_digests() {
@@ -205,7 +226,7 @@ mod tests {
         let scores = city.data.test_id.iter().map(|t| m.score(t));
         assert_eq!(
             trained_digest(&m.inner().store, scores),
-            "params 0xe89efdc2d961acff scores 0xe9a7024d58463fb9"
+            "params 0xc99c01deff7bcd0d scores 0x7af88d1b9e74d8df"
         );
     }
 
@@ -215,17 +236,47 @@ mod tests {
         // The second learning rate overshoots: an early epoch is the best
         // one, so the restore is exercised.
         for lr in [BaselineConfig::test_scale().lr, 1.0] {
-            let cfg = BaselineConfig { lr, ..BaselineConfig::test_scale() };
-            let m = GmVsae::new(cfg.clone(), 3);
-            let mut reference = m.init(&city.net);
-            let mut store = std::mem::take(&mut reference.store);
-            let expected = train_loop(&mut store, &cfg, &city.data.train, |tape, store, t, rng| {
-                m.loss(&reference, tape, store, t, rng)
-            });
+            let m = GmVsae::new(BaselineConfig { lr, ..BaselineConfig::test_scale() }, 3);
+            let (expected, store) = m.reference_fit(&city, m.cfg.batch_size);
             let (inner, report) = m.train(&city.net, &city.data.train);
             assert_eq!(report.epoch_losses, expected, "lr {lr}");
             assert_eq!(param_bits(&inner.store), param_bits(&store), "lr {lr}");
         }
+    }
+
+    #[test]
+    fn fit_tracks_the_per_example_parent_loop() {
+        let city = generate_city(&CityConfig::test_scale(433));
+        let m = GmVsae::new(BaselineConfig::test_scale(), 3);
+        let (expected, _) = m.reference_fit(&city, 1);
+        let (_, report) = m.train(&city.net, &city.data.train);
+        assert_tracks(&report.epoch_losses, &expected, "GM-VSAE");
+    }
+
+    #[test]
+    fn batched_kl_mixture_is_the_sum_of_its_rows() {
+        let (b, k, latent) = (5, 3, 4);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut store = ParamStore::new();
+        let mix_means = store.add("means", Tensor::randn(k, latent, 0.0, 1.0, &mut rng));
+        let [z, mu, logvar] = [(); 3].map(|_| Tensor::randn(b, latent, 0.0, 1.0, &mut rng));
+        let kl = |rows: std::ops::Range<usize>| {
+            let mut tape = Tape::new();
+            let pick = |t: &Tensor| {
+                Tensor::from_vec(
+                    rows.len(),
+                    latent,
+                    t.data()[rows.start * latent..rows.end * latent].to_vec(),
+                )
+            };
+            let [z, mu, logvar] = [&z, &mu, &logvar].map(|t| tape.input(pick(t)));
+            let v = GmVsae::kl_mixture(&mut tape, &store, mix_means, z, mu, logvar, k, latent);
+            tape.value(v).get(0, 0) as f64
+        };
+        let batched = kl(0..b);
+        let summed: f64 = (0..b).map(|i| kl(i..i + 1)).sum();
+        let rel = (batched - summed).abs() / summed.abs();
+        assert!(rel < 1e-6, "batched {batched} vs per-row sum {summed} (rel {rel:e})");
     }
 
     #[test]

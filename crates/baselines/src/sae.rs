@@ -13,7 +13,7 @@ use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
 use crate::detector::{BaselineConfig, Detector};
-use crate::seq::{fit_store, tokens, SeqCore};
+use crate::seq::{chunk_tokens, fit_store, tokens, SeqCore};
 
 /// The SAE detector.
 pub struct Sae {
@@ -48,8 +48,8 @@ impl Sae {
     fn train(&self, net: &RoadNetwork, train: &[Trajectory]) -> (Inner, TrainReport) {
         let mut inner = self.init(net);
         let mut store = std::mem::take(&mut inner.store);
-        let report = fit_store(&mut store, &self.cfg, train, |tape, store, chunk, _| {
-            inner.loss(tape, store, chunk[0])
+        let report = fit_store(&mut store, &self.cfg, train, |tape, store, batch, _| {
+            inner.loss(tape, store, batch)
         });
         inner.store = store;
         (inner, report)
@@ -57,12 +57,12 @@ impl Sae {
 }
 
 impl Inner {
-    /// One trajectory's reconstruction loss, its parameters read from
+    /// A chunk's summed reconstruction loss, its parameters read from
     /// `store` — training holds them outside `self` while it runs.
-    fn loss(&self, tape: &mut Tape, store: &ParamStore, t: &Trajectory) -> Var {
-        let toks = tokens(t);
-        let h = self.core.encode(tape, store, &toks, t.time_slot);
-        self.core.decode_nll(tape, store, h, &toks, t.time_slot)
+    fn loss(&self, tape: &mut Tape, store: &ParamStore, chunk: &[&Trajectory]) -> Var {
+        let (toks, slots) = chunk_tokens(chunk);
+        let h = self.core.encode(tape, store, &toks, &slots);
+        self.core.decode_nll(tape, store, h, &toks, &slots)
     }
 }
 
@@ -88,8 +88,8 @@ impl Detector for Sae {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::reference::{param_bits, train_loop, trained_digest};
-    use tad_trajsim::{generate_city, CityConfig};
+    use crate::seq::reference::{assert_tracks, param_bits, train_loop, trained_digest};
+    use tad_trajsim::{generate_city, City, CityConfig};
 
     #[test]
     fn trained_bits_match_their_checked_in_digests() {
@@ -100,8 +100,23 @@ mod tests {
         let scores = city.data.test_id.iter().map(|t| sae.score(t));
         assert_eq!(
             trained_digest(&sae.inner().store, scores),
-            "params 0xdcc92246fe848a2a scores 0x85d8261241131bb2"
+            "params 0xbe37e8a7e2ca5477 scores 0x5125d5dc5fd2bf36"
         );
+    }
+
+    /// The reference loop's epoch losses and trained store, the batches
+    /// handed to the loss in tape passes of `per_pass`.
+    fn reference_fit(sae: &Sae, city: &City, per_pass: usize) -> (Vec<f64>, ParamStore) {
+        let mut reference = sae.init(&city.net);
+        let mut store = std::mem::take(&mut reference.store);
+        let losses = train_loop(
+            &mut store,
+            &sae.cfg,
+            &city.data.train,
+            per_pass,
+            |tape, store, chunk, _| reference.loss(tape, store, chunk),
+        );
+        (losses, store)
     }
 
     #[test]
@@ -110,17 +125,21 @@ mod tests {
         // The second learning rate overshoots: the first epoch is the best
         // one, so the restore is exercised.
         for lr in [BaselineConfig::test_scale().lr, 1.0] {
-            let cfg = BaselineConfig { lr, ..BaselineConfig::test_scale() };
-            let sae = Sae::new(cfg.clone());
-            let mut reference = sae.init(&city.net);
-            let mut store = std::mem::take(&mut reference.store);
-            let expected = train_loop(&mut store, &cfg, &city.data.train, |tape, store, t, _| {
-                reference.loss(tape, store, t)
-            });
+            let sae = Sae::new(BaselineConfig { lr, ..BaselineConfig::test_scale() });
+            let (expected, store) = reference_fit(&sae, &city, sae.cfg.batch_size);
             let (inner, report) = sae.train(&city.net, &city.data.train);
             assert_eq!(report.epoch_losses, expected, "lr {lr}");
             assert_eq!(param_bits(&inner.store), param_bits(&store), "lr {lr}");
         }
+    }
+
+    #[test]
+    fn fit_tracks_the_per_example_parent_loop() {
+        let city = generate_city(&CityConfig::test_scale(403));
+        let sae = Sae::new(BaselineConfig::test_scale());
+        let (expected, _) = reference_fit(&sae, &city, 1);
+        let (_, report) = sae.train(&city.net, &city.data.train);
+        assert_tracks(&report.epoch_losses, &expected, "SAE");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tad_autodiff::nn::{Embedding, GaussianHead, GruCell, Linear};
+use tad_autodiff::nn::{ragged_schedule, Embedding, GaussianHead, GruCell, Linear};
 use tad_autodiff::train::{self, Lane, OneLane, TrainReport};
 use tad_autodiff::{logsumexp, ParamStore, Tape, Tensor, Var};
 use tad_trajsim::Trajectory;
@@ -72,11 +72,12 @@ impl SeqCore {
         }
     }
 
-    /// Runs `gru` teacher-forced over `tokens` from `h0`, returning every
-    /// step's hidden row (`tokens.len() x hidden`, in order). Every input
-    /// is known up front, so the pass is one embedding lookup (the slot
-    /// embedding concatenated once), one input-gate GEMM and one recurrence
-    /// node whatever the length; each row is bit-identical to stepping
+    /// Runs `gru` teacher-forced over a chunk of sequences from `h0` (one
+    /// row each) along their ragged schedule ([`ragged_schedule`]), which
+    /// it returns with every step's hidden rows, stacked time-major. Every
+    /// input is known up front, so the chunk is one embedding lookup (plus
+    /// one slot lookup), one input-gate GEMM and one recurrence node
+    /// whatever its lengths; each row is bit-identical to stepping
     /// [`GruCell::infer_step_rows`].
     fn hidden_rows(
         &self,
@@ -84,55 +85,78 @@ impl SeqCore {
         store: &ParamStore,
         gru: &GruCell,
         h0: Var,
-        tokens: &[u32],
-        slot: u8,
-    ) -> Var {
-        let bound = gru.bind(tape, store);
-        let mut x = self.embed.lookup(tape, store, tokens);
+        seqs: &[impl AsRef<[u32]>],
+        slots: &[u8],
+    ) -> (Var, Vec<Vec<u32>>) {
+        let lens: Vec<usize> = seqs.iter().map(|s| s.as_ref().len()).collect();
+        let schedule = ragged_schedule(&lens);
+        let at = |t: usize, i: u32| seqs[i as usize].as_ref()[t];
+        let steps = schedule.iter().enumerate();
+        let tokens: Vec<u32> =
+            steps.flat_map(|(t, rows)| rows.iter().map(move |&i| at(t, i))).collect();
+        let mut x = self.embed.lookup(tape, store, &tokens);
         if let Some(se) = &self.slot_embed {
-            let s = se.lookup(tape, store, &vec![slot as u32; tokens.len()]);
+            let ids: Vec<u32> =
+                schedule.iter().flatten().map(|&i| slots[i as usize] as u32).collect();
+            let s = se.lookup(tape, store, &ids);
             x = tape.concat_cols(x, s);
         }
+        let bound = gru.bind(tape, store);
         let gx = bound.input_gates(tape, x);
-        // One sequence: row 0 of `h0` runs at every step.
-        bound.sequence(tape, gx, h0, &vec![vec![0]; tokens.len()])
+        (bound.sequence(tape, gx, h0, &schedule), schedule)
     }
 
-    /// Runs the encoder GRU over `segments`, returning the final hidden
-    /// state (`1 x hidden`).
-    pub fn encode(&self, tape: &mut Tape, store: &ParamStore, segments: &[u32], slot: u8) -> Var {
-        let h0 = tape.input(Tensor::zeros(1, self.hidden));
-        if segments.is_empty() {
-            return h0;
+    /// Runs the encoder GRU over a chunk of non-empty sequences (`slots[i]`
+    /// is sequence `i`'s departure slot), returning each one's final
+    /// hidden state, in chunk order (`chunk x hidden`).
+    pub fn encode(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        seqs: &[impl AsRef<[u32]>],
+        slots: &[u8],
+    ) -> Var {
+        assert!(seqs.iter().all(|s| !s.as_ref().is_empty()), "encode: empty sequence");
+        let h0 = tape.input(Tensor::zeros(seqs.len(), self.hidden));
+        let (rows, schedule) = self.hidden_rows(tape, store, &self.enc_gru, h0, seqs, slots);
+        // The time-major row of each sequence's last step.
+        let mut last = vec![0u32; seqs.len()];
+        for (row, &i) in schedule.iter().flatten().enumerate() {
+            last[i as usize] = row as u32;
         }
-        let rows = self.hidden_rows(tape, store, &self.enc_gru, h0, segments, slot);
-        tape.select_rows(rows, &[segments.len() as u32 - 1])
+        tape.select_rows(rows, &last)
     }
 
-    /// Teacher-forced reconstruction loss of `segments` from initial decoder
-    /// state `h0`: `Σ_j CE(g(h_j), t_{j+1})` over the full vocabulary — one
-    /// head GEMM and one cross-entropy node over all transitions.
+    /// Teacher-forced reconstruction loss of a chunk of sequences from
+    /// initial decoder states `h0` (one row each): `Σ_i Σ_j CE(g(h_ij),
+    /// t_i,j+1)` over the full vocabulary — one head GEMM and one
+    /// cross-entropy node over every transition of the chunk.
     pub fn decode_nll(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         h0: Var,
-        segments: &[u32],
-        slot: u8,
+        seqs: &[impl AsRef<[u32]>],
+        slots: &[u8],
     ) -> Var {
-        if segments.len() < 2 {
+        let inputs: Vec<&[u32]> =
+            seqs.iter().map(|s| s.as_ref()).map(|s| &s[..s.len().saturating_sub(1)]).collect();
+        if inputs.iter().all(|s| s.is_empty()) {
             return tape.scalar(0.0);
         }
-        let (inputs, targets) = (&segments[..segments.len() - 1], &segments[1..]);
-        let rows = self.hidden_rows(tape, store, &self.dec_gru, h0, inputs, slot);
+        let (rows, schedule) = self.hidden_rows(tape, store, &self.dec_gru, h0, &inputs, slots);
+        let next = |t: usize, i: u32| seqs[i as usize].as_ref()[t + 1];
+        let steps = schedule.iter().enumerate();
+        let targets: Vec<u32> =
+            steps.flat_map(|(t, rows)| rows.iter().map(move |&i| next(t, i))).collect();
         let logits = self.out.forward(tape, store, rows);
-        tape.softmax_cross_entropy(logits, targets)
+        tape.softmax_cross_entropy(logits, &targets)
     }
 
     // ----- tape-free inference -------------------------------------------
 
-    /// The tape-free [`SeqCore::hidden_rows`]: the same one lookup, one
-    /// input-gate GEMM and one packed `U`, stepped through
+    /// The tape-free [`SeqCore::hidden_rows`] of one sequence: the same
+    /// one lookup, one input-gate GEMM and one packed `U`, stepped through
     /// [`GruCell::infer_sequence`].
     fn infer_hidden_rows(
         &self,
@@ -226,10 +250,25 @@ pub fn tokens(traj: &Trajectory) -> Vec<u32> {
     traj.segments.iter().map(|s| s.0).collect()
 }
 
-/// Optimises `store` under `cfg` against a closure from a chunk of
-/// trajectories — one, as the baselines train today — to its summed loss:
-/// the one-lane case of [`train::run`], shuffle and noise from one stream
-/// seeded `cfg.seed ^ 0xba5e`, the store left on its best epoch's values.
+/// A chunk's token lists and departure slots, in chunk order: what
+/// [`SeqCore::encode`] and [`SeqCore::decode_nll`] read.
+pub(crate) fn chunk_tokens(chunk: &[&Trajectory]) -> (Vec<Vec<u32>>, Vec<u8>) {
+    (chunk.iter().map(|t| tokens(t)).collect(), chunk.iter().map(|t| t.time_slot).collect())
+}
+
+/// One standard-normal `latent`-wide row per trajectory of a chunk of `n`,
+/// each drawn as its own `1 x latent` sample in chunk order — so a
+/// trajectory draws the values it would alone, whatever the chunk
+/// (one `n`-row draw would pair Box–Muller values across rows).
+pub(crate) fn chunk_noise(n: usize, latent: usize, rng: &mut StdRng) -> Tensor {
+    let rows = (0..n).flat_map(|_| Tensor::randn(1, latent, 0.0, 1.0, rng).data().to_vec());
+    Tensor::from_vec(n, latent, rows.collect())
+}
+
+/// Optimises `store` under `cfg` against a closure from a batch of
+/// trajectories to its summed loss, one tape pass per batch: the one-lane
+/// case of [`train::run`], shuffle and noise from one stream seeded
+/// `cfg.seed ^ 0xba5e`, the store left on its best epoch's values.
 pub fn fit_store<F>(
     store: &mut ParamStore,
     cfg: &BaselineConfig,
@@ -256,15 +295,20 @@ pub(crate) mod reference {
     use super::*;
 
     /// `seq::train_loop` as it stood before the baselines moved onto
-    /// [`train::run`], body unchanged: the loop [`fit_store`] is pinned to.
+    /// [`train::run`], with the eligible trajectories of each batch handed
+    /// to `loss` in tape passes of `per_pass` whose gradients accumulate
+    /// into one step: `cfg.batch_size` is the loop [`fit_store`] is pinned
+    /// to bit for bit, `1` the per-example loop the baselines trained
+    /// through before.
     pub(crate) fn train_loop<F>(
         store: &mut ParamStore,
         cfg: &BaselineConfig,
         data: &[Trajectory],
-        mut per_example_loss: F,
+        per_pass: usize,
+        mut loss: F,
     ) -> Vec<f64>
     where
-        F: FnMut(&mut Tape, &ParamStore, &Trajectory, &mut StdRng) -> Var,
+        F: FnMut(&mut Tape, &ParamStore, &[&Trajectory], &mut StdRng) -> Var,
     {
         let mut losses = Vec::with_capacity(cfg.epochs);
         if data.is_empty() {
@@ -282,16 +326,13 @@ pub(crate) mod reference {
             let mut counted = 0usize;
             for batch in order.chunks(cfg.batch_size) {
                 let scale = 1.0 / batch.len() as f32;
+                let eligible: Vec<&Trajectory> =
+                    batch.iter().map(|&idx| &data[idx]).filter(|t| t.len() >= 2).collect();
                 let mut batch_loss = 0.0;
-                let mut batch_counted = 0usize;
                 let mut ok = true;
-                for &idx in batch {
-                    let t = &data[idx];
-                    if t.len() < 2 {
-                        continue;
-                    }
+                for chunk in eligible.chunks(per_pass) {
                     tape.reset();
-                    let loss = per_example_loss(&mut tape, store, t, &mut rng);
+                    let loss = loss(&mut tape, store, chunk, &mut rng);
                     let v = tape.value(loss).get(0, 0) as f64;
                     if !v.is_finite() {
                         ok = false;
@@ -300,7 +341,6 @@ pub(crate) mod reference {
                     let scaled = tape.scale(loss, scale);
                     tape.backward(scaled, store);
                     batch_loss += v;
-                    batch_counted += 1;
                 }
                 if !ok {
                     store.zero_grads();
@@ -311,9 +351,9 @@ pub(crate) mod reference {
                 }
                 adam.step(store);
                 // Only an accepted batch enters the epoch mean: a batch dropped
-                // at a later example must not leave its earlier ones counted.
+                // at a later pass must not leave its earlier ones counted.
                 epoch_loss += batch_loss;
-                counted += batch_counted;
+                counted += eligible.len();
             }
             let mean = if counted > 0 { epoch_loss / counted as f64 } else { f64::NAN };
             losses.push(mean);
@@ -325,6 +365,22 @@ pub(crate) mod reference {
             store.copy_values_from(&best_values);
         }
         losses
+    }
+
+    /// How far, relative, an epoch loss of `fit` (one tape pass per
+    /// batch) may sit from the per-example loop's: the two draw the same
+    /// noise, so they differ by f32 reassociation alone, carried through
+    /// the optimiser's steps.
+    const PER_EPOCH_TOL: f64 = 1e-6;
+
+    /// Asserts that `fit`'s epoch losses track the per-example loop's
+    /// within [`PER_EPOCH_TOL`], and prints the worst gap seen.
+    pub(crate) fn assert_tracks(got: &[f64], expected: &[f64], what: &str) {
+        assert_eq!(got.len(), expected.len(), "{what}: epochs");
+        let rel = |(a, b): (&f64, &f64)| (a - b).abs() / b.abs().max(1e-12);
+        let worst = got.iter().zip(expected).map(rel).fold(0.0, f64::max);
+        eprintln!("{what}: worst per-epoch rel {worst:e}");
+        assert!(worst < PER_EPOCH_TOL, "{what}: {got:?} vs {expected:?} (worst rel {worst:e})");
     }
 
     /// FNV-1a 64 over the `to_bits` of each parameter, with its name.
@@ -361,19 +417,66 @@ mod tests {
         let mut store = ParamStore::new();
         let core = SeqCore::new(&mut store, "t", 4, &cfg, false, &mut rng);
         let mut tape = Tape::new();
-        let h = core.encode(&mut tape, &store, &[0, 1, 2], 0);
+        let h = core.encode(&mut tape, &store, &[[0u32, 1, 2]], &[0]);
         assert_eq!(tape.value(h).shape(), (1, cfg.hidden_dim));
-        let nll = core.decode_nll(&mut tape, &store, h, &[0, 1, 2], 0);
+        let nll = core.decode_nll(&mut tape, &store, h, &[[0u32, 1, 2]], &[0]);
         assert!(tape.value(nll).get(0, 0) > 0.0);
 
-        // No per-token loop on the tape: a longer sequence records exactly
-        // as many nodes as a short one.
+        // No per-token or per-trajectory loop on the tape: a ragged chunk
+        // of longer sequences records exactly as many nodes as one short
+        // sequence.
         let short = tape.len();
         tape.reset();
-        let segs = [0u32, 1, 2, 3, 0, 1, 2, 3, 0];
-        let h = core.encode(&mut tape, &store, &segs, 0);
-        core.decode_nll(&mut tape, &store, h, &segs, 0);
+        let chunk: [&[u32]; 3] = [&[0, 1, 2, 3, 0, 1, 2, 3, 0], &[2, 3], &[1, 2, 3, 0]];
+        let h = core.encode(&mut tape, &store, &chunk, &[0, 1, 2]);
+        assert_eq!(tape.value(h).shape(), (3, cfg.hidden_dim));
+        core.decode_nll(&mut tape, &store, h, &chunk, &[0, 1, 2]);
         assert_eq!(tape.len(), short);
+    }
+
+    #[test]
+    fn a_chunk_loss_is_the_sum_of_its_one_trajectory_chunks() {
+        // Encode-then-decode (SAE's loss) over a ragged chunk with a
+        // 2-token trajectory, with and without the slot embedding: the
+        // loss and every parameter gradient of the chunk's one pass equal
+        // the sum over one-trajectory passes, up to f32 reassociation.
+        let cfg = BaselineConfig::test_scale();
+        let chunk: [&[u32]; 4] = [&[0, 1, 2, 3, 4, 5], &[2, 3], &[5, 0, 1, 2], &[4, 1, 3]];
+        let slots = [0u8, 3, 1, 3];
+        for time_aware in [false, true] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut store = ParamStore::new();
+            let core = SeqCore::new(&mut store, "t", 6, &cfg, time_aware, &mut rng);
+            let mut tape = Tape::new();
+            let mut pass = |store: &mut ParamStore, seqs: &[&[u32]], slots: &[u8]| {
+                tape.reset();
+                let h = core.encode(&mut tape, store, seqs, slots);
+                let nll = core.decode_nll(&mut tape, store, h, seqs, slots);
+                tape.backward(nll, store);
+                tape.value(nll).get(0, 0) as f64
+            };
+            let mut whole = store.clone();
+            let batched = pass(&mut whole, &chunk, &slots);
+            let mut each = store.clone();
+            let summed: f64 =
+                (0..chunk.len()).map(|i| pass(&mut each, &chunk[i..=i], &slots[i..=i])).sum();
+            let rel = (batched - summed).abs() / summed.abs();
+            assert!(
+                rel < 1e-6,
+                "time_aware {time_aware}: loss {batched} vs {summed} (rel {rel:e})"
+            );
+            for id in store.ids() {
+                let (a, b) = (whole.grad(id).data(), each.grad(id).data());
+                let scale = b.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+                assert!(scale > 0.0, "{} has no gradient", store.name(id));
+                let gap = a.iter().zip(b).fold(0.0f32, |m, (&x, &y)| m.max((x - y).abs()));
+                assert!(
+                    gap <= 1e-6 * scale,
+                    "time_aware {time_aware}: {} gradient gap {gap:e} of {scale:e}",
+                    store.name(id)
+                );
+            }
+        }
     }
 
     #[test]
@@ -396,8 +499,8 @@ mod tests {
         let core = SeqCore::new(&mut store, "t", 4, &cfg, false, &mut rng);
         let segs = [0u32, 1, 2, 3];
         let mut tape = Tape::new();
-        let h = core.encode(&mut tape, &store, &segs, 0);
-        let nll = core.decode_nll(&mut tape, &store, h, &segs, 0);
+        let h = core.encode(&mut tape, &store, &[segs], &[0]);
+        let nll = core.decode_nll(&mut tape, &store, h, &[segs], &[0]);
         let taped = tape.value(nll).get(0, 0) as f64;
         let h_inf = core.infer_encode(&store, &segs, 0);
         let inferred = core.infer_decode_nll(&store, &h_inf, &segs, 0);

@@ -13,12 +13,12 @@ use rand::SeedableRng;
 
 use tad_autodiff::nn::{gaussian_kl, GaussianHead, Linear};
 use tad_autodiff::train::TrainReport;
-use tad_autodiff::{ParamStore, Tape, Tensor, Var};
+use tad_autodiff::{ParamStore, Tape, Var};
 use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
 use crate::detector::{BaselineConfig, Detector};
-use crate::seq::{fit_store, tokens, SeqCore};
+use crate::seq::{chunk_noise, chunk_tokens, fit_store, tokens, SeqCore};
 
 /// A variational sequence autoencoder (VSAE / β-VAE / DeepTEA).
 pub struct Vsae {
@@ -91,26 +91,26 @@ impl Vsae {
         Inner { store, core, head, dec_init }
     }
 
-    /// One trajectory's `reconstruction + β·KL`, the parameters of `inner`
+    /// A chunk's summed `reconstruction + β·KL`, the parameters of `inner`
     /// read from `store` — training holds them outside it while it runs.
     fn loss(
         &self,
         inner: &Inner,
         tape: &mut Tape,
         store: &ParamStore,
-        t: &Trajectory,
+        chunk: &[&Trajectory],
         rng: &mut StdRng,
     ) -> Var {
-        let toks = tokens(t);
-        let h = inner.core.encode(tape, store, &toks, t.time_slot);
+        let (toks, slots) = chunk_tokens(chunk);
+        let h = inner.core.encode(tape, store, &toks, &slots);
         let (mu, logvar) = inner.head.forward(tape, store, h);
         let kl = tape.kl_std_normal(mu, logvar);
         let kl_w = tape.scale(kl, self.beta);
-        let eps = Tensor::randn(1, self.cfg.latent_dim, 0.0, 1.0, rng);
+        let eps = chunk_noise(chunk.len(), self.cfg.latent_dim, rng);
         let z = tape.gaussian_sample(mu, logvar, eps);
         let h0_pre = inner.dec_init.forward(tape, store, z);
         let h0 = tape.tanh(h0_pre);
-        let rec = inner.core.decode_nll(tape, store, h0, &toks, t.time_slot);
+        let rec = inner.core.decode_nll(tape, store, h0, &toks, &slots);
         tape.add(rec, kl_w)
     }
 
@@ -118,8 +118,8 @@ impl Vsae {
     fn train(&self, net: &RoadNetwork, train: &[Trajectory]) -> (Inner, TrainReport) {
         let mut inner = self.init(net);
         let mut store = std::mem::take(&mut inner.store);
-        let report = fit_store(&mut store, &self.cfg, train, |tape, store, chunk, rng| {
-            self.loss(&inner, tape, store, chunk[0], rng)
+        let report = fit_store(&mut store, &self.cfg, train, |tape, store, batch, rng| {
+            self.loss(&inner, tape, store, batch, rng)
         });
         inner.store = store;
         (inner, report)
@@ -150,8 +150,23 @@ impl Detector for Vsae {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::reference::{param_bits, train_loop, trained_digest};
-    use tad_trajsim::{generate_city, CityConfig};
+    use crate::seq::reference::{assert_tracks, param_bits, train_loop, trained_digest};
+    use tad_trajsim::{generate_city, City, CityConfig};
+
+    impl Vsae {
+        /// The reference loop's epoch losses and trained store, the
+        /// batches handed to the loss in tape passes of `per_pass`.
+        fn reference_fit(&self, city: &City, per_pass: usize) -> (Vec<f64>, ParamStore) {
+            let mut reference = self.init(&city.net);
+            let mut store = std::mem::take(&mut reference.store);
+            let data = &city.data.train;
+            let losses =
+                train_loop(&mut store, &self.cfg, data, per_pass, |tape, store, chunk, rng| {
+                    self.loss(&reference, tape, store, chunk, rng)
+                });
+            (losses, store)
+        }
+    }
 
     #[test]
     fn trained_bits_match_their_checked_in_digests() {
@@ -170,9 +185,9 @@ mod tests {
         assert_eq!(
             digests,
             [
-                "VSAE params 0xd1828ebdefada6e9 scores 0x78b87a6fb644f6f7",
-                "BetaVAE params 0x9e5534281f9fc1df scores 0x97ed8a9b1b962091",
-                "DeepTEA params 0xdc3c2dff7c971c39 scores 0xf6518ef97c32b8ed",
+                "VSAE params 0x19b2d82402bd6e0e scores 0xd0cd7572e91ac15d",
+                "BetaVAE params 0x0fd75f2acdd51720 scores 0xdcb07513bdd730b7",
+                "DeepTEA params 0x1429e801b295f42d scores 0x29b3a8a50e5b3842",
             ]
         );
     }
@@ -191,15 +206,22 @@ mod tests {
             Vsae::deeptea(cfg.clone()),
             Vsae::vsae(hot),
         ] {
-            let cfg = &m.cfg;
-            let mut reference = m.init(&city.net);
-            let mut store = std::mem::take(&mut reference.store);
-            let expected = train_loop(&mut store, cfg, &city.data.train, |tape, store, t, rng| {
-                m.loss(&reference, tape, store, t, rng)
-            });
+            let (expected, store) = m.reference_fit(&city, m.cfg.batch_size);
             let (inner, report) = m.train(&city.net, &city.data.train);
-            assert_eq!(report.epoch_losses, expected, "{}, lr {}", m.name, cfg.lr);
-            assert_eq!(param_bits(&inner.store), param_bits(&store), "{}, lr {}", m.name, cfg.lr);
+            let lr = m.cfg.lr;
+            assert_eq!(report.epoch_losses, expected, "{}, lr {lr}", m.name);
+            assert_eq!(param_bits(&inner.store), param_bits(&store), "{}, lr {lr}", m.name);
+        }
+    }
+
+    #[test]
+    fn fit_tracks_the_per_example_parent_loop() {
+        let city = generate_city(&CityConfig::test_scale(413));
+        let cfg = BaselineConfig::test_scale();
+        for m in [Vsae::vsae(cfg.clone()), Vsae::beta_vae(cfg.clone(), 4.0), Vsae::deeptea(cfg)] {
+            let (expected, _) = m.reference_fit(&city, 1);
+            let (_, report) = m.train(&city.net, &city.data.train);
+            assert_tracks(&report.epoch_losses, &expected, m.name);
         }
     }
 

@@ -22,15 +22,9 @@ pub struct CausalTadConfig {
     pub lr: f32,
     /// Training epochs.
     pub epochs: usize,
-    /// Trajectories per optimiser step.
+    /// Trajectories per optimiser step, packed into one tape pass with
+    /// row-stacked hidden states.
     pub batch_size: usize,
-    /// Trajectories packed into one tape pass with row-stacked hidden
-    /// states (micro-batching). `1` replays the sequential per-trajectory
-    /// path; values above `batch_size` are effectively clamped to it.
-    /// Micro-batched losses match the sequential ones within f32
-    /// reassociation tolerance (~1e-6 relative) — the reductions regroup,
-    /// the randomness does not.
-    pub micro_batch: usize,
     /// Global gradient-norm clip (0 disables).
     pub grad_clip: f64,
     /// Monte-Carlo samples when precomputing scaling factors (§V-D).
@@ -71,7 +65,6 @@ impl Default for CausalTadConfig {
             lr: 1e-3,
             epochs: 12,
             batch_size: 8,
-            micro_batch: 8,
             grad_clip: 5.0,
             scaling_mc_samples: 16,
             time_factorised_scaling: false,

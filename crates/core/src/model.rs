@@ -28,7 +28,7 @@ use crate::scaling::ScalingTable;
 use crate::tgvae::{InferencePlan, TgVae};
 use crate::train::{TrainReport, Trainer};
 
-/// One micro-batch with its noise drawn ([`CausalTad::draw_chunk`]): the
+/// One batch with its noise drawn ([`CausalTad::draw_chunk`]): the
 /// TG-VAE reads the first two fields, the RP-VAE the last two.
 pub(crate) struct ChunkInputs {
     /// Segment ids per trajectory.
@@ -146,14 +146,14 @@ impl CausalTad {
         &self.successors[seg as usize]
     }
 
-    /// Draws a micro-batch's reparameterisation noise and lays out what
+    /// Draws a batch's reparameterisation noise and lays out what
     /// each VAE reads of it. The noise is drawn per trajectory in batch
-    /// order (TG then RP), so a micro-batch of size 1 consumes the rng
+    /// order (TG then RP), so a batch of size 1 consumes the rng
     /// stream exactly like the scalar reference (`TgVae::loss_reference`
     /// then `RpVae::loss`, one trajectory per tape) and larger
-    /// micro-batches draw the same values for the same trajectories.
+    /// batches draw the same values for the same trajectories.
     pub(crate) fn draw_chunk(&self, batch: &[&Trajectory], rng: &mut StdRng) -> ChunkInputs {
-        assert!(!batch.is_empty(), "draw_chunk: empty micro-batch");
+        assert!(!batch.is_empty(), "draw_chunk: empty batch");
         let b = batch.len();
         let dl = self.cfg.latent_dim;
         let rp_dl = self.cfg.rp_latent_dim;
@@ -175,7 +175,7 @@ impl CausalTad {
         ChunkInputs { tg_segments, tg_eps, rp_tokens, rp_eps }
     }
 
-    /// `Σ_i L1` (§V-B) of a drawn micro-batch on `tape`, reading the TG-VAE's
+    /// `Σ_i L1` (§V-B) of a drawn batch on `tape`, reading the TG-VAE's
     /// parameters from `store` — the whole store or its `tg.*` shard. The
     /// TG-VAE runs with row-stacked hidden states ([`TgVae::loss_batch`]).
     pub(crate) fn tg_chunk_loss(
@@ -190,7 +190,7 @@ impl CausalTad {
     }
 
     /// Builds the summed joint training loss `Σ_i (L1 + L2)` (Eq. 9) for a
-    /// micro-batch of trajectories in one tape pass, returning the loss
+    /// batch of trajectories in one tape pass, returning the loss
     /// node: the reparameterisation noise is drawn per trajectory in batch
     /// order (TG then RP), then comes the TG-VAE half, then the RP-VAE half
     /// (which sees every trajectory's tokens as one batch), then their sum.

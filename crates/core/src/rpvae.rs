@@ -106,9 +106,9 @@ impl RpVae {
     }
 
     /// [`RpVae::loss`] with pre-drawn reparameterisation noise (one row per
-    /// token). Micro-batched training concatenates several trajectories'
-    /// token lists and stacks their per-trajectory eps blocks, keeping rng
-    /// consumption identical to the sequential path; the whole batch then
+    /// token). Batched training concatenates several trajectories' token
+    /// lists and stacks their per-trajectory eps blocks, keeping rng
+    /// consumption identical to the per-trajectory path; the whole batch then
     /// runs one encoder/decoder GEMM chain and one fused full-vocab CE.
     pub fn loss_with_eps(
         &self,

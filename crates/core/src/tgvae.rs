@@ -14,7 +14,7 @@
 
 use rand::Rng;
 
-use tad_autodiff::nn::{gaussian_kl, Embedding, GaussianHead, GruCell, Linear};
+use tad_autodiff::nn::{gaussian_kl, ragged_schedule, Embedding, GaussianHead, GruCell, Linear};
 use tad_autodiff::{logsumexp, PackedRhs, ParamStore, Tape, Tensor, Var};
 
 use crate::config::CausalTadConfig;
@@ -112,14 +112,15 @@ impl TgVae {
         self.loss_batch(tape, store, &[segments], eps, successors, cfg)
     }
 
-    /// Builds the summed training loss `Σ_i L1(c_i, t_i)` for a micro-batch
+    /// Builds the summed training loss `Σ_i L1(c_i, t_i)` for a batch
     /// of trajectories in **one** tape pass.
     ///
     /// Hidden states are row-stacked (`batch x hidden`, mirroring the
     /// inference-side `advance_batch`), shrinking as shorter trajectories
     /// run out of transitions, so the GRU recurrence runs one
     /// matrix-matrix product per step instead of `batch` matrix-vector
-    /// products. The ragged schedule is planned up front, the input-gate
+    /// products. The ragged schedule is planned up front
+    /// ([`tad_autodiff::nn::ragged_schedule`]), the input-gate
     /// projection of every (step, trajectory) pair is one GEMM, and the
     /// whole recurrence is **one** tape node
     /// ([`tad_autodiff::nn::BoundGru::sequence`]:
@@ -128,13 +129,13 @@ impl TgVae {
     /// The prediction heads batch over that stack: the full-vocab
     /// ablation runs a single `(N x d)·(d x vocab)` GEMM + fused CE over
     /// every transition of every trajectory, and the road-constrained path
-    /// scores every valid transition of the micro-batch in **one** fused
+    /// scores every valid transition of the batch in **one** fused
     /// subset-CE node ([`tad_autodiff::nn::Linear::subset_cross_entropy`]),
     /// each row against its own successor span, in stacking order.
     ///
     /// `eps` holds one pre-drawn standard-normal row per trajectory (the
-    /// caller controls the rng stream so batched and sequential training
-    /// consume identical randomness). The summed loss matches the sum of
+    /// caller controls the rng stream so a batch and its trajectories one
+    /// at a time consume identical randomness). The summed loss matches the sum of
     /// per-trajectory [`TgVae::loss`] values up to f32 reassociation of the
     /// CE/KL reductions (documented tolerance ~1e-6 relative).
     pub fn loss_batch(
@@ -182,25 +183,8 @@ impl TgVae {
         let init_pre = self.dec_init.forward(tape, store, r);
         let h = tape.tanh(init_pre);
         let bound = self.gru.bind(tape, store);
-        let max_transitions = trajs.iter().map(|t| t.len() - 1).max().expect("non-empty batch");
-
-        // Plan the ragged schedule up front: per step, the trajectories
-        // still running. Knowing every (step, trajectory) pair in advance
-        // lets the GRU input-gate projection for the WHOLE batch run as a
-        // single time-major GEMM outside the recurrence (the plan's gate
-        // table, for training), the recurrence itself be one tape node,
-        // and the prediction rows line up with both.
-        let mut schedule: Vec<Vec<u32>> = Vec::with_capacity(max_transitions);
-        {
-            let mut active: Vec<u32> = (0..b as u32).collect();
-            for t in 0..max_transitions {
-                active.retain(|&i| trajs[i as usize].len() >= t + 2);
-                if active.is_empty() {
-                    break;
-                }
-                schedule.push(active.clone());
-            }
-        }
+        let transitions: Vec<usize> = trajs.iter().map(|t| t.len() - 1).collect();
+        let schedule = ragged_schedule(&transitions);
         // One record per stacked hidden row: (prev segment, next segment).
         let preds: Vec<(u32, u32)> = schedule
             .iter()
@@ -226,7 +210,7 @@ impl TgVae {
             steps = targets.len();
         } else {
             // Road-constrained: every valid transition of the whole
-            // micro-batch is scored by ONE fused subset-CE node — per-row
+            // batch is scored by ONE fused subset-CE node — per-row
             // candidate spans index straight into the row-major `out_proj`
             // weight, so there is no per-transition gather/matmul/CE
             // bookkeeping. Transitions outside the successor set contribute
@@ -270,7 +254,7 @@ impl TgVae {
     /// The pre-vectorisation scalar reference: one trajectory, one tape op
     /// per primitive (unfused GRU steps, one subset projection + CE per
     /// transition). Kept verbatim so the equivalence tests can compare the
-    /// fused loss and the micro-batched trainer against the original
+    /// fused loss and the batched trainer against the original
     /// formulation — both consume the rng stream identically.
     pub fn loss_reference<R: Rng + ?Sized>(
         &self,
@@ -678,7 +662,7 @@ mod tests {
     #[test]
     fn batched_loss_gradients_match_sequential() {
         // Gradients of the summed batched loss vs accumulated
-        // per-trajectory gradients (the property the micro-batched trainer
+        // per-trajectory gradients (the property the batched trainer
         // relies on).
         let (store, tg, cfg, mut rng) = build();
         let succ = toy_successors();

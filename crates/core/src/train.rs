@@ -36,18 +36,14 @@ impl Trainer {
     /// Runs the full optimisation under `model.config()`, restoring the
     /// best-epoch parameters at the end.
     ///
-    /// The calling thread draws every micro-batch's noise, runs the TG-VAE
+    /// The calling thread draws every batch's noise, runs the TG-VAE
     /// lane and makes every decision (it is the one inside
     /// [`train::run`]); the `tad-train-rp` thread runs the RP-VAE lane on
     /// the `rp.*` shard, which is back in `model.store()` when this returns.
     pub fn fit(model: &mut CausalTad, train: &[Trajectory]) -> TrainReport {
         let cfg = model.config();
-        let schedule = Schedule {
-            epochs: cfg.epochs,
-            batch_size: cfg.batch_size,
-            micro_batch: cfg.micro_batch,
-            grad_clip: cfg.grad_clip,
-        };
+        let schedule =
+            Schedule { epochs: cfg.epochs, batch_size: cfg.batch_size, grad_clip: cfg.grad_clip };
         let lr = cfg.lr;
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
 
@@ -94,11 +90,11 @@ struct TwoLanes<'a> {
 const RP_GONE: &str = "the RP-VAE lane is gone";
 
 impl Lanes<Trajectory> for TwoLanes<'_> {
-    fn pass(&mut self, chunk: &[&Trajectory], scale: f32, last: bool, rng: &mut StdRng) -> f32 {
+    fn pass(&mut self, batch: &[&Trajectory], scale: f32, rng: &mut StdRng) -> f32 {
         let model = self.model;
-        let inputs = model.draw_chunk(chunk, rng);
+        let inputs = model.draw_chunk(batch, rng);
         let (tokens, eps) = (inputs.rp_tokens, inputs.rp_eps);
-        self.jobs.send(RpJob::Chunk { tokens, eps, scale, want_sq_norms: last }).expect(RP_GONE);
+        self.jobs.send(RpJob::Batch { tokens, eps, scale }).expect(RP_GONE);
         let tg_loss = self.tg.pass(scale, |tape, store| {
             model.tg_chunk_loss(tape, store, &inputs.tg_segments, inputs.tg_eps)
         });
@@ -131,10 +127,10 @@ impl Lanes<Trajectory> for TwoLanes<'_> {
 
 /// What the calling thread asks of the RP-VAE lane, in order.
 enum RpJob {
-    /// One micro-batch: forward, and backward of `scale·L2`. Answered with
-    /// the loss and — when asked, i.e. on the last chunk of a clipped
-    /// batch — the shard's per-tensor squared gradient norms.
-    Chunk { tokens: Vec<u32>, eps: Tensor, scale: f32, want_sq_norms: bool },
+    /// One batch: forward, and backward of `scale·L2`. Answered with the
+    /// loss and the shard's per-tensor squared gradient norms, which the
+    /// global clip reads.
+    Batch { tokens: Vec<u32>, eps: Tensor, scale: f32 },
     /// The batch was accepted: clip by the global factor and step.
     Step { grad_scale: Option<f32> },
     /// The batch was dropped: zero the gradients.
@@ -153,12 +149,10 @@ fn rp_lane(
 ) -> ParamStore {
     for job in inbox {
         match job {
-            RpJob::Chunk { tokens, eps, scale, want_sq_norms } => {
+            RpJob::Batch { tokens, eps, scale } => {
                 let loss =
                     lane.pass(scale, |tape, store| rp.loss_with_eps(tape, store, &tokens, eps));
-                let sq_norms =
-                    if want_sq_norms { lane.grad_sq_norms().collect() } else { Vec::new() };
-                if outbox.send((loss, sq_norms)).is_err() {
+                if outbox.send((loss, lane.grad_sq_norms().collect())).is_err() {
                     break;
                 }
             }
@@ -221,41 +215,14 @@ mod tests {
     }
 
     #[test]
-    fn microbatch_matches_sequential_trainer_losses() {
-        // The acceptance bar of the vectorised training path: micro-batched
-        // training must reach losses within 1e-6 relative tolerance of the
-        // sequential (micro_batch = 1) trainer after equal epochs. Both
-        // paths draw identical reparameterisation noise; the only
-        // differences are f32 reduction reassociation in the batched
-        // CE/KL/GEMM nodes.
-        let city = generate_city(&CityConfig::test_scale(304));
-        let mut seq_cfg = CausalTadConfig::test_scale();
-        seq_cfg.epochs = 3;
-        seq_cfg.micro_batch = 1;
-        let mut mb_cfg = seq_cfg.clone();
-        mb_cfg.micro_batch = 4;
-        let mut seq_model = CausalTad::new(&city.net, seq_cfg);
-        let seq = Trainer::fit(&mut seq_model, &city.data.train);
-        let mut mb_model = CausalTad::new(&city.net, mb_cfg);
-        let mb = Trainer::fit(&mut mb_model, &city.data.train);
-        assert_eq!(seq.epoch_losses.len(), mb.epoch_losses.len());
-        for (epoch, (a, b)) in seq.epoch_losses.iter().zip(&mb.epoch_losses).enumerate() {
-            let rel = (a - b).abs() / a.abs().max(1e-12);
-            assert!(rel < 1e-6, "epoch {epoch} losses diverged: {a} vs {b} (rel {rel:e})");
-        }
-    }
-
-    #[test]
     fn dropped_batch_leaves_no_trajectory_in_the_epoch_mean() {
-        // micro_batch 1 under batch_size 4: a batch is four one-trajectory
-        // chunks. One trajectory's input embedding row is NaN, so its batch
-        // is dropped at that chunk — after earlier chunks of the same batch
-        // were already evaluated. The epoch mean must be the mean over the
-        // trajectories of the accepted batches only.
+        // Batches of four, one tape pass each. One trajectory's input
+        // embedding row is NaN, so its batch's loss is NaN and the batch is
+        // dropped. The epoch mean must be the mean over the trajectories of
+        // the accepted batches only.
         let city = generate_city(&CityConfig::test_scale(305));
         let mut cfg = CausalTadConfig::test_scale();
         cfg.epochs = 1;
-        cfg.micro_batch = 1;
         cfg.batch_size = 4;
         // A zero learning rate keeps the parameters fixed, so the expected
         // losses below need no optimiser of their own.
@@ -280,51 +247,73 @@ mod tests {
             .expect("decoder input embedding");
         model.store_mut().value_mut(table).row_mut(poisoned_seg as usize).fill(f32::NAN);
 
-        // The trainer's own walk (same shuffle, same noise stream).
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        order.shuffle(&mut rng);
-        let mut tape = Tape::new();
-        let (mut accepted_sum, mut accepted) = (0.0f64, 0usize);
-        let mut evaluated_before_the_drop = 0;
-        for batch in order.chunks(cfg.batch_size) {
-            let mut losses = Vec::new();
-            for &idx in batch {
-                tape.reset();
-                let loss = model.trajectory_loss_batch(&mut tape, &[&train[idx]], &mut rng);
-                losses.push(tape.value(loss).get(0, 0) as f64);
-                if !losses[losses.len() - 1].is_finite() {
-                    break;
-                }
-            }
-            if losses.iter().all(|v| v.is_finite()) {
-                accepted_sum += losses.iter().sum::<f64>();
-                accepted += losses.len();
-            } else {
-                evaluated_before_the_drop = losses.len() - 1;
-            }
-        }
+        let (accepted_sum, accepted) = accepted_batches(&model, &train);
         assert_eq!(accepted, 8, "exactly one batch of four is dropped");
-        assert!(evaluated_before_the_drop > 0, "the poisoned chunk must not lead its batch");
 
         let report = Trainer::fit(&mut model, &train);
         assert!(!report.diverged);
         assert_eq!(report.epoch_losses, vec![accepted_sum / accepted as f64]);
     }
 
-    /// What [`one_tape_fit`] evaluates per chunk of a batch.
-    type ChunkLoss = fn(&CausalTad, &mut Tape, &[&Trajectory], &mut StdRng) -> Var;
+    /// The epoch's accepted batches by the one-tape walk (the trainer's
+    /// shuffle and noise stream, each batch one pass): their summed loss
+    /// and their trajectory count.
+    fn accepted_batches(model: &CausalTad, train: &[Trajectory]) -> (f64, usize) {
+        let cfg = model.config();
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
+        let mut order: Vec<usize> = (0..train.len()).collect();
+        order.shuffle(&mut rng);
+        let mut tape = Tape::new();
+        let (mut sum, mut count) = (0.0f64, 0usize);
+        for batch in order.chunks(cfg.batch_size) {
+            let batch: Vec<&Trajectory> = batch.iter().map(|&idx| &train[idx]).collect();
+            tape.reset();
+            let loss = model.trajectory_loss_batch(&mut tape, &batch, &mut rng);
+            let v = tape.value(loss).get(0, 0) as f64;
+            if v.is_finite() {
+                sum += v;
+                count += batch.len();
+            }
+        }
+        (sum, count)
+    }
+
+    /// How [`one_tape_fit`] turns a batch into gradients: back-propagates
+    /// `scale` times its summed loss into the model's store and returns
+    /// that loss.
+    type BatchPass = fn(&mut CausalTad, &mut Tape, &[&Trajectory], f32, &mut StdRng) -> f64;
+
+    /// Backward pass of `scale · loss` into the model's store; the loss.
+    fn backward_scaled(model: &mut CausalTad, tape: &mut Tape, loss: Var, scale: f32) -> f64 {
+        let v = tape.value(loss).get(0, 0) as f64;
+        assert!(v.is_finite());
+        let scaled = tape.scale(loss, scale);
+        tape.backward(scaled, model.store_mut());
+        v
+    }
+
+    /// The whole batch on one tape: the pass `Trainer::fit` splits into
+    /// its two lanes.
+    fn whole_batch_pass(
+        model: &mut CausalTad,
+        tape: &mut Tape,
+        batch: &[&Trajectory],
+        scale: f32,
+        rng: &mut StdRng,
+    ) -> f64 {
+        tape.reset();
+        let loss = model.trajectory_loss_batch(tape, batch, rng);
+        backward_scaled(model, tape, loss, scale)
+    }
 
     /// The loop `Trainer::fit` ran before it had lanes: one tape, one
-    /// store, one Adam, `L1 + L2` added on the tape, each batch cut into
-    /// chunks of `micro_batch`. Kept here as the reference the two-lane
-    /// loop is pinned to.
+    /// store, one Adam, `L1 + L2` added on the tape, one `pass` per batch.
+    /// Kept here as the reference the two-lane loop is pinned to.
     fn one_tape_fit(
         cfg: &CausalTadConfig,
         model: &mut CausalTad,
         train: &[Trajectory],
-        micro_batch: usize,
-        chunk_loss: ChunkLoss,
+        pass: BatchPass,
     ) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
         let mut adam = Adam::new(model.store(), cfg.lr);
@@ -339,15 +328,7 @@ mod tests {
                 let scale = 1.0 / batch.len() as f32;
                 let eligible: Vec<&Trajectory> =
                     batch.iter().map(|&idx| &train[idx]).filter(|t| t.len() >= 2).collect();
-                for chunk in eligible.chunks(micro_batch.max(1)) {
-                    tape.reset();
-                    let loss = chunk_loss(model, &mut tape, chunk, &mut rng);
-                    let v = tape.value(loss).get(0, 0) as f64;
-                    assert!(v.is_finite());
-                    let scaled = tape.scale(loss, scale);
-                    tape.backward(scaled, model.store_mut());
-                    epoch_loss += v;
-                }
+                epoch_loss += pass(model, &mut tape, &eligible, scale, &mut rng);
                 if cfg.grad_clip > 0.0 {
                     model.store_mut().clip_grad_norm(cfg.grad_clip);
                 }
@@ -388,26 +369,27 @@ mod tests {
         let city = generate_city(&CityConfig::test_scale(306));
         let train = &city.data.train;
         let mut cases: Vec<(String, CausalTadConfig)> = Vec::new();
+        // Batches of 3 leave a ragged last batch; 8 is the batch in use.
         for (width, base) in
             [("test_scale", CausalTadConfig::test_scale()), ("default", CausalTadConfig::default())]
         {
-            for micro_batch in [1, 3, 8] {
+            for batch_size in [3, 8] {
                 cases.push((
-                    format!("{width}, micro_batch {micro_batch}"),
-                    CausalTadConfig { micro_batch, ..base.clone() },
+                    format!("{width}, batch_size {batch_size}"),
+                    CausalTadConfig { batch_size, ..base.clone() },
                 ));
             }
         }
         // The widths `tadbench` trains at beyond those two: `train_eval`'s
-        // and `engine_wide_sat`'s, at their micro-batch.
-        cases.push(("paper_scale, micro_batch 8".into(), CausalTadConfig::paper_scale()));
+        // and `engine_wide_sat`'s.
+        cases.push(("paper_scale".into(), CausalTadConfig::paper_scale()));
         let wide = CausalTadConfig {
             embed_dim: 64,
             hidden_dim: 256,
             latent_dim: 32,
             ..CausalTadConfig::test_scale()
         };
-        cases.push(("wide, micro_batch 8".into(), wide));
+        cases.push(("wide".into(), wide));
         let base = CausalTadConfig::test_scale();
         cases.push((
             "time_factorised_scaling".into(),
@@ -423,19 +405,14 @@ mod tests {
         ));
 
         for (what, mut cfg) in cases {
-            // Three epochs at a learning rate that overshoots: in the six
-            // test_scale / default x micro_batch cases the second epoch is
-            // the best, so the per-lane restore is exercised.
+            // Three epochs at a learning rate that overshoots: in three of
+            // the four test_scale / default cases and at paper_scale an
+            // earlier epoch is the best, so the per-lane restore is
+            // exercised.
             cfg.epochs = 3;
             cfg.lr = 1e-1;
             let mut reference = CausalTad::new(&city.net, cfg.clone());
-            let expected = one_tape_fit(
-                &cfg,
-                &mut reference,
-                train,
-                cfg.micro_batch,
-                CausalTad::trajectory_loss_batch,
-            );
+            let expected = one_tape_fit(&cfg, &mut reference, train, whole_batch_pass);
             let mut model = CausalTad::new(&city.net, cfg);
             let report = Trainer::fit(&mut model, train);
             assert!(!report.diverged, "{what}");
@@ -445,28 +422,35 @@ mod tests {
         }
     }
 
-    /// The scalar reference loss of a one-trajectory chunk: the TG-VAE's
-    /// unfused per-op formulation (`TgVae::loss_reference`, GRU steps by
+    /// The scalar reference, one trajectory per tape: the TG-VAE's unfused
+    /// per-op formulation (`TgVae::loss_reference`, GRU steps by
     /// `BoundGru::step_unfused`, one CE node per transition) plus
     /// `RpVae::loss`, drawing the noise in the trainer's order.
-    fn scalar_reference_loss(
-        model: &CausalTad,
+    fn scalar_reference_pass(
+        model: &mut CausalTad,
         tape: &mut Tape,
-        chunk: &[&Trajectory],
+        batch: &[&Trajectory],
+        scale: f32,
         rng: &mut StdRng,
-    ) -> Var {
-        let [t] = chunk else { panic!("the scalar reference takes one trajectory per tape") };
-        let segments: Vec<u32> = t.segments.iter().map(|s| s.0).collect();
-        let tokens: Vec<u32> = segments.iter().map(|&s| model.rp.token(s, t.time_slot)).collect();
-        let (store, cfg) = (model.store(), model.config());
-        let tg = model.tg.loss_reference(tape, store, &segments, &model.successors, cfg, rng);
-        let rp = model.rp.loss(tape, store, &tokens, rng);
-        tape.add(tg.total, rp)
+    ) -> f64 {
+        let mut sum = 0.0;
+        for t in batch {
+            tape.reset();
+            let segments: Vec<u32> = t.segments.iter().map(|s| s.0).collect();
+            let tokens: Vec<u32> =
+                segments.iter().map(|&s| model.rp.token(s, t.time_slot)).collect();
+            let (store, cfg) = (model.store(), model.config());
+            let tg = model.tg.loss_reference(tape, store, &segments, &model.successors, cfg, rng);
+            let rp = model.rp.loss(tape, store, &tokens, rng);
+            let loss = tape.add(tg.total, rp);
+            sum += backward_scaled(model, tape, loss, scale);
+        }
+        sum
     }
 
     #[test]
     fn microbatch_trainer_tracks_the_scalar_reference_per_epoch() {
-        // `Trainer::fit` (micro-batched, fused, two lanes) against the
+        // `Trainer::fit` (batched, fused, two lanes) against the
         // formulation it replaced. Both draw identical noise; what differs
         // is f32 reassociation in the batched nodes and the fast-math gate
         // and CE kernels, so the epoch losses agree closely, not bit for
@@ -478,7 +462,7 @@ mod tests {
         {
             let cfg = CausalTadConfig { epochs: 3, ..base };
             let mut reference = CausalTad::new(&city.net, cfg.clone());
-            let expected = one_tape_fit(&cfg, &mut reference, train, 1, scalar_reference_loss);
+            let expected = one_tape_fit(&cfg, &mut reference, train, scalar_reference_pass);
             let mut model = CausalTad::new(&city.net, cfg);
             let report = Trainer::fit(&mut model, train);
             assert_eq!(report.epoch_losses.len(), expected.len(), "{width}");
@@ -496,12 +480,11 @@ mod tests {
     fn dropped_batch_on_the_helper_lane_leaves_no_trace() {
         // The twin of `dropped_batch_leaves_no_trajectory_in_the_epoch_mean`
         // with the poison on the RP-VAE's side: the helper's loss is the
-        // NaN, and the TG lane has back-propagated its half of the chunk by
+        // NaN, and the TG lane has back-propagated its half of the batch by
         // the time it learns so.
         let city = generate_city(&CityConfig::test_scale(305));
         let mut cfg = CausalTadConfig::test_scale();
         cfg.epochs = 1;
-        cfg.micro_batch = 1;
         cfg.batch_size = 4;
         cfg.lr = 0.0;
         let poisoned_seg = city.data.train[0].segments[0].0;
@@ -520,27 +503,7 @@ mod tests {
         assert!(table.index() >= model.tg_params, "the poison must sit in the helper's shard");
         model.store_mut().value_mut(table).row_mut(poisoned_seg as usize).fill(f32::NAN);
 
-        // Epoch mean over the accepted batches, by the one-tape walk.
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
-        let mut order: Vec<usize> = (0..train.len()).collect();
-        order.shuffle(&mut rng);
-        let mut tape = Tape::new();
-        let (mut accepted_sum, mut accepted) = (0.0f64, 0usize);
-        for batch in order.chunks(cfg.batch_size) {
-            let mut losses = Vec::new();
-            for &idx in batch {
-                tape.reset();
-                let loss = model.trajectory_loss_batch(&mut tape, &[&train[idx]], &mut rng);
-                losses.push(tape.value(loss).get(0, 0) as f64);
-                if !losses[losses.len() - 1].is_finite() {
-                    break;
-                }
-            }
-            if losses.iter().all(|v| v.is_finite()) {
-                accepted_sum += losses.iter().sum::<f64>();
-                accepted += losses.len();
-            }
-        }
+        let (accepted_sum, accepted) = accepted_batches(&model, &train);
         assert_eq!(accepted, 8, "exactly one batch of four is dropped");
 
         let report = Trainer::fit(&mut model, &train);

@@ -2,7 +2,7 @@
 //! started, is a small multiple of the parameter store (values and
 //! gradients). The fit needs the two lanes' Adam moments (one store), the
 //! best epoch's snapshot (half of one) and one tape pass's working set per
-//! lane — not the union of every ragged micro-batch shape the tape's
+//! lane — not the union of every ragged batch shape the tape's
 //! buffer pool has seen, nor two snapshots at once. These fits read
 //! 3.8–4.6x; with an exact-size class per small buffer, doubling growth
 //! and a fresh snapshot per better epoch they read 10–14x.

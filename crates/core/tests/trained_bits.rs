@@ -26,9 +26,8 @@ fn trained_causaltad_hashes_to_its_checked_in_digests() {
             CausalTadConfig { time_factorised_scaling: true, ..base.clone() },
         ),
         ("tie_sd_embedding", CausalTadConfig { tie_sd_embedding: true, ..base.clone() }),
-        ("micro_batch 1", CausalTadConfig { micro_batch: 1, ..base.clone() }),
-        // Two tape passes of eight accumulate into each optimiser step.
-        ("micro_batch 8 of 16", CausalTadConfig { micro_batch: 8, batch_size: 16, ..base }),
+        // One tape pass of sixteen per optimiser step.
+        ("batch_size 16", CausalTadConfig { batch_size: 16, ..base }),
     ];
     let digests: Vec<String> = cases
         .into_iter()
@@ -51,8 +50,7 @@ fn trained_causaltad_hashes_to_its_checked_in_digests() {
             "default: params 0xaa0fa07f69007d2b scores 0x3f7de21e110092df",
             "time_factorised_scaling: params 0x7a3c3dd3098bb4ed scores 0x6b0c12960c5cd3c4",
             "tie_sd_embedding: params 0x721597c82ca74f94 scores 0x865a2befea637876",
-            "micro_batch 1: params 0x5968a23dc3f01c67 scores 0x8cc686dd55a0a112",
-            "micro_batch 8 of 16: params 0xde6a2955bc6661b1 scores 0x65a724e80e956a9e",
+            "batch_size 16: params 0xd38ab0d8b229398b scores 0x4f05318491141fd9",
         ]
     );
 }

@@ -24,7 +24,7 @@ pub const BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB_COUNT;
 /// [`SUB_COUNT`] map exactly, everything else lands in the sub-bucket
 /// whose width is `2^(octave-1) / SUB_COUNT` of its octave.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < SUB_COUNT as u64 {
         return v as usize;
     }
@@ -40,7 +40,7 @@ pub fn bucket_index(v: u64) -> usize {
 /// # Panics
 /// Panics if `i >= BUCKETS`.
 #[inline]
-pub fn bucket_floor(i: usize) -> u64 {
+pub(crate) fn bucket_floor(i: usize) -> u64 {
     assert!(i < BUCKETS, "bucket index {i} out of range");
     if i < SUB_COUNT {
         return i as u64;
@@ -56,7 +56,7 @@ pub fn bucket_floor(i: usize) -> u64 {
 /// # Panics
 /// Panics if `i >= BUCKETS`.
 #[inline]
-pub fn bucket_ceil(i: usize) -> u64 {
+pub(crate) fn bucket_ceil(i: usize) -> u64 {
     if i + 1 == BUCKETS {
         u64::MAX
     } else {

@@ -17,7 +17,7 @@
 //!   into the same bits an in-process aggregation yields.
 //! * The `TADM` codec ([`snapshot_to_bytes`] / [`snapshot_from_bytes`])
 //!   — a versioned, checksummed binary format riding the workspace
-//!   envelope, plus [`render_text`] for human-readable exposition.
+//!   envelope.
 //!
 //! `tad-serve`, `tad-net`, and `tad-router` each register their tier's
 //! metrics under a `serve.` / `net.` / `router.` name prefix; the TADN
@@ -30,14 +30,9 @@
 mod codec;
 mod hist;
 mod registry;
-mod text;
 
 pub use codec::{
     snapshot_from_bytes, snapshot_to_bytes, MetricsCodecError, METRICS_MAGIC, METRICS_VERSION,
 };
-pub use hist::{
-    bucket_ceil, bucket_floor, bucket_index, DeferredHistogram, Histogram, HistogramSnapshot,
-    BUCKETS, SUB_BITS, SUB_COUNT,
-};
+pub use hist::{DeferredHistogram, Histogram, HistogramSnapshot, BUCKETS, SUB_BITS, SUB_COUNT};
 pub use registry::{Counter, Gauge, MetricEntry, MetricValue, MetricsSnapshot, Registry};
-pub use text::render_text;

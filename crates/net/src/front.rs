@@ -457,7 +457,7 @@ impl FrontShared {
 
     /// Asks every [`FrontDoor`] over this table to stop at its next tick
     /// (pair with a source wake; [`FrontListener::stop`] does both).
-    pub fn request_shutdown(&self) {
+    pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 

@@ -409,12 +409,6 @@ impl IngestCore {
         self.front.connection_stats()
     }
 
-    /// Asks every [`EventLoop`] over this core to exit at its next tick
-    /// (pair with a source wake; [`NetServer::shutdown`] does both).
-    pub fn request_shutdown(&self) {
-        self.front.request_shutdown();
-    }
-
     /// Tears the core down once every event loop over it has exited:
     /// drains and shuts the engine down, returning the final counters.
     pub fn finish(core: Arc<IngestCore>) -> FleetSnapshot {
@@ -489,7 +483,8 @@ impl<S: EventSource<T>, T: Read + Write> EventLoop<S, T> {
     }
 
     /// Runs ticks until the source is exhausted (scripted schedules) or
-    /// [`IngestCore::request_shutdown`] is observed, then closes every
+    /// a stop is observed ([`FrontListener::stop`], which
+    /// [`NetServer::shutdown`] calls), then closes every
     /// connection (best-effort flushing what is already queued).
     pub fn run(&mut self) {
         let mut events = Vec::new();
@@ -897,13 +892,6 @@ impl NetServer {
     /// registry).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.core().registry.snapshot()
-    }
-
-    /// The registry behind [`NetServer::metrics`] — for registering
-    /// process-local metrics that should ride along in the same wire
-    /// snapshot.
-    pub fn metrics_registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.core().registry)
     }
 
     /// Stops accepting, closes every connection, drains and shuts the

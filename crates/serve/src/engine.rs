@@ -856,11 +856,6 @@ impl FleetEngine {
         self.registry.snapshot()
     }
 
-    /// Shared handle to the metrics registry this engine records into.
-    pub fn metrics_registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.registry)
-    }
-
     /// Stops ingest, drains every queue, flushes still-live sessions to the
     /// completion callback (as [`crate::Completion::Shutdown`]), joins the
     /// workers, and returns the final counters.

@@ -84,7 +84,7 @@ impl CorruptionConfig {
 /// corruption models the *telemetry channel*, not the driving behaviour.
 /// Trips are never corrupted down to an empty walk: at least one segment
 /// always survives the drop channel.
-pub fn corrupt_trajectory<R: Rng + ?Sized>(
+fn corrupt_trajectory<R: Rng + ?Sized>(
     net: &RoadNetwork,
     traj: &Trajectory,
     cfg: &CorruptionConfig,
@@ -157,7 +157,7 @@ pub fn corrupt_trajectory<R: Rng + ?Sized>(
     Trajectory { segments, time_slot: traj.time_slot, label: traj.label }
 }
 
-/// Applies [`corrupt_trajectory`] to every trip of a dataset, in order,
+/// Applies `corrupt_trajectory` to every trip of a dataset, in order,
 /// from a private `StdRng` seeded with `cfg.seed` — the same config over
 /// the same slice replays the exact same corrupted dataset.
 pub fn corrupt_dataset(

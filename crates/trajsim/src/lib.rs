@@ -36,6 +36,6 @@ pub mod routing;
 pub mod sd;
 pub mod stats;
 
-pub use corruption::{corrupt_dataset, corrupt_trajectory, CorruptionConfig};
+pub use corruption::{corrupt_dataset, CorruptionConfig};
 pub use dataset::{CityDatasets, Label, SdPair, Trajectory};
 pub use generator::{generate_city, City, CityConfig};
