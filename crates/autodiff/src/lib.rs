@@ -12,9 +12,10 @@
 //!   products that reuse it.
 //! * [`ops`] — the forward kernels both paths share, over slices: the
 //!   affine map, the road-constrained subset logits, the GRU gate epilogue.
-//! * [`Tape`] — an eager reverse-mode tape: ops execute immediately, values
-//!   are always readable, and [`Tape::backward`] accumulates gradients into
-//!   a shared [`ParamStore`].
+//! * [`Tape`] — an eager reverse-mode tape: ops execute immediately, so a
+//!   node's value is readable as soon as it is recorded; parameter leaves
+//!   read a [`ParamStore`]'s tensors in place, and [`Tape::backward`] adds
+//!   gradients straight into it.
 //! * [`nn`] — layers ([`nn::Linear`], [`nn::Embedding`], [`nn::GruCell`],
 //!   [`nn::GaussianHead`]) that own only parameter handles, each with one
 //!   taped forward and one tape-free `infer` on the same [`ops`] kernel.

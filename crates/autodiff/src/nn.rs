@@ -274,8 +274,9 @@ impl GruCell {
         self.hidden
     }
 
-    /// Records the parameter leaves once per tape so repeated steps reuse
-    /// the same nodes instead of copying weights every step.
+    /// Records the parameter leaves once per tape, so every step of a
+    /// recurrence reads the same three nodes (and the store's tensors in
+    /// place).
     pub fn bind(&self, tape: &mut Tape, store: &ParamStore) -> BoundGru {
         BoundGru {
             w: tape.param(store, self.w),

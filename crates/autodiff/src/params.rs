@@ -1,8 +1,8 @@
 //! Parameter storage shared across tapes.
 //!
 //! All learnable tensors of a model live in one [`ParamStore`]; the tape
-//! references them by [`ParamId`] and `backward` accumulates gradients into
-//! the store. Optimisers then consume `grads` and reset them.
+//! reads them in place by [`ParamId`] and `backward` accumulates gradients
+//! into the store. Optimisers then consume `grads` and reset them.
 //!
 //! A store can be cut into contiguous shards ([`ParamStore::split_off`],
 //! [`ParamStore::append`]): the tensors move, every [`ParamId`] stays
@@ -15,6 +15,7 @@
 //! the parameters of one [`ParamStore::from_bytes`] decoded.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 /// Why [`ParamStore::from_bytes`] refused a blob: the shared reader's
@@ -60,10 +61,15 @@ impl std::fmt::Display for LayoutError {
 impl std::error::Error for LayoutError {}
 
 /// Owns every learnable tensor of a model together with its gradient buffer.
+///
+/// A value sits behind an [`Arc`] so a tape can read it in place
+/// ([`crate::Tape::param`]) instead of copying it; writes go through
+/// [`Arc::make_mut`], which copies only a value something else still holds
+/// (a clone of the store, or a tape that has not run backward yet).
 #[derive(Clone, Debug, Default)]
 pub struct ParamStore {
     names: Vec<String>,
-    values: Vec<Tensor>,
+    values: Vec<Arc<Tensor>>,
     grads: Vec<Tensor>,
     /// Id of the first tensor held: non-zero only in a shard that
     /// [`ParamStore::split_off`] cut from the tail of another store.
@@ -101,7 +107,7 @@ impl ParamStore {
         let Some(claimed) = &mut self.adoption else {
             assert!(!self.names.contains(&name), "duplicate parameter name {name:?}");
             self.names.push(name);
-            self.values.push(init(shape.0, shape.1));
+            self.values.push(Arc::new(init(shape.0, shape.1)));
             self.grads.push(Tensor::zeros(shape.0, shape.1));
             return ParamId(self.base + (self.values.len() - 1) as u32);
         };
@@ -184,7 +190,7 @@ impl ParamStore {
 
     /// Total number of scalar parameters.
     pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(Tensor::len).sum()
+        self.values.iter().map(|v| v.len()).sum()
     }
 
     /// Parameter value.
@@ -197,7 +203,14 @@ impl ParamStore {
     #[inline]
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
         let slot = self.slot(id);
-        &mut self.values[slot]
+        Arc::make_mut(&mut self.values[slot])
+    }
+
+    /// The value of `id` as the store holds it, for a tape to read in
+    /// place.
+    #[inline]
+    pub(crate) fn shared_value(&self, id: ParamId) -> Arc<Tensor> {
+        Arc::clone(&self.values[self.slot(id)])
     }
 
     /// Accumulated gradient.
@@ -235,7 +248,7 @@ impl ParamStore {
     /// order, both mutable, so one pass can update a value and consume its
     /// gradient.
     pub fn values_grads_mut(&mut self) -> impl Iterator<Item = (&mut Tensor, &mut Tensor)> {
-        self.values.iter_mut().zip(&mut self.grads)
+        self.values.iter_mut().map(Arc::make_mut).zip(&mut self.grads)
     }
 
     /// Resets every gradient buffer to zero.
@@ -284,7 +297,7 @@ impl ParamStore {
 
     /// True when every parameter value is finite.
     pub fn all_finite(&self) -> bool {
-        self.values.iter().all(Tensor::all_finite)
+        self.values.iter().all(|v| v.all_finite())
     }
 
     /// Serialises names, shapes and values (not gradients) into a compact
@@ -346,7 +359,7 @@ impl ParamStore {
                 data.push(r.f32("values")?);
             }
             store.names.push(name.to_owned());
-            store.values.push(Tensor::from_vec(rows, cols, data));
+            store.values.push(Arc::new(Tensor::from_vec(rows, cols, data)));
             store.grads.push(Tensor::zeros(rows, cols));
         }
         r.finish()?;
@@ -360,13 +373,13 @@ impl ParamStore {
     pub fn same_layout(&self, other: &ParamStore) -> bool {
         self.base == other.base
             && self.names == other.names
-            && self.values.iter().map(Tensor::shape).eq(other.values.iter().map(Tensor::shape))
+            && self.values().map(Tensor::shape).eq(other.values().map(Tensor::shape))
     }
 
     /// Every parameter value in id order — what a checkpoint of this store
-    /// has to keep (`to_vec()` it); names and gradient buffers stay behind.
-    pub fn values(&self) -> &[Tensor] {
-        &self.values
+    /// has to keep (clone them); names and gradient buffers stay behind.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &Tensor> {
+        self.values.iter().map(|v| &**v)
     }
 
     /// Overwrites this store's values with `values`, one tensor per
@@ -375,7 +388,7 @@ impl ParamStore {
     /// restore the best checkpoint after training.
     pub fn copy_values_from(&mut self, values: &[Tensor]) {
         assert_eq!(self.values.len(), values.len(), "param layout mismatch");
-        for (dst, src) in self.values.iter_mut().zip(values) {
+        for (dst, src) in self.values.iter_mut().map(Arc::make_mut).zip(values) {
             assert_eq!(dst.shape(), src.shape(), "param shape mismatch");
             dst.data_mut().copy_from_slice(src.data());
         }

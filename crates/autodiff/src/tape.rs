@@ -2,8 +2,8 @@
 //!
 //! Operations execute eagerly as they are recorded, so every node's value is
 //! available immediately (`Tape::value`). Calling [`Tape::backward`] walks
-//! the tape once in reverse and accumulates parameter gradients into the
-//! [`ParamStore`].
+//! the tape once in reverse and adds every parameter gradient straight
+//! into the [`ParamStore`].
 //!
 //! The op set is exactly what the paper's models need: dense matmuls (plus
 //! the `A·Bᵀ` variant used for projecting onto gathered embedding rows),
@@ -20,11 +20,17 @@
 //!
 //! ## Memory discipline
 //!
-//! Every forward value and every backward gradient is drawn from an
-//! internal [`TensorPool`] that survives [`Tape::reset`]: once the passes
-//! have taken the largest buffer of each size class, training performs no
-//! heap allocation on the tape, and the pool holds about one pass's
-//! working set. Matmul gradients route through the
+//! A parameter leaf ([`Tape::param`]) holds no value of its own: forward
+//! ops read the store's tensor in place, through the shared handle the
+//! store keeps it behind, and backward adds the leaf's gradient into the
+//! store's as each consumer produces it — no copy of the store, no
+//! per-leaf gradient buffer. Backward then lets go of the handles, so the
+//! optimiser step writes the values in place. Every other forward value
+//! and every backward gradient is drawn from an internal [`TensorPool`]
+//! that survives [`Tape::reset`]: once the passes have taken the largest
+//! buffer of each size class, training performs no heap allocation on the
+//! tape, and the pool holds about one pass's working set of activations
+//! and gradients. Matmul gradients route through the
 //! transpose-aware kernels ([`Tensor::matmul_t_into`],
 //! [`Tensor::matmul_tn_into`]) instead of materialising `transpose()`
 //! copies, and the recurrence node's per-pass state (the recurrent weight
@@ -41,6 +47,9 @@
 //! lists the two evaluation orders it keeps for that — and
 //! [`Tape::gru_step_pregated`] against the ~18 primitive ops of
 //! `BoundGru::step_unfused`, within the fast-math gate tolerance.
+
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::ops::{self, add_bias_rows};
 use crate::params::{ParamId, ParamStore};
@@ -63,7 +72,8 @@ impl Var {
 enum Op {
     /// Constant input; receives no gradient.
     Input,
-    /// Leaf referencing a full parameter tensor.
+    /// Leaf reading a whole parameter tensor in place (its value is
+    /// [`Value::Param`]); its gradient goes straight into the store's.
     Param(ParamId),
     /// Leaf referencing a subset of a parameter's rows (embedding lookup).
     GatherRows {
@@ -239,10 +249,36 @@ impl GruPlan {
     }
 }
 
+/// A node's value: the tensor its forward op computed, or — for a
+/// parameter leaf — the store's own tensor, shared rather than copied.
+/// Backward lets go of the store's tensors as it finishes
+/// ([`Value::Released`]), so the optimiser step that follows writes them
+/// in place.
+#[derive(Debug)]
+enum Value {
+    Computed(Tensor),
+    Param(Arc<Tensor>),
+    Released,
+}
+
+impl Deref for Value {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match self {
+            Value::Computed(t) => t,
+            Value::Param(t) => t,
+            Value::Released => {
+                panic!("parameter leaf read after backward released it: reset and record it again")
+            }
+        }
+    }
+}
+
 /// An eager reverse-mode autodiff tape.
 pub struct Tape {
     ops: Vec<Op>,
-    values: Vec<Tensor>,
+    values: Vec<Value>,
     /// Cached forward by-products (`SoftmaxCrossEntropy` probabilities,
     /// GRU gate activations).
     aux: Vec<Option<Tensor>>,
@@ -286,8 +322,10 @@ impl Tape {
     /// the same model allocate nothing.
     pub fn reset(&mut self) {
         self.ops.clear();
-        for t in self.values.drain(..) {
-            self.pool.recycle(t);
+        for value in self.values.drain(..) {
+            if let Value::Computed(t) = value {
+                self.pool.recycle(t);
+            }
         }
         for t in self.aux.drain(..).flatten() {
             self.pool.recycle(t);
@@ -301,6 +339,10 @@ impl Tape {
     }
 
     /// The value computed at `v`.
+    ///
+    /// # Panics
+    /// Panics for a parameter leaf once [`Tape::backward`] has let go of
+    /// it.
     #[inline]
     pub fn value(&self, v: Var) -> &Tensor {
         &self.values[v.index()]
@@ -311,6 +353,10 @@ impl Tape {
     }
 
     fn push_with_aux(&mut self, op: Op, value: Tensor, aux: Option<Tensor>) -> Var {
+        self.push_value(op, Value::Computed(value), aux)
+    }
+
+    fn push_value(&mut self, op: Op, value: Value, aux: Option<Tensor>) -> Var {
         let id = Var(self.ops.len() as u32);
         self.ops.push(op);
         self.values.push(value);
@@ -331,10 +377,12 @@ impl Tape {
         self.push(Op::Input, v)
     }
 
-    /// Records a parameter leaf; the current value is copied onto the tape.
+    /// Records a parameter leaf that reads the store's tensor in place:
+    /// nothing is copied and nothing is taken from the pool. Backward adds
+    /// the leaf's gradient straight into `store`'s, and then lets go of the
+    /// tensor, so read the leaf's value before [`Tape::backward`].
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let value = self.pool.take_copy(store.value(id));
-        self.push(Op::Param(id), value)
+        self.push_value(Op::Param(id), Value::Param(store.shared_value(id)), None)
     }
 
     /// Records an embedding lookup: rows `ids` of parameter `id`.
@@ -870,9 +918,12 @@ impl Tape {
 
     // ----- backward ---------------------------------------------------------
 
-    /// Runs the backward pass from scalar node `loss`, accumulating parameter
-    /// gradients into `store.grads`. All intermediate gradient buffers come
-    /// from (and return to) the tape's pool.
+    /// Runs the backward pass from scalar node `loss`, adding each
+    /// parameter gradient into `store`'s as it is produced. All
+    /// intermediate gradient buffers come from (and return to) the tape's
+    /// pool. Parameter leaves let go of the store's tensors when it
+    /// returns; a second backward over the same nodes reads the store's
+    /// tensors again.
     ///
     /// # Panics
     /// Panics if `loss` is not `1 x 1`.
@@ -880,20 +931,25 @@ impl Tape {
         assert_eq!(self.value(loss).shape(), (1, 1), "backward: loss must be scalar");
         let n = loss.index() + 1;
         let Tape { ops, values, aux, pool, grad_slots } = self;
+        // A second backward over the same nodes reads the store's
+        // tensors again.
+        for (op, value) in ops.iter().zip(values.iter_mut()) {
+            if let (Op::Param(id), Value::Released) = (op, &*value) {
+                *value = Value::Param(store.shared_value(*id));
+            }
+        }
         grad_slots.clear();
         grad_slots.resize_with(n, || None);
         grad_slots[loss.index()] = Some(pool.take_full(1, 1, 1.0));
+        let mut grads = Grads { ops, slots: grad_slots, store };
 
         for idx in (0..n).rev() {
-            let Some(mut g) = grad_slots[idx].take() else { continue };
+            let Some(mut g) = grads.slots[idx].take() else { continue };
             match &ops[idx] {
                 Op::Input => pool.recycle(g),
-                Op::Param(id) => {
-                    store.grad_mut(*id).add_assign(&g);
-                    pool.recycle(g);
-                }
+                Op::Param(_) => unreachable!("a parameter leaf's gradient goes to the store"),
                 Op::GatherRows { param, ids } => {
-                    let gp = store.grad_mut(*param);
+                    let gp = grads.store.grad_mut(*param);
                     for (i, &row_id) in ids.iter().enumerate() {
                         let dst = gp.row_mut(row_id as usize);
                         for (d, &x) in dst.iter_mut().zip(g.row(i)) {
@@ -903,7 +959,7 @@ impl Tape {
                     pool.recycle(g);
                 }
                 Op::GatherCols { param, ids } => {
-                    let gp = store.grad_mut(*param);
+                    let gp = grads.store.grad_mut(*param);
                     for (i, &col_id) in ids.iter().enumerate() {
                         let c = col_id as usize;
                         for r in 0..g.rows() {
@@ -922,8 +978,8 @@ impl Tape {
                     g.matmul_t_into(bv, &mut da);
                     let mut db = pool.take_scratch(av.cols(), g.cols());
                     av.matmul_tn_into(&g, &mut db);
-                    accumulate(grad_slots, pool, *a, da);
-                    accumulate(grad_slots, pool, *b, db);
+                    grads.add(pool, *a, da);
+                    grads.add(pool, *b, db);
                     pool.recycle(g);
                 }
                 Op::MatMulT(a, b) => {
@@ -934,8 +990,8 @@ impl Tape {
                     g.matmul_into(bv, &mut da);
                     let mut db = pool.take_scratch(g.cols(), av.cols());
                     g.matmul_tn_into(av, &mut db);
-                    accumulate(grad_slots, pool, *a, da);
-                    accumulate(grad_slots, pool, *b, db);
+                    grads.add(pool, *a, da);
+                    grads.add(pool, *b, db);
                     pool.recycle(g);
                 }
                 Op::Add(a, b) => {
@@ -943,7 +999,7 @@ impl Tape {
                     let (br, bc) = values[b.index()].shape();
                     if br == ar {
                         let db = pool.take_copy(&g);
-                        accumulate(grad_slots, pool, *b, db);
+                        grads.add(pool, *b, db);
                     } else {
                         // Broadcast bias: sum gradient over rows.
                         let mut db = pool.take_zeroed(1, bc);
@@ -952,17 +1008,17 @@ impl Tape {
                                 *d += x;
                             }
                         }
-                        accumulate(grad_slots, pool, *b, db);
+                        grads.add(pool, *b, db);
                     }
-                    accumulate(grad_slots, pool, *a, g);
+                    grads.add(pool, *a, g);
                 }
                 Op::Sub(a, b) => {
                     let mut db = pool.take_scratch(g.rows(), g.cols());
                     for (d, &x) in db.data_mut().iter_mut().zip(g.data()) {
                         *d = -x;
                     }
-                    accumulate(grad_slots, pool, *b, db);
-                    accumulate(grad_slots, pool, *a, g);
+                    grads.add(pool, *b, db);
+                    grads.add(pool, *a, g);
                 }
                 Op::Mul(a, b) => {
                     let mut da = pool.take_scratch(g.rows(), g.cols());
@@ -975,27 +1031,27 @@ impl Tape {
                     for (x, &y) in g.data_mut().iter_mut().zip(values[a.index()].data()) {
                         *x *= y;
                     }
-                    accumulate(grad_slots, pool, *a, da);
-                    accumulate(grad_slots, pool, *b, g);
+                    grads.add(pool, *a, da);
+                    grads.add(pool, *b, g);
                 }
-                Op::AddScalar(a) => accumulate(grad_slots, pool, *a, g),
+                Op::AddScalar(a) => grads.add(pool, *a, g),
                 Op::Scale(a, c) => {
                     for x in g.data_mut() {
                         *x *= c;
                     }
-                    accumulate(grad_slots, pool, *a, g);
+                    grads.add(pool, *a, g);
                 }
                 Op::Sigmoid(a) => {
                     for (x, &y) in g.data_mut().iter_mut().zip(values[idx].data()) {
                         *x = *x * y * (1.0 - y);
                     }
-                    accumulate(grad_slots, pool, *a, g);
+                    grads.add(pool, *a, g);
                 }
                 Op::Tanh(a) => {
                     for (x, &y) in g.data_mut().iter_mut().zip(values[idx].data()) {
                         *x *= 1.0 - y * y;
                     }
-                    accumulate(grad_slots, pool, *a, g);
+                    grads.add(pool, *a, g);
                 }
                 Op::Relu(a) => {
                     for (x, &y) in g.data_mut().iter_mut().zip(values[idx].data()) {
@@ -1003,23 +1059,23 @@ impl Tape {
                             *x = 0.0;
                         }
                     }
-                    accumulate(grad_slots, pool, *a, g);
+                    grads.add(pool, *a, g);
                 }
                 Op::Exp(a) => {
                     for (x, &y) in g.data_mut().iter_mut().zip(values[idx].data()) {
                         *x *= y;
                     }
-                    accumulate(grad_slots, pool, *a, g);
+                    grads.add(pool, *a, g);
                 }
                 Op::GruStepPregated { gx, start, h, u } => {
                     gru_pregated_backward(
-                        values, aux, pool, grad_slots, idx, &g, *gx, *start, *h, *u,
+                        values, aux, pool, &mut grads, idx, &g, *gx, *start, *h, *u,
                     );
                     pool.recycle(g);
                 }
                 Op::GruSequence { gx, h0, u, plan } => {
                     gru_sequence_backward(
-                        values, aux, pool, grad_slots, idx, g, *gx, *h0, *u, plan,
+                        values, aux, pool, &mut grads, idx, g, *gx, *h0, *u, plan,
                     );
                 }
                 Op::Linear { x, w, b, transposed } => {
@@ -1047,9 +1103,9 @@ impl Tape {
                         xv.matmul_tn_into(&g, &mut dw);
                         d
                     };
-                    accumulate(grad_slots, pool, *x, dx);
-                    accumulate(grad_slots, pool, *w, dw);
-                    accumulate(grad_slots, pool, *b, db);
+                    grads.add(pool, *x, dx);
+                    grads.add(pool, *w, dw);
+                    grads.add(pool, *b, db);
                     pool.recycle(g);
                 }
                 Op::ConcatCols(a, b) => {
@@ -1061,8 +1117,8 @@ impl Tape {
                         da.row_mut(r).copy_from_slice(&g.row(r)[..ac]);
                         db.row_mut(r).copy_from_slice(&g.row(r)[ac..]);
                     }
-                    accumulate(grad_slots, pool, *a, da);
-                    accumulate(grad_slots, pool, *b, db);
+                    grads.add(pool, *a, da);
+                    grads.add(pool, *b, db);
                     pool.recycle(g);
                 }
                 Op::ConcatRows(parts) => {
@@ -1072,7 +1128,7 @@ impl Tape {
                         let mut dp = pool.take_scratch(rows, cols);
                         dp.data_mut().copy_from_slice(&g.data()[off..off + rows * cols]);
                         off += rows * cols;
-                        accumulate(grad_slots, pool, p, dp);
+                        grads.add(pool, p, dp);
                     }
                     pool.recycle(g);
                 }
@@ -1082,7 +1138,7 @@ impl Tape {
                     for r in 0..rows {
                         da.row_mut(r)[*start..start + len].copy_from_slice(g.row(r));
                     }
-                    accumulate(grad_slots, pool, *src, da);
+                    grads.add(pool, *src, da);
                     pool.recycle(g);
                 }
                 Op::SelectRows { src, ids } => {
@@ -1093,14 +1149,14 @@ impl Tape {
                             *d += x;
                         }
                     }
-                    accumulate(grad_slots, pool, *src, da);
+                    grads.add(pool, *src, da);
                     pool.recycle(g);
                 }
                 Op::SumAll(a) => {
                     let gv = g.get(0, 0);
                     let (r, c) = values[a.index()].shape();
                     let da = pool.take_full(r, c, gv);
-                    accumulate(grad_slots, pool, *a, da);
+                    grads.add(pool, *a, da);
                     pool.recycle(g);
                 }
                 Op::SoftmaxCrossEntropy { logits, targets } => {
@@ -1114,7 +1170,7 @@ impl Tape {
                         let p = probs.get(r, t as usize);
                         da.row_mut(r)[t as usize] = (p - 1.0) * gv;
                     }
-                    accumulate(grad_slots, pool, *logits, da);
+                    grads.add(pool, *logits, da);
                     pool.recycle(g);
                 }
                 Op::SubsetSoftmaxCe { x, w, b, cands, offsets, targets } => {
@@ -1134,7 +1190,7 @@ impl Tape {
                     // dx rows + dW scatter share one pass over the spans.
                     let mut dx = pool.take_zeroed(rows, in_dim);
                     {
-                        let (wv, wg) = store.value_and_grad_mut(*w);
+                        let (wv, wg) = grads.store.value_and_grad_mut(*w);
                         for i in 0..rows {
                             let span = offsets[i] as usize..offsets[i + 1] as usize;
                             let x_row = xv.row(i);
@@ -1150,18 +1206,18 @@ impl Tape {
                         }
                     }
                     {
-                        let bg = store.grad_mut(*b);
+                        let bg = grads.store.grad_mut(*b);
                         for (&c, &d) in cands.iter().zip(dl.data()) {
                             bg.data_mut()[c as usize] += d;
                         }
                     }
-                    accumulate(grad_slots, pool, *x, dx);
+                    grads.add(pool, *x, dx);
                     pool.recycle(dl);
                     pool.recycle(g);
                 }
                 Op::Reshape(a) => {
                     let (r, c) = values[a.index()].shape();
-                    accumulate(grad_slots, pool, *a, Tensor::from_vec(r, c, g.into_data()));
+                    grads.add(pool, *a, Tensor::from_vec(r, c, g.into_data()));
                 }
                 Op::LogSumExpRows(a) => {
                     let x = &values[a.index()];
@@ -1174,10 +1230,52 @@ impl Tape {
                             *d = gr * (xi - lse).exp();
                         }
                     }
-                    accumulate(grad_slots, pool, *a, da);
+                    grads.add(pool, *a, da);
                     pool.recycle(g);
                 }
             }
+        }
+        // Let go of the store's tensors: the optimiser step writes them.
+        for value in values.iter_mut() {
+            if let Value::Param(_) = value {
+                *value = Value::Released;
+            }
+        }
+    }
+}
+
+/// Where backward sends a node's gradient: its slot on the tape, or — for
+/// a parameter leaf — the parameter's gradient in the store, added in
+/// place.
+struct Grads<'a> {
+    ops: &'a [Op],
+    slots: &'a mut [Option<Tensor>],
+    store: &'a mut ParamStore,
+}
+
+impl Grads<'_> {
+    /// Adds `g` into the gradient of `v`, recycling `g` unless it becomes
+    /// `v`'s slot.
+    fn add(&mut self, pool: &mut TensorPool, v: Var, g: Tensor) {
+        match (&self.ops[v.index()], &mut self.slots[v.index()]) {
+            (Op::Param(id), _) => {
+                self.store.grad_mut(*id).add_assign(&g);
+                pool.recycle(g);
+            }
+            (_, Some(existing)) => {
+                existing.add_assign(&g);
+                pool.recycle(g);
+            }
+            (_, slot @ None) => *slot = Some(g),
+        }
+    }
+
+    /// The gradient of `v` (`rows x cols`) for a kernel to accumulate into:
+    /// the parameter's for a leaf, else `v`'s slot, zeroed on first use.
+    fn acc(&mut self, pool: &mut TensorPool, v: Var, rows: usize, cols: usize) -> &mut Tensor {
+        match &self.ops[v.index()] {
+            Op::Param(id) => self.store.grad_mut(*id),
+            _ => self.slots[v.index()].get_or_insert_with(|| pool.take_zeroed(rows, cols)),
         }
     }
 }
@@ -1237,16 +1335,16 @@ fn gru_gate_backward_row(
 /// Backward of the pregated GRU step: gate input gradients are added into
 /// the matching rows of the `gx` slot (the hoisted input-projection GEMM's
 /// own backward handles `W`/`b`). The recurrence reuses `h` and `u` across
-/// every step of a sequence, so their gradient slots almost always exist
-/// already — the recurrent terms accumulate straight into them with the
-/// `*_acc_into` kernels instead of materialising per-step products plus an
-/// add pass.
+/// every step of a sequence, so their gradients (a slot, or the store's
+/// for a parameter leaf) almost always exist already — the recurrent terms
+/// accumulate straight into them with the `*_acc_into` kernels instead of
+/// materialising per-step products plus an add pass.
 #[allow(clippy::too_many_arguments)]
 fn gru_pregated_backward(
-    values: &[Tensor],
+    values: &[Value],
     aux: &[Option<Tensor>],
     pool: &mut TensorPool,
-    grad_slots: &mut [Option<Tensor>],
+    grads: &mut Grads,
     idx: usize,
     g: &Tensor,
     gx: Var,
@@ -1262,7 +1360,7 @@ fn gru_pregated_backward(
 
     let mut dgx = pool.take_scratch(bsz, 3 * hd);
     let mut dgh = pool.take_scratch(bsz, 3 * hd);
-    let dh = grad_slots[h.index()].get_or_insert_with(|| pool.take_zeroed(bsz, hd));
+    let dh = grads.acc(pool, h, bsz, hd);
     for row in 0..bsz {
         gru_gate_backward_row(
             &gates[row * 3 * hd..(row + 1) * 3 * hd],
@@ -1276,13 +1374,13 @@ fn gru_pregated_backward(
     }
     // dh += dgh · Uᵀ
     dgh.matmul_t_acc_into(uv, dh);
-    let gx_slot = grad_slots[gx.index()].get_or_insert_with(|| pool.take_zeroed(gxr, gxc));
+    let gx_slot = grads.acc(pool, gx, gxr, gxc);
     let gx_rows = &mut gx_slot.data_mut()[start * gxc..(start + bsz) * gxc];
     for (d, &v) in gx_rows.iter_mut().zip(dgx.data()) {
         *d += v;
     }
     // dU += Hᵀ · dgh
-    let du = grad_slots[u.index()].get_or_insert_with(|| pool.take_zeroed(uv.rows(), uv.cols()));
+    let du = grads.acc(pool, u, uv.rows(), uv.cols());
     hv.matmul_tn_acc_into(&dgh, du);
     pool.recycle(dgx);
     pool.recycle(dgh);
@@ -1295,10 +1393,10 @@ fn gru_pregated_backward(
 /// per-step composition.
 #[allow(clippy::too_many_arguments)]
 fn gru_sequence_backward(
-    values: &[Tensor],
+    values: &[Value],
     aux: &[Option<Tensor>],
     pool: &mut TensorPool,
-    grad_slots: &mut [Option<Tensor>],
+    grads: &mut Grads,
     idx: usize,
     mut g: Tensor,
     gx: Var,
@@ -1379,9 +1477,9 @@ fn gru_sequence_backward(
     // element's chain through the steps in the order they were pushed.
     let mut du = pool.take_scratch(uv.rows(), uv.cols());
     h_stack.matmul_tn_into(&dgh_stack, &mut du);
-    accumulate(grad_slots, pool, u, du);
-    accumulate(grad_slots, pool, gx, dgx);
-    accumulate(grad_slots, pool, h0, dh0);
+    grads.add(pool, u, du);
+    grads.add(pool, gx, dgx);
+    grads.add(pool, h0, dh0);
     pool.recycle(packed_ut.into_storage());
     pool.recycle(dgh_stack);
     pool.recycle(h_stack);
@@ -1440,18 +1538,6 @@ pub fn logsumexp(xs: &[f32]) -> f32 {
     }
     let sum: f64 = xs.iter().map(|&x| ((x - max) as f64).exp()).sum();
     max + (sum as f32).ln()
-}
-
-/// Adds `g` into the gradient slot of `v`, recycling `g` when the slot is
-/// already occupied.
-fn accumulate(grad_slots: &mut [Option<Tensor>], pool: &mut TensorPool, v: Var, g: Tensor) {
-    match &mut grad_slots[v.index()] {
-        Some(existing) => {
-            existing.add_assign(&g);
-            pool.recycle(g);
-        }
-        slot @ None => *slot = Some(g),
-    }
 }
 
 #[cfg(test)]
@@ -1626,6 +1712,66 @@ mod tests {
         let (hits, misses) = tape.pool_stats();
         assert_eq!(misses, misses_after_warmup, "steady-state pass allocated");
         assert!(hits > 0);
+    }
+
+    #[test]
+    fn param_leaves_read_the_store_in_place() {
+        let mut store = ParamStore::new();
+        let ids: Vec<ParamId> = (0..4)
+            .map(|i| store.add(format!("p{i}"), Tensor::from_vec(2, 3, vec![i as f32; 6])))
+            .collect();
+        let mut tape = Tape::new();
+        // Warm the pool, so a leaf that took a buffer would show as a hit.
+        let w = tape.param(&store, ids[0]);
+        let y = tape.scale(w, 2.0);
+        let loss = tape.sum_all(y);
+        tape.backward(loss, &mut store);
+        tape.reset();
+
+        let before = tape.pool_stats();
+        let leaves: Vec<Var> = ids.iter().map(|&id| tape.param(&store, id)).collect();
+        assert_eq!(tape.pool_stats(), before, "a parameter leaf took a pool buffer");
+        for (&leaf, &id) in leaves.iter().zip(&ids) {
+            assert!(std::ptr::eq(tape.value(leaf).data(), store.value(id).data()));
+        }
+    }
+
+    #[test]
+    fn a_parameter_read_by_several_ops_sums_its_contributions_in_backward_order() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(3);
+        let w0 = Tensor::rand_uniform(3, 3, -1.0, 1.0, &mut rng);
+        let b0 = Tensor::rand_uniform(1, 3, -1.0, 1.0, &mut rng);
+        let x0 = Tensor::rand_uniform(2, 3, -1.0, 1.0, &mut rng);
+        let c0 = Tensor::rand_uniform(3, 3, -1.0, 1.0, &mut rng);
+        // `W` feeds two linears and a mul; read `k` (or every read, for
+        // `None`) takes the parameter leaf, the others a constant copy.
+        let grad_of_w = |k: Option<usize>| {
+            let mut store = ParamStore::new();
+            let (w_id, b_id) = (store.add("w", w0.clone()), store.add("b", b0.clone()));
+            let mut tape = Tape::new();
+            let leaf = tape.param(&store, w_id);
+            let copy = tape.input(w0.clone());
+            let w = |read: usize| if k.is_none_or(|k| k == read) { leaf } else { copy };
+            let (b, x, c) =
+                (tape.param(&store, b_id), tape.input(x0.clone()), tape.input(c0.clone()));
+            let h = tape.linear(x, w(0), b, false);
+            let y = tape.linear(h, w(1), b, true);
+            let m = tape.mul(w(2), c);
+            let (sy, sm) = (tape.sum_all(y), tape.sum_all(m));
+            let loss = tape.add(sy, sm);
+            tape.backward(loss, &mut store);
+            store.grad(w_id).clone()
+        };
+        let parts: Vec<Tensor> = (0..3).map(|read| grad_of_w(Some(read))).collect();
+        // Backward visits the reads last first.
+        let mut expected = Tensor::zeros(3, 3);
+        for part in parts.iter().rev() {
+            expected.add_assign(part);
+        }
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&grad_of_w(None)), bits(&expected));
     }
 
     #[test]

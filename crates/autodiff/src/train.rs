@@ -172,7 +172,8 @@ impl Lane {
     /// finite — the backward pass of `scale` times it into the shard's
     /// gradients. Returns the loss. (A lane cannot see another's loss, so
     /// it back-propagates a batch the other lane will get dropped; the
-    /// drop zeroes those gradients.)
+    /// drop zeroes those gradients.) Either way the tape holds none of
+    /// the store's tensors afterwards, so the step writes them in place.
     pub fn pass(&mut self, scale: f32, build: impl FnOnce(&mut Tape, &ParamStore) -> Var) -> f32 {
         self.tape.reset();
         let loss = build(&mut self.tape, &self.store);
@@ -180,6 +181,8 @@ impl Lane {
         if v.is_finite() {
             let scaled = self.tape.scale(loss, scale);
             self.tape.backward(scaled, &mut self.store);
+        } else {
+            self.tape.reset();
         }
         v
     }
@@ -210,7 +213,7 @@ impl Lane {
                     kept.data_mut().copy_from_slice(value.data());
                 }
             }
-            None => self.best = Some(values.to_vec()),
+            None => self.best = Some(values.cloned().collect()),
         }
     }
 

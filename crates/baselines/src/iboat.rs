@@ -50,7 +50,9 @@ impl Iboat {
         Iboat { cfg, refs: HashMap::new(), midpoints: Vec::new() }
     }
 
-    /// References for an SD pair: exact match, else nearest recorded pair.
+    /// References for an SD pair: exact match, else nearest recorded pair,
+    /// the smaller pair among equally near ones (not whichever the map's
+    /// hash order visits first).
     fn references(&self, sd: SdPair) -> Option<&Vec<Vec<u32>>> {
         if let Some(r) = self.refs.get(&sd) {
             return Some(r);
@@ -65,7 +67,7 @@ impl Iboat {
                     + self.midpoints[a.dest.index()].dist(target_d);
                 let db = self.midpoints[b.source.index()].dist(target_s)
                     + self.midpoints[b.dest.index()].dist(target_d);
-                da.total_cmp(&db)
+                da.total_cmp(&db).then_with(|| a.cmp(b))
             })
             .map(|(_, v)| v)
     }
@@ -169,6 +171,23 @@ mod tests {
         // OOD trajectories have unseen SD pairs but must still score.
         for t in city.data.test_ood.iter().take(5) {
             assert!(m.score(t).is_finite());
+        }
+    }
+
+    #[test]
+    fn equally_near_pairs_resolve_to_the_smaller_one() {
+        // Segments 1 and 2 sit at distance 1 either side of segment 0, so
+        // the unseen pair 0 -> 0 is 2 away from both recorded pairs.
+        let midpoints = vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0), Point::new(-1.0, 0.0)];
+        let pair = |s: u32| SdPair { source: SegmentId(s), dest: SegmentId(s) };
+        let (near, far) = ((pair(1), vec![vec![1]]), (pair(2), vec![vec![2]]));
+        // Every map draws its own hash seed: build several, in both orders.
+        for _ in 0..16 {
+            for order in [[near.clone(), far.clone()], [far.clone(), near.clone()]] {
+                let refs = order.into_iter().collect();
+                let m = Iboat { cfg: IboatConfig::default(), refs, midpoints: midpoints.clone() };
+                assert_eq!(m.references(pair(0)), Some(&vec![vec![1]]));
+            }
         }
     }
 

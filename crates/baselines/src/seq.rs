@@ -358,7 +358,7 @@ pub(crate) mod reference {
             let mean = if counted > 0 { epoch_loss / counted as f64 } else { f64::NAN };
             losses.push(mean);
             if mean.is_finite() && best.as_ref().is_none_or(|(b, _)| mean < *b) {
-                best = Some((mean, store.values().to_vec()));
+                best = Some((mean, store.values().cloned().collect()));
             }
         }
         if let Some((_, best_values)) = best {

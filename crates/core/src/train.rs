@@ -338,7 +338,7 @@ mod tests {
             let mean = epoch_loss / counted as f64;
             losses.push(mean);
             if best.as_ref().is_none_or(|(b, _)| mean < *b) {
-                best = Some((mean, model.store().values().to_vec()));
+                best = Some((mean, model.store().values().cloned().collect()));
             }
         }
         model.store_mut().copy_values_from(&best.expect("an epoch ran").1);

@@ -206,11 +206,6 @@ impl FrameAssembler {
     pub fn has_partial(&self) -> bool {
         self.start < self.buf.len()
     }
-
-    /// Number of buffered, not-yet-consumed bytes.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
-    }
 }
 
 /// Reads one response frame. `Ok(None)` is a clean frame-aligned EOF.

@@ -46,7 +46,7 @@
 //!   trips it owned and fails in-flight barriers; trips on healthy
 //!   backends keep scoring without a stall.
 //! * **Self-healing** — with standby backends
-//!   ([`RouterServerBuilder::standby`]) the router keeps a bounded
+//!   ([`RouterServerBuilder::standbys`]) the router keeps a bounded
 //!   recovery journal per active link (last checkpoint image + every
 //!   ingest frame since the cut, maintained by
 //!   [`RouterServer::checkpoint`] with cheap `TADD` delta captures).

@@ -46,7 +46,7 @@
 //!
 //! ## The availability tier
 //!
-//! With standby backends ([`RouterServerBuilder::standby`]) the router
+//! With standby backends ([`RouterServerBuilder::standbys`]) the router
 //! keeps a bounded **recovery journal** per active link: the last
 //! checkpointed [`FleetImage`] of that backend (maintained cheaply by
 //! [`RouterServer::checkpoint`], which prefers `TADD` delta captures
@@ -785,17 +785,10 @@ impl RouterServerBuilder {
         self
     }
 
-    /// Adds one standby backend: a running, empty `tad-net` server that
-    /// serves no partition until a failover promotes it or a handoff
-    /// targets it. Adding at least one standby turns on the whole
-    /// availability tier (recovery journals, failover, ingest
-    /// ride-through).
-    pub fn standby(mut self, addr: SocketAddr) -> Self {
-        self.standbys.push(addr);
-        self
-    }
-
-    /// Adds several standby addresses at once (see [`Self::standby`]).
+    /// Adds standby backends: running, empty `tad-net` servers that serve
+    /// no partition until a failover promotes one or a handoff targets it.
+    /// Adding at least one standby turns on the whole availability tier
+    /// (recovery journals, failover, ingest ride-through).
     pub fn standbys(mut self, addrs: impl IntoIterator<Item = SocketAddr>) -> Self {
         self.standbys.extend(addrs);
         self
@@ -875,7 +868,7 @@ pub struct RouterServer {
 impl RouterServer {
     /// Starts building a router. Add backends with
     /// [`RouterServerBuilder::backend`] (and optionally
-    /// [`RouterServerBuilder::standby`]), then
+    /// [`RouterServerBuilder::standbys`]), then
     /// [`RouterServerBuilder::bind`] the front door (port 0 lets the OS
     /// pick; read it back with [`RouterServer::local_addr`]).
     pub fn builder() -> RouterServerBuilder {
