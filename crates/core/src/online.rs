@@ -184,11 +184,6 @@ impl ScorerState {
         self.last
     }
 
-    /// Departure time slot fixed at trip start.
-    pub fn time_slot(&self) -> u8 {
-        self.time_slot
-    }
-
     /// Number of segments consumed so far.
     pub fn len(&self) -> usize {
         self.trace.len()

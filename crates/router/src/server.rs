@@ -844,7 +844,7 @@ impl RouterServerBuilder {
                 RouterLoop::over(door, front, handle, cfg.failover_wait).run()
             },
         )?;
-        Ok(RouterServer { handle, front, num_links })
+        Ok(RouterServer { handle, front })
     }
 }
 
@@ -862,7 +862,6 @@ type Wired = Handle<PollSource, TcpStream>;
 pub struct RouterServer {
     handle: Arc<Wired>,
     front: FrontListener,
-    num_links: usize,
 }
 
 impl RouterServer {
@@ -889,12 +888,6 @@ impl RouterServer {
     /// changed only by [`RouterServer::rebalance`].
     pub fn num_backends(&self) -> usize {
         self.handle.on_loop(|router| router.map.slots.len()).expect(LOOP_ALIVE)
-    }
-
-    /// How many backend links the router was built over, actives plus
-    /// standbys.
-    pub fn num_links(&self) -> usize {
-        self.num_links
     }
 
     /// Point-in-time router counters, read on the loop between two

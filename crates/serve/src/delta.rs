@@ -152,11 +152,6 @@ impl DeltaBase {
         DeltaBase { image, epoch, applied: 0 }
     }
 
-    /// Epoch of the checkpoint this chain extends.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// How many deltas have been applied so far.
     pub fn applied(&self) -> u64 {
         self.applied
@@ -315,7 +310,7 @@ mod tests {
             sessions: vec![record(1, tag)],
         };
         let mut base = DeltaBase::new(FleetImage::default(), 7);
-        assert_eq!((base.epoch(), base.applied()), (7, 0));
+        assert_eq!((base.epoch, base.applied()), (7, 0));
         base.apply(&delta(7, 1, 1.0)).unwrap();
         base.apply(&delta(7, 2, 2.0)).unwrap();
         assert_eq!(base.applied(), 2);
