@@ -1,6 +1,7 @@
 //! A process-wide counting allocator for the tests that pin a peak-heap
 //! property (`wave_alloc.rs`, `model_alloc.rs`, `push_alloc.rs`,
-//! `fit_alloc.rs`). Each of those files holds
+//! `fit_alloc.rs`, and `tad-serve`'s `queue_alloc.rs`, which includes this
+//! file by path). Each of those files holds
 //! exactly one test, so nothing else allocates while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -13,6 +13,7 @@ use tad_metrics::{MetricsSnapshot, Registry};
 use crate::delta::{delta_to_bytes, FleetDelta};
 use crate::event::{Event, ScoreUpdate, TripId, TripOutcome};
 use crate::policy::{PolicyCallback, PolicyOutcome, StreamPolicy};
+use crate::queue::{self, Sender};
 use crate::shard::{run_shard, Ingest, ShardCtx};
 use crate::snapshot::{image_to_bytes, FleetImage, SessionRecord, SnapshotError};
 use crate::stats::{FleetSnapshot, FleetStats, ServeMetrics};
@@ -31,8 +32,14 @@ pub struct FleetConfig {
     /// Shard worker threads; trips are hash-routed so one trip's events
     /// always land on the same shard.
     pub num_shards: usize,
-    /// Bounded queue capacity per shard. When full, `submit` blocks and
-    /// `try_submit` returns [`SubmitError::Full`] (backpressure).
+    /// Bound on each shard's ingest queue, in queue messages: one
+    /// `submit` / `try_submit` event, one [`FleetEngine::submit_all`] or
+    /// [`FleetEngine::try_submit_cohort`] chunk however many events it
+    /// carries, or one control message (`flush`, `snapshot`, …). When
+    /// full, `submit` blocks and `try_submit` returns
+    /// [`SubmitError::Full`] (backpressure). It is a bound, not an
+    /// allocation: the queue's memory follows the messages it holds, so a
+    /// generous bound costs nothing while the shard keeps up.
     pub queue_capacity: usize,
     /// Soft cap on the events drained into one micro-batch: the worker
     /// stops pulling queue messages once the batch holds this many, but a
@@ -323,7 +330,7 @@ impl FleetEngineBuilder {
         let mut senders = Vec::with_capacity(cfg.num_shards);
         let mut workers = Vec::with_capacity(cfg.num_shards);
         for shard in 0..cfg.num_shards {
-            let (tx, rx) = sync_channel::<Ingest>(cfg.queue_capacity);
+            let (tx, rx) = queue::bounded::<Ingest>(cfg.queue_capacity);
             let ctx = ShardCtx {
                 model: Arc::clone(&model),
                 cfg: cfg.clone(),
@@ -439,7 +446,7 @@ fn shard_index(id: TripId, num_shards: usize) -> usize {
 /// flow; construct through [`FleetEngine::builder`].
 pub struct FleetEngine {
     model: Arc<CausalTad>,
-    senders: Vec<SyncSender<Ingest>>,
+    senders: Vec<Sender<Ingest>>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<FleetStats>,
     registry: Arc<Registry>,

@@ -83,6 +83,7 @@ mod delta;
 mod engine;
 mod event;
 mod policy;
+mod queue;
 #[doc(hidden)]
 pub mod session; // exposed for the workspace micro-benches; not a stable API
 mod shard;

@@ -5,7 +5,7 @@
 
 use std::collections::VecDeque;
 use std::mem;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::mpsc::{RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,6 +14,7 @@ use causaltad::{CausalTad, ScorerState, OFF_GRAPH_NLL};
 use crate::engine::{CompletionCallback, FleetConfig, ScoreCallback};
 use crate::event::{Completion, Event, ScoreUpdate, TripId, TripOutcome};
 use crate::policy::{GapPolicy, PolicyAction, PolicyCallback, PolicyOutcome};
+use crate::queue::Receiver;
 use crate::session::{Session, SessionStore};
 use crate::snapshot::SessionRecord;
 use crate::stats::{FleetStats, ServeMetrics};
