@@ -233,8 +233,8 @@ pub fn read_trace(r: &mut Reader) -> Result<Vec<SegmentTrace>, ReadError> {
 /// standalone or embedded length-prefixed inside a larger snapshot.
 pub fn state_to_bytes(state: &ScorerState) -> Bytes {
     let mut payload = BytesMut::with_capacity(64 + state.h.len() * 4 + state.trace.len() * 20);
-    payload.put_u32_le(state.h.cols() as u32);
-    for &x in state.h.data() {
+    payload.put_u32_le(state.h.len() as u32);
+    for &x in state.h.iter() {
         payload.put_f32_le(x);
     }
     payload.put_f64_le(state.base_nll);

@@ -23,8 +23,6 @@
 
 use std::cell::RefCell;
 
-use tad_autodiff::Tensor;
-
 use crate::model::CausalTad;
 use crate::tgvae::{StepCache, StepScratch};
 
@@ -87,9 +85,9 @@ impl std::error::Error for OnlineError {}
 /// [`crate::state_to_bytes`] / [`crate::state_from_bytes`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScorerState {
-    /// Decoder hidden state (`1 x hidden`) after consuming all pushed
+    /// Decoder hidden row (`hidden` floats) after consuming all pushed
     /// segments.
-    pub(crate) h: Tensor,
+    pub(crate) h: Box<[f32]>,
     /// Fixed at trip start: the KL term, plus `-log P(c|r)` when
     /// `score_includes_sd_nll` is enabled.
     pub(crate) base_nll: f64,
@@ -108,7 +106,7 @@ impl Default for ScorerState {
     /// serving code); not a valid session until replaced.
     fn default() -> Self {
         ScorerState {
-            h: Tensor::zeros(1, 0),
+            h: Box::default(),
             base_nll: 0.0,
             traj_nll: 0.0,
             scale_log_sum: 0.0,
@@ -128,7 +126,7 @@ impl AsMut<ScorerState> for ScorerState {
 impl ScorerState {
     /// Reassembles a state from its raw components (the inverse of the
     /// field-by-field view a persistence layer serialises). The hidden
-    /// vector becomes a `1 x hidden.len()` row. A state built from parts is
+    /// vector becomes the state's hidden row. A state built from parts is
     /// only meaningful for the model whose `start_state`/push calls
     /// produced those components — nothing is validated here.
     pub fn from_parts(
@@ -140,7 +138,7 @@ impl ScorerState {
         time_slot: u8,
         trace: Vec<SegmentTrace>,
     ) -> ScorerState {
-        let h = Tensor::from_vec(1, hidden.len(), hidden);
+        let h = hidden.into_boxed_slice();
         ScorerState { h, base_nll, traj_nll, scale_log_sum, last, time_slot, trace }
     }
 
@@ -149,12 +147,12 @@ impl ScorerState {
     /// check a restored state against its model's `hidden_dim` before
     /// resuming.
     pub fn hidden_width(&self) -> usize {
-        self.h.cols()
+        self.h.len()
     }
 
     /// The decoder hidden vector (row-major, `hidden_width()` floats).
     pub fn hidden(&self) -> &[f32] {
-        self.h.data()
+        &self.h
     }
 
     /// Fixed-at-start part of the likelihood NLL (KL term, plus the SD NLL
@@ -330,7 +328,7 @@ impl CausalTad {
                 let rows = states.iter_mut().zip(segs).zip(hs.chunks_exact_mut(hidden));
                 for ((st, &seg), h_row) in rows {
                     let st = st.as_mut();
-                    h_row.copy_from_slice(st.h.row(0));
+                    h_row.copy_from_slice(&st.h);
                     let nll = match st.last {
                         // t_1 is the source — fixed by the condition c, so
                         // a session without a predecessor is charged no
@@ -347,7 +345,7 @@ impl CausalTad {
                     st.trace.push(SegmentTrace { segment: seg, nll, log_scale });
                     emit(st.score(lambda));
                 }
-                let new_h = states.iter_mut().map(|st| st.as_mut().h.row_mut(0));
+                let new_h = states.iter_mut().map(|st| &mut st.as_mut().h[..]);
                 self.tg.advance_batch(plan, hs, segs, gh, new_h);
             }
         });

@@ -353,7 +353,7 @@ impl TgVae {
         buf: &mut Vec<f32>,
         s: u32,
         d: u32,
-    ) -> (Tensor, f64) {
+    ) -> (Box<[f32]>, f64) {
         let (de, dh, dl) = (self.sd_embed.dim(), self.gru.hidden(), self.latent_dim);
         let vocab = if plan.sd_heads.is_some() { self.src_head.out_dim() } else { 0 };
         buf.resize(2 * de + 2 * dh + 2 * dl + vocab, 0.0);
@@ -381,9 +381,9 @@ impl TgVae {
             sd_nll += nll_from_logits(logits, d as usize);
         }
 
-        let mut h = Tensor::zeros(1, dh);
-        self.dec_init.infer(store, mu, h.data_mut());
-        h.data_mut().iter_mut().for_each(|x| *x = x.tanh());
+        let mut h = vec![0.0; dh].into_boxed_slice();
+        self.dec_init.infer(store, mu, &mut h);
+        h.iter_mut().for_each(|x| *x = x.tanh());
         (h, kl + sd_nll)
     }
 
@@ -604,9 +604,9 @@ mod tests {
         let plan = tg.build_plan(&store, false);
         let mut scratch = StepScratch::default();
         let (mut h, _) = tg.start(&store, &plan, &mut scratch.buf, 0, 4);
-        advance(&tg, &plan, &mut scratch, h.data_mut(), 0);
-        let nll_trained = tg.step_nll(&store, &mut scratch.buf, h.data(), &succ[0], 1);
-        let nll_alt = tg.step_nll(&store, &mut scratch.buf, h.data(), &succ[0], 2);
+        advance(&tg, &plan, &mut scratch, &mut h, 0);
+        let nll_trained = tg.step_nll(&store, &mut scratch.buf, &h, &succ[0], 1);
+        let nll_alt = tg.step_nll(&store, &mut scratch.buf, &h, &succ[0], 2);
         assert!(nll_trained < nll_alt, "trained transition {nll_trained} vs alternative {nll_alt}");
     }
 
@@ -750,8 +750,8 @@ mod tests {
         let mut scratch = StepScratch::default();
         let (h0, _) = tg.start(&store, &plan, &mut scratch.buf, 0, 4);
         let (h1, _) = tg.start(&store, &plan, &mut scratch.buf, 2, 5);
-        let hidden = h0.cols();
-        let hs = [h0.data(), h1.data()].concat();
+        let hidden = h0.len();
+        let hs = [&h0[..], &h1[..]].concat();
         let segs = [3u32, 1];
 
         let mut gh = vec![0.0; 2 * 3 * hidden];
@@ -759,15 +759,15 @@ mod tests {
         let out = batched.data_mut().chunks_exact_mut(hidden);
         tg.advance_batch(&plan, &hs, &segs, &mut gh, out);
         for (i, mut h) in [h0, h1].into_iter().enumerate() {
-            advance(&tg, &plan, &mut scratch, h.data_mut(), segs[i]);
-            assert_eq!(batched.row(i), h.row(0), "row {i}");
+            advance(&tg, &plan, &mut scratch, &mut h, segs[i]);
+            assert_eq!(batched.row(i), &h[..], "row {i}");
             // ... and both are the step the GRU cell takes from scratch:
             // input projection, `U` packed per call, no table.
             let x = store.value(tg.traj_embed.table()).gather_rows(&[segs[i]]);
             let gx = tg.gru.input_gates(&store, &x);
             let h_in = &hs[i * hidden..(i + 1) * hidden];
             let cell = tg.gru.infer_sequence(&store, &gx, h_in);
-            assert_eq!(cell.row(0), h.row(0), "row {i} vs cell");
+            assert_eq!(cell.row(0), &h[..], "row {i} vs cell");
         }
     }
 

@@ -1,8 +1,11 @@
-//! A process-wide counting allocator for the tests that pin a peak-heap
+//! A process-wide counting allocator for the tests that pin a heap
 //! property (`wave_alloc.rs`, `model_alloc.rs`, `push_alloc.rs`,
-//! `fit_alloc.rs`, and `tad-serve`'s `queue_alloc.rs`, which includes this
-//! file by path). Each of those files holds
-//! exactly one test, so nothing else allocates while it measures.
+//! `fit_alloc.rs`, and `tad-serve`'s `queue_alloc.rs` and
+//! `session_bytes.rs`, which include this file by path). Each of those
+//! files holds exactly one test, so nothing else allocates while it
+//! measures. Not every file calls every helper, hence the `allow`.
+
+#![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -73,4 +76,13 @@ pub fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, usize) {
     PEAK.store(before, Relaxed);
     let out = f();
     (out, PEAK.load(Relaxed) - before)
+}
+
+/// Runs `f` and returns its result with how far the live heap stood above
+/// where it stood when `f` began, once `f` returned: what `f` left
+/// allocated, net of what it freed.
+pub fn live_growth<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let before = LIVE.load(Relaxed);
+    let out = f();
+    (out, LIVE.load(Relaxed) as isize - before as isize)
 }

@@ -14,6 +14,7 @@ use crate::delta::{delta_to_bytes, FleetDelta};
 use crate::event::{Event, ScoreUpdate, TripId, TripOutcome};
 use crate::policy::{PolicyCallback, PolicyOutcome, StreamPolicy};
 use crate::queue::{self, Sender};
+use crate::session::MAX_SESSIONS;
 use crate::shard::{run_shard, Ingest, ShardCtx};
 use crate::snapshot::{image_to_bytes, FleetImage, SessionRecord, SnapshotError};
 use crate::stats::{FleetSnapshot, FleetStats, ServeMetrics};
@@ -57,7 +58,15 @@ pub struct FleetConfig {
     /// active trip is evicted ([`crate::Completion::EvictedLru`]). The
     /// session store keeps an intrusive recency list, so the eviction is
     /// O(1) — the cap can sit at the working-set size without throughput
-    /// falling off a cliff when it is hit.
+    /// falling off a cliff when it is hit. Must be in `1..=u32::MAX` (a
+    /// store addresses its sessions with 32-bit slot indices).
+    ///
+    /// Size it from what one live session costs: its hidden row
+    /// (`4·hidden_dim` bytes), its trace (24 bytes per scored segment,
+    /// rounded up to the trace's capacity), a 128-byte slot in the store
+    /// and one trip-id map entry. Segments queued inside a drain live on
+    /// the shard's drain queue, not in the session, and a default
+    /// [`StreamPolicy`] allocates nothing per session.
     pub max_sessions_per_shard: usize,
     /// Per-session ingest sanitization (dedup window, reorder repair, gap
     /// policy). The default is all-off, which leaves the scoring path
@@ -313,6 +322,12 @@ impl FleetEngineBuilder {
         }
         if cfg.max_batch == 0 {
             return Err(ServeError::InvalidConfig("max_batch must be >= 1"));
+        }
+        if cfg.max_sessions_per_shard == 0 {
+            return Err(ServeError::InvalidConfig("max_sessions_per_shard must be >= 1"));
+        }
+        if cfg.max_sessions_per_shard > MAX_SESSIONS {
+            return Err(ServeError::InvalidConfig("max_sessions_per_shard must be <= u32::MAX"));
         }
         let seeds = match resume {
             Some(image) => Some(partition_image(&model, image, cfg.num_shards)?),

@@ -8,6 +8,12 @@
 //! the first fresh session, so it is O(evicted + 1). Because `last_touch`
 //! only changes through [`SessionStore::touch`] (which moves the session to
 //! the head), list order always equals recency order.
+//!
+//! A slot is 128 bytes: the scorer state (hidden row and trace on the
+//! heap), the clocks and flags, and 32-bit links. Segments queued inside a
+//! drain live on the shard's drain queue, not here, and the policy rings
+//! are boxed on first use, so a default-configured session owns no heap
+//! beyond its hidden row and its trace.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -16,29 +22,33 @@ use causaltad::ScorerState;
 
 use crate::event::TripId;
 
+/// Sentinel for an absent 32-bit index (no slot, no work item, no queued
+/// segment): the one `u32` a slot index never takes, since a store holds
+/// at most [`MAX_SESSIONS`].
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// The largest `max_sessions_per_shard` a store can address with its
+/// 32-bit slot indices (every index stays below [`NIL`]).
+pub(crate) const MAX_SESSIONS: usize = NIL as usize;
+
 /// One live trip inside a shard.
 pub struct Session {
     /// The owned scorer state; temporarily `mem::take`n out during a
-    /// micro-batch and written back after.
+    /// drain's waves and written back after.
     pub state: ScorerState,
-    /// Segments received but not yet scored (same-trip events inside one
-    /// drained micro-batch queue up here and are consumed wave by wave).
-    pub pending: VecDeque<u32>,
-    /// A `TripEnd` arrived; finalize once `pending` drains. Later segment
-    /// events are rejected.
-    pub ending: bool,
     /// Last time an event touched this trip (TTL/LRU clock). Updated
     /// through [`SessionStore::touch`] so the recency list stays ordered.
     pub last_touch: Instant,
-    /// Dedup ring: the last `StreamPolicy::dedup_window` *admitted*
-    /// segment ids, newest last. Empty (and never touched) when the dedup
-    /// policy is off.
-    pub dedup: VecDeque<u32>,
-    /// Reorder hold buffer: segments that did not chain onto the
-    /// admission tail, in arrival order, at most
-    /// `StreamPolicy::reorder_window` of them. Empty (and never touched)
-    /// when the reorder policy is off.
-    pub held: VecDeque<u32>,
+    /// The sanitization rings of an enabled `StreamPolicy`, boxed on
+    /// first use; `None` for every session of the default all-off policy.
+    pub(crate) policy: Option<Box<PolicyRings>>,
+    /// Index of this trip's item on the drain's work list while the
+    /// current drain has segments queued for it, [`NIL`] otherwise (and
+    /// at every point outside a drain).
+    pub(crate) work: u32,
+    /// A `TripEnd` arrived; finalize once its queued segments are scored.
+    /// Later segment events are rejected.
+    pub ending: bool,
     /// Delta-snapshot dirty bit: set whenever the session is handed out
     /// mutably (insert, [`SessionStore::touch`], [`SessionStore::get_mut`])
     /// and cleared only by a delta capture. A conservative
@@ -47,53 +57,76 @@ pub struct Session {
     pub dirty: bool,
 }
 
-impl Session {
-    pub fn new(state: ScorerState, now: Instant) -> Self {
-        Session {
-            state,
-            pending: VecDeque::new(),
-            ending: false,
-            last_touch: now,
-            dedup: VecDeque::new(),
-            held: VecDeque::new(),
-            dirty: true,
-        }
-    }
+/// Per-session state of the ingest sanitization policy.
+#[derive(Default)]
+pub(crate) struct PolicyRings {
+    /// Dedup ring: the last `StreamPolicy::dedup_window` *admitted*
+    /// segment ids, newest last.
+    pub(crate) dedup: VecDeque<u32>,
+    /// Reorder hold buffer: segments that did not chain onto the
+    /// admission tail, in arrival order, at most
+    /// `StreamPolicy::reorder_window` of them.
+    pub(crate) held: VecDeque<u32>,
 }
 
-/// Sentinel for "no neighbour" in the intrusive list.
-const NIL: usize = usize::MAX;
+impl Session {
+    pub fn new(state: ScorerState, now: Instant) -> Self {
+        Session { state, last_touch: now, policy: None, work: NIL, ending: false, dirty: true }
+    }
+
+    /// The reorder hold buffer (empty while no policy ring exists).
+    pub(crate) fn held(&self) -> impl Iterator<Item = u32> + '_ {
+        self.policy.iter().flat_map(|rings| rings.held.iter().copied())
+    }
+
+    /// The policy rings, boxed on the first call.
+    pub(crate) fn rings(&mut self) -> &mut PolicyRings {
+        self.policy.get_or_insert_with(Box::default)
+    }
+}
 
 struct Slot {
     id: TripId,
     session: Session,
     /// Towards the head (more recently touched).
-    prev: usize,
+    prev: u32,
     /// Towards the tail (less recently touched).
-    next: usize,
+    next: u32,
 }
+
+// A slab element is at most 128 bytes, and its `Option` costs no tag
+// (the slot has niches to spare).
+const _: () = assert!(std::mem::size_of::<Slot>() <= 128);
+const _: () = assert!(std::mem::size_of::<Option<Slot>>() == std::mem::size_of::<Slot>());
 
 /// Trip-id keyed session map with bounded size and O(1) LRU maintenance.
 pub struct SessionStore {
-    map: HashMap<TripId, usize>,
+    map: HashMap<TripId, u32>,
     slots: Vec<Option<Slot>>,
-    free: Vec<usize>,
+    free: Vec<u32>,
     /// Most recently touched slot index (NIL when empty).
-    head: usize,
+    head: u32,
     /// Least recently touched slot index (NIL when empty).
-    tail: usize,
+    tail: u32,
     max_sessions: usize,
 }
 
 impl SessionStore {
+    /// # Panics
+    /// Panics unless `1 <= max_sessions <= MAX_SESSIONS` (the engine
+    /// builder rejects any other cap with a typed error first).
     pub fn new(max_sessions: usize) -> Self {
+        assert!(
+            (1..=MAX_SESSIONS).contains(&max_sessions),
+            "session cap {max_sessions} outside 1..={MAX_SESSIONS}"
+        );
         SessionStore {
             map: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            max_sessions: max_sessions.max(1),
+            max_sessions,
         }
     }
 
@@ -114,7 +147,7 @@ impl SessionStore {
     /// delta layer — every `get_mut` caller is about to mutate.
     pub fn get_mut(&mut self, id: TripId) -> Option<&mut Session> {
         let &slot = self.map.get(&id)?;
-        let session = &mut self.slots[slot].as_mut().expect("mapped slot is live").session;
+        let session = &mut self.slot_mut(slot).session;
         session.dirty = true;
         Some(session)
     }
@@ -125,7 +158,7 @@ impl SessionStore {
         let &slot = self.map.get(&id)?;
         self.unlink(slot);
         self.link_front(slot);
-        let session = &mut self.slots[slot].as_mut().expect("mapped slot is live").session;
+        let session = &mut self.slot_mut(slot).session;
         session.last_touch = now;
         session.dirty = true;
         Some(session)
@@ -135,7 +168,7 @@ impl SessionStore {
         let slot = self.map.remove(&id)?;
         self.unlink(slot);
         self.free.push(slot);
-        Some(self.slots[slot].take().expect("mapped slot is live").session)
+        Some(self.slots[slot as usize].take().expect("mapped slot is live").session)
     }
 
     /// Inserts a new session as the most recently touched. When the store
@@ -147,14 +180,17 @@ impl SessionStore {
     pub fn insert(&mut self, id: TripId, session: Session) -> Option<(TripId, Session)> {
         assert!(!self.map.contains_key(&id), "duplicate session insert for trip {id}");
         let evicted = if self.map.len() >= self.max_sessions { self.pop_lru() } else { None };
+        let filled = Some(Slot { id, session, prev: NIL, next: NIL });
+        // At most `max_sessions <= MAX_SESSIONS` slots are ever live, so a
+        // new slot's index stays below NIL.
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot] = Some(Slot { id, session, prev: NIL, next: NIL });
+                self.slots[slot as usize] = filled;
                 slot
             }
             None => {
-                self.slots.push(Some(Slot { id, session, prev: NIL, next: NIL }));
-                self.slots.len() - 1
+                self.slots.push(filled);
+                (self.slots.len() - 1) as u32
             }
         };
         self.map.insert(id, slot);
@@ -168,7 +204,7 @@ impl SessionStore {
     pub fn sweep_ttl(&mut self, ttl: Duration, now: Instant) -> Vec<(TripId, Session)> {
         let mut swept = Vec::new();
         while self.tail != NIL {
-            let slot = self.slots[self.tail].as_ref().expect("tail slot is live");
+            let slot = self.slot(self.tail);
             if now.saturating_duration_since(slot.session.last_touch) <= ttl {
                 break;
             }
@@ -188,7 +224,7 @@ impl SessionStore {
             if cursor == NIL {
                 return None;
             }
-            let slot = self.slots[cursor].as_ref().expect("linked slot is live");
+            let slot = self.slot(cursor);
             cursor = slot.prev;
             Some((slot.id, &slot.session))
         })
@@ -200,7 +236,7 @@ impl SessionStore {
     pub fn for_each_lru_mut(&mut self, mut f: impl FnMut(TripId, &mut Session)) {
         let mut cursor = self.tail;
         while cursor != NIL {
-            let slot = self.slots[cursor].as_mut().expect("linked slot is live");
+            let slot = self.slot_mut(cursor);
             cursor = slot.prev;
             f(slot.id, &mut slot.session);
         }
@@ -211,24 +247,32 @@ impl SessionStore {
     /// one session at a time, so teardown never holds a second copy of
     /// the fleet.
     pub fn pop_lru(&mut self) -> Option<(TripId, Session)> {
-        let id = self.slots.get(self.tail)?.as_ref().expect("tail slot is live").id;
+        if self.tail == NIL {
+            return None;
+        }
+        let id = self.slot(self.tail).id;
         Some((id, self.remove(id).expect("tail id is mapped")))
+    }
+
+    fn slot(&self, slot: u32) -> &Slot {
+        self.slots[slot as usize].as_ref().expect("linked slot is live")
+    }
+
+    fn slot_mut(&mut self, slot: u32) -> &mut Slot {
+        self.slots[slot as usize].as_mut().expect("linked slot is live")
     }
 
     /// Detaches `slot` from the recency list (no-op bookkeeping if it is
     /// not linked).
-    fn unlink(&mut self, slot: usize) {
-        let (prev, next) = {
-            let s = self.slots[slot].as_ref().expect("unlink of a live slot");
-            (s.prev, s.next)
-        };
+    fn unlink(&mut self, slot: u32) {
+        let Slot { prev, next, .. } = *self.slot(slot);
         match prev {
             NIL => {
                 if self.head == slot {
                     self.head = next;
                 }
             }
-            p => self.slots[p].as_mut().expect("linked slot is live").next = next,
+            p => self.slot_mut(p).next = next,
         }
         match next {
             NIL => {
@@ -236,23 +280,21 @@ impl SessionStore {
                     self.tail = prev;
                 }
             }
-            n => self.slots[n].as_mut().expect("linked slot is live").prev = prev,
+            n => self.slot_mut(n).prev = prev,
         }
-        let s = self.slots[slot].as_mut().expect("unlink of a live slot");
+        let s = self.slot_mut(slot);
         s.prev = NIL;
         s.next = NIL;
     }
 
     /// Links `slot` in as the new head (most recently touched).
-    fn link_front(&mut self, slot: usize) {
+    fn link_front(&mut self, slot: u32) {
         let old_head = self.head;
-        {
-            let s = self.slots[slot].as_mut().expect("link of a live slot");
-            s.prev = NIL;
-            s.next = old_head;
-        }
+        let s = self.slot_mut(slot);
+        s.prev = NIL;
+        s.next = old_head;
         if old_head != NIL {
-            self.slots[old_head].as_mut().expect("linked slot is live").prev = slot;
+            self.slot_mut(old_head).prev = slot;
         }
         self.head = slot;
         if self.tail == NIL {

@@ -3,7 +3,6 @@
 //! drives the session lifecycle (start, end, TTL/LRU eviction, shutdown
 //! flush).
 
-use std::collections::VecDeque;
 use std::mem;
 use std::sync::mpsc::{RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
@@ -15,7 +14,7 @@ use crate::engine::{CompletionCallback, FleetConfig, ScoreCallback};
 use crate::event::{Completion, Event, ScoreUpdate, TripId, TripOutcome};
 use crate::policy::{GapPolicy, PolicyAction, PolicyCallback, PolicyOutcome};
 use crate::queue::Receiver;
-use crate::session::{Session, SessionStore};
+use crate::session::{Session, SessionStore, NIL};
 use crate::snapshot::SessionRecord;
 use crate::stats::{FleetStats, ServeMetrics};
 
@@ -177,14 +176,19 @@ fn tombstone(removed: &mut Tombstones, id: TripId) {
     }
 }
 
-/// One touched session out on the scoring work list: its state and queued
-/// segments leave the store for the waves and return when the queue runs
-/// dry. Being `AsMut<ScorerState>`, the work list itself is the wave that
-/// [`CausalTad::push_batch`] advances.
+/// One trip with segments queued in the current drain. While events are
+/// admitted its state stays in the store and this holds an inert
+/// placeholder; the waves take the state out, advance it, and hand it
+/// back when the trip's queue runs dry. Being `AsMut<ScorerState>`, the
+/// work list itself is the wave that [`CausalTad::push_batch`] advances.
 struct WorkItem {
     id: TripId,
     state: ScorerState,
-    pending: VecDeque<u32>,
+    /// The oldest not-yet-scored segment of the trip's run through
+    /// [`DrainQueue::queued`] (NIL once it is empty).
+    head: u32,
+    /// The newest queued segment (NIL before the first).
+    tail: u32,
 }
 
 impl AsMut<ScorerState> for WorkItem {
@@ -193,17 +197,93 @@ impl AsMut<ScorerState> for WorkItem {
     }
 }
 
+/// One queued segment and the next one of the same trip.
+#[derive(Clone, Copy)]
+struct Queued {
+    seg: u32,
+    next: u32,
+}
+
+/// The segments queued in one drain. Each trip with segments queued has
+/// one work item, in first-admission order, and its segments are a linked
+/// run through one arena that every trip shares; its session holds the
+/// item's index (`Session::work`). Both lists are emptied by the drain
+/// and keep their capacity, so a session owns no queue and a steady
+/// stream allocates nothing per segment.
+///
+/// An item is valid only while its session still points at it: a trip
+/// LRU-evicted inside the drain leaves its item behind, and if it is
+/// started again its new session opens a new item.
+#[derive(Default)]
+struct DrainQueue {
+    work: Vec<WorkItem>,
+    queued: Vec<Queued>,
+}
+
+impl DrainQueue {
+    /// Appends `seg` to the queue of trip `id`, whose session is `session`.
+    fn push(&mut self, id: TripId, session: &mut Session, seg: u32) {
+        assert!(self.queued.len() < NIL as usize, "a drain queues fewer than 2^32 - 1 segments");
+        let at = self.queued.len() as u32;
+        self.queued.push(Queued { seg, next: NIL });
+        if session.work == NIL {
+            session.work = self.work.len() as u32;
+            self.work.push(WorkItem { id, state: ScorerState::default(), head: NIL, tail: NIL });
+        }
+        let item = &mut self.work[session.work as usize];
+        match item.tail {
+            NIL => item.head = at,
+            tail => self.queued[tail as usize].next = at,
+        }
+        item.tail = at;
+    }
+
+    /// The newest segment queued for `session` in this drain.
+    fn tail(&self, session: &Session) -> Option<u32> {
+        let item = self.work.get(session.work as usize)?;
+        (item.head != NIL).then(|| self.queued[item.tail as usize].seg)
+    }
+
+    /// Takes the oldest segment queued for `session`.
+    fn pop_front(&mut self, session: &Session) -> Option<u32> {
+        let item = self.work.get_mut(session.work as usize)?;
+        let Queued { seg, next } = *self.queued.get(item.head as usize)?;
+        item.head = next;
+        if next == NIL {
+            item.tail = NIL;
+        }
+        Some(seg)
+    }
+
+    /// Takes each valid item's state out of the store, dropping the items
+    /// of trips evicted in this drain (their queued segments die with
+    /// them) and clearing every session's work index. Every item left
+    /// holds a segment: the one pop, a gap reset's, is followed by the
+    /// admission of the jump target.
+    fn take_states(&mut self, store: &mut SessionStore) {
+        let mut index = 0;
+        self.work.retain_mut(|item| {
+            let at = index;
+            index += 1;
+            let Some(session) = store.get_mut(item.id).filter(|session| session.work == at) else {
+                return false;
+            };
+            session.work = NIL;
+            item.state = mem::take(&mut session.state);
+            true
+        });
+    }
+}
+
 /// The lists [`process_batch`] fills and empties on every drain. The
 /// worker owns them across drains, so a steady stream of micro-batches
 /// allocates nothing for its bookkeeping however wide the batches are.
 #[derive(Default)]
 struct BatchScratch {
-    /// Trips with newly queued segments, in first-touch order.
-    touched: Vec<TripId>,
+    /// The drain's queued segments and the trips they belong to.
+    queue: DrainQueue,
     /// Trips whose `TripEnd` arrived in this drain.
     ended: Vec<TripId>,
-    /// Touched sessions that still have a queued segment.
-    work: Vec<WorkItem>,
     /// The segment each work item consumes in the current wave.
     wave_segs: Vec<u32>,
     /// The current wave's scores, as the `on_score` callback gets them.
@@ -292,11 +372,12 @@ pub(crate) fn run_shard(ctx: ShardCtx, rx: Receiver<Ingest>) {
 /// Clones every live session into snapshot records, oldest first (so a
 /// restore that re-inserts in order reproduces the recency list).
 ///
-/// A session's reorder hold buffer is appended to its `pending` queue:
-/// the snapshot format has no policy state, so held segments are
-/// conservatively flushed in arrival order and scored at restore time
-/// (the same flush `TripEnd` would perform). The dedup ring is likewise
-/// not captured — it rebuilds empty on the restored engine.
+/// A capture runs between drains, when no segment is queued, so a
+/// record's `pending` is the session's reorder hold buffer: the snapshot
+/// format has no policy state, so held segments are conservatively
+/// flushed in arrival order and scored at restore time (the same flush
+/// `TripEnd` would perform). The dedup ring is likewise not captured — it
+/// rebuilds empty on the restored engine.
 fn capture_sessions(store: &SessionStore) -> Vec<SessionRecord> {
     let now = Instant::now();
     store.iter_lru().map(|(id, session)| record_of(id, session, now)).collect()
@@ -308,7 +389,7 @@ fn record_of(id: TripId, session: &Session, now: Instant) -> SessionRecord {
     SessionRecord {
         id,
         state: session.state.clone(),
-        pending: session.pending.iter().chain(session.held.iter()).copied().collect(),
+        pending: session.held().collect(),
         ending: session.ending,
         idle_micros: now.saturating_duration_since(session.last_touch).as_micros() as u64,
     }
@@ -436,7 +517,7 @@ fn process_batch(
     batch: &mut Vec<Event>,
     scratch: &mut BatchScratch,
 ) {
-    let BatchScratch { touched, ended, work, wave_segs, wave_scores } = scratch;
+    let BatchScratch { queue, ended, wave_segs, wave_scores } = scratch;
     let now = Instant::now();
     // Queue-depth accounting: observe the fleet-wide in-flight level with
     // this drain still counted, then retire the drained events from it.
@@ -480,14 +561,11 @@ fn process_batch(
                 match store.touch(id, now) {
                     Some(session) if !session.ending => {
                         if policy_on {
-                            policy_admit(ctx, id, session, seg, touched);
+                            policy_admit(ctx, id, session, seg, queue);
                         } else {
                             // The pre-policy fast path, byte-identical to
                             // an unpoliced engine.
-                            if session.pending.is_empty() {
-                                touched.push(id);
-                            }
-                            session.pending.push_back(seg);
+                            queue.push(id, session, seg);
                         }
                     }
                     _ => ctx.quarantine(id, Some(seg), PolicyAction::QuarantinedUnknownTrip),
@@ -496,7 +574,7 @@ fn process_batch(
             Event::TripEnd { id } => match store.touch(id, now) {
                 Some(session) if !session.ending => {
                     if policy_on {
-                        flush_held(ctx, id, session, touched);
+                        flush_held(ctx, id, session, queue);
                     }
                     session.ending = true;
                     ended.push(id);
@@ -506,27 +584,21 @@ fn process_batch(
         }
     }
 
-    // Batched waves over the pending segments: take each touched
-    // session's state and queue out of the store once, run every wave on
-    // the work list itself (wave `k` = the `k`-th queued segment of each
-    // trip), and hand a session back as soon as its queue runs dry — the
-    // per-event cost is one queue pop, not repeated map lookups, and no
-    // per-wave list is built.
-    //
-    // A touched session can have disappeared only through LRU eviction
-    // above; its queued segments die with it. One that was evicted and
-    // started again in this very drain comes back with an empty queue and
-    // stays in the store.
-    work.extend(touched.drain(..).filter_map(|id| {
-        let session = store.get_mut(id).filter(|session| !session.pending.is_empty())?;
-        let (state, pending) = (mem::take(&mut session.state), mem::take(&mut session.pending));
-        Some(WorkItem { id, state, pending })
-    }));
+    // Batched waves over the queued segments: take each queued trip's
+    // state out of the store once, run every wave on the work list itself
+    // (wave `k` = the `k`-th queued segment of each trip), and hand a
+    // state back as soon as its trip's queue runs dry — the per-event cost
+    // is one arena step, not repeated map lookups, and no per-wave list is
+    // built.
+    queue.take_states(store);
+    let DrainQueue { work, queued } = queue;
     while !work.is_empty() {
         wave_segs.clear();
-        wave_segs.extend(
-            work.iter_mut().map(|item| item.pending.pop_front().expect("a segment is queued")),
-        );
+        wave_segs.extend(work.iter_mut().map(|item| {
+            let Queued { seg, next } = queued[item.head as usize];
+            item.head = next;
+            seg
+        }));
         let wave_started = Instant::now();
         let scores = ctx.model.push_batch(None, work, wave_segs);
         // One relaxed record per wave, attributed to every segment it
@@ -545,16 +617,15 @@ fn process_batch(
         );
         ctx.deliver_scores(wave_scores);
         work.retain_mut(|item| {
-            if !item.pending.is_empty() {
+            if item.head != NIL {
                 return true;
             }
-            if let Some(session) = store.get_mut(item.id) {
-                session.state = mem::take(&mut item.state);
-                session.pending = mem::take(&mut item.pending);
-            }
+            let session = store.get_mut(item.id).expect("a queued trip stays in the store");
+            session.state = mem::take(&mut item.state);
             false
         });
     }
+    queued.clear();
 
     for id in ended.drain(..) {
         if let Some(session) = store.remove(id) {
@@ -569,57 +640,44 @@ fn process_batch(
 // These helpers run only when a policy knob is enabled (`policy_on` above);
 // the default all-off configuration takes the fast path, byte-identical to
 // an unpoliced engine. They operate strictly on the *admission* side —
-// deciding which segments enter `pending` and in what order — so the
-// scoring waves below them stay bit-exact, and because every ingest path
-// (in-process, `tad-net`, `tad-router`) preserves per-trip arrival order,
-// the same corrupted stream sanitizes identically everywhere.
+// deciding which segments enter the drain's queue and in what order — so
+// the scoring waves below them stay bit-exact, and because every ingest
+// path (in-process, `tad-net`, `tad-router`) preserves per-trip arrival
+// order, the same corrupted stream sanitizes identically everywhere.
 
 /// True when `seg` chains onto the trip's admission tail: the segment most
 /// recently admitted (queued or already scored), or vacuously for a trip
 /// that has no tail yet (the first segment is fixed by the SD condition
 /// and always admissible).
-fn chains(ctx: &ShardCtx, session: &Session, seg: u32) -> bool {
-    match session.pending.back().copied().or(session.state.last_segment()) {
+fn chains(ctx: &ShardCtx, queue: &DrainQueue, session: &Session, seg: u32) -> bool {
+    match queue.tail(session).or(session.state.last_segment()) {
         None => true,
         Some(prev) => ctx.model.successors_of(prev).contains(&seg),
     }
 }
 
-/// Unconditional admission of one in-vocab segment into the scoring queue,
-/// maintaining the micro-batch work list and the dedup ring.
-fn admit(ctx: &ShardCtx, id: TripId, session: &mut Session, seg: u32, touched: &mut Vec<TripId>) {
-    // The policy layer can drain `pending` mid-batch (a trip reset scores
-    // it inline), so unlike the fast path, "queue was empty" no longer
-    // implies "not on the work list yet" — the `contains` check keeps the
-    // work list duplicate-free (a duplicate would clobber the session
-    // state with the taken-out placeholder).
-    if session.pending.is_empty() && !touched.contains(&id) {
-        touched.push(id);
-    }
-    session.pending.push_back(seg);
+/// Unconditional admission of one in-vocab segment into the drain's
+/// queue, maintaining the dedup ring.
+fn admit(ctx: &ShardCtx, id: TripId, session: &mut Session, seg: u32, queue: &mut DrainQueue) {
+    queue.push(id, session, seg);
     let window = ctx.cfg.policy.dedup_window;
     if window > 0 {
-        session.dedup.push_back(seg);
-        while session.dedup.len() > window {
-            session.dedup.pop_front();
+        let dedup = &mut session.rings().dedup;
+        dedup.push_back(seg);
+        while dedup.len() > window {
+            dedup.pop_front();
         }
     }
 }
 
 /// Admits a segment that does not chain onto the tail — an off-network
 /// jump — under the configured [`GapPolicy`].
-fn admit_gap(
-    ctx: &ShardCtx,
-    id: TripId,
-    session: &mut Session,
-    seg: u32,
-    touched: &mut Vec<TripId>,
-) {
+fn admit_gap(ctx: &ShardCtx, id: TripId, session: &mut Session, seg: u32, queue: &mut DrainQueue) {
     match ctx.cfg.policy.gap {
         GapPolicy::ScoreThrough => {
             ctx.metrics.gap_score_through.add(1);
             ctx.notify_policy(id, Some(seg), PolicyAction::GapScoredThrough);
-            admit(ctx, id, session, seg, touched);
+            admit(ctx, id, session, seg, queue);
         }
         GapPolicy::Reset => {
             // Everything queued ahead must score against the pre-jump
@@ -627,7 +685,7 @@ fn admit_gap(
             // path, including the off-graph accounting — then the Markov
             // predecessor is forgotten so the jump target opens a fresh
             // leg (charged like a first segment).
-            while let Some(queued) = session.pending.pop_front() {
+            while let Some(queued) = queue.pop_front(session) {
                 let score = ctx.model.push_state(&mut session.state, queued);
                 FleetStats::bump(&ctx.stats.segments_scored);
                 ctx.deliver_score(id, &session.state, score);
@@ -635,17 +693,20 @@ fn admit_gap(
             session.state.reset_context();
             ctx.metrics.trip_resets.add(1);
             ctx.notify_policy(id, Some(seg), PolicyAction::TripReset);
-            admit(ctx, id, session, seg, touched);
+            admit(ctx, id, session, seg, queue);
         }
     }
 }
 
 /// Re-admits every held segment that now chains onto the (moving) tail;
 /// each admission may unlock the next.
-fn drain_held(ctx: &ShardCtx, id: TripId, session: &mut Session, touched: &mut Vec<TripId>) {
-    while let Some(pos) = (0..session.held.len()).find(|&i| chains(ctx, session, session.held[i])) {
-        let seg = session.held.remove(pos).expect("index in range");
-        admit(ctx, id, session, seg, touched);
+fn drain_held(ctx: &ShardCtx, id: TripId, session: &mut Session, queue: &mut DrainQueue) {
+    loop {
+        let Some(pos) = session.held().position(|seg| chains(ctx, queue, session, seg)) else {
+            return;
+        };
+        let seg = session.rings().held.remove(pos).expect("index in range");
+        admit(ctx, id, session, seg, queue);
         ctx.metrics.reordered.add(1);
         ctx.notify_policy(id, Some(seg), PolicyAction::Reordered);
     }
@@ -654,14 +715,14 @@ fn drain_held(ctx: &ShardCtx, id: TripId, session: &mut Session, touched: &mut V
 /// `TripEnd` flushes the hold buffer in arrival order: chaining segments
 /// are admitted plainly, the rest go through the gap policy. Each
 /// admission moves the tail, so later held segments may chain after all.
-fn flush_held(ctx: &ShardCtx, id: TripId, session: &mut Session, touched: &mut Vec<TripId>) {
-    while let Some(seg) = session.held.pop_front() {
+fn flush_held(ctx: &ShardCtx, id: TripId, session: &mut Session, queue: &mut DrainQueue) {
+    while let Some(seg) = session.policy.as_mut().and_then(|rings| rings.held.pop_front()) {
         ctx.metrics.reorder_flushed.add(1);
         ctx.notify_policy(id, Some(seg), PolicyAction::ReorderFlushed);
-        if chains(ctx, session, seg) {
-            admit(ctx, id, session, seg, touched);
+        if chains(ctx, queue, session, seg) {
+            admit(ctx, id, session, seg, queue);
         } else {
-            admit_gap(ctx, id, session, seg, touched);
+            admit_gap(ctx, id, session, seg, queue);
         }
     }
 }
@@ -675,38 +736,38 @@ fn policy_admit(
     id: TripId,
     session: &mut Session,
     seg: u32,
-    touched: &mut Vec<TripId>,
+    queue: &mut DrainQueue,
 ) {
     let pol = &ctx.cfg.policy;
-    if pol.dedup_window > 0 && session.dedup.contains(&seg) {
+    if pol.dedup_window > 0 && session.policy.as_ref().is_some_and(|r| r.dedup.contains(&seg)) {
         ctx.metrics.dedup_dropped.add(1);
         ctx.notify_policy(id, Some(seg), PolicyAction::DedupDropped);
         return;
     }
-    if chains(ctx, session, seg) {
-        admit(ctx, id, session, seg, touched);
-        drain_held(ctx, id, session, touched);
+    if chains(ctx, queue, session, seg) {
+        admit(ctx, id, session, seg, queue);
+        drain_held(ctx, id, session, queue);
         return;
     }
     if pol.reorder_window == 0 {
-        admit_gap(ctx, id, session, seg, touched);
+        admit_gap(ctx, id, session, seg, queue);
         return;
     }
-    if session.held.len() < pol.reorder_window {
-        session.held.push_back(seg);
+    if session.held().count() < pol.reorder_window {
+        session.rings().held.push_back(seg);
         return;
     }
     // Hold buffer full: the oldest held segment has outlived a whole
     // window without chaining — treat it as a genuine gap (which may
     // unlock the rest of the buffer), then retry the incoming segment
     // against the moved tail.
-    let oldest = session.held.pop_front().expect("window > 0 and buffer full");
-    admit_gap(ctx, id, session, oldest, touched);
-    drain_held(ctx, id, session, touched);
-    if chains(ctx, session, seg) {
-        admit(ctx, id, session, seg, touched);
-        drain_held(ctx, id, session, touched);
+    let oldest = session.rings().held.pop_front().expect("window > 0 and buffer full");
+    admit_gap(ctx, id, session, oldest, queue);
+    drain_held(ctx, id, session, queue);
+    if chains(ctx, queue, session, seg) {
+        admit(ctx, id, session, seg, queue);
+        drain_held(ctx, id, session, queue);
     } else {
-        session.held.push_back(seg);
+        session.rings().held.push_back(seg);
     }
 }

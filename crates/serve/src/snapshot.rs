@@ -38,8 +38,11 @@ pub struct SessionRecord {
     pub id: TripId,
     /// The full scorer state at capture time.
     pub state: ScorerState,
-    /// Segments received but not yet scored (empty at every quiesce point;
-    /// kept in the format so a future mid-batch capture stays decodable).
+    /// Segments received but not yet scored. A capture runs between
+    /// drains, when nothing is queued for scoring, so here this holds the
+    /// reorder-held segments of an enabled [`crate::StreamPolicy`], in
+    /// arrival order (always empty under the default all-off policy). A
+    /// restore scores them before the session resumes.
     pub pending: Vec<u32>,
     /// A `TripEnd` had arrived but the trip was not yet finalised.
     pub ending: bool,
