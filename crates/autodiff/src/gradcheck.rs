@@ -8,11 +8,12 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tad_autodiff::nn::{Embedding, GaussianHead, GruCell, Linear};
-use tad_autodiff::{ParamStore, Tape, Tensor};
+
+use crate::nn::{Embedding, GaussianHead, GruCell, Linear};
+use crate::{ParamStore, Tape, Tensor, Var};
 
 /// Evaluates `f` as a pure function of the store's current parameter values.
-fn eval_loss(store: &ParamStore, f: &dyn Fn(&mut Tape, &ParamStore) -> tad_autodiff::Var) -> f64 {
+fn eval_loss(store: &ParamStore, f: &dyn Fn(&mut Tape, &ParamStore) -> Var) -> f64 {
     let mut tape = Tape::new();
     let loss = f(&mut tape, store);
     tape.value(loss).get(0, 0) as f64
@@ -21,12 +22,7 @@ fn eval_loss(store: &ParamStore, f: &dyn Fn(&mut Tape, &ParamStore) -> tad_autod
 /// Runs backward once, then checks every parameter scalar against a central
 /// finite difference. `h` is the perturbation, `tol` the mixed tolerance:
 /// `|analytic - numeric| <= tol * (1 + |analytic| + |numeric|)`.
-fn gradcheck(
-    store: &mut ParamStore,
-    f: impl Fn(&mut Tape, &ParamStore) -> tad_autodiff::Var,
-    h: f32,
-    tol: f64,
-) {
+fn gradcheck(store: &mut ParamStore, f: impl Fn(&mut Tape, &ParamStore) -> Var, h: f32, tol: f64) {
     store.zero_grads();
     let mut tape = Tape::new();
     let loss = f(&mut tape, store);

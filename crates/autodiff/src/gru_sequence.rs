@@ -1,7 +1,9 @@
 //! The whole-recurrence node ([`Tape::gru_sequence`]) against the per-step
 //! composition it replaced in training: one `gru_step_pregated` node per
 //! step, a `select_rows` wherever the ragged batch shrinks, one
-//! `concat_rows` over the steps. Everything must agree **bit for bit** —
+//! `concat_rows` over the steps (the step node and the concatenation are
+//! test code, in `tape/reference.rs` and `nn/reference.rs`, so this proof
+//! is a module of the crate). Everything must agree **bit for bit** —
 //! the stacked hidden rows, the loss, and every gradient — on schedules
 //! whose steps shrink by none, one and several rows and whose row counts
 //! cross the matmul micro-kernel's row-tile height.
@@ -9,8 +11,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tad_autodiff::nn::{BoundGru, Embedding, GruCell};
-use tad_autodiff::{ParamId, ParamStore, Tape, Tensor, Var};
+
+use crate::nn::{BoundGru, Embedding, GruCell};
+use crate::{ParamId, ParamStore, Tape, Tensor, Var};
 
 /// Per step, the sequences (rows of `h0`) with a transition left; every
 /// sequence has at least one, as every training trajectory does.

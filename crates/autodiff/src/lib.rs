@@ -24,7 +24,9 @@
 //!   learned model is optimised by, generic over the item type.
 //!
 //! Correctness of every differentiable op is enforced by finite-difference
-//! gradient checks in `tests/gradcheck.rs` (property-based via `proptest`).
+//! gradient checks in the test module `gradcheck` (property-based via
+//! `proptest`), and the fused recurrence is proven bit for bit against its
+//! per-step composition in the test module `gru_sequence`.
 //!
 //! ## Example
 //!
@@ -60,6 +62,11 @@ mod pool;
 mod tape;
 mod tensor;
 pub mod train;
+
+#[cfg(test)]
+mod gradcheck;
+#[cfg(test)]
+mod gru_sequence;
 
 pub use math::{fast_exp, fast_sigmoid, fast_tanh};
 pub use params::{CodecError, LayoutError, ParamId, ParamStore};

@@ -17,9 +17,9 @@
 //! [`GruCell::infer_step_rows`] steps without a tape (scoring): any number
 //! of rows against a recurrent weight packed once
 //! ([`GruCell::pack_recurrent`]), with [`GruCell::infer_sequence`] as its
-//! one-sequence form. [`BoundGru::step_pregated`] and
-//! [`BoundGru::step_unfused`] are the references the node is proven
-//! against; nothing trains through them.
+//! one-sequence form. The node is proven against a per-step reference
+//! (`BoundGru::step_pregated`, test code in `nn/reference.rs`), and that
+//! against [`BoundGru::step_unfused`]; nothing trains through either.
 
 use rand::Rng;
 
@@ -95,6 +95,9 @@ impl Linear {
     /// prediction kernel ([`Linear::subset_cross_entropy`] fuses it for
     /// training, [`Linear::infer_subset_row`] runs it for scoring): cost is
     /// `O(in_dim * classes.len())` instead of `O(in_dim * out_dim)`.
+    /// Nothing trains through it. It stays `pub` because core's scalar
+    /// training reference calls it from another crate, where a `cfg(test)`
+    /// item of this one is invisible.
     ///
     /// Requires a row-major layer ([`Linear::new_rowmajor`]).
     pub fn forward_subset(
@@ -413,22 +416,13 @@ impl BoundGru {
         tape.gru_sequence(gx_all, h0, self.u, schedule)
     }
 
-    /// One recurrence step (`h` is `batch x hidden`) consuming rows
-    /// `[start, start + h.rows)` of a precomputed [`BoundGru::input_gates`]
-    /// block: a single fused [`Tape::gru_step_pregated`] node. Hidden states
-    /// are bit-identical to [`GruCell::infer_step_rows`] and match
-    /// [`BoundGru::step_unfused`] within the fast-math gate tolerance
-    /// (absolute error < 1e-6 per element). Kept as the per-step reference
-    /// [`BoundGru::sequence`] is proven against (with
-    /// [`Tape::select_rows`] where a step shrinks and
-    /// [`Tape::concat_rows`] over the steps); nothing trains through it.
-    pub fn step_pregated(&self, tape: &mut Tape, gx_all: Var, start: usize, h: Var) -> Var {
-        tape.gru_step_pregated(gx_all, start, h, self.u)
-    }
-
     /// The op-by-op GRU formulation (`x` is `batch x in_dim`) using only
-    /// primitive tape ops. Kept as the reference the fused step is proven
-    /// against and as the recurrence of `TgVae::loss_reference`.
+    /// primitive tape ops, kept as a reference for tests: the fused step
+    /// node equals it bit for bit, values and gradients (`tape::tests`),
+    /// and core's scalar training reference steps through it. It stays
+    /// `pub` because that reference is in another crate, where a
+    /// `cfg(test)` item of this one is invisible; nothing trains through
+    /// it.
     pub fn step_unfused(&self, tape: &mut Tape, x: Var, h: Var) -> Var {
         let hd = self.hidden;
         let gx0 = tape.matmul(x, self.w);
@@ -522,6 +516,9 @@ impl GaussianHead {
 pub fn gaussian_kl(mu: &[f32], logvar: &[f32]) -> f64 {
     mu.iter().zip(logvar).map(|(&m, &lv)| -0.5 * (1.0 + lv - m * m - lv.exp()) as f64).sum()
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -39,14 +39,16 @@
 //!
 //! ## Fused ops and their references
 //!
-//! A fused op is proven against the composition it replaces, which stays
-//! in the crate for that purpose and is selected by nothing at run time.
-//! The recurrence is a two-link chain: [`Tape::gru_sequence`] against one
-//! [`Tape::gru_step_pregated`] per step joined by [`Tape::select_rows`] and
-//! [`Tape::concat_rows`] — bit for bit, gradients included; the node's doc
-//! lists the two evaluation orders it keeps for that — and
-//! [`Tape::gru_step_pregated`] against the ~18 primitive ops of
-//! `BoundGru::step_unfused`, within the fast-math gate tolerance.
+//! A fused op is proven against the composition it replaces. The
+//! recurrence is a two-link chain, both links bit for bit, gradients
+//! included: [`Tape::gru_sequence`] against one fused step node
+//! (`gru_step_pregated`) per step joined by [`Tape::select_rows`] and a
+//! row concatenation (`concat_rows`) — the node's doc lists the two
+//! evaluation orders it keeps for that — and the fused step against the
+//! ~18 primitive ops of [`crate::nn::BoundGru::step_unfused`]. The step
+//! node, the row concatenation and the link tests are test code
+//! (`tape/reference.rs`, `gru_sequence.rs`, `tape::tests`), so the
+//! shipped tape holds only what training records.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -105,10 +107,10 @@ enum Op {
     Tanh(Var),
     Relu(Var),
     Exp(Var),
-    /// GRU step consuming precomputed input gates: rows
-    /// `[start, start + h.rows)` of `gx` already hold `x·W + b`, so the
-    /// whole sequence's input projection runs as one GEMM outside the
-    /// recurrence. `aux` is a GRU gate cache (see [`gru_aux`]).
+    /// Test code ([`reference`]): one GRU step consuming precomputed input
+    /// gates — rows `[start, start + h.rows)` of `gx` already hold
+    /// `x·W + b`. `aux` is a GRU gate cache (see [`gru_aux`]).
+    #[cfg(test)]
     GruStepPregated {
         gx: Var,
         start: usize,
@@ -136,7 +138,9 @@ enum Op {
     },
     /// Horizontal concatenation `[a | b]` (same number of rows).
     ConcatCols(Var, Var),
-    /// Vertical concatenation of several nodes (same number of columns).
+    /// Test code ([`reference`]): vertical concatenation of several nodes
+    /// (same number of columns).
+    #[cfg(test)]
     ConcatRows(Vec<Var>),
     /// Columns `[start, start+len)` of `a`.
     SliceCols {
@@ -401,7 +405,7 @@ impl Tape {
     /// Records a column-subset lookup of parameter `id`: output has the same
     /// number of rows and one column per entry of `ids`. Gradients are
     /// scatter-added back into exactly those columns.
-    pub fn gather_cols(&mut self, store: &ParamStore, id: ParamId, ids: &[u32]) -> Var {
+    pub(crate) fn gather_cols(&mut self, store: &ParamStore, id: ParamId, ids: &[u32]) -> Var {
         let src = store.value(id);
         let rows = src.rows();
         let mut out = self.pool.take_scratch(rows, ids.len());
@@ -427,7 +431,7 @@ impl Tape {
     }
 
     /// `a · bᵀ`.
-    pub fn matmul_t(&mut self, a: Var, b: Var) -> Var {
+    pub(crate) fn matmul_t(&mut self, a: Var, b: Var) -> Var {
         let m = self.value(a).rows();
         let n = self.value(b).rows();
         let mut out = self.pool.take_scratch(m, n);
@@ -502,7 +506,7 @@ impl Tape {
 
     /// Elementwise logistic sigmoid (vectorised
     /// [`crate::math::fast_sigmoid`], absolute error < 1e-6).
-    pub fn sigmoid(&mut self, a: Var) -> Var {
+    pub(crate) fn sigmoid(&mut self, a: Var) -> Var {
         let out = self.pooled_map(a, crate::math::fast_sigmoid);
         self.push(Op::Sigmoid(a), out)
     }
@@ -529,43 +533,6 @@ impl Tape {
 
     // ----- recurrence -------------------------------------------------------
 
-    /// One fused GRU step `h' = GRU(x, h)` with packed `[z | r | n]` gates
-    /// and the input-gate projection hoisted out of the recurrence:
-    ///
-    /// ```text
-    /// z = sigmoid(xWz + hUz + bz)
-    /// r = sigmoid(xWr + hUr + br)
-    /// n = tanh  (xWn + r * (hUn) + bn)
-    /// h' = n + z * (h - n)
-    /// ```
-    ///
-    /// Rows `[start, start + h.rows)` of `gx_all` must already hold
-    /// `x·W + b` for this step (one [`Tape::linear`] GEMM over every
-    /// timestep of the sequence); only the recurrent `h·U` product (`u: h x
-    /// 3h`) remains. The gates are [`ops::gru_gates`], the epilogue of
-    /// [`crate::nn::GruCell::infer_step_rows`] too, so taped and tape-free
-    /// steps produce bit-identical hidden states.
-    ///
-    /// One of these per step (re-packing `U` for every product, in both
-    /// directions) is the reference composition [`Tape::gru_sequence`] is
-    /// tested against; training goes through that node.
-    pub fn gru_step_pregated(&mut self, gx_all: Var, start: usize, h: Var, u: Var) -> Var {
-        let (bsz, hd) = self.value(h).shape();
-        debug_assert_eq!(self.value(gx_all).cols(), 3 * hd, "gru_step_pregated: gx width");
-        debug_assert!(start + bsz <= self.value(gx_all).rows(), "gru_step_pregated: gx row range");
-        debug_assert_eq!(self.value(u).shape(), (hd, 3 * hd), "gru_step_pregated: U shape");
-        let mut out = self.pool.take_scratch(bsz, hd);
-        let mut cache = self.pool.take_scratch(bsz, 4 * hd);
-        let (gates, n_rows) = cache.data_mut().split_at_mut(bsz * 3 * hd);
-        let (gx, hv) = (&self.values[gx_all.index()], &self.values[h.index()]);
-        self.values[u.index()].mul_rows_into(hv.data(), gates);
-        let rows = gates.chunks_exact_mut(3 * hd).zip(n_rows.chunks_exact_mut(hd));
-        for (r, (gh, n)) in rows.enumerate() {
-            ops::gru_gates(gx.row(start + r), gh, hv.row(r), out.row_mut(r), Some(n));
-        }
-        self.push_with_aux(Op::GruStepPregated { gx: gx_all, start, h, u }, out, Some(cache))
-    }
-
     /// A whole ragged, teacher-forced GRU recurrence as **one** node.
     ///
     /// `schedule[t]` lists, strictly ascending, the rows of `h0` (the
@@ -588,10 +555,10 @@ impl Tape {
     /// `Aᵀ·B` product over all steps' rows. All scratch is pooled.
     ///
     /// Values and gradients are bit for bit those of the per-step
-    /// composition it replaces — [`Tape::gru_step_pregated`] per step,
-    /// [`Tape::select_rows`] wherever a step shrinks,
-    /// [`Tape::concat_rows`] over the steps — which is kept as the
-    /// reference it is tested against. Two orders are replicated for that:
+    /// composition it replaces — one fused step node per step,
+    /// [`Tape::select_rows`] wherever a step shrinks, a row concatenation
+    /// over the steps — which the crate's tests keep as the reference
+    /// this node is proven against. Two orders are replicated for that:
     /// a step that did not shrink continues its `dgh·Uᵀ` chains from the
     /// previous block's head gradient plus the direct `g⊙z` term, in
     /// place, while a step that shrank (and step 0) starts them from
@@ -682,28 +649,6 @@ impl Tape {
             row[ac..].copy_from_slice(self.values[b.index()].row(r));
         }
         self.push(Op::ConcatCols(a, b), out)
-    }
-
-    /// Vertical concatenation of `parts` (all must share a column count).
-    /// The backward pass slices the gradient back to each part.
-    pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat_rows: empty part list");
-        let cols = self.value(parts[0]).cols();
-        let total: usize = parts
-            .iter()
-            .map(|&p| {
-                assert_eq!(self.value(p).cols(), cols, "concat_rows: column mismatch");
-                self.value(p).rows()
-            })
-            .sum();
-        let mut out = self.pool.take_scratch(total, cols);
-        let mut off = 0;
-        for &p in parts {
-            let v = &self.values[p.index()];
-            out.data_mut()[off..off + v.len()].copy_from_slice(v.data());
-            off += v.len();
-        }
-        self.push(Op::ConcatRows(parts.to_vec()), out)
     }
 
     /// Columns `[start, start + len)` of `a`.
@@ -1067,11 +1012,9 @@ impl Tape {
                     }
                     grads.add(pool, *a, g);
                 }
-                Op::GruStepPregated { gx, start, h, u } => {
-                    gru_pregated_backward(
-                        values, aux, pool, &mut grads, idx, &g, *gx, *start, *h, *u,
-                    );
-                    pool.recycle(g);
+                #[cfg(test)]
+                op @ (Op::GruStepPregated { .. } | Op::ConcatRows(_)) => {
+                    reference::backward(op, values, aux, pool, &mut grads, idx, g);
                 }
                 Op::GruSequence { gx, h0, u, plan } => {
                     gru_sequence_backward(
@@ -1119,17 +1062,6 @@ impl Tape {
                     }
                     grads.add(pool, *a, da);
                     grads.add(pool, *b, db);
-                    pool.recycle(g);
-                }
-                Op::ConcatRows(parts) => {
-                    let mut off = 0;
-                    for &p in parts {
-                        let (rows, cols) = values[p.index()].shape();
-                        let mut dp = pool.take_scratch(rows, cols);
-                        dp.data_mut().copy_from_slice(&g.data()[off..off + rows * cols]);
-                        off += rows * cols;
-                        grads.add(pool, p, dp);
-                    }
                     pool.recycle(g);
                 }
                 Op::SliceCols { src, start, len } => {
@@ -1269,15 +1201,6 @@ impl Grads<'_> {
             (_, slot @ None) => *slot = Some(g),
         }
     }
-
-    /// The gradient of `v` (`rows x cols`) for a kernel to accumulate into:
-    /// the parameter's for a leaf, else `v`'s slot, zeroed on first use.
-    fn acc(&mut self, pool: &mut TensorPool, v: Var, rows: usize, cols: usize) -> &mut Tensor {
-        match &self.ops[v.index()] {
-            Op::Param(id) => self.store.grad_mut(*id),
-            _ => self.slots[v.index()].get_or_insert_with(|| pool.take_zeroed(rows, cols)),
-        }
-    }
 }
 
 /// The gate cache (`aux`) of a GRU node over `rows` rows, `rows x 4h`
@@ -1330,60 +1253,6 @@ fn gru_gate_backward_row(
         ghn[c] = dn_in * rc;
         dh_row[c] += gv * zc;
     }
-}
-
-/// Backward of the pregated GRU step: gate input gradients are added into
-/// the matching rows of the `gx` slot (the hoisted input-projection GEMM's
-/// own backward handles `W`/`b`). The recurrence reuses `h` and `u` across
-/// every step of a sequence, so their gradients (a slot, or the store's
-/// for a parameter leaf) almost always exist already — the recurrent terms
-/// accumulate straight into them with the `*_acc_into` kernels instead of
-/// materialising per-step products plus an add pass.
-#[allow(clippy::too_many_arguments)]
-fn gru_pregated_backward(
-    values: &[Value],
-    aux: &[Option<Tensor>],
-    pool: &mut TensorPool,
-    grads: &mut Grads,
-    idx: usize,
-    g: &Tensor,
-    gx: Var,
-    start: usize,
-    h: Var,
-    u: Var,
-) {
-    let (gates, nn) = gru_aux(&aux[idx]);
-    let hv = &values[h.index()];
-    let uv = &values[u.index()];
-    let (bsz, hd) = hv.shape();
-    let (gxr, gxc) = values[gx.index()].shape();
-
-    let mut dgx = pool.take_scratch(bsz, 3 * hd);
-    let mut dgh = pool.take_scratch(bsz, 3 * hd);
-    let dh = grads.acc(pool, h, bsz, hd);
-    for row in 0..bsz {
-        gru_gate_backward_row(
-            &gates[row * 3 * hd..(row + 1) * 3 * hd],
-            &nn[row * hd..(row + 1) * hd],
-            g.row(row),
-            hv.row(row),
-            dgx.row_mut(row),
-            dgh.row_mut(row),
-            dh.row_mut(row),
-        );
-    }
-    // dh += dgh · Uᵀ
-    dgh.matmul_t_acc_into(uv, dh);
-    let gx_slot = grads.acc(pool, gx, gxr, gxc);
-    let gx_rows = &mut gx_slot.data_mut()[start * gxc..(start + bsz) * gxc];
-    for (d, &v) in gx_rows.iter_mut().zip(dgx.data()) {
-        *d += v;
-    }
-    // dU += Hᵀ · dgh
-    let du = grads.acc(pool, u, uv.rows(), uv.cols());
-    hv.matmul_tn_acc_into(&dgh, du);
-    pool.recycle(dgx);
-    pool.recycle(dgh);
 }
 
 /// Backward of [`Tape::gru_sequence`]: BPTT over the node's own steps,
@@ -1539,6 +1408,9 @@ pub fn logsumexp(xs: &[f32]) -> f32 {
     let sum: f64 = xs.iter().map(|&x| ((x - max) as f64).exp()).sum();
     max + (sum as f32).ln()
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1807,51 +1679,55 @@ mod tests {
         use crate::nn::GruCell;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(17);
-        let hd = 5;
-        let in_dim = 3;
-        let bsz = 4;
-        let mut store = ParamStore::new();
-        let gru = GruCell::new(&mut store, "gru", in_dim, hd, &mut rng);
-        // Wider weights than the Xavier init and a non-zero bias, so the
-        // gates leave their linear range.
-        for id in store.ids().collect::<Vec<_>>() {
-            let (r, c) = store.value(id).shape();
-            *store.value_mut(id) = Tensor::rand_uniform(r, c, -0.7, 0.7, &mut rng);
-        }
-        *store.value_mut(gru.gate_bias()) = Tensor::rand_uniform(1, 3 * hd, -0.3, 0.3, &mut rng);
-        let x_t = Tensor::rand_uniform(bsz, in_dim, -1.0, 1.0, &mut rng);
-        let h_t = Tensor::rand_uniform(bsz, hd, -0.9, 0.9, &mut rng);
-
         // The fused step (hoisted input-gate GEMM + one pregated node)
-        // against the op-by-op formulation of `BoundGru::step_unfused`.
-        let run = |fused: bool| {
-            let mut store = store.clone();
-            let mut tape = Tape::new();
-            let bound = gru.bind(&mut tape, &store);
-            let x = tape.input(x_t.clone());
-            let h = tape.input(h_t.clone());
-            let out = if fused {
-                let gx = bound.input_gates(&mut tape, x);
-                bound.step_pregated(&mut tape, gx, 0, h)
-            } else {
-                bound.step_unfused(&mut tape, x, h)
-            };
-            let loss = tape.sum_all(out);
-            tape.backward(loss, &mut store);
-            (tape.value(out).clone(), store)
-        };
-        let (out_ref, store_ref) = run(false);
-        let (out_fused, store_fused) = run(true);
+        // against the op-by-op formulation of `BoundGru::step_unfused`, to
+        // the bit: output and every parameter gradient. Both run the same
+        // fast-math gates in the same association. Widths on both sides of
+        // the matmul panel (16 columns), row counts on both sides of its
+        // row tile (4 rows).
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (hd, in_dim) in [(1, 1), (5, 3), (20, 7), (32, 7), (48, 24), (128, 64), (256, 24)] {
+            for bsz in [1, 3, 4, 7, 9, 17, 33] {
+                let case = format!("hidden {hd}, in {in_dim}, {bsz} rows");
+                let mut rng = StdRng::seed_from_u64((hd * 100 + bsz) as u64);
+                let mut store = ParamStore::new();
+                let gru = GruCell::new(&mut store, "gru", in_dim, hd, &mut rng);
+                // Wider weights than the Xavier init and a non-zero bias, so
+                // the gates leave their linear range.
+                for id in store.ids().collect::<Vec<_>>() {
+                    let (r, c) = store.value(id).shape();
+                    *store.value_mut(id) = Tensor::rand_uniform(r, c, -0.7, 0.7, &mut rng);
+                }
+                *store.value_mut(gru.gate_bias()) =
+                    Tensor::rand_uniform(1, 3 * hd, -0.3, 0.3, &mut rng);
+                let x_t = Tensor::rand_uniform(bsz, in_dim, -1.0, 1.0, &mut rng);
+                let h_t = Tensor::rand_uniform(bsz, hd, -0.9, 0.9, &mut rng);
 
-        // Values: fast-math gates vs std gates, abs error < 1e-6 each.
-        for (a, b) in out_fused.data().iter().zip(out_ref.data()) {
-            assert!((a - b).abs() < 1e-5, "forward {a} vs {b}");
-        }
-        // Gradients agree to combined fast-math + reassociation tolerance.
-        for id in store.ids() {
-            for (a, b) in store_fused.grad(id).data().iter().zip(store_ref.grad(id).data()) {
-                assert!((a - b).abs() < 1e-4, "grad {}: {a} vs {b}", store.name(id));
+                let run = |fused: bool| {
+                    let mut store = store.clone();
+                    let mut tape = Tape::new();
+                    let bound = gru.bind(&mut tape, &store);
+                    let x = tape.input(x_t.clone());
+                    let h = tape.input(h_t.clone());
+                    let out = if fused {
+                        let gx = bound.input_gates(&mut tape, x);
+                        bound.step_pregated(&mut tape, gx, 0, h)
+                    } else {
+                        bound.step_unfused(&mut tape, x, h)
+                    };
+                    let loss = tape.sum_all(out);
+                    tape.backward(loss, &mut store);
+                    (tape.value(out).clone(), store)
+                };
+                let (out_ref, store_ref) = run(false);
+                let (out_fused, store_fused) = run(true);
+
+                assert_eq!(bits(&out_fused), bits(&out_ref), "forward, {case}");
+                for id in store.ids() {
+                    let name = store.name(id);
+                    let (fused, reference) = (store_fused.grad(id), store_ref.grad(id));
+                    assert_eq!(bits(fused), bits(reference), "grad {name}, {case}");
+                }
             }
         }
     }

@@ -152,6 +152,26 @@ impl Default for NetConfig {
 }
 
 impl NetConfig {
+    /// Rejects the zero bounds a server cannot answer with: a zero
+    /// `max_frame_len` refuses every request, a zero `response_queue`
+    /// drops every reply, and a zero `write_highwater` never hands a frame
+    /// to the socket, so a waiting client hangs.
+    ///
+    /// # Errors
+    /// The first zero field, as `"<field> must be >= 1"`.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.max_frame_len == 0 {
+            return Err("max_frame_len must be >= 1");
+        }
+        if self.response_queue == 0 {
+            return Err("response_queue must be >= 1");
+        }
+        if self.write_highwater == 0 {
+            return Err("write_highwater must be >= 1");
+        }
+        Ok(())
+    }
+
     /// The worker count [`NetConfig::event_workers`] resolves to on this
     /// machine.
     fn resolved_workers(&self) -> usize {

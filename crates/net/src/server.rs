@@ -96,6 +96,9 @@ pub enum NetError {
     Io(std::io::Error),
     /// The fleet engine behind the server could not be built.
     Serve(ServeError),
+    /// A [`NetConfig`] bound is zero ([`NetConfig::check`]); names the
+    /// field.
+    InvalidConfig(&'static str),
 }
 
 impl std::fmt::Display for NetError {
@@ -103,6 +106,7 @@ impl std::fmt::Display for NetError {
         match self {
             NetError::Io(e) => write!(f, "socket error: {e}"),
             NetError::Serve(e) => write!(f, "engine error: {e}"),
+            NetError::InvalidConfig(what) => write!(f, "invalid net config: {what}"),
         }
     }
 }
@@ -811,11 +815,13 @@ impl NetServerBuilder {
     /// event-loop worker pool.
     ///
     /// # Errors
+    /// [`NetError::InvalidConfig`] when a [`NetConfig`] bound is zero,
     /// [`NetError::Io`] when the socket cannot be bound or a poller
     /// cannot be created, [`NetError::Serve`] when the engine cannot be
     /// built (untrained model, bad config, or an unusable resume image).
     pub fn bind(self, addr: impl ToSocketAddrs) -> Result<NetServer, NetError> {
         let NetServerBuilder { model, fleet, net, resume } = self;
+        net.check().map_err(NetError::InvalidConfig)?;
         let listener = TcpListener::bind(addr)?;
         let core = IngestCore::build_inner(model, fleet, net, resume)?;
         let worker_core = Arc::clone(&core);

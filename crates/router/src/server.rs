@@ -153,6 +153,10 @@ pub enum RouterError {
     Io(std::io::Error),
     /// The builder was given no backend addresses.
     NoBackends,
+    /// A [`RouterConfig`] bound is zero (`max_frame_len` or
+    /// `response_queue`, checked by [`NetConfig::check`] on the front
+    /// door's config); names the field.
+    InvalidConfig(&'static str),
     /// Connecting to one of the backends (active or standby) failed.
     BackendConnect {
         /// Index of the backend in the builder's combined list (actives
@@ -168,6 +172,7 @@ impl std::fmt::Display for RouterError {
         match self {
             RouterError::Io(e) => write!(f, "socket error: {e}"),
             RouterError::NoBackends => write!(f, "a router needs at least one backend address"),
+            RouterError::InvalidConfig(what) => write!(f, "invalid router config: {what}"),
             RouterError::BackendConnect { index, error } => {
                 write!(f, "cannot connect to backend {index}: {error}")
             }
@@ -806,14 +811,16 @@ impl RouterServerBuilder {
     ///
     /// # Errors
     /// [`RouterError::NoBackends`] when no active backend address was
-    /// given, [`RouterError::BackendConnect`] when a backend cannot be
-    /// reached, and [`RouterError::Io`] when the front socket cannot be
-    /// bound.
+    /// given, [`RouterError::InvalidConfig`] when a bound is zero,
+    /// [`RouterError::BackendConnect`] when a backend cannot be reached,
+    /// and [`RouterError::Io`] when the front socket cannot be bound.
     pub fn bind(self, addr: impl ToSocketAddrs) -> Result<RouterServer, RouterError> {
         let RouterServerBuilder { backends, standbys, cfg } = self;
         if backends.is_empty() {
             return Err(RouterError::NoBackends);
         }
+        let front_cfg = front_config(&cfg);
+        front_cfg.check().map_err(RouterError::InvalidConfig)?;
         let actives = backends.len();
         let listener = TcpListener::bind(addr)?;
         let mut links = Vec::with_capacity(actives + standbys.len());
@@ -827,7 +834,7 @@ impl RouterServerBuilder {
             links.push(stream);
         }
         let num_links = links.len();
-        let front = FrontShared::new(front_config(&cfg), FrontCounters::default());
+        let front = FrontShared::new(front_cfg, FrontCounters::default());
         let handle: Arc<Wired> = Arc::new(Handle::new(num_links, num_links > actives));
         // The links reach the loop the way everything else does, through
         // its inbox; it runs the inbox before it reads its first producer.

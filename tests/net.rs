@@ -15,7 +15,7 @@ mod common;
 
 use std::sync::Arc;
 
-use causaltad_suite::net::{Client, ClientError, ErrorCode, NetServer, Response};
+use causaltad_suite::net::{Client, ClientError, ErrorCode, NetError, NetServer, Response};
 use causaltad_suite::serve::{image_from_bytes, Completion, Event, FleetConfig};
 use causaltad_suite::trajsim::Trajectory;
 use common::{
@@ -506,6 +506,30 @@ fn hostile_bytes_get_a_typed_error_and_a_clean_hangup() {
 /// point, covering both the serve tier (`serve.*`) and the net tier
 /// (`net.*`) — and the per-connection frame counters account for every
 /// frame that crossed the socket.
+/// A zero bound makes a server that never answers: a zero
+/// `max_frame_len` refuses every request, a zero `response_queue` drops
+/// every reply, and a zero `write_highwater` never writes a frame, not
+/// even a `Flush` reply. `bind` refuses each, naming the field.
+#[test]
+fn a_zero_net_bound_is_rejected_naming_the_field() {
+    let (_, model) = trained();
+    let zeroed = [
+        ("max_frame_len must be >= 1", NetConfig { max_frame_len: 0, ..NetConfig::default() }),
+        ("response_queue must be >= 1", NetConfig { response_queue: 0, ..NetConfig::default() }),
+        ("write_highwater must be >= 1", NetConfig { write_highwater: 0, ..NetConfig::default() }),
+    ];
+    for (want, net) in zeroed {
+        match NetServer::builder(Arc::clone(model)).net_config(net).bind("127.0.0.1:0") {
+            Err(NetError::InvalidConfig(what)) => assert_eq!(what, want),
+            Err(other) => panic!("{want}: expected InvalidConfig, got {other}"),
+            Ok(server) => {
+                server.shutdown();
+                panic!("{want}: bind accepted a zero bound");
+            }
+        }
+    }
+}
+
 #[test]
 fn wire_metrics_match_in_process_registry_and_frame_counters_add_up() {
     use causaltad_suite::metrics::snapshot_to_bytes;

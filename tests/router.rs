@@ -695,7 +695,7 @@ fn flush_barriers_racing_a_backend_kill_always_resolve() {
 // Availability tier: failover, drain/handoff, rebalance, barrier semantics
 // ---------------------------------------------------------------------------
 
-use causaltad_suite::router::RouterAdminError;
+use causaltad_suite::router::{RouterAdminError, RouterError};
 
 /// Spins up `n` active backends plus `s` standbys and a router over all
 /// of them. The returned server list is actives first, then standbys.
@@ -1130,6 +1130,32 @@ fn admin_surface_fails_typed_on_impossible_requests() {
     for backend in backends {
         backend.shutdown();
     }
+}
+
+/// The router's zero bounds: a zero `max_frame_len` refuses every
+/// request, and a zero `response_queue` drops every reply and, through
+/// the front door's write mark sized from it, never writes one. `bind`
+/// refuses each, naming the field.
+#[test]
+fn a_zero_router_bound_is_rejected_naming_the_field() {
+    let (_, model) = trained();
+    let backend = NetServer::builder(Arc::clone(model)).bind("127.0.0.1:0").expect("bind backend");
+    let frame = RouterConfig { max_frame_len: 0, ..RouterConfig::default() };
+    let queue = RouterConfig { response_queue: 0, ..RouterConfig::default() };
+    for (want, cfg) in
+        [("max_frame_len must be >= 1", frame), ("response_queue must be >= 1", queue)]
+    {
+        let built = RouterServer::builder().backends([backend.local_addr()]).config(cfg);
+        match built.bind("127.0.0.1:0") {
+            Err(RouterError::InvalidConfig(what)) => assert_eq!(what, want),
+            Err(other) => panic!("{want}: expected InvalidConfig, got {other}"),
+            Ok(router) => {
+                router.shutdown();
+                panic!("{want}: bind accepted a zero bound");
+            }
+        }
+    }
+    backend.shutdown();
 }
 
 /// The barrier-under-membership-change regression guard (with a standby
