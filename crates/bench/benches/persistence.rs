@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
-use causaltad::{CausalTad, CausalTadConfig, ScorerState, SegmentTrace};
+use causaltad::{CausalTad, CausalTadConfig, ScorerState};
 use tad_bench::fleet_walks;
 use tad_eval::cities::{xian_s, Scale};
 use tad_serve::session::{Session, SessionStore};
@@ -31,18 +31,11 @@ use tad_serve::{
 const SESSION_COUNTS: [usize; 3] = [64, 512, 4096];
 const STORE_SIZES: [usize; 3] = [1_024, 8_192, 65_536];
 
-/// A serving-realistic synthetic state: 256 hidden floats, a ~24-segment
-/// trace. No model is needed — the codec only sees the data.
+/// A serving-realistic synthetic state: 256 hidden floats, 24 segments
+/// in. No model is needed — the codec only sees the data.
 fn synthetic_state(i: u64) -> ScorerState {
     let hidden: Vec<f32> = (0..256).map(|j| ((i as f32) * 0.01 + j as f32).sin()).collect();
-    let trace: Vec<SegmentTrace> = (0..24)
-        .map(|j| SegmentTrace {
-            segment: (i as u32).wrapping_add(j) % 10_000,
-            nll: 0.25 * j as f64,
-            log_scale: 0.125,
-        })
-        .collect();
-    ScorerState::from_parts(hidden, 1.5, 12.0, 3.0, Some(i as u32 % 10_000), 3, trace)
+    ScorerState::from_parts(hidden, 1.5, 12.0, 3.0, Some(i as u32 % 10_000), 3, 24)
 }
 
 fn synthetic_image(sessions: usize) -> FleetImage {

@@ -13,26 +13,27 @@
 //!   (it defines the successor sets), and the codec verifies the
 //!   vocabulary matches. Version 1 (magic `TADM`, no checksum) is refused.
 //! * **Session codec** ([`state_to_bytes`] / [`state_from_bytes`], magic
-//!   `TADC`) — serialises one in-flight [`ScorerState`] (hidden row, score
-//!   accumulators, last segment, time slot, per-segment trace) so a
-//!   serving layer can persist live sessions across a restart (see
-//!   `tad-serve`'s fleet snapshots, which embed these blobs).
+//!   `TADC`, version 2) — serialises one in-flight [`ScorerState`] (hidden
+//!   row, score accumulators, last segment, time slot, segment count) so
+//!   a serving layer can persist live sessions across a restart (see
+//!   `tad-serve`'s fleet snapshots, which embed these blobs). Version 1
+//!   (a per-segment trace in place of the count) is refused.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use tad_autodiff::ParamStore;
-use tad_codec::{envelope_payload, open_envelope, seal_envelope, ReadError, Reader};
+use tad_codec::{envelope_payload, open_envelope, seal_envelope, Reader};
 use tad_roadnet::RoadNetwork;
 
 use crate::config::CausalTadConfig;
 use crate::model::CausalTad;
-use crate::online::{ScorerState, SegmentTrace};
+use crate::online::ScorerState;
 use crate::scaling::ScalingTable;
 
 const MAGIC: &[u8; 4] = b"TADW";
 const VERSION: u16 = 2;
 
 const STATE_MAGIC: &[u8; 4] = b"TADC";
-const STATE_VERSION: u16 = 1;
+const STATE_VERSION: u16 = 2;
 
 /// Errors produced when decoding a serialized model.
 #[derive(Debug, PartialEq, Eq)]
@@ -201,38 +202,11 @@ impl std::error::Error for StateCodecError {}
 
 tad_codec::codec_error_from!(StateCodecError);
 
-/// Appends a per-segment trace: `u32` length, then per entry `u32`
-/// segment, `f64` nll, `f64` log-scale. Shared by the session codec and
-/// `tad-net`'s `TripComplete` frame.
-pub fn put_trace(trace: &[SegmentTrace], buf: &mut impl BufMut) {
-    buf.put_u32_le(trace.len() as u32);
-    for step in trace {
-        buf.put_u32_le(step.segment);
-        buf.put_f64_le(step.nll);
-        buf.put_f64_le(step.log_scale);
-    }
-}
-
-/// Reads a trace written by [`put_trace`].
-///
-/// # Errors
-/// [`ReadError::Truncated`]`("trace entries")` when the announced length
-/// outruns the input.
-pub fn read_trace(r: &mut Reader) -> Result<Vec<SegmentTrace>, ReadError> {
-    r.seq(4 + 8 + 8, "trace entries", |r, _| {
-        Ok(SegmentTrace {
-            segment: r.u32("trace entries")?,
-            nll: r.f64("trace entries")?,
-            log_scale: r.f64("trace entries")?,
-        })
-    })
-}
-
 /// Serialises one live [`ScorerState`]. The blob is self-describing
 /// (magic, version, length-prefixed payload, checksum) so it can be stored
 /// standalone or embedded length-prefixed inside a larger snapshot.
 pub fn state_to_bytes(state: &ScorerState) -> Bytes {
-    let mut payload = BytesMut::with_capacity(64 + state.h.len() * 4 + state.trace.len() * 20);
+    let mut payload = BytesMut::with_capacity(40 + state.h.len() * 4);
     payload.put_u32_le(state.h.len() as u32);
     for &x in state.h.iter() {
         payload.put_f32_le(x);
@@ -248,7 +222,7 @@ pub fn state_to_bytes(state: &ScorerState) -> Bytes {
         None => payload.put_u8(0),
     }
     payload.put_u8(state.time_slot);
-    put_trace(&state.trace, &mut payload);
+    payload.put_u32_le(state.segments);
     seal_envelope(STATE_MAGIC, STATE_VERSION, payload.freeze())
 }
 
@@ -269,9 +243,17 @@ pub fn state_from_bytes(bytes: Bytes) -> Result<ScorerState, StateCodecError> {
     let scale_log_sum = r.f64("accumulators")?;
     let last = r.opt("last-segment flag", |r| r.u32("last segment"))?;
     let time_slot = r.u8("time slot")?;
-    let trace = read_trace(&mut r)?;
+    let segments = r.u32("segment count")?;
     r.finish()?;
-    Ok(ScorerState::from_parts(hidden, base_nll, traj_nll, scale_log_sum, last, time_slot, trace))
+    Ok(ScorerState::from_parts(
+        hidden,
+        base_nll,
+        traj_nll,
+        scale_log_sum,
+        last,
+        time_slot,
+        segments,
+    ))
 }
 
 fn flag_bits(cfg: &CausalTadConfig) -> u8 {
@@ -478,6 +460,25 @@ mod tests {
         let payload = u32::MAX.to_le_bytes().to_vec();
         let blob = seal_envelope(STATE_MAGIC, STATE_VERSION, Bytes::from(payload));
         assert_eq!(state_from_bytes(blob), Err(StateCodecError::Truncated("hidden row")));
+    }
+
+    #[test]
+    fn a_version_1_session_blob_is_refused_typed() {
+        // Version 1 carried the per-segment trace where version 2 has a
+        // count: a valid v1 blob (one trace entry) under a good checksum.
+        let mut payload = BytesMut::new();
+        payload.put_u32_le(1);
+        payload.put_f32_le(0.5);
+        [1.0f64, 2.0, 3.0].iter().for_each(|&x| payload.put_f64_le(x));
+        payload.put_u8(1);
+        payload.put_u32_le(4);
+        payload.put_u8(0);
+        payload.put_u32_le(1);
+        payload.put_u32_le(4);
+        payload.put_f64_le(0.5);
+        payload.put_f64_le(0.1);
+        let blob = seal_envelope(STATE_MAGIC, 1, payload.freeze());
+        assert_eq!(state_from_bytes(blob), Err(StateCodecError::BadVersion(1)));
     }
 
     #[test]

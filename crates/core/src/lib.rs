@@ -59,8 +59,8 @@ mod tgvae;
 mod train;
 
 pub use codec::{
-    model_from_bytes, model_to_bytes, put_trace, read_trace, state_from_bytes, state_to_bytes,
-    ModelCodecError, StateCodecError,
+    model_from_bytes, model_to_bytes, state_from_bytes, state_to_bytes, ModelCodecError,
+    StateCodecError,
 };
 pub use config::CausalTadConfig;
 pub use model::CausalTad;

@@ -19,7 +19,10 @@
 //! [`CausalTad::push_batch`] wave of one row. Each steps against the
 //! model's resident inference plan (the per-token gate table and the
 //! packed recurrent weight, derived once per model) through a per-thread
-//! scratch, so a pushed segment allocates nothing but its trace entry.
+//! scratch, so a pushed segment allocates nothing: a state keeps its
+//! hidden row, its score accumulators and a segment count, never a
+//! per-segment history. [`OnlineScorer`] alone records one (Fig. 4's
+//! data), beside its state.
 
 use std::cell::RefCell;
 
@@ -98,7 +101,9 @@ pub struct ScorerState {
     /// Previously pushed segment (None before the first push).
     pub(crate) last: Option<u32>,
     pub(crate) time_slot: u8,
-    pub(crate) trace: Vec<SegmentTrace>,
+    /// Segments consumed so far (saturating: a restored count of
+    /// `u32::MAX` stays there instead of wrapping).
+    pub(crate) segments: u32,
 }
 
 impl Default for ScorerState {
@@ -112,7 +117,7 @@ impl Default for ScorerState {
             scale_log_sum: 0.0,
             last: None,
             time_slot: 0,
-            trace: Vec::new(),
+            segments: 0,
         }
     }
 }
@@ -136,10 +141,10 @@ impl ScorerState {
         scale_log_sum: f64,
         last: Option<u32>,
         time_slot: u8,
-        trace: Vec<SegmentTrace>,
+        segments: u32,
     ) -> ScorerState {
         let h = hidden.into_boxed_slice();
-        ScorerState { h, base_nll, traj_nll, scale_log_sum, last, time_slot, trace }
+        ScorerState { h, base_nll, traj_nll, scale_log_sum, last, time_slot, segments }
     }
 
     /// Width of the decoder hidden state (0 for the inert
@@ -184,22 +189,12 @@ impl ScorerState {
 
     /// Number of segments consumed so far.
     pub fn len(&self) -> usize {
-        self.trace.len()
+        self.segments as usize
     }
 
     /// True before the first push.
     pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
-    }
-
-    /// Per-segment contributions (the data behind Fig. 4).
-    pub fn trace(&self) -> &[SegmentTrace] {
-        &self.trace
-    }
-
-    /// Consumes the state, returning the trace.
-    pub fn into_trace(self) -> Vec<SegmentTrace> {
-        self.trace
+        self.segments == 0
     }
 
     /// Forgets the Markov predecessor so the next pushed segment is charged
@@ -249,7 +244,7 @@ impl CausalTad {
             scale_log_sum: 0.0,
             last: None,
             time_slot,
-            trace: Vec::new(),
+            segments: 0,
         })
     }
 
@@ -263,7 +258,7 @@ impl CausalTad {
     /// produced by [`CausalTad::start_state`] on this model.
     pub fn push_state(&self, state: &mut ScorerState, seg: u32) -> f64 {
         let mut score = f64::NAN;
-        self.step_wave(std::slice::from_mut(state), &[seg], |s| score = s);
+        self.step_wave(std::slice::from_mut(state), &[seg], |s, _| score = s);
         score
     }
 
@@ -298,25 +293,33 @@ impl CausalTad {
         states: &mut [S],
         segs: &[u32],
     ) -> Vec<f64> {
-        assert_eq!(states.len(), segs.len(), "push_batch: states vs segs length");
         debug_assert!(
             cache.is_none_or(|c| std::ptr::eq(c.plan, self.plan())),
             "push_batch: the step cache is a handle onto another model's plan"
         );
         let mut scores = Vec::with_capacity(states.len());
-        self.step_wave(states, segs, |s| scores.push(s));
+        self.step_wave(states, segs, |s, _| scores.push(s));
         scores
     }
 
     /// The step behind every push: walks `states` in row tiles, charging
     /// row `i` for observing `segs[i]` and advancing its hidden row, and
-    /// hands each row's updated score to `emit` in order.
-    fn step_wave<S: AsMut<ScorerState>>(
+    /// hands each row's updated score and what the segment contributed to
+    /// it to `emit`, in order. A state keeps no per-segment history, so
+    /// the step's [`SegmentTrace`] exists only here: a caller that reports
+    /// or records it (a serving layer's score updates, [`OnlineScorer`]'s
+    /// trace) takes it from `emit`. [`CausalTad::push_state`] and
+    /// [`CausalTad::push_batch`] are this step keeping the scores only.
+    ///
+    /// # Panics
+    /// As [`CausalTad::push_batch`].
+    pub fn step_wave<S: AsMut<ScorerState>>(
         &self,
         states: &mut [S],
         segs: &[u32],
-        mut emit: impl FnMut(f64),
+        mut emit: impl FnMut(f64, SegmentTrace),
     ) {
+        assert_eq!(states.len(), segs.len(), "states vs segs length");
         let table = self.scaling().expect("states were started, so the table exists");
         let (store, plan) = (self.store(), self.plan());
         let hidden = self.config().hidden_dim;
@@ -342,8 +345,8 @@ impl CausalTad {
                     let log_scale = table.log_scale(seg, st.time_slot);
                     st.scale_log_sum += log_scale;
                     st.last = Some(seg);
-                    st.trace.push(SegmentTrace { segment: seg, nll, log_scale });
-                    emit(st.score(lambda));
+                    st.segments = st.segments.saturating_add(1);
+                    emit(st.score(lambda), SegmentTrace { segment: seg, nll, log_scale });
                 }
                 let new_h = states.iter_mut().map(|st| &mut st.as_mut().h[..]);
                 self.tg.advance_batch(plan, hs, segs, gh, new_h);
@@ -373,10 +376,12 @@ impl CausalTad {
 }
 
 /// Streaming scorer for one ongoing trajectory: a [`ScorerState`] borrowing
-/// its model.
+/// its model, plus the per-segment trace of the pushes made through it
+/// (Fig. 4's data; the state itself keeps only a segment count).
 pub struct OnlineScorer<'m> {
     model: &'m CausalTad,
     state: ScorerState,
+    trace: Vec<SegmentTrace>,
 }
 
 impl<'m> OnlineScorer<'m> {
@@ -388,7 +393,7 @@ impl<'m> OnlineScorer<'m> {
         let state = model
             .start_state(source, dest, time_slot)
             .expect("scaling checked; SD segments validated by caller");
-        OnlineScorer { model, state }
+        OnlineScorer::from_state(model, state)
     }
 
     pub(crate) fn try_new(
@@ -397,15 +402,19 @@ impl<'m> OnlineScorer<'m> {
         dest: u32,
         time_slot: u8,
     ) -> Result<Self, OnlineError> {
-        Ok(OnlineScorer { model, state: model.start_state(source, dest, time_slot)? })
+        Ok(OnlineScorer::from_state(model, model.start_state(source, dest, time_slot)?))
     }
 
-    /// Resumes a scorer from a previously detached state.
+    /// Resumes a scorer from a previously detached state. The state carries
+    /// no per-segment history, so this scorer's [`OnlineScorer::trace`]
+    /// covers only the pushes made through it, while [`OnlineScorer::len`]
+    /// and the scores cover the whole trip.
     pub fn from_state(model: &'m CausalTad, state: ScorerState) -> Self {
-        OnlineScorer { model, state }
+        OnlineScorer { model, state, trace: Vec::new() }
     }
 
-    /// Detaches the owned state (e.g. to park a session).
+    /// Detaches the owned state (e.g. to park a session); the trace stays
+    /// behind.
     pub fn into_state(self) -> ScorerState {
         self.state
     }
@@ -418,7 +427,12 @@ impl<'m> OnlineScorer<'m> {
     /// Consumes the next observed segment and returns the updated anomaly
     /// score. O(1) in the number of segments seen so far.
     pub fn push(&mut self, seg: u32) -> f64 {
-        self.model.push_state(&mut self.state, seg)
+        let mut score = f64::NAN;
+        self.model.step_wave(std::slice::from_mut(&mut self.state), &[seg], |s, step| {
+            score = s;
+            self.trace.push(step);
+        });
+        score
     }
 
     /// Current debiased anomaly score (Eq. 10). Higher = more anomalous.
@@ -447,9 +461,10 @@ impl<'m> OnlineScorer<'m> {
         self.state.is_empty()
     }
 
-    /// Per-segment contributions (the data behind Fig. 4).
+    /// Per-segment contributions of the pushes made through this scorer
+    /// (the data behind Fig. 4).
     pub fn trace(&self) -> &[SegmentTrace] {
-        self.state.trace()
+        &self.trace
     }
 }
 
@@ -596,8 +611,8 @@ mod tests {
 
     /// The tiled wave's contract, swept across the tile boundary: whatever
     /// the width, whichever tile a row lands in, and whatever shares the
-    /// tile with it, row `i` of `push_batch` equals `push_state` alone —
-    /// score, trace entry and hidden row, bit for bit.
+    /// tile with it, row `i` of `push_batch` and `step_wave` equals
+    /// `push_state` alone — score, emitted step and state, bit for bit.
     #[test]
     fn push_batch_tile_boundaries_match_push_state_bit_for_bit() {
         use rand::rngs::StdRng;
@@ -652,11 +667,31 @@ mod tests {
                 }
 
                 let mut sequential = states.clone();
-                let reference: Vec<f64> = sequential
+                let reference: Vec<(f64, SegmentTrace)> = sequential
                     .iter_mut()
                     .zip(&segs)
-                    .map(|(st, &seg)| model.push_state(st, seg))
+                    .map(|(st, &seg)| {
+                        let pushed = model.push_state(&mut st.clone(), seg);
+                        let mut row = None;
+                        model.step_wave(std::slice::from_mut(st), &[seg], |s, step| {
+                            row = Some((s, step))
+                        });
+                        let (score, step) = row.expect("a one-row step emits one row");
+                        assert_eq!(score.to_bits(), pushed.to_bits());
+                        (score, step)
+                    })
                     .collect();
+                let mut waved = states.clone();
+                let mut steps = Vec::with_capacity(width);
+                model.step_wave(&mut waved, &segs, |s, step| steps.push((s, step)));
+                assert_eq!(waved, sequential, "hidden {hidden_dim} width {width} step_wave");
+                for (i, ((bs, bt), (ss, st))) in steps.iter().zip(&reference).enumerate() {
+                    let ctx = format!("hidden {hidden_dim} width {width} row {i}");
+                    assert_eq!(bs.to_bits(), ss.to_bits(), "{ctx} score");
+                    assert_eq!(bt.segment, st.segment, "{ctx}");
+                    assert_eq!(bt.nll.to_bits(), st.nll.to_bits(), "{ctx} nll");
+                    assert_eq!(bt.log_scale.to_bits(), st.log_scale.to_bits(), "{ctx} log_scale");
+                }
                 for cache in [None, Some(&cache)] {
                     let mut batched = states.clone();
                     let scores = model.push_batch(cache, &mut batched, &segs);
@@ -664,15 +699,7 @@ mod tests {
                         format!("hidden {hidden_dim} width {width} cache {}", cache.is_some());
                     assert_eq!(scores.len(), width, "{ctx}");
                     for (i, (b, s)) in batched.iter().zip(&sequential).enumerate() {
-                        assert_eq!(scores[i].to_bits(), reference[i].to_bits(), "{ctx} row {i}");
-                        let (bt, st) = (b.trace().last().unwrap(), s.trace().last().unwrap());
-                        assert_eq!(bt.segment, st.segment, "{ctx} row {i}");
-                        assert_eq!(bt.nll.to_bits(), st.nll.to_bits(), "{ctx} row {i} nll");
-                        assert_eq!(
-                            bt.log_scale.to_bits(),
-                            st.log_scale.to_bits(),
-                            "{ctx} row {i} log_scale"
-                        );
+                        assert_eq!(scores[i].to_bits(), reference[i].0.to_bits(), "{ctx} row {i}");
                         assert!(
                             b.hidden()
                                 .iter()
@@ -684,9 +711,9 @@ mod tests {
                     }
                 }
                 if off_graph > 0 {
-                    let charged = sequential
+                    let charged = reference
                         .iter()
-                        .filter(|st| st.trace().last().unwrap().nll == crate::OFF_GRAPH_NLL)
+                        .filter(|(_, step)| step.nll == crate::OFF_GRAPH_NLL)
                         .count();
                     assert_eq!(charged, off_graph, "off-graph hops are charged the penalty");
                 }

@@ -1,20 +1,21 @@
 //! Pins what the tape-free step allocates: once a thread has scored a
 //! trip (so the model's inference plan and the thread's step buffers
-//! exist), [`CausalTad::push_state`] allocates only when the state's trace
-//! grows, and [`CausalTad::start_state`] allocates the hidden row of the
-//! state it returns — no embedding, gate, logit or full-vocabulary
-//! intermediate, with or without the SD reconstruction term.
+//! exist), [`CausalTad::push_state`] allocates nothing at any trip length
+//! — the state keeps a segment count, not a per-segment history — and
+//! [`CausalTad::start_state`] allocates the hidden row of the state it
+//! returns: no embedding, gate, logit or full-vocabulary intermediate,
+//! with or without the SD reconstruction term.
 //!
 //! The counting allocator is process-wide, so this file holds exactly one
 //! test: nothing else allocates while a call is measured.
 
 mod counting;
 
-use causaltad::{CausalTad, CausalTadConfig, SegmentTrace};
+use causaltad::{CausalTad, CausalTadConfig};
 use tad_trajsim::{generate_city, CityConfig};
 
 #[test]
-fn a_push_allocates_only_trace_growth_and_a_start_only_its_hidden_row() {
+fn a_push_allocates_nothing_and_a_start_only_its_hidden_row() {
     let city = generate_city(&CityConfig::test_scale(206));
     for score_includes_sd_nll in [false, true] {
         let cfg = CausalTadConfig {
@@ -46,15 +47,11 @@ fn a_push_allocates_only_trace_growth_and_a_start_only_its_hidden_row() {
         let mut state = state.expect("in vocabulary");
         assert_eq!(grew, hidden_bytes, "sd_nll {score_includes_sd_nll}: start_state");
 
-        // A `Vec` doubles: the trace grows when a push finds it full, at
-        // lengths 0 (to the minimum capacity, 4), 4, 8, 16, 32.
-        let entry = std::mem::size_of::<SegmentTrace>();
-        for seg in walk(3, 40) {
+        for seg in walk(3, 41) {
             let len = state.len();
             let (_, grew) = counting::peak_growth(|| model.push_state(&mut state, seg));
-            let full = len == 0 || (len >= 4 && len.is_power_of_two());
-            let want = if full { len.max(4) * entry } else { 0 };
-            assert_eq!(grew, want, "sd_nll {score_includes_sd_nll}: push at length {len}");
+            assert_eq!(grew, 0, "sd_nll {score_includes_sd_nll}: push at length {len}");
         }
+        assert_eq!(state.len(), 41);
     }
 }

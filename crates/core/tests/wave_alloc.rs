@@ -25,11 +25,9 @@ fn push_batch_peak_heap_is_one_tile_not_the_wave() {
     let tile = model.wave_tile_rows();
     assert!(WIDTH >= 16 * tile, "the wave must dwarf a tile for the bound to mean anything");
 
-    // Mid-trip sessions (a predecessor, room in the trace), every fourth
-    // one behind the same junction so tiles hold shared successor groups.
+    // Mid-trip sessions (a predecessor), every fourth one behind the same
+    // junction so tiles hold shared successor groups.
     let hub = (0..vocab).find(|&s| model.successors_of(s).len() >= 2).expect("a junction");
-    // (A clone would drop the trace's spare capacity, and the wave's first
-    // push would then grow every session's own trace: build afresh.)
     let prev_of = |i: u32| if i.is_multiple_of(4) { hub } else { i % vocab };
     let segs: Vec<u32> = (0..WIDTH as u32)
         .map(|i| {
@@ -41,8 +39,7 @@ fn push_batch_peak_heap_is_one_tile_not_the_wave() {
         (0..n as u32)
             .map(|i| {
                 let h = (0..hidden).map(|c| ((i as usize * 31 + c * 7) % 97) as f32 / 97.0 - 0.5);
-                let trace = Vec::with_capacity(4);
-                ScorerState::from_parts(h.collect(), 0.0, 0.0, 0.0, Some(prev_of(i)), 0, trace)
+                ScorerState::from_parts(h.collect(), 0.0, 0.0, 0.0, Some(prev_of(i)), 0, 1)
             })
             .collect()
     };

@@ -1,12 +1,15 @@
 //! One step, whatever drives it: across hidden widths whose `3h` is and is
 //! not a multiple of the matmul kernel's panel (16) and short-tile (64)
 //! widths, and wave widths on both sides of its row tile (4) and of a wave
-//! tile at hidden 256 (64), [`OnlineScorer::push`], [`CausalTad::push_state`]
-//! and row `i` of [`CausalTad::push_batch`] give the same score, trace and
-//! hidden row, bit for bit — on a trip's first segment, on graph, off
-//! graph, and on the leg a `reset_context` opens.
+//! tile at hidden 256 (64), [`OnlineScorer::push`], a one-row
+//! [`CausalTad::step_wave`] ([`CausalTad::push_state`]) and row `i` of
+//! [`CausalTad::push_batch`] give the same score, state and step, bit for
+//! bit — on a trip's first segment, on graph, off graph, and on the leg a
+//! `reset_context` opens.
 
-use causaltad::{CausalTad, CausalTadConfig, OnlineScorer, ScorerState, OFF_GRAPH_NLL};
+use causaltad::{
+    CausalTad, CausalTadConfig, OnlineScorer, ScorerState, SegmentTrace, OFF_GRAPH_NLL,
+};
 use tad_trajsim::{generate_city, CityConfig};
 
 const HIDDEN: [usize; 6] = [20, 48, 64, 100, 128, 256];
@@ -32,16 +35,17 @@ fn hop(i: usize, w: usize) -> Hop {
     }
 }
 
-/// Every float a state holds, as bits: hidden row, then per trace entry
-/// segment / NLL / log-scale, then the three accumulators.
+/// Everything a state holds, as bits: hidden row, then the segment count
+/// and the three accumulators.
 fn bits(state: &ScorerState) -> Vec<u64> {
     let hidden = state.hidden().iter().map(|x| x.to_bits() as u64);
-    let trace = state
-        .trace()
-        .iter()
-        .flat_map(|s| [s.segment as u64, s.nll.to_bits(), s.log_scale.to_bits()]);
     let sums = [state.base_nll(), state.likelihood_nll(), state.scale_log_sum()].map(f64::to_bits);
-    hidden.chain(trace).chain(sums).collect()
+    hidden.chain([state.len() as u64]).chain(sums).collect()
+}
+
+/// A step's contribution as bits: segment, NLL, log-scale.
+fn step_bits(step: &SegmentTrace) -> [u64; 3] {
+    [step.segment as u64, step.nll.to_bits(), step.log_scale.to_bits()]
 }
 
 #[test]
@@ -103,7 +107,11 @@ fn push_push_state_and_push_batch_rows_agree_at_every_width() {
                 assert_eq!(batched.len(), width);
                 for i in 0..width {
                     let pushed = scorers[i].push(segs[i]);
-                    let single = model.push_state(&mut singles[i], segs[i]);
+                    let mut row = None;
+                    model.step_wave(std::slice::from_mut(&mut singles[i]), &segs[i..=i], |s, t| {
+                        row = Some((s, t))
+                    });
+                    let (single, step) = row.expect("a one-row step emits one row");
                     assert_eq!(pushed.to_bits(), single.to_bits(), "{}", ctx("push", i, w));
                     assert_eq!(batched[i].to_bits(), single.to_bits(), "{}", ctx("score", i, w));
                     assert!(bits(&wave[i]) == bits(&singles[i]), "{}", ctx("wave state", i, w));
@@ -113,7 +121,8 @@ fn push_push_state_and_push_batch_rows_agree_at_every_width() {
                         ctx("scorer state", i, w)
                     );
 
-                    let step = singles[i].trace().last().expect("just pushed");
+                    let recorded = scorers[i].trace().last().expect("just pushed");
+                    assert_eq!(step_bits(recorded), step_bits(&step), "{}", ctx("step", i, w));
                     let opened = singles[i].len() == 1;
                     match hop(i, w) {
                         _ if opened => assert_eq!(step.nll, 0.0, "{}", ctx("opening", i, w)),

@@ -18,7 +18,6 @@
 //! panic (property-tested in the repository's `tests/props.rs`).
 
 use bytes::{BufMut, Bytes, BytesMut};
-use causaltad::{put_trace, read_trace, SegmentTrace};
 use tad_codec::envelope::ENVELOPE_OVERHEAD;
 use tad_codec::{envelope_payload, open_envelope, seal_envelope_into, Reader};
 use tad_metrics::{snapshot_from_bytes, snapshot_to_bytes, MetricsSnapshot};
@@ -27,7 +26,7 @@ use tad_serve::{Completion, Event, FleetSnapshot, PolicyAction, ScoreUpdate, Tri
 /// Magic bytes opening every wire frame.
 pub const FRAME_MAGIC: &[u8; 4] = b"TADN";
 /// Wire-format version carried in every frame header.
-pub const FRAME_VERSION: u16 = 1;
+pub const FRAME_VERSION: u16 = 2;
 /// Default cap on a frame's payload length (64 MiB) — what a reader will
 /// allocate for one frame before distrusting the peer. Snapshot frames of
 /// very large fleets may need a higher cap on both ends.
@@ -153,7 +152,9 @@ impl From<Event> for Request {
 }
 
 /// Final scoring result of a trip as carried on the wire — the network
-/// image of [`TripOutcome`]. The segment count is the trace length.
+/// image of [`TripOutcome`]. What each segment contributed went out once,
+/// in its [`Response::Score`] frame; this carries the totals and the
+/// segment count.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TripComplete {
     /// The finished trip.
@@ -166,14 +167,14 @@ pub struct TripComplete {
     pub likelihood_nll: f64,
     /// Accumulated scaling sum `Σ_i log E[1/P(t_i|e_i)]`.
     pub scale_log_sum: f64,
-    /// Per-segment score decomposition; one entry per consumed segment.
-    pub trace: Vec<SegmentTrace>,
+    /// Number of segments the trip consumed.
+    pub segments: u32,
 }
 
 impl TripComplete {
     /// Number of segments the trip consumed.
     pub fn segments(&self) -> usize {
-        self.trace.len()
+        self.segments as usize
     }
 }
 
@@ -185,7 +186,7 @@ impl From<TripOutcome> for TripComplete {
             score: outcome.score,
             likelihood_nll: outcome.likelihood_nll,
             scale_log_sum: outcome.scale_log_sum,
-            trace: outcome.trace,
+            segments: outcome.segments as u32,
         }
     }
 }
@@ -499,7 +500,7 @@ pub fn response_into(resp: &Response, out: &mut BytesMut) {
             payload.put_f64_le(tc.score);
             payload.put_f64_le(tc.likelihood_nll);
             payload.put_f64_le(tc.scale_log_sum);
-            put_trace(&tc.trace, payload);
+            payload.put_u32_le(tc.segments);
         }
         Response::Stats(s) => {
             payload.put_u8(TAG_STATS);
@@ -663,7 +664,7 @@ pub fn response_from_bytes(bytes: Bytes) -> Result<Response, FrameError> {
             score: r.f64("trip-complete body")?,
             likelihood_nll: r.f64("trip-complete body")?,
             scale_log_sum: r.f64("trip-complete body")?,
-            trace: read_trace(&mut r)?,
+            segments: r.u32("trip-complete body")?,
         }),
         TAG_STATS => Response::Stats(FleetSnapshot {
             events_ingested: r.u64("stats body")?,
@@ -764,10 +765,7 @@ mod tests {
                 score: 2.5,
                 likelihood_nll: 3.0,
                 scale_log_sum: 0.5,
-                trace: vec![
-                    SegmentTrace { segment: 1, nll: 0.0, log_scale: 0.1 },
-                    SegmentTrace { segment: 2, nll: 1.5, log_scale: 0.2 },
-                ],
+                segments: 2,
             }),
             Response::Stats(FleetSnapshot {
                 events_ingested: 1,
@@ -975,17 +973,6 @@ mod tests {
         raw.extend_from_slice(&u64::MAX.to_le_bytes());
         raw.extend_from_slice(&[0u8; 16]);
         assert_eq!(request_from_bytes(raw.into()), Err(FrameError::Truncated("payload")));
-        // A checksummed trip-complete claiming a near-u32::MAX trace.
-        let mut payload = BytesMut::new();
-        payload.put_u8(TAG_TRIP_COMPLETE);
-        payload.put_u64_le(1);
-        payload.put_u8(0);
-        payload.put_f64_le(0.0);
-        payload.put_f64_le(0.0);
-        payload.put_f64_le(0.0);
-        payload.put_u32_le(u32::MAX);
-        let blob = tad_codec::seal_envelope(FRAME_MAGIC, FRAME_VERSION, payload.freeze());
-        assert_eq!(response_from_bytes(blob), Err(FrameError::Truncated("trace entries")));
         // A snapshot body has no inner length to lie about: it is exactly
         // the payload remainder, so even an empty image decodes cleanly.
         let mut payload = BytesMut::new();
@@ -995,6 +982,37 @@ mod tests {
             response_from_bytes(blob),
             Ok(Response::Snapshot { image: Bytes::from(Vec::new()) })
         );
+    }
+
+    #[test]
+    fn a_version_1_frame_is_refused_typed() {
+        // Version 1's trip-complete carried the whole trace (a `u32` count,
+        // then segment / nll / log-scale per entry): a valid one, sealed.
+        let mut payload = BytesMut::new();
+        payload.put_u8(TAG_TRIP_COMPLETE);
+        payload.put_u64_le(7);
+        payload.put_u8(completion_to_byte(Completion::Ended));
+        [2.5f64, 3.0, 0.5].iter().for_each(|&x| payload.put_f64_le(x));
+        payload.put_u32_le(1);
+        payload.put_u32_le(4);
+        payload.put_f64_le(0.5);
+        payload.put_f64_le(0.1);
+        let v1 = tad_codec::seal_envelope(FRAME_MAGIC, 1, payload.freeze());
+        assert_eq!(response_from_bytes(v1.clone()), Err(FrameError::BadVersion(1)));
+        assert_eq!(peek_score(&v1), Ok(None), "not a score: left to the decoder");
+        // Every other frame of version 1 too, in both directions and on
+        // the score relay's peek.
+        let requests = sample_requests().iter().map(request_to_bytes).collect::<Vec<_>>();
+        let responses = sample_responses().iter().map(response_to_bytes).collect::<Vec<_>>();
+        for blob in requests.iter().chain(&responses) {
+            let body = envelope_payload(FRAME_MAGIC, FRAME_VERSION, blob).expect("sealed");
+            let v1 = tad_codec::seal_envelope(FRAME_MAGIC, 1, Bytes::from(body.to_vec()));
+            assert_eq!(request_from_bytes(v1.clone()), Err(FrameError::BadVersion(1)));
+            assert_eq!(response_from_bytes(v1.clone()), Err(FrameError::BadVersion(1)));
+            if body[0] == TAG_SCORE {
+                assert_eq!(peek_score(&v1), Err(FrameError::BadVersion(1)));
+            }
+        }
     }
 
     #[test]
@@ -1022,23 +1040,16 @@ mod tests {
         assert_eq!(Request::SnapshotRequest.to_event(), None);
     }
 
-    /// The five envelope formats encode byte for byte as they did at the
-    /// commit before the byte layer moved into `tad-codec` (where these
-    /// digests were taken): router journals, `TADN` peers of another build
-    /// and `tadbench`'s bit-identity oracle all ride on these bytes.
+    /// The five envelope formats encode byte for byte as pinned here:
+    /// router journals, `TADN` peers of another build and `tadbench`'s
+    /// bit-identity oracle all ride on these bytes. A format whose bytes
+    /// move on purpose bumps its version, and `TADF` and `TADD` move with
+    /// the `TADC` blobs they embed.
     #[test]
     fn envelope_formats_encode_to_golden_bytes() {
         use causaltad::{state_to_bytes, ScorerState};
         use tad_serve::{delta_to_bytes, image_to_bytes, FleetDelta, FleetImage, SessionRecord};
-        let state = ScorerState::from_parts(
-            vec![0.25, -1.5, 3.0],
-            1.25,
-            2.5,
-            -0.75,
-            Some(4),
-            2,
-            vec![SegmentTrace { segment: 4, nll: 0.5, log_scale: 0.1 }],
-        );
+        let state = ScorerState::from_parts(vec![0.25, -1.5, 3.0], 1.25, 2.5, -0.75, Some(4), 2, 1);
         let record = |id: u64| SessionRecord {
             id,
             state: state.clone(),
@@ -1059,11 +1070,11 @@ mod tests {
         };
         let requests = sample_requests().iter().map(request_to_bytes).collect();
         let responses = sample_responses().iter().map(response_to_bytes).collect();
-        assert_eq!(digest(requests), 0x858e_f695_50b6_fbbc, "TADN requests");
-        assert_eq!(digest(responses), 0x349a_61e6_de11_74f0, "TADN responses");
-        assert_eq!(digest(vec![state_to_bytes(&state)]), 0x25bb_eac5_5157_1739, "TADC");
-        assert_eq!(digest(vec![image_to_bytes(&image)]), 0x612f_67ac_80fb_06ca, "TADF");
-        assert_eq!(digest(vec![delta_to_bytes(&delta)]), 0xffc5_bdc1_4d2a_e630, "TADD");
+        assert_eq!(digest(requests), 0xe54d_c6f7_3a90_4a60, "TADN requests");
+        assert_eq!(digest(responses), 0xad37_2e28_9b1f_e958, "TADN responses");
+        assert_eq!(digest(vec![state_to_bytes(&state)]), 0x030d_c841_7edb_5212, "TADC");
+        assert_eq!(digest(vec![image_to_bytes(&image)]), 0xddac_9264_cb22_f752, "TADF");
+        assert_eq!(digest(vec![delta_to_bytes(&delta)]), 0x724c_9afd_ca7d_2307, "TADD");
         let metrics = snapshot_to_bytes(&sample_metrics());
         assert_eq!(digest(vec![metrics]), 0x4f5e_c4a9_59c6_f19b, "TADM");
     }

@@ -39,9 +39,10 @@
 //!
 //! * Ingest is **pipelined**: producers fire `TripStart`/`Segment`/
 //!   `TripEnd` without waiting; the server pushes a `Score` frame per
-//!   scored segment (in per-trip order) and a `TripComplete` when the
-//!   trip leaves the engine, routed to the connection that started the
-//!   trip.
+//!   scored segment (in per-trip order: the segment, its score and its
+//!   two score terms, each sent once) and a `TripComplete` (totals and
+//!   segment count) when the trip leaves the engine, routed to the
+//!   connection that started the trip.
 //! * **Backpressure is explicit**: when the engine's bounded ingest queue
 //!   is full, the event is *not* buffered server-side — the producer gets
 //!   [`ErrorCode::Backpressure`] naming the trip and re-sends it before

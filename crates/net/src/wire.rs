@@ -321,7 +321,7 @@ mod tests {
         let mut asm = FrameAssembler::new(64);
         let mut header = Vec::new();
         header.extend_from_slice(b"TADN");
-        header.extend_from_slice(&1u16.to_le_bytes());
+        header.extend_from_slice(&FRAME_VERSION.to_le_bytes());
         header.extend_from_slice(&u64::MAX.to_le_bytes());
         asm.feed(&header[..13]);
         assert!(asm.next_frame().expect("13 bytes prove nothing").is_none());

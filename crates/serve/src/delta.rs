@@ -214,7 +214,7 @@ mod tests {
     fn record(id: TripId, tag: f32) -> SessionRecord {
         SessionRecord {
             id,
-            state: ScorerState::from_parts(vec![tag], 0.0, 0.0, 0.0, None, 0, Vec::new()),
+            state: ScorerState::from_parts(vec![tag], 0.0, 0.0, 0.0, None, 0, 0),
             pending: Vec::new(),
             ending: false,
             idle_micros: 0,

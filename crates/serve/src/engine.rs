@@ -62,11 +62,11 @@ pub struct FleetConfig {
     /// store addresses its sessions with 32-bit slot indices).
     ///
     /// Size it from what one live session costs: its hidden row
-    /// (`4·hidden_dim` bytes), its trace (24 bytes per scored segment,
-    /// rounded up to the trace's capacity), a 128-byte slot in the store
-    /// and one trip-id map entry. Segments queued inside a drain live on
-    /// the shard's drain queue, not in the session, and a default
-    /// [`StreamPolicy`] allocates nothing per session.
+    /// (`4·hidden_dim` bytes), a 104-byte slot in the store and one
+    /// trip-id map entry — the same after one segment as after a
+    /// thousand. Segments queued inside a drain live on the shard's drain
+    /// queue, not in the session, and a default [`StreamPolicy`]
+    /// allocates nothing per session.
     pub max_sessions_per_shard: usize,
     /// Per-session ingest sanitization (dedup window, reorder repair, gap
     /// policy). The default is all-off, which leaves the scoring path

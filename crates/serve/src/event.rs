@@ -1,8 +1,6 @@
 //! The ingest event model: what the outside world sends the engine and
 //! what the engine reports back when a trip leaves it.
 
-use causaltad::SegmentTrace;
-
 /// Unique identifier of an in-flight trip (e.g. the ride-hailing order id).
 pub type TripId = u64;
 
@@ -99,10 +97,9 @@ pub struct TripOutcome {
     pub likelihood_nll: f64,
     /// Accumulated scaling sum `Σ_i log E[1/P(t_i|e_i)]`.
     pub scale_log_sum: f64,
-    /// Number of segments consumed.
+    /// Number of segments consumed. What each contributed went out with
+    /// its [`ScoreUpdate`](crate::ScoreUpdate).
     pub segments: usize,
-    /// Per-segment score decomposition.
-    pub trace: Vec<SegmentTrace>,
 }
 
 #[cfg(test)]

@@ -23,8 +23,10 @@
 //! * **Session lifecycle** — live [`causaltad::ScorerState`]s are kept in
 //!   a per-shard store with TTL sweeps for trips that went silent and an
 //!   O(1) LRU cap bounding memory; completed and evicted trips are
-//!   delivered to a completion callback with their final score and full
-//!   [`causaltad::SegmentTrace`].
+//!   delivered to a completion callback with their final score, its two
+//!   parts and their segment count. A session keeps no per-segment
+//!   history: what each segment contributed goes out once, in its
+//!   [`ScoreUpdate`].
 //! * **Online delivery** — an optional `on_score` callback receives a
 //!   [`ScoreUpdate`] for every scored segment, in per-trip order, right
 //!   after the micro-batched step that consumed it — the per-segment

@@ -9,11 +9,12 @@
 //! only changes through [`SessionStore::touch`] (which moves the session to
 //! the head), list order always equals recency order.
 //!
-//! A slot is 128 bytes: the scorer state (hidden row and trace on the
-//! heap), the clocks and flags, and 32-bit links. Segments queued inside a
-//! drain live on the shard's drain queue, not here, and the policy rings
-//! are boxed on first use, so a default-configured session owns no heap
-//! beyond its hidden row and its trace.
+//! A slot is 104 bytes: the scorer state (its hidden row on the heap, a
+//! segment count and the score accumulators inline), the clocks and
+//! flags, and 32-bit links. Segments queued inside a drain live on the
+//! shard's drain queue, not here, and the policy rings are boxed on first
+//! use, so a default-configured session owns no heap beyond its hidden
+//! row, however many segments it has scored.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -94,9 +95,9 @@ struct Slot {
     next: u32,
 }
 
-// A slab element is at most 128 bytes, and its `Option` costs no tag
+// A slab element is at most 104 bytes, and its `Option` costs no tag
 // (the slot has niches to spare).
-const _: () = assert!(std::mem::size_of::<Slot>() <= 128);
+const _: () = assert!(std::mem::size_of::<Slot>() <= 104);
 const _: () = assert!(std::mem::size_of::<Option<Slot>>() == std::mem::size_of::<Slot>());
 
 /// Trip-id keyed session map with bounded size and O(1) LRU maintenance.

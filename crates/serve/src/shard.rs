@@ -8,7 +8,7 @@ use std::sync::mpsc::{RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use causaltad::{CausalTad, ScorerState, OFF_GRAPH_NLL};
+use causaltad::{CausalTad, ScorerState, SegmentTrace, OFF_GRAPH_NLL};
 
 use crate::engine::{CompletionCallback, FleetConfig, ScoreCallback};
 use crate::event::{Completion, Event, ScoreUpdate, TripId, TripOutcome};
@@ -81,10 +81,15 @@ pub(crate) struct ShardCtx {
 
 impl ShardCtx {
     /// Per-segment bookkeeping after a model step scored `state`'s newest
-    /// segment: bumps the off-graph counter and builds the update the
-    /// `on_score` callback is owed.
-    fn score_update(&self, id: TripId, state: &ScorerState, score: f64) -> ScoreUpdate {
-        let step = *state.trace().last().expect("a segment was just scored");
+    /// segment as `step`: bumps the off-graph counter and builds the
+    /// update the `on_score` callback is owed.
+    fn score_update(
+        &self,
+        id: TripId,
+        state: &ScorerState,
+        score: f64,
+        step: SegmentTrace,
+    ) -> ScoreUpdate {
         if step.nll == OFF_GRAPH_NLL {
             FleetStats::bump(&self.stats.off_graph_hits);
         }
@@ -105,10 +110,17 @@ impl ShardCtx {
         }
     }
 
-    /// A segment scored outside the waves (`push_state` at restore time or
-    /// under the gap policy): a wave of one.
-    fn deliver_score(&self, id: TripId, state: &ScorerState, score: f64) {
-        self.deliver_scores(&[self.score_update(id, state, score)]);
+    /// Scores one segment outside the waves (at restore time or under the
+    /// gap policy): the same step as a wave row — bit-identical, off-graph
+    /// accounting included — delivered as a wave of one.
+    fn score_one(&self, id: TripId, state: &mut ScorerState, seg: u32) {
+        let mut row = None;
+        self.model.step_wave(std::slice::from_mut(state), &[seg], |score, step| {
+            row = Some((score, step));
+        });
+        let (score, step) = row.expect("a one-row step emits one row");
+        FleetStats::bump(&self.stats.segments_scored);
+        self.deliver_scores(&[self.score_update(id, state, score, step)]);
     }
 
     /// Delivers a sanitization outcome to the engine's `on_policy`
@@ -156,7 +168,6 @@ impl ShardCtx {
                 likelihood_nll: state.likelihood_nll(),
                 scale_log_sum: state.scale_log_sum(),
                 segments: state.len(),
-                trace: state.into_trace(),
             });
         }
     }
@@ -180,7 +191,7 @@ fn tombstone(removed: &mut Tombstones, id: TripId) {
 /// admitted its state stays in the store and this holds an inert
 /// placeholder; the waves take the state out, advance it, and hand it
 /// back when the trip's queue runs dry. Being `AsMut<ScorerState>`, the
-/// work list itself is the wave that [`CausalTad::push_batch`] advances.
+/// work list itself is the wave that [`CausalTad::step_wave`] advances.
 struct WorkItem {
     id: TripId,
     state: ScorerState,
@@ -286,6 +297,9 @@ struct BatchScratch {
     ended: Vec<TripId>,
     /// The segment each work item consumes in the current wave.
     wave_segs: Vec<u32>,
+    /// What the current wave's step emitted per work item: its score and
+    /// the segment's contribution.
+    wave_steps: Vec<(f64, SegmentTrace)>,
     /// The current wave's scores, as the `on_score` callback gets them.
     wave_scores: Vec<ScoreUpdate>,
 }
@@ -441,12 +455,9 @@ fn restore_sessions(
         }
         // Segments that were pending at capture time would stall in the
         // store (only freshly touched trips drain their queues), so score
-        // them now — push_state is bit-identical to the batched path,
-        // including the off-graph accounting.
+        // them now.
         for &seg in &pending {
-            let score = ctx.model.push_state(&mut state, seg);
-            FleetStats::bump(&ctx.stats.segments_scored);
-            ctx.deliver_score(id, &state, score);
+            ctx.score_one(id, &mut state, seg);
         }
         FleetStats::bump(&ctx.stats.sessions_restored);
         let idle = Duration::from_micros(idle_micros);
@@ -517,7 +528,7 @@ fn process_batch(
     batch: &mut Vec<Event>,
     scratch: &mut BatchScratch,
 ) {
-    let BatchScratch { queue, ended, wave_segs, wave_scores } = scratch;
+    let BatchScratch { queue, ended, wave_segs, wave_steps, wave_scores } = scratch;
     let now = Instant::now();
     // Queue-depth accounting: observe the fleet-wide in-flight level with
     // this drain still counted, then retire the drained events from it.
@@ -600,7 +611,8 @@ fn process_batch(
             seg
         }));
         let wave_started = Instant::now();
-        let scores = ctx.model.push_batch(None, work, wave_segs);
+        wave_steps.clear();
+        ctx.model.step_wave(work, wave_segs, |score, step| wave_steps.push((score, step)));
         // One relaxed record per wave, attributed to every segment it
         // scored: the per-segment cost of the latency histogram stays a
         // fraction of an atomic op at realistic widths.
@@ -612,8 +624,8 @@ fn process_batch(
         wave_scores.clear();
         wave_scores.extend(
             work.iter()
-                .zip(scores)
-                .map(|(item, score)| ctx.score_update(item.id, &item.state, score)),
+                .zip(wave_steps.iter())
+                .map(|(item, &(score, step))| ctx.score_update(item.id, &item.state, score, step)),
         );
         ctx.deliver_scores(wave_scores);
         work.retain_mut(|item| {
@@ -681,14 +693,11 @@ fn admit_gap(ctx: &ShardCtx, id: TripId, session: &mut Session, seg: u32, queue:
         }
         GapPolicy::Reset => {
             // Everything queued ahead must score against the pre-jump
-            // context first — push_state is bit-identical to the batched
-            // path, including the off-graph accounting — then the Markov
-            // predecessor is forgotten so the jump target opens a fresh
-            // leg (charged like a first segment).
+            // context first, then the Markov predecessor is forgotten so
+            // the jump target opens a fresh leg (charged like a first
+            // segment).
             while let Some(queued) = queue.pop_front(session) {
-                let score = ctx.model.push_state(&mut session.state, queued);
-                FleetStats::bump(&ctx.stats.segments_scored);
-                ctx.deliver_score(id, &session.state, score);
+                ctx.score_one(id, &mut session.state, queued);
             }
             session.state.reset_context();
             ctx.metrics.trip_resets.add(1);

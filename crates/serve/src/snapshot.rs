@@ -255,15 +255,7 @@ mod tests {
     fn record(id: TripId, idle_micros: u64) -> SessionRecord {
         SessionRecord {
             id,
-            state: ScorerState::from_parts(
-                vec![0.25, -1.5, 3.0],
-                1.25,
-                2.5,
-                -0.75,
-                Some(4),
-                2,
-                vec![causaltad::SegmentTrace { segment: 4, nll: 0.5, log_scale: 0.1 }],
-            ),
+            state: ScorerState::from_parts(vec![0.25, -1.5, 3.0], 1.25, 2.5, -0.75, Some(4), 2, 1),
             pending: vec![7, 9],
             ending: false,
             idle_micros,
@@ -373,6 +365,39 @@ mod tests {
         assert_eq!(
             image_from_bytes(Bytes::from(raw)),
             Err(SnapshotCodecError::Truncated("session records"))
+        );
+    }
+
+    #[test]
+    fn an_image_of_version_1_sessions_is_refused_typed() {
+        // A session blob of version 1 (the per-segment trace where version
+        // 2 has a count), sealed, inside an otherwise valid image.
+        let mut state = BytesMut::new();
+        state.put_u32_le(1);
+        state.put_f32_le(0.5);
+        [1.0f64, 2.0, 3.0].iter().for_each(|&x| state.put_f64_le(x));
+        state.put_u8(0);
+        state.put_u8(0);
+        state.put_u32_le(1);
+        state.put_u32_le(4);
+        state.put_f64_le(0.5);
+        state.put_f64_le(0.1);
+        let state = seal_envelope(b"TADC", 1, state.freeze());
+        let mut payload = BytesMut::new();
+        payload.put_u32_le(1);
+        payload.put_u32_le(1);
+        payload.put_u64_le(7);
+        payload.put_u64_le(0);
+        payload.put_u8(0);
+        payload.put_u32_le(0);
+        payload.put_u32_le(state.len() as u32);
+        payload.put_slice(&state);
+        assert_eq!(
+            image_from_bytes(seal_envelope(MAGIC, VERSION, payload.freeze())),
+            Err(SnapshotCodecError::BadSession {
+                index: 0,
+                source: StateCodecError::BadVersion(1)
+            })
         );
     }
 

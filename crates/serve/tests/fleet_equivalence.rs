@@ -101,7 +101,6 @@ fn interleaved_fleet_scores_match_sequential_scorers() {
         let outcome = &outcomes[&(i as u64)];
         assert_eq!(outcome.completion, Completion::Ended);
         assert_eq!(outcome.segments, t.len());
-        assert_eq!(outcome.trace.len(), t.len());
         let reference = sequential_score(&model, t);
         assert!(
             (outcome.score - reference).abs() < 1e-6,
@@ -286,7 +285,7 @@ fn snapshot_that_does_not_fit_the_model_is_refused() {
     let alien = SessionRecord {
         id: 7,
         // Three hidden units can never match a real model's hidden_dim.
-        state: ScorerState::from_parts(vec![0.0, 1.0, 2.0], 0.0, 0.0, 0.0, None, 0, Vec::new()),
+        state: ScorerState::from_parts(vec![0.0, 1.0, 2.0], 0.0, 0.0, 0.0, None, 0, 0),
         pending: Vec::new(),
         ending: false,
         idle_micros: 0,
@@ -302,4 +301,69 @@ fn untrained_model_is_refused_at_build_time() {
     let model = Arc::new(CausalTad::new(&city.net, CausalTadConfig::test_scale()));
     let err = FleetEngine::builder(model).build().err();
     assert_eq!(err, Some(tad_serve::ServeError::ModelNotReady));
+}
+
+/// A checksum-valid `TADC` blob may claim any segment count. One claiming
+/// `u32::MAX` is restored, scores a pending segment on restore and a
+/// submitted one in a wave, and ends — the count saturates instead of
+/// overflowing, and the scores are the honest session's, bit for bit.
+#[test]
+fn a_restored_session_claiming_u32_max_segments_scores_without_panicking_a_shard() {
+    use causaltad::{state_from_bytes, state_to_bytes, OnlineScorer};
+    use tad_codec::{envelope_payload, seal_envelope};
+    use tad_serve::{FleetImage, ScoreUpdate, SessionRecord};
+
+    let (city, model) = trained();
+    let model = Arc::clone(model);
+    let t = city.data.test_id.iter().find(|t| t.len() >= 3).expect("a trip of 3 segments");
+    let segs: Vec<u32> = t.segments[..3].iter().map(|s| s.0).collect();
+    let sd = t.sd_pair();
+    let mut honest = OnlineScorer::from_state(
+        &model,
+        model.start_state(sd.source.0, sd.dest.0, t.time_slot).expect("in vocabulary"),
+    );
+    honest.push(segs[0]);
+
+    // The count is the payload's last field: rewrite it and re-seal.
+    let blob = state_to_bytes(honest.state());
+    let mut payload = envelope_payload(b"TADC", 2, &blob).expect("a v2 blob").to_vec();
+    let at = payload.len() - 4;
+    payload[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+    let hostile = state_from_bytes(seal_envelope(b"TADC", 2, payload.into())).expect("valid");
+    assert_eq!(hostile.len(), u32::MAX as usize);
+
+    let record = SessionRecord {
+        id: 5,
+        state: hostile,
+        pending: vec![segs[1]],
+        ending: false,
+        idle_micros: 0,
+    };
+    let image = FleetImage { num_shards: 1, sessions: vec![record] };
+    let scores: Arc<Mutex<Vec<ScoreUpdate>>> = Arc::default();
+    let outcomes: Arc<Mutex<Vec<TripOutcome>>> = Arc::default();
+    let (score_sink, outcome_sink) = (Arc::clone(&scores), Arc::clone(&outcomes));
+    let engine = FleetEngine::restore(Arc::clone(&model), image)
+        .config(FleetConfig { num_shards: 1, ..FleetConfig::default() })
+        .on_score(move |u| score_sink.lock().unwrap().push(*u))
+        .on_complete(move |o| outcome_sink.lock().unwrap().push(o))
+        .build()
+        .expect("the image fits the model");
+    engine.submit(Event::Segment { id: 5, seg: segs[2] }).expect("engine is live");
+    engine.submit(Event::TripEnd { id: 5 }).expect("engine is live");
+    let stats = engine.shutdown();
+    assert_eq!((stats.segments_scored, stats.trips_completed), (2, 1));
+
+    let reference: Vec<f64> = segs[1..].iter().map(|&s| honest.push(s)).collect();
+    let scores = scores.lock().unwrap();
+    assert_eq!(scores.len(), 2);
+    for (u, (&seg, want)) in scores.iter().zip(segs[1..].iter().zip(&reference)) {
+        assert_eq!((u.id, u.seq, u.segment), (5, u32::MAX - 1, seg));
+        assert_eq!(u.score.to_bits(), want.to_bits());
+    }
+    let outcomes = outcomes.lock().unwrap();
+    assert_eq!(outcomes.len(), 1);
+    assert_eq!(outcomes[0].completion, Completion::Ended);
+    assert_eq!(outcomes[0].segments, u32::MAX as usize);
+    assert_eq!(outcomes[0].score.to_bits(), reference[1].to_bits());
 }

@@ -1,8 +1,11 @@
-//! Pins what one live session costs a shard beyond its hidden row and its
-//! trace: at most 192 bytes, which hold its 128-byte store slot and its
-//! trip-id map entry (~34 B at these store sizes). A slot that carries
-//! its own segment queue and unused policy rings fails it: such a
-//! 248-byte slot read 298 B here.
+//! Pins what one live session costs a shard beyond its hidden row: at
+//! most 192 bytes, which hold its 104-byte store slot and its trip-id map
+//! entry (~34 B at these store sizes), and the same after 1 000 scored
+//! segments as after 10 (a session keeps a segment count, not a
+//! per-segment history). A session that keeps its trace grows with every
+//! segment it scores; a slot that carries its own segment queue and
+//! unused policy rings fails the bound (such a 248-byte slot read 298 B
+//! here).
 //!
 //! The counting allocator is process-wide, so this file holds exactly one
 //! test: nothing else allocates while an engine is measured.
@@ -12,7 +15,10 @@ mod counting;
 
 use std::sync::Arc;
 
-use causaltad::{CausalTad, CausalTadConfig, SegmentTrace};
+use std::time::Instant;
+
+use causaltad::{CausalTad, CausalTadConfig};
+use tad_serve::session::{Session, SessionStore};
 use tad_serve::{Event, FleetConfig, FleetEngine};
 use tad_trajsim::{generate_city, CityConfig};
 
@@ -21,8 +27,11 @@ use tad_trajsim::{generate_city, CityConfig};
 /// however many sessions the engine holds.
 const CHUNK: usize = 256;
 
+/// Segments each trip has scored when it is measured.
+const SEGMENTS: usize = 10;
+
 #[test]
-fn a_live_session_costs_its_hidden_row_its_trace_and_at_most_192_bytes() {
+fn a_live_session_costs_its_hidden_row_and_the_same_192_bytes_at_any_length() {
     let city = generate_city(&CityConfig::test_scale(208));
     let mut model = CausalTad::new(&city.net, CausalTadConfig::test_scale());
     model.precompute_scaling();
@@ -31,7 +40,7 @@ fn a_live_session_costs_its_hidden_row_its_trace_and_at_most_192_bytes() {
     let trips: Vec<_> = city.data.train.iter().filter(|t| t.len() >= 3).collect();
 
     // The live heap an engine holds once `sessions` trips have each been
-    // started and pushed 3 segments.
+    // started and pushed `SEGMENTS` segments.
     let live_with = |sessions: usize| {
         let cfg =
             FleetConfig { num_shards: 1, max_sessions_per_shard: 1 << 14, ..Default::default() };
@@ -48,7 +57,8 @@ fn a_live_session_costs_its_hidden_row_its_trace_and_at_most_192_bytes() {
                         dest: sd.dest.0,
                         time_slot: t.time_slot,
                     };
-                    let segs = t.segments[..3].iter().map(move |s| Event::Segment { id, seg: s.0 });
+                    let segs = (0..SEGMENTS)
+                        .map(move |r| Event::Segment { id, seg: t.segments[r % t.len()].0 });
                     std::iter::once(start).chain(segs)
                 });
                 engine.submit_all(events.collect::<Vec<_>>()).expect("engine live");
@@ -56,29 +66,53 @@ fn a_live_session_costs_its_hidden_row_its_trace_and_at_most_192_bytes() {
             }
             engine
         });
-        assert_eq!(engine.stats().active_sessions, sessions as u64);
+        let stats = engine.stats();
+        assert_eq!(stats.active_sessions, sessions as u64);
+        assert_eq!(stats.segments_scored, (sessions * SEGMENTS) as u64);
         engine.shutdown();
         grew
     };
 
-    // The first engine also derives the model's inference plan.
-    live_with(1_024);
+    // The live heap a shard's store holds once `CHUNK` trips have each
+    // been started and pushed `segments` segments, on this thread.
+    let store_with = |segments: usize| {
+        let (store, grew) = counting::live_growth(|| {
+            let mut store = SessionStore::new(CHUNK);
+            for (i, t) in trips.iter().cycle().take(CHUNK).enumerate() {
+                let sd = t.sd_pair();
+                let mut state =
+                    model.start_state(sd.source.0, sd.dest.0, t.time_slot).expect("in vocabulary");
+                for round in 0..segments {
+                    model.push_state(&mut state, t.segments[round % t.len()].0);
+                }
+                assert_eq!(state.len(), segments);
+                store.insert(i as u64, Session::new(state, Instant::now()));
+            }
+            store
+        });
+        assert_eq!(store.len(), CHUNK);
+        grew
+    };
+
+    // The first engine also derives the model's inference plan, the first
+    // store this thread's step buffers.
+    live_with(CHUNK);
+    store_with(1);
+
+    // A session's heap does not grow with the segments it has scored:
+    // byte for byte, a store of sessions 1 000 segments in holds what one
+    // of sessions 10 segments in does. (Measured on the store, on one
+    // thread: an engine's live heap also holds, or not, the reply channel
+    // of its last flush, depending on when its shard drops it.)
+    let (short, long) = (store_with(SEGMENTS), store_with(1_000));
+    assert_eq!(long, short, "{CHUNK} sessions 1 000 segments in vs 10");
+
     let (small, large) = (live_with(1_024), live_with(8_192));
     let per_session = (large - small) as f64 / (8_192 - 1_024) as f64;
-
-    // A trip's trace after 3 pushes, at the capacity the push path gives it.
-    let t = trips[0];
-    let mut scorer = model.online(t.sd_pair().source.0, t.sd_pair().dest.0, t.time_slot);
-    for seg in &t.segments[..3] {
-        scorer.push(seg.0);
-    }
-    let trace_bytes = scorer.into_state().into_trace().capacity() * size_of::<SegmentTrace>();
-
-    let overhead = per_session - (4 * hidden + trace_bytes) as f64;
+    let overhead = per_session - (4 * hidden) as f64;
     println!(
-        "{per_session:.1} B per live session: {} B hidden row, {trace_bytes} B trace, \
-         {overhead:.1} B the rest",
+        "{per_session:.1} B per live session: {} B hidden row, {overhead:.1} B the rest",
         4 * hidden
     );
-    assert!(overhead <= 192.0, "a live session costs {overhead:.1} B beyond its row and trace");
+    assert!(overhead <= 192.0, "a live session costs {overhead:.1} B beyond its hidden row");
 }

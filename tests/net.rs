@@ -452,7 +452,7 @@ fn policy_notices_surface_sanitization_over_the_wire() {
 /// `BadFrame` error, hangs up that connection, and keeps serving others.
 #[test]
 fn hostile_bytes_get_a_typed_error_and_a_clean_hangup() {
-    use causaltad_suite::net::{read_response, RecvError, DEFAULT_MAX_FRAME};
+    use causaltad_suite::net::{read_response, RecvError, DEFAULT_MAX_FRAME, FRAME_VERSION};
     use std::io::Write;
 
     let (city, model) = trained();
@@ -474,7 +474,7 @@ fn hostile_bytes_get_a_typed_error_and_a_clean_hangup() {
     let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
     let mut frame = Vec::new();
     frame.extend_from_slice(b"TADN");
-    frame.extend_from_slice(&1u16.to_le_bytes());
+    frame.extend_from_slice(&FRAME_VERSION.to_le_bytes());
     frame.extend_from_slice(&u64::MAX.to_le_bytes());
     raw.write_all(&frame).expect("write header");
     raw.flush().expect("flush");

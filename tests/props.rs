@@ -9,7 +9,7 @@ use causaltad_suite::autodiff::ParamStore;
 use causaltad_suite::codec::{seal_envelope, ReadError, Reader, ENVELOPE_HEADER_LEN};
 use causaltad_suite::core::{
     model_from_bytes, model_to_bytes, state_from_bytes, state_to_bytes, CausalTad, CausalTadConfig,
-    ModelCodecError, ScalingTable, ScorerState, SegmentTrace, StateCodecError,
+    ModelCodecError, ScalingTable, ScorerState, StateCodecError,
 };
 use causaltad_suite::metrics::{
     snapshot_from_bytes, snapshot_to_bytes, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
@@ -45,19 +45,13 @@ const MAX_SNAPSHOT_SESSIONS: usize = 64;
 
 /// Deterministically builds an arbitrary live-looking scorer state: random
 /// hidden width (including the inert zero-width placeholder), random score
-/// accumulators, and a random-length trace.
+/// accumulators, and a segment count anywhere in `u32` (small ones most
+/// often).
 fn arb_state(rng: &mut StdRng) -> ScorerState {
     let hidden_width = rng.gen_range(0usize..48);
     let hidden: Vec<f32> = (0..hidden_width).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
     let last = if rng.gen_bool(0.8) { Some(rng.gen_range(0u32..10_000)) } else { None };
-    let trace_len = rng.gen_range(0usize..24);
-    let trace: Vec<SegmentTrace> = (0..trace_len)
-        .map(|_| SegmentTrace {
-            segment: rng.gen_range(0u32..10_000),
-            nll: rng.gen_range(-50.0f64..50.0),
-            log_scale: rng.gen_range(-5.0f64..5.0),
-        })
-        .collect();
+    let segments = rng.next_u32() >> rng.gen_range(0u32..32);
     ScorerState::from_parts(
         hidden,
         rng.gen_range(-100.0f64..100.0),
@@ -65,7 +59,7 @@ fn arb_state(rng: &mut StdRng) -> ScorerState {
         rng.gen_range(-100.0f64..100.0),
         last,
         rng.gen_range(0u8..96),
-        trace,
+        segments,
     )
 }
 
@@ -138,17 +132,6 @@ fn arb_metrics(rng: &mut StdRng) -> MetricsSnapshot {
     registry.snapshot()
 }
 
-fn arb_trace(rng: &mut StdRng) -> Vec<SegmentTrace> {
-    let len = rng.gen_range(0usize..24);
-    (0..len)
-        .map(|_| SegmentTrace {
-            segment: rng.gen_range(0u32..100_000),
-            nll: rng.gen_range(-50.0f64..50.0),
-            log_scale: rng.gen_range(-5.0f64..5.0),
-        })
-        .collect()
-}
-
 /// An arbitrary wire response, covering every frame type.
 fn arb_response(rng: &mut StdRng) -> Response {
     match rng.gen_range(0u8..10) {
@@ -171,7 +154,7 @@ fn arb_response(rng: &mut StdRng) -> Response {
             score: rng.gen_range(-100.0f64..100.0),
             likelihood_nll: rng.gen_range(-100.0f64..100.0),
             scale_log_sum: rng.gen_range(-100.0f64..100.0),
-            trace: arb_trace(rng),
+            segments: rng.next_u32() >> rng.gen_range(0u32..32),
         }),
         2 => Response::Stats(FleetSnapshot {
             events_ingested: rng.gen_range(0u64..u64::MAX),

@@ -16,7 +16,6 @@ mod common;
 use std::sync::Arc;
 
 use bytes::BytesMut;
-use causaltad_suite::core::SegmentTrace;
 use causaltad_suite::net::{
     request_to_bytes, response_into, response_to_bytes, ErrorCode, EventLoop, FrontCounters,
     FrontDoor, FrontShared, IngestCore, NetConfig, Request, Response, TripComplete,
@@ -95,7 +94,7 @@ fn interleaved_waves_and_single_frames_reach_each_connection_in_delivery_order()
         score: 2.5,
         likelihood_nll: 3.0,
         scale_log_sum: 0.5,
-        trace: vec![SegmentTrace { segment: 40, nll: 0.0, log_scale: 0.1 }],
+        segments: 1,
     });
     let notice = Response::PolicyNotice { id: 12, action: PolicyAction::Reordered, seg: Some(9) };
     let stats = Response::Stats(FleetSnapshot::merged(&[]));
