@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::nn::{Embedding, GaussianHead, GruCell, Linear};
-use crate::{ParamStore, Tape, Tensor, Var};
+use crate::{Gradients, ParamStore, Tape, Tensor, Var};
 
 /// Evaluates `f` as a pure function of the store's current parameter values.
 fn eval_loss(store: &ParamStore, f: &dyn Fn(&mut Tape, &ParamStore) -> Var) -> f64 {
@@ -23,11 +23,11 @@ fn eval_loss(store: &ParamStore, f: &dyn Fn(&mut Tape, &ParamStore) -> Var) -> f
 /// finite difference. `h` is the perturbation, `tol` the mixed tolerance:
 /// `|analytic - numeric| <= tol * (1 + |analytic| + |numeric|)`.
 fn gradcheck(store: &mut ParamStore, f: impl Fn(&mut Tape, &ParamStore) -> Var, h: f32, tol: f64) {
-    store.zero_grads();
+    let mut grads = Gradients::new(store);
     let mut tape = Tape::new();
     let loss = f(&mut tape, store);
     assert!(tape.value(loss).all_finite(), "loss is not finite");
-    tape.backward(loss, store);
+    tape.backward(loss, store, &mut grads);
 
     let ids: Vec<_> = store.ids().collect();
     for id in ids {
@@ -41,7 +41,7 @@ fn gradcheck(store: &mut ParamStore, f: impl Fn(&mut Tape, &ParamStore) -> Var, 
             store.value_mut(id).data_mut()[k] = orig;
 
             let numeric = (up - down) / (2.0 * h as f64);
-            let analytic = store.grad(id).data()[k] as f64;
+            let analytic = grads.get(id).data()[k] as f64;
             let err = (analytic - numeric).abs();
             let bound = tol * (1.0 + analytic.abs() + numeric.abs());
             assert!(
@@ -272,15 +272,15 @@ proptest! {
         let spans: [&[u32]; 2] = [&[1, 4, 6], &[0, 2]];
         let targets = [2u32, 1];
 
-        let mut fused_store = store.clone();
+        let mut fused_grads = Gradients::new(&store);
         let mut tape_f = Tape::new();
         let x = tape_f.input(x_t.clone());
         let fused = head.subset_cross_entropy(
             &mut tape_f, &store, x, &[1, 4, 6, 0, 2], &[0, 3, 5], &targets,
         );
-        tape_f.backward(fused, &mut fused_store);
+        tape_f.backward(fused, &store, &mut fused_grads);
 
-        let mut composed_store = store.clone();
+        let mut composed_grads = Gradients::new(&store);
         let mut tape_c = Tape::new();
         let x = tape_c.input(x_t.clone());
         let mut total = None;
@@ -294,13 +294,13 @@ proptest! {
             });
         }
         let total = total.unwrap();
-        tape_c.backward(total, &mut composed_store);
+        tape_c.backward(total, &store, &mut composed_grads);
 
         let fv = tape_f.value(fused).get(0, 0) as f64;
         let cv = tape_c.value(total).get(0, 0) as f64;
         prop_assert!((fv - cv).abs() < 1e-5 * cv.abs().max(1.0), "loss {fv} vs {cv}");
         for id in store.ids() {
-            for (a, b) in fused_store.grad(id).data().iter().zip(composed_store.grad(id).data()) {
+            for (a, b) in fused_grads.get(id).data().iter().zip(composed_grads.get(id).data()) {
                 prop_assert!((a - b).abs() < 1e-4, "grad {}: {a} vs {b}", store.name(id));
             }
         }
@@ -369,8 +369,9 @@ fn embedding_rows_not_in_batch_get_no_gradient() {
     let mut tape = Tape::new();
     let x = emb.lookup(&mut tape, &store, &[3]);
     let loss = tape.sum_all(x);
-    tape.backward(loss, &mut store);
-    let g = store.grad(emb.table());
+    let mut grads = Gradients::new(&store);
+    tape.backward(loss, &store, &mut grads);
+    let g = grads.get(emb.table());
     for r in 0..8 {
         let expected = if r == 3 { 1.0 } else { 0.0 };
         assert!(g.row(r).iter().all(|&v| v == expected), "row {r}");

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::nn::{BoundGru, Embedding, GruCell};
-use crate::{ParamId, ParamStore, Tape, Tensor, Var};
+use crate::{Gradients, ParamId, ParamStore, Tape, Tensor, Var};
 
 /// Per step, the sequences (rows of `h0`) with a transition left; every
 /// sequence has at least one, as every training trajectory does.
@@ -55,23 +55,24 @@ impl Model {
 
     /// Runs `recurrence` between the shared prologue (embedding lookup,
     /// hoisted input-gate GEMM) and the shared loss; returns the stacked
-    /// hidden rows, the loss and the store holding the gradients.
+    /// hidden rows, the loss and the gradients.
     fn run(
         &self,
         recurrence: impl Fn(&mut Tape, &BoundGru, Var, Var) -> Var,
-    ) -> (Tensor, f32, ParamStore) {
-        let mut store = self.store.clone();
+    ) -> (Tensor, f32, Gradients) {
+        let store = &self.store;
+        let mut grads = Gradients::new(store);
         let mut tape = Tape::new();
-        let bound = self.gru.bind(&mut tape, &store);
-        let h0 = tape.param(&store, self.h0);
-        let x_all = self.emb.lookup(&mut tape, &store, &self.tokens);
+        let bound = self.gru.bind(&mut tape, store);
+        let h0 = tape.param(store, self.h0);
+        let x_all = self.emb.lookup(&mut tape, store, &self.tokens);
         let gx_all = bound.input_gates(&mut tape, x_all);
         let h_all = recurrence(&mut tape, &bound, gx_all, h0);
         let weights = tape.input(self.loss_weights.clone());
         let weighted = tape.mul(h_all, weights);
         let loss = tape.sum_all(weighted);
-        tape.backward(loss, &mut store);
-        (tape.value(h_all).clone(), tape.value(loss).get(0, 0), store)
+        tape.backward(loss, store, &mut grads);
+        (tape.value(h_all).clone(), tape.value(loss).get(0, 0), grads)
     }
 }
 
@@ -141,7 +142,7 @@ proptest! {
         prop_assert_eq!(loss_new.to_bits(), loss_ref.to_bits());
         for id in model.store.ids() {
             prop_assert!(
-                bits(grads_new.grad(id)) == bits(grads_ref.grad(id)),
+                bits(grads_new.get(id)) == bits(grads_ref.get(id)),
                 "gradient of {} differs (lengths {:?}, hidden {})",
                 model.store.name(id), lengths, hidden
             );

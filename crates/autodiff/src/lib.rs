@@ -15,13 +15,16 @@
 //! * [`Tape`] — an eager reverse-mode tape: ops execute immediately, so a
 //!   node's value is readable as soon as it is recorded; parameter leaves
 //!   read a [`ParamStore`]'s tensors in place, and [`Tape::backward`] adds
-//!   gradients straight into it.
+//!   gradients straight into a [`Gradients`] set aligned to it — the
+//!   store itself is names and values only.
 //! * [`nn`] — layers ([`nn::Linear`], [`nn::Embedding`], [`nn::GruCell`],
 //!   [`nn::GaussianHead`]) that own only parameter handles, each with one
 //!   taped forward and one tape-free `infer` on the same [`ops`] kernel.
 //! * [`optim`] — [`optim::Adam`], the paper's optimiser.
 //! * [`train`] — [`train::run`], the one epoch/mini-batch loop every
-//!   learned model is optimised by, generic over the item type.
+//!   learned model is optimised by, generic over the item type, and
+//!   [`train::Lane`], a store shard with the gradients, tape and moments
+//!   it trains with (allocated with the lane, dropped with it).
 //!
 //! Correctness of every differentiable op is enforced by finite-difference
 //! gradient checks in the test module `gradcheck` (property-based via
@@ -31,7 +34,7 @@
 //! ## Example
 //!
 //! ```
-//! use tad_autodiff::{ParamStore, Tape, Tensor};
+//! use tad_autodiff::{Gradients, ParamStore, Tape, Tensor};
 //! use tad_autodiff::nn::Linear;
 //! use tad_autodiff::optim::Adam;
 //! use rand::SeedableRng;
@@ -40,7 +43,7 @@
 //! let mut store = ParamStore::new();
 //! let hidden = Linear::new(&mut store, "net.l0", 2, 8, &mut rng);
 //! let out = Linear::new(&mut store, "net.l1", 8, 2, &mut rng);
-//! let mut adam = Adam::new(&store, 1e-2);
+//! let (mut adam, mut grads) = (Adam::new(&store, 1e-2), Gradients::new(&store));
 //!
 //! // One supervised step: classify the point (1, -1) as class 0.
 //! let mut tape = Tape::new();
@@ -49,8 +52,8 @@
 //! let h = tape.tanh(h_pre);
 //! let logits = out.forward(&mut tape, &store, h);
 //! let loss = tape.softmax_cross_entropy(logits, &[0]);
-//! tape.backward(loss, &mut store);
-//! adam.step(&mut store);
+//! tape.backward(loss, &store, &mut grads);
+//! adam.step(&mut store, &mut grads);
 //! ```
 
 pub mod math;
@@ -69,7 +72,7 @@ mod gradcheck;
 mod gru_sequence;
 
 pub use math::{fast_exp, fast_sigmoid, fast_tanh};
-pub use params::{CodecError, LayoutError, ParamId, ParamStore};
+pub use params::{CodecError, Gradients, LayoutError, ParamId, ParamStore};
 pub use pool::TensorPool;
 pub use tape::{logsumexp, Tape, Var};
 pub use tensor::{PackedRhs, Tensor};

@@ -1,14 +1,17 @@
 //! Parameter storage shared across tapes.
 //!
-//! All learnable tensors of a model live in one [`ParamStore`]; the tape
-//! reads them in place by [`ParamId`] and `backward` accumulates gradients
-//! into the store. Optimisers then consume `grads` and reset them.
+//! All learnable tensors of a model live in one [`ParamStore`], names and
+//! values only: a fitted, decoded or served model is its parameters. The
+//! tape reads them in place by [`ParamId`], and `backward` accumulates
+//! gradients into a [`Gradients`] set, which exists only while something
+//! trains — a [`crate::train::Lane`] allocates one aligned to its shard
+//! and drops it with itself. Optimisers consume a set and reset it.
 //!
 //! A store can be cut into contiguous shards ([`ParamStore::split_off`],
 //! [`ParamStore::append`]): the tensors move, every [`ParamId`] stays
 //! valid in the shard that holds it, and sub-models that share no
 //! parameter can be trained on separate threads, each with `&mut` to its
-//! own shard.
+//! own shard and its own gradients.
 //!
 //! A constructor is the one description of a model's parameters: the
 //! [`ParamStore::param`] calls that fill a fresh store claim, in order,
@@ -60,7 +63,8 @@ impl std::fmt::Display for LayoutError {
 
 impl std::error::Error for LayoutError {}
 
-/// Owns every learnable tensor of a model together with its gradient buffer.
+/// Owns every learnable tensor of a model, by name; gradients live in a
+/// [`Gradients`] set beside it while it trains.
 ///
 /// A value sits behind an [`Arc`] so a tape can read it in place
 /// ([`crate::Tape::param`]) instead of copying it; writes go through
@@ -70,7 +74,6 @@ impl std::error::Error for LayoutError {}
 pub struct ParamStore {
     names: Vec<String>,
     values: Vec<Arc<Tensor>>,
-    grads: Vec<Tensor>,
     /// Id of the first tensor held: non-zero only in a shard that
     /// [`ParamStore::split_off`] cut from the tail of another store.
     base: u32,
@@ -108,7 +111,6 @@ impl ParamStore {
             assert!(!self.names.contains(&name), "duplicate parameter name {name:?}");
             self.names.push(name);
             self.values.push(Arc::new(init(shape.0, shape.1)));
-            self.grads.push(Tensor::zeros(shape.0, shape.1));
             return ParamId(self.base + (self.values.len() - 1) as u32);
         };
         let &mut Ok(at) = claimed else { return ParamId(self.base) };
@@ -140,12 +142,10 @@ impl ParamStore {
         self.names.get(claimed).map_or(Ok(()), |left| Err(LayoutError::Unclaimed(left.clone())))
     }
 
-    /// Position of `id` in this store's vectors. An id below the shard's
-    /// base wraps to an index no vector has, so reaching into the wrong
-    /// shard is an out-of-bounds panic in every profile.
+    /// Position of `id` in this store's vectors (see [`slot`]).
     #[inline]
     fn slot(&self, id: ParamId) -> usize {
-        id.0.wrapping_sub(self.base) as usize
+        slot(self.base, id)
     }
 
     /// Cuts the store in two at position `at`: `self` keeps the first `at`
@@ -157,7 +157,6 @@ impl ParamStore {
         ParamStore {
             names: self.names.split_off(at),
             values: self.values.split_off(at),
-            grads: self.grads.split_off(at),
             base: self.base + at as u32,
             adoption: None,
         }
@@ -175,7 +174,6 @@ impl ParamStore {
         );
         self.names.append(&mut tail.names);
         self.values.append(&mut tail.values);
-        self.grads.append(&mut tail.grads);
     }
 
     /// Number of registered parameters (tensors, not scalars).
@@ -213,27 +211,6 @@ impl ParamStore {
         Arc::clone(&self.values[self.slot(id)])
     }
 
-    /// Accumulated gradient.
-    #[inline]
-    pub fn grad(&self, id: ParamId) -> &Tensor {
-        &self.grads[self.slot(id)]
-    }
-
-    /// Mutable gradient buffer.
-    #[inline]
-    pub fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
-        let slot = self.slot(id);
-        &mut self.grads[slot]
-    }
-
-    /// Split borrow for scatter-style backward rules: the (shared) value
-    /// and the mutable gradient of `id` at once.
-    #[inline]
-    pub fn value_and_grad_mut(&mut self, id: ParamId) -> (&Tensor, &mut Tensor) {
-        let slot = self.slot(id);
-        (&self.values[slot], &mut self.grads[slot])
-    }
-
     /// Parameter name.
     pub fn name(&self, id: ParamId) -> &str {
         &self.names[self.slot(id)]
@@ -244,55 +221,9 @@ impl ParamStore {
         (self.base..self.base + self.values.len() as u32).map(ParamId)
     }
 
-    /// Split borrow for optimisers: every `(value, gradient)` pair in id
-    /// order, both mutable, so one pass can update a value and consume its
-    /// gradient.
-    pub fn values_grads_mut(&mut self) -> impl Iterator<Item = (&mut Tensor, &mut Tensor)> {
-        self.values.iter_mut().map(Arc::make_mut).zip(&mut self.grads)
-    }
-
-    /// Resets every gradient buffer to zero.
-    pub fn zero_grads(&mut self) {
-        for g in &mut self.grads {
-            g.fill_zero();
-        }
-    }
-
-    /// Squared L2 norm of each gradient, in id order. Summed in that order
-    /// and rooted they are [`ParamStore::grad_norm`]; chaining the shards'
-    /// sequences gives the norm of the whole model, bit for bit.
-    pub fn grad_sq_norms(&self) -> impl Iterator<Item = f64> + '_ {
-        self.grads.iter().map(Tensor::sq_norm)
-    }
-
-    /// Global L2 norm of all gradients.
-    pub fn grad_norm(&self) -> f64 {
-        self.grad_sq_norms().sum::<f64>().sqrt()
-    }
-
-    /// The factor that brings gradients of global L2 norm `norm` down to
-    /// `max_norm`; `None` when they are within it already.
-    pub fn clip_factor(norm: f64, max_norm: f64) -> Option<f32> {
-        (norm > max_norm && norm > 0.0).then(|| (max_norm / norm) as f32)
-    }
-
-    /// Multiplies every gradient by `factor`.
-    fn scale_grads(&mut self, factor: f32) {
-        for g in &mut self.grads {
-            for x in g.data_mut() {
-                *x *= factor;
-            }
-        }
-    }
-
-    /// Rescales all gradients so their global L2 norm is at most `max_norm`.
-    /// Returns the pre-clipping norm.
-    pub fn clip_grad_norm(&mut self, max_norm: f64) -> f64 {
-        let norm = self.grad_norm();
-        if let Some(factor) = Self::clip_factor(norm, max_norm) {
-            self.scale_grads(factor);
-        }
-        norm
+    /// Every value in id order, mutable (the optimiser's side of a step).
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut Tensor> {
+        self.values.iter_mut().map(Arc::make_mut)
     }
 
     /// True when every parameter value is finite.
@@ -300,7 +231,7 @@ impl ParamStore {
         self.values.iter().all(|v| v.all_finite())
     }
 
-    /// Serialises names, shapes and values (not gradients) into a compact
+    /// Serialises names, shapes and values into a compact
     /// little-endian binary blob. Format:
     /// `u32 count, then per param: u32 name_len, name bytes, u32 rows,
     /// u32 cols, rows*cols f32`.
@@ -360,7 +291,6 @@ impl ParamStore {
             }
             store.names.push(name.to_owned());
             store.values.push(Arc::new(Tensor::from_vec(rows, cols, data)));
-            store.grads.push(Tensor::zeros(rows, cols));
         }
         r.finish()?;
         Ok(store)
@@ -377,7 +307,7 @@ impl ParamStore {
     }
 
     /// Every parameter value in id order — what a checkpoint of this store
-    /// has to keep (clone them); names and gradient buffers stay behind.
+    /// has to keep (clone them); the names stay behind.
     pub fn values(&self) -> impl ExactSizeIterator<Item = &Tensor> {
         self.values.iter().map(|v| &**v)
     }
@@ -392,6 +322,75 @@ impl ParamStore {
             assert_eq!(dst.shape(), src.shape(), "param shape mismatch");
             dst.data_mut().copy_from_slice(src.data());
         }
+    }
+}
+
+/// Position of `id` among the vectors of a shard starting at `base`. An
+/// id below the base wraps to an index no vector has, so reaching into
+/// the wrong shard is an out-of-bounds panic in every profile.
+#[inline]
+fn slot(base: u32, id: ParamId) -> usize {
+    id.0.wrapping_sub(base) as usize
+}
+
+/// One gradient per parameter of a store shard — same base, same ids,
+/// same shapes — that [`crate::Tape::backward`] adds into and an
+/// optimiser step consumes. A training lane holds one for as long as it
+/// trains; the store it was made for never does.
+#[derive(Debug)]
+pub struct Gradients {
+    grads: Vec<Tensor>,
+    base: u32,
+}
+
+impl Gradients {
+    /// Zeroed gradients aligned to `store`.
+    pub fn new(store: &ParamStore) -> Self {
+        let grads = store.values().map(|v| Tensor::zeros(v.rows(), v.cols())).collect();
+        Gradients { grads, base: store.base }
+    }
+
+    /// Number of gradients (one per parameter of the shard).
+    pub(crate) fn len(&self) -> usize {
+        self.grads.len()
+    }
+
+    /// The gradient accumulated for `id`.
+    #[inline]
+    pub fn get(&self, id: ParamId) -> &Tensor {
+        &self.grads[slot(self.base, id)]
+    }
+
+    /// The gradient of `id`, for backward to add into.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
+        &mut self.grads[slot(self.base, id)]
+    }
+
+    /// Every gradient in id order, mutable (the optimiser's side of a step).
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut Tensor> {
+        self.grads.iter_mut()
+    }
+
+    /// Resets every gradient to zero.
+    pub fn zero(&mut self) {
+        for g in &mut self.grads {
+            g.fill_zero();
+        }
+    }
+
+    /// The factor that brings gradients of global L2 norm `norm` down to
+    /// `max_norm`; `None` when they are within it already, or when
+    /// `max_norm` is not positive (the clip is off).
+    pub fn clip_factor(norm: f64, max_norm: f64) -> Option<f32> {
+        (max_norm > 0.0 && norm > max_norm).then(|| (max_norm / norm) as f32)
+    }
+
+    /// Squared L2 norm of each gradient, in id order. Summed in that order
+    /// and rooted they are the global norm; chaining the shards' sequences
+    /// gives the norm of the whole model, bit for bit.
+    pub fn sq_norms(&self) -> impl Iterator<Item = f64> + '_ {
+        self.grads.iter().map(Tensor::sq_norm)
     }
 }
 
@@ -500,12 +499,13 @@ mod tests {
 
     #[test]
     fn clip_grad_norm_scales_down() {
-        let mut s = sample_store();
+        let s = sample_store();
+        let mut g = Gradients::new(&s);
         let id = s.ids().next().unwrap();
-        s.grad_mut(id).data_mut().copy_from_slice(&[3.0, 4.0, 0.0, 0.0]);
-        let before = s.clip_grad_norm(1.0);
+        g.get_mut(id).data_mut().copy_from_slice(&[3.0, 4.0, 0.0, 0.0]);
+        let before = g.clip_norm(1.0);
         assert!((before - 5.0).abs() < 1e-6);
-        assert!((s.grad_norm() - 1.0).abs() < 1e-6);
+        assert!((g.norm() - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -526,12 +526,13 @@ mod tests {
         assert_eq!(d.index(), 3);
         let dropped = tail.split_off(2);
         assert_eq!(dropped.name(d), "d");
-        tail.grad_mut(c).set(0, 1, 2.0);
+        // Each shard's gradients follow its ids; chained, the whole's.
+        let (head_grads, mut tail_grads) = (Gradients::new(&s), Gradients::new(&tail));
+        tail_grads.get_mut(c).set(0, 1, 2.0);
         assert_eq!(
-            s.grad_sq_norms().chain(tail.grad_sq_norms()).collect::<Vec<_>>(),
+            head_grads.sq_norms().chain(tail_grads.sq_norms()).collect::<Vec<_>>(),
             [0.0, 0.0, 4.0]
         );
-        tail.zero_grads();
 
         s.append(tail);
         assert!(s.same_layout(&whole));
@@ -559,10 +560,50 @@ mod tests {
 
     #[test]
     fn zero_grads_resets() {
-        let mut s = sample_store();
+        let s = sample_store();
+        let mut g = Gradients::new(&s);
         let id = s.ids().next().unwrap();
-        s.grad_mut(id).set(0, 0, 9.0);
-        s.zero_grads();
-        assert_eq!(s.grad(id).get(0, 0), 0.0);
+        g.get_mut(id).set(0, 0, 9.0);
+        g.zero();
+        assert_eq!(g.get(id).get(0, 0), 0.0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_gradient_id_of_the_other_shard_is_out_of_bounds() {
+        let mut s = sample_store();
+        let first = s.ids().next().unwrap();
+        let tail = s.split_off(1);
+        Gradients::new(&tail).get(first);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_gradient_id_past_the_shard_is_out_of_bounds() {
+        let mut s = sample_store();
+        let last = s.ids().last().unwrap();
+        s.split_off(1);
+        Gradients::new(&s).get(last);
+    }
+
+    /// The global-norm helpers only the proofs call; the trainer folds
+    /// [`Gradients::sq_norms`] itself and clips inside the Adam step.
+    impl Gradients {
+        /// Global L2 norm of all gradients.
+        pub(crate) fn norm(&self) -> f64 {
+            self.sq_norms().sum::<f64>().sqrt()
+        }
+
+        /// Rescales all gradients so their global L2 norm is at most
+        /// `max_norm`. Returns the pre-clipping norm.
+        pub(crate) fn clip_norm(&mut self, max_norm: f64) -> f64 {
+            let norm = self.norm();
+            if let Some(factor) = Self::clip_factor(norm, max_norm) {
+                for x in self.iter_mut().flat_map(|g| g.data_mut()) {
+                    *x *= factor;
+                }
+            }
+            norm
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! Operations execute eagerly as they are recorded, so every node's value is
 //! available immediately (`Tape::value`). Calling [`Tape::backward`] walks
 //! the tape once in reverse and adds every parameter gradient straight
-//! into the [`ParamStore`].
+//! into a [`Gradients`] set aligned to the [`ParamStore`].
 //!
 //! The op set is exactly what the paper's models need: dense matmuls (plus
 //! the `A·Bᵀ` variant used for projecting onto gathered embedding rows),
@@ -23,8 +23,8 @@
 //! A parameter leaf ([`Tape::param`]) holds no value of its own: forward
 //! ops read the store's tensor in place, through the shared handle the
 //! store keeps it behind, and backward adds the leaf's gradient into the
-//! store's as each consumer produces it — no copy of the store, no
-//! per-leaf gradient buffer. Backward then lets go of the handles, so the
+//! parameter's in the [`Gradients`] set as each consumer produces it — no
+//! copy of the store, no per-leaf gradient buffer. Backward then lets go of the handles, so the
 //! optimiser step writes the values in place. Every other forward value
 //! and every backward gradient is drawn from an internal [`TensorPool`]
 //! that survives [`Tape::reset`]: once the passes have taken the largest
@@ -54,7 +54,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::ops::{self, add_bias_rows};
-use crate::params::{ParamId, ParamStore};
+use crate::params::{Gradients, ParamId, ParamStore};
 use crate::pool::TensorPool;
 use crate::tensor::{PackedRhs, Tensor};
 
@@ -864,7 +864,8 @@ impl Tape {
     // ----- backward ---------------------------------------------------------
 
     /// Runs the backward pass from scalar node `loss`, adding each
-    /// parameter gradient into `store`'s as it is produced. All
+    /// parameter gradient into its tensor in `grads` (aligned to `store`)
+    /// as it is produced. All
     /// intermediate gradient buffers come from (and return to) the tape's
     /// pool. Parameter leaves let go of the store's tensors when it
     /// returns; a second backward over the same nodes reads the store's
@@ -872,7 +873,7 @@ impl Tape {
     ///
     /// # Panics
     /// Panics if `loss` is not `1 x 1`.
-    pub fn backward(&mut self, loss: Var, store: &mut ParamStore) {
+    pub fn backward(&mut self, loss: Var, store: &ParamStore, grads: &mut Gradients) {
         assert_eq!(self.value(loss).shape(), (1, 1), "backward: loss must be scalar");
         let n = loss.index() + 1;
         let Tape { ops, values, aux, pool, grad_slots } = self;
@@ -886,7 +887,7 @@ impl Tape {
         grad_slots.clear();
         grad_slots.resize_with(n, || None);
         grad_slots[loss.index()] = Some(pool.take_full(1, 1, 1.0));
-        let mut grads = Grads { ops, slots: grad_slots, store };
+        let mut grads = Grads { ops, slots: grad_slots, params: grads };
 
         for idx in (0..n).rev() {
             let Some(mut g) = grads.slots[idx].take() else { continue };
@@ -894,7 +895,7 @@ impl Tape {
                 Op::Input => pool.recycle(g),
                 Op::Param(_) => unreachable!("a parameter leaf's gradient goes to the store"),
                 Op::GatherRows { param, ids } => {
-                    let gp = grads.store.grad_mut(*param);
+                    let gp = grads.params.get_mut(*param);
                     for (i, &row_id) in ids.iter().enumerate() {
                         let dst = gp.row_mut(row_id as usize);
                         for (d, &x) in dst.iter_mut().zip(g.row(i)) {
@@ -904,7 +905,7 @@ impl Tape {
                     pool.recycle(g);
                 }
                 Op::GatherCols { param, ids } => {
-                    let gp = grads.store.grad_mut(*param);
+                    let gp = grads.params.get_mut(*param);
                     for (i, &col_id) in ids.iter().enumerate() {
                         let c = col_id as usize;
                         for r in 0..g.rows() {
@@ -1122,7 +1123,7 @@ impl Tape {
                     // dx rows + dW scatter share one pass over the spans.
                     let mut dx = pool.take_zeroed(rows, in_dim);
                     {
-                        let (wv, wg) = grads.store.value_and_grad_mut(*w);
+                        let (wv, wg) = (store.value(*w), grads.params.get_mut(*w));
                         for i in 0..rows {
                             let span = offsets[i] as usize..offsets[i + 1] as usize;
                             let x_row = xv.row(i);
@@ -1138,7 +1139,7 @@ impl Tape {
                         }
                     }
                     {
-                        let bg = grads.store.grad_mut(*b);
+                        let bg = grads.params.get_mut(*b);
                         for (&c, &d) in cands.iter().zip(dl.data()) {
                             bg.data_mut()[c as usize] += d;
                         }
@@ -1177,12 +1178,11 @@ impl Tape {
 }
 
 /// Where backward sends a node's gradient: its slot on the tape, or — for
-/// a parameter leaf — the parameter's gradient in the store, added in
-/// place.
+/// a parameter leaf — the parameter's in the gradient set, added in place.
 struct Grads<'a> {
     ops: &'a [Op],
     slots: &'a mut [Option<Tensor>],
-    store: &'a mut ParamStore,
+    params: &'a mut Gradients,
 }
 
 impl Grads<'_> {
@@ -1191,7 +1191,7 @@ impl Grads<'_> {
     fn add(&mut self, pool: &mut TensorPool, v: Var, g: Tensor) {
         match (&self.ops[v.index()], &mut self.slots[v.index()]) {
             (Op::Param(id), _) => {
-                self.store.grad_mut(*id).add_assign(&g);
+                self.params.get_mut(*id).add_assign(&g);
                 pool.recycle(g);
             }
             (_, Some(existing)) => {
@@ -1436,25 +1436,27 @@ mod tests {
     #[test]
     fn backward_linear_gradient() {
         // loss = sum(x · W); dW = xᵀ · 1
-        let (mut store, w_id) = store_with("w", Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        let (store, w_id) = store_with("w", Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
         let mut tape = Tape::new();
         let x = tape.input(Tensor::from_vec(1, 2, vec![5.0, 7.0]));
         let w = tape.param(&store, w_id);
         let y = tape.matmul(x, w);
         let loss = tape.sum_all(y);
-        tape.backward(loss, &mut store);
-        assert_eq!(store.grad(w_id).data(), &[5.0, 5.0, 7.0, 7.0]);
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
+        assert_eq!(grads.get(w_id).data(), &[5.0, 5.0, 7.0, 7.0]);
     }
 
     #[test]
     fn backward_gather_rows_scatters() {
-        let (mut store, e_id) = store_with("emb", Tensor::from_vec(3, 2, vec![0.0; 6]));
+        let (store, e_id) = store_with("emb", Tensor::from_vec(3, 2, vec![0.0; 6]));
         let mut tape = Tape::new();
         let rows = tape.gather_rows(&store, e_id, &[2, 2, 0]);
         let loss = tape.sum_all(rows);
-        tape.backward(loss, &mut store);
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
         // Row 2 used twice, row 0 once, row 1 never.
-        assert_eq!(store.grad(e_id).data(), &[1.0, 1.0, 0.0, 0.0, 2.0, 2.0]);
+        assert_eq!(grads.get(e_id).data(), &[1.0, 1.0, 0.0, 0.0, 2.0, 2.0]);
     }
 
     #[test]
@@ -1468,14 +1470,15 @@ mod tests {
 
     #[test]
     fn softmax_ce_gradient_is_probs_minus_onehot() {
-        let (mut store, w_id) = store_with("logits", Tensor::from_vec(1, 3, vec![0.1, 0.2, 0.3]));
+        let (store, w_id) = store_with("logits", Tensor::from_vec(1, 3, vec![0.1, 0.2, 0.3]));
         let mut tape = Tape::new();
         let w = tape.param(&store, w_id);
         let loss = tape.softmax_cross_entropy(w, &[1]);
-        tape.backward(loss, &mut store);
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
         let row = store.value(w_id).row(0).to_vec();
         let lse = logsumexp(&row);
-        let g = store.grad(w_id);
+        let g = grads.get(w_id);
         for (j, &x) in row.iter().enumerate() {
             let p = (x - lse).exp();
             let expected = if j == 1 { p - 1.0 } else { p };
@@ -1513,7 +1516,7 @@ mod tests {
 
     #[test]
     fn concat_slice_roundtrip_gradients() {
-        let (mut store, id) = store_with("x", Tensor::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
+        let (store, id) = store_with("x", Tensor::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
         let mut tape = Tape::new();
         let x = tape.param(&store, id);
         let left = tape.slice_cols(x, 0, 2);
@@ -1521,32 +1524,35 @@ mod tests {
         let glued = tape.concat_cols(left, right);
         let doubled = tape.scale(glued, 2.0);
         let loss = tape.sum_all(doubled);
-        tape.backward(loss, &mut store);
-        assert_eq!(store.grad(id).data(), &[2.0, 2.0, 2.0, 2.0]);
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
+        assert_eq!(grads.get(id).data(), &[2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]
     fn broadcast_add_bias_gradient_sums_rows() {
-        let (mut store, b_id) = store_with("b", Tensor::from_vec(1, 2, vec![0.0, 0.0]));
+        let (store, b_id) = store_with("b", Tensor::from_vec(1, 2, vec![0.0, 0.0]));
         let mut tape = Tape::new();
         let x = tape.input(Tensor::from_vec(3, 2, vec![1.0; 6]));
         let b = tape.param(&store, b_id);
         let y = tape.add(x, b);
         let loss = tape.sum_all(y);
-        tape.backward(loss, &mut store);
-        assert_eq!(store.grad(b_id).data(), &[3.0, 3.0]);
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
+        assert_eq!(grads.get(b_id).data(), &[3.0, 3.0]);
     }
 
     #[test]
     fn reused_node_accumulates_gradient() {
         // loss = sum(x * x): d/dx = 2x
-        let (mut store, id) = store_with("x", Tensor::from_vec(1, 2, vec![3.0, -4.0]));
+        let (store, id) = store_with("x", Tensor::from_vec(1, 2, vec![3.0, -4.0]));
         let mut tape = Tape::new();
         let x = tape.param(&store, id);
         let sq = tape.mul(x, x);
         let loss = tape.sum_all(sq);
-        tape.backward(loss, &mut store);
-        assert_eq!(store.grad(id).data(), &[6.0, -8.0]);
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
+        assert_eq!(grads.get(id).data(), &[6.0, -8.0]);
     }
 
     #[test]
@@ -1563,23 +1569,24 @@ mod tests {
 
     #[test]
     fn repeated_passes_stop_allocating() {
-        let (mut store, w_id) =
+        let (store, w_id) =
             store_with("w", Tensor::from_vec(3, 3, (0..9).map(|i| i as f32 * 0.1).collect()));
         let mut tape = Tape::new();
-        let run = |tape: &mut Tape, store: &mut ParamStore| {
+        let mut grads = Gradients::new(&store);
+        let mut run = |tape: &mut Tape| {
             tape.reset();
             let x = tape.input(Tensor::from_vec(2, 3, vec![0.5; 6]));
-            let w = tape.param(store, w_id);
+            let w = tape.param(&store, w_id);
             let y = tape.matmul(x, w);
             let s = tape.sigmoid(y);
             let loss = tape.softmax_cross_entropy(s, &[0, 2]);
-            tape.backward(loss, store);
+            tape.backward(loss, &store, &mut grads);
         };
-        run(&mut tape, &mut store);
-        run(&mut tape, &mut store); // second pass may still grow the pool
+        run(&mut tape);
+        run(&mut tape); // second pass may still grow the pool
         let (_, misses_after_warmup) = tape.pool_stats();
         for _ in 0..5 {
-            run(&mut tape, &mut store);
+            run(&mut tape);
         }
         let (hits, misses) = tape.pool_stats();
         assert_eq!(misses, misses_after_warmup, "steady-state pass allocated");
@@ -1597,7 +1604,8 @@ mod tests {
         let w = tape.param(&store, ids[0]);
         let y = tape.scale(w, 2.0);
         let loss = tape.sum_all(y);
-        tape.backward(loss, &mut store);
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
         tape.reset();
 
         let before = tape.pool_stats();
@@ -1633,8 +1641,9 @@ mod tests {
             let m = tape.mul(w(2), c);
             let (sy, sm) = (tape.sum_all(y), tape.sum_all(m));
             let loss = tape.add(sy, sm);
-            tape.backward(loss, &mut store);
-            store.grad(w_id).clone()
+            let mut grads = Gradients::new(&store);
+            tape.backward(loss, &store, &mut grads);
+            grads.get(w_id).clone()
         };
         let parts: Vec<Tensor> = (0..3).map(|read| grad_of_w(Some(read))).collect();
         // Backward visits the reads last first.
@@ -1648,7 +1657,7 @@ mod tests {
 
     #[test]
     fn concat_rows_stacks_and_routes_gradients() {
-        let (mut store, id) = store_with("x", Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        let (store, id) = store_with("x", Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
         let mut tape = Tape::new();
         let x = tape.param(&store, id);
         let y = tape.scale(x, 2.0);
@@ -1656,22 +1665,23 @@ mod tests {
         assert_eq!(tape.value(stacked).shape(), (4, 2));
         assert_eq!(tape.value(stacked).data(), &[1.0, 2.0, 3.0, 4.0, 2.0, 4.0, 6.0, 8.0]);
         let loss = tape.sum_all(stacked);
-        tape.backward(loss, &mut store);
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
         // d/dx of sum(x) + sum(2x) = 1 + 2.
-        assert_eq!(store.grad(id).data(), &[3.0, 3.0, 3.0, 3.0]);
+        assert_eq!(grads.get(id).data(), &[3.0, 3.0, 3.0, 3.0]);
     }
 
     #[test]
     fn select_rows_gathers_and_scatter_adds() {
-        let (mut store, id) =
-            store_with("x", Tensor::from_vec(3, 2, vec![0., 1., 10., 11., 20., 21.]));
+        let (store, id) = store_with("x", Tensor::from_vec(3, 2, vec![0., 1., 10., 11., 20., 21.]));
         let mut tape = Tape::new();
         let x = tape.param(&store, id);
         let picked = tape.select_rows(x, &[2, 0, 2]);
         assert_eq!(tape.value(picked).data(), &[20., 21., 0., 1., 20., 21.]);
         let loss = tape.sum_all(picked);
-        tape.backward(loss, &mut store);
-        assert_eq!(store.grad(id).data(), &[1.0, 1.0, 0.0, 0.0, 2.0, 2.0]);
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
+        assert_eq!(grads.get(id).data(), &[1.0, 1.0, 0.0, 0.0, 2.0, 2.0]);
     }
 
     #[test]
@@ -1704,7 +1714,6 @@ mod tests {
                 let h_t = Tensor::rand_uniform(bsz, hd, -0.9, 0.9, &mut rng);
 
                 let run = |fused: bool| {
-                    let mut store = store.clone();
                     let mut tape = Tape::new();
                     let bound = gru.bind(&mut tape, &store);
                     let x = tape.input(x_t.clone());
@@ -1716,16 +1725,17 @@ mod tests {
                         bound.step_unfused(&mut tape, x, h)
                     };
                     let loss = tape.sum_all(out);
-                    tape.backward(loss, &mut store);
-                    (tape.value(out).clone(), store)
+                    let mut grads = Gradients::new(&store);
+                    tape.backward(loss, &store, &mut grads);
+                    (tape.value(out).clone(), grads)
                 };
-                let (out_ref, store_ref) = run(false);
-                let (out_fused, store_fused) = run(true);
+                let (out_ref, grads_ref) = run(false);
+                let (out_fused, grads_fused) = run(true);
 
                 assert_eq!(bits(&out_fused), bits(&out_ref), "forward, {case}");
                 for id in store.ids() {
                     let name = store.name(id);
-                    let (fused, reference) = (store_fused.grad(id), store_ref.grad(id));
+                    let (fused, reference) = (grads_fused.get(id), grads_ref.get(id));
                     assert_eq!(bits(fused), bits(reference), "grad {name}, {case}");
                 }
             }

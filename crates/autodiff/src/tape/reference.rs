@@ -102,7 +102,7 @@ impl Grads<'_> {
     /// the parameter's for a leaf, else `v`'s slot, zeroed on first use.
     fn acc(&mut self, pool: &mut TensorPool, v: Var, rows: usize, cols: usize) -> &mut Tensor {
         match &self.ops[v.index()] {
-            Op::Param(id) => self.store.grad_mut(*id),
+            Op::Param(id) => self.params.get_mut(*id),
             _ => self.slots[v.index()].get_or_insert_with(|| pool.take_zeroed(rows, cols)),
         }
     }

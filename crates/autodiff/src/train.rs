@@ -3,10 +3,13 @@
 //! to (§VI-A5): Adam over shuffled mini-batches, keep the best epoch.
 //!
 //! [`run`] owns every *decision* and asks the *work* of a [`Lanes`]
-//! implementation. A [`Lane`] is one shard of a model's parameters with its
-//! tape and Adam moments: [`OneLane`] drives one from a loss closure (the
-//! sequence baselines), `causaltad::Trainer` two on two threads. The loop is
-//! generic over the item type, so this crate knows no trajectory.
+//! implementation. A [`Lane`] is one shard of a model's parameters with all
+//! that training adds to it — gradients, tape, Adam moments, the best
+//! epoch's values — allocated when the lane is made and dropped with it,
+//! so the store a lane hands back holds values only. [`OneLane`] drives one
+//! from a loss closure (the sequence baselines), `causaltad::Trainer` two,
+//! each on a thread of its own. The loop is generic over the item type,
+//! so this crate knows no trajectory.
 
 use std::time::{Duration, Instant};
 
@@ -14,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 use crate::optim::Adam;
-use crate::params::ParamStore;
+use crate::params::{Gradients, ParamStore};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -60,8 +63,7 @@ pub struct Schedule {
 pub trait Lanes<T> {
     /// Forward pass of one batch's summed loss, which it returns, and —
     /// when that is finite — backward pass of `scale` times it. When the
-    /// loss is finite and the run clips, [`Lanes::grad_sq_norm`] is the
-    /// next call.
+    /// loss is finite, [`Lanes::grad_sq_norm`] is the next call.
     fn pass(&mut self, batch: &[&T], scale: f32, rng: &mut StdRng) -> f32;
 
     /// Every gradient's squared L2 norm, summed in parameter-id order.
@@ -98,7 +100,6 @@ pub fn run<T>(
     let mut epoch_losses = Vec::with_capacity(schedule.epochs);
     let mut diverged = false;
     let batch_size = schedule.batch_size.max(1);
-    let clip = schedule.grad_clip > 0.0;
     let mut order: Vec<usize> = (0..items.len()).collect();
     let mut best_loss = f64::INFINITY;
     let epochs = if items.is_empty() { 0 } else { schedule.epochs };
@@ -126,11 +127,8 @@ pub fn run<T>(
                 }
                 continue;
             }
-            let grad_scale = if clip {
-                ParamStore::clip_factor(lanes.grad_sq_norm().sqrt(), schedule.grad_clip)
-            } else {
-                None
-            };
+            let grad_scale =
+                Gradients::clip_factor(lanes.grad_sq_norm().sqrt(), schedule.grad_clip);
             lanes.step(grad_scale, rng);
             // Only an accepted batch enters the epoch mean, numerator and
             // denominator alike.
@@ -152,20 +150,23 @@ pub fn run<T>(
     }
 }
 
-/// One shard of a model's parameters under optimisation: the tape its
-/// passes are recorded on, its Adam moments, and the best epoch's values.
+/// One shard of a model's parameters under optimisation: its gradients,
+/// the tape its passes are recorded on, its Adam moments, and the best
+/// epoch's values.
 pub struct Lane {
     store: ParamStore,
+    grads: Gradients,
     tape: Tape,
     adam: Adam,
     best: Option<Vec<Tensor>>,
 }
 
 impl Lane {
-    /// Takes `store` for the length of a run; [`Lane::finish`] returns it.
+    /// Takes `store` for the length of a run, with zeroed gradients and
+    /// moments aligned to it; [`Lane::finish`] returns it.
     pub fn new(store: ParamStore, lr: f32) -> Self {
-        let adam = Adam::new(&store, lr);
-        Lane { store, tape: Tape::new(), adam, best: None }
+        let (grads, adam) = (Gradients::new(&store), Adam::new(&store, lr));
+        Lane { store, grads, tape: Tape::new(), adam, best: None }
     }
 
     /// Forward pass of the loss `build` records, and — when the loss is
@@ -180,7 +181,7 @@ impl Lane {
         let v = self.tape.value(loss).get(0, 0);
         if v.is_finite() {
             let scaled = self.tape.scale(loss, scale);
-            self.tape.backward(scaled, &mut self.store);
+            self.tape.backward(scaled, &self.store, &mut self.grads);
         } else {
             self.tape.reset();
         }
@@ -189,18 +190,18 @@ impl Lane {
 
     /// Squared L2 norm of each of the shard's gradients, in id order.
     pub fn grad_sq_norms(&self) -> impl Iterator<Item = f64> + '_ {
-        self.store.grad_sq_norms()
+        self.grads.sq_norms()
     }
 
     /// One Adam step on the gradients clipped by the global factor, if
     /// any, which zeroes the shard's gradients: one pass per parameter.
     pub fn step(&mut self, grad_scale: Option<f32>) {
-        self.adam.step_scaled(&mut self.store, grad_scale);
+        self.adam.step_scaled(&mut self.store, &mut self.grads, grad_scale);
     }
 
     /// Zeroes the shard's gradients.
     pub fn discard(&mut self) {
-        self.store.zero_grads();
+        self.grads.zero();
     }
 
     /// Keeps the current values as the best epoch's, copied into the
@@ -218,7 +219,8 @@ impl Lane {
     }
 
     /// The shard, holding the best epoch's values (the last epoch's when
-    /// none was checkpointed).
+    /// none was checkpointed). Everything else the lane held — gradients,
+    /// tape, moments, snapshot — is dropped here.
     pub fn finish(mut self) -> ParamStore {
         if let Some(best) = &self.best {
             self.store.copy_values_from(best);
@@ -379,6 +381,28 @@ mod tests {
         assert!(report.epoch_losses.iter().all(|l| l.is_nan()), "{:?}", report.epoch_losses);
         assert_eq!(lane.lane.adam.steps(), 0);
         assert_eq!(lane.lane.finish().value(id).get(0, 0).to_bits(), (-5.0f32).to_bits());
+    }
+
+    #[test]
+    fn a_finished_lane_hands_back_values_only() {
+        // A pass leaves gradients no step consumed: they, the tape's hold
+        // on the values and the moments end with the lane, and the store it
+        // hands back is the one it took, names and values.
+        let (store, id) = toy_store(-5.0);
+        let blob = store.to_bytes();
+        let mut lane = Lane::new(store, 0.2);
+        let mut rng = StdRng::seed_from_u64(1);
+        let loss = lane.pass(1.0, |tape, store| sq_err(id)(tape, store, &[&3.0], &mut rng));
+        assert_eq!(loss, 64.0);
+        assert_eq!(lane.grad_sq_norms().collect::<Vec<_>>(), [256.0]);
+        let store = lane.finish();
+        assert_eq!(store.to_bytes(), blob, "no step was taken");
+        let value = store.shared_value(id);
+        assert_eq!(std::sync::Arc::strong_count(&value), 2, "only the store holds the value");
+        drop(value);
+        // Gradients are the lane's: a new one on the same store starts at zero.
+        let lane = Lane::new(store, 0.2);
+        assert_eq!(lane.grad_sq_norms().collect::<Vec<_>>(), [0.0]);
     }
 
     #[test]

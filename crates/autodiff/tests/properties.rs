@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tad_autodiff::{logsumexp, ParamStore, Tape, Tensor};
+use tad_autodiff::{logsumexp, Gradients, ParamStore, Tape, Tensor};
 
 fn rand_tensor(seed: u64, rows: usize, cols: usize) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -75,9 +75,10 @@ proptest! {
         prop_assert!((v as f64 - expected).abs() < 1e-4 * rows as f64);
         // The gradient is probs - onehot: a row of probabilities summing to
         // one is a gradient row summing to zero.
-        tape.backward(ce, &mut store);
+        let mut grads = Gradients::new(&store);
+        tape.backward(ce, &store, &mut grads);
         for r in 0..rows {
-            let sum: f32 = store.grad(id).row(r).iter().sum();
+            let sum: f32 = grads.get(id).row(r).iter().sum();
             prop_assert!(sum.abs() < 1e-5, "row {r} sums to {sum}");
         }
     }
@@ -100,10 +101,11 @@ proptest! {
         let w = tape.param(&store, id);
         let sq = tape.mul(w, w);
         let loss = tape.sum_all(sq);
-        tape.backward(loss, &mut store);
-        let once = store.grad(id).clone();
-        tape.backward(loss, &mut store);
-        for (g1, g2) in once.data().iter().zip(store.grad(id).data()) {
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
+        let once = grads.get(id).clone();
+        tape.backward(loss, &store, &mut grads);
+        for (g1, g2) in once.data().iter().zip(grads.get(id).data()) {
             prop_assert!((2.0 * g1 - g2).abs() < 1e-5);
         }
     }
@@ -120,8 +122,9 @@ proptest! {
         let back = tape.reshape(there, 3, 4);
         prop_assert_eq!(tape.value(back).data(), t.data());
         let loss = tape.sum_all(back);
-        tape.backward(loss, &mut store);
-        prop_assert!(store.grad(id).data().iter().all(|&g| (g - 1.0).abs() < 1e-6));
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
+        prop_assert!(grads.get(id).data().iter().all(|&g| (g - 1.0).abs() < 1e-6));
     }
 
     /// Tensor codec: ParamStore round-trips arbitrary shapes bit-exactly.

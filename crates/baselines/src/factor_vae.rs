@@ -5,7 +5,8 @@
 //! samples `z ~ q(z|x)` from dimension-wise permuted samples, and the VAE
 //! receives `γ · (log D(z) − log(1 − D(z)))` as an extra loss. The
 //! discriminator lives in its *own* parameter store, so VAE updates never
-//! touch it (and vice versa) — the standard two-player setup.
+//! touch it (and vice versa) — the standard two-player setup. Like the
+//! VAE's lane, its gradients and Adam moments exist only while it trains.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -14,7 +15,7 @@ use rand::SeedableRng;
 use tad_autodiff::nn::{gaussian_kl, GaussianHead, Linear};
 use tad_autodiff::optim::Adam;
 use tad_autodiff::train::{self, Lane, Lanes, TrainReport};
-use tad_autodiff::{ParamStore, Tape, Tensor, Var};
+use tad_autodiff::{Gradients, ParamStore, Tape, Tensor, Var};
 use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
@@ -70,8 +71,15 @@ impl Discriminator {
     }
 
     /// One discriminator update on a batch of detached latent samples, one
-    /// per row of `real`.
-    fn train_step(&mut self, adam: &mut Adam, real: &Tensor, rng: &mut StdRng) {
+    /// per row of `real`, through `adam` and `grads` (both aligned to the
+    /// discriminator's store).
+    fn train_step(
+        &mut self,
+        adam: &mut Adam,
+        grads: &mut Gradients,
+        real: &Tensor,
+        rng: &mut StdRng,
+    ) {
         let (n, latent) = real.shape();
         if n < 2 {
             return;
@@ -91,8 +99,8 @@ impl Discriminator {
         let loss_real = self.class_loss(&mut tape, x_real, 0, n);
         let loss_perm = self.class_loss(&mut tape, x_perm, 1, n);
         let loss = tape.add(loss_real, loss_perm);
-        tape.backward(loss, &mut self.store);
-        adam.step(&mut self.store);
+        tape.backward(loss, &self.store, grads);
+        adam.step(&mut self.store, grads);
     }
 
     fn class_loss(&self, tape: &mut Tape, x: Var, class: u32, n: usize) -> Var {
@@ -176,6 +184,7 @@ impl FactorVae {
             lane: Lane::new(std::mem::take(&mut vae.store), self.cfg.lr),
             vae: &vae,
             disc_adam: Adam::new(&disc.store, self.cfg.lr),
+            disc_grads: Gradients::new(&disc.store),
             disc,
             batch_z: Tensor::zeros(0, self.cfg.latent_dim),
         };
@@ -196,6 +205,7 @@ struct Players<'a> {
     lane: Lane,
     disc: Discriminator,
     disc_adam: Adam,
+    disc_grads: Gradients,
     /// The detached `z` of the batch last passed, one row per trajectory.
     batch_z: Tensor,
 }
@@ -216,7 +226,7 @@ impl Lanes<Trajectory> for Players<'_> {
 
     fn step(&mut self, grad_scale: Option<f32>, rng: &mut StdRng) {
         self.lane.step(grad_scale);
-        self.disc.train_step(&mut self.disc_adam, &self.batch_z, rng);
+        self.disc.train_step(&mut self.disc_adam, &mut self.disc_grads, &self.batch_z, rng);
     }
 
     fn discard(&mut self) {
@@ -282,10 +292,11 @@ mod tests {
         ) -> (Inner, Vec<f64>) {
             let (mut vae, mut disc, mut rng) = self.init(net);
             let mut disc_adam = Adam::new(&disc.store, self.cfg.lr);
+            let mut disc_grads = Gradients::new(&disc.store);
             let mut store = std::mem::take(&mut vae.store);
 
             // Custom loop: the discriminator trains on whole batches of z.
-            let mut adam = Adam::new(&store, self.cfg.lr);
+            let (mut adam, mut grads) = (Adam::new(&store, self.cfg.lr), Gradients::new(&store));
             let mut order: Vec<usize> = (0..train.len()).collect();
             let mut tape = Tape::new();
             let mut losses = Vec::new();
@@ -307,20 +318,19 @@ mod tests {
                             break;
                         }
                         let scaled = tape.scale(loss, scale);
-                        tape.backward(scaled, &mut store);
+                        tape.backward(scaled, &store, &mut grads);
                         batch_loss += v as f64;
                     }
                     if !ok {
-                        store.zero_grads();
+                        grads.zero();
                         continue;
                     }
-                    if self.cfg.grad_clip > 0.0 {
-                        store.clip_grad_norm(self.cfg.grad_clip);
-                    }
-                    adam.step(&mut store);
+                    let norm = grads.sq_norms().sum::<f64>().sqrt();
+                    let factor = Gradients::clip_factor(norm, self.cfg.grad_clip);
+                    adam.step_scaled(&mut store, &mut grads, factor);
                     let latent = self.cfg.latent_dim;
                     let real = Tensor::from_vec(batch_z.len() / latent, latent, batch_z);
-                    disc.train_step(&mut disc_adam, &real, &mut rng);
+                    disc.train_step(&mut disc_adam, &mut disc_grads, &real, &mut rng);
                     epoch_loss += batch_loss;
                     counted += eligible.len();
                 }
@@ -367,10 +377,10 @@ mod tests {
         // permuted versions are easily distinguishable.
         let mut rng = StdRng::seed_from_u64(0);
         let mut disc = Discriminator::new(4, 16, &mut rng);
-        let mut adam = Adam::new(&disc.store, 0.01);
+        let (mut adam, mut grads) = (Adam::new(&disc.store, 0.01), Gradients::new(&disc.store));
         for _ in 0..60 {
             let zs: Vec<f32> = (0..16).flat_map(|_| [rng.gen_range(-2.0..2.0); 4]).collect();
-            disc.train_step(&mut adam, &Tensor::from_vec(16, 4, zs), &mut rng);
+            disc.train_step(&mut adam, &mut grads, &Tensor::from_vec(16, 4, zs), &mut rng);
         }
         // A fresh correlated sample should be classified "real" (class 0).
         let mut tape = Tape::new();

@@ -290,6 +290,7 @@ where
 pub(crate) mod reference {
     use rand::seq::SliceRandom;
     use tad_autodiff::optim::Adam;
+    use tad_autodiff::Gradients;
     use tad_codec::checksum64;
 
     use super::*;
@@ -315,7 +316,7 @@ pub(crate) mod reference {
             return losses;
         }
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xba5e);
-        let mut adam = Adam::new(store, cfg.lr);
+        let (mut adam, mut grads) = (Adam::new(store, cfg.lr), Gradients::new(store));
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut best: Option<(f64, Vec<Tensor>)> = None;
         let mut tape = Tape::new();
@@ -339,17 +340,18 @@ pub(crate) mod reference {
                         break;
                     }
                     let scaled = tape.scale(loss, scale);
-                    tape.backward(scaled, store);
+                    tape.backward(scaled, store, &mut grads);
                     batch_loss += v;
                 }
                 if !ok {
-                    store.zero_grads();
+                    grads.zero();
                     continue;
                 }
-                if cfg.grad_clip > 0.0 {
-                    store.clip_grad_norm(cfg.grad_clip);
-                }
-                adam.step(store);
+                // The clip the parent loop applied before each step, as the
+                // factor the step scales the gradients by.
+                let norm = grads.sq_norms().sum::<f64>().sqrt();
+                let factor = Gradients::clip_factor(norm, cfg.grad_clip);
+                adam.step_scaled(store, &mut grads, factor);
                 // Only an accepted batch enters the epoch mean: a batch dropped
                 // at a later pass must not leave its earlier ones counted.
                 epoch_loss += batch_loss;
@@ -409,6 +411,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tad_autodiff::Gradients;
 
     #[test]
     fn core_encode_decode_shapes() {
@@ -448,16 +451,16 @@ mod tests {
             let mut store = ParamStore::new();
             let core = SeqCore::new(&mut store, "t", 6, &cfg, time_aware, &mut rng);
             let mut tape = Tape::new();
-            let mut pass = |store: &mut ParamStore, seqs: &[&[u32]], slots: &[u8]| {
+            let mut pass = |grads: &mut Gradients, seqs: &[&[u32]], slots: &[u8]| {
                 tape.reset();
-                let h = core.encode(&mut tape, store, seqs, slots);
-                let nll = core.decode_nll(&mut tape, store, h, seqs, slots);
-                tape.backward(nll, store);
+                let h = core.encode(&mut tape, &store, seqs, slots);
+                let nll = core.decode_nll(&mut tape, &store, h, seqs, slots);
+                tape.backward(nll, &store, grads);
                 tape.value(nll).get(0, 0) as f64
             };
-            let mut whole = store.clone();
+            let mut whole = Gradients::new(&store);
             let batched = pass(&mut whole, &chunk, &slots);
-            let mut each = store.clone();
+            let mut each = Gradients::new(&store);
             let summed: f64 =
                 (0..chunk.len()).map(|i| pass(&mut each, &chunk[i..=i], &slots[i..=i])).sum();
             let rel = (batched - summed).abs() / summed.abs();
@@ -466,7 +469,7 @@ mod tests {
                 "time_aware {time_aware}: loss {batched} vs {summed} (rel {rel:e})"
             );
             for id in store.ids() {
-                let (a, b) = (whole.grad(id).data(), each.grad(id).data());
+                let (a, b) = (whole.get(id).data(), each.get(id).data());
                 let scale = b.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
                 assert!(scale > 0.0, "{} has no gradient", store.name(id));
                 let gap = a.iter().zip(b).fold(0.0f32, |m, (&x, &y)| m.max((x - y).abs()));

@@ -162,6 +162,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tad_autodiff::optim::Adam;
+    use tad_autodiff::Gradients;
 
     fn build(time_factorised: bool) -> (ParamStore, RpVae, StdRng) {
         let mut cfg = CausalTadConfig::test_scale();
@@ -196,14 +197,14 @@ mod tests {
     #[test]
     fn training_learns_token_frequencies() {
         let (mut store, rp, mut rng) = build(false);
-        let mut adam = Adam::new(&store, 0.01);
+        let (mut adam, mut grads) = (Adam::new(&store, 0.01), Gradients::new(&store));
         // Token 3 appears 8x as often as token 7.
         let batch: Vec<u32> = std::iter::repeat_n(3u32, 8).chain(std::iter::once(7u32)).collect();
         for _ in 0..150 {
             let mut tape = Tape::new();
             let loss = rp.loss(&mut tape, &store, &batch, &mut rng);
-            tape.backward(loss, &mut store);
-            adam.step(&mut store);
+            tape.backward(loss, &store, &mut grads);
+            adam.step(&mut store, &mut grads);
         }
         // Reconstruction probability of the frequent token should dominate.
         let (mu, _) = rp.encode(&store, &[3, 7]);

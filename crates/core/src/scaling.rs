@@ -207,14 +207,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tad_autodiff::optim::Adam;
-    use tad_autodiff::Tape;
+    use tad_autodiff::{Gradients, Tape};
 
     fn trained_rp(vocab: usize, freq: &[usize]) -> (ParamStore, RpVae) {
         let cfg = CausalTadConfig::test_scale();
         let mut rng = StdRng::seed_from_u64(3);
         let mut store = ParamStore::new();
         let rp = RpVae::new(&mut store, vocab, &cfg, &mut rng);
-        let mut adam = Adam::new(&store, 0.01);
+        let (mut adam, mut grads) = (Adam::new(&store, 0.01), Gradients::new(&store));
         let batch: Vec<u32> = freq
             .iter()
             .enumerate()
@@ -223,8 +223,8 @@ mod tests {
         for _ in 0..120 {
             let mut tape = Tape::new();
             let loss = rp.loss(&mut tape, &store, &batch, &mut rng);
-            tape.backward(loss, &mut store);
-            adam.step(&mut store);
+            tape.backward(loss, &store, &mut grads);
+            adam.step(&mut store, &mut grads);
         }
         (store, rp)
     }

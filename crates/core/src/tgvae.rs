@@ -458,6 +458,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tad_autodiff::Gradients;
 
     fn toy_successors() -> Vec<Vec<u32>> {
         // 6-segment toy graph: i -> {(i+1) % 6, (i+2) % 6}
@@ -503,6 +504,7 @@ mod tests {
         let (mut store, tg, cfg, mut rng) = build();
         let succ = toy_successors();
         let mut adam = tad_autodiff::optim::Adam::new(&store, 0.01);
+        let mut grads = Gradients::new(&store);
         let segs = [0u32, 2, 4, 5];
         let mut first = 0.0;
         let mut last = 0.0;
@@ -514,8 +516,8 @@ mod tests {
                 first = v;
             }
             last = v;
-            tape.backward(loss.total, &mut store);
-            adam.step(&mut store);
+            tape.backward(loss.total, &store, &mut grads);
+            adam.step(&mut store, &mut grads);
         }
         assert!(last < first, "loss should fall: {first} -> {last}");
     }
@@ -525,12 +527,13 @@ mod tests {
         let (mut store, tg, cfg, mut rng) = build();
         let succ = toy_successors();
         let mut adam = tad_autodiff::optim::Adam::new(&store, 0.01);
+        let mut grads = Gradients::new(&store);
         let trained = [0u32, 1, 2, 3, 4];
         for _ in 0..200 {
             let mut tape = Tape::new();
             let loss = tg.loss(&mut tape, &store, &trained, &succ, &cfg, &mut rng);
-            tape.backward(loss.total, &mut store);
-            adam.step(&mut store);
+            tape.backward(loss.total, &store, &mut grads);
+            adam.step(&mut store, &mut grads);
         }
         // After training on 0 -> 1 -> ..., the first decoder step must
         // prefer 1 over 2 among successors(0) = {1, 2}.
@@ -602,22 +605,21 @@ mod tests {
         let trajs: [&[u32]; 2] = [&[0, 2, 3, 5], &[1, 2, 4]];
         let eps = Tensor::randn(2, cfg.latent_dim, 0.0, 1.0, &mut rng);
 
-        let mut store_b = store.clone();
+        let mut grads_b = Gradients::new(&store);
         let mut tape_b = Tape::new();
-        let batched =
-            tg.loss_batch(&mut tape_b, &store_b.clone(), &trajs, eps.clone(), &succ, &cfg);
-        tape_b.backward(batched.total, &mut store_b);
+        let batched = tg.loss_batch(&mut tape_b, &store, &trajs, eps.clone(), &succ, &cfg);
+        tape_b.backward(batched.total, &store, &mut grads_b);
 
-        let mut store_s = store.clone();
+        let mut grads_s = Gradients::new(&store);
         for (i, t) in trajs.iter().enumerate() {
             let row = Tensor::from_vec(1, cfg.latent_dim, eps.row(i).to_vec());
             let mut tape = Tape::new();
-            let single = tg.loss_batch(&mut tape, &store_s.clone(), &[t], row, &succ, &cfg);
-            tape.backward(single.total, &mut store_s);
+            let single = tg.loss_batch(&mut tape, &store, &[t], row, &succ, &cfg);
+            tape.backward(single.total, &store, &mut grads_s);
         }
 
         for id in store.ids() {
-            for (a, b) in store_b.grad(id).data().iter().zip(store_s.grad(id).data()) {
+            for (a, b) in grads_b.get(id).data().iter().zip(grads_s.get(id).data()) {
                 assert!((a - b).abs() < 1e-4, "grad {} diverged: {a} vs {b}", store.name(id));
             }
         }
@@ -629,7 +631,8 @@ mod tests {
         // Uᵀ, gate aux, the dU stacks) from the tape's pool: once one
         // forward + backward pass has warmed it, further passes of the same
         // ragged batch must be served from the pool alone.
-        let (mut store, tg, cfg, mut rng) = build();
+        let (store, tg, cfg, mut rng) = build();
+        let mut grads = Gradients::new(&store);
         let succ = toy_successors();
         let trajs: [&[u32]; 5] =
             [&[0, 1, 2, 3, 4, 5], &[2, 4, 5], &[5, 0, 1, 2], &[1, 3], &[3, 4, 0, 1, 2, 4, 5]];
@@ -637,8 +640,8 @@ mod tests {
         let mut tape = Tape::new();
         let mut pass = |tape: &mut Tape| {
             tape.reset();
-            let loss = tg.loss_batch(tape, &store.clone(), &trajs, eps.clone(), &succ, &cfg);
-            tape.backward(loss.total, &mut store);
+            let loss = tg.loss_batch(tape, &store, &trajs, eps.clone(), &succ, &cfg);
+            tape.backward(loss.total, &store, &mut grads);
         };
         pass(&mut tape);
         let (_, warm_misses) = tape.pool_stats();

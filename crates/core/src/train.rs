@@ -6,16 +6,25 @@
 //!
 //! Eq. 9 trains `L1 + L2` jointly, but the TG-VAE and the RP-VAE share no
 //! parameter and meet only in that `+`, so [`Trainer::fit`] runs them as
-//! two **lanes**: the calling thread owns the `tg.*` shard of the
-//! [`ParamStore`], a helper thread that lives for the duration of `fit`
-//! owns the `rp.*` shard, and each has its own tape and Adam moments. The
-//! split is by parameter ownership, not by trajectory, because that is the
-//! one split that leaves every floating-point sum where it was: the
-//! trained parameters are those of the one-tape loop over
+//! two **lanes**, each on a scoped thread that lives for the duration of
+//! `fit`: `tad-train-tg` owns the `tg.*` shard of the [`ParamStore`] and
+//! runs the loop, `tad-train-rp` owns the `rp.*` shard, and each lane has
+//! its own gradients, tape and Adam moments. The split is by parameter
+//! ownership, not by trajectory, because that is the one split that
+//! leaves every floating-point sum where it was: the trained parameters
+//! are those of the one-tape loop over
 //! [`CausalTad::trajectory_loss_batch`], bit for bit.
+//!
+//! The caller only splits the store, joins both threads and puts the
+//! shards back: every buffer training needs is allocated, used and freed
+//! on a lane's thread, and the fitted model is its parameters and nothing
+//! more. That matters to a process that goes on serving on the calling
+//! thread — memory that thread freed below the model's live allocations
+//! would stay resident, where an exited lane thread's heap is reused by
+//! the threads that come after it.
 
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::thread;
+use std::thread::{self, ScopedJoinHandle};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,42 +45,66 @@ impl Trainer {
     /// Runs the full optimisation under `model.config()`, restoring the
     /// best-epoch parameters at the end.
     ///
-    /// The calling thread draws every batch's noise, runs the TG-VAE
-    /// lane and makes every decision (it is the one inside
-    /// [`train::run`]); the `tad-train-rp` thread runs the RP-VAE lane on
-    /// the `rp.*` shard, which is back in `model.store()` when this returns.
+    /// The `tad-train-tg` thread draws every batch's noise, runs the
+    /// TG-VAE lane and makes every decision (it is the one inside
+    /// [`train::run`]); the `tad-train-rp` thread runs the RP-VAE lane.
+    /// Both shards are back in `model.store()` when this returns, and a
+    /// panic on either thread is a panic of `fit`.
     pub fn fit(model: &mut CausalTad, train: &[Trajectory]) -> TrainReport {
         let cfg = model.config();
         let schedule =
             Schedule { epochs: cfg.epochs, batch_size: cfg.batch_size, grad_clip: cfg.grad_clip };
-        let lr = cfg.lr;
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
-
-        let mut tg_store = std::mem::take(model.store_mut());
-        let rp_store = tg_store.split_off(model.tg_params);
-        let shared = &*model;
-        let (report, tg_store, rp_store) = thread::scope(|scope| {
-            let (jobs, inbox) = mpsc::channel();
-            let (outbox, replies) = mpsc::channel();
-            let helper = thread::Builder::new()
-                .name("tad-train-rp".into())
-                .spawn_scoped(scope, move || {
-                    rp_lane(&shared.rp, Lane::new(rp_store, lr), inbox, outbox)
-                })
-                .expect("spawn the RP-VAE lane");
-            let tg = Lane::new(tg_store, lr);
-            let mut lanes = TwoLanes { model: shared, tg, jobs, replies, rp_sq_norms: Vec::new() };
-            let report = train::run(&mut lanes, train, |t| t.len() >= 2, &schedule, &mut rng);
-            // Hanging up is what ends the helper's loop.
-            drop(lanes.jobs);
-            let rp_store = helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (report, lanes.tg.finish(), rp_store)
-        });
-
-        *model.store_mut() = tg_store;
-        model.store_mut().append(rp_store);
-        report
+        on_two_lanes(model, move |lanes| {
+            train::run(lanes, train, |t| t.len() >= 2, &schedule, &mut rng)
+        })
     }
+}
+
+/// Splits `model`'s store into the two lanes, runs `f` on them on the
+/// `tad-train-tg` thread while `tad-train-rp` serves the `rp.*` shard,
+/// and puts back the shards holding the values the lanes finished with.
+fn on_two_lanes<R: Send>(
+    model: &mut CausalTad,
+    f: impl FnOnce(&mut TwoLanes<'_>) -> R + Send,
+) -> R {
+    let lr = model.config().lr;
+    let mut tg_store = std::mem::take(model.store_mut());
+    let rp_store = tg_store.split_off(model.tg_params);
+    let shared = &*model;
+    let (out, tg_store, rp_store) = thread::scope(|scope| {
+        let (jobs, inbox) = mpsc::channel();
+        let (outbox, replies) = mpsc::channel();
+        let rp = thread::Builder::new()
+            .name("tad-train-rp".into())
+            .spawn_scoped(scope, move || {
+                rp_lane(&shared.rp, Lane::new(rp_store, lr), inbox, outbox)
+            })
+            .expect("spawn the RP-VAE lane");
+        let tg = thread::Builder::new()
+            .name("tad-train-tg".into())
+            .spawn_scoped(scope, move || {
+                let tg = Lane::new(tg_store, lr);
+                let mut lanes =
+                    TwoLanes { model: shared, tg, jobs, replies, rp_sq_norms: Vec::new() };
+                let out = f(&mut lanes);
+                // Hanging up is what ends the helper's loop.
+                drop(lanes.jobs);
+                (out, lanes.tg.finish())
+            })
+            .expect("spawn the TG-VAE lane");
+        // The TG lane first: it is the one that hangs up on the other.
+        let (out, tg_store) = join(tg);
+        (out, tg_store, join(rp))
+    });
+    *model.store_mut() = tg_store;
+    model.store_mut().append(rp_store);
+    out
+}
+
+/// What a lane thread returned, or its panic, resumed here.
+fn join<T>(lane: ScopedJoinHandle<'_, T>) -> T {
+    lane.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// CausalTAD's pair of lanes: the `tg.*` shard here, on the thread that
@@ -125,7 +158,7 @@ impl Lanes<Trajectory> for TwoLanes<'_> {
     }
 }
 
-/// What the calling thread asks of the RP-VAE lane, in order.
+/// What the TG-VAE lane asks of the RP-VAE lane, in order.
 enum RpJob {
     /// One batch: forward, and backward of `scale·L2`. Answered with the
     /// loss and the shard's per-tensor squared gradient norms, which the
@@ -170,7 +203,7 @@ mod tests {
     use crate::config::CausalTadConfig;
     use rand::seq::SliceRandom;
     use tad_autodiff::optim::Adam;
-    use tad_autodiff::{Tape, Var};
+    use tad_autodiff::{Gradients, Tape, Var};
     use tad_trajsim::{generate_city, CityConfig};
 
     #[test]
@@ -253,6 +286,35 @@ mod tests {
         let report = Trainer::fit(&mut model, &train);
         assert!(!report.diverged);
         assert_eq!(report.epoch_losses, vec![accepted_sum / accepted as f64]);
+        assert_a_discard_leaves_no_gradient(&mut model, &train);
+    }
+
+    /// `train[0]` poisons its batch on one lane while the other lane
+    /// back-propagates its half. After the discard the TG lane holds no
+    /// gradient, and the next batch's gradients on both lanes are those of
+    /// lanes that never saw the dropped one, bit for bit: a discard that
+    /// left either lane's half in place would carry it into the next step.
+    fn assert_a_discard_leaves_no_gradient(model: &mut CausalTad, train: &[Trajectory]) {
+        let clean: Vec<&Trajectory> = train[1..].iter().filter(|t| t.len() >= 2).take(4).collect();
+        let clean_pass = |lanes: &mut TwoLanes<'_>| {
+            let mut rng = StdRng::seed_from_u64(7);
+            let loss = lanes.pass(&clean, 1.0 / clean.len() as f32, &mut rng);
+            assert!(loss.is_finite());
+            lanes.grad_sq_norm()
+        };
+        let expected = on_two_lanes(model, clean_pass);
+        let after_discard = on_two_lanes(model, |lanes| {
+            let mut rng = StdRng::seed_from_u64(7);
+            assert!(lanes.pass(&[&train[0]], 1.0, &mut rng).is_nan());
+            let tg = lanes.tg.grad_sq_norms().sum::<f64>();
+            let rp = lanes.rp_sq_norms.iter().sum::<f64>();
+            assert!(tg + rp > 0.0, "one lane back-propagated its half of the dropped batch");
+            lanes.discard();
+            assert_eq!(lanes.tg.grad_sq_norms().sum::<f64>(), 0.0, "the TG lane's are zeroed");
+            clean_pass(lanes)
+        });
+        assert!(expected > 0.0);
+        assert_eq!(after_discard.to_bits(), expected.to_bits(), "no gradient outlived the discard");
     }
 
     /// The epoch's accepted batches by the one-tape walk (the trainer's
@@ -279,23 +341,31 @@ mod tests {
     }
 
     /// How [`one_tape_fit`] turns a batch into gradients: back-propagates
-    /// `scale` times its summed loss into the model's store and returns
-    /// that loss.
-    type BatchPass = fn(&mut CausalTad, &mut Tape, &[&Trajectory], f32, &mut StdRng) -> f64;
+    /// `scale` times its summed loss into the gradients of the model's
+    /// store and returns that loss.
+    type BatchPass =
+        fn(&CausalTad, &mut Gradients, &mut Tape, &[&Trajectory], f32, &mut StdRng) -> f64;
 
-    /// Backward pass of `scale · loss` into the model's store; the loss.
-    fn backward_scaled(model: &mut CausalTad, tape: &mut Tape, loss: Var, scale: f32) -> f64 {
+    /// Backward pass of `scale · loss` into `grads`; the loss.
+    fn backward_scaled(
+        model: &CausalTad,
+        grads: &mut Gradients,
+        tape: &mut Tape,
+        loss: Var,
+        scale: f32,
+    ) -> f64 {
         let v = tape.value(loss).get(0, 0) as f64;
         assert!(v.is_finite());
         let scaled = tape.scale(loss, scale);
-        tape.backward(scaled, model.store_mut());
+        tape.backward(scaled, model.store(), grads);
         v
     }
 
     /// The whole batch on one tape: the pass `Trainer::fit` splits into
     /// its two lanes.
     fn whole_batch_pass(
-        model: &mut CausalTad,
+        model: &CausalTad,
+        grads: &mut Gradients,
         tape: &mut Tape,
         batch: &[&Trajectory],
         scale: f32,
@@ -303,12 +373,14 @@ mod tests {
     ) -> f64 {
         tape.reset();
         let loss = model.trajectory_loss_batch(tape, batch, rng);
-        backward_scaled(model, tape, loss, scale)
+        backward_scaled(model, grads, tape, loss, scale)
     }
 
     /// The loop `Trainer::fit` ran before it had lanes: one tape, one
     /// store, one Adam, `L1 + L2` added on the tape, one `pass` per batch.
-    /// Kept here as the reference the two-lane loop is pinned to.
+    /// Kept here as the reference the two-lane loop is pinned to. The
+    /// clip is the factor the step scales by, which writes the bits of a
+    /// clip followed by a plain step.
     fn one_tape_fit(
         cfg: &CausalTadConfig,
         model: &mut CausalTad,
@@ -317,6 +389,7 @@ mod tests {
     ) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7ea1);
         let mut adam = Adam::new(model.store(), cfg.lr);
+        let mut grads = Gradients::new(model.store());
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut best: Option<(f64, Vec<Tensor>)> = None;
         let mut tape = Tape::new();
@@ -328,11 +401,10 @@ mod tests {
                 let scale = 1.0 / batch.len() as f32;
                 let eligible: Vec<&Trajectory> =
                     batch.iter().map(|&idx| &train[idx]).filter(|t| t.len() >= 2).collect();
-                epoch_loss += pass(model, &mut tape, &eligible, scale, &mut rng);
-                if cfg.grad_clip > 0.0 {
-                    model.store_mut().clip_grad_norm(cfg.grad_clip);
-                }
-                adam.step(model.store_mut());
+                epoch_loss += pass(model, &mut grads, &mut tape, &eligible, scale, &mut rng);
+                let norm = grads.sq_norms().sum::<f64>().sqrt();
+                let factor = Gradients::clip_factor(norm, cfg.grad_clip);
+                adam.step_scaled(model.store_mut(), &mut grads, factor);
                 counted += eligible.len();
             }
             let mean = epoch_loss / counted as f64;
@@ -427,7 +499,8 @@ mod tests {
     /// `BoundGru::step_unfused`, one CE node per transition) plus
     /// `RpVae::loss`, drawing the noise in the trainer's order.
     fn scalar_reference_pass(
-        model: &mut CausalTad,
+        model: &CausalTad,
+        grads: &mut Gradients,
         tape: &mut Tape,
         batch: &[&Trajectory],
         scale: f32,
@@ -443,7 +516,7 @@ mod tests {
             let tg = model.tg.loss_reference(tape, store, &segments, &model.successors, cfg, rng);
             let rp = model.rp.loss(tape, store, &tokens, rng);
             let loss = tape.add(tg.total, rp);
-            sum += backward_scaled(model, tape, loss, scale);
+            sum += backward_scaled(model, grads, tape, loss, scale);
         }
         sum
     }
@@ -509,7 +582,6 @@ mod tests {
         let report = Trainer::fit(&mut model, &train);
         assert!(!report.diverged);
         assert_eq!(report.epoch_losses, vec![accepted_sum / accepted as f64]);
-        assert_eq!(model.store().grad_norm(), 0.0, "both shards' gradients are zeroed");
 
         // The poisoned trajectory as the only batch, at a learning rate that
         // would show a step: none may be taken, on either lane.
@@ -519,8 +591,11 @@ mod tests {
         let before = param_bits(model.store());
         let report = Trainer::fit(&mut model, &train[..1]);
         assert!(report.epoch_losses[0].is_nan(), "the only batch was dropped");
-        assert_eq!(model.store().grad_norm(), 0.0);
         assert_eq!(param_bits(model.store()), before, "no optimiser step was taken");
+
+        // No step follows that drop, so the gradients the TG lane had
+        // back-propagated are checked on the lanes themselves.
+        assert_a_discard_leaves_no_gradient(&mut model, &train);
     }
 
     #[test]

@@ -1,18 +1,23 @@
-//! Pins what training holds: [`Trainer::fit`]'s peak heap, over where it
-//! started, is a small multiple of the parameter store (values and
-//! gradients). The fit needs the two lanes' Adam moments (one store), the
-//! best epoch's snapshot (half of one) and one tape pass's activations and
+//! Pins what training holds and what it leaves behind.
+//!
+//! [`Trainer::fit`]'s peak heap, over where it started, is a small
+//! multiple of the model's parameter values. The fit needs the two
+//! lanes' gradients (one set of values), their Adam moments (two), the
+//! best epoch's snapshot (one) and one tape pass's activations and
 //! gradients per lane — not the union of every ragged batch shape the
 //! tape's buffer pool has seen, nor two snapshots at once, nor a copy of
 //! the store on the tape (a parameter leaf reads the store in place).
-//! These fits read 3.4–4.1x (4.00 / 3.42 / 4.05 on cities 1 / 7 / 42);
-//! with every parameter copied onto the tape each pass they read
-//! 3.8–4.5x, and with an exact-size class per small buffer, doubling
-//! growth and a fresh snapshot per better epoch 10–14x.
+//! These fits read 9.00 / 7.91 / 9.18x the values on cities 1 / 7 / 42
+//! (bound 9.25x).
 //!
-//! The counting allocator is process-wide (it counts the RP-VAE lane's
-//! thread too), so this file holds exactly one test: nothing else
-//! allocates while a fit is measured.
+//! And the fit leaves nothing but its report: gradients, moments, tapes
+//! and snapshot are allocated and freed on the lanes' threads, so the
+//! live heap after the fit is the live heap before it plus the report's
+//! epoch losses.
+//!
+//! The counting allocator is process-wide (it counts both lane threads),
+//! so this file holds exactly one test: nothing else allocates while a
+//! fit is measured.
 
 mod counting;
 
@@ -25,11 +30,19 @@ fn fit_peak_heap_is_a_few_stores_not_every_shape_the_pool_has_seen() {
     for seed in [1, 7, 42] {
         let city = generate_city(&CityConfig::test_scale(seed));
         let mut model = CausalTad::new(&city.net, CausalTadConfig::default());
-        let store = 2 * model.store().num_scalars() * std::mem::size_of::<f32>();
-        let (report, grew) = counting::peak_growth(|| Trainer::fit(&mut model, &city.data.train));
+        let values = model.store().num_scalars() * std::mem::size_of::<f32>();
+        let ((report, grew), kept) = counting::live_growth(|| {
+            counting::peak_growth(|| Trainer::fit(&mut model, &city.data.train))
+        });
         assert!(!report.diverged, "city {seed}");
-        let ratio = grew as f64 / store as f64;
-        eprintln!("city {seed}: fit grew {ratio:.2}x the store");
-        assert!(ratio <= 4.25, "city {seed}: fit grew {grew} B over a {store} B store");
+        let ratio = grew as f64 / values as f64;
+        eprintln!("city {seed}: fit grew {ratio:.2}x the values, kept {kept} B");
+        assert!(ratio <= 9.25, "city {seed}: fit grew {grew} B over {values} B of values");
+        // The report's losses, and not a tensor more.
+        let report_bytes = (report.epoch_losses.capacity() * std::mem::size_of::<f64>()) as isize;
+        assert!(
+            kept <= report_bytes + 1024,
+            "city {seed}: fit kept {kept} B beyond the {report_bytes} B report"
+        );
     }
 }

@@ -2,10 +2,11 @@
 //! *announced* model is allocated on a blob's say-so. A correctly sealed
 //! blob whose config block claims `hidden_dim = 1 << 30` (a 12 EiB
 //! recurrent matrix) is refused having held at most a small multiple of
-//! the blob's own length. And an honest blob loads holding one store, not
-//! two: its parameters are claimed by the model's constructor as decoded
-//! (values + gradient buffers, 2x the blob), where a freshly initialised
-//! model used to be built beside them only to be overwritten (4x).
+//! the blob's own length. And an honest blob loads holding one store of
+//! values, nothing more: its parameters are claimed by the model's
+//! constructor as decoded, and a store holds no gradient buffers. The
+//! decode peaks at 1.12x the blob (bound 1.25x): a second buffer per
+//! parameter, a gradient or a second model's value, would read 2x.
 //!
 //! The counting allocator is process-wide, so this file holds exactly one
 //! test: nothing else allocates while the decode is measured.
@@ -36,9 +37,10 @@ fn model_decode_allocates_by_the_blob_not_by_its_announced_dimensions() {
     assert!(extra >= len / 2, "the allocator is counting: {extra} B");
 
     // The control: the blob it was made from differs in that one field
-    // and loads, never holding a second store.
+    // and loads, holding the values once: no second store, no gradients.
     let len = honest.len();
     let (loaded, extra) = counting::peak_growth(|| model_from_bytes(&city.net, honest));
     assert!(loaded.is_ok());
-    assert!(2 * extra <= 5 * len, "peak heap grew {extra} B loading a {len} B blob");
+    eprintln!("honest decode peaked at {:.3}x the blob", extra as f64 / len as f64);
+    assert!(4 * extra <= 5 * len, "peak heap grew {extra} B loading a {len} B blob");
 }
