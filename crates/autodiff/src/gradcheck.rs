@@ -278,6 +278,7 @@ proptest! {
         let fused = head.subset_cross_entropy(
             &mut tape_f, &store, x, &[1, 4, 6, 0, 2], &[0, 3, 5], &targets,
         );
+        let fv = tape_f.value(fused).get(0, 0) as f64;
         tape_f.backward(fused, &store, &mut fused_grads);
 
         let mut composed_grads = Gradients::new(&store);
@@ -294,10 +295,9 @@ proptest! {
             });
         }
         let total = total.unwrap();
+        let cv = tape_c.value(total).get(0, 0) as f64;
         tape_c.backward(total, &store, &mut composed_grads);
 
-        let fv = tape_f.value(fused).get(0, 0) as f64;
-        let cv = tape_c.value(total).get(0, 0) as f64;
         prop_assert!((fv - cv).abs() < 1e-5 * cv.abs().max(1.0), "loss {fv} vs {cv}");
         for id in store.ids() {
             for (a, b) in fused_grads.get(id).data().iter().zip(composed_grads.get(id).data()) {

@@ -71,8 +71,9 @@ impl Model {
         let weights = tape.input(self.loss_weights.clone());
         let weighted = tape.mul(h_all, weights);
         let loss = tape.sum_all(weighted);
+        let (h, l) = (tape.value(h_all).clone(), tape.value(loss).get(0, 0));
         tape.backward(loss, store, &mut grads);
-        (tape.value(h_all).clone(), tape.value(loss).get(0, 0), grads)
+        (h, l, grads)
     }
 }
 

@@ -12,8 +12,16 @@
 //! — a freed `127 x 32` buffer serves the next `126 x 32` take, and a freed
 //! `4 x 12` gradient can come back as a `1 x 48` bias row. A recycled
 //! buffer too small for a take grows to exactly that take, never by
-//! doubling, and each class caps its idle list: the pool holds about one
-//! pass's working set, not the union of every shape it has seen. Contents
+//! doubling.
+//!
+//! The pool keeps only what it lent. The tape hands back the buffers it
+//! took, never a caller's tensor, and the end of each pass (the tape's
+//! reset) trims each class to the buffers it lent during the pass — as
+//! many as were out at once: a pass of the same shapes finds every buffer
+//! it needs and allocates nothing, while a class the pass did not use — a
+//! ragged shape from an earlier batch — is let go instead of idling beside
+//! the ones in use. Each class's idle list is also capped, so retention
+//! stays bounded under adversarial shape sequences within one pass. Contents
 //! of a recycled buffer are arbitrary; [`TensorPool::take_scratch`] hands
 //! them out as-is for callers that overwrite every element, while
 //! [`TensorPool::take_zeroed`] / [`TensorPool::take_full`] clear them first.
@@ -29,9 +37,18 @@ const BUCKET_CAP: usize = 32;
 /// of their element count.
 #[derive(Debug, Default)]
 pub struct TensorPool {
-    free: HashMap<usize, Vec<Vec<f32>>>,
+    classes: HashMap<usize, Class>,
     hits: u64,
     misses: u64,
+}
+
+/// One power-of-two class: its idle buffers and how many it has out.
+#[derive(Debug, Default)]
+struct Class {
+    idle: Vec<Vec<f32>>,
+    out: usize,
+    /// The most buffers out at once since the last [`TensorPool::end_pass`].
+    high: usize,
 }
 
 impl TensorPool {
@@ -42,20 +59,28 @@ impl TensorPool {
 
     /// A `rows x cols` tensor with **arbitrary contents** (recycled data or
     /// zeros). Only use when every element is overwritten before being read.
+    /// An empty tensor is not pooled.
     pub fn take_scratch(&mut self, rows: usize, cols: usize) -> Tensor {
         let n = rows * cols;
-        match self.free.get_mut(&n.next_power_of_two()).and_then(Vec::pop) {
+        if n == 0 {
+            return Tensor::zeros(rows, cols);
+        }
+        let class = self.classes.entry(n.next_power_of_two()).or_default();
+        let buf = match class.idle.pop() {
             Some(mut buf) => {
                 self.hits += 1;
                 buf.reserve_exact(n.saturating_sub(buf.len()));
                 buf.resize(n, 0.0);
-                Tensor::from_vec(rows, cols, buf)
+                buf
             }
             None => {
                 self.misses += 1;
-                Tensor::zeros(rows, cols)
+                vec![0.0; n]
             }
-        }
+        };
+        class.out += 1;
+        class.high = class.high.max(class.out);
+        Tensor::from_vec(rows, cols, buf)
     }
 
     /// A zero-filled `rows x cols` tensor.
@@ -79,7 +104,7 @@ impl TensorPool {
         t
     }
 
-    /// Returns a tensor's buffer to the pool for reuse. Buffers beyond the
+    /// Returns a buffer this pool lent, for reuse. Buffers beyond the
     /// per-class cap are dropped, so idle retention stays bounded even
     /// under adversarial shape sequences.
     pub fn recycle(&mut self, t: Tensor) {
@@ -87,10 +112,24 @@ impl TensorPool {
         if n == 0 {
             return;
         }
-        let idle = self.free.entry(n.next_power_of_two()).or_default();
-        if idle.len() < BUCKET_CAP {
-            idle.push(t.into_data());
+        let buf = t.into_data();
+        let class = self.classes.entry(n.next_power_of_two()).or_default();
+        class.out = class.out.saturating_sub(1);
+        if class.idle.len() < BUCKET_CAP {
+            class.idle.push(buf);
         }
+    }
+
+    /// Ends a pass: each class keeps the idle buffers it lent since the
+    /// last call — as many as it had out at once, the top of its stack —
+    /// and drops the rest, which the pass never needed.
+    pub(crate) fn end_pass(&mut self) {
+        self.classes.retain(|_, class| {
+            let stale = class.idle.len().saturating_sub(class.high);
+            class.idle.drain(..stale);
+            class.high = class.out;
+            !class.idle.is_empty() || class.out > 0
+        });
     }
 
     /// Number of times a take was served from the free list.
@@ -105,12 +144,27 @@ impl TensorPool {
 }
 
 #[cfg(test)]
+impl TensorPool {
+    /// Per class, the heap bytes of its idle buffers.
+    pub(crate) fn idle_bytes(&self) -> HashMap<usize, usize> {
+        let bytes = |class: &Class| class.idle.iter().map(|b| 4 * b.capacity()).sum();
+        self.classes.iter().map(|(&c, class)| (c, bytes(class))).collect()
+    }
+
+    /// Per class, the most bytes it had out at once since the last
+    /// [`TensorPool::end_pass`], a buffer counted at its class's size.
+    pub(crate) fn peak_lent_bytes(&self) -> HashMap<usize, usize> {
+        self.classes.iter().map(|(&c, class)| (c, 4 * c * class.high)).collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     /// Number of buffers currently parked in the pool.
     fn idle_buffers(pool: &TensorPool) -> usize {
-        pool.free.values().map(Vec::len).sum()
+        pool.classes.values().map(|class| class.idle.len()).sum()
     }
 
     #[test]

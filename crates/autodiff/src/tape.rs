@@ -24,18 +24,27 @@
 //! ops read the store's tensor in place, through the shared handle the
 //! store keeps it behind, and backward adds the leaf's gradient into the
 //! parameter's in the [`Gradients`] set as each consumer produces it — no
-//! copy of the store, no per-leaf gradient buffer. Backward then lets go of the handles, so the
-//! optimiser step writes the values in place. Every other forward value
-//! and every backward gradient is drawn from an internal [`TensorPool`]
-//! that survives [`Tape::reset`]: once the passes have taken the largest
-//! buffer of each size class, training performs no heap allocation on the
-//! tape, and the pool holds about one pass's working set of activations
-//! and gradients. Matmul gradients route through the
-//! transpose-aware kernels ([`Tensor::matmul_t_into`],
-//! [`Tensor::matmul_tn_into`]) instead of materialising `transpose()`
-//! copies, and the recurrence node's per-pass state (the recurrent weight
-//! packed once for the forward and once, transposed, for the backward; its
-//! gate cache; the stacks behind its single `dU` product) is pooled too.
+//! copy of the store, no per-leaf gradient buffer. Every other forward
+//! value and every backward gradient is drawn from an internal
+//! [`TensorPool`] that survives [`Tape::reset`]. Backward consumes the
+//! recording: once it has passed a node, the node's value and aux go back
+//! to the pool, so the gradients still to come reuse the forward's
+//! buffers rather than coexisting with all of them, and the fused softmax
+//! cross-entropy writes its logits' gradient over its own probabilities.
+//! The parameter leaves let go of the store's handles too, so the
+//! optimiser step writes the values in place. A recording therefore
+//! supports one [`Tape::backward`]; read any value before it. The pool
+//! keeps only the buffers it lent — a caller's [`Tape::input`] is dropped,
+//! never adopted — and, at each reset, only as many per size class as
+//! the pass had out at once: a training pass holds one pass's working
+//! set, and once the passes have taken the largest buffer of each size
+//! class, training performs no heap allocation on the tape. Matmul
+//! gradients route through the transpose-aware kernels
+//! ([`Tensor::matmul_t_into`], [`Tensor::matmul_tn_into`]) instead of
+//! materialising `transpose()` copies, and the recurrence node's per-pass
+//! state (the recurrent weight packed once for the forward and once,
+//! transposed, for the backward; its gate cache; the stacks behind its
+//! single `dU` product) is pooled too.
 //!
 //! ## Fused ops and their references
 //!
@@ -253,16 +262,29 @@ impl GruPlan {
     }
 }
 
-/// A node's value: the tensor its forward op computed, or — for a
-/// parameter leaf — the store's own tensor, shared rather than copied.
-/// Backward lets go of the store's tensors as it finishes
-/// ([`Value::Released`]), so the optimiser step that follows writes them
-/// in place.
+/// A node's value: the tensor its forward op computed in a pool buffer, a
+/// caller's tensor ([`Tape::input`]), or — for a parameter leaf — the
+/// store's own tensor, shared rather than copied. Backward lets go of each
+/// node's value once it has passed the node ([`Value::Released`]): a
+/// computed one goes back to the pool for the gradients still to come, a
+/// caller's is dropped, and the store's tensors are free for the optimiser
+/// step to write in place.
 #[derive(Debug)]
 enum Value {
     Computed(Tensor),
+    Owned(Tensor),
     Param(Arc<Tensor>),
     Released,
+}
+
+impl Value {
+    /// Lets go of the value: a pool buffer goes back to `pool`, anything
+    /// else is dropped, so the pool keeps only what it lent.
+    fn release(&mut self, pool: &mut TensorPool) {
+        if let Value::Computed(t) = std::mem::replace(self, Value::Released) {
+            pool.recycle(t);
+        }
+    }
 }
 
 impl Deref for Value {
@@ -270,10 +292,10 @@ impl Deref for Value {
 
     fn deref(&self) -> &Tensor {
         match self {
-            Value::Computed(t) => t,
+            Value::Computed(t) | Value::Owned(t) => t,
             Value::Param(t) => t,
             Value::Released => {
-                panic!("parameter leaf read after backward released it: reset and record it again")
+                panic!("tape node read after backward released it: reset and record it again")
             }
         }
     }
@@ -321,19 +343,24 @@ impl Tape {
         self.ops.is_empty()
     }
 
-    /// Clears all recorded nodes so the tape can be reused. Value and aux
-    /// buffers are recycled into the internal pool, so subsequent passes of
-    /// the same model allocate nothing.
+    /// Clears all recorded nodes so the tape can be reused. The value and
+    /// aux buffers the pool lent go back to it and a caller's inputs are
+    /// dropped; the pool then keeps, per size class, what the pass had out
+    /// at once, so further passes of the same shapes allocate nothing. A
+    /// reset of an empty tape ends no pass: the pool keeps what the last
+    /// recorded one lent.
     pub fn reset(&mut self) {
+        if self.ops.is_empty() {
+            return;
+        }
         self.ops.clear();
-        for value in self.values.drain(..) {
-            if let Value::Computed(t) = value {
-                self.pool.recycle(t);
-            }
+        for mut value in self.values.drain(..) {
+            value.release(&mut self.pool);
         }
         for t in self.aux.drain(..).flatten() {
             self.pool.recycle(t);
         }
+        self.pool.end_pass();
     }
 
     /// `(hits, misses)` of the internal buffer pool — a steady-state
@@ -345,8 +372,8 @@ impl Tape {
     /// The value computed at `v`.
     ///
     /// # Panics
-    /// Panics for a parameter leaf once [`Tape::backward`] has let go of
-    /// it.
+    /// Panics once [`Tape::backward`] has let go of it: read a value
+    /// before the backward pass.
     #[inline]
     pub fn value(&self, v: Var) -> &Tensor {
         &self.values[v.index()]
@@ -370,9 +397,11 @@ impl Tape {
 
     // ----- leaves ---------------------------------------------------------
 
-    /// Records a constant input (no gradient flows into it).
+    /// Records a constant input (no gradient flows into it). The tape owns
+    /// the tensor until it is released, and then drops it: the pool does
+    /// not adopt a buffer it did not lend.
     pub fn input(&mut self, value: Tensor) -> Var {
-        self.push(Op::Input, value)
+        self.push_value(Op::Input, Value::Owned(value), None)
     }
 
     /// Records a `1 x 1` scalar constant.
@@ -865,32 +894,37 @@ impl Tape {
 
     /// Runs the backward pass from scalar node `loss`, adding each
     /// parameter gradient into its tensor in `grads` (aligned to `store`)
-    /// as it is produced. All
-    /// intermediate gradient buffers come from (and return to) the tape's
-    /// pool. Parameter leaves let go of the store's tensors when it
-    /// returns; a second backward over the same nodes reads the store's
-    /// tensors again.
+    /// as it is produced. All intermediate gradient buffers come from (and
+    /// return to) the tape's pool.
+    ///
+    /// Backward consumes the recording: once it has passed node `idx` —
+    /// or skipped it, for want of a gradient — the node's value and aux go
+    /// back to the pool (a node whose backward does not read its own value
+    /// lets go of it before its gradients are taken), so the gradients
+    /// still to come reuse the forward's buffers instead of coexisting
+    /// with all of them. Parameter leaves let go of the store's tensors,
+    /// so the optimiser step writes them in place. A recording therefore
+    /// supports one backward: reset and record it again for another.
     ///
     /// # Panics
-    /// Panics if `loss` is not `1 x 1`.
+    /// Panics if `loss` is not `1 x 1`, or once a backward has released it.
     pub fn backward(&mut self, loss: Var, store: &ParamStore, grads: &mut Gradients) {
         assert_eq!(self.value(loss).shape(), (1, 1), "backward: loss must be scalar");
         let n = loss.index() + 1;
         let Tape { ops, values, aux, pool, grad_slots } = self;
-        // A second backward over the same nodes reads the store's
-        // tensors again.
-        for (op, value) in ops.iter().zip(values.iter_mut()) {
-            if let (Op::Param(id), Value::Released) = (op, &*value) {
-                *value = Value::Param(store.shared_value(*id));
-            }
-        }
         grad_slots.clear();
         grad_slots.resize_with(n, || None);
         grad_slots[loss.index()] = Some(pool.take_full(1, 1, 1.0));
         let mut grads = Grads { ops, slots: grad_slots, params: grads };
 
         for idx in (0..n).rev() {
-            let Some(mut g) = grads.slots[idx].take() else { continue };
+            let Some(mut g) = grads.slots[idx].take() else {
+                release_node(values, aux, pool, idx);
+                continue;
+            };
+            if !ops[idx].reads_its_value() {
+                values[idx].release(pool);
+            }
             match &ops[idx] {
                 Op::Input => pool.recycle(g),
                 Op::Param(_) => unreachable!("a parameter leaf's gradient goes to the store"),
@@ -1093,32 +1127,34 @@ impl Tape {
                     pool.recycle(g);
                 }
                 Op::SoftmaxCrossEntropy { logits, targets } => {
+                    // dlogits = (p - onehot) * gv, over the probabilities.
                     let gv = g.get(0, 0);
-                    let probs = aux[idx].as_ref().expect("ce aux missing");
-                    let mut da = pool.take_scratch(probs.rows(), probs.cols());
-                    for (d, &p) in da.data_mut().iter_mut().zip(probs.data()) {
-                        *d = p * gv;
-                    }
+                    let mut dl = aux[idx].take().expect("ce aux missing");
                     for (r, &t) in targets.iter().enumerate() {
-                        let p = probs.get(r, t as usize);
-                        da.row_mut(r)[t as usize] = (p - 1.0) * gv;
+                        let row = dl.row_mut(r);
+                        let p = row[t as usize];
+                        for d in row.iter_mut() {
+                            *d *= gv;
+                        }
+                        row[t as usize] = (p - 1.0) * gv;
                     }
-                    grads.add(pool, *logits, da);
+                    grads.add(pool, *logits, dl);
                     pool.recycle(g);
                 }
                 Op::SubsetSoftmaxCe { x, w, b, cands, offsets, targets } => {
                     let gv = g.get(0, 0);
-                    let probs = aux[idx].as_ref().expect("subset ce aux missing");
                     let xv = &values[x.index()];
                     let (rows, in_dim) = xv.shape();
-                    // dlogits (flattened) = (p - onehot) * gv.
-                    let mut dl = pool.take_scratch(1, cands.len());
-                    for (d, &p) in dl.data_mut().iter_mut().zip(probs.data()) {
-                        *d = p * gv;
-                    }
+                    // dlogits (flattened) = (p - onehot) * gv, over the
+                    // probabilities.
+                    let mut dl = aux[idx].take().expect("subset ce aux missing");
                     for (i, &t) in targets.iter().enumerate() {
-                        let at = offsets[i] as usize + t as usize;
-                        dl.data_mut()[at] = (probs.data()[at] - 1.0) * gv;
+                        let span = &mut dl.data_mut()[offsets[i] as usize..offsets[i + 1] as usize];
+                        let p = span[t as usize];
+                        for d in span.iter_mut() {
+                            *d *= gv;
+                        }
+                        span[t as usize] = (p - 1.0) * gv;
                     }
                     // dx rows + dW scatter share one pass over the spans.
                     let mut dx = pool.take_zeroed(rows, in_dim);
@@ -1167,13 +1203,44 @@ impl Tape {
                     pool.recycle(g);
                 }
             }
+            release_node(values, aux, pool, idx);
         }
-        // Let go of the store's tensors: the optimiser step writes them.
-        for value in values.iter_mut() {
+        // Let go of the store's tensors past the loss too: the optimiser
+        // step writes them.
+        for value in &mut values[n..] {
             if let Value::Param(_) = value {
                 *value = Value::Released;
             }
         }
+    }
+}
+
+/// Lets go of node `idx`'s value and aux once backward has passed it.
+fn release_node(
+    values: &mut [Value],
+    aux: &mut [Option<Tensor>],
+    pool: &mut TensorPool,
+    idx: usize,
+) {
+    values[idx].release(pool);
+    if let Some(t) = aux[idx].take() {
+        pool.recycle(t);
+    }
+}
+
+impl Op {
+    /// Whether the node's backward reads the node's own value; one that
+    /// does not lets go of it before its gradients are taken.
+    fn reads_its_value(&self) -> bool {
+        matches!(
+            self,
+            Op::Sigmoid(_)
+                | Op::Tanh(_)
+                | Op::Relu(_)
+                | Op::Exp(_)
+                | Op::GruSequence { .. }
+                | Op::LogSumExpRows(_)
+        )
     }
 }
 
@@ -1594,6 +1661,113 @@ mod tests {
     }
 
     #[test]
+    fn a_pass_holds_one_pass() {
+        // Ragged passes of a small VAE, each with fresh caller-owned noise
+        // through `Tape::input`, as the RP lane records them. After every
+        // reset, each size class of the pool idles no more bytes than the
+        // pass just ended had out of it at once: not the noise, not the
+        // shapes of an earlier, longer batch.
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(11);
+        let (vocab, embed, hidden, latent) = (30, 8, 16, 4);
+        let mut store = ParamStore::new();
+        let mut linear = |store: &mut ParamStore, name: &str, i: usize, o: usize| {
+            let w = store.add(format!("{name}.w"), Tensor::rand_uniform(i, o, -0.3, 0.3, &mut rng));
+            (w, store.add(format!("{name}.b"), Tensor::rand_uniform(1, o, -0.1, 0.1, &mut rng)))
+        };
+        let layers = [
+            linear(&mut store, "enc", embed, hidden),
+            linear(&mut store, "mu", hidden, latent),
+            linear(&mut store, "logvar", hidden, latent),
+            linear(&mut store, "dec", latent, hidden),
+            linear(&mut store, "out", hidden, vocab),
+        ];
+        let emb = store.add("emb", Tensor::rand_uniform(vocab, embed, -1.0, 1.0, &mut rng));
+        let mut grads = Gradients::new(&store);
+        let mut tape = Tape::new();
+        for tokens in [37usize, 61, 23, 90, 44, 64, 12, 75, 75, 30] {
+            let ids: Vec<u32> = (0..tokens).map(|i| (i * 7 % vocab) as u32).collect();
+            let eps = Tensor::randn(tokens, latent, 0.0, 1.0, &mut rng);
+            let apply = |tape: &mut Tape, x: Var, layer: usize| {
+                let (w, b) = layers[layer];
+                let (w, b) = (tape.param(&store, w), tape.param(&store, b));
+                tape.linear(x, w, b, false)
+            };
+            let x = tape.gather_rows(&store, emb, &ids);
+            let enc = apply(&mut tape, x, 0);
+            let h = tape.tanh(enc);
+            let (mu, logvar) = (apply(&mut tape, h, 1), apply(&mut tape, h, 2));
+            let kl = tape.kl_std_normal(mu, logvar);
+            let z = tape.gaussian_sample(mu, logvar, eps);
+            let dec = apply(&mut tape, z, 3);
+            let d = tape.relu(dec);
+            let logits = apply(&mut tape, d, 4);
+            let ce = tape.softmax_cross_entropy(logits, &ids);
+            let loss = tape.add(ce, kl);
+            let scaled = tape.scale(loss, 1.0 / tokens as f32);
+            tape.backward(scaled, &store, &mut grads);
+
+            let peak = tape.pool.peak_lent_bytes();
+            tape.reset();
+            for (class, idle) in tape.pool.idle_bytes() {
+                let lent = peak.get(&class).copied().unwrap_or(0);
+                assert!(
+                    idle <= lent,
+                    "{tokens} tokens, class {class}: {idle} B idle, {lent} B lent"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_caller_input_is_dropped_not_adopted() {
+        let mut tape = Tape::new();
+        let x = tape.input(Tensor::full(3, 4, 1.0));
+        let _ = tape.scale(x, 2.0);
+        tape.reset();
+        // The product's buffer came from the pool and went back to it;
+        // the caller's did not come from it and is gone.
+        let idle: usize = tape.pool.idle_bytes().values().sum();
+        assert_eq!(idle, 12 * std::mem::size_of::<f32>());
+    }
+
+    #[test]
+    fn backward_reuses_forward_buffers() {
+        // `y <- y * c_k` on one shape, the factors recorded first: each
+        // step's gradient take is served by the buffer of the product that
+        // step computed, released as backward passes it. Only the seed and
+        // the sum's broadcast find nothing released yet.
+        let (store, w_id) = store_with("w", Tensor::full(4, 8, 0.5));
+        let mut tape = Tape::new();
+        let steps = 6;
+        let factors: Vec<Var> = (0..steps).map(|_| tape.input(Tensor::full(4, 8, 1.5))).collect();
+        let mut y = tape.param(&store, w_id);
+        for &c in &factors {
+            y = tape.mul(y, c);
+        }
+        let loss = tape.sum_all(y);
+        let (hits, misses) = tape.pool_stats();
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
+        let (bw_hits, bw_misses) = (tape.pool_stats().0 - hits, tape.pool_stats().1 - misses);
+        assert_eq!((bw_hits, bw_misses), (steps as u64, 2), "backward (hits, misses)");
+        assert!(grads.get(w_id).data().iter().all(|&g| g == 1.5f32.powi(steps)));
+    }
+
+    #[test]
+    #[should_panic(expected = "reset and record it again")]
+    fn a_recording_supports_one_backward() {
+        let (store, w_id) = store_with("w", Tensor::full(2, 2, 1.0));
+        let mut tape = Tape::new();
+        let w = tape.param(&store, w_id);
+        let loss = tape.sum_all(w);
+        let mut grads = Gradients::new(&store);
+        tape.backward(loss, &store, &mut grads);
+        tape.backward(loss, &store, &mut grads);
+    }
+
+    #[test]
     fn param_leaves_read_the_store_in_place() {
         let mut store = ParamStore::new();
         let ids: Vec<ParamId> = (0..4)
@@ -1726,8 +1900,9 @@ mod tests {
                     };
                     let loss = tape.sum_all(out);
                     let mut grads = Gradients::new(&store);
+                    let out = tape.value(out).clone();
                     tape.backward(loss, &store, &mut grads);
-                    (tape.value(out).clone(), grads)
+                    (out, grads)
                 };
                 let (out_ref, grads_ref) = run(false);
                 let (out_fused, grads_fused) = run(true);

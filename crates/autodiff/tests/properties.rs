@@ -98,13 +98,18 @@ proptest! {
         let mut store = ParamStore::new();
         let id = store.add("w", rand_tensor(seed, 2, 3));
         let mut tape = Tape::new();
-        let w = tape.param(&store, id);
-        let sq = tape.mul(w, w);
-        let loss = tape.sum_all(sq);
         let mut grads = Gradients::new(&store);
-        tape.backward(loss, &store, &mut grads);
+        // A recording supports one backward: record the graph twice.
+        let record_and_backward = |tape: &mut Tape, grads: &mut Gradients| {
+            tape.reset();
+            let w = tape.param(&store, id);
+            let sq = tape.mul(w, w);
+            let loss = tape.sum_all(sq);
+            tape.backward(loss, &store, grads);
+        };
+        record_and_backward(&mut tape, &mut grads);
         let once = grads.get(id).clone();
-        tape.backward(loss, &store, &mut grads);
+        record_and_backward(&mut tape, &mut grads);
         for (g1, g2) in once.data().iter().zip(grads.get(id).data()) {
             prop_assert!((2.0 * g1 - g2).abs() < 1e-5);
         }

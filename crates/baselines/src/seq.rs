@@ -455,8 +455,9 @@ mod tests {
                 tape.reset();
                 let h = core.encode(&mut tape, &store, seqs, slots);
                 let nll = core.decode_nll(&mut tape, &store, h, seqs, slots);
+                let loss = tape.value(nll).get(0, 0) as f64;
                 tape.backward(nll, &store, grads);
-                tape.value(nll).get(0, 0) as f64
+                loss
             };
             let mut whole = Gradients::new(&store);
             let batched = pass(&mut whole, &chunk, &slots);
