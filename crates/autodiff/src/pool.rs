@@ -12,7 +12,9 @@
 //! — a freed `127 x 32` buffer serves the next `126 x 32` take, and a freed
 //! `4 x 12` gradient can come back as a `1 x 48` bias row. A recycled
 //! buffer too small for a take grows to exactly that take, never by
-//! doubling.
+//! doubling, and that is a miss. A take gets the idle buffer of lowest
+//! rank (allocation order), so a pass of the last one's shapes gets the
+//! buffers that pass had, each already grown to its take.
 //!
 //! The pool keeps only what it lent. The tape hands back the buffers it
 //! took, never a caller's tensor, and the end of each pass (the tape's
@@ -40,13 +42,17 @@ pub struct TensorPool {
     classes: HashMap<usize, Class>,
     hits: u64,
     misses: u64,
+    /// The rank the next buffer the pool allocates gets.
+    next_rank: u64,
 }
 
-/// One power-of-two class: its idle buffers and how many it has out.
+/// One power-of-two class: its idle buffers and the ones it has out, with
+/// their ranks.
 #[derive(Debug, Default)]
 struct Class {
-    idle: Vec<Vec<f32>>,
-    out: usize,
+    idle: Vec<(u64, Vec<f32>)>,
+    /// `(address, rank)` of each buffer out.
+    out: Vec<(usize, u64)>,
     /// The most buffers out at once since the last [`TensorPool::end_pass`].
     high: usize,
 }
@@ -66,20 +72,24 @@ impl TensorPool {
             return Tensor::zeros(rows, cols);
         }
         let class = self.classes.entry(n.next_power_of_two()).or_default();
-        let buf = match class.idle.pop() {
-            Some(mut buf) => {
-                self.hits += 1;
-                buf.reserve_exact(n.saturating_sub(buf.len()));
-                buf.resize(n, 0.0);
-                buf
-            }
-            None => {
-                self.misses += 1;
-                vec![0.0; n]
-            }
-        };
-        class.out += 1;
-        class.high = class.high.max(class.out);
+        let lowest = (0..class.idle.len()).min_by_key(|&i| class.idle[i].0);
+        let (rank, mut buf) = lowest.map_or_else(
+            || {
+                self.next_rank += 1;
+                (self.next_rank, Vec::new())
+            },
+            |i| class.idle.swap_remove(i),
+        );
+        // A fresh buffer, or a recycled one grown to the take, allocates.
+        if buf.capacity() < n {
+            self.misses += 1;
+            buf.reserve_exact(n - buf.len());
+        } else {
+            self.hits += 1;
+        }
+        buf.resize(n, 0.0);
+        class.out.push((buf.as_ptr() as usize, rank));
+        class.high = class.high.max(class.out.len());
         Tensor::from_vec(rows, cols, buf)
     }
 
@@ -114,30 +124,32 @@ impl TensorPool {
         }
         let buf = t.into_data();
         let class = self.classes.entry(n.next_power_of_two()).or_default();
-        class.out = class.out.saturating_sub(1);
+        let lent = class.out.iter().position(|&(address, _)| address == buf.as_ptr() as usize);
+        // A buffer the pool did not lend ranks last.
+        let rank = lent.map_or(u64::MAX, |i| class.out.swap_remove(i).1);
         if class.idle.len() < BUCKET_CAP {
-            class.idle.push(buf);
+            class.idle.push((rank, buf));
         }
     }
 
-    /// Ends a pass: each class keeps the idle buffers it lent since the
-    /// last call — as many as it had out at once, the top of its stack —
-    /// and drops the rest, which the pass never needed.
+    /// Ends a pass: each class keeps as many idle buffers as it had out at
+    /// once since the last call, the lowest ranks — the ones its takes got
+    /// — and drops the rest, which the pass never needed.
     pub(crate) fn end_pass(&mut self) {
         self.classes.retain(|_, class| {
-            let stale = class.idle.len().saturating_sub(class.high);
-            class.idle.drain(..stale);
-            class.high = class.out;
-            !class.idle.is_empty() || class.out > 0
+            class.idle.sort_unstable_by_key(|&(rank, _)| rank);
+            class.idle.truncate(class.high);
+            class.high = class.out.len();
+            !class.idle.is_empty() || !class.out.is_empty()
         });
     }
 
-    /// Number of times a take was served from the free list.
+    /// Number of takes served from the free list without allocating.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Number of times a take had to allocate.
+    /// Number of takes that allocated: a fresh buffer or a grown one.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -147,7 +159,7 @@ impl TensorPool {
 impl TensorPool {
     /// Per class, the heap bytes of its idle buffers.
     pub(crate) fn idle_bytes(&self) -> HashMap<usize, usize> {
-        let bytes = |class: &Class| class.idle.iter().map(|b| 4 * b.capacity()).sum();
+        let bytes = |class: &Class| class.idle.iter().map(|(_, b)| 4 * b.capacity()).sum();
         self.classes.iter().map(|(&c, class)| (c, bytes(class))).collect()
     }
 
@@ -218,15 +230,50 @@ mod tests {
     #[test]
     fn large_ragged_sizes_share_one_bucket() {
         // Ragged `tokens x vocab` CE shapes: the larger take reuses the
-        // smaller buffer of its class, grown to exactly its size.
+        // smaller buffer of its class, grown to exactly its size — and the
+        // growth is an allocation, so it counts as a miss.
         let mut pool = TensorPool::new();
         let t = pool.take_zeroed(130, 514);
         pool.recycle(t);
         let t2 = pool.take_zeroed(140, 514);
-        assert_eq!(pool.hits(), 1, "ragged large take should hit the class");
+        assert_eq!((pool.hits(), pool.misses()), (0, 2), "a grow is a miss");
         assert_eq!(t2.shape(), (140, 514));
         assert!(t2.data().iter().all(|&x| x == 0.0));
         assert_eq!(t2.into_data().capacity(), 140 * 514, "grown exactly, not doubled");
+    }
+
+    #[test]
+    fn growing_a_recycled_buffer_counts_as_a_miss() {
+        // 92 and 128 elements share the 128 class, but the recycled
+        // buffer holds 92: serving the larger take reallocates it.
+        let mut pool = TensorPool::new();
+        let t = pool.take_scratch(92, 1);
+        pool.recycle(t);
+        let t2 = pool.take_scratch(128, 1);
+        assert_eq!((pool.hits(), pool.misses()), (0, 2));
+        assert_eq!(t2.into_data().capacity(), 128, "grown exactly, not doubled");
+    }
+
+    #[test]
+    fn a_repeated_ragged_pass_allocates_nothing() {
+        // The sizes and order of the takes the whole-recurrence node makes
+        // in one 2048 class. Handing out the most recently freed buffer,
+        // the second pass gives the 1360 take the buffer grown to 1920 in
+        // the first, and grows another for the 1920 take.
+        let mut pool = TensorPool::new();
+        let pass = |pool: &mut TensorPool| {
+            let a = pool.take_scratch(1280, 1);
+            let b = pool.take_scratch(1360, 1);
+            pool.recycle(a);
+            let c = pool.take_scratch(1920, 1);
+            let d = pool.take_scratch(1200, 1);
+            [d, c, b].into_iter().for_each(|t| pool.recycle(t));
+            pool.end_pass();
+            pool.misses()
+        };
+        let warm = pass(&mut pool);
+        assert_eq!(pass(&mut pool), warm, "the second pass allocated");
+        assert_eq!(pass(&mut pool), warm);
     }
 
     #[test]

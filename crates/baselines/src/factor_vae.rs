@@ -72,9 +72,11 @@ impl Discriminator {
 
     /// One discriminator update on a batch of detached latent samples, one
     /// per row of `real`, through `adam` and `grads` (both aligned to the
-    /// discriminator's store).
+    /// discriminator's store), recorded on `tape` after a reset, so a step
+    /// of the last one's shapes allocates no tape buffer.
     fn train_step(
         &mut self,
+        tape: &mut Tape,
         adam: &mut Adam,
         grads: &mut Gradients,
         real: &Tensor,
@@ -93,11 +95,11 @@ impl Discriminator {
                 perm.set(i, c, real.get(j, c));
             }
         }
-        let mut tape = Tape::new();
+        tape.reset();
         let x_real = tape.input(real.clone());
         let x_perm = tape.input(perm);
-        let loss_real = self.class_loss(&mut tape, x_real, 0, n);
-        let loss_perm = self.class_loss(&mut tape, x_perm, 1, n);
+        let loss_real = self.class_loss(tape, x_real, 0, n);
+        let loss_perm = self.class_loss(tape, x_perm, 1, n);
         let loss = tape.add(loss_real, loss_perm);
         tape.backward(loss, &self.store, grads);
         adam.step(&mut self.store, grads);
@@ -183,6 +185,7 @@ impl FactorVae {
             model: self,
             lane: Lane::new(std::mem::take(&mut vae.store), self.cfg.lr),
             vae: &vae,
+            disc_tape: Tape::new(),
             disc_adam: Adam::new(&disc.store, self.cfg.lr),
             disc_grads: Gradients::new(&disc.store),
             disc,
@@ -204,6 +207,7 @@ struct Players<'a> {
     vae: &'a Inner,
     lane: Lane,
     disc: Discriminator,
+    disc_tape: Tape,
     disc_adam: Adam,
     disc_grads: Gradients,
     /// The detached `z` of the batch last passed, one row per trajectory.
@@ -226,7 +230,8 @@ impl Lanes<Trajectory> for Players<'_> {
 
     fn step(&mut self, grad_scale: Option<f32>, rng: &mut StdRng) {
         self.lane.step(grad_scale);
-        self.disc.train_step(&mut self.disc_adam, &mut self.disc_grads, &self.batch_z, rng);
+        let (tape, adam, grads) = (&mut self.disc_tape, &mut self.disc_adam, &mut self.disc_grads);
+        self.disc.train_step(tape, adam, grads, &self.batch_z, rng);
     }
 
     fn discard(&mut self) {
@@ -293,6 +298,7 @@ mod tests {
             let (mut vae, mut disc, mut rng) = self.init(net);
             let mut disc_adam = Adam::new(&disc.store, self.cfg.lr);
             let mut disc_grads = Gradients::new(&disc.store);
+            let mut disc_tape = Tape::new();
             let mut store = std::mem::take(&mut vae.store);
 
             // Custom loop: the discriminator trains on whole batches of z.
@@ -330,7 +336,13 @@ mod tests {
                     adam.step_scaled(&mut store, &mut grads, factor);
                     let latent = self.cfg.latent_dim;
                     let real = Tensor::from_vec(batch_z.len() / latent, latent, batch_z);
-                    disc.train_step(&mut disc_adam, &mut disc_grads, &real, &mut rng);
+                    disc.train_step(
+                        &mut disc_tape,
+                        &mut disc_adam,
+                        &mut disc_grads,
+                        &real,
+                        &mut rng,
+                    );
                     epoch_loss += batch_loss;
                     counted += eligible.len();
                 }
@@ -372,15 +384,39 @@ mod tests {
     }
 
     #[test]
+    fn discriminator_steps_of_one_shape_stop_allocating() {
+        // The discriminator records every step on the one tape it is
+        // handed: from the second step of a shape on, the tape's pool
+        // serves every take.
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut disc = Discriminator::new(4, 16, &mut rng);
+        let (mut adam, mut grads) = (Adam::new(&disc.store, 0.01), Gradients::new(&disc.store));
+        let mut tape = Tape::new();
+        let mut step = |tape: &mut Tape, rng: &mut StdRng| {
+            let real = Tensor::randn(8, 4, 0.0, 1.0, rng);
+            disc.train_step(tape, &mut adam, &mut grads, &real, rng);
+            tape.pool_stats()
+        };
+        let (_, warm_misses) = step(&mut tape, &mut rng);
+        for _ in 0..4 {
+            let (hits, misses) = step(&mut tape, &mut rng);
+            assert_eq!(misses, warm_misses, "a same-shape discriminator step allocated");
+            assert!(hits > 0);
+        }
+    }
+
+    #[test]
     fn discriminator_learns_to_separate_correlated_dims() {
         // Construct z where all dims are equal (maximal correlation):
         // permuted versions are easily distinguishable.
         let mut rng = StdRng::seed_from_u64(0);
         let mut disc = Discriminator::new(4, 16, &mut rng);
         let (mut adam, mut grads) = (Adam::new(&disc.store, 0.01), Gradients::new(&disc.store));
+        let mut tape = Tape::new();
         for _ in 0..60 {
             let zs: Vec<f32> = (0..16).flat_map(|_| [rng.gen_range(-2.0..2.0); 4]).collect();
-            disc.train_step(&mut adam, &mut grads, &Tensor::from_vec(16, 4, zs), &mut rng);
+            let real = Tensor::from_vec(16, 4, zs);
+            disc.train_step(&mut tape, &mut adam, &mut grads, &real, &mut rng);
         }
         // A fresh correlated sample should be classified "real" (class 0).
         let mut tape = Tape::new();

@@ -4,7 +4,8 @@
 //! segments never seen in training, mean scaling factor per segment, and
 //! mean likelihood NLL per segment — the quantities that explain *why*
 //! CausalTAD ranks pools the way it does. Then reports a ROC-AUC λ-sweep
-//! against VSAE.
+//! against VSAE. Both read one scoring pass per pool
+//! ([`tad_eval::parts::ScoreParts`]): the sweep sets no λ on the model.
 //!
 //! ```sh
 //! cargo run --release -p tad-bench --bin diagnose -- [bias] [noise] [epochs]
@@ -14,6 +15,7 @@ use causaltad::CausalTadConfig;
 use tad_baselines::{BaselineConfig, Detector, Vsae};
 use tad_eval::cities::{xian_s, Scale};
 use tad_eval::harness::evaluate;
+use tad_eval::parts::{evaluate_parts, ScoreParts};
 use tad_eval::wrappers::CausalTadDetector;
 use tad_trajsim::stats::{segment_frequencies, unseen_share};
 use tad_trajsim::{generate_city, Trajectory};
@@ -45,23 +47,21 @@ fn main() {
     let mut causal = CausalTadDetector::new(CausalTadConfig { epochs, ..Default::default() });
     causal.fit(&city.net, &city.data.train);
     let model = causal.model().expect("trained");
-    let table = model.scaling().expect("trained");
     let seen = segment_frequencies(&city.data.train);
 
-    let stats = |name: &str, pool: &[Trajectory]| {
-        let mut nseg = 0usize;
-        let mut scale = 0.0;
-        let mut nll = 0.0;
-        for t in pool {
-            let sd = t.sd_pair();
-            let mut s = model.online(sd.source.0, sd.dest.0, t.time_slot);
-            for &seg in &t.segments {
-                s.push(seg.0);
-                nseg += 1;
-                scale += table.log_scale(seg.0, t.time_slot);
-            }
-            nll += s.likelihood_nll();
-        }
+    let data = &city.data;
+    let pools = [
+        ("test_id", &data.test_id),
+        ("test_ood", &data.test_ood),
+        ("detour", &data.detour),
+        ("switch", &data.switch),
+    ];
+    let [id, ood, detour, switch] = pools.map(|(_, pool)| ScoreParts::of(model, pool));
+    println!("pool decomposition:");
+    for ((name, pool), parts) in pools.iter().zip([&id, &ood, &detour, &switch]) {
+        let nseg: usize = pool.iter().map(Trajectory::len).sum();
+        let scale: f64 = parts.iter().map(|p| p.log_scale).sum();
+        let nll: f64 = parts.iter().map(|p| p.nll).sum();
         println!(
             "  {name:<9} len {:5.1}  unseen% {:4.1}  scale/seg {:5.2}  nll/seg {:5.2}",
             nseg as f64 / pool.len() as f64,
@@ -69,12 +69,7 @@ fn main() {
             scale / nseg as f64,
             nll / nseg as f64
         );
-    };
-    println!("pool decomposition:");
-    stats("test_id", &city.data.test_id);
-    stats("test_ood", &city.data.test_ood);
-    stats("detour", &city.data.detour);
-    stats("switch", &city.data.switch);
+    }
 
     let ev = |det: &dyn Detector, normals: &[Trajectory], anomalies: &[Trajectory]| {
         evaluate(det, normals, anomalies).roc_auc
@@ -82,19 +77,20 @@ fn main() {
     println!("ROC-AUC:");
     println!(
         "  VSAE        ID-D {:.3} OOD-D {:.3} ID-S {:.3} OOD-S {:.3}",
-        ev(&vsae, &city.data.test_id, &city.data.detour),
-        ev(&vsae, &city.data.test_ood, &city.data.detour),
-        ev(&vsae, &city.data.test_id, &city.data.switch),
-        ev(&vsae, &city.data.test_ood, &city.data.switch),
+        ev(&vsae, &data.test_id, &data.detour),
+        ev(&vsae, &data.test_ood, &data.detour),
+        ev(&vsae, &data.test_id, &data.switch),
+        ev(&vsae, &data.test_ood, &data.switch),
     );
     for lambda in [0.0, 0.05, 0.1, 0.2, 0.3, 0.5] {
-        causal.set_lambda(lambda);
+        let ev =
+            |normals, anomalies| evaluate_parts(normals, anomalies, |p| p.full(lambda)).roc_auc;
         println!(
             "  CTAD l={lambda:<5} ID-D {:.3} OOD-D {:.3} ID-S {:.3} OOD-S {:.3}",
-            ev(&causal, &city.data.test_id, &city.data.detour),
-            ev(&causal, &city.data.test_ood, &city.data.detour),
-            ev(&causal, &city.data.test_id, &city.data.switch),
-            ev(&causal, &city.data.test_ood, &city.data.switch),
+            ev(&id, &detour),
+            ev(&ood, &detour),
+            ev(&id, &switch),
+            ev(&ood, &switch),
         );
     }
 }

@@ -9,16 +9,16 @@
 
 use std::time::Instant;
 
+use causaltad::CausalTad;
 use tad_baselines::Detector;
-use tad_eval::harness::{evaluate, evaluate_at_ratio, mix_normals, ComboResult};
+use tad_eval::harness::{evaluate, evaluate_at_ratio, mix_normals};
+use tad_eval::parts::{evaluate_parts, ScoreParts};
 use tad_eval::report::{improvement_pct, Table};
 use tad_eval::wrappers::CausalTadDetector;
-use tad_trajsim::Trajectory;
+use tad_trajsim::{CityDatasets, Trajectory};
 
 use crate::opts::Opts;
-use crate::suite::{
-    causaltad_config, selected_cities, train_ablation_roster, train_full_roster, TrainedSuite,
-};
+use crate::suite::{causaltad_config, selected_cities, train_full_roster, TrainedSuite};
 
 /// A full study: every selected city trained with the complete roster.
 pub struct Study {
@@ -31,19 +31,6 @@ impl Study {
     pub fn run(opts: Opts) -> Self {
         let suites = selected_cities(&opts).iter().map(|c| train_full_roster(c, &opts)).collect();
         Study { opts, suites }
-    }
-
-    /// The four test combinations of one suite, ID or OOD flavoured.
-    fn combos(
-        suite: &TrainedSuite,
-        ood: bool,
-    ) -> [(&'static str, &[Trajectory], &[Trajectory]); 2] {
-        let normals: &[Trajectory] =
-            if ood { &suite.city.data.test_ood } else { &suite.city.data.test_id };
-        [
-            ("Detour", normals, suite.city.data.detour.as_slice()),
-            ("Switch", normals, suite.city.data.switch.as_slice()),
-        ]
     }
 
     fn quality_table(&self, title: &str, ood: bool) -> Table {
@@ -62,8 +49,9 @@ impl Study {
         let method_names: Vec<&str> = self.suites[0].all().iter().map(|(n, _)| *n).collect();
         let mut per_method: Vec<Vec<f64>> = vec![Vec::new(); method_names.len()];
         for suite in &self.suites {
-            for (anomaly, normals, anomalies) in Self::combos(suite, ood) {
-                let _ = anomaly;
+            let data = &suite.city.data;
+            let normals = if ood { &data.test_ood } else { &data.test_id };
+            for anomalies in [&data.detour, &data.switch] {
                 for (mi, (_, det)) in suite.all().iter().enumerate() {
                     let r = evaluate(*det, normals, anomalies);
                     per_method[mi].push(r.roc_auc);
@@ -215,24 +203,23 @@ impl Study {
         table
     }
 
-    /// Fig. 8: λ sweep on all combinations without retraining.
-    pub fn fig8(&mut self) -> Table {
+    /// Fig. 8: λ sweep on all combinations, each a view of one scoring
+    /// pass per pool.
+    pub fn fig8(&self) -> Table {
         let mut table = Table::new(
             "Fig. 8 — Performance of CausalTAD under different λ",
             &["City", "Combo", "lambda", "ROC-AUC", "PR-AUC"],
         );
-        let lambdas = [0.0, 0.01, 0.05, 0.1, 0.5, 1.0];
-        for suite_idx in 0..self.suites.len() {
-            for &lambda in &lambdas {
-                self.suites[suite_idx].causal.set_lambda(lambda);
-                let suite = &self.suites[suite_idx];
-                for ood in [false, true] {
-                    for (anomaly, normals, anomalies) in Self::combos(suite, ood) {
-                        let r = evaluate(&suite.causal, normals, anomalies);
-                        let combo = format!("{}-{}", if ood { "OOD" } else { "ID" }, anomaly);
+        for suite in &self.suites {
+            let model = suite.causal.model().expect("trained");
+            let [id, ood, detour, switch] = test_parts(model, &suite.city.data);
+            for lambda in [0.0, 0.01, 0.05, 0.1, 0.5, 1.0] {
+                for (split, normals) in [("ID", &id), ("OOD", &ood)] {
+                    for (anomaly, anomalies) in [("Detour", &detour), ("Switch", &switch)] {
+                        let r = evaluate_parts(normals, anomalies, |p| p.full(lambda));
                         table.push_row(vec![
                             suite.city.name.clone(),
-                            combo,
+                            format!("{split}-{anomaly}"),
                             format!("{lambda}"),
                             Table::metric(r.roc_auc),
                             Table::metric(r.pr_auc),
@@ -240,15 +227,19 @@ impl Study {
                     }
                 }
             }
-            // Restore the default λ for later experiments.
-            self.suites[suite_idx].causal.set_lambda(0.1);
         }
         table
     }
 }
 
-/// Table III: ablation study (trains its own roster — the scoring
-/// variants, not the full baseline set).
+/// The parts of a city's test pools: `[test_id, test_ood, detour, switch]`.
+fn test_parts(model: &CausalTad, data: &CityDatasets) -> [Vec<ScoreParts>; 4] {
+    [&data.test_id, &data.test_ood, &data.detour, &data.switch].map(|p| ScoreParts::of(model, p))
+}
+
+/// Table III: ablation study. It fits one CausalTAD per city (not the
+/// baseline roster) and reads its three rows off that model's parts: the
+/// full score, the TG-VAE likelihood alone and the RP-VAE ELBO alone.
 pub fn table3(opts: &Opts) -> Table {
     let cities = selected_cities(opts);
     let mut columns = vec!["Method".to_string(), "Metric".to_string()];
@@ -262,32 +253,31 @@ pub fn table3(opts: &Opts) -> Table {
     let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
     let mut table = Table::new("Table III — Ablation study (TG-VAE / RP-VAE)", &col_refs);
 
-    let mut rows: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new(); // (name, pr, roc)
+    let cfg = causaltad_config(opts.scale, opts.epochs);
+    let lambda = cfg.lambda;
+    let views = [
+        ("CausalTAD", ScoreParts::full as fn(&ScoreParts, f64) -> f64),
+        ("TG-VAE", |p, _| p.nll),
+        ("RP-VAE", |p, _| p.neg_elbo),
+    ];
+    let mut rows: Vec<Vec<String>> = (views.iter())
+        .flat_map(|(name, _)| ["PR-AUC", "ROC-AUC"].map(|m| vec![name.to_string(), m.to_string()]))
+        .collect();
     for city in &cities {
-        let roster = train_ablation_roster(city, opts);
-        for (i, det) in roster.iter().enumerate() {
-            if rows.len() <= i {
-                rows.push((det.name().to_string(), Vec::new(), Vec::new()));
-            }
-            for ood in [false, true] {
-                let normals: &[Trajectory] =
-                    if ood { &city.data.test_ood } else { &city.data.test_id };
-                for anomalies in [&city.data.detour, &city.data.switch] {
-                    let r: ComboResult = evaluate(det, normals, anomalies);
-                    rows[i].1.push(r.pr_auc);
-                    rows[i].2.push(r.roc_auc);
+        let mut model = CausalTad::new(&city.net, cfg.clone());
+        model.fit(&city.data.train);
+        let [id, ood, detour, switch] = test_parts(&model, &city.data);
+        for normals in [&id, &ood] {
+            for anomalies in [&detour, &switch] {
+                for ((_, view), pair) in views.iter().zip(rows.chunks_mut(2)) {
+                    let r = evaluate_parts(normals, anomalies, |p| view(p, lambda));
+                    pair[0].push(Table::metric(r.pr_auc));
+                    pair[1].push(Table::metric(r.roc_auc));
                 }
             }
         }
     }
-    for (name, pr, roc) in rows {
-        let mut pr_row = vec![name.clone(), "PR-AUC".to_string()];
-        pr_row.extend(pr.iter().map(|&x| Table::metric(x)));
-        table.push_row(pr_row);
-        let mut roc_row = vec![name, "ROC-AUC".to_string()];
-        roc_row.extend(roc.iter().map(|&x| Table::metric(x)));
-        table.push_row(roc_row);
-    }
+    rows.into_iter().for_each(|row| table.push_row(row));
     table
 }
 

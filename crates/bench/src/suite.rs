@@ -7,14 +7,14 @@ use causaltad::CausalTadConfig;
 use tad_baselines::{paper_baselines, BaselineConfig, Detector};
 use tad_eval::cities::{chengdu_s, xian_s, Scale};
 use tad_eval::harness::parallel_map;
-use tad_eval::wrappers::{CausalTadDetector, CausalTadVariant};
+use tad_eval::wrappers::CausalTadDetector;
 use tad_trajsim::{generate_city, City};
 
 use crate::opts::{CityChoice, Opts};
 
 /// A fitted roster on one city: the seven boxed baselines plus CausalTAD
-/// (kept concrete so experiments can reach `set_lambda` and the online
-/// trace), with per-detector training times.
+/// (kept concrete so experiments can reach its model: Fig. 8's score
+/// parts, Fig. 4's per-segment trace), with per-detector training times.
 pub struct TrainedSuite {
     pub city: City,
     pub baselines: Vec<Box<dyn Detector>>,
@@ -132,22 +132,6 @@ pub fn train_full_roster(city: &City, opts: &Opts) -> TrainedSuite {
     TrainedSuite { city: city.clone(), baselines, causal, train_times }
 }
 
-/// Trains the ablation roster (Table III): full CausalTAD plus its two
-/// single-module scoring variants. All three share the same configuration
-/// and seed, so they converge to the same parameters and differ only in the
-/// scoring path.
-pub fn train_ablation_roster(city: &City, opts: &Opts) -> Vec<CausalTadDetector> {
-    let c_cfg = causaltad_config(opts.scale, opts.epochs);
-    [CausalTadVariant::Full, CausalTadVariant::TgOnly, CausalTadVariant::RpOnly]
-        .into_iter()
-        .map(|variant| {
-            let mut det = CausalTadDetector::variant(c_cfg.clone(), variant);
-            det.fit(&city.net, &city.data.train);
-            det
-        })
-        .collect()
-}
-
 /// Number of worker threads for training fan-outs.
 fn available_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2)
@@ -156,7 +140,6 @@ fn available_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tad_trajsim::CityConfig;
 
     #[test]
     fn configs_align_across_scales() {
@@ -167,17 +150,5 @@ mod tests {
             assert_eq!(b.epochs, c.epochs);
         }
         assert_eq!(baseline_config(Scale::Quick, Some(7)).epochs, 7);
-    }
-
-    #[test]
-    fn ablation_roster_has_three_variants() {
-        let city = generate_city(&CityConfig::test_scale(601));
-        let opts = Opts { epochs: Some(1), ..Opts::default() };
-        let roster = train_ablation_roster(&city, &opts);
-        let names: Vec<_> = roster.iter().map(|d| d.name()).collect();
-        assert_eq!(names, vec!["CausalTAD", "TG-VAE", "RP-VAE"]);
-        for det in &roster {
-            assert!(det.score(&city.data.test_id[0]).is_finite());
-        }
     }
 }

@@ -110,12 +110,6 @@ impl CausalTad {
         &self.cfg
     }
 
-    /// Overrides λ (Eq. 10) without retraining — Fig. 8's sweep re-scores
-    /// the same trained model under different λ.
-    pub fn set_lambda(&mut self, lambda: f64) {
-        self.cfg.lambda = lambda;
-    }
-
     /// Shared parameter store (read access, e.g. for persistence).
     pub fn store(&self) -> &ParamStore {
         &self.store
@@ -351,7 +345,7 @@ mod tests {
             for &seg in &t.segments {
                 last = scorer.push(seg.0);
             }
-            assert!((offline - last).abs() < 1e-9, "{offline} vs {last}");
+            assert_eq!(offline.to_bits(), last.to_bits(), "{offline} vs {last}");
         }
     }
 
@@ -371,12 +365,16 @@ mod tests {
     #[test]
     fn lambda_zero_equals_tg_only() {
         let city = small_city();
-        let mut model = quick_model(&city);
+        let model = quick_model(&city);
         let t = &city.data.test_id[0];
-        model.set_lambda(0.0);
-        let s = model.score(t);
+        let sd = t.sd_pair();
+        let mut scorer = model.online(sd.source.0, sd.dest.0, t.time_slot);
+        for &seg in &t.segments {
+            scorer.push(seg.0);
+        }
+        let s = scorer.state().score(0.0);
         let tg = model.score_tg_only(t);
-        assert!((s - tg).abs() < 1e-9, "{s} vs {tg}");
+        assert_eq!(s.to_bits(), tg.to_bits(), "{s} vs {tg}");
     }
 
     #[test]

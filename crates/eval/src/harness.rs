@@ -71,16 +71,17 @@ fn evaluate_with(
     normals: &[Trajectory],
     anomalies: &[Trajectory],
 ) -> ComboResult {
-    let mut scores = Vec::with_capacity(normals.len() + anomalies.len());
-    let mut labels = Vec::with_capacity(scores.capacity());
-    for t in normals {
-        scores.push(score(t));
-        labels.push(false);
-    }
-    for t in anomalies {
-        scores.push(score(t));
-        labels.push(true);
-    }
+    let normals: Vec<f64> = normals.iter().map(&score).collect();
+    let anomalies: Vec<f64> = anomalies.iter().map(&score).collect();
+    evaluate_scores(&normals, &anomalies)
+}
+
+/// ROC/PR-AUC of per-trip scores: `normals` (label false) against
+/// `anomalies` (label true).
+pub fn evaluate_scores(normals: &[f64], anomalies: &[f64]) -> ComboResult {
+    let scores: Vec<f64> = normals.iter().chain(anomalies).copied().collect();
+    let mut labels = vec![false; normals.len()];
+    labels.resize(scores.len(), true);
     ComboResult { roc_auc: roc_auc(&scores, &labels), pr_auc: pr_auc(&scores, &labels) }
 }
 

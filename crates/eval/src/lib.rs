@@ -10,9 +10,11 @@
 //! * [`harness`] — dataset-combination evaluation, observed-ratio
 //!   (online) evaluation, ID/OOD mixtures for the stability study, and a
 //!   small ordered `parallel_map` for training several detectors at once.
+//! * [`parts`] — [`parts::ScoreParts`], a fitted CausalTAD's Eq. 10 terms
+//!   per trip from one scoring pass: Table III's three rows and Fig. 8's
+//!   λ sweep are views of them, with no second fit and no λ to set.
 //! * [`wrappers`] — [`wrappers::CausalTadDetector`] adapts [`causaltad`]
-//!   (full model and its two ablations) to the shared
-//!   [`tad_baselines::Detector`] trait.
+//!   to the shared [`tad_baselines::Detector`] trait.
 //! * [`hostile`] — corruption × sanitization-policy AUC cells: corrupted
 //!   streams scored through a policy-configured [`tad_serve::FleetEngine`],
 //!   the evaluation behind the hostile-stream hardening work.
@@ -23,5 +25,6 @@ pub mod cities;
 pub mod harness;
 pub mod hostile;
 pub mod metrics;
+pub mod parts;
 pub mod report;
 pub mod wrappers;

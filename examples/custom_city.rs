@@ -113,14 +113,17 @@ fn main() {
     // Debiasing pulls the normal-but-unpopular route towards the trained
     // route's score level (relative gap shrinks), which is how the OOD
     // false alarms of the conditional model disappear.
-    let per_seg = |t: &Trajectory, lambda: f64, m: &mut CausalTad| {
-        m.set_lambda(lambda);
-        m.score(t) / t.len() as f64
+    let per_seg = |t: &Trajectory| {
+        let sd = t.sd_pair();
+        let mut scorer = model.online(sd.source.0, sd.dest.0, t.time_slot);
+        for &seg in &t.segments {
+            scorer.push(seg.0);
+        }
+        let n = t.len() as f64;
+        (scorer.state().score(0.0) / n, scorer.state().score(0.1) / n)
     };
-    let biased_new = per_seg(&new_trip, 0.0, &mut model);
-    let biased_ref = per_seg(&trained_trip, 0.0, &mut model);
-    let debiased_new = per_seg(&new_trip, 0.1, &mut model);
-    let debiased_ref = per_seg(&trained_trip, 0.1, &mut model);
+    let (biased_new, debiased_new) = per_seg(&new_trip);
+    let (biased_ref, debiased_ref) = per_seg(&trained_trip);
     let gap_biased = biased_new - biased_ref;
     let gap_debiased = debiased_new - debiased_ref;
     println!("\nper-segment scores (higher = more anomalous):");

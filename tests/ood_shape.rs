@@ -14,6 +14,7 @@ use causaltad::CausalTadConfig;
 use tad_baselines::{BaselineConfig, Detector, Vsae};
 use tad_eval::cities::{xian_s, Scale};
 use tad_eval::harness::evaluate;
+use tad_eval::parts::{evaluate_parts, ScoreParts};
 use tad_eval::wrappers::CausalTadDetector;
 use tad_trajsim::{generate_city, City};
 
@@ -35,8 +36,8 @@ fn city() -> &'static City {
 }
 
 /// One trained CausalTAD for the whole binary (training in debug mode is
-/// most of this file's runtime). A test that changes the detector works
-/// on a clone.
+/// most of this file's runtime). Read-only: a λ sweep reads the model's
+/// score parts.
 fn trained() -> &'static CausalTadDetector {
     static CAUSAL: OnceLock<CausalTadDetector> = OnceLock::new();
     CAUSAL.get_or_init(|| {
@@ -85,18 +86,19 @@ fn causaltad_beats_vsae_out_of_distribution() {
 fn debiasing_term_helps_ood_detection() {
     // Fig. 8's first observation: lambda = 0 (pure TG-VAE) is worse out of
     // distribution than a moderate lambda.
-    let city = city();
-    let mut causal = trained().clone();
+    let data = &city().data;
+    let model = trained().model().expect("trained");
+    let [ood, detour, switch] =
+        [&data.test_ood, &data.detour, &data.switch].map(|pool| ScoreParts::of(model, pool));
 
-    let auc_at = |det: &mut CausalTadDetector, lambda: f64| {
-        det.set_lambda(lambda);
-        let d = evaluate(&*det, &city.data.test_ood, &city.data.detour).roc_auc;
-        let s = evaluate(&*det, &city.data.test_ood, &city.data.switch).roc_auc;
+    let auc_at = |lambda: f64| {
+        let d = evaluate_parts(&ood, &detour, |p| p.full(lambda)).roc_auc;
+        let s = evaluate_parts(&ood, &switch, |p| p.full(lambda)).roc_auc;
         (d + s) / 2.0
     };
-    let ood_zero = auc_at(&mut causal, 0.0);
-    let ood_mid = auc_at(&mut causal, 0.1);
-    let ood_huge = auc_at(&mut causal, 2.0);
+    let ood_zero = auc_at(0.0);
+    let ood_mid = auc_at(0.1);
+    let ood_huge = auc_at(2.0);
     assert!(
         ood_mid > ood_zero,
         "moderate lambda must help OOD: {ood_mid:.3} vs {ood_zero:.3} at zero"

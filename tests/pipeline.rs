@@ -90,12 +90,16 @@ fn score_components_are_finite_for_every_pool() {
 #[test]
 fn lambda_sweep_is_well_defined_without_retraining() {
     let city = quick_city(1003);
-    let mut model = quick_model(&city, 3);
+    let model = quick_model(&city, 3);
     let t = &city.data.test_id[0];
+    let sd = t.sd_pair();
+    let mut scorer = model.online(sd.source.0, sd.dest.0, t.time_slot);
+    for &seg in &t.segments {
+        scorer.push(seg.0);
+    }
     let mut last = f64::NAN;
     for lambda in [0.0, 0.05, 0.1, 0.5, 1.0] {
-        model.set_lambda(lambda);
-        let s = model.score(t);
+        let s = scorer.state().score(lambda);
         assert!(s.is_finite());
         assert_ne!(s, last, "distinct lambdas must change the score");
         last = s;
