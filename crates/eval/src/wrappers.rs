@@ -43,3 +43,42 @@ impl Detector for CausalTadDetector {
         model.score_prefix(traj, prefix_len)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parts::ScoreParts;
+    use tad_trajsim::{generate_city, CityConfig};
+
+    #[test]
+    fn all_variants_fit_and_score() {
+        let city = generate_city(&CityConfig::test_scale(500));
+        let mut cfg = CausalTadConfig::test_scale();
+        cfg.epochs = 2;
+        let mut det = CausalTadDetector::new(cfg);
+        det.fit(&city.net, &city.data.train);
+        let t = &city.data.test_id[0];
+        let full = det.score(t);
+        assert!(full.is_finite(), "CausalTAD: {full}");
+        // The TG-VAE and RP-VAE rows are views of the fitted model's parts.
+        let p = ScoreParts::of(det.model().expect("fitted"), std::slice::from_ref(t))[0];
+        assert!(p.nll.is_finite(), "TG-VAE: {}", p.nll);
+        assert!(p.neg_elbo.is_finite(), "RP-VAE: {}", p.neg_elbo);
+    }
+
+    #[test]
+    fn lambda_override_changes_scores() {
+        let city = generate_city(&CityConfig::test_scale(501));
+        let mut cfg = CausalTadConfig::test_scale();
+        cfg.epochs = 2;
+        let lambda = cfg.lambda;
+        let mut det = CausalTadDetector::new(cfg);
+        det.fit(&city.net, &city.data.train);
+        let t = &city.data.test_id[0];
+        let p = ScoreParts::of(det.model().expect("fitted"), std::slice::from_ref(t))[0];
+        assert_eq!(p.full(lambda).to_bits(), det.score(t).to_bits());
+        let s0 = p.full(0.0);
+        let s1 = p.full(1.0);
+        assert_ne!(s0, s1);
+    }
+}
