@@ -13,11 +13,12 @@
 //!   (it defines the successor sets), and the codec verifies the
 //!   vocabulary matches. Version 1 (magic `TADM`, no checksum) is refused.
 //! * **Session codec** ([`state_to_bytes`] / [`state_from_bytes`], magic
-//!   `TADC`, version 2) — serialises one in-flight [`ScorerState`] (hidden
-//!   row, score accumulators, last segment, time slot, segment count) so
-//!   a serving layer can persist live sessions across a restart (see
-//!   `tad-serve`'s fleet snapshots, which embed these blobs). Version 1
-//!   (a per-segment trace in place of the count) is refused.
+//!   `TADC`, version 3) — serialises one in-flight [`ScorerState`] (bf16
+//!   hidden row, score accumulators, last segment, time slot, segment
+//!   count) so a serving layer can persist live sessions across a restart
+//!   (see `tad-serve`'s fleet snapshots, which embed these blobs). Version
+//!   2 (an f32 row) and version 1 (a per-segment trace in place of the
+//!   count) are refused.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use tad_autodiff::ParamStore;
@@ -33,7 +34,7 @@ const MAGIC: &[u8; 4] = b"TADW";
 const VERSION: u16 = 2;
 
 const STATE_MAGIC: &[u8; 4] = b"TADC";
-const STATE_VERSION: u16 = 2;
+const STATE_VERSION: u16 = 3;
 
 /// Errors produced when decoding a serialized model.
 #[derive(Debug, PartialEq, Eq)]
@@ -206,10 +207,10 @@ tad_codec::codec_error_from!(StateCodecError);
 /// (magic, version, length-prefixed payload, checksum) so it can be stored
 /// standalone or embedded length-prefixed inside a larger snapshot.
 pub fn state_to_bytes(state: &ScorerState) -> Bytes {
-    let mut payload = BytesMut::with_capacity(40 + state.h.len() * 4);
+    let mut payload = BytesMut::with_capacity(40 + state.h.len() * 2);
     payload.put_u32_le(state.h.len() as u32);
-    for &x in state.h.iter() {
-        payload.put_f32_le(x);
+    for &b in state.h.iter() {
+        payload.put_u16_le(b);
     }
     payload.put_f64_le(state.base_nll);
     payload.put_f64_le(state.traj_nll);
@@ -237,7 +238,7 @@ pub fn state_to_bytes(state: &ScorerState) -> Bytes {
 pub fn state_from_bytes(bytes: Bytes) -> Result<ScorerState, StateCodecError> {
     let payload = open_envelope(STATE_MAGIC, STATE_VERSION, bytes)?;
     let mut r = Reader::new(&payload);
-    let hidden = r.seq(4, "hidden row", |r, _| r.f32("hidden row"))?;
+    let h = r.seq(2, "hidden row", |r, _| r.u16("hidden row"))?.into_boxed_slice();
     let base_nll = r.f64("accumulators")?;
     let traj_nll = r.f64("accumulators")?;
     let scale_log_sum = r.f64("accumulators")?;
@@ -245,15 +246,7 @@ pub fn state_from_bytes(bytes: Bytes) -> Result<ScorerState, StateCodecError> {
     let time_slot = r.u8("time slot")?;
     let segments = r.u32("segment count")?;
     r.finish()?;
-    Ok(ScorerState::from_parts(
-        hidden,
-        base_nll,
-        traj_nll,
-        scale_log_sum,
-        last,
-        time_slot,
-        segments,
-    ))
+    Ok(ScorerState { h, base_nll, traj_nll, scale_log_sum, last, time_slot, segments })
 }
 
 fn flag_bits(cfg: &CausalTadConfig) -> u8 {
@@ -479,6 +472,23 @@ mod tests {
         payload.put_f64_le(0.1);
         let blob = seal_envelope(STATE_MAGIC, 1, payload.freeze());
         assert_eq!(state_from_bytes(blob), Err(StateCodecError::BadVersion(1)));
+    }
+
+    #[test]
+    fn a_version_2_session_blob_is_refused_typed() {
+        // Version 2 carried the hidden row as f32s where version 3 has
+        // bf16: a valid v2 blob (a two-value row) under a good checksum.
+        let mut payload = BytesMut::new();
+        payload.put_u32_le(2);
+        payload.put_f32_le(0.5);
+        payload.put_f32_le(-1.25);
+        [1.0f64, 2.0, 3.0].iter().for_each(|&x| payload.put_f64_le(x));
+        payload.put_u8(1);
+        payload.put_u32_le(4);
+        payload.put_u8(0);
+        payload.put_u32_le(1);
+        let blob = seal_envelope(STATE_MAGIC, 2, payload.freeze());
+        assert_eq!(state_from_bytes(blob), Err(StateCodecError::BadVersion(2)));
     }
 
     #[test]

@@ -48,6 +48,7 @@
 
 #![deny(missing_docs)]
 
+mod bf16;
 pub mod calibrate;
 mod codec;
 mod config;
@@ -64,7 +65,7 @@ pub use codec::{
 };
 pub use config::CausalTadConfig;
 pub use model::CausalTad;
-pub use online::{OnlineError, OnlineScorer, ScorerState, SegmentTrace};
+pub use online::{HiddenRow, OnlineError, OnlineScorer, ScorerState, SegmentTrace};
 pub use rpvae::RpVae;
 pub use scaling::ScalingTable;
 pub use tgvae::{StepCache, TgVae, OFF_GRAPH_NLL};

@@ -22,7 +22,7 @@ use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
 use crate::config::CausalTadConfig;
-use crate::online::OnlineScorer;
+use crate::online::{OnlineScorer, ScorerState};
 use crate::rpvae::RpVae;
 use crate::scaling::ScalingTable;
 use crate::tgvae::{InferencePlan, TgVae};
@@ -271,24 +271,31 @@ impl CausalTad {
     /// evaluation, §VI-E). The SD pair — known upfront in ride-hailing — is
     /// always available to the model.
     pub fn score_prefix(&self, traj: &Trajectory, prefix_len: usize) -> f64 {
-        let sd = traj.sd_pair();
-        let mut scorer = self.online(sd.source.0, sd.dest.0, traj.time_slot);
-        let n = prefix_len.clamp(1, traj.len());
-        for &seg in &traj.segments[..n] {
-            scorer.push(seg.0);
-        }
-        scorer.score()
+        self.state_after(traj, prefix_len).score(self.cfg.lambda)
     }
 
     /// Ablation score using only the TG-VAE likelihood (λ = 0): the
     /// "TG-VAE" row of Table III.
     pub fn score_tg_only(&self, traj: &Trajectory) -> f64 {
+        self.state_after(traj, traj.len()).likelihood_nll()
+    }
+
+    /// The scoring state of `traj` after its first `prefix_len` segments
+    /// (at least one, at most all), each pushed through
+    /// [`CausalTad::push_state`]: the offline scores read it, and it
+    /// keeps no per-segment trace.
+    ///
+    /// # Panics
+    /// As [`CausalTad::online`].
+    pub fn state_after(&self, traj: &Trajectory, prefix_len: usize) -> ScorerState {
         let sd = traj.sd_pair();
-        let mut scorer = self.online(sd.source.0, sd.dest.0, traj.time_slot);
-        for &seg in &traj.segments {
-            scorer.push(seg.0);
+        let mut state = self.start_state(sd.source.0, sd.dest.0, traj.time_slot).expect(
+            "scaling table computed (call fit() or precompute_scaling() first), SD on the network",
+        );
+        for &seg in &traj.segments[..prefix_len.clamp(1, traj.len())] {
+            self.push_state(&mut state, seg.0);
         }
-        scorer.likelihood_nll()
+        state
     }
 }
 

@@ -23,9 +23,17 @@
 //! hidden row, its score accumulators and a segment count, never a
 //! per-segment history. [`OnlineScorer`] alone records one (Fig. 4's
 //! data), beside its state.
+//!
+//! A state stores its hidden row in bf16 (two bytes a value, f32's top
+//! half, rounded to nearest even): the step widens it into the f32 tile
+//! and rounds the new row back, and everything between — the kernels,
+//! the plan, the score — is f32 and f64. The score is an f64 sum of
+//! per-step terms; the row only carries the recurrence from one term to
+//! the next.
 
 use std::cell::RefCell;
 
+use crate::bf16;
 use crate::model::CausalTad;
 use crate::tgvae::{StepCache, StepScratch};
 
@@ -88,9 +96,9 @@ impl std::error::Error for OnlineError {}
 /// [`crate::state_to_bytes`] / [`crate::state_from_bytes`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScorerState {
-    /// Decoder hidden row (`hidden` floats) after consuming all pushed
-    /// segments.
-    pub(crate) h: Box<[f32]>,
+    /// Decoder hidden row (`hidden` values, bf16 bits) after consuming
+    /// all pushed segments.
+    pub(crate) h: Box<[u16]>,
     /// Fixed at trip start: the KL term, plus `-log P(c|r)` when
     /// `score_includes_sd_nll` is enabled.
     pub(crate) base_nll: f64,
@@ -131,9 +139,10 @@ impl AsMut<ScorerState> for ScorerState {
 impl ScorerState {
     /// Reassembles a state from its raw components (the inverse of the
     /// field-by-field view a persistence layer serialises). The hidden
-    /// vector becomes the state's hidden row. A state built from parts is
-    /// only meaningful for the model whose `start_state`/push calls
-    /// produced those components — nothing is validated here.
+    /// vector, rounded to bf16, becomes the state's hidden row. A state
+    /// built from parts is only meaningful for the model whose
+    /// `start_state`/push calls produced those components — nothing is
+    /// validated here.
     pub fn from_parts(
         hidden: Vec<f32>,
         base_nll: f64,
@@ -143,7 +152,7 @@ impl ScorerState {
         time_slot: u8,
         segments: u32,
     ) -> ScorerState {
-        let h = hidden.into_boxed_slice();
+        let h = hidden.iter().map(|&x| bf16::round(x)).collect();
         ScorerState { h, base_nll, traj_nll, scale_log_sum, last, time_slot, segments }
     }
 
@@ -155,9 +164,10 @@ impl ScorerState {
         self.h.len()
     }
 
-    /// The decoder hidden vector (row-major, `hidden_width()` floats).
-    pub fn hidden(&self) -> &[f32] {
-        &self.h
+    /// The decoder hidden vector (`hidden_width()` floats): the stored
+    /// bf16 row, read widened.
+    pub fn hidden(&self) -> HiddenRow<'_> {
+        HiddenRow(&self.h)
     }
 
     /// Fixed-at-start part of the likelihood NLL (KL term, plus the SD NLL
@@ -210,6 +220,36 @@ impl ScorerState {
     }
 }
 
+/// A [`ScorerState`]'s hidden row read as f32s: each stored bf16 value
+/// widened exactly ([`ScorerState::hidden`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct HiddenRow<'s>(&'s [u16]);
+
+/// The widening [`HiddenRow`] iterates with.
+type Widened<'s> = std::iter::Map<std::slice::Iter<'s, u16>, fn(&u16) -> f32>;
+
+impl<'s> HiddenRow<'s> {
+    /// The row's values, in order.
+    pub fn iter(&self) -> Widened<'s> {
+        self.0.iter().map(|&b| bf16::widen(b))
+    }
+}
+
+impl<'s> IntoIterator for HiddenRow<'s> {
+    type Item = f32;
+    type IntoIter = Widened<'s>;
+
+    fn into_iter(self) -> Widened<'s> {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for HiddenRow<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 impl CausalTad {
     /// Creates the owned streaming state for a trip, validating the request
     /// instead of panicking — the entry point for serving layers.
@@ -235,7 +275,8 @@ impl CausalTad {
             }
         }
         let (h, base_nll) = SCRATCH.with_borrow_mut(|scratch| {
-            self.tg.start(self.store(), self.plan(), &mut scratch.buf, source, dest)
+            let (h, nll) = self.tg.start(self.store(), self.plan(), &mut scratch.buf, source, dest);
+            (h.iter().map(|&x| bf16::round(x)).collect(), nll)
         });
         Ok(ScorerState {
             h,
@@ -271,11 +312,12 @@ impl CausalTad {
     /// bit to calling [`CausalTad::push_state`] per session in isolation.
     ///
     /// The wave is walked in row tiles of [`crate::TgVae::wave_tile_rows`]
-    /// sessions: each tile's hidden rows are stacked, scored, stepped and
-    /// written back into their sessions while they are cache-hot, through
-    /// the calling thread's tile-sized scratch. Beyond the returned scores
-    /// nothing is `states.len()` wide, so a wave's memory and its time per
-    /// session do not depend on how many sessions it carries.
+    /// sessions: each tile's hidden rows are widened from bf16 and
+    /// stacked, scored, stepped, and rounded back into their sessions
+    /// while they are cache-hot, through the calling thread's tile-sized
+    /// scratch. Beyond the returned scores nothing is `states.len()`
+    /// wide, so a wave's memory and its time per session do not depend
+    /// on how many sessions it carries.
     ///
     /// `cache` is a handle onto the plan the wave would use anyway
     /// ([`CausalTad::build_step_cache`]): `None` means the model's plan.
@@ -327,11 +369,11 @@ impl CausalTad {
         let tile = self.wave_tile_rows();
         SCRATCH.with_borrow_mut(|scratch| {
             for (states, segs) in states.chunks_mut(tile).zip(segs.chunks(tile)) {
-                let (hs, gh, logits) = scratch.tile(states.len(), hidden);
+                let (hs, gh, out, logits) = scratch.tile(states.len(), hidden);
                 let rows = states.iter_mut().zip(segs).zip(hs.chunks_exact_mut(hidden));
                 for ((st, &seg), h_row) in rows {
                     let st = st.as_mut();
-                    h_row.copy_from_slice(&st.h);
+                    bf16::widen_into(h_row, &st.h);
                     let nll = match st.last {
                         // t_1 is the source — fixed by the condition c, so
                         // a session without a predecessor is charged no
@@ -348,8 +390,10 @@ impl CausalTad {
                     st.segments = st.segments.saturating_add(1);
                     emit(st.score(lambda), SegmentTrace { segment: seg, nll, log_scale });
                 }
-                let new_h = states.iter_mut().map(|st| &mut st.as_mut().h[..]);
-                self.tg.advance_batch(plan, hs, segs, gh, new_h);
+                self.tg.advance_batch(plan, hs, segs, gh, out.chunks_exact_mut(hidden));
+                for (st, new_h) in states.iter_mut().zip(out.chunks_exact(hidden)) {
+                    bf16::round_into(&mut st.as_mut().h, new_h);
+                }
             }
         });
     }

@@ -274,24 +274,25 @@ impl TgVae {
     /// `Q1(R | c)` and returns the decoder's initial hidden row
     /// `h_0 = tanh(W r)` with the trip's fixed NLL — the closed-form KL of
     /// `Q1` against the standard normal, plus `-log P(c | r)` under the SD
-    /// decoder when the plan carries its heads. The intermediates live in
-    /// `buf`; only the returned row is allocated.
-    pub(crate) fn start(
+    /// decoder when the plan carries its heads. The row and the
+    /// intermediates live in `buf`: nothing is allocated.
+    pub(crate) fn start<'b>(
         &self,
         store: &ParamStore,
         plan: &InferencePlan,
-        buf: &mut Vec<f32>,
+        buf: &'b mut Vec<f32>,
         s: u32,
         d: u32,
-    ) -> (Box<[f32]>, f64) {
+    ) -> (&'b [f32], f64) {
         let (de, dh, dl) = (self.sd_embed.dim(), self.gru.hidden(), self.latent_dim);
         let vocab = if plan.sd_heads.is_some() { self.src_head.out_dim() } else { 0 };
-        buf.resize(2 * de + 2 * dh + 2 * dl + vocab, 0.0);
+        buf.resize(2 * de + 3 * dh + 2 * dl + vocab, 0.0);
         let (sd, rest) = buf.split_at_mut(2 * de);
         let (enc_h, rest) = rest.split_at_mut(dh);
         let (mu, rest) = rest.split_at_mut(dl);
         let (logvar, rest) = rest.split_at_mut(dl);
-        let (sd_h, logits) = rest.split_at_mut(dh);
+        let (sd_h, rest) = rest.split_at_mut(dh);
+        let (logits, h) = rest.split_at_mut(vocab);
 
         let table = store.value(self.sd_embed.table());
         sd[..de].copy_from_slice(table.row(s as usize));
@@ -311,8 +312,7 @@ impl TgVae {
             sd_nll += nll_from_logits(logits, d as usize);
         }
 
-        let mut h = vec![0.0; dh].into_boxed_slice();
-        self.dec_init.infer(store, mu, &mut h);
+        self.dec_init.infer(store, mu, h);
         h.iter_mut().for_each(|x| *x = x.tanh());
         (h, kl + sd_nll)
     }
@@ -361,9 +361,10 @@ impl TgVae {
 
     /// Advances a tile of decoder states at once: row `i` of `hs` (the
     /// tile's stacked hidden rows) consumes `segs[i]`, and its new hidden
-    /// row is written to the `i`-th slice `out` yields — typically the
-    /// session's own hidden row, which `hs` was stacked from. `gh` is
-    /// `rows x 3·hidden` scratch. One `tile x hidden` product against the
+    /// row is written to the `i`-th slice `out` yields — a row of the
+    /// scratch's output tile, which the wave rounds into its session.
+    /// `gh` is `rows x 3·hidden` scratch. One `tile x hidden` product
+    /// against the
     /// plan's packed `U` instead of `tile` matrix-vector steps, and the
     /// input-gate projection is a row of the plan's table. Row `i` of the
     /// result depends on row `i` alone, bit for bit.
@@ -405,28 +406,32 @@ impl InferencePlan {
     }
 }
 
-/// Reusable buffers of the tape-free step: a tile's stacked hidden rows
-/// and gate pre-activations, and one small buffer for whatever a row needs
-/// besides (candidate logits; a trip start's intermediates). They only
-/// grow, so a warm scratch makes the step allocation-free.
+/// Reusable buffers of the tape-free step: a tile's stacked hidden rows,
+/// gate pre-activations and new hidden rows, and one small buffer for
+/// whatever a row needs besides (candidate logits; a trip start's
+/// intermediates). They only grow, so a warm scratch makes the step
+/// allocation-free.
 #[derive(Debug, Default)]
 pub(crate) struct StepScratch {
     hs: Vec<f32>,
     gh: Vec<f32>,
+    out: Vec<f32>,
     pub(crate) buf: Vec<f32>,
 }
 
 impl StepScratch {
-    /// The stacked-hidden (`rows x hidden`) and gate (`rows x 3·hidden`)
-    /// buffers of a tile, and the small buffer.
+    /// The stacked-hidden (`rows x hidden`), gate (`rows x 3·hidden`) and
+    /// new-hidden (`rows x hidden`) buffers of a tile, and the small
+    /// buffer.
     pub(crate) fn tile(
         &mut self,
         rows: usize,
         hidden: usize,
-    ) -> (&mut [f32], &mut [f32], &mut Vec<f32>) {
+    ) -> (&mut [f32], &mut [f32], &mut [f32], &mut Vec<f32>) {
         self.hs.resize(rows * hidden, 0.0);
         self.gh.resize(rows * 3 * hidden, 0.0);
-        (&mut self.hs, &mut self.gh, &mut self.buf)
+        self.out.resize(rows * hidden, 0.0);
+        (&mut self.hs, &mut self.gh, &mut self.out, &mut self.buf)
     }
 }
 
@@ -474,7 +479,7 @@ mod tests {
         h: &mut [f32],
         seg: u32,
     ) {
-        let (hs, gh, _) = scratch.tile(1, h.len());
+        let (hs, gh, _, _) = scratch.tile(1, h.len());
         hs.copy_from_slice(h);
         tg.advance_batch(plan, hs, &[seg], gh, [h]);
     }
@@ -539,7 +544,7 @@ mod tests {
         // prefer 1 over 2 among successors(0) = {1, 2}.
         let plan = tg.build_plan(&store, false);
         let mut scratch = StepScratch::default();
-        let (mut h, _) = tg.start(&store, &plan, &mut scratch.buf, 0, 4);
+        let mut h = tg.start(&store, &plan, &mut scratch.buf, 0, 4).0.to_vec();
         advance(&tg, &plan, &mut scratch, &mut h, 0);
         let nll_trained = tg.step_nll(&store, &mut scratch.buf, &h, &succ[0], 1);
         let nll_alt = tg.step_nll(&store, &mut scratch.buf, &h, &succ[0], 2);
@@ -684,8 +689,8 @@ mod tests {
         let (store, tg, _, _) = build();
         let plan = tg.build_plan(&store, false);
         let mut scratch = StepScratch::default();
-        let (h0, _) = tg.start(&store, &plan, &mut scratch.buf, 0, 4);
-        let (h1, _) = tg.start(&store, &plan, &mut scratch.buf, 2, 5);
+        let h0 = tg.start(&store, &plan, &mut scratch.buf, 0, 4).0.to_vec();
+        let h1 = tg.start(&store, &plan, &mut scratch.buf, 2, 5).0.to_vec();
         let hidden = h0.len();
         let hs = [&h0[..], &h1[..]].concat();
         let segs = [3u32, 1];
@@ -715,6 +720,7 @@ mod tests {
         let (store, tg, _, _) = build();
         let mut buf = Vec::new();
         let (h_kl, kl) = tg.start(&store, &tg.build_plan(&store, false), &mut buf, 1, 4);
+        let h_kl = h_kl.to_vec();
         let (h_sd, with_sd) = tg.start(&store, &tg.build_plan(&store, true), &mut buf, 1, 4);
         assert_eq!(h_kl, h_sd);
 

@@ -3,8 +3,9 @@
 //! exist), [`CausalTad::push_state`] allocates nothing at any trip length
 //! — the state keeps a segment count, not a per-segment history — and
 //! [`CausalTad::start_state`] allocates the hidden row of the state it
-//! returns: no embedding, gate, logit or full-vocabulary intermediate,
-//! with or without the SD reconstruction term.
+//! returns, two bytes a value: no f32 row to round it from, no embedding,
+//! gate, logit or full-vocabulary intermediate, with or without the SD
+//! reconstruction term.
 //!
 //! The counting allocator is process-wide, so this file holds exactly one
 //! test: nothing else allocates while a call is measured.
@@ -23,7 +24,8 @@ fn a_push_allocates_nothing_and_a_start_only_its_hidden_row() {
             score_includes_sd_nll,
             ..CausalTadConfig::test_scale()
         };
-        let hidden_bytes = cfg.hidden_dim * std::mem::size_of::<f32>();
+        // A state keeps its hidden row as bf16 bits.
+        let hidden_bytes = cfg.hidden_dim * std::mem::size_of::<u16>();
         let mut model = CausalTad::new(&city.net, cfg);
         model.precompute_scaling();
         let vocab = model.vocab() as u32;

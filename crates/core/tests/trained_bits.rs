@@ -6,8 +6,9 @@
 //! training paths that share the tape and its buffer pool, so they cannot
 //! see a drift both paths take; these digests can. Digests taken before
 //! the pool kept one power-of-two class per buffer; equal in debug and
-//! release. A change that moves trained bits on purpose updates them and
-//! says why. (The six sequence baselines have the same pin, one test per
+//! release. The score digests were re-taken when a live state's hidden
+//! row went to bf16 (the parameters did not move). A change that moves
+//! trained bits on purpose updates them and says why. (The six sequence baselines have the same pin, one test per
 //! model file of `tad-baselines`.)
 
 use causaltad::{CausalTad, CausalTadConfig};
@@ -47,10 +48,10 @@ fn trained_causaltad_hashes_to_its_checked_in_digests() {
     assert_eq!(
         digests,
         [
-            "default: params 0xaa0fa07f69007d2b scores 0x3f7de21e110092df",
-            "time_factorised_scaling: params 0x7a3c3dd3098bb4ed scores 0x6b0c12960c5cd3c4",
-            "tie_sd_embedding: params 0x721597c82ca74f94 scores 0x865a2befea637876",
-            "batch_size 16: params 0xd38ab0d8b229398b scores 0x4f05318491141fd9",
+            "default: params 0xaa0fa07f69007d2b scores 0x6667189a86c9d6e0",
+            "time_factorised_scaling: params 0x7a3c3dd3098bb4ed scores 0x36568a89d33c21f8",
+            "tie_sd_embedding: params 0x721597c82ca74f94 scores 0xbef5ece594f06d14",
+            "batch_size 16: params 0xd38ab0d8b229398b scores 0xa073d6a54d00d220",
         ]
     );
 }

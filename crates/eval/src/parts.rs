@@ -21,18 +21,15 @@ pub struct ScoreParts {
 
 impl ScoreParts {
     /// The parts of every trip of `pool`, each from one
-    /// [`causaltad::OnlineScorer`] pass. Panics on an unfitted model.
+    /// [`CausalTad::state_after`] pass over the whole trip. Panics on an
+    /// unfitted model.
     pub fn of(model: &CausalTad, pool: &[Trajectory]) -> Vec<ScoreParts> {
         let table = model.scaling().expect("fitted model has a scaling table");
         let parts = |t: &Trajectory| {
-            let sd = t.sd_pair();
-            let mut scorer = model.online(sd.source.0, sd.dest.0, t.time_slot);
-            for &seg in &t.segments {
-                scorer.push(seg.0);
-            }
+            let state = model.state_after(t, t.len());
             ScoreParts {
-                nll: scorer.likelihood_nll(),
-                log_scale: scorer.scale_log_sum(),
+                nll: state.likelihood_nll(),
+                log_scale: state.scale_log_sum(),
                 neg_elbo: t.segments.iter().map(|s| -table.elbo(s.0, t.time_slot)).sum(),
             }
         };
@@ -86,13 +83,9 @@ mod tests {
                     t.segments[..n].iter().map(|s| -table.elbo(s.0, t.time_slot)).sum();
                 assert_eq!(p.neg_elbo.to_bits(), rp_only.to_bits());
                 // Fig. 8's grid, against the scorer's final state.
-                let sd = t.sd_pair();
-                let mut scorer = model.online(sd.source.0, sd.dest.0, t.time_slot);
-                for &seg in &t.segments {
-                    scorer.push(seg.0);
-                }
+                let state = model.state_after(t, t.len());
                 for lambda in [0.0, 0.01, 0.05, 0.1, 0.5, 1.0] {
-                    assert_eq!(p.full(lambda).to_bits(), scorer.state().score(lambda).to_bits());
+                    assert_eq!(p.full(lambda).to_bits(), state.score(lambda).to_bits());
                 }
             }
             assert_ne!(parts[0].full(0.0), parts[0].full(1.0), "λ weighs a nonzero term");

@@ -1072,9 +1072,9 @@ mod tests {
         let responses = sample_responses().iter().map(response_to_bytes).collect();
         assert_eq!(digest(requests), 0xe54d_c6f7_3a90_4a60, "TADN requests");
         assert_eq!(digest(responses), 0xad37_2e28_9b1f_e958, "TADN responses");
-        assert_eq!(digest(vec![state_to_bytes(&state)]), 0x030d_c841_7edb_5212, "TADC");
-        assert_eq!(digest(vec![image_to_bytes(&image)]), 0xddac_9264_cb22_f752, "TADF");
-        assert_eq!(digest(vec![delta_to_bytes(&delta)]), 0x724c_9afd_ca7d_2307, "TADD");
+        assert_eq!(digest(vec![state_to_bytes(&state)]), 0xb928_c361_3895_6f7b, "TADC");
+        assert_eq!(digest(vec![image_to_bytes(&image)]), 0xbf91_925a_3e94_36a1, "TADF");
+        assert_eq!(digest(vec![delta_to_bytes(&delta)]), 0x3215_7ce8_d5f7_58a3, "TADD");
         let metrics = snapshot_to_bytes(&sample_metrics());
         assert_eq!(digest(vec![metrics]), 0x4f5e_c4a9_59c6_f19b, "TADM");
     }

@@ -62,7 +62,7 @@ pub struct FleetConfig {
     /// store addresses its sessions with 32-bit slot indices).
     ///
     /// Size it from what one live session costs: its hidden row
-    /// (`4·hidden_dim` bytes), a 104-byte slot in the store and one
+    /// (`2·hidden_dim` bytes, bf16), a 104-byte slot in the store and one
     /// trip-id map entry — the same after one segment as after a
     /// thousand. Segments queued inside a drain live on the shard's drain
     /// queue, not in the session, and a default [`StreamPolicy`]

@@ -9,12 +9,13 @@
 //! only changes through [`SessionStore::touch`] (which moves the session to
 //! the head), list order always equals recency order.
 //!
-//! A slot is 104 bytes: the scorer state (its hidden row on the heap, a
-//! segment count and the score accumulators inline), the clocks and
-//! flags, and 32-bit links. Segments queued inside a drain live on the
-//! shard's drain queue, not here, and the policy rings are boxed on first
-//! use, so a default-configured session owns no heap beyond its hidden
-//! row, however many segments it has scored.
+//! A slot is 104 bytes: the scorer state (its bf16 hidden row on the
+//! heap, `2·hidden` bytes; a segment count and the score accumulators
+//! inline), the clocks and flags, and 32-bit links. Segments queued
+//! inside a drain live on the shard's drain queue, not here, and the
+//! policy rings are boxed on first use, so a default-configured session
+//! owns no heap beyond its hidden row, however many segments it has
+//! scored.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};

@@ -402,6 +402,38 @@ mod tests {
     }
 
     #[test]
+    fn an_image_of_version_2_sessions_is_refused_typed() {
+        // A session blob of version 2 (the hidden row as f32s where
+        // version 3 has bf16), sealed, inside an otherwise valid image.
+        let mut state = BytesMut::new();
+        state.put_u32_le(2);
+        state.put_f32_le(0.5);
+        state.put_f32_le(-1.25);
+        [1.0f64, 2.0, 3.0].iter().for_each(|&x| state.put_f64_le(x));
+        state.put_u8(1);
+        state.put_u32_le(4);
+        state.put_u8(0);
+        state.put_u32_le(1);
+        let state = seal_envelope(b"TADC", 2, state.freeze());
+        let mut payload = BytesMut::new();
+        payload.put_u32_le(1);
+        payload.put_u32_le(1);
+        payload.put_u64_le(7);
+        payload.put_u64_le(0);
+        payload.put_u8(0);
+        payload.put_u32_le(0);
+        payload.put_u32_le(state.len() as u32);
+        payload.put_slice(&state);
+        assert_eq!(
+            image_from_bytes(seal_envelope(MAGIC, VERSION, payload.freeze())),
+            Err(SnapshotCodecError::BadSession {
+                index: 0,
+                source: StateCodecError::BadVersion(2)
+            })
+        );
+    }
+
+    #[test]
     fn embedded_state_errors_carry_their_index() {
         let img = image(2);
         let blob = image_to_bytes(&img).to_vec();

@@ -326,10 +326,10 @@ fn a_restored_session_claiming_u32_max_segments_scores_without_panicking_a_shard
 
     // The count is the payload's last field: rewrite it and re-seal.
     let blob = state_to_bytes(honest.state());
-    let mut payload = envelope_payload(b"TADC", 2, &blob).expect("a v2 blob").to_vec();
+    let mut payload = envelope_payload(b"TADC", 3, &blob).expect("a v3 blob").to_vec();
     let at = payload.len() - 4;
     payload[at..].copy_from_slice(&u32::MAX.to_le_bytes());
-    let hostile = state_from_bytes(seal_envelope(b"TADC", 2, payload.into())).expect("valid");
+    let hostile = state_from_bytes(seal_envelope(b"TADC", 3, payload.into())).expect("valid");
     assert_eq!(hostile.len(), u32::MAX as usize);
 
     let record = SessionRecord {
