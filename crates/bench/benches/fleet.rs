@@ -6,13 +6,14 @@
 //! 1 they are the same step. Written to the repository's
 //! `BENCH_score.json` with the host it was taken on.
 //!
-//! `CRITERION_QUICK=1` cuts the repetitions to three per cell.
+//! `BENCH_QUICK=1` cuts the repetitions to three per cell. The sweep runs
+//! only under `cargo bench`, which passes `--bench`; `cargo test` runs
+//! this target with no arguments, and then it returns without timing or
+//! writing anything.
 
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
-
-use criterion::{criterion_group, criterion_main, Criterion};
 
 use causaltad::{CausalTad, CausalTadConfig, ScorerState};
 use tad_bench::fleet_walks;
@@ -26,7 +27,7 @@ const WAVE_NOTE: &str = "every session past its first segment advances one segme
     resident inference plan";
 
 fn quick_mode() -> bool {
-    std::env::var("CRITERION_QUICK").map(|v| v == "1").unwrap_or(false)
+    std::env::var("BENCH_QUICK").map(|v| v == "1").unwrap_or(false)
 }
 
 fn trained_model(hidden_dim: usize) -> Arc<CausalTad> {
@@ -99,7 +100,10 @@ impl WaveRow {
 }
 
 /// The `fleet_wave` sweep: pure stepping, one wave = one segment/session.
-fn bench_waves(_c: &mut Criterion) {
+fn main() {
+    if !std::env::args().any(|a| a == "--bench") {
+        return;
+    }
     println!(
         "{:>8} {:>10} {:>16} {:>16} {:>10}   (fleet_wave: pure stepping, one wave = one segment/session)",
         "hidden", "sessions", "naive ns/seg", "batched ns/seg", "speedup"
@@ -145,6 +149,3 @@ fn write_json(rows: &[WaveRow]) {
         Err(e) => eprintln!("warning: cannot write {path}: {e}"),
     }
 }
-
-criterion_group!(fleet, bench_waves);
-criterion_main!(fleet);

@@ -2,10 +2,12 @@
 //!
 //! Benchmark harness for the CausalTAD reproduction: the `paper` binary
 //! regenerates every table and figure of the paper's evaluation section,
-//! `tadbench` is the repository benchmark, and Criterion micro-benches
-//! cover the O(1) online-update claim, the substrates, persistence and the
-//! `fleet_wave` sweep (`push_state` vs `push_batch` over wave and hidden
-//! widths; the one bench that writes an artefact, `BENCH_score.json`).
+//! `tadbench` is the repository benchmark, and two plain-`main` benches
+//! (`cargo bench -p tad-bench --bench <name>`) time what neither covers:
+//! `fleet`, the `fleet_wave` sweep (`push_state` vs `push_batch` over wave
+//! and hidden widths; the one bench that writes an artefact,
+//! `BENCH_score.json`), and `substrate`, the kernels, shortest paths, city
+//! generation and map matching underneath.
 //!
 //! `cargo run --release -p tad-bench --bin paper -- <artefact>...`:
 //!

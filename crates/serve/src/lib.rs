@@ -87,7 +87,7 @@ mod event;
 mod policy;
 mod queue;
 #[doc(hidden)]
-pub mod session; // exposed for the workspace micro-benches; not a stable API
+pub mod session; // exposed for tests/session_bytes.rs; not a stable API
 mod shard;
 mod snapshot;
 mod stats;

@@ -355,6 +355,38 @@ mod tests {
     }
 
     #[test]
+    fn churn_at_cap_reuses_the_victims_slot() {
+        // Rounds of `cap` evicting inserts, each after a touch of a live
+        // trip: every insert takes the slot its victim just freed, so the
+        // slab never grows past `cap` nor keeps a free slot, and the
+        // victims leave in exact recency order (the oracle is a plain
+        // least-recent-first list).
+        let now = Instant::now();
+        let cap = 16;
+        let mut store = SessionStore::new(cap);
+        let mut oracle: Vec<TripId> = (0..cap as TripId).collect();
+        for &id in &oracle {
+            store.insert(id, session(now));
+        }
+        let (mut next_id, mut cursor) = (cap as TripId, 0u64);
+        for _round in 0..4 {
+            for _ in 0..cap {
+                cursor = cursor.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let touched = oracle[(cursor >> 33) as usize % cap];
+                store.touch(touched, now).expect("live trip");
+                oracle.retain(|&id| id != touched);
+                oracle.push(touched);
+                let (victim, _) = store.insert(next_id, session(now)).expect("store is at cap");
+                assert_eq!(victim, oracle.remove(0));
+                oracle.push(next_id);
+                next_id += 1;
+                assert_eq!((store.slots.len(), store.free.len()), (cap, 0));
+            }
+            assert_eq!(lru_order(&store), oracle);
+        }
+    }
+
+    #[test]
     fn get_mut_does_not_reorder() {
         let t0 = Instant::now();
         let mut store = SessionStore::new(4);
