@@ -25,6 +25,14 @@ pub trait Detector: Send {
     fn score(&self, traj: &Trajectory) -> f64 {
         self.score_prefix(traj, traj.len())
     }
+
+    /// Scores of every trip of `pool` after its first `observed_ratio`
+    /// of segments ([`Trajectory::observed_prefix`]), in pool order — the
+    /// harness's one call. One [`Detector::score_prefix`] per trip unless
+    /// the detector scores a pool in one pass.
+    fn score_pool(&self, pool: &[Trajectory], observed_ratio: f64) -> Vec<f64> {
+        pool.iter().map(|t| self.score_prefix(t, t.observed_prefix(observed_ratio).len())).collect()
+    }
 }
 
 /// Shared hyper-parameters for the learning-based baselines, kept aligned

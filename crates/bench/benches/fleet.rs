@@ -4,7 +4,9 @@
 //! `CausalTad::push_state`, `batched` makes one `CausalTad::push_batch`
 //! call. Both step against the model's resident inference plan; at width
 //! 1 they are the same step. Written to the repository's
-//! `BENCH_score.json` with the host it was taken on.
+//! `BENCH_score.json` with the host it was taken on: per cell, each
+//! side's median and its quartiles over the repetitions, so a re-take
+//! can tell a moved cell from the spread.
 //!
 //! `BENCH_QUICK=1` cuts the repetitions to three per cell. The sweep runs
 //! only under `cargo bench`, which passes `--bench`; `cargo test` runs
@@ -61,9 +63,18 @@ fn wave_fixture(model: &CausalTad, walks: &[Vec<u32>]) -> (Vec<ScorerState>, Vec
     (states, segs)
 }
 
-/// Median ns per segment of `wave` over fresh copies of `states`; the
-/// copies are made outside the timed region.
-fn wave_ns_per_seg(states: &[ScorerState], mut wave: impl FnMut(&mut [ScorerState])) -> f64 {
+/// Lower quartile, median and upper quartile of one cell's repetitions,
+/// ns per segment.
+#[derive(Clone, Copy)]
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+/// ns per segment of `wave` over fresh copies of `states`; the copies are
+/// made outside the timed region.
+fn wave_ns_per_seg(states: &[ScorerState], mut wave: impl FnMut(&mut [ScorerState])) -> Spread {
     let reps = if quick_mode() { 3 } else { (32_768 / states.len()).clamp(5, 128) };
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
@@ -76,25 +87,31 @@ fn wave_ns_per_seg(states: &[ScorerState], mut wave: impl FnMut(&mut [ScorerStat
         })
         .collect();
     samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    let n = samples.len();
+    Spread { q1: samples[n / 4], median: samples[n / 2], q3: samples[3 * n / 4] }
 }
 
 struct WaveRow {
     hidden: usize,
     width: usize,
-    naive_ns: f64,
-    batched_ns: f64,
+    naive: Spread,
+    batched: Spread,
 }
 
 impl WaveRow {
     fn json(&self) -> String {
+        let (naive, batched) = (self.naive, self.batched);
         format!(
-            "{{\"hidden\": {}, \"width\": {}, \"naive_ns_per_segment\": {:.1}, \"batched_ns_per_segment\": {:.1}, \"speedup\": {:.2}}}",
+            "{{\"hidden\": {}, \"width\": {}, \"naive_ns_per_segment\": {:.1}, \"naive_quartiles_ns\": [{:.1}, {:.1}], \"batched_ns_per_segment\": {:.1}, \"batched_quartiles_ns\": [{:.1}, {:.1}], \"speedup\": {:.2}}}",
             self.hidden,
             self.width,
-            self.naive_ns,
-            self.batched_ns,
-            self.naive_ns / self.batched_ns
+            naive.median,
+            naive.q1,
+            naive.q3,
+            batched.median,
+            batched.q1,
+            batched.q3,
+            naive.median / batched.median
         )
     }
 }
@@ -114,19 +131,21 @@ fn main() {
         for &width in &WAVE_WIDTHS {
             let walks = fleet_walks(&model, width, 4, 11);
             let (states, segs) = wave_fixture(&model, &walks);
-            let naive_ns = wave_ns_per_seg(&states, |states| {
+            let naive = wave_ns_per_seg(&states, |states| {
                 for (st, &seg) in states.iter_mut().zip(&segs) {
                     model.push_state(st, seg);
                 }
             });
-            let batched_ns = wave_ns_per_seg(&states, |states| {
+            let batched = wave_ns_per_seg(&states, |states| {
                 black_box(model.push_batch(None, states, &segs));
             });
             println!(
-                "{hidden:>8} {width:>10} {naive_ns:>16.0} {batched_ns:>16.0} {:>9.2}x",
-                naive_ns / batched_ns
+                "{hidden:>8} {width:>10} {:>16.0} {:>16.0} {:>9.2}x",
+                naive.median,
+                batched.median,
+                naive.median / batched.median
             );
-            rows.push(WaveRow { hidden, width, naive_ns, batched_ns });
+            rows.push(WaveRow { hidden, width, naive, batched });
         }
     }
     write_json(&rows);
@@ -140,7 +159,7 @@ fn write_json(rows: &[WaveRow]) {
     let mut out = String::from("{\n");
     out.push_str(&format!("  {},\n", tad_bench::host_json()));
     out.push_str(&format!(
-        "  \"workload\": {{\"city\": \"xian-s\", \"scale\": \"quick\", \"wave\": \"{WAVE_NOTE}\", \"unit\": \"median ns per segment\", \"quick_mode\": {}}},\n",
+        "  \"workload\": {{\"city\": \"xian-s\", \"scale\": \"quick\", \"wave\": \"{WAVE_NOTE}\", \"unit\": \"ns per segment: median, and [lower, upper] quartile over the repetitions\", \"quick_mode\": {}}},\n",
         quick_mode()
     ));
     out.push_str(&format!("  \"fleet_wave\": [\n{list}\n  ]\n}}\n"));

@@ -7,6 +7,7 @@
 //! updates, linear scalability) is the reproduction target; README
 //! "Reproducing the paper" has the commands that regenerate it.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use causaltad::CausalTad;
@@ -152,26 +153,22 @@ impl Study {
         table
     }
 
-    /// Fig. 7b: mean inference runtime per trajectory vs observed ratio,
-    /// including the TG-VAE-only scorer (reusing the trained CausalTAD).
+    /// Fig. 7b: mean inference runtime per trajectory vs observed ratio —
+    /// one pool pass over 100 ID trips per detector and ratio — including
+    /// the TG-VAE-only scorer (reusing the trained CausalTAD).
     pub fn fig7b(&self) -> Table {
         let suite = &self.suites[0];
         let mut table = Table::new(
             format!("Fig. 7b — Inference runtime per trajectory ({})", suite.city.name),
             &["Method", "ratio", "mean µs/trajectory"],
         );
-        let sample: Vec<&Trajectory> = suite.city.data.test_id.iter().take(100).collect();
-        let mut rows: Vec<(&str, &dyn Detector)> = suite.all();
-        // TG-VAE scoring path shares the trained CausalTAD model.
-        let model = suite.causal.model().expect("trained");
-        for (name, det) in rows.drain(..) {
+        let test = &suite.city.data.test_id;
+        let sample = &test[..test.len().min(100)];
+        let mut time_rows = |name: &str, score_pool: &dyn Fn(f64)| {
             for step in 1..=5 {
                 let ratio = step as f64 / 5.0;
                 let started = Instant::now();
-                for t in &sample {
-                    let n = ((t.len() as f64) * ratio).round().max(1.0) as usize;
-                    std::hint::black_box(det.score_prefix(t, n));
-                }
+                score_pool(ratio);
                 let mean_us = started.elapsed().as_micros() as f64 / sample.len() as f64;
                 table.push_row(vec![
                     name.to_string(),
@@ -179,27 +176,20 @@ impl Study {
                     format!("{mean_us:.1}"),
                 ]);
             }
+        };
+        for (name, det) in suite.all() {
+            time_rows(name, &|ratio| {
+                black_box(det.score_pool(sample, ratio));
+            });
         }
-        // TG-VAE row: the likelihood-only online path.
-        for step in 1..=5 {
-            let ratio = step as f64 / 5.0;
-            let started = Instant::now();
-            for t in &sample {
-                let sd = t.sd_pair();
-                let mut scorer = model.online(sd.source.0, sd.dest.0, t.time_slot);
-                let n = ((t.len() as f64) * ratio).round().max(1.0) as usize;
-                for &seg in &t.segments[..n.min(t.len())] {
-                    scorer.push(seg.0);
-                }
-                std::hint::black_box(scorer.likelihood_nll());
-            }
-            let mean_us = started.elapsed().as_micros() as f64 / sample.len() as f64;
-            table.push_row(vec![
-                "TG-VAE".to_string(),
-                format!("{ratio:.1}"),
-                format!("{mean_us:.1}"),
-            ]);
-        }
+        // TG-VAE scoring path shares the trained CausalTAD model: the same
+        // pass, read as its likelihood part.
+        let model = suite.causal.model().expect("trained");
+        time_rows("TG-VAE", &|ratio| {
+            let prefix_len = |t: &Trajectory| t.observed_prefix(ratio).len();
+            let states = model.score_pool(sample, prefix_len, |_, _| {});
+            black_box(states.iter().map(|s| s.likelihood_nll()).sum::<f64>());
+        });
         table
     }
 
@@ -309,14 +299,11 @@ pub fn fig4(opts: &Opts) -> Table {
         ],
     );
 
-    let sd = trip.sd_pair();
-    let mut scorer = model.online(sd.source.0, sd.dest.0, trip.time_slot);
-    for &seg in &trip.segments {
-        scorer.push(seg.0);
-    }
+    let mut trace = Vec::with_capacity(trip.len());
+    model.score_pool(std::slice::from_ref(trip), Trajectory::len, |_, step| trace.push(step));
     let mut vsae_marginals = Vec::with_capacity(trip.len());
     let mut prev_vsae = 0.0f64;
-    for (i, step) in scorer.trace().iter().enumerate() {
+    for (i, step) in trace.iter().enumerate() {
         // VSAE's marginal per-segment score: prefix-score difference.
         let cur = vsae.score_prefix(trip, i + 1);
         let vsae_marginal = if i == 0 { cur } else { cur - prev_vsae };
@@ -343,10 +330,9 @@ pub fn fig4(opts: &Opts) -> Table {
             let span = (hi - lo).max(1e-12);
             values.iter().map(|v| (v - lo) / span).collect()
         };
-        let causal_values: Vec<f64> = scorer.trace().iter().map(|s| s.debiased(lambda)).collect();
+        let causal_values: Vec<f64> = trace.iter().map(|s| s.debiased(lambda)).collect();
         for (name, values) in [("fig4_vsae", &vsae_marginals), ("fig4_causaltad", &causal_values)] {
-            let highlights: Vec<Highlight> = scorer
-                .trace()
+            let highlights: Vec<Highlight> = trace
                 .iter()
                 .zip(normalise(values))
                 .map(|(step, v)| Highlight {

@@ -41,6 +41,7 @@
 //! | §IV-C RP-VAE causal prior / confounder model | [`RpVae`] |
 //! | §IV-D scaling factor `E[1/P(t_i\|e_i)]` | [`ScalingTable`] |
 //! | §V-D O(1) online scoring | [`OnlineScorer`] / [`ScorerState`] |
+//! | §VI offline scoring of a trip pool | [`CausalTad::score_pool`] |
 //! | Eq. 10–11 debiased score assembly | [`ScorerState::score`] |
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the cross-crate

@@ -9,8 +9,9 @@
 //!             ≈ (KL + sd_nll + Σ step_nll) − λ Σ_i log_scale(t_i)
 //! ```
 //!
-//! The offline [`CausalTad::score`] replays the online scorer so that the
-//! two paths cannot diverge (verified by integration tests).
+//! The offline [`CausalTad::score`] is a one-trip
+//! [`CausalTad::score_pool`]: the same step the online scorer takes, so
+//! the two paths cannot diverge (verified by integration tests).
 
 use std::sync::{Arc, OnceLock};
 
@@ -22,7 +23,7 @@ use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
 use crate::config::CausalTadConfig;
-use crate::online::{OnlineScorer, ScorerState};
+use crate::online::OnlineScorer;
 use crate::rpvae::RpVae;
 use crate::scaling::ScalingTable;
 use crate::tgvae::{InferencePlan, TgVae};
@@ -237,28 +238,8 @@ impl CausalTad {
     /// Panics if the scaling table has not been computed
     /// (call [`CausalTad::fit`] or [`CausalTad::precompute_scaling`] first).
     pub fn online(&self, source: u32, dest: u32, time_slot: u8) -> OnlineScorer<'_> {
-        OnlineScorer::new(self, source, dest, time_slot)
-    }
-
-    /// Fallible variant of [`CausalTad::online`]: returns an error instead
-    /// of panicking when the model is not ready or the SD pair is not on
-    /// the road network, so serving layers can reject bad requests without
-    /// crashing a worker.
-    ///
-    /// # Errors
-    /// [`OnlineError::MissingScalingTable`] when the scaling table has not
-    /// been computed yet, [`OnlineError::SegmentOutOfRange`] when an SD
-    /// endpoint is not a segment of the model's road network.
-    ///
-    /// [`OnlineError::MissingScalingTable`]: crate::OnlineError::MissingScalingTable
-    /// [`OnlineError::SegmentOutOfRange`]: crate::OnlineError::SegmentOutOfRange
-    pub fn try_online(
-        &self,
-        source: u32,
-        dest: u32,
-        time_slot: u8,
-    ) -> Result<OnlineScorer<'_>, crate::online::OnlineError> {
-        OnlineScorer::try_new(self, source, dest, time_slot)
+        let state = self.start_state(source, dest, time_slot).unwrap_or_else(|e| panic!("{e}"));
+        OnlineScorer::from_state(self, state)
     }
 
     /// Debiased anomaly score of a full trajectory (Eq. 10). Higher means
@@ -269,33 +250,17 @@ impl CausalTad {
 
     /// Score after observing only the first `prefix_len` segments (online
     /// evaluation, §VI-E). The SD pair — known upfront in ride-hailing — is
-    /// always available to the model.
+    /// always available to the model. A one-trip
+    /// [`CausalTad::score_pool`].
     pub fn score_prefix(&self, traj: &Trajectory, prefix_len: usize) -> f64 {
-        self.state_after(traj, prefix_len).score(self.cfg.lambda)
+        self.score_pool(std::slice::from_ref(traj), |_| prefix_len, |_, _| {})[0]
+            .score(self.cfg.lambda)
     }
 
     /// Ablation score using only the TG-VAE likelihood (λ = 0): the
     /// "TG-VAE" row of Table III.
     pub fn score_tg_only(&self, traj: &Trajectory) -> f64 {
-        self.state_after(traj, traj.len()).likelihood_nll()
-    }
-
-    /// The scoring state of `traj` after its first `prefix_len` segments
-    /// (at least one, at most all), each pushed through
-    /// [`CausalTad::push_state`]: the offline scores read it, and it
-    /// keeps no per-segment trace.
-    ///
-    /// # Panics
-    /// As [`CausalTad::online`].
-    pub fn state_after(&self, traj: &Trajectory, prefix_len: usize) -> ScorerState {
-        let sd = traj.sd_pair();
-        let mut state = self.start_state(sd.source.0, sd.dest.0, traj.time_slot).expect(
-            "scaling table computed (call fit() or precompute_scaling() first), SD on the network",
-        );
-        for &seg in &traj.segments[..prefix_len.clamp(1, traj.len())] {
-            self.push_state(&mut state, seg.0);
-        }
-        state
+        self.score_pool(std::slice::from_ref(traj), Trajectory::len, |_, _| {})[0].likelihood_nll()
     }
 }
 

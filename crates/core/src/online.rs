@@ -15,7 +15,12 @@
 //!   advances whole cohorts at once through [`CausalTad::push_batch`],
 //!   turning the per-segment GRU step into matrix-matrix products.
 //!
-//! Both are one step: [`CausalTad::push_state`] is a
+//! Offline, a pool of recorded trips is scored the serving way:
+//! [`CausalTad::score_pool`] advances every trip still in its prefix by
+//! one wave per position, and every offline score (the tables, the
+//! figures, [`CausalTad::score`]) is read off its final states.
+//!
+//! All are one step: [`CausalTad::push_state`] is a
 //! [`CausalTad::push_batch`] wave of one row. Each steps against the
 //! model's resident inference plan (the per-token gate table and the
 //! packed recurrent weight, derived once per model) through a per-thread
@@ -32,6 +37,8 @@
 //! the next.
 
 use std::cell::RefCell;
+
+use tad_trajsim::Trajectory;
 
 use crate::bf16;
 use crate::model::CausalTad;
@@ -398,6 +405,54 @@ impl CausalTad {
         });
     }
 
+    /// Scores every trip of `pool` over its first `prefix_len(trip)`
+    /// segments (at least one, at most all) and returns each trip's final
+    /// state, in pool order. The pool is walked the way a serving layer
+    /// walks a fleet: ordered longest prefix first, the trips still in
+    /// their prefix are a prefix of one state vector, and each position
+    /// is one [`CausalTad::step_wave`] over them. Trip `i`'s steps reach
+    /// `emit(i, step)` in order, so a caller that wants the per-segment
+    /// trace (Fig. 4's data) takes it there. Each state is bit for bit
+    /// the one [`CausalTad::start_state`] and [`CausalTad::push_state`]
+    /// give over the same prefix.
+    ///
+    /// # Panics
+    /// As [`CausalTad::online`], and on an empty trip.
+    pub fn score_pool(
+        &self,
+        pool: &[Trajectory],
+        prefix_len: impl Fn(&Trajectory) -> usize,
+        mut emit: impl FnMut(usize, SegmentTrace),
+    ) -> Vec<ScorerState> {
+        let lens: Vec<usize> = pool.iter().map(|t| prefix_len(t).clamp(1, t.len())).collect();
+        let mut order: Vec<usize> = (0..pool.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(lens[i]));
+        let mut states: Vec<ScorerState> = order
+            .iter()
+            .map(|&i| {
+                let sd = pool[i].sd_pair();
+                self.start_state(sd.source.0, sd.dest.0, pool[i].time_slot)
+                    .unwrap_or_else(|e| panic!("{e}"))
+            })
+            .collect();
+        let mut segs = Vec::with_capacity(pool.len());
+        let longest = order.first().map_or(0, |&i| lens[i]);
+        for pos in 0..longest {
+            let live = order.partition_point(|&i| lens[i] > pos);
+            segs.clear();
+            segs.extend(order[..live].iter().map(|&i| pool[i].segments[pos].0));
+            let mut row = order.iter();
+            self.step_wave(&mut states[..live], &segs, |_, step| {
+                emit(*row.next().expect("one step per live row"), step)
+            });
+        }
+        let mut in_pool_order = vec![ScorerState::default(); pool.len()];
+        for (state, &i) in states.into_iter().zip(&order) {
+            in_pool_order[i] = state;
+        }
+        in_pool_order
+    }
+
     /// Sessions per row tile of a [`CausalTad::push_batch`] wave — a fixed
     /// function of the hidden width (see
     /// [`crate::TgVae::wave_tile_rows`]), not a tunable. It bounds the
@@ -429,26 +484,6 @@ pub struct OnlineScorer<'m> {
 }
 
 impl<'m> OnlineScorer<'m> {
-    pub(crate) fn new(model: &'m CausalTad, source: u32, dest: u32, time_slot: u8) -> Self {
-        assert!(
-            model.scaling().is_some(),
-            "scaling table not computed; call fit() or precompute_scaling() first"
-        );
-        let state = model
-            .start_state(source, dest, time_slot)
-            .expect("scaling checked; SD segments validated by caller");
-        OnlineScorer::from_state(model, state)
-    }
-
-    pub(crate) fn try_new(
-        model: &'m CausalTad,
-        source: u32,
-        dest: u32,
-        time_slot: u8,
-    ) -> Result<Self, OnlineError> {
-        Ok(OnlineScorer::from_state(model, model.start_state(source, dest, time_slot)?))
-    }
-
     /// Resumes a scorer from a previously detached state. The state carries
     /// no per-segment history, so this scorer's [`OnlineScorer::trace`]
     /// covers only the pushes made through it, while [`OnlineScorer::len`]
@@ -563,18 +598,105 @@ mod tests {
     }
 
     #[test]
-    fn try_online_reports_errors_instead_of_panicking() {
+    fn start_state_reports_errors_instead_of_panicking() {
         let city = generate_city(&CityConfig::test_scale(202));
         let untrained = CausalTad::new(&city.net, CausalTadConfig::test_scale());
-        assert_eq!(untrained.try_online(0, 1, 0).err(), Some(OnlineError::MissingScalingTable));
+        assert_eq!(untrained.start_state(0, 1, 0).err(), Some(OnlineError::MissingScalingTable));
 
         let (_city, model) = trained();
         let vocab = model.vocab() as u32;
-        match model.try_online(vocab + 7, 1, 0).err() {
+        match model.start_state(vocab + 7, 1, 0).err() {
             Some(OnlineError::SegmentOutOfRange { segment, .. }) => assert_eq!(segment, vocab + 7),
             other => panic!("expected SegmentOutOfRange, got {other:?}"),
         }
-        assert!(model.try_online(0, 1, 0).is_ok());
+        assert!(model.start_state(0, 1, 0).is_ok());
+    }
+
+    type PrefixLen = fn(&Trajectory) -> usize;
+
+    /// `start_state` + `push_state` over `t`'s first `n` segments, and the
+    /// trace an `OnlineScorer` records on the same walk.
+    fn walk(model: &CausalTad, t: &Trajectory, n: usize) -> (ScorerState, Vec<SegmentTrace>) {
+        let sd = t.sd_pair();
+        let mut state = model.start_state(sd.source.0, sd.dest.0, t.time_slot).expect("valid");
+        let mut scorer = model.online(sd.source.0, sd.dest.0, t.time_slot);
+        for &seg in &t.segments[..n] {
+            model.push_state(&mut state, seg.0);
+            scorer.push(seg.0);
+        }
+        (state, scorer.trace().to_vec())
+    }
+
+    /// Scores `pool` in one pass under `prefix_len` and checks every trip
+    /// against its own walk over the clamped prefix: state by `PartialEq`
+    /// (bit for bit), emitted steps in order against the scorer's trace.
+    fn assert_pool_is_per_trip(
+        model: &CausalTad,
+        pool: &[Trajectory],
+        prefix_len: PrefixLen,
+        ctx: &str,
+    ) {
+        let mut traces = vec![Vec::new(); pool.len()];
+        let states = model.score_pool(pool, prefix_len, |i, step| traces[i].push(step));
+        assert_eq!(states.len(), pool.len(), "{ctx}");
+        for (i, t) in pool.iter().enumerate() {
+            let (state, trace) = walk(model, t, prefix_len(t).clamp(1, t.len()));
+            assert_eq!(states[i], state, "{ctx} trip {i} state");
+            assert_eq!(traces[i], trace, "{ctx} trip {i} trace");
+        }
+    }
+
+    #[test]
+    fn score_pool_is_each_trips_walk_bit_for_bit() {
+        let (city, model) = trained();
+        let test = &city.data.test_id;
+        // Unsorted, ragged, with one-segment trips and a duplicated trip.
+        let shortest = test.iter().min_by_key(|t| t.len()).expect("a test trip");
+        let longest = test.iter().max_by_key(|t| t.len()).expect("a test trip");
+        let mut pool = vec![shortest.clone(), longest.clone()];
+        pool.extend(test.iter().take(6).cloned());
+        pool.push(Trajectory::normal(vec![longest.segments[0]], 1));
+        pool.push(pool[1].clone());
+        pool.push(Trajectory::normal(vec![shortest.segments[0]], 3));
+        pool.push(pool[3].clone());
+        assert!(pool.windows(2).any(|w| w[0].len() < w[1].len()), "the pool is unsorted");
+        assert!(pool.iter().any(|t| t.len() == 1) && longest.len() > 3, "ragged lengths");
+
+        let rules: [(&str, PrefixLen); 5] = [
+            ("0", |_| 0),
+            ("1", |_| 1),
+            ("len/2", |t| t.len() / 2),
+            ("len", Trajectory::len),
+            ("len+5", |t| t.len() + 5),
+        ];
+        for (name, rule) in rules {
+            assert_pool_is_per_trip(&model, &pool, rule, &format!("prefix {name}"));
+        }
+        // The full prefix is what the offline scores read.
+        let states = model.score_pool(&pool, Trajectory::len, |_, _| {});
+        for (state, t) in states.iter().zip(&pool) {
+            assert_eq!(state.score(model.config().lambda).to_bits(), model.score(t).to_bits());
+            assert_eq!(state.likelihood_nll().to_bits(), model.score_tg_only(t).to_bits());
+        }
+
+        let mut emitted = 0;
+        assert!(model.score_pool(&[], Trajectory::len, |_, _| emitted += 1).is_empty());
+        assert_eq!(emitted, 0, "an empty pool emits nothing");
+    }
+
+    #[test]
+    fn score_pool_splits_a_wide_pool_into_tiles() {
+        let city = generate_city(&CityConfig::test_scale(204));
+        // Untrained weights exercise the same kernels; the scaling table
+        // is all a trip needs to start.
+        let cfg = CausalTadConfig { hidden_dim: 256, ..CausalTadConfig::test_scale() };
+        let mut model = CausalTad::new(&city.net, cfg);
+        model.precompute_scaling();
+        let tile = model.wave_tile_rows();
+        let pool: Vec<Trajectory> =
+            city.data.test_id.iter().cycle().take(2 * tile + 3).cloned().collect();
+        assert!(pool.len() > tile, "the first waves span more than one tile");
+        assert_pool_is_per_trip(&model, &pool, Trajectory::len, "hidden 256");
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub fn evaluate(
     normals: &[Trajectory],
     anomalies: &[Trajectory],
 ) -> ComboResult {
-    evaluate_with(|t| det.score(t), normals, anomalies)
+    evaluate_at_ratio(det, normals, anomalies, 1.0)
 }
 
 /// Like [`evaluate`], but each trajectory is truncated to the observed
@@ -34,10 +34,9 @@ pub fn evaluate_at_ratio(
     anomalies: &[Trajectory],
     observed_ratio: f64,
 ) -> ComboResult {
-    evaluate_with(
-        |t| det.score_prefix(t, t.observed_prefix(observed_ratio).len()),
-        normals,
-        anomalies,
+    evaluate_scores(
+        &det.score_pool(normals, observed_ratio),
+        &det.score_pool(anomalies, observed_ratio),
     )
 }
 
@@ -64,16 +63,6 @@ pub fn mix_normals(
     let mut out = pick(id, n_id);
     out.extend(pick(ood, n_ood));
     out
-}
-
-fn evaluate_with(
-    score: impl Fn(&Trajectory) -> f64,
-    normals: &[Trajectory],
-    anomalies: &[Trajectory],
-) -> ComboResult {
-    let normals: Vec<f64> = normals.iter().map(&score).collect();
-    let anomalies: Vec<f64> = anomalies.iter().map(&score).collect();
-    evaluate_scores(&normals, &anomalies)
 }
 
 /// ROC/PR-AUC of per-trip scores: `normals` (label false) against

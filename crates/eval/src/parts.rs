@@ -1,7 +1,7 @@
 //! A fitted CausalTAD's Eq. 10 terms, per trip. Eq. 10 is `−log P(c, t) −
 //! λ·Σ_i log E[1/P(t_i|e_i)]`, so the full score at any λ (Fig. 8) and the
 //! TG-VAE and RP-VAE ablations (Table III) are views of the sums one
-//! scoring pass per trip gives: no second fit, no λ to set.
+//! scoring pass per pool gives: no second fit, no λ to set.
 
 use causaltad::CausalTad;
 use tad_trajsim::Trajectory;
@@ -20,20 +20,19 @@ pub struct ScoreParts {
 }
 
 impl ScoreParts {
-    /// The parts of every trip of `pool`, each from one
-    /// [`CausalTad::state_after`] pass over the whole trip. Panics on an
-    /// unfitted model.
+    /// The parts of every trip of `pool`, read off the final states of
+    /// one [`CausalTad::score_pool`] pass over the whole trips. Panics on
+    /// an unfitted model.
     pub fn of(model: &CausalTad, pool: &[Trajectory]) -> Vec<ScoreParts> {
         let table = model.scaling().expect("fitted model has a scaling table");
-        let parts = |t: &Trajectory| {
-            let state = model.state_after(t, t.len());
-            ScoreParts {
+        let states = model.score_pool(pool, Trajectory::len, |_, _| {});
+        (states.iter().zip(pool))
+            .map(|(state, t)| ScoreParts {
                 nll: state.likelihood_nll(),
                 log_scale: state.scale_log_sum(),
                 neg_elbo: t.segments.iter().map(|s| -table.elbo(s.0, t.time_slot)).sum(),
-            }
-        };
-        pool.iter().map(parts).collect()
+            })
+            .collect()
     }
 
     /// The Eq. 10 score at `lambda`: the float expression of
@@ -83,7 +82,12 @@ mod tests {
                     t.segments[..n].iter().map(|s| -table.elbo(s.0, t.time_slot)).sum();
                 assert_eq!(p.neg_elbo.to_bits(), rp_only.to_bits());
                 // Fig. 8's grid, against the scorer's final state.
-                let state = model.state_after(t, t.len());
+                let sd = t.sd_pair();
+                let mut scorer = model.online(sd.source.0, sd.dest.0, t.time_slot);
+                for s in &t.segments {
+                    scorer.push(s.0);
+                }
+                let state = scorer.state();
                 for lambda in [0.0, 0.01, 0.05, 0.1, 0.5, 1.0] {
                     assert_eq!(p.full(lambda).to_bits(), state.score(lambda).to_bits());
                 }

@@ -25,6 +25,10 @@ impl CausalTadDetector {
     pub fn model(&self) -> Option<&CausalTad> {
         self.model.as_ref()
     }
+
+    fn fitted(&self) -> &CausalTad {
+        self.model.as_ref().expect("CausalTAD: call fit() before scoring")
+    }
 }
 
 impl Detector for CausalTadDetector {
@@ -39,8 +43,15 @@ impl Detector for CausalTadDetector {
     }
 
     fn score_prefix(&self, traj: &Trajectory, prefix_len: usize) -> f64 {
-        let model = self.model.as_ref().expect("CausalTAD: call fit() before scoring");
-        model.score_prefix(traj, prefix_len)
+        self.fitted().score_prefix(traj, prefix_len)
+    }
+
+    /// One [`CausalTad::score_pool`] pass over the whole pool.
+    fn score_pool(&self, pool: &[Trajectory], observed_ratio: f64) -> Vec<f64> {
+        let model = self.fitted();
+        let prefix_len = |t: &Trajectory| t.observed_prefix(observed_ratio).len();
+        let states = model.score_pool(pool, prefix_len, |_, _| {});
+        states.iter().map(|s| s.score(model.config().lambda)).collect()
     }
 }
 

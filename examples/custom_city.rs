@@ -94,13 +94,16 @@ fn main() {
     // Per-segment trace of the new-destination trip (the paper's Fig. 4):
     // unpopular segments are exactly where the compensation lands.
     println!("\nper-segment trace of the trip to p7 (lambda = 0.1):");
-    let sd = new_trip.sd_pair();
-    let mut scorer = model.online(sd.source.0, sd.dest.0, 0);
-    for &seg in &new_trip.segments {
-        scorer.push(seg.0);
-    }
+    // One pass scores both trips; the new trip's steps are its trace.
+    let pair = [new_trip, trained_trip];
+    let mut trace = Vec::new();
+    let states = model.score_pool(&pair, Trajectory::len, |i, step| {
+        if i == 0 {
+            trace.push(step);
+        }
+    });
     println!("  {:>4} {:>9} {:>10} {:>9}", "seg", "raw nll", "log-scale", "debiased");
-    for step in scorer.trace() {
+    for step in &trace {
         println!(
             "  {:>4} {:>9.3} {:>10.3} {:>9.3}",
             step.segment,
@@ -113,17 +116,12 @@ fn main() {
     // Debiasing pulls the normal-but-unpopular route towards the trained
     // route's score level (relative gap shrinks), which is how the OOD
     // false alarms of the conditional model disappear.
-    let per_seg = |t: &Trajectory| {
-        let sd = t.sd_pair();
-        let mut scorer = model.online(sd.source.0, sd.dest.0, t.time_slot);
-        for &seg in &t.segments {
-            scorer.push(seg.0);
-        }
-        let n = t.len() as f64;
-        (scorer.state().score(0.0) / n, scorer.state().score(0.1) / n)
+    let per_seg = |i: usize| {
+        let n = pair[i].len() as f64;
+        (states[i].score(0.0) / n, states[i].score(0.1) / n)
     };
-    let (biased_new, debiased_new) = per_seg(&new_trip);
-    let (biased_ref, debiased_ref) = per_seg(&trained_trip);
+    let (biased_new, debiased_new) = per_seg(0);
+    let (biased_ref, debiased_ref) = per_seg(1);
     let gap_biased = biased_new - biased_ref;
     let gap_debiased = debiased_new - debiased_ref;
     println!("\nper-segment scores (higher = more anomalous):");

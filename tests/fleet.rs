@@ -1,7 +1,7 @@
 //! Umbrella-level integration: the fleet engine re-exported through
 //! `causaltad_suite::serve` scores interleaved trips identically to the
-//! sequential `OnlineScorer`, the fallible `try_online` API rejects bad
-//! requests without panicking, and a trip scored across a
+//! sequential `OnlineScorer`, the fallible `start_state` entry rejects
+//! bad requests without panicking, and a trip scored across a
 //! snapshot/restore boundary produces the same final score as one scored
 //! in a single uninterrupted engine.
 
@@ -71,13 +71,13 @@ fn umbrella_fleet_matches_sequential_and_rejects_bad_requests() {
     let (city, model) = trained();
     let model = Arc::clone(model);
 
-    // try_online satellite: bad requests come back as errors, not panics.
+    // Bad requests come back as errors, not panics.
     let vocab = model.vocab() as u32;
     assert!(matches!(
-        model.try_online(vocab + 1, 0, 0),
+        model.start_state(vocab + 1, 0, 0),
         Err(OnlineError::SegmentOutOfRange { .. })
     ));
-    assert!(model.try_online(0, 1, 0).is_ok());
+    assert!(model.start_state(0, 1, 0).is_ok());
 
     let trips: Vec<&Trajectory> = city.data.test_id.iter().take(12).collect();
     let outcomes: Arc<Mutex<HashMap<u64, (f64, Completion)>>> = Arc::default();
