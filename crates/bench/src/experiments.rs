@@ -21,6 +21,10 @@ use tad_trajsim::{CityDatasets, Trajectory};
 use crate::opts::Opts;
 use crate::suite::{causaltad_config, selected_cities, train_full_roster, TrainedSuite};
 
+/// Timed passes behind each Fig. 7b cell, as many as `substrate` takes
+/// for its slowest rows.
+const FIG7B_PASSES: usize = 11;
+
 /// A full study: every selected city trained with the complete roster.
 pub struct Study {
     pub opts: Opts,
@@ -153,27 +157,37 @@ impl Study {
         table
     }
 
-    /// Fig. 7b: mean inference runtime per trajectory vs observed ratio —
-    /// one pool pass over 100 ID trips per detector and ratio — including
-    /// the TG-VAE-only scorer (reusing the trained CausalTAD).
+    /// Fig. 7b: inference runtime per trajectory vs observed ratio — a
+    /// whole-prefix scoring pass over 100 ID trips per detector and ratio,
+    /// including the TG-VAE-only scorer (reusing the trained CausalTAD).
+    /// One pass is about a millisecond, so each cell repeats it
+    /// 11 times and reports the median and quartiles.
     pub fn fig7b(&self) -> Table {
         let suite = &self.suites[0];
         let mut table = Table::new(
             format!("Fig. 7b — Inference runtime per trajectory ({})", suite.city.name),
-            &["Method", "ratio", "mean µs/trajectory"],
+            &["Method", "ratio", "whole-prefix scoring µs/trajectory (median)", "q1", "q3"],
         );
         let test = &suite.city.data.test_id;
         let sample = &test[..test.len().min(100)];
         let mut time_rows = |name: &str, score_pool: &dyn Fn(f64)| {
             for step in 1..=5 {
                 let ratio = step as f64 / 5.0;
-                let started = Instant::now();
-                score_pool(ratio);
-                let mean_us = started.elapsed().as_micros() as f64 / sample.len() as f64;
+                let mut us: Vec<f64> = (0..FIG7B_PASSES)
+                    .map(|_| {
+                        let started = Instant::now();
+                        score_pool(ratio);
+                        started.elapsed().as_secs_f64() * 1e6 / sample.len() as f64
+                    })
+                    .collect();
+                us.sort_by(f64::total_cmp);
+                let n = us.len();
                 table.push_row(vec![
                     name.to_string(),
                     format!("{ratio:.1}"),
-                    format!("{mean_us:.1}"),
+                    format!("{:.1}", us[n / 2]),
+                    format!("{:.1}", us[n / 4]),
+                    format!("{:.1}", us[3 * n / 4]),
                 ]);
             }
         };

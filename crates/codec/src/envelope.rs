@@ -9,7 +9,7 @@
 //! * **Layout** (little-endian): 4 magic bytes, `u16` version, `u64`
 //!   payload length, the payload, then a FNV-1a 64 checksum of the
 //!   payload ([`checksum64`]).
-//! * **Totality**: [`open_envelope`] does checked length arithmetic on
+//! * **Totality**: [`envelope_payload`] does checked length arithmetic on
 //!   every field, so no input — truncated, bit-flipped, or with a crafted
 //!   near-`u64::MAX` length — can panic the decoder. Codecs built on it
 //!   inherit that guarantee for their headers.
@@ -101,25 +101,16 @@ pub fn seal_envelope_into(
     buf.put_u64_le(sum);
 }
 
-/// Opens an envelope written by [`seal_envelope`], returning the verified
-/// payload. The whole input must be one envelope (trailing bytes are
-/// rejected); all length arithmetic is checked, so no input can panic —
-/// the guarantee every codec built on this inherits.
+/// Opens an envelope written by [`seal_envelope`] (or
+/// [`seal_envelope_into`]) and returns its verified payload as a slice of
+/// the input, copying nothing: a decoder reads its fields straight off
+/// the bytes it was handed. The whole input must be one envelope
+/// (trailing bytes are rejected); all length arithmetic is checked, so no
+/// input can panic — the guarantee every codec built on this inherits.
 ///
 /// # Errors
 /// Returns the [`EnvelopeError`] naming what failed: wrong magic or
 /// version, a truncation point, a checksum mismatch, or trailing bytes.
-pub fn open_envelope(magic: &[u8; 4], version: u16, bytes: Bytes) -> Result<Bytes, EnvelopeError> {
-    envelope_payload(magic, version, &bytes).map(Bytes::from)
-}
-
-/// [`open_envelope`] over borrowed bytes: verifies the envelope and
-/// returns its payload as a slice of the input, copying nothing — for a
-/// reader that only needs to look at a few payload fields before passing
-/// the envelope on whole.
-///
-/// # Errors
-/// As [`open_envelope`].
 pub fn envelope_payload<'a>(
     magic: &[u8; 4],
     version: u16,
@@ -170,8 +161,11 @@ mod tests {
         let payload = Bytes::from(vec![1u8, 2, 3, 4, 5]);
         let sealed = seal_envelope(MAGIC, 7, payload.clone());
         assert_eq!(sealed.len(), payload.len() + ENVELOPE_OVERHEAD);
-        let opened = open_envelope(MAGIC, 7, sealed).expect("valid envelope");
-        assert_eq!(opened.to_vec(), payload.to_vec());
+        let opened = envelope_payload(MAGIC, 7, &sealed).expect("valid envelope");
+        assert_eq!(opened, &payload[..]);
+        let mut trailing = sealed.to_vec();
+        trailing.push(0);
+        assert_eq!(envelope_payload(MAGIC, 7, &trailing), Err(EnvelopeError::TrailingBytes));
     }
 
     #[test]
@@ -191,15 +185,15 @@ mod tests {
     #[test]
     fn header_mismatches_are_typed() {
         let sealed = seal_envelope(MAGIC, 7, Bytes::from(vec![9u8; 3]));
-        assert_eq!(open_envelope(b"XXXX", 7, sealed.clone()), Err(EnvelopeError::BadMagic));
-        assert_eq!(open_envelope(MAGIC, 8, sealed), Err(EnvelopeError::BadVersion(7)));
+        assert_eq!(envelope_payload(b"XXXX", 7, &sealed), Err(EnvelopeError::BadMagic));
+        assert_eq!(envelope_payload(MAGIC, 8, &sealed), Err(EnvelopeError::BadVersion(7)));
     }
 
     #[test]
     fn every_truncation_is_an_error() {
         let sealed = seal_envelope(MAGIC, 1, Bytes::from(vec![0xABu8; 9])).to_vec();
         for cut in 0..sealed.len() {
-            assert!(open_envelope(MAGIC, 1, sealed[..cut].to_vec().into()).is_err(), "cut={cut}");
+            assert!(envelope_payload(MAGIC, 1, &sealed[..cut]).is_err(), "cut={cut}");
         }
     }
 
@@ -210,6 +204,6 @@ mod tests {
         raw.extend_from_slice(&1u16.to_le_bytes());
         raw.extend_from_slice(&u64::MAX.to_le_bytes());
         raw.extend_from_slice(&[0u8; 16]);
-        assert_eq!(open_envelope(MAGIC, 1, raw.into()), Err(EnvelopeError::Truncated("payload")));
+        assert_eq!(envelope_payload(MAGIC, 1, &raw), Err(EnvelopeError::Truncated("payload")));
     }
 }

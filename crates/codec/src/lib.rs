@@ -4,16 +4,16 @@
 //! and the bottom of its crate graph (it depends on `bytes` alone):
 //!
 //! * [`envelope`] — magic + version + length-prefixed payload + FNV-1a 64
-//!   checksum. [`seal_envelope`] writes one, [`open_envelope`] verifies
-//!   one and hands back the payload; [`seal_envelope_into`] and
-//!   [`envelope_payload`] are the same pair over a buffer the caller
-//!   owns, for the paths that move many small envelopes.
+//!   checksum. [`seal_envelope`] writes one ([`seal_envelope_into`]
+//!   appends it to a buffer the caller owns, for the paths that move many
+//!   small envelopes); [`envelope_payload`] verifies one and lends back
+//!   its payload as a slice of the input, so opening copies nothing.
 //! * [`Reader`] — the checked cursor a decoder walks that payload with.
 //!   Its typed reads are the only place a length is compared against what
 //!   is left, so "hostile bytes are a typed error, never a panic" is a
 //!   property of this crate, not of each decoder's discipline.
 //!
-//! A format's decoder is `open_envelope` → `Reader` reads →
+//! A format's decoder is `envelope_payload` → `Reader` reads →
 //! [`Reader::finish`], with both layers' failures folded into the
 //! format's own error enum by [`codec_error_from!`].
 
@@ -23,7 +23,7 @@ pub mod envelope;
 mod reader;
 
 pub use envelope::{
-    checksum64, envelope_payload, open_envelope, seal_envelope, seal_envelope_into, EnvelopeError,
+    checksum64, envelope_payload, seal_envelope, seal_envelope_into, EnvelopeError,
     ENVELOPE_HEADER_LEN,
 };
 pub use reader::{ReadError, Reader};

@@ -22,7 +22,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use tad_autodiff::ParamStore;
-use tad_codec::{envelope_payload, open_envelope, seal_envelope, Reader};
+use tad_codec::{envelope_payload, seal_envelope, Reader};
 use tad_roadnet::RoadNetwork;
 
 use crate::config::CausalTadConfig;
@@ -236,8 +236,8 @@ pub fn state_to_bytes(state: &ScorerState) -> Bytes {
 /// version, a truncation point, a checksum mismatch, or a structural
 /// violation of the payload.
 pub fn state_from_bytes(bytes: Bytes) -> Result<ScorerState, StateCodecError> {
-    let payload = open_envelope(STATE_MAGIC, STATE_VERSION, bytes)?;
-    let mut r = Reader::new(&payload);
+    let payload = envelope_payload(STATE_MAGIC, STATE_VERSION, &bytes)?;
+    let mut r = Reader::new(payload);
     let h = r.seq(2, "hidden row", |r, _| r.u16("hidden row"))?.into_boxed_slice();
     let base_nll = r.f64("accumulators")?;
     let traj_nll = r.f64("accumulators")?;

@@ -11,7 +11,7 @@
 //! decoded blob reproduces it byte for byte.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use tad_codec::{open_envelope, seal_envelope, EnvelopeError, ReadError, Reader};
+use tad_codec::{envelope_payload, seal_envelope, EnvelopeError, ReadError, Reader};
 
 use crate::hist::BUCKETS;
 use crate::registry::{MetricEntry, MetricValue, MetricsSnapshot};
@@ -110,8 +110,8 @@ pub fn snapshot_to_bytes(snapshot: &MetricsSnapshot) -> Bytes {
 /// or bucket, zero sparse count, or out-of-range bucket index is reported
 /// as a typed [`MetricsCodecError`].
 pub fn snapshot_from_bytes(bytes: Bytes) -> Result<MetricsSnapshot, MetricsCodecError> {
-    let payload = open_envelope(METRICS_MAGIC, METRICS_VERSION, bytes)?;
-    let mut r = Reader::new(&payload);
+    let payload = envelope_payload(METRICS_MAGIC, METRICS_VERSION, &bytes)?;
+    let mut r = Reader::new(payload);
     let mut last_key: Option<(String, u8)> = None;
     // Smallest entry: empty name, kind tag, counter value.
     let entries = r.seq(2 + 1 + 8, "entries", |r, _| {

@@ -1,8 +1,9 @@
-//! A counting allocator for this crate's unit tests: it counts the heap
-//! requests (allocations and reallocations) of the one thread that asked,
-//! while it asked — so the tests that pin "this path allocates a constant
-//! number of times" share the test binary with everything else, whatever
-//! the other test threads are doing.
+//! A counting allocator for a crate's unit tests (`tad-net`'s, and
+//! `tad-router`'s, which include this file): it counts the heap requests
+//! (allocations and reallocations) of the one thread that asked, while it
+//! asked — so the tests that pin "this path allocates a constant number
+//! of times" share the test binary with everything else, whatever the
+//! other test threads are doing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -25,6 +25,7 @@ use std::time::Duration;
 use bytes::{BufMut, Bytes, BytesMut};
 use polling::{Event, Events, Poller};
 
+use crate::frame::FrameError;
 use crate::wire::{FrameAssembler, RecvError};
 
 /// What one descriptor reported in one event-loop tick.
@@ -109,7 +110,9 @@ pub trait EventSource<T> {
 }
 
 /// Per-connection nonblocking state machine: incremental frame
-/// reassembly on the read side, a queue of byte runs on the write side.
+/// reassembly on the read side — each whole frame lent to the caller as
+/// a slice of the read buffer, never copied out — and a queue of byte
+/// runs on the write side.
 /// Generic over the transport so the deterministic harness can drive it
 /// with scripted in-memory streams; production uses `Conn<TcpStream>`
 /// with the socket in nonblocking mode.
@@ -127,7 +130,7 @@ pub struct Conn<T> {
     backlog: usize,
 }
 
-/// Why [`Conn::read_frames`] stopped consuming bytes.
+/// Why [`Conn::lend_frames`] stopped consuming bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadStatus {
     /// The transport has no more bytes right now; wait for readiness.
@@ -144,9 +147,8 @@ pub enum ReadStatus {
 /// lifetime).
 const READ_CHUNK: usize = 16 << 10;
 
-/// [`Conn::queue_bytes`] appends to the newest queued run while it is
-/// shorter than this, so a tick's small frames leave in one write without
-/// any one run (and the copy that grows it) getting large.
+/// [`Conn::queue_with`] appends to the newest queued run while it is
+/// shorter than this.
 const WRITE_RUN: usize = 64 << 10;
 
 impl<T: Read + Write> Conn<T> {
@@ -162,19 +164,20 @@ impl<T: Read + Write> Conn<T> {
     }
 
     /// Reads until the transport would block, `budget` bytes were
-    /// consumed, or EOF; every frame completed along the way is appended
-    /// to `out`.
+    /// consumed, or EOF, and lends every frame completed along the way to
+    /// `visit`, in arrival order, as a slice of the connection's read
+    /// buffer: one whole envelope, unverified beyond its header.
     ///
     /// # Errors
     /// [`RecvError::Io`] for transport failures — including an EOF while
     /// a partial frame is buffered, which is a peer vanishing mid-frame —
     /// and [`RecvError::Frame`] the moment buffered bytes prove the
-    /// stream hostile. Frames already pushed to `out` before the error
-    /// are valid and must still be handled by the caller.
-    pub fn read_frames(
+    /// stream hostile or `visit` refuses a frame; reading stops there.
+    /// Frames visited before the error were valid.
+    pub fn lend_frames(
         &mut self,
         budget: usize,
-        out: &mut Vec<Bytes>,
+        mut visit: impl FnMut(&[u8]) -> Result<(), FrameError>,
     ) -> Result<ReadStatus, RecvError> {
         let mut chunk = [0u8; READ_CHUNK];
         let mut consumed = 0usize;
@@ -197,7 +200,7 @@ impl<T: Read + Write> Conn<T> {
                     consumed += n;
                     self.asm.feed(&chunk[..n]);
                     while let Some(frame) = self.asm.next_frame()? {
-                        out.push(frame);
+                        visit(frame)?;
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -209,19 +212,44 @@ impl<T: Read + Write> Conn<T> {
         }
     }
 
+    /// [`Conn::lend_frames`] with every frame copied out and appended to
+    /// `out`; frames pushed before an error are valid.
+    ///
+    /// # Errors
+    /// As [`Conn::lend_frames`].
+    pub fn read_frames(
+        &mut self,
+        budget: usize,
+        out: &mut Vec<Bytes>,
+    ) -> Result<ReadStatus, RecvError> {
+        self.lend_frames(budget, |frame| {
+            out.push(Bytes::from(frame));
+            Ok(())
+        })
+    }
+
     /// Appends already-serialised frame bytes to the write backlog (no
     /// I/O; call [`Conn::flush_writes`] to move them to the transport).
     pub fn queue_bytes(&mut self, bytes: &[u8]) {
-        match self.wq.back_mut() {
-            Some(run) if run.len() < WRITE_RUN => {
-                run.put_slice(bytes);
-                self.backlog += bytes.len();
-            }
-            _ => {
-                let mut run = BytesMut::with_capacity(bytes.len());
-                run.put_slice(bytes);
-                self.queue_run(run);
-            }
+        self.queue_with(|run| run.put_slice(bytes));
+    }
+
+    /// Lets `encode` append frames to the write backlog in place — onto
+    /// the newest queued run while it is shorter than 64 KiB, so a tick's
+    /// small frames leave in one write without any one run (and the copy
+    /// that grows it) getting large. No I/O.
+    pub fn queue_with(&mut self, encode: impl FnOnce(&mut BytesMut)) {
+        if self.wq.back().is_none_or(|run| run.len() >= WRITE_RUN) {
+            self.wq.push_back(BytesMut::new());
+        }
+        let run = self.wq.back_mut().expect("a run was just ensured");
+        let before = run.len();
+        encode(run);
+        self.backlog += run.len() - before;
+        if run.is_empty() {
+            // Nothing was encoded: an empty run would read as a
+            // zero-byte write.
+            self.wq.pop_back();
         }
     }
 

@@ -19,7 +19,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use tad_codec::envelope::ENVELOPE_OVERHEAD;
-use tad_codec::{envelope_payload, open_envelope, seal_envelope_into, Reader};
+use tad_codec::{envelope_payload, seal_envelope_into, Reader};
 use tad_metrics::{snapshot_from_bytes, snapshot_to_bytes, MetricsSnapshot};
 use tad_serve::{Completion, Event, FleetSnapshot, PolicyAction, ScoreUpdate, TripId, TripOutcome};
 
@@ -432,7 +432,16 @@ tad_codec::codec_error_from!(FrameError);
 /// Serialises one request frame (envelope included).
 pub fn request_to_bytes(req: &Request) -> Bytes {
     let mut frame = BytesMut::with_capacity(ENVELOPE_OVERHEAD + 32);
-    seal_envelope_into(FRAME_MAGIC, FRAME_VERSION, &mut frame, |payload| match *req {
+    request_into(req, &mut frame);
+    frame.freeze()
+}
+
+/// Appends one request frame (envelope included) to `out` — the bytes
+/// [`request_to_bytes`] returns, written in place behind whatever `out`
+/// already holds: the mirror of [`response_into`], so a relay encodes a
+/// forwarded request straight into its write run.
+pub fn request_into(req: &Request, out: &mut BytesMut) {
+    seal_envelope_into(FRAME_MAGIC, FRAME_VERSION, out, |payload| match *req {
         Request::TripStart { id, source, dest, time_slot } => {
             payload.put_u8(TAG_TRIP_START);
             payload.put_u64_le(id);
@@ -461,7 +470,6 @@ pub fn request_to_bytes(req: &Request) -> Bytes {
         }
         Request::Drain => payload.put_u8(TAG_DRAIN),
     });
-    frame.freeze()
 }
 
 /// Serialises one response frame (envelope included).
@@ -610,11 +618,20 @@ pub fn peek_score(frame: &[u8]) -> Result<Option<(TripId, u32)>, FrameError> {
 /// Decodes one request frame. The whole input must be one frame.
 ///
 /// # Errors
+/// As [`request_from_frame`]. Never panics.
+pub fn request_from_bytes(bytes: Bytes) -> Result<Request, FrameError> {
+    request_from_frame(&bytes)
+}
+
+/// [`request_from_bytes`] over borrowed bytes — a frame lent out of a
+/// connection's read buffer. The envelope is verified in place; only an
+/// `Install`'s image, which the request owns, is copied out.
+///
+/// # Errors
 /// Returns the [`FrameError`] naming what failed; response tags come back
 /// as [`FrameError::UnexpectedKind`]. Never panics.
-pub fn request_from_bytes(bytes: Bytes) -> Result<Request, FrameError> {
-    let payload = open_envelope(FRAME_MAGIC, FRAME_VERSION, bytes)?;
-    let mut r = Reader::new(&payload);
+pub fn request_from_frame(frame: &[u8]) -> Result<Request, FrameError> {
+    let mut r = Reader::new(envelope_payload(FRAME_MAGIC, FRAME_VERSION, frame)?);
     let req = match r.u8("frame tag")? {
         TAG_TRIP_START => Request::TripStart {
             id: r.u64("trip-start body")?,
@@ -643,11 +660,21 @@ pub fn request_from_bytes(bytes: Bytes) -> Result<Request, FrameError> {
 /// Decodes one response frame. The whole input must be one frame.
 ///
 /// # Errors
+/// As [`response_from_frame`]. Never panics.
+pub fn response_from_bytes(bytes: Bytes) -> Result<Response, FrameError> {
+    response_from_frame(&bytes)
+}
+
+/// [`response_from_bytes`] over borrowed bytes — a frame lent out of a
+/// read buffer. The envelope is verified in place; only the blobs a
+/// response owns (`Snapshot`, `Delta`, `Drained` images, the `Metrics`
+/// snapshot's bytes) are copied out.
+///
+/// # Errors
 /// Returns the [`FrameError`] naming what failed; request tags come back
 /// as [`FrameError::UnexpectedKind`]. Never panics.
-pub fn response_from_bytes(bytes: Bytes) -> Result<Response, FrameError> {
-    let payload = open_envelope(FRAME_MAGIC, FRAME_VERSION, bytes)?;
-    let mut r = Reader::new(&payload);
+pub fn response_from_frame(frame: &[u8]) -> Result<Response, FrameError> {
+    let mut r = Reader::new(envelope_payload(FRAME_MAGIC, FRAME_VERSION, frame)?);
     let resp = match r.u8("frame tag")? {
         TAG_SCORE => Response::Score(ScoreUpdate {
             id: r.u64("score body")?,

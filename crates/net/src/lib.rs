@@ -107,9 +107,10 @@ mod wire;
 pub use client::{Client, ClientError, RetryPolicy};
 pub use evloop::{Conn, EventSource, Interest, PollSource, PollWaker, ReadStatus, Readiness};
 pub use frame::{
-    peek_score, request_from_bytes, request_to_bytes, response_from_bytes, response_into,
-    response_to_bytes, ErrorCode, FrameError, Request, Response, TripComplete, DEFAULT_MAX_FRAME,
-    FRAME_MAGIC, FRAME_VERSION, MAX_ERROR_DETAIL,
+    peek_score, request_from_bytes, request_from_frame, request_into, request_to_bytes,
+    response_from_bytes, response_from_frame, response_into, response_to_bytes, ErrorCode,
+    FrameError, Request, Response, TripComplete, DEFAULT_MAX_FRAME, FRAME_MAGIC, FRAME_VERSION,
+    MAX_ERROR_DETAIL,
 };
 pub use front::{
     ConnectionStats, FrontCounters, FrontDoor, FrontEvent, FrontListener, FrontShared, NetConfig,

@@ -1,28 +1,40 @@
 //! Stream I/O for `TADN` frames: length-prefixed reads with a payload
-//! cap, clean-EOF detection, buffered writes, and the incremental
+//! cap, clean-EOF detection, request writes, and the incremental
 //! [`FrameAssembler`] behind the nonblocking event loop.
 //!
 //! A reader fetches the fixed 14-byte envelope header first, validates
-//! magic/version and the announced payload length **before allocating**,
-//! then reads the rest of the frame and hands the whole envelope to the
-//! frame codec (which re-verifies the checksum). A peer announcing a
-//! payload longer than the cap is refused with
+//! magic/version and the announced payload length **before sizing any
+//! buffer**, then reads the rest of the frame and hands the whole
+//! envelope to the frame codec (which re-verifies the checksum). A peer
+//! announcing a payload longer than the cap is refused with
 //! [`FrameError::TooLarge`] without any allocation — the defence against
 //! memory-exhaustion by hostile length prefixes. The [`FrameAssembler`]
 //! applies exactly the same validation order to bytes arriving in
 //! arbitrary nonblocking chunks: a header is judged the moment its 14
 //! bytes are buffered, so a hostile length prefix is refused even when
 //! the rest of the "frame" never arrives.
+//!
+//! Small frames cost the heap nothing: [`read_response`] reads a frame
+//! of up to 256 bytes into a stack array and decodes it in place,
+//! [`write_request`] encodes into the calling thread's reused buffer, and
+//! the assembler lends each frame as a slice of its own buffer.
 
+use std::cell::RefCell;
 use std::io::{Read, Write};
 
-use bytes::Bytes;
+use bytes::BytesMut;
 use tad_codec::{Reader, ENVELOPE_HEADER_LEN};
 
 use crate::frame::{
-    request_to_bytes, response_from_bytes, FrameError, Request, Response, FRAME_MAGIC,
-    FRAME_VERSION,
+    request_into, request_to_bytes, response_from_frame, FrameError, Request, Response,
+    FRAME_MAGIC, FRAME_VERSION,
 };
+
+/// Longest whole frame, envelope included, [`read_response`] reads into a
+/// stack array — room for every fixed-size reply (a `Score` is 59 bytes,
+/// `Stats` 135). A longer one (an image, a metrics snapshot, a long error
+/// detail) is read into a heap buffer sized to it.
+const STACK_FRAME: usize = 256;
 
 /// Why a frame could not be received from a stream.
 #[derive(Debug)]
@@ -106,9 +118,15 @@ fn validate_header(
 }
 
 /// Reads one whole envelope (header + payload + checksum) off the stream,
-/// refusing payloads longer than `max_payload` before allocating.
-/// `Ok(None)` is a clean frame-aligned EOF.
-fn read_frame_bytes(r: &mut impl Read, max_payload: usize) -> Result<Option<Bytes>, RecvError> {
+/// refusing payloads longer than `max_payload` before sizing anything: a
+/// frame that fits goes into `small`, a longer one into `large`, resized
+/// to it. `Ok(None)` is a clean frame-aligned EOF.
+fn read_frame<'a>(
+    r: &mut impl Read,
+    max_payload: usize,
+    small: &'a mut [u8; STACK_FRAME],
+    large: &'a mut Vec<u8>,
+) -> Result<Option<&'a [u8]>, RecvError> {
     let mut header = [0u8; ENVELOPE_HEADER_LEN];
     if !read_exact_or_eof(r, &mut header)? {
         return Ok(None);
@@ -117,9 +135,13 @@ fn read_frame_bytes(r: &mut impl Read, max_payload: usize) -> Result<Option<Byte
     // garbage length, and the caller should learn "bad magic", not "frame
     // too large".
     let plen = validate_header(&header, max_payload)?;
-    // One allocation for the whole envelope: the body is read directly
-    // into its final resting place behind the copied header.
-    let mut whole = vec![0u8; ENVELOPE_HEADER_LEN + plen as usize + 8];
+    let total = ENVELOPE_HEADER_LEN + plen as usize + 8;
+    let whole: &mut [u8] = if total <= STACK_FRAME {
+        &mut small[..total]
+    } else {
+        large.resize(total, 0);
+        large
+    };
     whole[..ENVELOPE_HEADER_LEN].copy_from_slice(&header);
     if !read_exact_or_eof(r, &mut whole[ENVELOPE_HEADER_LEN..])? {
         return Err(RecvError::Io(std::io::Error::new(
@@ -127,14 +149,15 @@ fn read_frame_bytes(r: &mut impl Read, max_payload: usize) -> Result<Option<Byte
             "peer closed mid-frame",
         )));
     }
-    Ok(Some(Bytes::from(whole)))
+    Ok(Some(whole))
 }
 
 /// Incremental `TADN` envelope reassembly for nonblocking reads: feed it
 /// whatever chunk of bytes the socket produced — a byte, half a header,
-/// three frames and a tail — and pull complete envelopes out as they
-/// form. This is the event loop's counterpart of [`read_response`]'s
-/// blocking header-then-payload read, with the identical validation
+/// three frames and a tail — and take complete envelopes out as they
+/// form, each lent as a slice of the assembler's own buffer. This is the
+/// event loop's counterpart of [`read_response`]'s blocking
+/// header-then-payload read, with the identical validation
 /// order: a header is judged ([`FrameError::BadMagic`] /
 /// [`FrameError::BadVersion`] / [`FrameError::TooLarge`]) as soon as its
 /// 14 bytes are buffered, **before** any payload-sized allocation, so a
@@ -147,15 +170,11 @@ fn read_frame_bytes(r: &mut impl Read, max_payload: usize) -> Result<Option<Byte
 #[derive(Debug)]
 pub struct FrameAssembler {
     buf: Vec<u8>,
-    /// Cursor of the first unconsumed byte in `buf` (compacted lazily so
-    /// per-frame extraction is not O(buffered bytes)).
+    /// Cursor of the first unconsumed byte in `buf`: lending a frame
+    /// moves it, and only [`FrameAssembler::feed`] compacts.
     start: usize,
     max_payload: usize,
 }
-
-/// Compact the assembler's buffer once the dead prefix crosses this many
-/// bytes (or the buffer empties, which is free).
-const ASSEMBLER_COMPACT_AT: usize = 64 << 10;
 
 impl FrameAssembler {
     /// An empty assembler refusing payloads longer than `max_payload`.
@@ -163,27 +182,29 @@ impl FrameAssembler {
         FrameAssembler { buf: Vec::new(), start: 0, max_payload }
     }
 
-    /// Appends one chunk of received bytes.
+    /// Appends one chunk of received bytes. The consumed prefix is
+    /// dropped first once it is at least as long as what is still
+    /// buffered, so moving the rest costs no more than the bytes consumed
+    /// since the last move, and a reader that takes every frame after
+    /// each feed keeps a buffer of one chunk plus a partial frame.
     pub fn feed(&mut self, bytes: &[u8]) {
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start >= ASSEMBLER_COMPACT_AT {
+        if self.start > 0 && self.start >= self.buf.len() - self.start {
             self.buf.drain(..self.start);
             self.start = 0;
         }
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Extracts the next complete envelope, if one has fully arrived.
-    /// `Ok(None)` means "keep feeding"; the returned [`Bytes`] is a whole
-    /// envelope ready for [`crate::request_from_bytes`] /
-    /// [`crate::response_from_bytes`].
+    /// Lends the next complete envelope, if one has fully arrived, as a
+    /// slice of the assembler's buffer — valid until the next call, and
+    /// ready for [`crate::request_from_frame`] /
+    /// [`crate::response_from_frame`] or [`crate::peek_score`]. `Ok(None)`
+    /// means "keep feeding".
     ///
     /// # Errors
     /// The same typed [`FrameError`]s as the blocking reader, surfaced at
     /// the earliest byte that proves the stream hostile.
-    pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameError> {
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
         let avail = &self.buf[self.start..];
         if avail.len() < ENVELOPE_HEADER_LEN {
             return Ok(None);
@@ -195,9 +216,9 @@ impl FrameAssembler {
         if avail.len() < total {
             return Ok(None);
         }
-        let frame = Bytes::from(avail[..total].to_vec());
+        let at = self.start;
         self.start += total;
-        Ok(Some(frame))
+        Ok(Some(&self.buf[at..at + total]))
     }
 
     /// Bytes buffered but not yet consumed by a complete frame — nonzero
@@ -209,32 +230,62 @@ impl FrameAssembler {
 }
 
 /// Reads one response frame. `Ok(None)` is a clean frame-aligned EOF.
+/// A frame of up to 256 bytes (every fixed-size reply) is read into a
+/// stack array and decoded in place; only a longer one is read into the
+/// heap.
 ///
 /// # Errors
 /// [`RecvError::Io`] for transport failures (including mid-frame EOF),
 /// [`RecvError::Frame`] for undecodable or over-long frames.
 pub fn read_response(r: &mut impl Read, max_payload: usize) -> Result<Option<Response>, RecvError> {
-    match read_frame_bytes(r, max_payload)? {
-        Some(bytes) => Ok(Some(response_from_bytes(bytes)?)),
+    let mut small = [0u8; STACK_FRAME];
+    let mut large = Vec::new();
+    match read_frame(r, max_payload, &mut small, &mut large)? {
+        Some(frame) => Ok(Some(response_from_frame(frame)?)),
         None => Ok(None),
     }
 }
 
-/// Writes one request frame (no flush — callers batch then flush).
+thread_local! {
+    /// The calling thread's encode buffer for [`write_request`]: it grows
+    /// to one small frame and is reused for every one after.
+    static ENCODED: RefCell<BytesMut> = RefCell::new(BytesMut::new());
+}
+
+/// Writes one request frame (no flush — callers batch then flush). Every
+/// request but an `Install` is encoded into the calling thread's reused
+/// buffer, so sending one asks the heap for nothing; an image, which can
+/// be as large as a fleet, gets a buffer of its own instead of leaving
+/// one that size behind.
 ///
 /// # Errors
 /// Propagates the writer's I/O error.
 pub fn write_request(w: &mut impl Write, req: &Request) -> std::io::Result<()> {
-    w.write_all(&request_to_bytes(req))
+    if let Request::Install { .. } = req {
+        return w.write_all(&request_to_bytes(req));
+    }
+    ENCODED.with_borrow_mut(|buf| {
+        buf.truncate(0);
+        request_into(req, buf);
+        w.write_all(buf)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{response_to_bytes, ErrorCode};
+    use crate::counting::heap_requests;
+    use crate::frame::{response_to_bytes, ErrorCode, DEFAULT_MAX_FRAME};
+    use bytes::Bytes;
+    use tad_serve::ScoreUpdate;
 
     fn error(code: ErrorCode, trip: Option<u64>) -> Response {
         Response::Error { code, trip, retry_after_ms: None, detail: String::new() }
+    }
+
+    /// A reply too long for the stack array: it takes the heap path.
+    fn long_snapshot() -> Response {
+        Response::Snapshot { image: Bytes::from(vec![7u8; 2 * STACK_FRAME]) }
     }
 
     #[test]
@@ -242,6 +293,7 @@ mod tests {
         let mut buf: Vec<u8> = Vec::new();
         let resps = [
             error(ErrorCode::Backpressure, Some(1)),
+            long_snapshot(),
             Response::Installed { sessions: 4 },
             error(ErrorCode::EngineClosed, None),
         ];
@@ -258,16 +310,49 @@ mod tests {
 
     #[test]
     fn mid_frame_eof_is_an_io_error() {
-        let buf = response_to_bytes(&Response::Installed { sessions: 3 });
-        for cut in 1..buf.len() {
-            let mut cursor = &buf[..cut];
-            match read_response(&mut cursor, 1024) {
-                Err(RecvError::Io(e)) => {
-                    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "cut={cut}")
+        for resp in [Response::Installed { sessions: 3 }, long_snapshot()] {
+            let buf = response_to_bytes(&resp);
+            for cut in 1..buf.len() {
+                let mut cursor = &buf[..cut];
+                match read_response(&mut cursor, 1024) {
+                    Err(RecvError::Io(e)) => {
+                        assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "cut={cut}")
+                    }
+                    other => panic!("cut={cut}: expected UnexpectedEof, got {other:?}"),
                 }
-                other => panic!("cut={cut}: expected UnexpectedEof, got {other:?}"),
             }
         }
+    }
+
+    /// The client's small frames cost the heap nothing: a `Segment` is
+    /// encoded in the thread's reused buffer, once that exists, and a
+    /// `Score` is read into a stack array and decoded in place.
+    #[test]
+    fn a_segment_write_and_a_score_read_ask_the_heap_for_nothing() {
+        let segment = Request::Segment { id: 7, seg: 3 };
+        let mut sent = Vec::with_capacity(256);
+        write_request(&mut sent, &segment).expect("vec write");
+        let (wrote, requests) = heap_requests(|| write_request(&mut sent, &segment));
+        wrote.expect("vec write");
+        assert_eq!(requests, 0, "a segment write asked the heap");
+        assert_eq!(
+            sent,
+            [request_to_bytes(&segment).to_vec(), request_to_bytes(&segment).to_vec()].concat()
+        );
+
+        let score = Response::Score(ScoreUpdate {
+            id: 7,
+            seq: 3,
+            segment: 42,
+            score: 1.25,
+            nll: 0.5,
+            log_scale: -0.25,
+        });
+        let blob = response_to_bytes(&score).to_vec();
+        let mut cursor = &blob[..];
+        let (read, requests) = heap_requests(|| read_response(&mut cursor, DEFAULT_MAX_FRAME));
+        assert_eq!(requests, 0, "a score read asked the heap");
+        assert_eq!(read.expect("read"), Some(score));
     }
 
     #[test]
@@ -295,6 +380,7 @@ mod tests {
         let reqs = [
             Request::TripStart { id: 7, source: 2, dest: 5, time_slot: 1 },
             Request::Segment { id: 7, seg: 3 },
+            Request::Install { image: Bytes::from(vec![9u8; 5]) },
             Request::TripEnd { id: 7 },
         ];
         for req in &reqs {
@@ -306,7 +392,7 @@ mod tests {
             for chunk in [&blob[..cut], &blob[cut..]] {
                 asm.feed(chunk);
                 while let Some(frame) = asm.next_frame().expect("clean stream") {
-                    got.push(crate::frame::request_from_bytes(frame).expect("decodes"));
+                    got.push(crate::frame::request_from_frame(frame).expect("decodes"));
                 }
             }
             assert_eq!(got, reqs, "cut={cut}");

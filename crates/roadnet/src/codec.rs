@@ -13,7 +13,7 @@
 //! no checksum; it is refused as [`NetCodecError::BadVersion`].
 
 use bytes::{BufMut, Bytes, BytesMut};
-use tad_codec::{open_envelope, seal_envelope, Reader};
+use tad_codec::{envelope_payload, seal_envelope, Reader};
 
 use crate::geometry::Point;
 use crate::graph::{NodeId, RoadClass, RoadNetwork};
@@ -88,8 +88,8 @@ pub fn network_to_bytes(net: &RoadNetwork) -> Bytes {
 /// unknown road class, a segment endpoint past the node table, or a
 /// segment [`RoadNetwork::add_segment`] would refuse.
 pub fn network_from_bytes(bytes: Bytes) -> Result<RoadNetwork, NetCodecError> {
-    let payload = open_envelope(MAGIC, VERSION, bytes)?;
-    let mut r = Reader::new(&payload);
+    let payload = envelope_payload(MAGIC, VERSION, &bytes)?;
+    let mut r = Reader::new(payload);
     let mut net = RoadNetwork::new();
     let node_count = r.count(8 + 8, "nodes")?;
     for _ in 0..node_count {

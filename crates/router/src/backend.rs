@@ -31,10 +31,7 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::sync::mpsc::SyncSender;
 
-use bytes::Bytes;
-use tad_net::{
-    request_to_bytes, Conn, EventSource, Interest, ReadStatus, Request, Response, READ_BUDGET,
-};
+use tad_net::{request_into, Conn, EventSource, Interest, Request, Response};
 
 use crate::journal::Journal;
 use crate::server::BarrierKind;
@@ -72,7 +69,9 @@ pub(crate) struct LinkDead;
 pub(crate) struct Link<T> {
     /// The connection; `None` once the link died (dropping the transport
     /// closed it, so the peer sees the close even if the fault was ours).
-    conn: Option<Conn<T>>,
+    /// The loop takes it out for the length of a read, whose visitor is
+    /// the loop itself ([`crate::RouterLoop`]'s `on_link_ready`).
+    pub(crate) conn: Option<Conn<T>>,
     interest: Interest,
     /// Requests in flight on this connection that expect trip-less
     /// replies, in wire order.
@@ -112,11 +111,11 @@ impl<T: Read + Write> Link<T> {
         self.conn.is_some()
     }
 
-    /// Appends one frame to the write backlog (no I/O; the loop flushes
-    /// every link once per tick). A dead link swallows it.
+    /// Encodes one frame straight onto the write backlog (no I/O; the
+    /// loop flushes every link once per tick). A dead link swallows it.
     pub(crate) fn queue(&mut self, req: &Request) {
         if let Some(conn) = &mut self.conn {
-            conn.queue_bytes(&request_to_bytes(req));
+            conn.queue_with(|run| request_into(req, run));
         }
     }
 
@@ -143,23 +142,6 @@ impl<T: Read + Write> Link<T> {
             self.interest = desired;
         }
         Ok(())
-    }
-
-    /// Reads whatever the backend socket has (bounded per tick) into
-    /// `frames`, one whole envelope each, undecoded — the loop forwards a
-    /// `Score`'s bytes as they are and decodes the rest. Frames completed
-    /// before a fault are valid replies and stay in `frames`.
-    ///
-    /// # Errors
-    /// EOF, a framing fault, or a transport error: the reply stream
-    /// cannot be trusted past this point. The caller dispatches `frames`,
-    /// then takes the link down.
-    pub(crate) fn read(&mut self, frames: &mut Vec<Bytes>) -> Result<(), LinkDead> {
-        let Some(conn) = &mut self.conn else { return Ok(()) };
-        match conn.read_frames(READ_BUDGET, frames) {
-            Ok(ReadStatus::WouldBlock) | Ok(ReadStatus::BudgetSpent) => Ok(()),
-            Ok(ReadStatus::Eof) | Err(_) => Err(LinkDead),
-        }
     }
 
     /// Takes the link out of service: deregisters and drops the

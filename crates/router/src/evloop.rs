@@ -44,12 +44,13 @@ use std::time::{Duration, Instant};
 use bytes::{BufMut, Bytes, BytesMut};
 use tad_metrics::MetricsSnapshot;
 use tad_net::{
-    peek_score, response_from_bytes, response_into, ErrorCode, EventSource, FrameError,
-    FrontCounters, FrontDoor, FrontEvent, FrontShared, Readiness, Request, Response,
+    peek_score, response_from_frame, response_into, ErrorCode, EventSource, FrameError,
+    FrontCounters, FrontDoor, FrontEvent, FrontShared, ReadStatus, Readiness, Request, Response,
+    READ_BUDGET,
 };
 use tad_serve::{image_from_bytes, image_to_bytes, FleetImage, FleetSnapshot, TripId};
 
-use crate::backend::{Link, LinkDead, PendingEntry, LINK_KEY, WRITE_HIGHWATER};
+use crate::backend::{Link, PendingEntry, LINK_KEY, WRITE_HIGHWATER};
 use crate::journal::Journal;
 use crate::partition::backend_for;
 use crate::server::{front_config, recover, BarrierKind, RouterConfig, RouterMetrics, RouterStats};
@@ -211,13 +212,16 @@ pub struct RouterLoop<S, T> {
     pub(crate) failovers: u64,
     pub(crate) last_recovery_micros: u64,
     failover_wait: Duration,
-    /// Reused by every link read: the raw frames of one tick.
-    scratch: Vec<Bytes>,
-    /// The replies being gathered for one producer connection: its id,
-    /// their frames back to back, how many. Consecutive replies to the
-    /// same connection — a backend wave relayed to its owner — reach that
-    /// connection's queue as one chunk ([`RouterLoop::flush_replies`]).
-    replies: Option<(u64, BytesMut, usize)>,
+    /// The producer connection replies are being gathered for, and how
+    /// many. Consecutive replies to the same connection — a backend wave
+    /// relayed to its owner — reach that connection's queue as one chunk
+    /// ([`RouterLoop::flush_replies`]).
+    replies: Option<(u64, usize)>,
+    /// The gathered replies' frames, back to back. The buffer is kept
+    /// from chunk to chunk (each leaves as an exact-size copy), so relaying
+    /// a tick's replies — bounded by the links' read budget — asks the
+    /// heap for one chunk, whatever their number.
+    gathered: BytesMut,
 }
 
 impl<S, T> RouterLoop<S, T>
@@ -265,8 +269,8 @@ where
             failovers: 0,
             last_recovery_micros: 0,
             failover_wait,
-            scratch: Default::default(),
             replies: None,
+            gathered: BytesMut::new(),
         }
     }
 
@@ -416,44 +420,50 @@ where
             return;
         }
         if ready.readable {
-            let mut frames = std::mem::take(&mut self.scratch);
-            let mut read = self.links[idx as usize].read(&mut frames);
-            // Dispatch stops at the first frame that does not verify or
-            // decode: a lost reply would misalign the pending FIFO, so
-            // frames past the corruption point must not be matched
-            // against pending entries.
-            for frame in frames.drain(..) {
-                if self.on_backend_frame(idx, frame).is_err() {
-                    read = Err(LinkDead);
-                    break;
-                }
-            }
-            self.scratch = frames;
-            if read.is_err() {
+            // The read's visitor is the loop itself, so the connection is
+            // taken out of its link for the length of the read. Fan-in
+            // touches a link's pending queue, journal and replay flag,
+            // never its connection.
+            let Some(mut conn) = self.links[idx as usize].conn.take() else { return };
+            let read = conn.lend_frames(READ_BUDGET, |frame| self.on_backend_frame(idx, frame));
+            self.links[idx as usize].conn = Some(conn);
+            // EOF, a framing fault, a transport error, or a frame that does
+            // not verify or decode: the reply stream cannot be trusted past
+            // it. Dispatch stopped there — a lost reply would misalign the
+            // pending FIFO — and the link goes down.
+            if !matches!(read, Ok(ReadStatus::WouldBlock | ReadStatus::BudgetSpent)) {
                 self.link_down(idx);
             }
         }
     }
 
-    /// The chunk gathering replies for `conn`, with its frame count;
+    /// The buffer gathering replies for `conn`, with their frame count;
     /// whatever was gathered for another connection is queued first, so
     /// replies reach the door in the order they were produced.
     fn replies_for(&mut self, conn: u64) -> (&mut BytesMut, &mut usize) {
-        if self.replies.as_ref().is_some_and(|(open, ..)| *open != conn) {
+        if self.replies.is_some_and(|(open, _)| open != conn) {
             self.flush_replies();
         }
-        let (_, chunk, frames) = self.replies.get_or_insert_with(|| (conn, BytesMut::new(), 0));
-        (chunk, frames)
+        let (_, frames) = self.replies.get_or_insert((conn, 0));
+        (&mut self.gathered, frames)
     }
 
-    /// Hands the gathered replies to their connection's queue (the door
-    /// counts frames that cannot be queued — connection gone, or its
-    /// queue full — as dropped). Runs before anything else touches a
-    /// producer's queue: at the end of every tick and ahead of the door's
-    /// own parting replies.
+    /// Hands the gathered replies to their connection's queue as one
+    /// exact-size chunk (the door counts frames that cannot be queued —
+    /// connection gone, or its queue full — as dropped). Runs before
+    /// anything else touches a producer's queue: at the end of every tick
+    /// and ahead of the door's own parting replies.
     fn flush_replies(&mut self) {
-        if let Some((conn, chunk, frames)) = self.replies.take() {
+        if let Some((conn, frames)) = self.replies.take() {
+            let mut chunk = BytesMut::with_capacity(self.gathered.len());
+            chunk.put_slice(&self.gathered);
             self.door.push_chunk(conn, chunk, frames);
+            self.gathered.truncate(0);
+            if self.gathered.capacity() > 2 * READ_BUDGET {
+                // A burst no read bounds (a dead backend's errors for
+                // every trip it served) leaves no buffer its size behind.
+                self.gathered = BytesMut::new();
+            }
         }
     }
 
@@ -658,12 +668,13 @@ where
         );
     }
 
-    /// Fan-in of one raw frame from backend link `idx`: a `Score` is
-    /// relayed as the bytes it arrived in, every other reply is decoded.
-    fn on_backend_frame(&mut self, idx: u32, frame: Bytes) -> Result<(), FrameError> {
-        match peek_score(&frame)? {
-            Some((id, seq)) => self.on_backend_score(idx, id, seq, &frame),
-            None => self.on_backend_response(idx, response_from_bytes(frame)?),
+    /// Fan-in of one raw frame from backend link `idx`, lent out of the
+    /// link's read buffer: a `Score` is relayed as the bytes it arrived
+    /// in, every other reply is decoded.
+    fn on_backend_frame(&mut self, idx: u32, frame: &[u8]) -> Result<(), FrameError> {
+        match peek_score(frame)? {
+            Some((id, seq)) => self.on_backend_score(idx, id, seq, frame),
+            None => self.on_backend_response(idx, response_from_frame(frame)?),
         }
         Ok(())
     }
@@ -963,4 +974,129 @@ where
 
 fn backend_down_error(id: TripId, backend: u32) -> Response {
     Response::error(ErrorCode::EngineClosed, Some(id), format!("backend {backend} is down"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::counting::heap_requests;
+    use tad_net::{response_to_bytes, Interest};
+    use tad_serve::ScoreUpdate;
+
+    /// One end of a scripted socket: reads what the test last put in
+    /// `input` (bytes and read position), then would block; writes land
+    /// in `output`, in room the test reserves up front.
+    struct Pipe {
+        input: Arc<Mutex<(Vec<u8>, usize)>>,
+        output: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Pipe {
+        fn new() -> Pipe {
+            Pipe {
+                input: Arc::new(Mutex::new((Vec::new(), 0))),
+                output: Arc::new(Mutex::new(Vec::with_capacity(1 << 20))),
+            }
+        }
+
+        fn end(&self) -> Pipe {
+            Pipe { input: Arc::clone(&self.input), output: Arc::clone(&self.output) }
+        }
+    }
+
+    impl Read for Pipe {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let mut input = self.input.lock().expect("input");
+            let (bytes, at) = &mut *input;
+            let n = buf.len().min(bytes.len() - *at);
+            if n == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            buf[..n].copy_from_slice(&bytes[*at..*at + n]);
+            *at += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.lock().expect("output").extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A source that hands its producer transport over at the first tick
+    /// and reports no readiness: the test drives the link reads itself.
+    struct Quiet(Vec<Pipe>);
+
+    impl EventSource<Pipe> for Quiet {
+        fn register(&mut self, _: u64, _: &Pipe, _: Interest) -> std::io::Result<()> {
+            Ok(())
+        }
+
+        fn reregister(&mut self, _: u64, _: &Pipe, _: Interest) -> std::io::Result<()> {
+            Ok(())
+        }
+
+        fn deregister(&mut self, _: u64, _: &Pipe) -> std::io::Result<()> {
+            Ok(())
+        }
+
+        fn wait(&mut self, out: &mut Vec<Readiness>, _: Option<Duration>) -> std::io::Result<bool> {
+            out.clear();
+            Ok(true)
+        }
+
+        fn accept_injected(&mut self) -> Vec<Pipe> {
+            std::mem::take(&mut self.0)
+        }
+    }
+
+    /// The relay's allocation contract: a backend link's read of `Score`
+    /// frames, their relay to the owning producer and the tick's end that
+    /// hands them to its socket ask the heap a constant number of times
+    /// however many scores the read carries. Each frame is verified and
+    /// relayed off the slice the link lends out of its read buffer.
+    #[test]
+    fn a_link_read_relays_any_number_of_scores_in_a_constant_number_of_allocations() {
+        const PRODUCER: u64 = 0;
+        let (producer, link) = (Pipe::new(), Pipe::new());
+        let (producer_out, link_in) = (Arc::clone(&producer.output), Arc::clone(&link.input));
+        let source = Quiet(vec![producer.end()]);
+        let mut router = RouterLoop::new(source, vec![link.end()], 1, &RouterConfig::default());
+        let tick = router.door.poll(&mut Vec::new()).expect("the first tick adopts the producer");
+        for id in 0..1024 {
+            router.trips.insert(id, TripRoute::new(PRODUCER, 0));
+        }
+        let ready = Readiness { key: LINK_KEY, readable: true, writable: false };
+
+        // The first read grows what is kept across ticks (the link's read
+        // buffer, the gathering buffer, the queues); the widths after it
+        // differ sixteenfold and must cost the same.
+        let mut requests = Vec::new();
+        for (seq, width) in [(0u32, 1024u64), (1, 64), (2, 1024)] {
+            let score =
+                |id| ScoreUpdate { id, seq, segment: 7, score: 1.5, nll: 0.5, log_scale: 0.25 };
+            let frames: Vec<u8> = (0..width)
+                .flat_map(|id| response_to_bytes(&Response::Score(score(id))).to_vec())
+                .collect();
+            *link_in.lock().expect("input") = (frames.clone(), 0);
+            let (_, relaying) = heap_requests(|| {
+                router.on_link_ready(ready);
+                router.flush_replies();
+                router.door.finish_tick(tick)
+            });
+            requests.push(relaying);
+            let mut written = producer_out.lock().expect("output");
+            assert!(*written == frames, "every score reached the producer as it arrived");
+            written.clear();
+        }
+        assert_eq!(requests[1], requests[2], "allocations grew with the scores relayed");
+        assert!(requests[2] <= 4, "{} allocations to relay a read", requests[2]);
+        assert_eq!(router.stats().backends_alive, 1);
+    }
 }

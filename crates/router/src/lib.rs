@@ -106,6 +106,9 @@
 #![deny(missing_docs)]
 
 mod backend;
+#[cfg(test)]
+#[path = "../../net/src/counting.rs"]
+mod counting;
 mod evloop;
 mod journal;
 mod partition;

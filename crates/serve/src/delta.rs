@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use tad_codec::{open_envelope, seal_envelope, Reader};
+use tad_codec::{envelope_payload, seal_envelope, Reader};
 
 use crate::event::TripId;
 use crate::snapshot::{
@@ -120,8 +120,8 @@ pub fn delta_to_bytes(delta: &FleetDelta) -> Bytes {
 /// input must be one delta (trailing bytes are rejected); decoding never
 /// panics, whatever the input.
 pub fn delta_from_bytes(bytes: Bytes) -> Result<FleetDelta, SnapshotCodecError> {
-    let payload = open_envelope(MAGIC, VERSION, bytes)?;
-    let mut r = Reader::new(&payload);
+    let payload = envelope_payload(MAGIC, VERSION, &bytes)?;
+    let mut r = Reader::new(payload);
     let base_epoch = r.u64("delta header")?;
     let seq = r.u64("delta header")?;
     let num_shards = r.u32("delta header")?;

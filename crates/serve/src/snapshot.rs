@@ -24,7 +24,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use causaltad::{state_from_bytes, state_to_bytes, ScorerState, StateCodecError};
-use tad_codec::{open_envelope, seal_envelope, Reader};
+use tad_codec::{envelope_payload, seal_envelope, Reader};
 
 use crate::event::TripId;
 
@@ -239,8 +239,8 @@ pub fn image_to_bytes(image: &FleetImage) -> Bytes {
 /// input must be one snapshot (trailing bytes are rejected); decoding
 /// never panics, whatever the input.
 pub fn image_from_bytes(bytes: Bytes) -> Result<FleetImage, SnapshotCodecError> {
-    let payload = open_envelope(MAGIC, VERSION, bytes)?;
-    let mut r = Reader::new(&payload);
+    let payload = envelope_payload(MAGIC, VERSION, &bytes)?;
+    let mut r = Reader::new(payload);
     let num_shards = r.u32("shard count")?;
     let sessions = r.seq(MIN_RECORD_LEN, "session records", decode_record)?;
     r.finish()?;

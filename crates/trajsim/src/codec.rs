@@ -12,7 +12,7 @@
 //! no checksum; it is refused as [`DataCodecError::BadVersion`].
 
 use bytes::{BufMut, Bytes, BytesMut};
-use tad_codec::{open_envelope, seal_envelope, Reader};
+use tad_codec::{envelope_payload, seal_envelope, Reader};
 use tad_roadnet::SegmentId;
 
 use crate::dataset::{CityDatasets, Label, Trajectory};
@@ -71,8 +71,8 @@ pub fn datasets_to_bytes(data: &CityDatasets) -> Bytes {
 /// version, a truncation point, a checksum mismatch, trailing bytes, or an
 /// unknown label.
 pub fn datasets_from_bytes(bytes: Bytes) -> Result<CityDatasets, DataCodecError> {
-    let payload = open_envelope(MAGIC, VERSION, bytes)?;
-    let mut r = Reader::new(&payload);
+    let payload = envelope_payload(MAGIC, VERSION, &bytes)?;
+    let mut r = Reader::new(payload);
     let data = CityDatasets {
         train: get_split(&mut r)?,
         test_id: get_split(&mut r)?,

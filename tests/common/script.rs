@@ -15,7 +15,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use causaltad_suite::net::{
-    response_from_bytes, EventSource, FrameAssembler, Interest, Readiness, Response,
+    response_from_frame, EventSource, FrameAssembler, Interest, Readiness, Response,
     DEFAULT_MAX_FRAME,
 };
 
@@ -151,7 +151,7 @@ pub fn parse_written(bytes: &[u8]) -> Vec<Response> {
     asm.feed(bytes);
     let mut out = Vec::new();
     while let Some(frame) = asm.next_frame().expect("written stream frames cleanly") {
-        out.push(response_from_bytes(frame).expect("written frame decodes"));
+        out.push(response_from_frame(frame).expect("written frame decodes"));
     }
     assert!(!asm.has_partial(), "trailing partial frame in written stream");
     out

@@ -1392,8 +1392,9 @@ fn scripted_link_backlog_holds_producer_reads_and_resumes_losslessly() {
     producer.push_read(&sent);
     links[0].set_write_window(0);
 
+    let reads = (3 << 19) / tad_net::READ_BUDGET + 2;
     let mut ticks = vec![Tick::new().inject(producer_io).readable(PRODUCER)];
-    ticks.extend((0..8).map(|_| Tick::new().readable(PRODUCER)));
+    ticks.extend((0..reads).map(|_| Tick::new().readable(PRODUCER)));
     let (stalled, reopened) = (links[0].clone(), links[0].clone());
     ticks.push(
         Tick::new()
@@ -1403,7 +1404,7 @@ fn scripted_link_backlog_holds_producer_reads_and_resumes_losslessly() {
             })
             .writable(link_key(0)),
     );
-    ticks.extend((0..8).map(|_| Tick::new().readable(PRODUCER)));
+    ticks.extend((0..reads).map(|_| Tick::new().readable(PRODUCER)));
     let source = ScriptedSource::new(ticks);
     let interest = source.log_handle();
     let mut router = ScriptedRouter::new(source, link_ios, 2, &RouterConfig::default());
