@@ -18,7 +18,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use causaltad::{CausalTad, CausalTadConfig, ScorerState};
-use tad_bench::fleet_walks;
 use tad_eval::cities::{xian_s, Scale};
 
 const WAVE_WIDTHS: [usize; 6] = [1, 8, 64, 512, 4096, 16_384];
@@ -45,6 +44,30 @@ fn trained_model(hidden_dim: usize) -> Arc<CausalTad> {
     let mut model = CausalTad::new(&city.net, cfg);
     model.fit(&city.data.train);
     Arc::new(model)
+}
+
+/// Valid successor-following walks for `sessions` concurrent trips.
+fn fleet_walks(
+    model: &causaltad::CausalTad,
+    sessions: usize,
+    len: usize,
+    seed: u64,
+) -> Vec<Vec<u32>> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..sessions)
+        .map(|i| {
+            let mut walk = vec![(i % model.vocab()) as u32];
+            while walk.len() < len {
+                let succ = model.successors_of(*walk.last().expect("non-empty"));
+                if succ.is_empty() {
+                    break;
+                }
+                walk.push(succ[rng.gen_range(0..succ.len())]);
+            }
+            walk
+        })
+        .collect()
 }
 
 /// Sessions mid-trip, ready to consume one more segment each.

@@ -6,16 +6,16 @@
 //! cargo run --release -p tad-bench --bin paper -- all --scale paper --out results/
 //! ```
 //!
-//! Whatever needs the full trained roster (`table1`, `table2`, `fig5`,
-//! `fig6`, `fig7`, `fig8`, `all`) shares one training pass; `all` is the
-//! cheapest way to regenerate the bulk of the evaluation (Tables I/II and
-//! Figs. 5/6/7b/8 plus the recorded training times). See the `tad-bench`
-//! crate docs for the artefact list.
+//! Every artefact reads one [`Study`]: each selected city is generated
+//! once, and the baseline roster and the default CausalTAD are each
+//! fitted once per city, when the first artefact that needs them runs.
+//! `table3`, `fig8` and `hostile` fit CausalTAD only; the tables and
+//! figures that compare methods fit the roster too. `all` regenerates the
+//! bulk of the evaluation (Tables I/II and Figs. 5/6/7b/8 plus the
+//! recorded training times). See the `tad-bench` crate docs for the
+//! artefact list.
 
-use tad_bench::{
-    ablation_design, emit, fig4, fig7a, fleet_throughput, hostile_streams, table3, training_times,
-    Opts, Study,
-};
+use tad_bench::{Opts, Study};
 
 const ARTEFACTS: [&str; 11] = [
     "table1", "table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation", "hostile",
@@ -58,42 +58,34 @@ fn main() {
         usage(&format!("unknown artefact {bad:?}"));
     }
 
-    let mut trained: Option<Study> = None;
+    let study = Study::new(opts);
     for name in &names {
         match name.as_str() {
-            "table1" => emit(&opts, "table1_id", &study(&mut trained, &opts).table1()),
-            "table2" => emit(&opts, "table2_ood", &study(&mut trained, &opts).table2()),
-            "table3" => emit(&opts, "table3_ablation", &table3(&opts)),
-            "fig4" => emit(&opts, "fig4_score_map", &fig4(&opts)),
-            "fig5" => emit(&opts, "fig5_stability", &study(&mut trained, &opts).fig5()),
-            "fig6" => emit(&opts, "fig6_online", &study(&mut trained, &opts).fig6()),
+            "table1" => study.emit("table1_id", &study.table1()),
+            "table2" => study.emit("table2_ood", &study.table2()),
+            "table3" => study.emit("table3_ablation", &study.table3()),
+            "fig4" => study.emit("fig4_score_map", &study.fig4()),
+            "fig5" => study.emit("fig5_stability", &study.fig5()),
+            "fig6" => study.emit("fig6_online", &study.fig6()),
             "fig7" => {
-                emit(&opts, "fig7a_training", &fig7a(&opts));
-                emit(&opts, "fig7b_inference", &study(&mut trained, &opts).fig7b());
-                emit(&opts, "fig7c_fleet", &fleet_throughput(&opts));
+                study.emit("fig7a_training", &study.fig7a());
+                study.emit("fig7b_inference", &study.fig7b());
             }
-            "fig8" => emit(&opts, "fig8_lambda", &study(&mut trained, &opts).fig8()),
-            "ablation" => emit(&opts, "ablation_design", &ablation_design(&opts)),
-            "hostile" => emit(&opts, "hostile_streams", &hostile_streams(&opts)),
+            "fig8" => study.emit("fig8_lambda", &study.fig8()),
+            "ablation" => study.emit("ablation_design", &study.ablation_design()),
+            "hostile" => study.emit("hostile_streams", &study.hostile_streams()),
             "all" => {
-                let study = study(&mut trained, &opts);
-                emit(&opts, "table1_id", &study.table1());
-                emit(&opts, "table2_ood", &study.table2());
-                emit(&opts, "fig5_stability", &study.fig5());
-                emit(&opts, "fig6_online", &study.fig6());
-                emit(&opts, "fig7b_inference", &study.fig7b());
-                emit(&opts, "fig8_lambda", &study.fig8());
-                emit(&opts, "training_times", &training_times(study));
+                study.emit("table1_id", &study.table1());
+                study.emit("table2_ood", &study.table2());
+                study.emit("fig5_stability", &study.fig5());
+                study.emit("fig6_online", &study.fig6());
+                study.emit("fig7b_inference", &study.fig7b());
+                study.emit("fig8_lambda", &study.fig8());
+                study.emit("training_times", &study.training_times());
             }
             _ => unreachable!("artefact names were checked above"),
         }
     }
-}
-
-/// The full roster trained on every selected city: one pass, run when the
-/// first artefact that needs it is reached and shared by the rest.
-fn study<'a>(trained: &'a mut Option<Study>, opts: &Opts) -> &'a mut Study {
-    trained.get_or_insert_with(|| Study::run(opts.clone()))
 }
 
 #[cfg(test)]

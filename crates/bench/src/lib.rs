@@ -19,13 +19,15 @@
 //! | `fig4` | Fig. 4 — per-segment score visualisation |
 //! | `fig5` | Fig. 5 — stability vs shift ratio |
 //! | `fig6` | Fig. 6 — metric vs observed ratio |
-//! | `fig7` | Fig. 7 — training scalability + inference runtime + fleet throughput |
+//! | `fig7` | Fig. 7 — training scalability + inference runtime |
 //! | `fig8` | Fig. 8 — λ sweep |
-//! | `ablation` | extra design ablations (road constraint, SD decoder, §V-E.3 scaling) |
+//! | `ablation` | extra design ablations (road constraint, SD decoder, §V-E.3 scaling, tied SD embedding, SD NLL in the score) |
 //! | `hostile` | corruption × sanitization-policy ROC-AUC grid |
 //! | `all` | Tables I/II + Figs 5/6/7b/8 + training times |
 //!
-//! Artefacts named together share one training pass of the full roster.
+//! Every artefact reads one fit per city: a [`Study`] generates each city
+//! once and fits the baseline roster and the default CausalTAD once per
+//! city, on first use.
 //! `paper` accepts `--scale quick|paper`, `--city xian|chengdu|both`,
 //! `--out <dir>` (CSV dumps) and `--epochs <n>`; README "Reproducing the
 //! paper" has the commands. Other binaries: `diagnose` (per-pool score
@@ -36,11 +38,8 @@ pub mod experiments;
 pub mod opts;
 pub mod suite;
 
-pub use experiments::{
-    ablation_design, emit, fig4, fig7a, fleet_throughput, fleet_walks, hostile_streams, table3,
-    training_times, Study,
-};
 pub use opts::{CityChoice, Opts};
+pub use suite::Study;
 
 /// The `"host": {..}` member every checked-in `BENCH_*.json` starts with:
 /// a figure is only comparable to another taken on the same cores, the

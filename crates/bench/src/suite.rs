@@ -1,42 +1,129 @@
-//! Trained detector suites: one city, the full method roster, fitted and
-//! ready for evaluation.
+//! The study every artefact reads: the selected cities, each generated
+//! once, with the baseline roster and the default CausalTAD each fitted
+//! once per city — all on first use.
 
+use std::cell::OnceCell;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use causaltad::CausalTadConfig;
+use causaltad::{CausalTad, CausalTadConfig};
 use tad_baselines::{paper_baselines, BaselineConfig, Detector};
 use tad_eval::cities::{chengdu_s, xian_s, Scale};
 use tad_eval::harness::parallel_map;
 use tad_eval::wrappers::CausalTadDetector;
-use tad_trajsim::{generate_city, City};
+use tad_trajsim::{generate_city, City, CityConfig};
 
 use crate::opts::{CityChoice, Opts};
 
-/// A fitted roster on one city: the seven boxed baselines plus CausalTAD
-/// (kept concrete so experiments can reach its model: Fig. 8's score
-/// parts, Fig. 4's per-segment trace), with per-detector training times.
-pub struct TrainedSuite {
-    pub city: City,
-    pub baselines: Vec<Box<dyn Detector>>,
-    pub causal: CausalTadDetector,
-    /// `(detector name, wall-clock fit time)`.
-    pub train_times: Vec<(String, Duration)>,
+/// One `paper` run: its options and, per selected city, the city and its
+/// fits. The artefacts are its methods (`experiments.rs`); nothing is
+/// generated or fitted until one of them asks.
+pub struct Study {
+    pub(crate) opts: Opts,
+    pub(crate) suites: Vec<Suite>,
 }
 
-impl TrainedSuite {
+impl Study {
+    /// The study of the options' cities.
+    pub fn new(opts: Opts) -> Self {
+        let cities = match opts.city {
+            CityChoice::Xian => vec![xian_s(opts.scale)],
+            CityChoice::Chengdu => vec![chengdu_s(opts.scale)],
+            CityChoice::Both => vec![xian_s(opts.scale), chengdu_s(opts.scale)],
+        };
+        let suites = (cities.into_iter())
+            .map(|config| Suite {
+                config,
+                baseline_cfg: baseline_config(opts.scale, opts.epochs),
+                causal_cfg: causaltad_config(opts.scale, opts.epochs),
+                city: OnceCell::new(),
+                baselines: OnceCell::new(),
+                causal: OnceCell::new(),
+            })
+            .collect();
+        Study { opts, suites }
+    }
+}
+
+/// One city of a [`Study`] and its fits, each made on first use: the
+/// seven baselines (together, fanned out across the cores) and CausalTAD
+/// (kept concrete so artefacts can reach its model: Table III's and Fig.
+/// 8's score parts, Fig. 4's per-segment trace, the hostile grid's
+/// engines), each with its fit time.
+pub(crate) struct Suite {
+    config: CityConfig,
+    baseline_cfg: BaselineConfig,
+    causal_cfg: CausalTadConfig,
+    city: OnceCell<City>,
+    baselines: OnceCell<Vec<(Box<dyn Detector>, Duration)>>,
+    causal: OnceCell<(CausalTadDetector, Duration)>,
+}
+
+impl Suite {
+    /// The city, generated on the first call.
+    pub(crate) fn city(&self) -> &City {
+        self.city.get_or_init(|| {
+            eprintln!("generating city {} ...", self.config.name);
+            let city = generate_city(&self.config);
+            eprintln!("  {} segments, {}", city.net.num_segments(), city.data.summary());
+            city
+        })
+    }
+
+    /// The default CausalTAD, fitted on the first call.
+    pub(crate) fn causal(&self) -> &CausalTadDetector {
+        let fit = || {
+            let mut causal = CausalTadDetector::new(self.causal_cfg.clone());
+            let elapsed = timed_fit(&mut causal, self.city());
+            (causal, elapsed)
+        };
+        &self.causal.get_or_init(fit).0
+    }
+
+    /// The default CausalTAD's model.
+    pub(crate) fn model(&self) -> &Arc<CausalTad> {
+        self.causal().model().expect("fitted")
+    }
+
     /// All detectors in the paper's table order (baselines, then
-    /// CausalTAD last).
-    pub fn all(&self) -> Vec<(&str, &dyn Detector)> {
+    /// CausalTAD last), fitting whichever has not been.
+    pub(crate) fn all(&self) -> Vec<(&str, &dyn Detector)> {
+        let fit = || {
+            let city = self.city();
+            let jobs: Vec<_> = (paper_baselines(&self.baseline_cfg).into_iter())
+                .map(|mut det| {
+                    move || {
+                        let elapsed = timed_fit(det.as_mut(), city);
+                        (det, elapsed)
+                    }
+                })
+                .collect();
+            parallel_map(jobs, available_workers())
+        };
         let mut out: Vec<(&str, &dyn Detector)> =
-            self.baselines.iter().map(|d| (d.name(), d.as_ref())).collect();
-        out.push((self.causal.name(), &self.causal as &dyn Detector));
+            (self.baselines.get_or_init(fit).iter()).map(|(d, _)| (d.name(), d.as_ref())).collect();
+        out.push((self.causal().name(), self.causal()));
         out
     }
 
-    /// Finds a fitted detector by display name.
-    pub fn detector(&self, name: &str) -> Option<&dyn Detector> {
-        self.all().into_iter().find(|(n, _)| *n == name).map(|(_, d)| d)
+    /// `(detector, fit time)` of every fit made so far, in table order.
+    pub(crate) fn train_times(&self) -> Vec<(&str, Duration)> {
+        let baselines = self.baselines.get().into_iter().flatten();
+        (baselines.map(|(d, t)| (d.name(), *t)))
+            .chain(self.causal.get().map(|(d, t)| (d.name(), *t)))
+            .collect()
     }
+}
+
+/// Fits `det` on the city's training split, saying so on stderr, and
+/// returns the wall-clock time it took.
+fn timed_fit(det: &mut dyn Detector, city: &City) -> Duration {
+    let started = Instant::now();
+    eprintln!("training {} ...", det.name());
+    det.fit(&city.net, &city.data.train);
+    let elapsed = started.elapsed();
+    eprintln!("  {} done in {elapsed:.1?}", det.name());
+    elapsed
 }
 
 /// Baseline configuration per scale.
@@ -72,64 +159,6 @@ pub fn causaltad_config(scale: Scale, epochs_override: Option<usize>) -> CausalT
         seed: b.seed,
         ..Default::default()
     }
-}
-
-/// The cities selected by the options.
-pub fn selected_cities(opts: &Opts) -> Vec<City> {
-    let cfgs = match opts.city {
-        CityChoice::Xian => vec![xian_s(opts.scale)],
-        CityChoice::Chengdu => vec![chengdu_s(opts.scale)],
-        CityChoice::Both => vec![xian_s(opts.scale), chengdu_s(opts.scale)],
-    };
-    cfgs.iter()
-        .map(|c| {
-            eprintln!("generating city {} ...", c.name);
-            let city = generate_city(c);
-            eprintln!("  {} segments, {}", city.net.num_segments(), city.data.summary());
-            city
-        })
-        .collect()
-}
-
-/// Trains the full paper roster (7 baselines + CausalTAD) on a city.
-/// Baselines fan out across all available cores; CausalTAD trains last.
-pub fn train_full_roster(city: &City, opts: &Opts) -> TrainedSuite {
-    let b_cfg = baseline_config(opts.scale, opts.epochs);
-    let c_cfg = causaltad_config(opts.scale, opts.epochs);
-
-    let jobs: Vec<_> = paper_baselines(&b_cfg)
-        .into_iter()
-        .map(|mut det| {
-            let net = &city.net;
-            let train = &city.data.train;
-            move || {
-                let started = Instant::now();
-                eprintln!("training {} ...", det.name());
-                det.fit(net, train);
-                let elapsed = started.elapsed();
-                eprintln!("  {} done in {elapsed:.1?}", det.name());
-                (det, elapsed)
-            }
-        })
-        .collect();
-    let fitted = parallel_map(jobs, available_workers());
-
-    let mut baselines = Vec::with_capacity(fitted.len());
-    let mut train_times = Vec::with_capacity(fitted.len() + 1);
-    for (det, elapsed) in fitted {
-        train_times.push((det.name().to_string(), elapsed));
-        baselines.push(det);
-    }
-
-    let mut causal = CausalTadDetector::new(c_cfg);
-    let started = Instant::now();
-    eprintln!("training CausalTAD ...");
-    causal.fit(&city.net, &city.data.train);
-    let elapsed = started.elapsed();
-    eprintln!("  CausalTAD done in {elapsed:.1?}");
-    train_times.push(("CausalTAD".to_string(), elapsed));
-
-    TrainedSuite { city: city.clone(), baselines, causal, train_times }
 }
 
 /// Number of worker threads for training fan-outs.

@@ -262,6 +262,15 @@ impl CausalTad {
     pub fn score_tg_only(&self, traj: &Trajectory) -> f64 {
         self.score_pool(std::slice::from_ref(traj), Trajectory::len, |_, _| {})[0].likelihood_nll()
     }
+
+    /// This model scoring with [`CausalTadConfig::score_includes_sd_nll`]
+    /// set: the same parameters and scaling table under a plan that
+    /// carries the SD heads. Training never reads the flag, so a fitted
+    /// model gives what a fit with the flag set would.
+    pub fn with_sd_nll_score(&self) -> CausalTad {
+        let cfg = CausalTadConfig { score_includes_sd_nll: true, ..self.cfg.clone() };
+        CausalTad { cfg, plan: OnceLock::new(), ..self.clone() }
+    }
 }
 
 #[cfg(test)]
@@ -424,5 +433,11 @@ mod tests {
         let t = &city.data.test_ood[0];
         let diff = with_sd.score(t) - without_sd.score(t);
         assert!(diff > 0.0, "SD NLL must add a positive term, diff {diff}");
+        // Training never reads the flag: setting it on the fitted model
+        // scores what the fit with it set does, bit for bit.
+        let flipped = without_sd.with_sd_nll_score();
+        for t in city.data.test_id.iter().chain(&city.data.test_ood) {
+            assert_eq!(flipped.score(t).to_bits(), with_sd.score(t).to_bits());
+        }
     }
 }

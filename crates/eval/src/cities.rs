@@ -8,7 +8,8 @@
 //! * `Quick` — minutes on a laptop CPU; the default for every experiment
 //!   binary and the integration tests.
 //! * `Paper` — larger road networks and trajectory counts, closer to the
-//!   paper's 10k/20k-trajectory setup; expect long CPU runtimes.
+//!   paper's 10k/20k-trajectory setup; minutes per table (see
+//!   [`Scale::Paper`]).
 
 use tad_roadnet::grid::GridCityConfig;
 use tad_trajsim::anomaly::AnomalyConfig;
@@ -22,7 +23,10 @@ use tad_trajsim::CityConfig;
 pub enum Scale {
     /// CPU-minutes scale (default).
     Quick,
-    /// Closer to the paper's dataset sizes (CPU-hours).
+    /// Closer to the paper's dataset sizes: a 16×16 grid and 100 SD pairs
+    /// × 60 trips (twice the trips on chengdu). Minutes, not hours: in a
+    /// release build on a 2-vCPU host Tables I–III on xian took 2 m 46 s,
+    /// Tables II–III on chengdu 5 m 31 s.
     Paper,
 }
 

@@ -3,16 +3,19 @@
 //! detectors: they are views of one fitted model's
 //! [`crate::parts::ScoreParts`].
 
+use std::sync::Arc;
+
 use causaltad::{CausalTad, CausalTadConfig};
 use tad_baselines::Detector;
 use tad_roadnet::RoadNetwork;
 use tad_trajsim::Trajectory;
 
 /// Adapter implementing [`Detector`] on top of [`CausalTad`]: the full
-/// Eq. 10 score at the configured λ.
+/// Eq. 10 score at the configured λ. The fitted model is shared: an
+/// engine serving it holds the same one.
 pub struct CausalTadDetector {
     cfg: CausalTadConfig,
-    model: Option<CausalTad>,
+    model: Option<Arc<CausalTad>>,
 }
 
 impl CausalTadDetector {
@@ -21,8 +24,13 @@ impl CausalTadDetector {
         CausalTadDetector { cfg, model: None }
     }
 
+    /// A detector scoring with an already fitted model.
+    pub fn from_fitted(model: CausalTad) -> Self {
+        CausalTadDetector { cfg: model.config().clone(), model: Some(Arc::new(model)) }
+    }
+
     /// Access to the trained model (e.g. for per-segment traces).
-    pub fn model(&self) -> Option<&CausalTad> {
+    pub fn model(&self) -> Option<&Arc<CausalTad>> {
         self.model.as_ref()
     }
 
@@ -39,7 +47,7 @@ impl Detector for CausalTadDetector {
     fn fit(&mut self, net: &RoadNetwork, train: &[Trajectory]) {
         let mut model = CausalTad::new(net, self.cfg.clone());
         model.fit(train);
-        self.model = Some(model);
+        self.model = Some(Arc::new(model));
     }
 
     fn score_prefix(&self, traj: &Trajectory, prefix_len: usize) -> f64 {

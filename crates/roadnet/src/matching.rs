@@ -8,6 +8,11 @@
 //! transition likelihoods penalise the difference between great-circle and
 //! network distance between consecutive candidates. Gaps between matched
 //! segments are filled with shortest paths so the output is a connected walk.
+//!
+//! This module and [`crate::index`] stand for that preprocessing step.
+//! Every city in this workspace is generated as segment walks and nothing
+//! ingests GPS, so their only callers are the `map_matching` example and
+//! the `substrate` bench's map-matching row.
 
 use crate::dijkstra::{bounded_node_distance, length_cost, SegmentSearch};
 use crate::geometry::Point;

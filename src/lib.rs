@@ -8,8 +8,11 @@
 //!   envelope every binary format is sealed in and the one bounds-checked
 //!   reader every decoder reads through.
 //! * [`autodiff`] — tensor + reverse-mode autodiff substrate.
-//! * [`roadnet`] — road-network graph, city generator, Dijkstra/Yen,
-//!   HMM map matching.
+//! * [`roadnet`] — road-network graph, city generator, Dijkstra/Yen, and
+//!   the spatial index and HMM map matching that stand for the paper's
+//!   preprocessing (Definition 2). Every city is generated as segment
+//!   walks and nothing ingests GPS: the `map_matching` example and the
+//!   `substrate` bench's map-matching row are their only callers.
 //! * [`trajsim`] — confounded trajectory simulator and anomaly generators.
 //! * [`core`] — the CausalTAD model itself (TG-VAE + RP-VAE + online
 //!   detector).
